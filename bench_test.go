@@ -1,7 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark group
-// per table/figure; see DESIGN.md for the experiment index) plus
-// ablation benches for the design choices the paper calls out and
-// micro-benchmarks of the hot primitives.
+// per table/figure) plus ablation benches for the design choices the
+// paper calls out and micro-benchmarks of the hot primitives.
 //
 // Instances are scaled down so `go test -bench=. -benchmem` finishes in
 // minutes; cmd/experiments runs the full measured tables.
@@ -21,6 +20,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/mc"
 	"repro/internal/pdb"
+	"repro/internal/plan"
 	"repro/internal/randdnf"
 	"repro/internal/sprout"
 	"repro/internal/tpch"
@@ -43,6 +43,16 @@ func getDB(sf, probHigh float64) *tpch.DB {
 		benchDB.m[key] = db
 	}
 	return db
+}
+
+// booleanDNF evaluates a Boolean plan to its answer lineage (nil when
+// the answer is certainly false).
+func booleanDNF(n plan.Node) formula.DNF {
+	answers := plan.Lineage(n)
+	if len(answers) == 0 {
+		return nil
+	}
+	return answers[0].Lin
 }
 
 func benchDtree(b *testing.B, s *formula.Space, d formula.DNF, eps float64, kind core.ErrorKind) {
@@ -106,10 +116,10 @@ func BenchmarkFig6aTractable(b *testing.B) {
 		name string
 		dnf  formula.DNF
 	}{
-		{"B1", db.B1(tpch.MaxDate / 2)},
-		{"B6", db.B6(300, 1200, 2, 6, 30)},
-		{"B16", db.B16(5, 25)},
-		{"B17", db.B17(3, 7)},
+		{"B1", booleanDNF(db.B1IR(tpch.MaxDate / 2))},
+		{"B6", booleanDNF(db.B6IR(300, 1200, 2, 6, 30))},
+		{"B16", booleanDNF(db.B16IR(5, 25))},
+		{"B17", booleanDNF(db.B17IR(3, 7))},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/dtree-rel0.01", func(b *testing.B) {
@@ -149,9 +159,9 @@ func BenchmarkFig6bSmallProbabilities(b *testing.B) {
 		name string
 		dnf  formula.DNF
 	}{
-		{"B1", db.B1(tpch.MaxDate / 2)},
-		{"B16", db.B16(5, 25)},
-		{"B17", db.B17(3, 7)},
+		{"B1", booleanDNF(db.B1IR(tpch.MaxDate / 2))},
+		{"B16", booleanDNF(db.B16IR(5, 25))},
+		{"B17", booleanDNF(db.B17IR(3, 7))},
 	}
 	for _, c := range cases {
 		b.Run(c.name+"/dtree-rel0.01", func(b *testing.B) {
@@ -175,9 +185,9 @@ func BenchmarkFig6cInequalityQueries(b *testing.B) {
 		dnf    formula.DNF
 		sprout func() float64
 	}{
-		{"IQB1", db.IQB1(nE, nD*3), func() float64 { return db.SproutIQB1(nE, nD*3) }},
-		{"IQB4", db.IQB4(nE, nD, nC), func() float64 { return db.SproutIQB4(nE, nD, nC) }},
-		{"IQ6", db.IQ6(nE, nD, nC), func() float64 { return db.SproutIQ6(nE, nD, nC) }},
+		{"IQB1", booleanDNF(db.IQB1IR(nE, nD*3)), func() float64 { return db.SproutIQB1(nE, nD*3) }},
+		{"IQB4", booleanDNF(db.IQB4IR(nE, nD, nC)), func() float64 { return db.SproutIQB4(nE, nD, nC) }},
+		{"IQ6", booleanDNF(db.IQ6IR(nE, nD, nC)), func() float64 { return db.SproutIQ6(nE, nD, nC) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -207,10 +217,10 @@ func BenchmarkFig7HardQueries(b *testing.B) {
 			name string
 			dnf  formula.DNF
 		}{
-			{"B2", db.B2(15, 1)},
-			{"B9", db.B9(10)},
-			{"B20", db.B20(nat, 3, 50)},
-			{"B21", db.B21(nat)},
+			{"B2", booleanDNF(db.B2IR(15, 1))},
+			{"B9", booleanDNF(db.B9IR(10))},
+			{"B20", booleanDNF(db.B20IR(nat, 3, 50))},
+			{"B21", booleanDNF(db.B21IR(nat))},
 		}
 		for _, c := range cases {
 			c := c
@@ -297,7 +307,7 @@ func BenchmarkFig9SocialNetworks(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations (design choices from DESIGN.md).
+// Ablations of the design choices the paper calls out.
 // ---------------------------------------------------------------------
 
 func ablationInstance() (*formula.Space, formula.DNF) {
@@ -340,7 +350,7 @@ func BenchmarkAblationClosing(b *testing.B) {
 
 func BenchmarkAblationSubsumption(b *testing.B) {
 	db := getDB(0.001, 1)
-	d := db.IQB1(15, 60)
+	d := booleanDNF(db.IQB1IR(15, 60))
 	for _, disabled := range []bool{false, true} {
 		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
 			if len(d) == 0 {
@@ -359,7 +369,7 @@ func BenchmarkAblationSubsumption(b *testing.B) {
 
 func BenchmarkAblationVarOrder(b *testing.B) {
 	db := getDB(0.001, 1)
-	d := db.IQ6(12, 25, 25)
+	d := booleanDNF(db.IQ6IR(12, 25, 25))
 	orders := []struct {
 		name  string
 		order core.VarOrder
@@ -395,7 +405,7 @@ func BenchmarkAblationGlobalVsDepthFirst(b *testing.B) {
 	})
 	b.Run("global", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ApproxGlobal(s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
+			if _, err := core.ApproxGlobalCtx(context.Background(), s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -436,8 +446,8 @@ func confBatchAnswers(nAnswers, blocks, window, perBlock int) (*formula.Space, [
 
 func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, pool int, cache bool) {
 	b.Helper()
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(pool)
+	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+	workpool.Default.Resize(pool)
 	var ev engine.Evaluator = engine.Exact{}
 	if cache {
 		// One cache shared across iterations: the steady state of a
@@ -474,7 +484,7 @@ func BenchmarkBatchConf(b *testing.B) {
 // the per-supplier answers of Q15.
 func BenchmarkBatchConfTPCH(b *testing.B) {
 	db := getDB(0.002, 1)
-	answers := db.Q15(0, tpch.MaxDate/3)
+	answers := plan.Lineage(db.Q15IR(0, tpch.MaxDate/3))
 	if len(answers) < 8 {
 		b.Skipf("only %d answers at bench scale", len(answers))
 	}
@@ -505,8 +515,8 @@ func BenchmarkParallelExact(b *testing.B) {
 		{"parallel", false, 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Resize(runtime.GOMAXPROCS(0))
-			workpool.Resize(cfg.pool)
+			defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+			workpool.Default.Resize(cfg.pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Exact(s, d, core.Options{Sequential: cfg.seq}); err != nil {
@@ -531,8 +541,8 @@ func BenchmarkParallelApproxRandomGraph(b *testing.B) {
 		{"parallel", false, 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Resize(runtime.GOMAXPROCS(0))
-			workpool.Resize(cfg.pool)
+			defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+			workpool.Default.Resize(cfg.pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Approx(s, d, core.Options{
@@ -550,7 +560,7 @@ func BenchmarkParallelApproxRandomGraph(b *testing.B) {
 // across evaluations.
 func BenchmarkCacheTPCH(b *testing.B) {
 	db := getDB(0.001, 1)
-	d := db.B17(3, 7)
+	d := booleanDNF(db.B17IR(3, 7))
 	if len(d) == 0 {
 		b.Skip("empty lineage at bench scale")
 	}

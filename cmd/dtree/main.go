@@ -86,7 +86,7 @@ func main() {
 	if *metrics {
 		reg = obs.NewMetrics()
 		ev.Metrics = reg
-		pool := workpool.New(workpool.Parallelism())
+		pool := workpool.New(workpool.Default.Parallelism())
 		pool.SetMetrics(reg)
 		ev.Pool = pool
 	}

@@ -16,10 +16,10 @@
 // every answer to ε, over the multi-answer workloads.
 //
 // Defaults are scaled down to finish in minutes; raise -sf and the
-// budgets for larger runs. -md emits GitHub markdown (the body of
-// EXPERIMENTS.md's measured sections). -parallel sizes the shared
-// worker pool the engine explores independent d-tree branches on
-// (default GOMAXPROCS; 1 reproduces the paper's sequential runs).
+// budgets for larger runs. -md emits GitHub markdown. -parallel sizes
+// the shared worker pool the engine explores independent d-tree
+// branches on (default GOMAXPROCS; 1 reproduces the paper's sequential
+// runs).
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *parallel > 0 {
-		workpool.Resize(*parallel)
+		workpool.Default.Resize(*parallel)
 	}
 
 	p := exp.Params{

@@ -25,6 +25,7 @@ import (
 	"repro/internal/dnftext"
 	"repro/internal/formula"
 	"repro/internal/graphs"
+	"repro/internal/plan"
 	"repro/internal/tpch"
 )
 
@@ -41,6 +42,9 @@ func main() {
 	var (
 		s *formula.Space
 		d formula.DNF
+		// node, for the relational workloads, is the Boolean query whose
+		// lineage is exported.
+		node plan.Node
 	)
 	switch *workload {
 	case "karate-triangle":
@@ -63,22 +67,27 @@ func main() {
 		s, d = g.Space(), g.PathDNF(2)
 	case "tpch-b1":
 		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, d = db.Space, db.B1(tpch.MaxDate/2)
+		s, node = db.Space, db.B1IR(tpch.MaxDate/2)
 	case "tpch-b17":
 		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, d = db.Space, db.B17(3, 7)
+		s, node = db.Space, db.B17IR(3, 7)
 	case "tpch-b21":
 		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, d = db.Space, db.B21(db.CommonNationKey())
+		s, node = db.Space, db.B21IR(db.CommonNationKey())
 	case "tpch-iq6":
 		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, d = db.Space, db.IQ6(20, 40, 40)
+		s, node = db.Space, db.IQ6IR(20, 40, 40)
 	case "skew-join":
 		db := tpch.GenerateSkewed(*rows, max(*rows/50, 1), *skew, *seed)
-		s, d = db.Space, db.JoinDNF()
+		s, node = db.Space, db.BooleanIR()
 	default:
 		fmt.Fprintf(os.Stderr, "genworkload: unknown workload %q\n", *workload)
 		os.Exit(1)
+	}
+	if node != nil {
+		if answers := plan.Lineage(node); len(answers) > 0 {
+			d = answers[0].Lin
+		}
 	}
 	if len(d) == 0 {
 		fmt.Fprintln(os.Stderr, "genworkload: workload produced an empty DNF at this scale")

@@ -164,16 +164,6 @@ func (db *DB) known(r *pdb.Relation) bool {
 // resizing one DB never affects another.
 func (db *DB) Pool() *workpool.Pool { return db.pool }
 
-// SetParallelism sizes the DB's worker pool (n < 1 means fully
-// sequential). Earlier versions resized the process-wide default pool,
-// silently changing every DB in the process; it now affects only this
-// DB.
-//
-// Deprecated: call Pool().Resize instead, which names the pool being
-// sized. SetParallelism remains as an alias with the corrected, per-DB
-// behavior.
-func (db *DB) SetParallelism(n int) { db.pool.Resize(n) }
-
 // Parallelism returns the DB's worker pool parallelism.
 func (db *DB) Parallelism() int { return db.pool.Parallelism() }
 

@@ -22,9 +22,9 @@
 //	                    whole algorithm menu (d-tree exact/approx, Monte
 //	                    Carlo, SPROUT plans) with structured budgets
 //	internal/workpool — bounded worker pools (one per DB, plus a
-//	                    process-wide default for the flat API) driving
-//	                    parallel d-tree exploration, batch conf()
-//	                    fan-out, and sharded lineage chains
+//	                    process-wide default for DB-less evaluators)
+//	                    driving parallel d-tree exploration, batch
+//	                    conf() fan-out, and sharded lineage chains
 //	internal/mc       — Karp-Luby estimator, DKLR stopping rule (aconf)
 //	internal/pdb      — probabilistic relations, positive RA, and the
 //	                    parallel batch conf() operator
@@ -54,13 +54,14 @@
 //
 //   - DB — the long-lived root: the probability space, the registered
 //     relations, the pool of hash-consing clause interners, and a
-//     private worker pool (db.Pool().Resize sizes it per DB; the old
-//     SetParallelism remains as a deprecated alias). NewDB(space,
-//     relations...).
+//     private worker pool (db.Pool().Resize sizes it per DB).
+//     NewDB(space, relations...).
+//
 //   - Session — per-client scope: a subformula probability cache, a
 //     default Budget, a default Evaluator, an optional forced lineage
 //     shard count. db.Session(WithEps(1e-3), WithBudget(...),
 //     WithSharedCache(...), WithShards(4), ...).
+//
 //   - Query — the fluent builder compiled to the plan IR with
 //     build-time validation: sess.Query("R").Select(...).Join(...).
 //     GroupLineage(...).TopK(10). Run(ctx) streams the answers as an
@@ -68,26 +69,25 @@
 //     answer is yielded the moment its membership is proven, before
 //     refinement of the rest finishes.
 //
-//	db := repro.NewDB(space, relations...)
-//	sess := db.Session(repro.WithEps(1e-3))
-//	q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
-//	for a, err := range q.Run(ctx) {
-//		if err != nil { ... }
-//		fmt.Println(a.Vals, a.P)
-//	}
+//     db := repro.NewDB(space, relations...)
+//     sess := db.Session(repro.WithEps(1e-3))
+//     q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
+//     for a, err := range q.Run(ctx) {
+//     if err != nil { ... }
+//     fmt.Println(a.Vals, a.P)
+//     }
 //
 // Build-time failures (unregistered relations, empty projections,
 // nested ranking operators, ...) surface as BuildErrors from Build or
 // the first Run, never as planner panics.
 //
-// New code should use the façade; pre-built IR (such as the TPC-H
-// catalog) runs through it via sess.Query(node). The flat re-exports
-// below remain for paper-faithful, single-algorithm use — entry points
-// the façade supersedes carry Deprecated pointers to their
-// equivalents, but keep working.
+// Pre-built IR (such as the TPC-H catalog) runs through the façade via
+// sess.Query(node). Outside a DB, the Evaluator menu — ExactEval,
+// ApproxEval, MonteCarloEval — computes the confidence of one lineage
+// DNF: ApproxEval{Eps: 0.01, Kind: Absolute}.Evaluate(ctx, space, dnf).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured reproductions of every figure.
+// See README.md for a tour and the figure-regeneration commands, and
+// bench/README.md for the benchmark.
 package repro
 
 import (
@@ -98,7 +98,6 @@ import (
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/rank"
 	"repro/internal/serve"
 )
 
@@ -127,7 +126,7 @@ type (
 
 // D-tree algorithm types.
 type (
-	// Options configures Approx and Exact.
+	// Options configures Exact.
 	Options = core.Options
 	// Result reports bounds, estimate and statistics.
 	Result = core.Result
@@ -171,8 +170,6 @@ type (
 	Plan = plan.Plan
 	// PlanRoute identifies the chosen execution path.
 	PlanRoute = plan.Route
-	// PlanOptions tunes routing (e.g. forcing the lineage path).
-	PlanOptions = plan.Options
 	// TopKNode is the plan root keeping only the K most probable
 	// answers (exact sort on structural routes, anytime scheduler on
 	// the lineage route).
@@ -205,22 +202,6 @@ type (
 	CacheStats = obs.CacheStats
 	// HistogramSnapshot is a frozen power-of-two histogram.
 	HistogramSnapshot = obs.HistogramSnapshot
-)
-
-// Anytime ranking types: step-wise refinement of probability bounds and
-// the multi-answer top-k / threshold schedulers built on it.
-type (
-	// Refiner is the resumable d-tree ε-approximation: Step(budget)
-	// refines the frontier and returns monotonically tightening bounds.
-	Refiner = core.Refiner
-	// RankOptions configures the ranking schedulers (refinement floor,
-	// step quantum, budgets, shared cache, resolve mode).
-	RankOptions = rank.Options
-	// RankItem is one answer's ranking outcome (bounds, estimate,
-	// steps, membership proof).
-	RankItem = rank.Item
-	// RankResult is a ranking run's outcome (items, ranking, steps).
-	RankResult = rank.Result
 )
 
 // Serving-layer types: the long-lived query service in front of the
@@ -328,20 +309,6 @@ var (
 	NewClause = formula.NewClause
 	// NewDNF builds a normalized DNF.
 	NewDNF = formula.NewDNF
-	// Approx computes an ε-approximation of P(d) with guarantees
-	// (depth-first incremental compilation with leaf closing).
-	//
-	// Deprecated: run queries through the façade — DB.Session with
-	// WithEps derives the same evaluator (ApproxEval) with the
-	// session's budget and cache. Approx remains for paper-faithful
-	// single-formula use.
-	Approx = core.Approx
-	// ApproxGlobal is the global largest-interval-first variant.
-	//
-	// Deprecated: use a Session with WithEvaluator(ApproxEval{Global:
-	// true, ...}), or ApproxEval directly; ApproxGlobal remains for
-	// paper-faithful ablations.
-	ApproxGlobal = core.ApproxGlobal
 	// Exact computes P(d) exactly via exhaustive d-tree compilation.
 	Exact = core.Exact
 	// ExactProbability is Exact returning only the probability.
@@ -354,42 +321,7 @@ var (
 	NewProbCache = formula.NewProbCache
 	// NewFragCache returns an empty prepared-fragment cache.
 	NewFragCache = formula.NewFragCache
-	// SproutPlan adapts an exact query-structural computation to the
-	// Evaluator API.
-	SproutPlan = engine.SproutPlan
-	// CompilePlan analyzes a plan IR and routes it to the cheapest
-	// applicable algorithm (safe plan, IQ scan, lineage + d-tree).
-	//
-	// Deprecated: compile through the façade — Session.Query(node)
-	// accepts pre-built IR and Build returns the routed Prepared plan
-	// with build-time validation; CompilePlan remains for standalone
-	// planner use.
-	CompilePlan = plan.Compile
-	// PlanFromLegacy bridges the declarative pdb.Query structs into the
-	// plan IR, so existing query definitions route through the planner.
-	PlanFromLegacy = plan.FromLegacy
-	// PlanLineage evaluates a plan with the pipelined runtime,
-	// returning answers with lineage DNFs.
-	PlanLineage = plan.Lineage
 	// NewInterner returns an empty hash-consing clause interner (the
 	// pipelined runtime's join-merge deduplication).
 	NewInterner = formula.NewInterner
-	// NewRefiner prepares a lineage DNF for step-wise bound refinement.
-	NewRefiner = core.NewRefiner
-	// RankTopK returns the k most probable answers by interleaved bound
-	// refinement, pruning answers whose bounds separate early.
-	//
-	// Deprecated: use the façade — Query.TopK(k) on a Session streams
-	// the same scheduler's answers as they are proven (Run returns an
-	// iter.Seq2). RankTopK remains for ranking raw lineage DNFs
-	// outside a DB.
-	RankTopK = rank.TopK
-	// RankThreshold returns the answers with P ≥ τ, same machinery.
-	//
-	// Deprecated: use Query.Threshold(tau) on a Session, which streams
-	// proven members; RankThreshold remains for raw lineage DNFs.
-	RankThreshold = rank.Threshold
-	// RankRefineAll is the non-pruning baseline: every answer refined
-	// to its guarantee.
-	RankRefineAll = rank.RefineAll
 )

@@ -51,23 +51,22 @@ func TestFacadeWithShards(t *testing.T) {
 	}
 }
 
-// TestDBPartitionPoolIsolation pins the SetParallelism fix: sizing one
-// DB's pool must leave other DBs and the process-wide default pool
-// untouched.
+// TestDBPartitionPoolIsolation pins per-DB pools: sizing one DB's pool
+// must leave other DBs and the process-wide default pool untouched.
 func TestDBPartitionPoolIsolation(t *testing.T) {
 	a := smallDB(t)
 	b := smallDB(t)
 	was := b.Parallelism()
-	def := workpool.Parallelism()
+	def := workpool.Default.Parallelism()
 
-	a.SetParallelism(1)
+	a.Pool().Resize(1)
 	if got := a.Parallelism(); got != 1 {
-		t.Fatalf("a.Parallelism() = %d after SetParallelism(1)", got)
+		t.Fatalf("a.Parallelism() = %d after Pool().Resize(1)", got)
 	}
 	if got := b.Parallelism(); got != was {
 		t.Fatalf("resizing DB a changed DB b's pool: %d, want %d", got, was)
 	}
-	if got := workpool.Parallelism(); got != def {
+	if got := workpool.Default.Parallelism(); got != def {
 		t.Fatalf("resizing DB a changed the default pool: %d, want %d", got, def)
 	}
 

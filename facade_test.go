@@ -221,7 +221,7 @@ func TestFacadeStreamingSavesWork(t *testing.T) {
 				break
 			}
 		}
-		_, misses = sess.Cache().Stats()
+		misses = sess.Cache().CacheStats().Misses
 		return answers, misses
 	}
 

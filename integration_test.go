@@ -107,7 +107,7 @@ func TestFourAlgorithmsAgree(t *testing.T) {
 		t.Fatalf("approx %v vs exact %v", approx.Estimate, exact)
 	}
 
-	global, err := core.ApproxGlobal(s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
+	global, err := core.ApproxGlobalCtx(context.Background(), s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -407,15 +407,22 @@ func (st *state) cachedProbErr(d formula.DNF, compute func() (float64, error)) (
 	return p, nil
 }
 
-// interrupted reports why evaluation should stop early: a sibling pool
-// task's contained panic (poisoned — reported as context.Canceled so
-// the batch drains promptly and the panic, rethrown by the pool, is the
-// error that surfaces) or the caller's context.
+// interrupted reports why evaluation should stop early: the caller's
+// context (its own error, so a latched deadline still reads
+// DeadlineExceeded) or a sibling pool task's contained panic (poisoned
+// with a live context — reported as context.Canceled so the batch
+// drains promptly and the panic, rethrown by the pool, is the error
+// that surfaces). The first poll to see a dead context sets the same
+// latch, which exactRec loads on every node.
 func (st *state) interrupted() error {
+	if err := st.ctx.Err(); err != nil {
+		st.poison()
+		return err
+	}
 	if st.poisoned.Load() {
 		return context.Canceled
 	}
-	return st.ctx.Err()
+	return nil
 }
 
 // poison is the RunAbort hook: flips every subsequent interrupted()
@@ -747,8 +754,10 @@ func (st *state) exactRec(d formula.DNF) (float64, error) {
 	// Poll the context on a stride of the shared node counter: checking
 	// every node would have all pool workers contending on the timer
 	// context's mutex. The first node still polls, so a dead context
-	// fails fast.
-	if n := st.nodes.Add(1); n%exactCtxStride == 1 {
+	// fails fast. Once a poll has latched an interruption every node
+	// polls, or each RunAbort sibling of the unwinding batch would run on
+	// to a stride poll of its own.
+	if n := st.nodes.Add(1); n%exactCtxStride == 1 || st.poisoned.Load() {
 		if err := st.interruptedOrInjected(); err != nil {
 			return 0, err
 		}

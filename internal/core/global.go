@@ -6,22 +6,17 @@ import (
 	"repro/internal/formula"
 )
 
-// ApproxGlobal is the first incremental algorithm sketched in Section
+// ApproxGlobalCtx is the first incremental algorithm sketched in Section
 // V-D: it materializes the partial d-tree, repeatedly recomputes the
 // root bounds, and refines the open leaf with the largest bounds
 // interval until the ε-approximation condition of Proposition 5.8
 // holds. Unlike Approx it keeps every node in memory and performs no
 // leaf closing — it is the paper's motivation for the memory-efficient
 // depth-first variant, retained here as an alternative strategy and an
-// ablation target.
-func ApproxGlobal(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	return ApproxGlobalCtx(context.Background(), s, d, opt)
-}
-
-// ApproxGlobalCtx is ApproxGlobal with cancellation semantics matching
-// ApproxCtx: the context is checked before every refinement step. It is
-// a Refiner run to completion — the resumable step-wise API (see
-// refiner.go) is the primitive, this loop its simplest client.
+// ablation target. Cancellation matches ApproxCtx: the context is
+// checked before every refinement step. It is a Refiner run to
+// completion — the resumable step-wise API (see refiner.go) is the
+// primitive, this loop its simplest client.
 func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)

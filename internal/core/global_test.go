@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ func TestGlobalAbsoluteGuarantee(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			s, d := randdnf.Generate(randdnf.Default(), seed)
 			want := formula.BruteForceProbability(s, d)
-			res, err := ApproxGlobal(s, d, Options{Eps: eps, Kind: Absolute})
+			res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -29,7 +30,7 @@ func TestGlobalRelativeGuarantee(t *testing.T) {
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := ApproxGlobal(s, d, Options{Eps: 0.05, Kind: Relative})
+		res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.05, Kind: Relative})
 		if err != nil {
 			return false
 		}
@@ -47,7 +48,7 @@ func TestGlobalMatchesDepthFirst(t *testing.T) {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
 		want := formula.BruteForceProbability(s, d)
 		a, err1 := Approx(s, d, Options{Eps: 0.02, Kind: Absolute})
-		g, err2 := ApproxGlobal(s, d, Options{Eps: 0.02, Kind: Absolute})
+		g, err2 := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.02, Kind: Absolute})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("seed %d: %v / %v", seed, err1, err2)
 		}
@@ -60,7 +61,7 @@ func TestGlobalMatchesDepthFirst(t *testing.T) {
 func TestGlobalEpsZeroExact(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 9)
 	want := formula.BruteForceProbability(s, d)
-	res, err := ApproxGlobal(s, d, Options{})
+	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{})
 	if err != nil || !res.Exact || math.Abs(res.Estimate-want) > 1e-9 {
 		t.Fatalf("res=%+v err=%v want=%v", res, err, want)
 	}
@@ -71,7 +72,7 @@ func TestGlobalBudget(t *testing.T) {
 		Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
 	}, 11)
 	want := formula.BruteForceProbability(s, d)
-	res, err := ApproxGlobal(s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 10})
+	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 10})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -87,7 +88,7 @@ func TestGlobalEarlyStopImmediate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d = append(d, formula.MustClause(formula.Pos(s.AddBool(0.1))))
 	}
-	res, err := ApproxGlobal(s, d, Options{Eps: 0.01, Kind: Relative})
+	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Relative})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func hierarchicalDNF(groups, perGroup int, s *formula.Space) formula.DNF {
 // node counts) to the sequential path, because children are combined in
 // child-index order either way.
 func TestParallelMatchesSequential(t *testing.T) {
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(8) // force real fan-out even on single-CPU machines
+	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+	workpool.Default.Resize(8) // force real fan-out even on single-CPU machines
 
 	check := func(name string, s *formula.Space, d formula.DNF) {
 		t.Helper()
@@ -70,8 +70,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // child preparation must leave the sequential refinement's bounds and
 // stop/close decisions unchanged.
 func TestParallelApproxMatchesSequential(t *testing.T) {
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(8)
+	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+	workpool.Default.Resize(8)
 	for seed := int64(1); seed <= 15; seed++ {
 		s, d := randdnf.Generate(randdnf.Config{
 			Vars: 40, Clauses: 70, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.95,
@@ -107,6 +107,39 @@ func TestExactCtxCancelPrompt(t *testing.T) {
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("cancellation took %v", el)
+	}
+}
+
+// TestExactDeadlineSticky is the regression test for the cancellation
+// latch: exact evaluation of a bipartite grid (x_i ∧ e_ij ∧ y_j, one
+// connected component, exponentially many parallel batches) cannot
+// finish, so a 50 ms deadline must end it. Without the latch every
+// RunAbort sibling of the unwinding batch runs on to a stride poll of
+// its own and the call never returns on a pool of size ≥ 2.
+func TestExactDeadlineSticky(t *testing.T) {
+	const n = 17 // 289 clauses
+	s := formula.NewSpace()
+	xs, ys := make([]formula.Var, n), make([]formula.Var, n)
+	for i := range xs {
+		xs[i], ys[i] = s.AddBool(0.5), s.AddBool(0.5)
+	}
+	var d formula.DNF
+	for i := range xs {
+		for j := range ys {
+			d = append(d, formula.MustClause(formula.Pos(xs[i]), formula.Pos(s.AddBool(0.5)), formula.Pos(ys[j])))
+		}
+	}
+	for _, size := range []int{2, 8} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err := ExactCtx(ctx, s, d, Options{Pool: workpool.New(size)})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("pool %d: err = %v, want context.DeadlineExceeded", size, err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("pool %d: returned %v after a 50ms deadline", size, el)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := frags.Stats(); hits == 0 {
+	if frags.CacheStats().Hits == 0 {
 		t.Fatal("warm reruns produced no fragment-cache hits")
 	}
 }
@@ -216,7 +216,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if hits, misses := frags.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("degenerate sharing: hits=%d misses=%d", hits, misses)
+	if st := frags.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("degenerate sharing: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Refiner is the resumable form of the incremental ε-approximation: the
-// materialized partial d-tree of ApproxGlobal turned into a step-wise
+// materialized partial d-tree of ApproxGlobalCtx turned into a step-wise
 // API. Where ApproxCtx runs its depth-first exploration to completion,
 // a Refiner persists the d-tree frontier between calls — each Step
 // refines the open leaf with the largest bounds interval (the paper's

@@ -5,8 +5,41 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/formula"
 	"repro/internal/randdnf"
 )
+
+// refinerStepWorkload is the BenchmarkRefinerStep fixture: a random
+// width-3 DNF refined at a tight Eps under a node budget, so every run
+// refines maxNodes worth of tree.
+func refinerStepWorkload(clauses int) (*formula.Space, formula.DNF, Options) {
+	cfg := randdnf.Config{
+		Vars: 6 * clauses / 5, Clauses: clauses, MaxWidth: 3, ForceWidth: true,
+		MaxDomain: 2, MinProb: 0.01, MaxProb: 0.15,
+	}
+	s, d := randdnf.Generate(cfg, int64(clauses))
+	return s, d, Options{Eps: 1e-12, Kind: Absolute, MaxNodes: 40 * clauses}
+}
+
+// TestRefinerPinnedStepCounts pins the step counts of the
+// BenchmarkRefinerStep fixtures: steps are machine-independent, so
+// drift is a behaviour change, and the incremental path must spend
+// exactly what the O(tree) reference does.
+func TestRefinerPinnedStepCounts(t *testing.T) {
+	for _, tc := range []struct{ clauses, want int }{{40, 484}, {80, 951}, {160, 1972}, {320, 3702}} {
+		s, d, opt := refinerStepWorkload(tc.clauses)
+		for _, ref := range []bool{false, true} {
+			opt.refScan = ref
+			r := NewRefiner(context.Background(), s, d, opt)
+			for !r.Done() {
+				r.Step(64)
+			}
+			if r.Steps() != tc.want {
+				t.Errorf("clauses=%d refScan=%v: %d steps, want %d", tc.clauses, ref, r.Steps(), tc.want)
+			}
+		}
+	}
+}
 
 // BenchmarkRefinerStep measures the per-refinement cost of Refiner.Step
 // as the materialized tree grows: each sub-benchmark runs a refiner to
@@ -17,14 +50,7 @@ import (
 // per-call allocations are already fixed via reused scratch buffers).
 func BenchmarkRefinerStep(b *testing.B) {
 	for _, clauses := range []int{40, 80, 160, 320} {
-		cfg := randdnf.Config{
-			Vars: 6 * clauses / 5, Clauses: clauses, MaxWidth: 3, ForceWidth: true,
-			MaxDomain: 2, MinProb: 0.01, MaxProb: 0.15,
-		}
-		s, d := randdnf.Generate(cfg, int64(clauses))
-		// A tight Eps with a node budget: every run refines maxNodes
-		// worth of tree, so ns/step is comparable across sizes.
-		opt := Options{Eps: 1e-12, Kind: Absolute, MaxNodes: 40 * clauses}
+		s, d, opt := refinerStepWorkload(clauses)
 		for _, ref := range []bool{false, true} {
 			name := fmt.Sprintf("clauses=%d/incremental", clauses)
 			o := opt

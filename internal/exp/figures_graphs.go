@@ -114,7 +114,7 @@ func Fig9(p Params, errors []float64) *Table {
 		Title:  "social networks (karate, dolphins): queries t, s2, p2, p3 across relative errors",
 		Header: []string{"network", "query", "rel err", "clauses", "aconf", "d-tree", "d-tree est"},
 		Notes: []string{
-			"dolphins is a synthetic 62-node/159-edge stand-in (see DESIGN.md)",
+			"dolphins is a synthetic 62-node/159-edge stand-in (see graphs.Dolphins)",
 		},
 	}
 	networks := []struct {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/graphs"
-	"repro/internal/pdb"
 	"repro/internal/rank"
 	"repro/internal/tpch"
 )
@@ -84,19 +83,11 @@ func TopKFigure(p Params) *Table {
 	}
 
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
-	tpchWorkloads := []struct {
-		name    string
-		answers []pdb.Answer
-	}{
-		{"tpch Q1", db.Q1(q1Cutoff)},
-		{"tpch Q15", db.Q15(q15Lo, q15Hi)},
-	}
-	for _, w := range tpchWorkloads {
-		dnfs := make([]formula.DNF, len(w.answers))
-		for i, a := range w.answers {
-			dnfs[i] = a.Lin
-		}
-		addRankRows(t, w.name, db.Space, dnfs)
+	for _, q := range []tpchQuery{
+		{"tpch Q1", db.Q1IR(q1Cutoff)},
+		{"tpch Q15", db.Q15IR(q15Lo, q15Hi)},
+	} {
+		addRankRows(t, q.name, db.Space, lineageDNFs(q.node))
 	}
 
 	networks := []struct {

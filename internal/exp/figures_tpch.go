@@ -38,31 +38,43 @@ const (
 	relErr005 = 0.05
 )
 
-// tractableQuery bundles one tractable query's lineage (materialized by
-// the pipelined runtime) and its IR, which the planner routes to the
-// exact structural algorithm for the "SPROUT" column.
-type tractableQuery struct {
+// tpchQuery is one workload query as IR: lineageDNFs materializes its
+// lineage for the aconf / d-tree columns, and the planner routes the
+// same node to the exact structural algorithm for the "SPROUT" column.
+type tpchQuery struct {
 	name string
-	dnfs []formula.DNF
 	node plan.Node
 }
 
-func tractableQueries(db *tpch.DB) []tractableQuery {
-	answersToDNFs := func(as []pdb.Answer) []formula.DNF {
-		out := make([]formula.DNF, len(as))
-		for i, a := range as {
-			out[i] = a.Lin
-		}
-		return out
+func tractableQueries(db *tpch.DB) []tpchQuery {
+	return []tpchQuery{
+		{"1", db.Q1IR(q1Cutoff)},
+		{"15", db.Q15IR(q15Lo, q15Hi)},
+		{"B1", db.B1IR(b1Cutoff)},
+		{"B6", db.B6IR(300, 1200, 2, 6, 30)},
+		{"B16", db.B16IR(b16Brand, b16Size)},
+		{"B17", db.B17IR(b17Brand, b17Cont)},
 	}
-	return []tractableQuery{
-		{"1", answersToDNFs(db.Q1(q1Cutoff)), db.Q1IR(q1Cutoff)},
-		{"15", answersToDNFs(db.Q15(q15Lo, q15Hi)), db.Q15IR(q15Lo, q15Hi)},
-		{"B1", []formula.DNF{db.B1(b1Cutoff)}, db.B1IR(b1Cutoff)},
-		{"B6", []formula.DNF{db.B6(300, 1200, 2, 6, 30)}, db.B6IR(300, 1200, 2, 6, 30)},
-		{"B16", []formula.DNF{db.B16(b16Brand, b16Size)}, db.B16IR(b16Brand, b16Size)},
-		{"B17", []formula.DNF{db.B17(b17Brand, b17Cont)}, db.B17IR(b17Brand, b17Cont)},
+}
+
+// lineageDNFs materializes a query's lineage with the pipelined
+// runtime: one DNF per answer, none when no answer is possible.
+func lineageDNFs(node plan.Node) []formula.DNF {
+	answers := plan.Lineage(node)
+	out := make([]formula.DNF, len(answers))
+	for i, a := range answers {
+		out[i] = a.Lin
 	}
+	return out
+}
+
+// booleanDNF is lineageDNFs for a Boolean query: the lineage of its one
+// answer, nil when the answer is certainly false.
+func booleanDNF(node plan.Node) formula.DNF {
+	if dnfs := lineageDNFs(node); len(dnfs) > 0 {
+		return dnfs[0]
+	}
+	return nil
 }
 
 // plannerExact returns the planner-routed exact computation of a
@@ -115,7 +127,8 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 			dtCache = formula.NewProbCache(0)
 			deCache = formula.NewProbCache(0)
 		}
-		for i, d := range q.dnfs {
+		dnfs := lineageDNFs(q.node)
+		for i, d := range dnfs {
 			clauses += len(d)
 			if len(d) == 0 {
 				continue
@@ -127,7 +140,7 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		sa, sd, se := sumRuns(ac), sumRuns(dt), sumRuns(de)
 		exact := "-"
-		if len(q.dnfs) == 1 {
+		if len(dnfs) == 1 {
 			exact = se.estimate
 		}
 		t.Rows = append(t.Rows, []string{
@@ -149,15 +162,10 @@ func Fig6b(p Params) *Table { return fig6Tractable("fig6b", 0.01, p) }
 func Fig6c(p Params) *Table {
 	p = p.withDefaults()
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
-	type iq struct {
-		name string
-		dnf  formula.DNF
-		node plan.Node
-	}
-	queries := []iq{
-		{"IQ B1", db.IQB1(iqPairE, iqPairD), db.IQB1IR(iqPairE, iqPairD)},
-		{"IQ B4", db.IQB4(iqStarE, iqStarD, iqStarC), db.IQB4IR(iqStarE, iqStarD, iqStarC)},
-		{"IQ 6", db.IQ6(iqStarE, iqStarD, iqStarC), db.IQ6IR(iqStarE, iqStarD, iqStarC)},
+	queries := []tpchQuery{
+		{"IQ B1", db.IQB1IR(iqPairE, iqPairD)},
+		{"IQ B4", db.IQB4IR(iqStarE, iqStarD, iqStarC)},
+		{"IQ 6", db.IQ6IR(iqStarE, iqStarD, iqStarC)},
 	}
 	t := &Table{
 		ID:     "fig6c",
@@ -165,16 +173,17 @@ func Fig6c(p Params) *Table {
 		Header: []string{"query", "clauses", "aconf(r.01)", "d-tree(r.01)", "d-tree(0)", "SPROUT", "P (exact)"},
 	}
 	for _, q := range queries {
-		if len(q.dnf) == 0 {
+		dnf := booleanDNF(q.node)
+		if len(dnf) == 0 {
 			t.Rows = append(t.Rows, []string{q.name, "0", "-", "-", "-", "-", "0"})
 			continue
 		}
-		ac := runAconf(db.Space, q.dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
-		dt := runDtree(db.Space, q.dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
-		de := runDtreeExact(db.Space, q.dnf, p.DtreeMaxNodes, nil)
+		ac := runAconf(db.Space, dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
+		dt := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
+		de := runDtreeExact(db.Space, dnf, p.DtreeMaxNodes, nil)
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		t.Rows = append(t.Rows, []string{
-			q.name, fmt.Sprint(len(q.dnf)),
+			q.name, fmt.Sprint(len(dnf)),
 			ac.timeCell(), dt.timeCell(), de.timeCell(), sp.timeCell(), sp.estimate,
 		})
 	}
@@ -231,26 +240,24 @@ func Fig7(p Params, sfs []float64) *Table {
 		pp.SF = sf
 		db := tpch.Generate(tpch.Config{SF: sf, ProbHigh: 1, Seed: p.Seed})
 		nat := db.CommonNationKey()
-		queries := []struct {
-			name string
-			dnf  formula.DNF
-		}{
-			{"B2", db.B2(b2Size, b2Region)},
-			{"B9", db.B9(b9TypeMax)},
-			{"B20", db.B20(nat, b20Brand, b20Avail)},
-			{"B21", db.B21(nat)},
+		queries := []tpchQuery{
+			{"B2", db.B2IR(b2Size, b2Region)},
+			{"B9", db.B9IR(b9TypeMax)},
+			{"B20", db.B20IR(nat, b20Brand, b20Avail)},
+			{"B21", db.B21IR(nat)},
 		}
 		for _, q := range queries {
-			if len(q.dnf) == 0 {
+			dnf := booleanDNF(q.node)
+			if len(dnf) == 0 {
 				t.Rows = append(t.Rows, []string{q.name, fmt.Sprint(sf), "0", "-", "-", "-", "-", "0"})
 				continue
 			}
-			a1 := runAconf(db.Space, q.dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
-			a5 := runAconf(db.Space, q.dnf, relErr005, p.Delta, p.AconfMaxSample, p.Seed+1)
-			d1 := runDtree(db.Space, q.dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
-			d5 := runDtree(db.Space, q.dnf, relErr005, engine.Relative, p.DtreeMaxNodes, nil)
+			a1 := runAconf(db.Space, dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
+			a5 := runAconf(db.Space, dnf, relErr005, p.Delta, p.AconfMaxSample, p.Seed+1)
+			d1 := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
+			d5 := runDtree(db.Space, dnf, relErr005, engine.Relative, p.DtreeMaxNodes, nil)
 			t.Rows = append(t.Rows, []string{
-				q.name, fmt.Sprint(sf), fmt.Sprint(len(q.dnf)),
+				q.name, fmt.Sprint(sf), fmt.Sprint(len(dnf)),
 				a1.timeCell(), a5.timeCell(), d1.timeCell(), d5.timeCell(), d1.estimate,
 			})
 		}

@@ -34,10 +34,10 @@ func NodeStats(p Params) *Table {
 		name string
 		dnf  formula.DNF
 	}{
-		{"tpch-B17 (hierarchical)", db.B17(b17Brand, b17Cont)},
-		{"tpch-B16 (hierarchical)", db.B16(b16Brand, b16Size)},
-		{"tpch-IQB1 (inequality)", db.IQB1(20, 60)},
-		{"tpch-B21 (hard)", db.B21(db.CommonNationKey())},
+		{"tpch-B17 (hierarchical)", booleanDNF(db.B17IR(b17Brand, b17Cont))},
+		{"tpch-B16 (hierarchical)", booleanDNF(db.B16IR(b16Brand, b16Size))},
+		{"tpch-IQB1 (inequality)", booleanDNF(db.IQB1IR(20, 60))},
+		{"tpch-B21 (hard)", booleanDNF(db.B21IR(db.CommonNationKey()))},
 		{"karate-triangle", karate.TriangleDNF()},
 		{"karate-s2", karate.SeparationDNF(0, 33)},
 	}

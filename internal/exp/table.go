@@ -6,7 +6,7 @@
 // Absolute runtimes are not comparable to the paper's (different
 // hardware, in-memory engine vs. Postgres); the reproduced quantity is
 // the shape: which algorithm wins per workload, by roughly what factor,
-// and where behaviour crosses over. EXPERIMENTS.md records both.
+// and where behaviour crosses over.
 package exp
 
 import (

@@ -173,13 +173,3 @@ func (c *FragCache) CacheStats() obs.CacheStats {
 		Entries: int64(c.Len()),
 	}
 }
-
-// Stats returns the cumulative hit and miss counts across all users of
-// the cache.
-//
-// Deprecated: use CacheStats, which reports the unified
-// obs.CacheStats shape instead of a positional tuple.
-func (c *FragCache) Stats() (hits, misses int64) {
-	s := c.CacheStats()
-	return s.Hits, s.Misses
-}

@@ -41,9 +41,8 @@ func TestFragCacheRoundTrip(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 2/1", hits, misses)
+	if st := c.CacheStats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d, want 2/1", st.Hits, st.Misses)
 	}
 }
 

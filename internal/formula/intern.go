@@ -85,12 +85,6 @@ func (in *Interner) CacheStats() obs.CacheStats {
 	return obs.CacheStats{Hits: in.hits, Misses: in.inserts, Entries: in.inserts}
 }
 
-// Stats reports canonical-instance reuses and stored clauses.
-//
-// Deprecated: use CacheStats, which reports the unified
-// obs.CacheStats shape instead of a positional tuple.
-func (in *Interner) Stats() (hits, stored int64) { return in.hits, in.inserts }
-
 // mergeHash computes the hash and length the merge of a and b would
 // have, without allocating it; ok = false on inconsistency.
 func mergeHash(a, b Clause) (h uint64, n int, ok bool) {

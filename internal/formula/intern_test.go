@@ -33,9 +33,8 @@ func TestInternerMergeCanonical(t *testing.T) {
 	if !ok || &m3[0] != &m1[0] {
 		t.Fatal("overlapping merge did not intern to the canonical instance")
 	}
-	hits, stored := in.Stats()
-	if hits != 2 || stored != 1 {
-		t.Fatalf("stats hits=%d stored=%d, want 2, 1", hits, stored)
+	if st := in.CacheStats(); st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("stats hits=%d stored=%d, want 2, 1", st.Hits, st.Entries)
 	}
 	if _, ok := in.MergeInterned(xy, MustClause(Pos(z))); !ok {
 		t.Fatal("independent merge refused")

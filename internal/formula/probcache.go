@@ -125,13 +125,3 @@ func (c *ProbCache) CacheStats() obs.CacheStats {
 		Entries: int64(c.Len()),
 	}
 }
-
-// Stats returns the cumulative hit and miss counts across all users of
-// the cache.
-//
-// Deprecated: use CacheStats, which reports the unified
-// obs.CacheStats shape instead of a positional tuple.
-func (c *ProbCache) Stats() (hits, misses int64) {
-	s := c.CacheStats()
-	return s.Hits, s.Misses
-}

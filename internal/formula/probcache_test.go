@@ -55,9 +55,8 @@ func TestProbCacheLookupStore(t *testing.T) {
 	if !ok || got != p {
 		t.Fatalf("Lookup = (%v, %v), want (%v, true)", got, ok, p)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("Stats = (%d, %d), want (1, 1)", hits, misses)
+	if st := c.CacheStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("CacheStats = (%d, %d), want (1, 1)", st.Hits, st.Misses)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())

@@ -57,7 +57,7 @@ const KarateEdgeCount = 78
 // like the real network's. The raw edge list of the original dataset is
 // not reproducible from the paper; the node/edge counts and the
 // varying-confidence edge-probability regime — which determine DNF size
-// and hardness — are preserved (see DESIGN.md, substitutions).
+// and hardness — are preserved.
 func Dolphins(lo, hi float64, seed int64) *Graph {
 	const n = 62
 	const m = 159

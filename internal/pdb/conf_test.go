@@ -121,8 +121,8 @@ func TestConfCancelled(t *testing.T) {
 // one probability cache over one space — the production pattern for
 // multi-query traffic — under the race detector.
 func TestConfConcurrentBatches(t *testing.T) {
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(4)
+	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+	workpool.Default.Resize(4)
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
 	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})

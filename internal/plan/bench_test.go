@@ -16,8 +16,7 @@ import (
 // catalog: compile (analysis + routing) plus execution along the chosen
 // route, with the hard queries bounded by a node budget (exhausting it
 // is a valid outcome — the answer then carries partial bounds, and the
-// bench measures that bounded work deterministically). This is the
-// perf-trajectory smoke benchmark CI records (BENCH_planner.json).
+// bench measures that bounded work deterministically).
 func BenchmarkPlannerTPCH(b *testing.B) {
 	db := tpch.Generate(tpch.Config{SF: 0.001, ProbHigh: 1, Seed: 42})
 	catalog := db.Catalog()

@@ -29,17 +29,7 @@ type cursor interface {
 // answers. The answer values and order are identical to the legacy
 // eager evaluator's.
 func Lineage(root Node) []pdb.Answer {
-	return LineageWith(root, nil)
-}
-
-// LineageWith is Lineage running the pipeline through a caller-owned
-// clause interner (nil allocates a fresh one). Reusing one interner
-// across the queries of a database keeps canonical clause instances —
-// and the allocation they cost — shared; an Interner is not safe for
-// concurrent use, so callers must hand each concurrent pipeline its
-// own (the façade DB keeps a pool).
-func LineageWith(root Node, in *formula.Interner) []pdb.Answer {
-	ans, _ := lineageWithStats(root, in)
+	ans, _ := lineageWithStats(root, nil)
 	return ans
 }
 
@@ -52,8 +42,13 @@ type lineageStats struct {
 	tuples  int64
 }
 
-// lineageWithStats is LineageWith additionally reporting the
-// pipeline's volumes for the observability layer.
+// lineageWithStats is Lineage running the pipeline through a
+// caller-owned clause interner (nil allocates a fresh one) and
+// reporting the pipeline's volumes for the observability layer.
+// Reusing one interner across the queries of a database keeps canonical
+// clause instances — and the allocation they cost — shared; an Interner
+// is not safe for concurrent use, so callers must hand each concurrent
+// pipeline its own (the façade DB keeps a pool).
 func lineageWithStats(root Node, in *formula.Interner) ([]pdb.Answer, lineageStats) {
 	if root == nil {
 		return nil, lineageStats{}
@@ -351,4 +346,3 @@ func groupSink(cur cursor, cols []int) ([]pdb.Answer, int64) {
 	}
 	return out, tuples
 }
-

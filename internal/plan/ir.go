@@ -10,18 +10,18 @@
 // the residue pays for lineage materialization plus d-tree confidence
 // computation. This package reproduces that architecture:
 //
-//	        IR (Scan/Select/EquiJoin/ThetaJoin/Project/GroupLineage)
-//	        │
-//	        ▼
-//	     Compile ── structural analysis (query graph, event independence)
-//	        │
-//	        ├── hierarchical, no self-joins → RouteSafe: extensional plan
-//	        │                                 over sprout.ProbTable ops
-//	        ├── IQ chain / star pattern     → RouteIQ: sorted scans
-//	        │                                 (sprout.ChainConfidence, …)
-//	        └── otherwise                   → RouteLineage: pipelined
-//	                                          operators build lineage
-//	                                          DNFs for an engine.Evaluator
+//	   IR (Scan/Select/EquiJoin/ThetaJoin/Project/GroupLineage)
+//	   │
+//	   ▼
+//	Compile ── structural analysis (query graph, event independence)
+//	   │
+//	   ├── hierarchical, no self-joins → RouteSafe: extensional plan
+//	   │                                 over sprout.ProbTable ops
+//	   ├── IQ chain / star pattern     → RouteIQ: sorted scans
+//	   │                                 (sprout.ChainConfidence, …)
+//	   └── otherwise                   → RouteLineage: pipelined
+//	                                     operators build lineage
+//	                                     DNFs for an engine.Evaluator
 //
 // The lineage runtime is streaming: operators are pull-based cursors,
 // intermediate relations are never materialized (hash and nested-loop

@@ -261,34 +261,41 @@ func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryT
 // engine.Approx's Eps/Kind/Order/Budget/Cache become the refinement
 // floor — see rankOptionsFrom).
 func (p *Plan) Answers(ctx context.Context, s *formula.Space, ev engine.Evaluator) ([]pdb.AnswerConf, error) {
-	return p.AnswersWith(ctx, s, ev, nil)
+	return p.AnswersTraced(ctx, s, ev, nil, nil)
 }
 
-// AnswersWith is Answers running the lineage pipeline through a
-// caller-owned clause interner (nil allocates a fresh one; see
-// LineageWith).
-func (p *Plan) AnswersWith(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner) ([]pdb.AnswerConf, error) {
-	return p.AnswersTraced(ctx, s, ev, in, nil)
-}
-
-// AnswersTraced is AnswersWith additionally populating tr — the
-// per-query EXPLAIN ANALYZE trace — with the routing decision, stage
-// timings and per-answer outcomes. A nil tr records nothing and
-// executes identically (every trace method is a nil-safe no-op); the
-// answers are bitwise identical either way.
+// AnswersTraced is Answers running the lineage pipeline through a
+// caller-owned clause interner (nil allocates a fresh one; see Lineage)
+// and populating tr — the per-query EXPLAIN ANALYZE trace — with the
+// routing decision, stage timings and per-answer outcomes. A nil tr
+// records nothing and executes identically (every trace method is a
+// nil-safe no-op); the answers are bitwise identical either way.
 func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner, tr *obs.QueryTrace) ([]pdb.AnswerConf, error) {
+	confs, _, err := p.answers(ctx, s, ev, in, tr, nil)
+	return confs, err
+}
+
+// answers is the one execution path behind Answers and Stream. On the
+// ranked lineage route a non-nil onDecided is called synchronously from
+// inside the scheduling loop the moment an answer's membership is
+// proven (rank.Options.OnDecided), with the answer's index into the
+// lineage and its outcome so far; no other route calls it. The second
+// result is that run's ranking — the lineage index behind each returned
+// answer — and nil on every other route.
+func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner, tr *obs.QueryTrace,
+	onDecided func(idx int, c pdb.AnswerConf)) ([]pdb.AnswerConf, []int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := p.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tr.SetPlan(p.Explain(), p.Route.String(), p.Shards)
 	p.metrics.RecordRoute(p.Route.String(), p.Shards)
 	switch p.Route {
 	case RouteSafe:
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		start := time.Now()
 		rows := p.safe.answers(s)
@@ -299,10 +306,10 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 		out = p.rankExact(out)
 		tr.AddStage("safe", int64(len(out)), time.Since(start))
 		addAnswerTraces(tr, out)
-		return out, nil
+		return out, nil, nil
 	case RouteIQ:
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		start := time.Now()
 		levels := p.iq.weighted(s)
@@ -312,23 +319,28 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 		}
 		tr.AddStage("iq", int64(len(out)), time.Since(start))
 		addAnswerTraces(tr, out)
-		return out, nil
+		return out, nil, nil
 	default:
 		if p.Root == nil {
-			return nil, nil
+			return nil, nil, nil
 		}
 		// Lineage materialization itself is not interruptible (budgets
 		// and cancellation live in the evaluator), so honour an
 		// already-expired context before starting the pipeline.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		answers, owner, lerr := p.lineageSafe(ctx, in, tr)
 		if lerr != nil {
-			return nil, lerr
+			return nil, nil, lerr
 		}
 		if p.rank != nil {
 			opt := p.rankOptions(ev)
+			if onDecided != nil {
+				opt.OnDecided = func(it rank.Item) {
+					onDecided(it.Index, pdb.RankedConf(answers[it.Index], it))
+				}
+			}
 			start := time.Now()
 			region := rtrace.StartRegion(ctx, "repro.rank")
 			var (
@@ -343,7 +355,7 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 			}
 			region.End()
 			p.recordRank(tr, answers, res, time.Since(start))
-			return confs, err
+			return confs, res.Ranking, err
 		}
 		if ev == nil {
 			ev = engine.Exact{}
@@ -354,7 +366,7 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 		region.End()
 		tr.AddStage("conf", int64(len(confs)), time.Since(start))
 		addAnswerTraces(tr, confs)
-		return confs, err
+		return confs, nil, err
 	}
 }
 

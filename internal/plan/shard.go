@@ -299,7 +299,7 @@ func (e *shardExec) build(n Node, base int) cursor {
 // shardedLineage runs root's lineage pipeline as spec.n partition
 // chains on the pool and merges their outputs. It returns the answers —
 // values, order, and normalized DNFs bitwise identical to
-// LineageWith(root, in) — plus each answer's owning partition (the one
+// lineageWithStats(root, in) — plus each answer's owning partition (the one
 // that produced its first clause), which the batch conf() fan-out uses
 // for partition-affinity scheduling, and the run's volumes. A non-nil
 // tr receives per-partition chain stats; ctx scopes the runtime/trace

@@ -3,14 +3,11 @@ package plan
 import (
 	"context"
 	"iter"
-	rtrace "runtime/trace"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/formula"
 	"repro/internal/obs"
 	"repro/internal/pdb"
-	"repro/internal/rank"
 )
 
 // Stream executes the plan, delivering answers as an iterator instead
@@ -31,97 +28,52 @@ import (
 // with a final (zero answer, error) pair after whatever prefix of
 // answers was proven — the partial, error-carrying iterator.
 func (p *Plan) Stream(ctx context.Context, s *formula.Space, ev engine.Evaluator) iter.Seq2[pdb.AnswerConf, error] {
-	return p.StreamWith(ctx, s, ev, nil)
+	return p.StreamTraced(ctx, s, ev, nil, nil)
 }
 
-// StreamWith is Stream running the lineage pipeline through a
-// caller-owned clause interner (nil allocates a fresh one; see
-// LineageWith).
-func (p *Plan) StreamWith(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner) iter.Seq2[pdb.AnswerConf, error] {
-	return p.StreamTraced(ctx, s, ev, in, nil)
-}
-
-// StreamTraced is StreamWith additionally populating tr — the
-// per-query EXPLAIN ANALYZE trace — with the routing decision, stage
-// timings and per-answer outcomes. A nil tr records nothing; the
-// yielded answers are bitwise identical either way. The trace's answer
-// section reflects the scheduler's final ranking even when the
-// consumer breaks out early.
+// StreamTraced is Stream running the lineage pipeline through a
+// caller-owned clause interner (nil allocates a fresh one; see Lineage)
+// and populating tr — the per-query EXPLAIN ANALYZE trace — with the
+// routing decision, stage timings and per-answer outcomes. A nil tr
+// records nothing; the yielded answers are bitwise identical either
+// way. The trace's answer section reflects the scheduler's final
+// ranking even when the consumer breaks out early.
 func (p *Plan) StreamTraced(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner, tr *obs.QueryTrace) iter.Seq2[pdb.AnswerConf, error] {
 	return func(yield func(pdb.AnswerConf, error) bool) {
-		if p.rank == nil || p.Route != RouteLineage {
-			confs, err := p.AnswersTraced(ctx, s, ev, in, tr)
-			for _, c := range confs {
-				if !yield(c, nil) {
-					return
-				}
-			}
-			if err != nil {
-				yield(pdb.AnswerConf{}, err)
-			}
-			return
-		}
-		if err := p.validate(); err != nil {
-			yield(pdb.AnswerConf{}, err)
-			return
-		}
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		// Lineage materialization is not interruptible (budgets and
-		// cancellation live in the scheduler), so honour an
-		// already-expired context before starting the pipeline.
-		if err := ctx.Err(); err != nil {
-			yield(pdb.AnswerConf{}, err)
-			return
-		}
-		tr.SetPlan(p.Explain(), p.Route.String(), p.Shards)
-		p.metrics.RecordRoute(p.Route.String(), p.Shards)
-		answers, _, lerr := p.lineageSafe(ctx, in, tr)
-		if lerr != nil {
-			yield(pdb.AnswerConf{}, lerr)
-			return
-		}
-		opt := p.rankOptions(ev)
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		// The scheduler calls the hook synchronously mid-loop; when the
 		// consumer breaks we must stop yielding and abort the run, and
 		// afterwards suppress the cancellation error we induced.
 		stopped := false
-		emitted := make(map[int]bool, 8)
-		opt.OnDecided = func(it rank.Item) {
+		var emitted map[int]bool
+		confs, ranking, err := p.answers(sctx, s, ev, in, tr, func(idx int, c pdb.AnswerConf) {
 			if stopped {
 				return
 			}
-			emitted[it.Index] = true
-			if !yield(pdb.RankedConf(answers[it.Index], it), nil) {
+			if emitted == nil {
+				emitted = make(map[int]bool, 8)
+			}
+			emitted[idx] = true
+			if !yield(c, nil) {
 				stopped = true
 				cancel()
 			}
-		}
-		start := time.Now()
-		region := rtrace.StartRegion(sctx, "repro.rank")
-		var res rank.Result
-		var err error
-		if p.rank.topk {
-			_, res, err = pdb.ConfTopK(sctx, s, answers, p.rank.k, opt)
-		} else {
-			_, res, err = pdb.ConfThreshold(sctx, s, answers, p.rank.tau, opt)
-		}
-		region.End()
-		p.recordRank(tr, answers, res, time.Since(start))
+		})
 		if stopped {
 			return
 		}
-		// Whatever of the selection was not proven mid-run — borderline
-		// answers cut by estimate, or resolve-mode re-orderings — trails
-		// the stream in rank order.
-		for _, idx := range res.Ranking {
-			if emitted[idx] {
+		// Whatever was not proven mid-run — borderline answers cut by
+		// estimate, resolve-mode re-orderings, and every answer of the
+		// routes that never call the hook — follows in result order.
+		for i, c := range confs {
+			if emitted != nil && emitted[ranking[i]] {
 				continue
 			}
-			if !yield(pdb.RankedConf(answers[idx], res.Items[idx]), nil) {
+			if !yield(c, nil) {
 				return
 			}
 		}

@@ -107,6 +107,46 @@ func TestTopKPrunesVsFull(t *testing.T) {
 	}
 }
 
+// TestPinnedStepCounts pins the refinement-step counts of the benchmark
+// fixtures below. Steps are machine-independent, so any drift is a
+// behaviour change in the scheduler or the refiner, never noise; the
+// event-driven decide index and the full-rescan reference scheduler
+// must both land on the same count.
+func TestPinnedStepCounts(t *testing.T) {
+	topK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
+		return TopK(ctx, s, dnfs, benchK, o)
+	}
+	type run func(context.Context, *formula.Space, []formula.DNF, Options) (Result, error)
+	s, dnfs := benchAnswers(benchN)
+	sd, deep := benchAnswersDeep(48)
+	s60, dnfs60 := benchAnswers(60)
+	s960, dnfs960 := benchAnswers(960)
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		dnfs []formula.DNF
+		run  run
+		want int
+	}{
+		{"topk", s, dnfs, topK, 11},
+		{"full", s, dnfs, RefineAll, 282},
+		{"topk-deep", sd, deep, topK, 140},
+		{"full-deep", sd, deep, RefineAll, 3449},
+		{"decide/n=60", s60, dnfs60, topK, 14},
+		{"decide/n=960", s960, dnfs960, topK, 15},
+	} {
+		for _, fullScan := range []bool{false, true} {
+			res, err := tc.run(context.Background(), tc.s, tc.dnfs, Options{Eps: benchEps, fullScan: fullScan})
+			if err != nil {
+				t.Fatalf("%s fullScan=%v: %v", tc.name, fullScan, err)
+			}
+			if res.Steps != tc.want {
+				t.Errorf("%s fullScan=%v: %d steps, want %d", tc.name, fullScan, res.Steps, tc.want)
+			}
+		}
+	}
+}
+
 // BenchmarkTopKVsFull/topk vs /full: anytime top-k against the
 // evaluate-everything baseline on the same 240-answer workload.
 // steps/op is the refinement-step count — the machine-independent

@@ -39,8 +39,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/formula"
 	"repro/internal/obs"
 	"repro/internal/workpool"
@@ -199,9 +199,9 @@ type Result struct {
 type status uint8
 
 const (
-	undecided status = iota
-	decidedIn        // proven in the top-k set / above τ
-	decidedOut       // proven out
+	undecided  status = iota
+	decidedIn         // proven in the top-k set / above τ
+	decidedOut        // proven out
 )
 
 // sched carries one ranking run: a refiner per answer plus the

@@ -514,10 +514,10 @@ func TestServeHTTPSessionExpiry(t *testing.T) {
 }
 
 type traceResponse struct {
-	ID      string           `json:"id"`
-	Session string           `json:"session"`
-	Meta    serve.Meta       `json:"meta"`
-	Summary serve.Summary    `json:"summary"`
+	ID      string            `json:"id"`
+	Session string            `json:"session"`
+	Meta    serve.Meta        `json:"meta"`
+	Summary serve.Summary     `json:"summary"`
 	Trace   *repro.QueryTrace `json:"trace"`
 }
 

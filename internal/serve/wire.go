@@ -182,7 +182,7 @@ type TopK struct {
 
 // Threshold is the wire threshold root.
 type Threshold struct {
-	Input *Node `json:"input"`
+	Input *Node   `json:"input"`
 	Tau   float64 `json:"tau"`
 }
 

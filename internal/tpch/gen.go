@@ -1,10 +1,10 @@
 // Package tpch implements the TPC-H experiment substrate of Section
 // VII-A: a deterministic generator of tuple-independent probabilistic
-// TPC-H tables (a stand-in for the paper's modified dbgen; see DESIGN.md
-// substitutions), the modified-TPC-H query suite — six tractable
-// (hierarchical) queries, three tractable inequality (IQ) queries, and
-// four #P-hard queries — each producing lineage DNFs, plus the SPROUT
-// safe-plan / inequality-scan exact baselines for the tractable ones.
+// TPC-H tables (a stand-in for the paper's modified dbgen), the
+// modified-TPC-H query suite — six tractable (hierarchical) queries,
+// three tractable inequality (IQ) queries, and four #P-hard queries —
+// each declared once as plan IR, plus the SPROUT safe-plan /
+// inequality-scan exact baselines for the tractable ones.
 package tpch
 
 import (

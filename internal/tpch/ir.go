@@ -6,12 +6,12 @@ import (
 )
 
 // Every TPC-H workload query is declared exactly once, as a logical
-// plan (plan.Node). The lineage-producing methods in queries.go are
-// thin wrappers that run these plans through the pipelined runtime; the
-// planner (plan.Compile) routes them automatically — the six
-// hierarchical queries compile to extensional safe plans, the three IQ
-// queries to inequality sorted scans, and the four hard queries fall
-// through to lineage + d-tree evaluation.
+// plan (plan.Node). plan.Lineage materializes a query's lineage DNFs
+// with the pipelined runtime; the planner (plan.Compile) routes it to
+// its cheapest algorithm instead — the six hierarchical queries compile
+// to extensional safe plans, the three IQ queries to inequality sorted
+// scans, and the four hard queries fall through to lineage + d-tree
+// evaluation.
 
 func scan(r *pdb.Relation) plan.Node { return &plan.Scan{Rel: r} }
 
@@ -29,20 +29,31 @@ func group(n plan.Node, cols ...int) plan.Node {
 	return &plan.GroupLineage{Input: n, Cols: cols}
 }
 
-// Q1IR: selection on lineitem grouped by (l_returnflag, l_linestatus).
+// ---------------------------------------------------------------------
+// Tractable (hierarchical) queries — Figure 6(a)/(b).
+// The paper's six queries are selections on lineitem and two-table
+// joins; the concrete predicates are substitutions with TPC-H-typical
+// selectivities.
+// ---------------------------------------------------------------------
+
+// Q1IR is the grouped selection on lineitem (TPC-H Q1 without
+// aggregations): tuples with l_shipdate ≤ cutoff grouped by
+// (l_returnflag, l_linestatus). Each answer's lineage is a set of
+// independent single-variable clauses.
 func (db *DB) Q1IR(cutoff pdb.Value) plan.Node {
 	return group(
 		sel(scan(db.Lineitem), func(v []pdb.Value) bool { return v[lShipdate] <= cutoff }),
 		lReturnflag, lLinestatus)
 }
 
-// B1IR: Boolean Q1 — does any lineitem ship by cutoff?
+// B1IR is the Boolean version of Q1: does any lineitem ship by cutoff?
 func (db *DB) B1IR(cutoff pdb.Value) plan.Node {
 	return boolean(
 		sel(scan(db.Lineitem), func(v []pdb.Value) bool { return v[lShipdate] <= cutoff }))
 }
 
-// B6IR: Boolean TPC-H Q6 selection on lineitem.
+// B6IR is the Boolean TPC-H Q6 selection: a shipdate window, a discount
+// band and a quantity cap on lineitem.
 func (db *DB) B6IR(dateLo, dateHi, discLo, discHi, qtyMax pdb.Value) plan.Node {
 	return boolean(
 		sel(scan(db.Lineitem), func(v []pdb.Value) bool {
@@ -52,7 +63,9 @@ func (db *DB) B6IR(dateLo, dateHi, discLo, discHi, qtyMax pdb.Value) plan.Node {
 		}))
 }
 
-// Q15IR: supplier ⋈ windowed lineitem grouped by supplier.
+// Q15IR joins supplier with a shipdate-windowed lineitem on suppkey and
+// groups by supplier (TPC-H Q15's revenue view without the aggregate).
+// Hierarchical: q(sk) :- supplier(sk), lineitem(sk, ...).
 func (db *DB) Q15IR(dateLo, dateHi pdb.Value) plan.Node {
 	li := sel(scan(db.Lineitem), func(v []pdb.Value) bool {
 		return v[lShipdate] >= dateLo && v[lShipdate] < dateHi
@@ -60,7 +73,9 @@ func (db *DB) Q15IR(dateLo, dateHi pdb.Value) plan.Node {
 	return group(equi(scan(db.Supplier), li, 0 /* s_suppkey */, lSuppkey), 0)
 }
 
-// B16IR: Boolean part–partsupp join of TPC-H Q16.
+// B16IR is the Boolean part–partsupp join of TPC-H Q16: suppliers
+// offering a part that is not of the given brand and at least the given
+// size.
 func (db *DB) B16IR(notBrand, minSize pdb.Value) plan.Node {
 	parts := sel(scan(db.Part), func(v []pdb.Value) bool {
 		return v[pBrand] != notBrand && v[pSize] >= minSize
@@ -68,7 +83,8 @@ func (db *DB) B16IR(notBrand, minSize pdb.Value) plan.Node {
 	return boolean(equi(parts, scan(db.PartSupp), pPartkey, psPartkey))
 }
 
-// B17IR: Boolean part–lineitem join of TPC-H Q17.
+// B17IR is the Boolean part–lineitem join of TPC-H Q17: is any lineitem
+// for a part of the given brand and container shipped?
 func (db *DB) B17IR(brand, container pdb.Value) plan.Node {
 	parts := sel(scan(db.Part), func(v []pdb.Value) bool {
 		return v[pBrand] == brand && v[pContainer] == container
@@ -76,7 +92,19 @@ func (db *DB) B17IR(brand, container pdb.Value) plan.Node {
 	return boolean(equi(parts, scan(db.Lineitem), pPartkey, lPartkey))
 }
 
-// IQB1IR: pair pattern q() :- part(E), lineitem(D), E < D.
+// ---------------------------------------------------------------------
+// IQ queries (inequality joins) — Figure 6(c).
+// The three queries instantiate the tractable IQ patterns of
+// Definition 6.6: a pair X<Y, a star E<D ∧ E<C, and a chain E<D<H.
+// Each level is capped to a target cardinality (every-kth selection,
+// see iqLevels) so lineage sizes stay in the paper's reported regime
+// (~10^4 clauses) independently of SF; the paper achieved this with
+// equality selections.
+// ---------------------------------------------------------------------
+
+// IQB1IR is the pair pattern q() :- part(E), lineitem(D), E < D over
+// p_size and l_quantity. The lineage has one clause per qualifying
+// (part, lineitem) pair.
 func (db *DB) IQB1IR(nE, nD int) plan.Node {
 	parts, lis, _ := db.iqLevels(nE, nD, 0)
 	return boolean(&plan.ThetaJoin{
@@ -85,8 +113,8 @@ func (db *DB) IQB1IR(nE, nD int) plan.Node {
 	})
 }
 
-// IQB4IR: star pattern q() :- part(E), lineitem(D), partsupp(C),
-// E < D, E < C.
+// IQB4IR is the star pattern q() :- part(E), lineitem(D), partsupp(C),
+// E < D, E < C (max-one property over {p_size}).
 func (db *DB) IQB4IR(nE, nD, nC int) plan.Node {
 	parts, lis, pss := db.iqLevels(nE, nD, nC)
 	j := &plan.ThetaJoin{
@@ -99,8 +127,8 @@ func (db *DB) IQB4IR(nE, nD, nC int) plan.Node {
 	})
 }
 
-// IQ6IR: chain pattern q() :- part(E), lineitem(D), partsupp(H),
-// E < D < H.
+// IQ6IR is the chain pattern q() :- part(E), lineitem(D), partsupp(H),
+// E < D < H over p_size, l_quantity and ps_availqty.
 func (db *DB) IQ6IR(nE, nD, nC int) plan.Node {
 	parts, lis, pss := db.iqLevels(nE, nD, nC)
 	j := &plan.ThetaJoin{
@@ -114,7 +142,13 @@ func (db *DB) IQ6IR(nE, nD, nC int) plan.Node {
 	})
 }
 
-// B2IR: part–partsupp–supplier–nation–region join (TPC-H Q2 skeleton).
+// ---------------------------------------------------------------------
+// Hard queries — Figure 7. Multi-way joins whose lineage instantiates
+// the #P-hard R–S–T sharing pattern.
+// ---------------------------------------------------------------------
+
+// B2IR joins part, partsupp, supplier, nation and region: is some part
+// of the given size supplied from the given region? (TPC-H Q2 skeleton.)
 func (db *DB) B2IR(size, regionkey pdb.Value) plan.Node {
 	parts := sel(scan(db.Part), func(v []pdb.Value) bool { return v[pSize] == size })
 	nations := sel(scan(db.Nation), func(v []pdb.Value) bool { return v[1] == regionkey })
@@ -130,10 +164,11 @@ func (db *DB) B2IR(size, regionkey pdb.Value) plan.Node {
 	return boolean(all)
 }
 
-// B9IR: part–lineitem–partsupp–supplier–orders–nation join (TPC-H Q9
-// skeleton). The partsupp join is on (partkey, suppkey); the suppkey
-// half is a residual predicate, which alone forces the lineage route —
-// fitting, as the query is #P-hard regardless.
+// B9IR joins part, lineitem, partsupp, supplier, orders and nation: the
+// profit-query skeleton of TPC-H Q9 over parts of a type class. The
+// partsupp join is on (partkey, suppkey); the suppkey half is a
+// residual predicate, which alone forces the lineage route — fitting,
+// as the query is #P-hard regardless.
 func (db *DB) B9IR(typeMax pdb.Value) plan.Node {
 	parts := sel(scan(db.Part), func(v []pdb.Value) bool { return v[pType] < typeMax })
 	nPart := len(db.Part.Cols)
@@ -154,7 +189,10 @@ func (db *DB) B9IR(typeMax pdb.Value) plan.Node {
 	return boolean(j5)
 }
 
-// B20IR: supplier–nation–partsupp–part join (TPC-H Q20 skeleton).
+// B20IR joins supplier, nation, partsupp and part: does a supplier of
+// the given nation stock a sizeable quantity of a brand's part? (TPC-H
+// Q20 skeleton.) The equality selection on nation leaves one nation
+// variable in the whole lineage — the behaviour the paper highlights.
 func (db *DB) B20IR(nationkey, brand, minAvail pdb.Value) plan.Node {
 	nations := sel(scan(db.Nation), func(v []pdb.Value) bool { return v[0] == nationkey })
 	sn := equi(scan(db.Supplier), nations, 1 /* s_nationkey */, 0)
@@ -166,7 +204,8 @@ func (db *DB) B20IR(nationkey, brand, minAvail pdb.Value) plan.Node {
 	return boolean(j2)
 }
 
-// B21IR: supplier–lineitem–orders–nation late-delivery join (TPC-H Q21
+// B21IR joins supplier, lineitem, orders and nation: late deliveries
+// (l_receiptdate > l_commitdate) by suppliers of one nation (TPC-H Q21
 // skeleton).
 func (db *DB) B21IR(nationkey pdb.Value) plan.Node {
 	nations := sel(scan(db.Nation), func(v []pdb.Value) bool { return v[0] == nationkey })

@@ -1,10 +1,6 @@
 package tpch
 
-import (
-	"repro/internal/formula"
-	"repro/internal/pdb"
-	"repro/internal/plan"
-)
+import "repro/internal/pdb"
 
 // Column indices (fixed by Generate's schemas).
 const (
@@ -35,77 +31,6 @@ const (
 	psSupplycost
 )
 
-// Each query is declared once as a logical plan in ir.go; the methods
-// below evaluate that IR with the pipelined runtime (plan.Lineage) and
-// return the lineage DNFs the confidence algorithms consume. Routing a
-// query to its cheapest algorithm instead is plan.Compile's job — see
-// the Catalog.
-
-// booleanDNF evaluates a Boolean plan to its answer lineage (nil when
-// the answer is certainly false).
-func booleanDNF(n plan.Node) formula.DNF {
-	answers := plan.Lineage(n)
-	if len(answers) == 0 {
-		return nil
-	}
-	return answers[0].Lin
-}
-
-// ---------------------------------------------------------------------
-// Tractable (hierarchical) queries — Figure 6(a)/(b).
-// The paper's six queries are selections on lineitem and two-table
-// joins; the concrete predicates are documented substitutions
-// (DESIGN.md) with TPC-H-typical selectivities.
-// ---------------------------------------------------------------------
-
-// Q1 is the grouped selection on lineitem (TPC-H Q1 without
-// aggregations): tuples with l_shipdate ≤ cutoff grouped by
-// (l_returnflag, l_linestatus). Each answer's lineage is a set of
-// independent single-variable clauses.
-func (db *DB) Q1(cutoff pdb.Value) []pdb.Answer {
-	return plan.Lineage(db.Q1IR(cutoff))
-}
-
-// B1 is the Boolean version of Q1: does any lineitem ship by cutoff?
-func (db *DB) B1(cutoff pdb.Value) formula.DNF {
-	return booleanDNF(db.B1IR(cutoff))
-}
-
-// B6 is the Boolean TPC-H Q6 selection: a shipdate window, a discount
-// band and a quantity cap on lineitem.
-func (db *DB) B6(dateLo, dateHi, discLo, discHi, qtyMax pdb.Value) formula.DNF {
-	return booleanDNF(db.B6IR(dateLo, dateHi, discLo, discHi, qtyMax))
-}
-
-// Q15 joins supplier with a shipdate-windowed lineitem on suppkey and
-// groups by supplier (TPC-H Q15's revenue view without the aggregate).
-// Hierarchical: q(sk) :- supplier(sk), lineitem(sk, ...).
-func (db *DB) Q15(dateLo, dateHi pdb.Value) []pdb.Answer {
-	return plan.Lineage(db.Q15IR(dateLo, dateHi))
-}
-
-// B16 is the Boolean part–partsupp join of TPC-H Q16: suppliers offering
-// a part that is not of the given brand and at least the given size.
-func (db *DB) B16(notBrand, minSize pdb.Value) formula.DNF {
-	return booleanDNF(db.B16IR(notBrand, minSize))
-}
-
-// B17 is the Boolean part–lineitem join of TPC-H Q17: is any lineitem
-// for a part of the given brand and container shipped?
-func (db *DB) B17(brand, container pdb.Value) formula.DNF {
-	return booleanDNF(db.B17IR(brand, container))
-}
-
-// ---------------------------------------------------------------------
-// IQ queries (inequality joins) — Figure 6(c).
-// The three queries instantiate the tractable IQ patterns of
-// Definition 6.6: a pair X<Y, a star E<D ∧ E<C, and a chain E<D<H.
-// Each level is capped to a target cardinality (every-kth selection) so
-// lineage sizes stay in the paper's reported regime (~10^4 clauses)
-// independently of SF; the paper achieved this with equality
-// selections (DESIGN.md, substitutions).
-// ---------------------------------------------------------------------
-
 // everyKth thins r down to at most target tuples, deterministically.
 func everyKth(r *pdb.Relation, target int) *pdb.Relation {
 	if target <= 0 || r.Len() <= target {
@@ -128,30 +53,6 @@ func (db *DB) iqLevels(nE, nD, nC int) (parts, lis, pss *pdb.Relation) {
 	return
 }
 
-// IQB1 is the pair pattern q() :- part(E), lineitem(D), E < D over
-// p_size and l_quantity. The lineage has one clause per qualifying
-// (part, lineitem) pair.
-func (db *DB) IQB1(nE, nD int) formula.DNF {
-	return booleanDNF(db.IQB1IR(nE, nD))
-}
-
-// IQB4 is the star pattern q() :- part(E), lineitem(D), partsupp(C),
-// E < D, E < C (max-one property over {p_size}).
-func (db *DB) IQB4(nE, nD, nC int) formula.DNF {
-	return booleanDNF(db.IQB4IR(nE, nD, nC))
-}
-
-// IQ6 is the chain pattern q() :- part(E), lineitem(D), partsupp(H),
-// E < D < H over p_size, l_quantity and ps_availqty.
-func (db *DB) IQ6(nE, nD, nC int) formula.DNF {
-	return booleanDNF(db.IQ6IR(nE, nD, nC))
-}
-
-// ---------------------------------------------------------------------
-// Hard queries — Figure 7. Multi-way joins whose lineage instantiates
-// the #P-hard R–S–T sharing pattern.
-// ---------------------------------------------------------------------
-
 // CommonNationKey returns the nation key with the most suppliers, so
 // nation-filtered queries (B20, B21) select a non-empty supplier set at
 // any scale factor.
@@ -167,31 +68,4 @@ func (db *DB) CommonNationKey() pdb.Value {
 		}
 	}
 	return best
-}
-
-// B2 joins part, partsupp, supplier, nation and region: is some part of
-// the given size supplied from the given region? (TPC-H Q2 skeleton.)
-func (db *DB) B2(size, regionkey pdb.Value) formula.DNF {
-	return booleanDNF(db.B2IR(size, regionkey))
-}
-
-// B9 joins part, lineitem, partsupp, supplier, orders and nation: the
-// profit-query skeleton of TPC-H Q9 over parts of a type class.
-func (db *DB) B9(typeMax pdb.Value) formula.DNF {
-	return booleanDNF(db.B9IR(typeMax))
-}
-
-// B20 joins supplier, nation, partsupp and part: does a supplier of the
-// given nation stock a sizeable quantity of a brand's part? (TPC-H Q20
-// skeleton.) The equality selection on nation leaves one nation
-// variable in the whole lineage — the behaviour the paper highlights.
-func (db *DB) B20(nationkey, brand, minAvail pdb.Value) formula.DNF {
-	return booleanDNF(db.B20IR(nationkey, brand, minAvail))
-}
-
-// B21 joins supplier, lineitem, orders and nation: late deliveries
-// (l_receiptdate > l_commitdate) by suppliers of one nation (TPC-H Q21
-// skeleton).
-func (db *DB) B21(nationkey pdb.Value) formula.DNF {
-	return booleanDNF(db.B21IR(nationkey))
 }

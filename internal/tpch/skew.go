@@ -91,13 +91,3 @@ func (db *SkewDB) BooleanIR() plan.Node {
 		},
 	}
 }
-
-// JoinDNF materializes the Boolean query's lineage DNF — the
-// genworkload export surface, like the TPC-H B-queries'.
-func (db *SkewDB) JoinDNF() formula.DNF {
-	answers := plan.Lineage(db.BooleanIR())
-	if len(answers) == 0 {
-		return nil
-	}
-	return answers[0].Lin
-}

@@ -5,8 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/formula"
 	"repro/internal/pdb"
+	"repro/internal/plan"
 )
+
+// booleanDNF evaluates a Boolean plan to its answer lineage (nil when
+// the answer is certainly false).
+func booleanDNF(n plan.Node) formula.DNF {
+	answers := plan.Lineage(n)
+	if len(answers) == 0 {
+		return nil
+	}
+	return answers[0].Lin
+}
 
 // tiny generates a small database suitable for exhaustive cross-checks.
 func tiny(t *testing.T) *DB {
@@ -98,7 +110,7 @@ func TestReferentialIntegrity(t *testing.T) {
 func TestB1AgainstSprout(t *testing.T) {
 	db := tiny(t)
 	cutoff := pdb.Value(maxDate / 2)
-	lin := db.B1(cutoff)
+	lin := booleanDNF(db.B1IR(cutoff))
 	if len(lin) == 0 {
 		t.Fatal("B1 lineage empty")
 	}
@@ -115,13 +127,13 @@ func TestB1AgainstSprout(t *testing.T) {
 func TestQ1AgainstSprout(t *testing.T) {
 	db := tiny(t)
 	cutoff := pdb.Value(maxDate * 3 / 4)
-	answers := db.Q1(cutoff)
-	plan := db.SproutQ1(cutoff)
-	if len(answers) != len(plan.Rows) {
-		t.Fatalf("answer counts differ: %d vs %d", len(answers), len(plan.Rows))
+	answers := plan.Lineage(db.Q1IR(cutoff))
+	safe := db.SproutQ1(cutoff)
+	if len(answers) != len(safe.Rows) {
+		t.Fatalf("answer counts differ: %d vs %d", len(answers), len(safe.Rows))
 	}
 	byKey := map[[2]pdb.Value]float64{}
-	for _, row := range plan.Rows {
+	for _, row := range safe.Rows {
 		byKey[[2]pdb.Value{row.Vals[0], row.Vals[1]}] = row.P
 	}
 	for _, a := range answers {
@@ -135,7 +147,7 @@ func TestQ1AgainstSprout(t *testing.T) {
 
 func TestB6AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	lin := db.B6(300, 1200, 2, 6, 30)
+	lin := booleanDNF(db.B6IR(300, 1200, 2, 6, 30))
 	want := db.SproutB6(300, 1200, 2, 6, 30)
 	if len(lin) == 0 {
 		t.Skip("selection empty at this scale")
@@ -148,10 +160,10 @@ func TestB6AgainstSprout(t *testing.T) {
 
 func TestQ15AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	answers := db.Q15(0, maxDate/3)
-	plan := db.SproutQ15(0, maxDate/3)
+	answers := plan.Lineage(db.Q15IR(0, maxDate/3))
+	safe := db.SproutQ15(0, maxDate/3)
 	byKey := map[pdb.Value]float64{}
-	for _, row := range plan.Rows {
+	for _, row := range safe.Rows {
 		byKey[row.Vals[0]] = row.P
 	}
 	if len(answers) == 0 {
@@ -171,7 +183,7 @@ func TestQ15AgainstSprout(t *testing.T) {
 
 func TestB16AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	lin := db.B16(5, 20)
+	lin := booleanDNF(db.B16IR(5, 20))
 	if len(lin) == 0 {
 		t.Skip("empty selection")
 	}
@@ -184,7 +196,7 @@ func TestB16AgainstSprout(t *testing.T) {
 
 func TestB17AgainstSprout(t *testing.T) {
 	db := Generate(Config{SF: 0.002, ProbHigh: 1, Seed: 4})
-	lin := db.B17(3, 7)
+	lin := booleanDNF(db.B17IR(3, 7))
 	if len(lin) == 0 {
 		t.Skip("empty selection")
 	}
@@ -197,7 +209,7 @@ func TestB17AgainstSprout(t *testing.T) {
 
 func TestIQB1AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	lin := db.IQB1(12, 30)
+	lin := booleanDNF(db.IQB1IR(12, 30))
 	want := db.SproutIQB1(12, 30)
 	if len(lin) == 0 {
 		if want != 0 {
@@ -213,7 +225,7 @@ func TestIQB1AgainstSprout(t *testing.T) {
 
 func TestIQB4AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	lin := db.IQB4(8, 12, 12)
+	lin := booleanDNF(db.IQB4IR(8, 12, 12))
 	want := db.SproutIQB4(8, 12, 12)
 	if len(lin) == 0 {
 		if want > 1e-12 {
@@ -229,7 +241,7 @@ func TestIQB4AgainstSprout(t *testing.T) {
 
 func TestIQ6AgainstSprout(t *testing.T) {
 	db := tiny(t)
-	lin := db.IQ6(8, 12, 12)
+	lin := booleanDNF(db.IQ6IR(8, 12, 12))
 	want := db.SproutIQ6(8, 12, 12)
 	if len(lin) == 0 {
 		if want > 1e-12 {
@@ -246,10 +258,10 @@ func TestIQ6AgainstSprout(t *testing.T) {
 func TestHardQueriesProduceLineage(t *testing.T) {
 	db := Generate(Config{SF: 0.002, ProbHigh: 1, Seed: 6})
 	lins := map[string]int{
-		"B2":  len(db.B2(15, 1)),
-		"B9":  len(db.B9(10)),
-		"B20": len(db.B20(db.CommonNationKey(), 3, 50)),
-		"B21": len(db.B21(db.CommonNationKey())),
+		"B2":  len(booleanDNF(db.B2IR(15, 1))),
+		"B9":  len(booleanDNF(db.B9IR(10))),
+		"B20": len(booleanDNF(db.B20IR(db.CommonNationKey(), 3, 50))),
+		"B21": len(booleanDNF(db.B21IR(db.CommonNationKey()))),
 	}
 	for name, n := range lins {
 		if n == 0 {
@@ -260,7 +272,7 @@ func TestHardQueriesProduceLineage(t *testing.T) {
 
 func TestHardQueryApproxWithinBounds(t *testing.T) {
 	db := tiny(t)
-	lin := db.B21(db.CommonNationKey())
+	lin := booleanDNF(db.B21IR(db.CommonNationKey()))
 	if len(lin) == 0 {
 		t.Skip("B21 empty at tiny scale")
 	}
@@ -280,7 +292,7 @@ func TestB20SingleNationVariable(t *testing.T) {
 	// The equality selection on nation leaves exactly one nation
 	// variable in B20's lineage (the paper's observation about B20/B21).
 	db := Generate(Config{SF: 0.002, ProbHigh: 1, Seed: 6})
-	lin := db.B20(db.CommonNationKey(), 3, 20)
+	lin := booleanDNF(db.B20IR(db.CommonNationKey(), 3, 20))
 	if len(lin) == 0 {
 		t.Skip("B20 empty")
 	}

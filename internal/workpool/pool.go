@@ -13,8 +13,7 @@
 //
 // Most callers thread an explicit *Pool (each façade DB owns one, so
 // sizing one DB never affects another); a nil *Pool means the shared
-// Default pool, which the package-level Resize/Parallelism/Run
-// functions operate on directly.
+// Default pool.
 package workpool
 
 import (
@@ -42,8 +41,9 @@ func New(n int) *Pool {
 	return &Pool{sem: make(chan struct{}, n-1)}
 }
 
-// Default is the process-wide pool used when callers pass a nil *Pool
-// (and by the package-level Resize/Parallelism/Run).
+// Default is the process-wide pool used when callers pass a nil *Pool.
+// Resizing it affects every such caller; components that want isolated
+// sizing own a Pool (the façade DB does).
 var Default = New(runtime.GOMAXPROCS(0))
 
 // or resolves a nil receiver to the Default pool.
@@ -171,16 +171,3 @@ func (p *Pool) RunAbort(abort func(), tasks ...func()) {
 		panic(panicked)
 	}
 }
-
-// Resize sets the Default pool's parallelism.
-//
-// Deprecated: Resize affects every caller sharing the Default pool.
-// Components that want isolated sizing should own a Pool (the façade DB
-// does) and call its Resize method.
-func Resize(n int) { Default.Resize(n) }
-
-// Parallelism returns the Default pool's configured parallelism.
-func Parallelism() int { return Default.Parallelism() }
-
-// Run executes every task on the Default pool.
-func Run(tasks ...func()) { Default.Run(tasks...) }

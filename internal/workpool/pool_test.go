@@ -9,15 +9,15 @@ import (
 )
 
 func TestRunExecutesAll(t *testing.T) {
-	defer Resize(4)
+	p := New(4)
 	for _, n := range []int{1, 2, 8} {
-		Resize(n)
+		p.Resize(n)
 		var count atomic.Int64
 		tasks := make([]func(), 37)
 		for i := range tasks {
 			tasks[i] = func() { count.Add(1) }
 		}
-		Run(tasks...)
+		p.Run(tasks...)
 		if count.Load() != 37 {
 			t.Fatalf("parallelism %d: ran %d of 37 tasks", n, count.Load())
 		}
@@ -25,8 +25,7 @@ func TestRunExecutesAll(t *testing.T) {
 }
 
 func TestNestedRunNoDeadlock(t *testing.T) {
-	defer Resize(4)
-	Resize(2)
+	p := New(2)
 	var count atomic.Int64
 	var rec func(depth int)
 	rec = func(depth int) {
@@ -34,7 +33,7 @@ func TestNestedRunNoDeadlock(t *testing.T) {
 		if depth == 0 {
 			return
 		}
-		Run(
+		p.Run(
 			func() { rec(depth - 1) },
 			func() { rec(depth - 1) },
 		)
@@ -46,13 +45,13 @@ func TestNestedRunNoDeadlock(t *testing.T) {
 }
 
 func TestResizeFloorsAtOne(t *testing.T) {
-	defer Resize(4)
-	Resize(-3)
-	if p := Parallelism(); p != 1 {
-		t.Fatalf("Parallelism() = %d after Resize(-3), want 1", p)
+	p := New(4)
+	p.Resize(-3)
+	if n := p.Parallelism(); n != 1 {
+		t.Fatalf("Parallelism() = %d after Resize(-3), want 1", n)
 	}
 	ran := false
-	Run(func() { ran = true })
+	p.Run(func() { ran = true })
 	if !ran {
 		t.Fatal("task did not run at parallelism 1")
 	}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,8 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("bounds [%v, %v] miss the exact probability", lo, hi)
 	}
 
-	res, err := repro.Approx(s, phi, repro.Options{Eps: 0.01, Kind: repro.Absolute})
+	ctx := context.Background()
+	res, err := repro.ApproxEval{Eps: 0.01, Kind: repro.Absolute}.Evaluate(ctx, s, phi)
 	if err != nil || !res.Converged {
 		t.Fatalf("approx failed: %+v err=%v", res, err)
 	}
@@ -47,7 +49,7 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("estimate %v not within 0.01 of 0.8456", res.Estimate)
 	}
 
-	rel, err := repro.Approx(s, phi, repro.Options{Eps: 0.05, Kind: repro.Relative})
+	rel, err := repro.ApproxEval{Eps: 0.05, Kind: repro.Relative}.Evaluate(ctx, s, phi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,9 @@ func TestSessionsShareFragCache(t *testing.T) {
 			}
 		}
 	}
-	if hits, misses := shared.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("degenerate sharing: hits=%d misses=%d", hits, misses)
+	if st := shared.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("degenerate sharing: hits=%d misses=%d", st.Hits, st.Misses)
 	} else {
-		t.Logf("shared fragment cache: %d hits, %d misses, %d entries", hits, misses, shared.Len())
+		t.Logf("shared fragment cache: %d hits, %d misses, %d entries", st.Hits, st.Misses, st.Entries)
 	}
 }
