@@ -12,9 +12,9 @@
 //
 // Workloads: karate-triangle, karate-p2, karate-s2, dolphins-triangle,
 // clique-triangle, clique-p2, tpch-b1, tpch-b17, tpch-b21, tpch-iq6,
-// skew-join (a Zipf-keyed fact ⋈ dim join whose hash partitions are
-// imbalanced — the sharded-lineage benchmark scenario; -skew 1 makes
-// the keys uniform for comparison).
+// skew-join (a Zipf-keyed fact ⋈ dim join whose answer groups are
+// imbalanced in lineage size; -skew 1 makes the keys uniform for
+// comparison).
 package main
 
 import (

@@ -60,7 +60,7 @@ func main() {
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 		watchdog    = flag.Duration("watchdog", 0, "stuck-query watchdog: fail ranked runs making no bound progress for this long (0 = off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off)")
-		chaosSpec   = flag.String("chaos", "", "per-site fault probabilities, 'site:kind=p,kind=p;site:…' with sites eval.step|leaf.prepare|cache.lookup|shard.merge|sse.flush and kinds panic|error|cancel|latency|latency_ms (empty = a mild default schedule)")
+		chaosSpec   = flag.String("chaos", "", "per-site fault probabilities, 'site:kind=p,kind=p;site:…' with sites eval.step|leaf.prepare|cache.lookup|sse.flush and kinds panic|error|cancel|latency|latency_ms (empty = a mild default schedule)")
 	)
 	flag.Parse()
 
@@ -187,8 +187,7 @@ func saveFrags(path string, c *repro.FragCache) {
 
 // chaosSites is the injectable-site vocabulary, for -chaos validation.
 var chaosSites = []string{
-	fault.SiteEvalStep, fault.SiteLeafPrepare, fault.SiteCacheLookup,
-	fault.SiteShardMerge, fault.SiteSSEFlush,
+	fault.SiteEvalStep, fault.SiteLeafPrepare, fault.SiteCacheLookup, fault.SiteSSEFlush,
 }
 
 // buildInjector arms fault injection from the -chaos-seed / -chaos
@@ -233,7 +232,7 @@ func buildInjector(seed int64, spec string) (*repro.FaultInjector, error) {
 				return nil, fmt.Errorf("-chaos: bad setting %q in %q", kv, part)
 			}
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) { // NaN fails every comparison
 				return nil, fmt.Errorf("-chaos: bad value %q in %q", v, part)
 			}
 			switch k {
@@ -250,6 +249,14 @@ func buildInjector(seed int64, spec string) (*repro.FaultInjector, error) {
 			default:
 				return nil, fmt.Errorf("-chaos: unknown fault kind %q in %q", k, part)
 			}
+			if f > 1 && k != "latency_ms" {
+				return nil, fmt.Errorf("-chaos: %s:%s=%s is not a probability in [0, 1]", site, k, v)
+			}
+		}
+		// One draw per firing decides among the three exclusive kinds
+		// (fault.SiteConfig), so together they cannot exceed certainty.
+		if sum := cfg.Panic + cfg.Error + cfg.Cancel; sum > 1 {
+			return nil, fmt.Errorf("-chaos: panic+error+cancel = %g exceeds 1 in %q", sum, part)
 		}
 		inj.Configure(site, cfg)
 	}

@@ -16,8 +16,8 @@ import (
 // DB is the long-lived root of the query façade: it owns a probability
 // space, the relations registered over it, the pool of hash-consing
 // clause interners the lineage pipelines draw from, and a private
-// worker pool that parallel d-tree exploration, batch conf(), and the
-// sharded lineage pipelines fan out on.
+// worker pool that parallel d-tree exploration and batch conf() fan out
+// on.
 //
 // A DB is safe for concurrent use. Short-lived state — the subformula
 // probability cache, the default budget and evaluator — lives one level
@@ -159,9 +159,9 @@ func (db *DB) known(r *pdb.Relation) bool {
 }
 
 // Pool returns the DB's private worker pool — the one its sessions'
-// evaluations, batch conf() fan-outs, and sharded lineage pipelines run
-// on. Each DB owns its own pool (sized to GOMAXPROCS at creation), so
-// resizing one DB never affects another.
+// evaluations and batch conf() fan-outs run on. Each DB owns its own
+// pool (sized to GOMAXPROCS at creation), so resizing one DB never
+// affects another.
 func (db *DB) Pool() *workpool.Pool { return db.pool }
 
 // Parallelism returns the DB's worker pool parallelism.

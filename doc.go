@@ -23,8 +23,8 @@
 //	                    Carlo, SPROUT plans) with structured budgets
 //	internal/workpool — bounded worker pools (one per DB, plus a
 //	                    process-wide default for DB-less evaluators)
-//	                    driving parallel d-tree exploration, batch
-//	                    conf() fan-out, and sharded lineage chains
+//	                    driving parallel d-tree exploration and batch
+//	                    conf() fan-out
 //	internal/mc       — Karp-Luby estimator, DKLR stopping rule (aconf)
 //	internal/pdb      — probabilistic relations, positive RA, and the
 //	                    parallel batch conf() operator
@@ -58,9 +58,8 @@
 //     NewDB(space, relations...).
 //
 //   - Session — per-client scope: a subformula probability cache, a
-//     default Budget, a default Evaluator, an optional forced lineage
-//     shard count. db.Session(WithEps(1e-3), WithBudget(...),
-//     WithSharedCache(...), WithShards(4), ...).
+//     default Budget, a default Evaluator. db.Session(WithEps(1e-3),
+//     WithBudget(...), WithSharedCache(...), ...).
 //
 //   - Query — the fluent builder compiled to the plan IR with
 //     build-time validation: sess.Query("R").Select(...).Join(...).
@@ -193,8 +192,8 @@ type (
 	MetricsView = obs.View
 	// QueryTrace is one query execution's EXPLAIN ANALYZE trace
 	// (Prepared.Analyze, WithTrace): routing, per-stage timings,
-	// per-partition chain stats, per-answer refinement outcomes, cache
-	// traffic. Text renders it deterministically; String with timings.
+	// per-answer refinement outcomes, cache traffic. Text renders it
+	// deterministically; String with timings.
 	QueryTrace = obs.QueryTrace
 	// CacheStats is the unified cache-statistics shape every cache
 	// (ProbCache, FragCache, Interner) reports from its CacheStats

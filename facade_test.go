@@ -13,6 +13,7 @@ import (
 	"repro/internal/formula"
 	"repro/internal/pdb"
 	"repro/internal/plan"
+	"repro/internal/workpool"
 )
 
 // facadeWorkload hand-builds a one-relation workload whose GroupLineage
@@ -404,5 +405,30 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}
 	if ev := db.Session(repro.WithEvaluator(custom)).Evaluator(); ev != custom {
 		t.Fatalf("WithEvaluator returned %v, want the installed evaluator", ev)
+	}
+}
+
+// TestDBPartitionPoolIsolation pins per-DB pools: sizing one DB's pool
+// must leave other DBs and the process-wide default pool untouched.
+func TestDBPartitionPoolIsolation(t *testing.T) {
+	a := smallDB(t)
+	b := smallDB(t)
+	was := b.Parallelism()
+	def := workpool.Default.Parallelism()
+
+	a.Pool().Resize(1)
+	if got := a.Parallelism(); got != 1 {
+		t.Fatalf("a.Parallelism() = %d after Pool().Resize(1)", got)
+	}
+	if got := b.Parallelism(); got != was {
+		t.Fatalf("resizing DB a changed DB b's pool: %d, want %d", got, was)
+	}
+	if got := workpool.Default.Parallelism(); got != def {
+		t.Fatalf("resizing DB a changed the default pool: %d, want %d", got, def)
+	}
+
+	a.Pool().Resize(3)
+	if got := a.Parallelism(); got != 3 {
+		t.Fatalf("Pool().Resize(3) then Parallelism() = %d", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // ObsTable is the observability layer's demonstration figure (not in
 // the paper): it runs the ranked TPC-H Q15 through the façade with
-// EXPLAIN ANALYZE tracing on a sharded lineage pipeline and prints the
+// EXPLAIN ANALYZE tracing on the lineage route and prints the
 // execution's anatomy — route, per-stage volumes, scheduler outcome,
 // cache hit rates, pool saturation — from the per-query trace and the
 // DB-wide metrics registry the same run populated.
@@ -20,7 +20,7 @@ func ObsTable(p Params) *Table {
 	p = p.withDefaults()
 	gen := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
-	sess := db.Session(repro.WithEps(topkEps), repro.WithForceLineage(), repro.WithShards(2))
+	sess := db.Session(repro.WithEps(topkEps), repro.WithForceLineage())
 
 	t := &Table{
 		ID:     "obs",
@@ -41,12 +41,8 @@ func ObsTable(p Params) *Table {
 
 	add := func(k, v string) { t.Rows = append(t.Rows, []string{k, v}) }
 	add("route", tr.Route)
-	add("shards", fmt.Sprint(tr.Shards))
 	if l := tr.Lineage; l != nil {
 		add("lineage", fmt.Sprintf("answers=%d clauses=%d tuples=%d", l.Answers, l.Clauses, l.Tuples))
-	}
-	for _, part := range tr.Partitions {
-		add(fmt.Sprintf("partition %d", part.Part), fmt.Sprintf("groups=%d clauses=%d", part.Groups, part.Clauses))
 	}
 	if r := tr.Rank; r != nil {
 		add("rank", fmt.Sprintf("%s k=%d steps=%d decided in=%d out=%d", r.Kind, r.K, r.Steps, r.DecidedIn, r.DecidedOut))

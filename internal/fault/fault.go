@@ -23,13 +23,12 @@ import (
 
 // Named injection sites. Each is a point in the query pipeline where a
 // production failure mode is plausible: an engine bug mid-refinement, a
-// corrupt prepared fragment, a poisoned cache entry, a partition chain
-// dying mid-merge, a client socket going away mid-flush.
+// corrupt prepared fragment, a poisoned cache entry, a client socket
+// going away mid-flush.
 const (
 	SiteEvalStep    = "eval.step"    // top of Refiner.Step's refinement loop
 	SiteLeafPrepare = "leaf.prepare" // core prepareAs, before any real work
 	SiteCacheLookup = "cache.lookup" // ProbCache consult on the exact path
-	SiteShardMerge  = "shard.merge"  // before the partition-interleave merge
 	SiteSSEFlush    = "sse.flush"    // before an SSE answer event is written
 )
 
@@ -194,10 +193,10 @@ func (in *Injector) Fire(site string) error {
 }
 
 // FirePanic is Fire for sites whose callers have no error return (leaf
-// prepare, cache lookup, shard merge): every fault kind surfaces as a
-// panic, to be contained by the nearest recovery point. Without this,
-// an injected error on an errorless path would be silently swallowed
-// and corrupt the answer instead of failing it.
+// prepare, cache lookup): every fault kind surfaces as a panic, to be
+// contained by the nearest recovery point. Without this, an injected
+// error on an errorless path would be silently swallowed and corrupt
+// the answer instead of failing it.
 func (in *Injector) FirePanic(site string) {
 	if err := in.Fire(site); err != nil {
 		panic(fmt.Sprintf("fault: injected panic at %s: %v", site, err))

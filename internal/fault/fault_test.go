@@ -41,14 +41,14 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 	mk := func(seed int64) *Injector {
 		in := NewInjector(seed)
 		in.Configure(SiteEvalStep, cfg)
-		in.Configure(SiteShardMerge, cfg)
+		in.Configure(SiteLeafPrepare, cfg)
 		return in
 	}
 	a, b := mk(42), mk(42)
 	if sa, sb := drain(a, SiteEvalStep, 500), drain(b, SiteEvalStep, 500); sa != sb {
 		t.Fatalf("same seed diverged:\n%s\n%s", sa, sb)
 	}
-	if sa, sb := drain(a, SiteShardMerge, 500), drain(b, SiteShardMerge, 500); sa != sb {
+	if sa, sb := drain(a, SiteLeafPrepare, 500), drain(b, SiteLeafPrepare, 500); sa != sb {
 		t.Fatalf("same seed diverged across sites:\n%s\n%s", sa, sb)
 	}
 	if s1, s2 := drain(mk(1), SiteEvalStep, 500), drain(mk(2), SiteEvalStep, 500); s1 == s2 {

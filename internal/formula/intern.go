@@ -3,12 +3,12 @@ package formula
 import "repro/internal/obs"
 
 // Interner hash-conses clauses: structurally equal clauses returned from
-// Intern or MergeInterned share one canonical backing array. The
-// pipelined query runtime routes every join-time clause merge through an
-// Interner, so a clause produced by many different tuple combinations —
-// the common case once duplicate-eliminating projections group lineage —
-// is materialized exactly once, and later DNF normalization compares
-// mostly-identical slices.
+// MergeInterned share one canonical backing array. The pipelined query
+// runtime routes every join-time clause merge through an Interner, so a
+// clause produced by many different tuple combinations — the common case
+// once duplicate-eliminating projections group lineage — is materialized
+// exactly once, and later DNF normalization compares mostly-identical
+// slices.
 //
 // An Interner is not safe for concurrent use; each query pipeline owns
 // one.
@@ -21,20 +21,6 @@ type Interner struct {
 // NewInterner returns an empty clause interner.
 func NewInterner() *Interner {
 	return &Interner{m: make(map[uint64][]Clause)}
-}
-
-// Intern returns the canonical instance of c, storing c if it is new.
-func (in *Interner) Intern(c Clause) Clause {
-	h := c.Hash()
-	for _, cand := range in.m[h] {
-		if cand.Equal(c) {
-			in.hits++
-			return cand
-		}
-	}
-	in.m[h] = append(in.m[h], c)
-	in.inserts++
-	return c
 }
 
 // MergeInterned returns the canonical instance of the conjunction a ∧ b,
@@ -60,20 +46,6 @@ func (in *Interner) MergeInterned(a, b Clause) (Clause, bool) {
 	in.m[h] = append(in.m[h], merged)
 	in.inserts++
 	return merged, true
-}
-
-// InternDNF re-interns every clause of d into this interner, in place:
-// each clause is replaced by its canonical instance, with the incoming
-// backing array adopted when the clause is new. The sharded lineage
-// merge uses this to migrate clauses built by partition-local interners
-// into the session's interner, so hash-consing invariants (structurally
-// equal clauses share one backing array) and downstream cache keys are
-// the same as on the unsharded pipeline.
-func (in *Interner) InternDNF(d DNF) DNF {
-	for i, c := range d {
-		d[i] = in.Intern(c)
-	}
-	return d
 }
 
 // CacheStats reports the interner's traffic in the engine-wide unified

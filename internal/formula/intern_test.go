@@ -58,7 +58,4 @@ func TestInternerEmptyClauses(t *testing.T) {
 	if !ok || len(m) != 0 {
 		t.Fatalf("⊤ ∧ ⊤ = %v, %v", m, ok)
 	}
-	if got := in.Intern(Clause{}); len(got) != 0 {
-		t.Fatalf("intern ⊤ = %v", got)
-	}
 }

@@ -12,9 +12,8 @@
 //     published via expvar by DB.PublishExpvar); View() opens a
 //     per-Session delta window over the same registry.
 //   - QueryTrace (trace.go) — one query execution's EXPLAIN ANALYZE:
-//     the routing line plus per-stage timings, per-partition chain
-//     stats, per-answer refinement outcomes, and cache traffic,
-//     rendered as a text tree.
+//     the routing line plus per-stage timings, per-answer refinement
+//     outcomes, and cache traffic, rendered as a text tree.
 //
 // Every recording method is nil-safe: calling it on a nil *Metrics (or
 // nil *QueryTrace) is a no-op costing one branch, so instrumented code
@@ -197,10 +196,6 @@ type Metrics struct {
 	RouteSafe    Counter
 	RouteIQ      Counter
 
-	// Sharded lineage runs and the fan-out chosen for them.
-	ShardedRuns Counter
-	ShardFanout Histogram
-
 	// Lineage pipeline output volumes.
 	LineageAnswers Counter
 	LineageClauses Counter
@@ -251,9 +246,8 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // RecordRoute counts one execution of a plan on the named route
-// ("safe", "iq", anything else is the lineage route) with the given
-// lineage-pipeline fan-out (shards > 1 counts as a sharded run).
-func (m *Metrics) RecordRoute(route string, shards int) {
+// ("safe", "iq", anything else is the lineage route).
+func (m *Metrics) RecordRoute(route string) {
 	if m == nil {
 		return
 	}
@@ -264,10 +258,6 @@ func (m *Metrics) RecordRoute(route string, shards int) {
 		m.RouteIQ.Inc()
 	default:
 		m.RouteLineage.Inc()
-	}
-	if shards > 1 {
-		m.ShardedRuns.Inc()
-		m.ShardFanout.Observe(int64(shards))
 	}
 }
 
@@ -425,8 +415,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RouteLineage:      m.RouteLineage.Value(),
 		RouteSafe:         m.RouteSafe.Value(),
 		RouteIQ:           m.RouteIQ.Value(),
-		ShardedRuns:       m.ShardedRuns.Value(),
-		ShardFanout:       m.ShardFanout.Snapshot(),
 		LineageAnswers:    m.LineageAnswers.Value(),
 		LineageClauses:    m.LineageClauses.Value(),
 		LineageTuples:     m.LineageTuples.Value(),
@@ -486,9 +474,6 @@ type Snapshot struct {
 	RouteSafe    int64 `json:"route_safe"`
 	RouteIQ      int64 `json:"route_iq"`
 
-	ShardedRuns int64             `json:"sharded_runs"`
-	ShardFanout HistogramSnapshot `json:"shard_fanout"`
-
 	LineageAnswers int64 `json:"lineage_answers"`
 	LineageClauses int64 `json:"lineage_clauses"`
 	LineageTuples  int64 `json:"lineage_tuples"`
@@ -527,8 +512,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 		RouteLineage:      s.RouteLineage - base.RouteLineage,
 		RouteSafe:         s.RouteSafe - base.RouteSafe,
 		RouteIQ:           s.RouteIQ - base.RouteIQ,
-		ShardedRuns:       s.ShardedRuns - base.ShardedRuns,
-		ShardFanout:       s.ShardFanout.Sub(base.ShardFanout),
 		LineageAnswers:    s.LineageAnswers - base.LineageAnswers,
 		LineageClauses:    s.LineageClauses - base.LineageClauses,
 		LineageTuples:     s.LineageTuples - base.LineageTuples,

@@ -11,7 +11,7 @@ import (
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	// Every recording method must be a no-op on a nil registry.
-	m.RecordRoute("safe", 4)
+	m.RecordRoute("safe")
 	m.RecordLineage(1, 2, 3)
 	m.RecordRefineStep(5)
 	m.RecordRankGrant()
@@ -38,9 +38,9 @@ func TestMetricsNilSafe(t *testing.T) {
 
 func TestMetricsRecordAndSnapshot(t *testing.T) {
 	m := NewMetrics()
-	m.RecordRoute("d-tree", 4)
-	m.RecordRoute("safe", 0)
-	m.RecordRoute("iq", 1)
+	m.RecordRoute("d-tree")
+	m.RecordRoute("safe")
+	m.RecordRoute("iq")
 	m.RecordLineage(10, 200, 3000)
 	m.RecordRefineStep(3)
 	m.RecordRefineStep(7)
@@ -59,9 +59,6 @@ func TestMetricsRecordAndSnapshot(t *testing.T) {
 	s := m.Snapshot()
 	if s.RouteLineage != 1 || s.RouteSafe != 1 || s.RouteIQ != 1 {
 		t.Fatalf("routes = %d/%d/%d, want 1/1/1", s.RouteLineage, s.RouteSafe, s.RouteIQ)
-	}
-	if s.ShardedRuns != 1 || s.ShardFanout.Count != 1 || s.ShardFanout.Sum != 4 {
-		t.Fatalf("sharding = %+v", s)
 	}
 	if s.LineageAnswers != 10 || s.LineageClauses != 200 || s.LineageTuples != 3000 {
 		t.Fatalf("lineage = %d/%d/%d", s.LineageAnswers, s.LineageClauses, s.LineageTuples)
@@ -187,10 +184,9 @@ func TestCacheStatsShape(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *QueryTrace
-	tr.SetPlan("x", "safe", 0)
+	tr.SetPlan("x", "safe")
 	tr.AddStage("lineage", 1, time.Millisecond)
 	tr.SetLineage(1, 2, 3)
-	tr.AddPartition(0, 1, 2)
 	tr.SetRank("top-k", 5, 0, 10, 5, 5)
 	tr.AddAnswer(AnswerTrace{Vals: "(1)"})
 	tr.SetCaches(CacheStats{}, CacheStats{}, CacheStats{})
@@ -203,11 +199,9 @@ func TestTraceNilSafe(t *testing.T) {
 func TestTraceRenderDeterministic(t *testing.T) {
 	build := func(wall time.Duration) *QueryTrace {
 		tr := &QueryTrace{}
-		tr.SetPlan("lineage d-tree; shards=2 (hash)", "d-tree", 2)
+		tr.SetPlan("lineage d-tree", "d-tree")
 		tr.AddStage("lineage", 4, wall)
 		tr.SetLineage(4, 40, 400)
-		tr.AddPartition(0, 2, 19)
-		tr.AddPartition(1, 2, 21)
 		tr.AddStage("rank", 2, wall/2)
 		tr.SetRank("top-k", 2, 0, 57, 2, 2)
 		tr.AddAnswer(AnswerTrace{Vals: "(7)", P: 0.75, Lo: 0.7, Hi: 0.8, Steps: 12, DecidedAtStep: 31, Member: true})
@@ -223,9 +217,8 @@ func TestTraceRenderDeterministic(t *testing.T) {
 	}
 	txt := a.Text()
 	for _, want := range []string{
-		"route=d-tree", "shards=2", "plan: lineage d-tree",
+		"route=d-tree", "plan: lineage d-tree",
 		"stage lineage", "answers=4 clauses=40 tuples=400",
-		"partition 0: groups=2 clauses=19", "partition 1: groups=2 clauses=21",
 		"top-k k=2", "steps=57", "decided in=2 out=2",
 		"[1] (7) P=0.750000 bounds=[0.700000,0.800000] steps=12 decided@31",
 		"caches: prob 10/12 hits (83.3%)",
@@ -258,7 +251,7 @@ func TestTraceAnswerCap(t *testing.T) {
 
 func TestTraceErrRendered(t *testing.T) {
 	tr := &QueryTrace{}
-	tr.SetPlan("x", "d-tree", 0)
+	tr.SetPlan("x", "d-tree")
 	tr.Finish(time.Second, 0, errFake("boom"))
 	if !strings.Contains(tr.Text(), "err=boom") {
 		t.Fatalf("Text missing err:\n%s", tr.Text())

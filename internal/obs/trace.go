@@ -12,11 +12,11 @@ import (
 const maxAnswerTraces = 64
 
 // QueryTrace is one query execution's EXPLAIN ANALYZE: the routing
-// decision plus per-stage timings, per-partition lineage-chain stats,
-// per-answer refinement outcomes, and cache traffic. The façade
-// populates it during Prepared.Analyze or a WithTrace session's Run;
-// plan and the façade call the builder methods, which are all nil-safe
-// no-ops so untraced runs share the same code path.
+// decision plus per-stage timings, per-answer refinement outcomes, and
+// cache traffic. The façade populates it during Prepared.Analyze or a
+// WithTrace session's Run; plan and the façade call the builder
+// methods, which are all nil-safe no-ops so untraced runs share the
+// same code path.
 //
 // Text renders the deterministic tree (no wall-clock figures): with a
 // fixed query, seed and sequential execution (pool parallelism 1) it
@@ -31,17 +31,14 @@ type QueryTrace struct {
 	Explain string `json:"explain"`
 	// Route is the route taken ("safe", "iq", "d-tree").
 	Route string `json:"route"`
-	// Shards is the lineage-pipeline fan-out (0 on structural routes).
-	Shards int `json:"shards,omitempty"`
 
 	// Stages are the execution stages in order (lineage, rank, conf,
 	// ...), with volumes and wall-clock durations.
 	Stages []Stage `json:"stages,omitempty"`
 
 	// Lineage reports the lineage materialization, when the route ran
-	// one; Partitions has the per-partition chain stats of sharded runs.
-	Lineage    *LineageStats   `json:"lineage,omitempty"`
-	Partitions []PartitionStat `json:"partitions,omitempty"`
+	// one.
+	Lineage *LineageStats `json:"lineage,omitempty"`
 
 	// Rank reports the anytime scheduler, when the plan was ranked.
 	Rank *RankStats `json:"rank,omitempty"`
@@ -88,16 +85,6 @@ type LineageStats struct {
 	Tuples int64 `json:"tuples"`
 }
 
-// PartitionStat reports one partition's chain in a sharded run.
-type PartitionStat struct {
-	// Part is the partition ordinal.
-	Part int `json:"part"`
-	// Groups is the partition's distinct answer-group count.
-	Groups int64 `json:"groups"`
-	// Clauses is the partition's clause count before the merge.
-	Clauses int64 `json:"clauses"`
-}
-
 // RankStats reports an anytime ranking run.
 type RankStats struct {
 	// Kind is "top-k" or "threshold"; K / Tau is the cut.
@@ -131,13 +118,12 @@ type AnswerTrace struct {
 }
 
 // SetPlan records the routing decision.
-func (t *QueryTrace) SetPlan(explain, route string, shards int) {
+func (t *QueryTrace) SetPlan(explain, route string) {
 	if t == nil {
 		return
 	}
 	t.Explain = explain
 	t.Route = route
-	t.Shards = shards
 }
 
 // AddStage appends a timed stage.
@@ -154,14 +140,6 @@ func (t *QueryTrace) SetLineage(answers, clauses, tuples int64) {
 		return
 	}
 	t.Lineage = &LineageStats{Answers: answers, Clauses: clauses, Tuples: tuples}
-}
-
-// AddPartition records one partition's chain stats.
-func (t *QueryTrace) AddPartition(part int, groups, clauses int64) {
-	if t == nil {
-		return
-	}
-	t.Partitions = append(t.Partitions, PartitionStat{Part: part, Groups: groups, Clauses: clauses})
 }
 
 // SetRank records the ranking run's aggregate outcome.
@@ -225,9 +203,6 @@ func (t *QueryTrace) render(timed bool) string {
 		lines = append(lines, strings.Repeat("  ", depth)+s)
 	}
 	head := "EXPLAIN ANALYZE route=" + t.Route
-	if t.Shards > 1 {
-		head += " shards=" + strconv.Itoa(t.Shards)
-	}
 	if timed && t.Wall > 0 {
 		head += " wall=" + fmtDur(t.Wall)
 	}
@@ -241,13 +216,9 @@ func (t *QueryTrace) render(timed bool) string {
 			line += " wall=" + fmtDur(st.Wall)
 		}
 		add(1, line)
-		if st.Name == "lineage" {
-			if l := t.Lineage; l != nil {
-				add(2, fmt.Sprintf("answers=%d clauses=%d tuples=%d", l.Answers, l.Clauses, l.Tuples))
-			}
-			for _, p := range t.Partitions {
-				add(2, fmt.Sprintf("partition %d: groups=%d clauses=%d", p.Part, p.Groups, p.Clauses))
-			}
+		if st.Name == "lineage" && t.Lineage != nil {
+			l := t.Lineage
+			add(2, fmt.Sprintf("answers=%d clauses=%d tuples=%d", l.Answers, l.Clauses, l.Tuples))
 		}
 		if st.Name == "rank" && t.Rank != nil {
 			r := t.Rank

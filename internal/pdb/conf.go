@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	rtrace "runtime/trace"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -48,14 +46,9 @@ func Conf(ctx context.Context, s *formula.Space, answers []Answer, ev engine.Eva
 }
 
 // ConfWith is Conf fanning out on a caller-owned worker pool (nil means
-// the shared workpool.Default) with optional partition affinity: when
-// owner is non-nil it assigns each answer to the lineage partition that
-// produced it (see plan's sharded executor), and the fan-out runs one
-// task per partition instead of one per answer — the answers a
-// partition built share interned clause backing arrays, so evaluating
-// them on one goroutine keeps that working set hot. Results are
-// identical either way; owner only shapes the scheduling.
-func ConfWith(ctx context.Context, s *formula.Space, answers []Answer, ev engine.Evaluator, pool *workpool.Pool, owner []int) ([]AnswerConf, error) {
+// the shared workpool.Default), one task per answer. The last parameter
+// is unread; only bench/ names it.
+func ConfWith(ctx context.Context, s *formula.Space, answers []Answer, ev engine.Evaluator, pool *workpool.Pool, _ []int) ([]AnswerConf, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -85,21 +78,9 @@ func ConfWith(ctx context.Context, s *formula.Space, answers []Answer, ev engine
 		out[i].Res = res
 		out[i].Err = err
 	}
-	var tasks []func()
-	if len(owner) == len(answers) && len(answers) > 0 {
-		for _, chunk := range ownerChunks(owner) {
-			tasks = append(tasks, func() {
-				defer rtrace.StartRegion(ctx, "repro.conf-batch").End()
-				for _, i := range chunk {
-					one(i)
-				}
-			})
-		}
-	} else {
-		tasks = make([]func(), len(answers))
-		for i := range answers {
-			tasks[i] = func() { one(i) }
-		}
+	tasks := make([]func(), len(answers))
+	for i := range answers {
+		tasks[i] = func() { one(i) }
 	}
 	pool.Run(tasks...)
 	// Aggregate per-answer failures, collapsing context errors into one
@@ -130,25 +111,4 @@ func evalMetrics(ev engine.Evaluator) *obs.Metrics {
 		return e.Metrics
 	}
 	return nil
-}
-
-// ownerChunks groups answer indices by owning partition, largest chunk
-// first so the pool starts the longest-running task earliest. Within a
-// chunk, indices keep answer order.
-func ownerChunks(owner []int) [][]int {
-	byOwner := make(map[int][]int)
-	for i, o := range owner {
-		byOwner[o] = append(byOwner[o], i)
-	}
-	chunks := make([][]int, 0, len(byOwner))
-	for _, c := range byOwner {
-		chunks = append(chunks, c)
-	}
-	sort.Slice(chunks, func(a, b int) bool {
-		if len(chunks[a]) != len(chunks[b]) {
-			return len(chunks[a]) > len(chunks[b])
-		}
-		return chunks[a][0] < chunks[b][0]
-	})
-	return chunks
 }

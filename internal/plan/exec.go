@@ -323,14 +323,16 @@ func groupSink(cur cursor, cols []int) ([]pdb.Answer, int64) {
 		}
 		tuples++
 		keyBuf.Reset()
-		vals := make([]pdb.Value, len(cols))
-		for i, c := range cols {
-			vals[i] = t.Vals[c]
+		for _, c := range cols {
 			pdb.WriteValueKey(&keyBuf, t.Vals[c])
 		}
 		k := keyBuf.String()
 		a, ok := groups[k]
 		if !ok {
+			vals := make([]pdb.Value, len(cols))
+			for i, c := range cols {
+				vals[i] = t.Vals[c]
+			}
 			a = &pdb.Answer{Vals: vals}
 			groups[k] = a
 			order = append(order, k)

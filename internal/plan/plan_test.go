@@ -2,12 +2,15 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/formula"
+	"repro/internal/obs"
 	"repro/internal/pdb"
 )
 
@@ -309,6 +312,42 @@ func TestPlannerAnswersUsesEvaluatorOnLineageRoute(t *testing.T) {
 		if math.Abs(got[i].P-wp) > 1e-6 {
 			t.Fatalf("answer %d: %v vs %v", i, got[i].P, wp)
 		}
+	}
+}
+
+// TestPlannerLineagePanicContained pins lineageSafe: a panic inside the
+// lineage pipeline (here a caller-supplied predicate) fails that query
+// alone with a *fault.PanicError, is counted once, and leaves the next
+// query compiled with the same options healthy.
+func TestPlannerLineagePanicContained(t *testing.T) {
+	s := formula.NewSpace()
+	r, _ := tinyRelations(s)
+	m := obs.NewMetrics()
+	opt := Options{DisableSafe: true, DisableIQ: true, Metrics: m}
+	ctx := context.Background()
+
+	bad := CompileWith(&GroupLineage{Input: &Select{
+		Input: &Scan{Rel: r},
+		Pred:  func([]pdb.Value) bool { panic("bad predicate") },
+	}, Cols: []int{1}}, opt)
+	got, err := bad.Answers(ctx, s, nil)
+	var pe *fault.PanicError
+	if !errors.As(err, &pe) || pe.Site != "plan.lineage" {
+		t.Fatalf("err = %v, want a *fault.PanicError from plan.lineage", err)
+	}
+	if got != nil {
+		t.Fatalf("answers %v alongside a contained panic", got)
+	}
+	if n := m.Snapshot().PanicsRecovered; n != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", n)
+	}
+
+	good := CompileWith(&GroupLineage{Input: &Scan{Rel: r}, Cols: []int{1}}, opt)
+	if got, err := good.Answers(ctx, s, nil); err != nil || len(got) != 2 {
+		t.Fatalf("healthy query after the panic: %d answers, err %v", len(got), err)
+	}
+	if n := m.Snapshot().PanicsRecovered; n != 1 {
+		t.Fatalf("PanicsRecovered = %d after a healthy query, want 1", n)
 	}
 }
 

@@ -52,24 +52,19 @@ type Options struct {
 	// forced lineage path).
 	DisableSafe bool
 	DisableIQ   bool
-	// Shards overrides the lineage pipeline's partition count: 0 lets
-	// the planner choose from the driver cardinality and the pool's
-	// parallelism, 1 forces the unsharded pipeline, n > 1 forces
-	// exactly n partitions (benchmarks use it to measure scaling on a
-	// fixed fan-out).
+	// Shards is unread and named only by bench/.
 	Shards int
-	// Pool is the worker pool the plan's parallel work — sharded
-	// lineage chains and the batch conf() fan-out — runs on; nil means
-	// the shared workpool.Default. The façade passes its DB's pool.
+	// Pool is the worker pool the plan's parallel work — the ranking
+	// scheduler and the batch conf() fan-out — runs on; nil means the
+	// shared workpool.Default. The façade passes its DB's pool.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives every execution's route, lineage
 	// volumes and stage events, and is the default registry for the
 	// ranking scheduler when the evaluator carries none. Nil-safe.
 	Metrics *obs.Metrics
 	// Inject, when non-nil, fires deterministic faults at the plan's
-	// chaos sites (shard merge, plus the core sites through the ranking
-	// scheduler) — the default injector when the evaluator carries
-	// none. Nil-safe.
+	// chaos sites (the core sites, through the ranking scheduler) — the
+	// default injector when the evaluator carries none. Nil-safe.
 	Inject *fault.Injector
 	// Watchdog, when positive, is the ranked route's stuck-query
 	// deadline (see rank.Options.Watchdog).
@@ -102,15 +97,13 @@ type Plan struct {
 	// Why explains the decision (or why the structural routes were
 	// rejected), for traces and EXPLAIN-style output.
 	Why string
-	// Shards is the partition count the lineage pipeline runs with
-	// (1 = unsharded); the planner's choice, or the Options override.
+	// Shards is always 1 and read only by bench/.
 	Shards int
 
 	rank *rankSpec
-	// shard is the partitioning decision behind Shards > 1; pool is the
-	// worker pool the partition chains and conf fan-out run on;
-	// metrics is the registry every execution records into (nil = none).
-	shard    *shardSpec
+	// pool is the worker pool the ranking scheduler and conf fan-out run
+	// on; metrics is the registry every execution records into (nil =
+	// none).
 	pool     *workpool.Pool
 	metrics  *obs.Metrics
 	inject   *fault.Injector
@@ -144,7 +137,6 @@ func CompileWith(root Node, opt Options) *Plan {
 	p := compileRouted(root, opt)
 	p.rank = spec
 	p.nestedRank = root != nil && containsRank(root)
-	p.planShards(root, opt)
 	if spec != nil {
 		p.Why = spec.describe() + " over " + p.Why
 	}
@@ -153,7 +145,7 @@ func CompileWith(root Node, opt Options) *Plan {
 
 // compileRouted routes a rank-free query.
 func compileRouted(root Node, opt Options) *Plan {
-	p := &Plan{Root: root, Route: RouteLineage, metrics: opt.Metrics, inject: opt.Inject, watchdog: opt.Watchdog}
+	p := &Plan{Root: root, Route: RouteLineage, Shards: 1, pool: opt.Pool, metrics: opt.Metrics, inject: opt.Inject, watchdog: opt.Watchdog}
 	if root == nil {
 		p.Why = "empty query"
 		return p
@@ -210,42 +202,28 @@ func (p *Plan) Explain() string {
 }
 
 // Lineage evaluates the plan's root through the pipelined runtime,
-// regardless of route — the answers with their lineage DNFs. A plan
-// compiled to Shards > 1 runs the partition-parallel pipeline; the
-// answers are identical either way.
+// regardless of route — the answers with their lineage DNFs.
 func (p *Plan) Lineage() []pdb.Answer {
 	if p.Root == nil {
 		return nil
 	}
-	ans, _ := p.lineage(context.Background(), nil, nil)
-	return ans
+	return p.lineage(context.Background(), nil, nil)
 }
 
-// lineage materializes the plan's answer lineage: the sharded pipeline
-// when the planner chose one, else the unsharded reference. The second
-// result is the per-answer owning partition (nil when unsharded). The
-// materialization's volumes are recorded on the plan's metrics and, on
-// traced runs, on tr as the "lineage" stage.
-func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) ([]pdb.Answer, []int) {
+// lineage materializes the plan's answer lineage. The materialization's
+// volumes are recorded on the plan's metrics and, on traced runs, on tr
+// as the "lineage" stage.
+func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) []pdb.Answer {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer rtrace.StartRegion(ctx, "repro.lineage").End()
 	start := time.Now()
-	var (
-		answers []pdb.Answer
-		owner   []int
-		st      lineageStats
-	)
-	if p.shard != nil {
-		answers, owner, st = shardedLineage(ctx, p.Root, p.shard, in, p.pool, tr, p.inject)
-	} else {
-		answers, st = lineageWithStats(p.Root, in)
-	}
+	answers, st := lineageWithStats(p.Root, in)
 	p.metrics.RecordLineage(st.answers, st.clauses, st.tuples)
 	tr.SetLineage(st.answers, st.clauses, st.tuples)
 	tr.AddStage("lineage", st.answers, time.Since(start))
-	return answers, owner
+	return answers
 }
 
 // Answers computes the confidence of every answer along the chosen
@@ -290,8 +268,8 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 	if err := p.validate(); err != nil {
 		return nil, nil, err
 	}
-	tr.SetPlan(p.Explain(), p.Route.String(), p.Shards)
-	p.metrics.RecordRoute(p.Route.String(), p.Shards)
+	tr.SetPlan(p.Explain(), p.Route.String())
+	p.metrics.RecordRoute(p.Route.String())
 	switch p.Route {
 	case RouteSafe:
 		if err := ctx.Err(); err != nil {
@@ -330,7 +308,7 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		answers, owner, lerr := p.lineageSafe(ctx, in, tr)
+		answers, lerr := p.lineageSafe(ctx, in, tr)
 		if lerr != nil {
 			return nil, nil, lerr
 		}
@@ -362,7 +340,7 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 		}
 		start := time.Now()
 		region := rtrace.StartRegion(ctx, "repro.conf")
-		confs, err := pdb.ConfWith(ctx, s, answers, ev, p.pool, owner)
+		confs, err := pdb.ConfWith(ctx, s, answers, ev, p.pool, nil)
 		region.End()
 		tr.AddStage("conf", int64(len(confs)), time.Since(start))
 		addAnswerTraces(tr, confs)
@@ -391,22 +369,21 @@ func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
 }
 
 // lineageSafe is lineage with panic containment: the pipeline runs
-// arbitrary operator code (joins, shard chains, the shard.merge chaos
-// site) outside the evaluators' containment, so a panic here must fail
-// this query — surfacing as an ordinary error through the partial-
-// results plumbing — rather than unwind the caller.
-func (p *Plan) lineageSafe(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) (answers []pdb.Answer, owner []int, err error) {
+// arbitrary operator code (joins, caller-supplied predicates) outside
+// the evaluators' containment, so a panic here must fail this query —
+// surfacing as an ordinary error through the partial-results plumbing —
+// rather than unwind the caller.
+func (p *Plan) lineageSafe(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) (answers []pdb.Answer, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe, first := fault.Promote(v, "plan.lineage")
 			if first {
 				p.metrics.RecordPanicRecovered()
 			}
-			answers, owner, err = nil, nil, pe
+			answers, err = nil, pe
 		}
 	}()
-	answers, owner = p.lineage(ctx, in, tr)
-	return answers, owner, nil
+	return p.lineage(ctx, in, tr), nil
 }
 
 // recordRank records a scheduler run on the trace: the "rank" stage,

@@ -53,7 +53,6 @@ func TestChaosSoakInjectedFaults(t *testing.T) {
 	})
 	inj.Configure(fault.SiteLeafPrepare, repro.FaultSiteConfig{Panic: 0.03})
 	inj.Configure(fault.SiteCacheLookup, repro.FaultSiteConfig{Panic: 0.02})
-	inj.Configure(fault.SiteShardMerge, repro.FaultSiteConfig{Panic: 0.05})
 	// sse.flush gets Panic and Latency ONLY: an injected error or cancel
 	// at this site plays as a client disconnect — the stream legitimately
 	// just stops, which would void the every-stream-ends-done assertion
@@ -155,7 +154,7 @@ func TestChaosSoakInjectedFaults(t *testing.T) {
 
 	// The soak must actually exercise both containment layers...
 	var enginePanics int64
-	for _, site := range []string{fault.SiteLeafPrepare, fault.SiteCacheLookup, fault.SiteShardMerge} {
+	for _, site := range []string{fault.SiteLeafPrepare, fault.SiteCacheLookup} {
 		s := st[site]
 		enginePanics += s.Panics + s.Errors + s.Cancels // FirePanic sites: every kind surfaces as a panic
 	}

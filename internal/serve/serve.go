@@ -93,9 +93,9 @@ type Config struct {
 	// Inject, when set, arms deterministic fault injection: the SSE
 	// answer path fires the sse.flush chaos site before each event
 	// write, and the repro backend threads the same injector into every
-	// query session (the eval.step, leaf.prepare, cache.lookup and
-	// shard.merge sites). Nil — the production configuration — costs a
-	// single nil check per probe.
+	// query session (the eval.step, leaf.prepare and cache.lookup
+	// sites). Nil — the production configuration — costs a single nil
+	// check per probe.
 	Inject *fault.Injector
 	// Watchdog, when positive, arms the stuck-query watchdog on ranked
 	// queries: a run whose refinement stops tightening bounds for longer

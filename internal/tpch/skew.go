@@ -8,12 +8,12 @@ import (
 	"repro/internal/plan"
 )
 
-// Skewed-partition workload: a fact relation whose join keys follow a
-// Zipf distribution, joined to a small dimension table. Hash-partitioned
-// sharding over it yields deliberately imbalanced partitions (the hot
-// key's partition carries a large fraction of the driver), which is the
-// regime the sharded lineage benchmarks measure alongside the uniform
-// TPC-H tables.
+// Skewed group-size workload: a fact relation whose join keys follow a
+// Zipf distribution, joined to a small dimension table and grouped on a
+// dimension column. The hot key's group carries a large fraction of the
+// fact tuples, so the answers' lineage DNFs are deliberately unequal in
+// size — the regime the benchmark measures alongside the uniform TPC-H
+// tables.
 
 // Relation tags for the skew workload (outside the TPC-H tag block).
 const (
@@ -70,8 +70,7 @@ func GenerateSkewed(rows, nKeys int, skew float64, seed int64) *SkewDB {
 }
 
 // JoinIR is the workload query: fact ⋈ dim on the key, grouped by
-// d_val. The fact relation is the driver, so the planner hash-partitions
-// it on f_key — Zipf keys then make the partitions imbalanced.
+// d_val — Zipf keys then make the groups' lineage sizes imbalanced.
 func (db *SkewDB) JoinIR() plan.Node {
 	return &plan.GroupLineage{
 		Input: &plan.EquiJoin{

@@ -533,14 +533,14 @@ func (pr *Prepared) all(ctx context.Context, tr *obs.QueryTrace) ([]Answer, erro
 
 // Analyze executes the query to completion, discards the answers, and
 // returns the execution's EXPLAIN ANALYZE trace: the routing decision,
-// per-stage timings, lineage and per-partition volumes, the ranking
-// scheduler's outcome with per-answer refinement steps and decision
-// points, and the session caches' traffic during the run. Render it
-// with Text (deterministic, no timings) or String (timed); the struct
-// is the programmatic surface. The run is a real execution with the
-// session's evaluator — budgets, caches and metrics apply exactly as
-// in All. The returned trace is non-nil even on error, carrying
-// whatever was recorded before the failure.
+// per-stage timings, lineage volumes, the ranking scheduler's outcome
+// with per-answer refinement steps and decision points, and the session
+// caches' traffic during the run. Render it with Text (deterministic,
+// no timings) or String (timed); the struct is the programmatic
+// surface. The run is a real execution with the session's evaluator —
+// budgets, caches and metrics apply exactly as in All. The returned
+// trace is non-nil even on error, carrying whatever was recorded before
+// the failure.
 func (pr *Prepared) Analyze(ctx context.Context) (*QueryTrace, error) {
 	tr := &obs.QueryTrace{}
 	_, err := pr.all(ctx, tr)

@@ -3,7 +3,9 @@ package repro_test
 import (
 	"context"
 	"expvar"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,14 +18,14 @@ import (
 
 // obsQ15 builds a façade DB over a deterministic TPC-H instance and
 // the ranked Q15 plan IR (top-3 suppliers by confidence), forced onto
-// the sharded lineage route — the acceptance workload of the
-// observability layer.
-func obsQ15(t testing.TB, shards int) (*repro.DB, *repro.Prepared) {
+// the lineage route — the acceptance workload of the observability
+// layer.
+func obsQ15(t testing.TB) (*repro.DB, *repro.Prepared) {
 	t.Helper()
 	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 	db.Pool().Resize(1) // sequential: cache orders, hence traces, deterministic
-	sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage(), repro.WithShards(shards))
+	sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
 	node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
 	pr, err := sess.Query(node).Build()
 	if err != nil {
@@ -33,23 +35,17 @@ func obsQ15(t testing.TB, shards int) (*repro.DB, *repro.Prepared) {
 }
 
 // TestObsAnalyzeQ15 is the acceptance check: EXPLAIN ANALYZE on the
-// ranked TPC-H Q15 reports the route, the shard fan-out, per-stage
-// volumes, per-partition chain stats, per-answer decision points, and
-// cache hit rates — all in one deterministic text tree.
+// ranked TPC-H Q15 reports the route, per-stage volumes, per-answer
+// decision points, and cache hit rates — all in one deterministic text
+// tree.
 func TestObsAnalyzeQ15(t *testing.T) {
-	_, pr := obsQ15(t, 2)
+	_, pr := obsQ15(t)
 	tr, err := pr.Analyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Route != "d-tree" {
 		t.Fatalf("route %q, want d-tree (forced lineage)", tr.Route)
-	}
-	if tr.Shards != 2 {
-		t.Fatalf("shards %d, want 2", tr.Shards)
-	}
-	if len(tr.Partitions) != 2 {
-		t.Fatalf("%d partition stats, want 2", len(tr.Partitions))
 	}
 	if tr.Lineage == nil || tr.Lineage.Answers == 0 || tr.Lineage.Tuples == 0 {
 		t.Fatalf("lineage stats missing or empty: %+v", tr.Lineage)
@@ -77,10 +73,8 @@ func TestObsAnalyzeQ15(t *testing.T) {
 	}
 	text := tr.Text()
 	for _, want := range []string{
-		"EXPLAIN ANALYZE route=d-tree shards=2",
+		"EXPLAIN ANALYZE route=d-tree",
 		"stage lineage:",
-		"partition 0:",
-		"partition 1:",
 		"stage rank:",
 		"top-k k=3",
 		"decided@",
@@ -106,7 +100,7 @@ func TestObsAnalyzeQ15(t *testing.T) {
 // (the -race half of the guarantee).
 func TestObsTraceDeterministic(t *testing.T) {
 	ref := func() string {
-		_, pr := obsQ15(t, 2)
+		_, pr := obsQ15(t)
 		tr, err := pr.Analyze(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +109,7 @@ func TestObsTraceDeterministic(t *testing.T) {
 	}()
 
 	for i := 0; i < 2; i++ {
-		_, pr := obsQ15(t, 2)
+		_, pr := obsQ15(t)
 		tr, err := pr.Analyze(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +129,7 @@ func TestObsTraceDeterministic(t *testing.T) {
 			gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
 			db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 			db.Pool().Resize(1)
-			sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage(), repro.WithShards(2))
+			sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
 			node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
 			pr, err := sess.Query(node).Build()
 			if err != nil {
@@ -161,55 +155,75 @@ func TestObsTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestObsTraceOnOffIdentical pins the zero-interference contract:
-// running with a WithTrace sink changes nothing about the answers —
-// values, probabilities, bounds, steps, and arrival order are bitwise
-// identical to an untraced run.
+// TestObsTraceOnOffIdentical pins the zero-interference and
+// parallelism-invariance contracts together: neither a WithTrace sink
+// nor the DB pool's size changes anything about the answers — values,
+// probabilities, bounds, steps, decision points and arrival order are
+// bitwise identical over trace {off, on} × pool {1, 2, 8}.
 func TestObsTraceOnOffIdentical(t *testing.T) {
 	type row struct {
-		vals  []pdb.Value
-		p     float64
-		lo    float64
-		hi    float64
-		steps int
+		vals      []pdb.Value
+		p, lo, hi float64
+		nodes     int
+		decidedAt int
 	}
-	run := func(traced bool) ([]row, int) {
-		gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+	run := func(t *testing.T, node plan.Node, eps float64, traced bool, pool int) []row {
 		db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
-		db.Pool().Resize(1)
+		db.Pool().Resize(pool)
 		traces := 0
-		opts := []repro.SessionOption{repro.WithEps(1e-3), repro.WithForceLineage(), repro.WithShards(2)}
+		opts := []repro.SessionOption{repro.WithEps(eps), repro.WithForceLineage()}
 		if traced {
 			opts = append(opts, repro.WithTrace(func(tr *repro.QueryTrace) { traces++ }))
 		}
-		sess := db.Session(opts...)
-		node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
 		var rows []row
-		for a, err := range sess.Query(node).Run(context.Background()) {
+		for a, err := range db.Session(opts...).Query(node).Run(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows = append(rows, row{a.Vals, a.P, a.Res.Lo, a.Res.Hi, a.Res.Nodes})
+			rows = append(rows, row{a.Vals, a.P, a.Res.Lo, a.Res.Hi, a.Res.Nodes, a.DecidedAtStep})
 		}
-		return rows, traces
+		want := 0
+		if traced {
+			want = 1
+		}
+		if traces != want {
+			t.Fatalf("traced=%v run delivered %d traces, want %d", traced, traces, want)
+		}
+		return rows
 	}
 
-	off, traces := run(false)
-	if traces != 0 {
-		t.Fatalf("untraced run delivered %d traces", traces)
-	}
-	on, traces := run(true)
-	if traces != 1 {
-		t.Fatalf("traced run delivered %d traces, want 1", traces)
-	}
-	if len(on) != len(off) {
-		t.Fatalf("traced run: %d answers, untraced %d", len(on), len(off))
-	}
-	for i := range on {
-		a, b := on[i], off[i]
-		if len(a.vals) != len(b.vals) || a.vals[0] != b.vals[0] ||
-			a.p != b.p || a.lo != b.lo || a.hi != b.hi || a.steps != b.steps {
-			t.Fatalf("answer %d diverges under tracing: %+v vs %+v", i, a, b)
+	q15 := gen.Q15IR(0, tpch.MaxDate/3)
+	for _, q := range []struct {
+		name string
+		node plan.Node
+	}{
+		{"q15-top3", &plan.TopK{Input: q15, K: 3}},
+		{"q15", q15},
+		{"q1", gen.Q1IR(tpch.MaxDate * 3 / 4)},
+	} {
+		for _, eps := range []float64{1e-3, 0} { // 0 = exact
+			t.Run(fmt.Sprintf("%s/eps=%g", q.name, eps), func(t *testing.T) {
+				ref := run(t, q.node, eps, false, 1)
+				if len(ref) == 0 {
+					t.Fatal("no answers")
+				}
+				for _, traced := range []bool{false, true} {
+					for _, pool := range []int{1, 2, 8} {
+						got := run(t, q.node, eps, traced, pool)
+						if len(got) != len(ref) {
+							t.Fatalf("traced=%v pool=%d: %d answers, reference %d", traced, pool, len(got), len(ref))
+						}
+						for i := range got {
+							a, b := got[i], ref[i]
+							if !slices.Equal(a.vals, b.vals) || a.p != b.p || a.lo != b.lo || a.hi != b.hi ||
+								a.nodes != b.nodes || a.decidedAt != b.decidedAt {
+								t.Fatalf("traced=%v pool=%d: answer %d diverges: %+v vs %+v", traced, pool, i, a, b)
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -27,7 +27,6 @@ type Session struct {
 	kind         engine.ErrorKind
 	eval         engine.Evaluator
 	forceLineage bool
-	shards       int
 	trace        func(*obs.QueryTrace)
 	view         *obs.View
 	inject       *fault.Injector
@@ -90,17 +89,6 @@ func WithSharedFragCache(c *FragCache) SessionOption {
 // otherwise answer exactly.
 func WithForceLineage() SessionOption {
 	return func(s *Session) { s.forceLineage = true }
-}
-
-// WithShards overrides the partition count of the lineage pipeline for
-// the session's queries: 1 forces the single-chain pipeline, n > 1
-// forces exactly n partition-parallel chains on the DB's worker pool.
-// Without the option the planner chooses — unsharded below a driver
-// cardinality floor, up to the pool's parallelism above it. Sharding
-// never changes results: answer values, order, and lineage DNFs are
-// identical to the unsharded pipeline's.
-func WithShards(n int) SessionOption {
-	return func(s *Session) { s.shards = n }
 }
 
 // WithTrace installs a per-query trace sink: after each of the
@@ -190,7 +178,6 @@ func (s *Session) planOptions() plan.Options {
 	return plan.Options{
 		DisableSafe: s.forceLineage,
 		DisableIQ:   s.forceLineage,
-		Shards:      s.shards,
 		Pool:        s.db.pool,
 		Metrics:     s.db.metrics,
 		Inject:      s.inject,
