@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -444,21 +443,20 @@ func confBatchAnswers(nAnswers, blocks, window, perBlock int) (*formula.Space, [
 	return s, answers
 }
 
-func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, pool int, cache bool) {
+func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, size int, cache bool) {
 	b.Helper()
-	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-	workpool.Default.Resize(pool)
-	var ev engine.Evaluator = engine.Exact{}
+	pool := workpool.New(size)
+	ev := engine.Exact{Pool: pool}
 	if cache {
 		// One cache shared across iterations: the steady state of a
 		// server answering repeated/overlapping queries.
-		ev = engine.Exact{Cache: formula.NewProbCache(0)}
+		ev.Cache = formula.NewProbCache(0)
 	}
 	b.ResetTimer()
 	// After ResetTimer: it deletes user-reported metrics.
 	b.ReportMetric(float64(len(answers)), "answers")
 	for i := 0; i < b.N; i++ {
-		confs, err := pdb.Conf(context.Background(), s, answers, ev)
+		confs, err := pdb.ConfWith(context.Background(), s, answers, ev, pool, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,46 +506,16 @@ func BenchmarkParallelExact(b *testing.B) {
 	}
 	for _, cfg := range []struct {
 		name string
-		seq  bool
 		pool int
 	}{
-		{"sequential", true, 1},
-		{"parallel", false, 8},
+		{"sequential", 1},
+		{"parallel", 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-			workpool.Default.Resize(cfg.pool)
+			opt := core.Options{Pool: workpool.New(cfg.pool)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Exact(s, d, core.Options{Sequential: cfg.seq}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelApproxRandomGraph measures parallel child preparation
-// in the ε-approximation on the random-graph workload (karate triangle,
-// the ablation instance).
-func BenchmarkParallelApproxRandomGraph(b *testing.B) {
-	s, d := ablationInstance()
-	for _, cfg := range []struct {
-		name string
-		seq  bool
-		pool int
-	}{
-		{"sequential", true, 1},
-		{"parallel", false, 8},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-			workpool.Default.Resize(cfg.pool)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Approx(s, d, core.Options{
-					Eps: 0.01, Kind: core.Relative, Sequential: cfg.seq,
-				}); err != nil {
+				if _, err := core.Exact(s, d, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

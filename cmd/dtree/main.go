@@ -73,14 +73,16 @@ func main() {
 			MaxNodes: *maxNodes,
 			Timeout:  *timeout,
 		},
-		Sequential: *seq,
-		Global:     *global,
+		Global: *global,
 	}
 	if *relative {
 		ev.Kind = engine.Relative
 	}
 	if *exact {
 		ev.Eps = 0
+	}
+	if *seq {
+		workpool.Default.Resize(1)
 	}
 	var reg *obs.Metrics
 	if *metrics {

@@ -142,6 +142,10 @@ func TestFacadeBuildValidation(t *testing.T) {
 		{"tau out of range", sess.Query("R").GroupLineage(0).Threshold(1.5), "Threshold"},
 		{"operator after ranking", sess.Query("R").TopK(2).Project(0), "Project"},
 		{"operator after grouping", sess.Query("R").GroupLineage(0).Select(func([]pdb.Value) bool { return true }), "Select"},
+		{"session eps at one or above", db.Session(repro.WithEps(1.5)).Query("R"), "Session"},
+		{"negative session eps", db.Session(repro.WithEps(-1)).Query("R"), "Session"},
+		{"NaN session eps", db.Session(repro.WithEps(math.NaN())).Query("R"), "Session"},
+		{"infinite session eps", db.Session(repro.WithEps(math.Inf(1))).Query("R"), "Session"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -204,8 +208,9 @@ func mustScan(t *testing.T, db *repro.DB, name string) plan.Node {
 // TestFacadeStreamingSavesWork proves Run's iterator is genuinely
 // anytime: consuming only the first proven answer of a top-k query and
 // breaking out of the loop must cost measurably less evaluation work
-// (subformula cache misses) than draining the stream — impossible if
-// answers were materialized before the first yield.
+// (fragment-cache misses, i.e. leaf preparations performed) than
+// draining the stream — impossible if answers were materialized before
+// the first yield.
 func TestFacadeStreamingSavesWork(t *testing.T) {
 	s, rel := facadeWorkload(120)
 	db := repro.NewDB(s, rel)
@@ -222,7 +227,7 @@ func TestFacadeStreamingSavesWork(t *testing.T) {
 				break
 			}
 		}
-		misses = sess.Cache().CacheStats().Misses
+		misses = sess.FragCache().CacheStats().Misses
 		return answers, misses
 	}
 
@@ -235,10 +240,10 @@ func TestFacadeStreamingSavesWork(t *testing.T) {
 		t.Fatalf("early-break stream yielded %d answers, want 1", early)
 	}
 	if earlyMisses >= fullMisses {
-		t.Fatalf("breaking after the first answer cost %d cache misses, full stream %d — the stream is not anytime",
+		t.Fatalf("breaking after the first answer cost %d leaf preparations, full stream %d — the stream is not anytime",
 			earlyMisses, fullMisses)
 	}
-	t.Logf("first answer after %d cache misses; full top-10 run %d", earlyMisses, fullMisses)
+	t.Logf("first answer after %d leaf preparations; full top-10 run %d", earlyMisses, fullMisses)
 }
 
 // TestFacadeStreamMatchesAll pins the stream's contents against the

@@ -52,33 +52,26 @@ type Options struct {
 	MaxWork int
 
 	// Cache, when non-nil, memoizes exact multi-clause subformula
-	// probabilities. Sharing one cache across evaluations over the same
-	// Space (the answers of a query, repeated Shannon branches) computes
-	// each repeated fragment once. The cache must not be reused with a
-	// different Space.
+	// probabilities for exact evaluation (Eps 0) only. Sharing one cache
+	// across evaluations over the same Space (the answers of a query,
+	// repeated Shannon branches) computes each repeated fragment once.
+	// The cache must not be reused with a different Space.
 	Cache *formula.ProbCache
 
 	// Frags, when non-nil, memoizes prepared leaf fragments — the
 	// normalized, subsumption-reduced form together with its heuristic
-	// bounds and component partition. It is the prepared-statement
-	// analogue of Cache: where Cache only pays off once a fragment's
-	// exact probability has been computed, Frags short-circuits the
-	// whole preparation pipeline (normalize, reduce, leaf bounds),
-	// which profiling shows dominates ranking workloads. Share one
-	// Frags across evaluations over the same Space exactly like Cache;
-	// it must not be reused with a different Space.
+	// bounds and component partition. It is the one memo of evaluation
+	// at Eps > 0: a hit short-circuits the whole preparation pipeline
+	// (normalize, reduce, leaf bounds), which profiling shows dominates
+	// ranking workloads. Share one Frags across evaluations over the
+	// same Space only, like Cache.
 	Frags *formula.FragCache
 
-	// Sequential disables parallel exploration of independent d-tree
-	// branches. Parallel exploration is on by default and produces
-	// bitwise-identical results; Sequential exists for measurement and
-	// debugging.
-	Sequential bool
-
-	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default. Callers that own a pool (the
-	// façade DB) thread it here so sizing one pool never affects
-	// evaluations running on another.
+	// Pool is the worker pool exact evaluation fans independent branches
+	// out on, bitwise identically at every size (1 = the calling
+	// goroutine); nil means the shared workpool.Default. Evaluation at
+	// Eps > 0 never enters it. Callers that own a pool (the façade DB)
+	// thread it here so sizing one pool never affects another's work.
 	Pool *workpool.Pool
 
 	// Metrics, when non-nil, receives this evaluation's cache traffic,
@@ -127,7 +120,7 @@ type Result struct {
 	// LeavesClosed counts leaves discarded by the Theorem 5.12 check.
 	LeavesClosed int
 	// CacheHits and CacheMisses count subformula memo-cache lookups by
-	// this evaluation (zero when Options.Cache is nil).
+	// this evaluation (zero when Options.Cache is nil or Eps > 0).
 	CacheHits, CacheMisses int64
 	// Exact reports Lo == Hi.
 	Exact bool
@@ -185,8 +178,8 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 // materializing the tree and without computing per-leaf bounds. This is
 // the "d-tree(error 0)" configuration of the experiments; it runs in
 // polynomial time on lineage of tractable queries (Section VI).
-// Independent branches are explored in parallel on the shared worker
-// pool (see internal/workpool) unless Options.Sequential is set.
+// Independent branches are explored in parallel on Options.Pool (see
+// internal/workpool) when it has more than one worker.
 func Exact(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	return ExactCtx(context.Background(), s, d, opt)
 }
@@ -308,13 +301,13 @@ func (st *state) prepare(d formula.DNF) frag {
 // pair shares the subsumed clause's variables, hence its component).
 //
 // With Options.Frags configured, the fragment is looked up before any
-// of that and stored after; a hit replays the work charge of a warm
+// of that and stored after; a hit replays the work charge of a
 // reference rerun (PreparedFrag.Work) so MaxWork budget traces stay
 // identical with and without the cache.
 func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 	// Chaos site: prepareAs has no error return, so every injected
 	// fault surfaces as a panic and unwinds to the nearest containment
-	// point (NewRefiner, the pool wrapper, or pdb's per-answer recover).
+	// point (NewRefiner, rank's grant, or pdb's per-answer recover).
 	st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
 	if st.opt.refPrepare {
 		return st.prepareRef(d)
@@ -331,11 +324,11 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 	key := d
 	w := int64(len(key))
 	st.work.Add(w)
-	store := func(f frag, warmWork int64) frag {
+	store := func(f frag, work int64) frag {
 		if c == nil {
 			return f
 		}
-		e := &formula.PreparedFrag{D: f.d, Lo: f.lo, Hi: f.hi, Exact: f.exact, Work: warmWork}
+		e := &formula.PreparedFrag{D: f.d, Lo: f.lo, Hi: f.hi, Exact: f.exact, Work: work}
 		f.entry = c.Store(key, st.variant, e)
 		return f
 	}
@@ -356,41 +349,25 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 		return store(frag{d: d, lo: p, hi: p, exact: true}, w)
 	}
 	if len(d) <= incExcMaxClauses {
-		// A warm reference rerun re-pays the 2^k inclusion-exclusion
-		// only when no probability cache absorbs it.
-		warm := w
-		p := st.cachedProb(d, func() float64 {
-			st.work.Add(1 << len(d))
-			if st.opt.Cache == nil {
-				warm += 1 << len(d)
-			}
-			return inclusionExclusion(st.s, d)
-		})
-		return store(frag{d: d, lo: p, hi: p, exact: true}, warm)
+		ops := int64(1) << len(d)
+		st.work.Add(ops)
+		p := inclusionExclusion(st.s, d)
+		return store(frag{d: d, lo: p, hi: p, exact: true}, w+ops)
 	}
 	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
 	st.work.Add(int64(ops))
 	return store(frag{d: d, lo: lo, hi: hi, exact: lo == hi}, w+int64(ops))
 }
 
-// cachedProb memoizes compute() for multi-clause fragments when a cache
-// is configured.
-func (st *state) cachedProb(d formula.DNF, compute func() float64) float64 {
-	p, _ := st.cachedProbErr(d, func() (float64, error) { return compute(), nil })
-	return p
-}
-
-// cachedProbErr is cachedProb for fallible computations; failed
-// computations are not stored.
+// cachedProbErr memoizes compute() for multi-clause fragments when a
+// cache is configured; failed computations are not stored.
 func (st *state) cachedProbErr(d formula.DNF, compute func() (float64, error)) (float64, error) {
 	c := st.opt.Cache
 	if c == nil || len(d) <= 1 {
 		return compute()
 	}
-	// Chaos site: cachedProb swallows errors by design (a miss just
-	// recomputes), so a returned injected error would silently corrupt
-	// the probability — FirePanic turns every fault into a contained
-	// panic instead.
+	// Chaos site: like leaf.prepare, every fault kind surfaces as a
+	// contained panic (see Injector.FirePanic).
 	st.opt.Inject.FirePanic(fault.SiteCacheLookup)
 	if p, ok := c.Lookup(d); ok {
 		st.hits.Add(1)
@@ -561,10 +538,8 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 
 // decompose applies the first applicable decomposition of Figure 1 and
 // returns the node kind, the prepared children, and the per-child
-// multiplier (P(x = a) for Shannon branches, 1 otherwise). Child
-// preparation (the quadratic leaf-bounds heuristic) fans out on the
-// worker pool when the fragment is large enough. Children inherit the
-// construction guarantees documented on prepareAs, so their
+// multiplier (P(x = a) for Shannon branches, 1 otherwise). Children
+// inherit the construction guarantees documented on prepareAs, so their
 // preparation skips the corresponding no-op passes; the component
 // partition is memoized on the fragment-cache entry when present.
 func (st *state) decompose(f frag) (Kind, []frag, []float64) {
@@ -603,6 +578,16 @@ func (st *state) decompose(f frag) (Kind, []frag, []float64) {
 	}
 	prepPool.Put(sc)
 	return ExclOr, st.prepareAll(subs, true, false), mult
+}
+
+// prepareAll prepares every child fragment on the calling goroutine,
+// forwarding the construction flags documented on prepareAs.
+func (st *state) prepareAll(subs []formula.DNF, normalized, reduced bool) []frag {
+	frags := make([]frag, len(subs))
+	for i, sub := range subs {
+		frags[i] = st.prepareAs(sub, normalized, reduced)
+	}
+	return frags
 }
 
 // decomposeRef is decompose on the original preparation pipeline:

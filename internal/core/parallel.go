@@ -17,7 +17,7 @@ const exactCtxStride = 256
 // parallelizable reports whether a group of sibling fragments should be
 // explored on the worker pool.
 func (st *state) parallelizable(subs []formula.DNF) bool {
-	if st.opt.Sequential || len(subs) < 2 || !st.pooled {
+	if len(subs) < 2 || !st.pooled {
 		return false
 	}
 	total := 0
@@ -56,26 +56,4 @@ func (st *state) exactChildren(subs []formula.DNF) ([]float64, error) {
 		}
 	}
 	return ps, nil
-}
-
-// prepareAll prepares every child fragment, in parallel when worthwhile,
-// forwarding the construction flags documented on prepareAs. prepareAs
-// touches only atomic counters, the (concurrency-safe) caches, and
-// read-only state, and the output order matches subs, so parallel
-// preparation leaves the subsequent (sequential) bound refinement
-// unchanged.
-func (st *state) prepareAll(subs []formula.DNF, normalized, reduced bool) []frag {
-	frags := make([]frag, len(subs))
-	if !st.parallelizable(subs) {
-		for i, sub := range subs {
-			frags[i] = st.prepareAs(sub, normalized, reduced)
-		}
-		return frags
-	}
-	tasks := make([]func(), len(subs))
-	for i := range subs {
-		tasks[i] = func() { frags[i] = st.prepareAs(subs[i], normalized, reduced) }
-	}
-	st.opt.Pool.RunAbort(st.poison, tasks...)
-	return frags
 }

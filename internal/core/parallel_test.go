@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -34,16 +33,15 @@ func hierarchicalDNF(groups, perGroup int, s *formula.Space) formula.DNF {
 // node counts) to the sequential path, because children are combined in
 // child-index order either way.
 func TestParallelMatchesSequential(t *testing.T) {
-	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-	workpool.Default.Resize(8) // force real fan-out even on single-CPU machines
+	wide := workpool.New(8) // force real fan-out even on single-CPU machines
 
 	check := func(name string, s *formula.Space, d formula.DNF) {
 		t.Helper()
-		seq, err := Exact(s, d, Options{Sequential: true})
+		seq, err := Exact(s, d, Options{Pool: workpool.New(1)})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
-		par, err := Exact(s, d, Options{})
+		par, err := Exact(s, d, Options{Pool: wide})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}
@@ -66,21 +64,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 	check("hierarchical", s, hierarchicalDNF(40, 5, s))
 }
 
-// TestParallelApproxMatchesSequential checks the eps > 0 path: parallel
-// child preparation must leave the sequential refinement's bounds and
-// stop/close decisions unchanged.
+// TestParallelApproxMatchesSequential checks the eps > 0 path: it runs
+// on the calling goroutine, so the pool's size must leave its bounds
+// and stop/close decisions unchanged.
 func TestParallelApproxMatchesSequential(t *testing.T) {
-	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-	workpool.Default.Resize(8)
 	for seed := int64(1); seed <= 15; seed++ {
 		s, d := randdnf.Generate(randdnf.Config{
 			Vars: 40, Clauses: 70, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.95,
 		}, seed)
-		opt := Options{Eps: 0.01, Kind: Absolute}
-		optSeq := opt
-		optSeq.Sequential = true
-		seq, errS := Approx(s, d, optSeq)
-		par, errP := Approx(s, d, opt)
+		seq, errS := Approx(s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(1)})
+		par, errP := Approx(s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(8)})
 		if errS != nil || errP != nil {
 			t.Fatalf("seed %d: errs %v / %v", seed, errS, errP)
 		}

@@ -34,9 +34,9 @@ import (
 // bitwise-identical across full refinement and ranking traces.
 
 // prepScratch bundles the reusable buffers of leaf preparation. One
-// scratch serves one preparation at a time; concurrent preparations
-// (prepareAll fanning out on the worker pool) draw distinct scratches
-// from prepPool.
+// scratch serves one preparation at a time; concurrent evaluations
+// (conf()'s one task per answer, distinct Refiners) draw distinct
+// scratches from prepPool.
 type prepScratch struct {
 	fs    []float64 // leafBounds: clause probabilities
 	is    []int     // leafBounds: sort permutation
@@ -176,10 +176,9 @@ func restrictPrepared(d formula.DNF, v formula.Var, a formula.Val, sc *prepScrat
 }
 
 // prepVariant encodes the Options switches preparation depends on —
-// the ablation flags that change the prepared form or its bounds, and
-// ProbCache presence, which changes the warm work charge a cache hit
-// must replay. The FragCache partitions its key space by it, so
-// evaluations with different settings can share one cache.
+// the ablation flags that change the prepared form or its bounds. The
+// FragCache partitions its key space by it, so evaluations with
+// different settings can share one cache.
 func prepVariant(opt Options) uint8 {
 	v := uint8(0)
 	if opt.DisableSubsumption {
@@ -187,9 +186,6 @@ func prepVariant(opt Options) uint8 {
 	}
 	if opt.DisableBucketSort {
 		v |= 2
-	}
-	if opt.Cache == nil {
-		v |= 4
 	}
 	return v
 }
@@ -235,10 +231,8 @@ func (st *state) prepareRef(d formula.DNF) frag {
 		return frag{d: d, lo: p, hi: p, exact: true}
 	}
 	if len(d) <= incExcMaxClauses {
-		p := st.cachedProb(d, func() float64 {
-			st.work.Add(1 << len(d))
-			return inclusionExclusion(st.s, d)
-		})
+		st.work.Add(1 << len(d))
+		p := inclusionExclusion(st.s, d)
 		return frag{d: d, lo: p, hi: p, exact: true}
 	}
 	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)

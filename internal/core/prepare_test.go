@@ -140,7 +140,7 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 	frags := formula.NewFragCache(0)
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), 7000+seed)
-		opt := Options{Eps: 0.01, Kind: Absolute, Sequential: true}
+		opt := Options{Eps: 0.01, Kind: Absolute}
 		refRes, refErr := Approx(s, d, refPrepOpt(opt))
 		opt.Frags = frags
 		for run := 0; run < 2; run++ {
@@ -173,7 +173,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 	s, big := randdnf.Generate(randdnf.Config{
 		Vars: 30, Clauses: 44, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6,
 	}, 9000)
-	opt := Options{Eps: 0.005, Kind: Absolute, Sequential: true}
+	opt := Options{Eps: 0.005, Kind: Absolute}
 	type trace struct {
 		d formula.DNF
 		r Result

@@ -23,11 +23,11 @@ import (
 // intersection does too, and the bounds are monotone: Lo never
 // decreases and Hi never increases across Steps.
 //
-// Options are interpreted exactly as for ApproxCtx: Eps is the target
-// guarantee (Eps 0 refines to an exact — point — interval), Cache
-// memoizes exact subformula probabilities and may be shared across
-// Refiners over the same Space, and leaf preparation fans out on the
-// shared worker pool unless Sequential is set. MaxNodes/MaxWork bound
+// Options are interpreted as on ApproxCtx's incremental path: Eps is
+// the target guarantee (Eps 0 refines to an exact — point — interval),
+// Frags memoizes prepared leaf fragments and may be shared across
+// Refiners over the same Space, and all work happens on the calling
+// goroutine (Cache and Pool are not consulted). MaxNodes/MaxWork bound
 // this Refiner's cumulative work across all Steps; exhausting them
 // surfaces ErrBudget through Err.
 //

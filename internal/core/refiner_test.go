@@ -139,20 +139,21 @@ func TestRefinerCancelled(t *testing.T) {
 	}
 }
 
-// A shared cache lets a second refiner over the same lineage reuse the
-// first's exact subformula probabilities.
+// A shared fragment cache lets a second refiner over the same lineage
+// reuse the first's prepared fragments.
 func TestRefinerSharedCache(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 24, Clauses: 40, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.3,
 	}, 5)
-	cache := formula.NewProbCache(0)
-	opt := Options{Eps: 1e-9, Kind: Absolute, Cache: cache}
+	frags := formula.NewFragCache(0)
+	opt := Options{Eps: 1e-9, Kind: Absolute, Frags: frags}
 	r1 := NewRefiner(context.Background(), s, d, opt)
 	stepAll(r1)
+	before := frags.CacheStats()
 	r2 := NewRefiner(context.Background(), s, d, opt)
 	stepAll(r2)
-	if hits := r2.Result().CacheHits; hits == 0 {
-		t.Fatalf("second refiner made no cache hits (misses %d)", r2.Result().CacheMisses)
+	if after := frags.CacheStats(); after.Hits == before.Hits {
+		t.Fatalf("second refiner made no fragment-cache hits (misses %d → %d)", before.Misses, after.Misses)
 	}
 	lo1, hi1 := r1.Bounds()
 	lo2, hi2 := r2.Bounds()

@@ -8,11 +8,11 @@
 //	Evaluate(ctx, space, lineage) (Result, error)
 //
 // with context-based cancellation/deadlines and a structured Budget in
-// place of the per-package MaxNodes/MaxWork/sample-count knobs. The
-// d-tree evaluators explore independent branches on the shared bounded
-// worker pool (internal/workpool) and can share a hash-consed
-// subformula probability cache (formula.ProbCache) across answers and
-// queries; cache traffic is surfaced in Result.
+// place of the per-package MaxNodes/MaxWork/sample-count knobs. Exact
+// evaluation explores independent branches on a bounded worker pool
+// (internal/workpool) and shares a hash-consed subformula probability
+// cache (formula.ProbCache), its traffic surfaced in Result; ε > 0
+// evaluation runs on the calling goroutine and shares a FragCache.
 package engine
 
 import (
@@ -30,12 +30,8 @@ import (
 
 // Re-exported core types, so engine users configure evaluators without
 // importing internal/core.
-type (
-	// ErrorKind selects absolute or relative approximation error.
-	ErrorKind = core.ErrorKind
-	// VarOrder selects the Shannon-expansion variable order.
-	VarOrder = core.VarOrder
-)
+// ErrorKind selects absolute or relative approximation error.
+type ErrorKind = core.ErrorKind
 
 // Error kinds (Definition 5.7).
 const (
@@ -105,7 +101,7 @@ type Result struct {
 	// Samples counts estimator invocations (MonteCarlo).
 	Samples int
 	// CacheHits and CacheMisses count subformula memo-cache lookups made
-	// by this evaluation (zero without a cache).
+	// by this evaluation (exact evaluation only; zero without a cache).
 	CacheHits, CacheMisses int64
 }
 
@@ -136,20 +132,16 @@ func fromCore(r core.Result) Result {
 
 // Exact evaluates probabilities exactly by exhaustive d-tree
 // compilation (the paper's "d-tree(error 0)" configuration). The zero
-// value is ready to use: parallel branch exploration on, no cache, no
-// budget.
+// value is ready to use: parallel branch exploration on the default
+// pool, no cache, no budget.
 type Exact struct {
-	// Order selects the Shannon-expansion variable order.
-	Order VarOrder
 	// Budget bounds the evaluation.
 	Budget Budget
 	// Cache, when non-nil, memoizes subformula probabilities across
 	// evaluations sharing it (same Space only).
 	Cache *formula.ProbCache
-	// Sequential disables parallel branch exploration.
-	Sequential bool
-	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default.
+	// Pool is the worker pool parallel exploration fans out on (size 1:
+	// none); nil means the shared workpool.Default.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives the evaluation's cache traffic
 	// and budget exhaustions (nil-safe, see obs.Metrics).
@@ -164,9 +156,8 @@ func (e Exact) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (R
 	ctx, cancel := e.Budget.Context(ctx)
 	defer cancel()
 	res, err := core.ExactCtx(ctx, s, d, core.Options{
-		Order:    e.Order,
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Sequential: e.Sequential, Pool: e.Pool,
+		Cache: e.Cache, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	})
 	return fromCore(res), err
@@ -181,20 +172,16 @@ type Approx struct {
 	Eps float64
 	// Kind selects absolute or relative error.
 	Kind ErrorKind
-	// Order selects the Shannon-expansion variable order.
-	Order VarOrder
 	// Budget bounds the evaluation.
 	Budget Budget
-	// Cache, when non-nil, memoizes exact subformula probabilities.
+	// Cache, when non-nil, memoizes subformula probabilities at Eps 0.
 	Cache *formula.ProbCache
 	// Frags, when non-nil, memoizes prepared leaf fragments
 	// (normalized/reduced form, heuristic bounds, component partition)
-	// across evaluations sharing it — same Space only, like Cache.
+	// across evaluations at Eps > 0 — same Space only, like Cache.
 	Frags *formula.FragCache
-	// Sequential disables parallel exploration.
-	Sequential bool
-	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default.
+	// Pool is the worker pool evaluation at Eps 0 fans out on; nil means
+	// the shared workpool.Default. Eps > 0 never enters it.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives the evaluation's cache traffic
 	// and budget exhaustions (nil-safe, see obs.Metrics).
@@ -211,9 +198,9 @@ func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (
 	ctx, cancel := e.Budget.Context(ctx)
 	defer cancel()
 	opt := core.Options{
-		Eps: e.Eps, Kind: e.Kind, Order: e.Order,
+		Eps: e.Eps, Kind: e.Kind,
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Frags: e.Frags, Sequential: e.Sequential, Pool: e.Pool,
+		Cache: e.Cache, Frags: e.Frags, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	}
 	var res core.Result

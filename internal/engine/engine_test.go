@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
+	"repro/internal/workpool"
 )
 
 func randInstance(seed int64) (*formula.Space, formula.DNF) {
@@ -31,7 +32,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 			tol  float64
 		}{
 			{"exact", Exact{}, 1e-9},
-			{"exact-seq", Exact{Sequential: true}, 1e-9},
+			{"exact-seq", Exact{Pool: workpool.New(1)}, 1e-9},
 			{"exact-cache", Exact{Cache: formula.NewProbCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"approx-global", Approx{Eps: 0.01, Kind: Absolute, Global: true}, 0.01 + 1e-9},

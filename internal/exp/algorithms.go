@@ -24,8 +24,9 @@ type Params struct {
 
 	Delta float64 // aconf δ (the paper fixes 0.0001)
 
-	// ShareCache shares one subformula probability cache across the
-	// answers of each multi-answer query. Off by default: the figures
+	// ShareCache shares one memo across the answers of each multi-answer
+	// query — a prepared-fragment cache on the ε > 0 runs, a subformula
+	// probability cache on the exact runs. Off by default: the figures
 	// reproduce the paper's per-answer measurements; turning it on
 	// measures the engine's cross-answer sharing instead.
 	ShareCache bool
@@ -103,11 +104,11 @@ func dtreeBudget(maxNodes int) engine.Budget {
 	return engine.Budget{MaxNodes: maxNodes, MaxWork: 8 * maxNodes}
 }
 
-// runDtree measures the ε-approximation on one DNF. cache may be nil;
+// runDtree measures the ε-approximation on one DNF. frags may be nil;
 // figures share one cache across the answers of a query.
-func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKind, maxNodes int, cache *formula.ProbCache) runResult {
+func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKind, maxNodes int, frags *formula.FragCache) runResult {
 	return runEval(engine.Approx{
-		Eps: eps, Kind: kind, Budget: dtreeBudget(maxNodes), Cache: cache,
+		Eps: eps, Kind: kind, Budget: dtreeBudget(maxNodes), Frags: frags,
 	}, s, d)
 }
 

@@ -122,9 +122,10 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 		// multi-answer query share base tuples, so repeated lineage
 		// fragments hit the cache. Off by default to keep the figure
 		// faithful to the paper's per-answer measurements.
-		var dtCache, deCache *formula.ProbCache
+		var dtCache *formula.FragCache
+		var deCache *formula.ProbCache
 		if p.ShareCache {
-			dtCache = formula.NewProbCache(0)
+			dtCache = formula.NewFragCache(0)
 			deCache = formula.NewProbCache(0)
 		}
 		dnfs := lineageDNFs(q.node)

@@ -19,10 +19,12 @@ import (
 // start or (worse) warm-starting from corrupt decompositions.
 //
 // Version history: v1 had no checksum; v2 wraps the entry stream in a
-// CRC32-checksummed payload. v1 files load as a cold start.
+// CRC32-checksummed payload; v3 entries always carry the full Work
+// charge (v2's depended on a ProbCache being configured, keyed into
+// Variant). Older files load as a cold start.
 const (
 	fragCacheMagic   = "repro.fragcache"
-	fragCacheVersion = 2
+	fragCacheVersion = 3
 )
 
 type fragHeaderGob struct {

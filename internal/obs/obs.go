@@ -18,9 +18,9 @@
 // Every recording method is nil-safe: calling it on a nil *Metrics (or
 // nil *QueryTrace) is a no-op costing one branch, so instrumented code
 // carries no conditional plumbing and pays nothing when observability
-// is disabled — the benchmarks of internal/core and internal/rank run
-// with a nil registry and gate the disabled-path overhead. With a
-// registry attached, each event is one or two uncontended atomic adds.
+// is disabled (the benchmarks of internal/core and internal/rank run
+// with a nil registry). With a registry attached, each event is one or
+// two uncontended atomic adds.
 //
 // obs imports only the standard library, so every internal package
 // (formula, workpool, core, rank, plan, pdb) and the façade can depend

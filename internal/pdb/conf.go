@@ -102,13 +102,22 @@ func ConfWith(ctx context.Context, s *formula.Space, answers []Answer, ev engine
 
 // evalMetrics extracts the engine registry an evaluator carries, if
 // any — the conf() operator has no registry of its own, and panic
-// recoveries are counted at their first capture point.
+// recoveries are counted at their first capture point. Evaluate has
+// value receivers, so the pointer forms are evaluators too.
 func evalMetrics(ev engine.Evaluator) *obs.Metrics {
 	switch e := ev.(type) {
 	case engine.Approx:
 		return e.Metrics
 	case engine.Exact:
 		return e.Metrics
+	case *engine.Approx:
+		if e != nil {
+			return e.Metrics
+		}
+	case *engine.Exact:
+		if e != nil {
+			return e.Metrics
+		}
 	}
 	return nil
 }

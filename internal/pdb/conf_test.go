@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/formula"
+	"repro/internal/obs"
 	"repro/internal/workpool"
 )
 
@@ -121,8 +121,7 @@ func TestConfCancelled(t *testing.T) {
 // one probability cache over one space — the production pattern for
 // multi-query traffic — under the race detector.
 func TestConfConcurrentBatches(t *testing.T) {
-	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
-	workpool.Default.Resize(4)
+	pool := workpool.New(4)
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
 	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})
@@ -137,7 +136,7 @@ func TestConfConcurrentBatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				confs, err := Conf(context.Background(), s, answers, engine.Exact{Cache: cache})
+				confs, err := ConfWith(context.Background(), s, answers, engine.Exact{Cache: cache, Pool: pool}, pool, nil)
 				if err != nil {
 					t.Errorf("Conf: %v", err)
 					return
@@ -152,4 +151,24 @@ func TestConfConcurrentBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestEvalMetricsPointerEvaluator pins that conf() finds the registry
+// of an evaluator handed over by pointer (Evaluate has value receivers,
+// so both forms are evaluators) and tolerates a nil one.
+func TestEvalMetricsPointerEvaluator(t *testing.T) {
+	m := obs.NewMetrics()
+	for _, ev := range []engine.Evaluator{
+		engine.Approx{Metrics: m}, &engine.Approx{Metrics: m},
+		engine.Exact{Metrics: m}, &engine.Exact{Metrics: m},
+	} {
+		if got := evalMetrics(ev); got != m {
+			t.Fatalf("%T: registry %p, want %p", ev, got, m)
+		}
+	}
+	for _, ev := range []engine.Evaluator{(*engine.Approx)(nil), (*engine.Exact)(nil), engine.MonteCarlo{}, nil} {
+		if got := evalMetrics(ev); got != nil {
+			t.Fatalf("%T: registry %p, want nil", ev, got)
+		}
+	}
 }

@@ -349,13 +349,10 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 }
 
 // rankOptions derives the scheduler configuration from the evaluator,
-// defaulting the worker pool, metrics registry, fault injector and
-// watchdog deadline to the plan's own.
+// defaulting the metrics registry, fault injector and watchdog deadline
+// to the plan's own.
 func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
 	opt := rankOptionsFrom(ev)
-	if opt.Pool == nil {
-		opt.Pool = p.pool
-	}
 	if opt.Metrics == nil {
 		opt.Metrics = p.metrics
 	}
@@ -512,27 +509,35 @@ func containsRank(n Node) bool {
 // rankOptionsFrom derives the lineage route's scheduler configuration
 // from the evaluator the caller would have used for plain answers: the
 // d-tree evaluators contribute their refinement floor, budget and
-// cache. MonteCarlo has no bound-refinement analogue — rankings need
-// certain intervals — but its Budget (notably the Timeout) still
-// bounds the scheduler. A nil or unknown evaluator means
-// refine-to-exactness with no budget.
+// fragment cache. MonteCarlo has no bound-refinement analogue —
+// rankings need certain intervals — but its Budget (notably the
+// Timeout) still bounds the scheduler. Evaluate has value receivers, so
+// a pointer to any of the three is an Evaluator too and reads like its
+// value. A nil or unknown evaluator means refine-to-exactness with no
+// budget.
 func rankOptionsFrom(ev engine.Evaluator) rank.Options {
 	switch e := ev.(type) {
 	case engine.Approx:
 		return rank.Options{
-			Eps: e.Eps, Kind: e.Kind, Order: e.Order,
-			Budget: e.Budget, Cache: e.Cache, Frags: e.Frags,
-			Sequential: e.Sequential, Pool: e.Pool, Metrics: e.Metrics,
-			Inject: e.Inject,
+			Eps: e.Eps, Kind: e.Kind, Budget: e.Budget, Frags: e.Frags,
+			Metrics: e.Metrics, Inject: e.Inject,
 		}
 	case engine.Exact:
-		return rank.Options{
-			Order: e.Order, Budget: e.Budget, Cache: e.Cache,
-			Sequential: e.Sequential, Pool: e.Pool, Metrics: e.Metrics,
-			Inject: e.Inject,
-		}
+		return rank.Options{Budget: e.Budget, Metrics: e.Metrics, Inject: e.Inject}
 	case engine.MonteCarlo:
 		return rank.Options{Budget: e.Budget}
+	case *engine.Approx:
+		if e != nil {
+			return rankOptionsFrom(*e)
+		}
+	case *engine.Exact:
+		if e != nil {
+			return rankOptionsFrom(*e)
+		}
+	case *engine.MonteCarlo:
+		if e != nil {
+			return rankOptionsFrom(*e)
+		}
 	}
 	return rank.Options{}
 }

@@ -3,12 +3,16 @@ package plan
 import (
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/formula"
 	"repro/internal/pdb"
+	"repro/internal/rank"
 )
 
 // rankGroundTruth computes the expected ranked answers by evaluating
@@ -175,5 +179,39 @@ func TestPlannerRankNodeMetadata(t *testing.T) {
 	stacked := Compile(&TopK{Input: &Threshold{Input: inner, Tau: 0.3}, K: 1})
 	if _, err := stacked.Answers(context.Background(), s, nil); err == nil {
 		t.Fatal("stacked ranking roots executed without error")
+	}
+}
+
+// Evaluate has value receivers, so a pointer to an evaluator is an
+// Evaluator too: it must configure the scheduler exactly like its
+// value — ε floor, budget, fragment cache and all — and a nil pointer
+// like no evaluator at all.
+func TestRankOptionsFromPointerEvaluator(t *testing.T) {
+	budget := engine.Budget{MaxNodes: 7, Timeout: time.Second}
+	approx := engine.Approx{Eps: 0.01, Kind: engine.Relative, Budget: budget, Frags: formula.NewFragCache(0)}
+	exact := engine.Exact{Budget: budget}
+	mc := engine.MonteCarlo{Eps: 0.1, Delta: 0.01, Budget: budget}
+	for _, c := range []struct {
+		name       string
+		val, ptr   engine.Evaluator
+		nilPointer engine.Evaluator
+	}{
+		{"approx", approx, &approx, (*engine.Approx)(nil)},
+		{"exact", exact, &exact, (*engine.Exact)(nil)},
+		{"montecarlo", mc, &mc, (*engine.MonteCarlo)(nil)},
+	} {
+		want := rankOptionsFrom(c.val)
+		if want.Budget != budget {
+			t.Fatalf("%s: value form lost the budget: %+v", c.name, want)
+		}
+		if got := rankOptionsFrom(c.ptr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: pointer form %+v, value form %+v", c.name, got, want)
+		}
+		if got := rankOptionsFrom(c.nilPointer); !reflect.DeepEqual(got, rank.Options{}) {
+			t.Fatalf("%s: nil pointer gave %+v, want zero options", c.name, got)
+		}
+	}
+	if got := rankOptionsFrom(&approx); got.Eps != 0.01 || got.Kind != engine.Relative || got.Frags != approx.Frags {
+		t.Fatalf("pointer Approx lost its floor or cache: %+v", got)
 	}
 }

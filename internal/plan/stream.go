@@ -67,8 +67,8 @@ func (p *Plan) StreamTraced(ctx context.Context, s *formula.Space, ev engine.Eva
 			return
 		}
 		// Whatever was not proven mid-run — borderline answers cut by
-		// estimate, resolve-mode re-orderings, and every answer of the
-		// routes that never call the hook — follows in result order.
+		// estimate and every answer of the routes that never call the
+		// hook — follows in result order.
 		for i, c := range confs {
 			if emitted != nil && emitted[ranking[i]] {
 				continue

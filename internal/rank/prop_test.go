@@ -140,30 +140,6 @@ func checkTopKSelection(t *testing.T, label string, ps []float64, res Result, k 
 	}
 }
 
-// Resolve mode additionally pins the output order to the ground-truth
-// ranking (up to tolerance ties).
-func TestRankTopKResolveOrderProperty(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
-		s, dnfs := randomAnswerSet(int64(300+trial), trial%2 == 1, 8, 9)
-		ps := exactProbs(t, s, dnfs)
-		res, err := TopK(context.Background(), s, dnfs, 4, Options{Resolve: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gt := groundRanking(ps)
-		for pos, i := range res.Ranking {
-			if i == gt[pos] {
-				continue
-			}
-			// A swap is only legitimate between near-ties.
-			if diff := ps[i] - ps[gt[pos]]; diff > propTol || diff < -propTol {
-				t.Fatalf("trial %d: position %d holds answer %d (P=%v), ground truth %d (P=%v)\nranking=%v gt=%v",
-					trial, pos, i, ps[i], gt[pos], ps[gt[pos]], res.Ranking, gt[:4])
-			}
-		}
-	}
-}
-
 func TestRankThresholdMatchesExactProperty(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		for _, bid := range []bool{false, true} {

@@ -15,11 +15,10 @@
 // skewed confidence distributions prunes most of the work a full
 // evaluation would spend.
 //
-// All refiners share the caller's formula.ProbCache (overlapping
-// lineage across answers memoizes once) and the process-wide worker
-// pool (leaf preparation inside each refinement step fans out); the
-// scheduling itself is sequential and deterministic — ties everywhere
-// are broken by answer index, so a ranking is reproducible.
+// All refiners share one formula.FragCache (overlapping lineage across
+// answers prepares once) and run on the calling goroutine; scheduling
+// is sequential and deterministic — ties everywhere are broken by
+// answer index, so a ranking is reproducible.
 //
 // Scheduling is event-driven: each grant tightens exactly one answer's
 // interval, so the decide pass re-examines only the answers that
@@ -46,6 +45,10 @@ import (
 	"repro/internal/workpool"
 )
 
+// grantSteps is the number of leaf refinements per scheduling decision:
+// enough to amortize scheduling, few enough to waste little work.
+const grantSteps = 4
+
 // Options configures a ranking run. The zero value refines every
 // undecided answer toward exactness (Eps 0) with no budget — fine for
 // small batches; large workloads should set Eps (the refinement floor)
@@ -59,25 +62,14 @@ type Options struct {
 	Eps float64
 	// Kind selects absolute or relative error for the Eps floor.
 	Kind engine.ErrorKind
-	// Order selects the Shannon-expansion variable order.
-	Order engine.VarOrder
-	// StepBudget is the number of leaf refinements granted to the
-	// chosen answer per scheduling decision (default 4). Larger grants
-	// amortize scheduling; smaller grants separate bounds with less
-	// wasted work.
-	StepBudget int
-	// MaxSteps, when positive, bounds the total refinement steps across
-	// all answers — the anytime knob. When exhausted, undecided answers
-	// are cut by their current estimates (Decided false).
-	MaxSteps int
 	// Budget bounds each answer's refiner (MaxNodes/MaxWork per answer)
 	// and the whole run's wall clock (Timeout; a cancelled parent
 	// context stops the run immediately, see engine.Budget.Context).
 	Budget engine.Budget
-	// Cache, when non-nil, memoizes exact subformula probabilities
-	// across all answers of the run (and across runs over the same
-	// Space).
+	// Cache and Pool are not consulted (kept for bench/): refiners
+	// memoize through Frags and run on the calling goroutine.
 	Cache *formula.ProbCache
+	Pool  *workpool.Pool
 	// Frags, when non-nil, memoizes prepared leaf fragments across all
 	// answers of the run (and across runs over the same Space) — see
 	// core.Options.Frags. When nil, a run-private cache is created:
@@ -85,17 +77,6 @@ type Options struct {
 	// Shannon siblings), so within-run sharing alone removes most
 	// preparation work.
 	Frags *formula.FragCache
-	// Sequential disables parallel leaf preparation inside refiners.
-	Sequential bool
-	// Pool is the worker pool refiners' parallel leaf preparation fans
-	// out on; nil means the shared workpool.Default.
-	Pool *workpool.Pool
-	// Resolve refines every selected answer down to the Eps floor after
-	// membership is decided, so reported confidences carry the full
-	// guarantee ("-resolve" mode). Off, selected answers keep whatever
-	// bounds membership required — cheaper, and the point of anytime
-	// ranking.
-	Resolve bool
 	// fullScan restores the reference schedulers: a full O(n²) rescan
 	// of all answer pairs before every grant and a linear widest-
 	// interval pick, instead of the event-driven decide index and the
@@ -126,26 +107,16 @@ type Options struct {
 	// Because answers decide in provable order, a consumer receives the
 	// proven members of the selection before the scheduler finishes
 	// refining the rest; borderline answers cut by estimate never fire
-	// the hook and must be read from the final Result. Under Resolve the
-	// post-proof refinement is not re-emitted (the final Result carries
-	// the resolved estimates). The callback must not block: the
-	// scheduler is stalled while it runs.
+	// the hook and must be read from the final Result. The callback must
+	// not block: the scheduler is stalled while it runs.
 	OnDecided func(Item)
-}
-
-func (o Options) stepBudget() int {
-	if o.StepBudget < 1 {
-		return 4
-	}
-	return o.StepBudget
 }
 
 func (o Options) coreOptions() core.Options {
 	return core.Options{
-		Eps: o.Eps, Kind: o.Kind, Order: o.Order,
+		Eps: o.Eps, Kind: o.Kind,
 		MaxNodes: o.Budget.MaxNodes, MaxWork: o.Budget.MaxWork,
-		Cache: o.Cache, Frags: o.Frags, Sequential: o.Sequential, Pool: o.Pool,
-		Metrics: o.Metrics, Inject: o.Inject,
+		Frags: o.Frags, Metrics: o.Metrics, Inject: o.Inject,
 	}
 }
 
@@ -167,13 +138,12 @@ type Item struct {
 	// Decided reports that membership was proven by bound separation
 	// (or, for unselected answers, refuted). False marks a borderline
 	// answer cut by its estimate after refinement bottomed out at the
-	// Eps floor, a budget, or MaxSteps.
+	// Eps floor or a budget.
 	Decided bool
 	// Converged reports that P carries the Eps guarantee (the answer's
 	// refiner converged). It is independent of Decided: membership is
 	// often proven while the bounds are still wide, in which case P is
-	// only the interval midpoint — run with Resolve to converge every
-	// selected answer.
+	// only the interval midpoint.
 	Converged bool
 	// DecidedAtStep is the scheduler's cumulative step count at the
 	// moment this answer's membership was proven (zero for answers never
@@ -294,31 +264,15 @@ func (sc *sched) pickFull() int {
 	return best
 }
 
-// quantum returns the next grant size — StepBudget clamped to what
-// remains under MaxSteps — and whether any steps remain at all.
-func (sc *sched) quantum() (int, bool) {
-	q := sc.opt.stepBudget()
-	if sc.opt.MaxSteps > 0 {
-		rem := sc.opt.MaxSteps - sc.steps
-		if rem <= 0 {
-			return 0, false
-		}
-		if rem < q {
-			q = rem
-		}
-	}
-	return q, true
-}
-
-// grant hands the chosen answer a quantum of refinement and records
+// grant hands the chosen answer grantSteps of refinement and records
 // the tightened bounds. Only context errors (and contained panics) are
 // returned: a refiner exhausting its per-answer budget simply stops
 // refining (the answer is later cut by estimate, like the Eps floor).
-func (sc *sched) grant(i, quantum int) error {
+func (sc *sched) grant(i int) error {
 	sc.opt.Metrics.RecordRankGrant()
 	before := sc.refs[i].Steps()
 	oldLo, oldHi := sc.items[i].Lo, sc.items[i].Hi
-	lo, hi := sc.step(i, quantum)
+	lo, hi := sc.step(i)
 	sc.steps += sc.refs[i].Steps() - before
 	if sc.wd > 0 && (lo != oldLo || hi != oldHi) {
 		sc.lastProgress = time.Now()
@@ -334,13 +288,13 @@ func (sc *sched) grant(i, quantum int) error {
 	return nil
 }
 
-// step runs one refinement quantum under a recover: a panic inside
+// step runs one refinement grant under a recover: a panic inside
 // Step — an engine bug or an injected fault below a containment-free
 // path — fails this answer's refiner and surfaces through its Err like
 // a cancellation, never unwinding the scheduler (whose OnDecided hook
 // yields into a consumer iterator that must not be re-entered after a
 // panic).
-func (sc *sched) step(i, quantum int) (lo, hi float64) {
+func (sc *sched) step(i int) (lo, hi float64) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe, first := fault.Promote(v, "rank.grant")
@@ -351,7 +305,7 @@ func (sc *sched) step(i, quantum int) (lo, hi float64) {
 			lo, hi = sc.items[i].Lo, sc.items[i].Hi
 		}
 	}()
-	lo, hi, _ = sc.refs[i].Step(quantum)
+	lo, hi, _ = sc.refs[i].Step(grantSteps)
 	return lo, hi
 }
 
@@ -410,26 +364,6 @@ func (sc *sched) result(ranking []int) Result {
 	return Result{Items: sc.items, Ranking: ranking, Steps: sc.steps}
 }
 
-// resolve refines every answer in sel to its Eps floor (Resolve
-// mode), still under MaxSteps.
-func (sc *sched) resolve(sel []int) error {
-	for _, i := range sel {
-		for !sc.refs[i].Done() {
-			q, ok := sc.quantum()
-			if !ok {
-				return nil
-			}
-			if err := sc.checkStuck(); err != nil {
-				return err
-			}
-			if err := sc.grant(i, q); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // TopK ranks the answers by confidence and returns the k most probable
 // (all of them when k ≥ len(dnfs)), ties broken by input index. Bounds
 // are refined only as far as membership demands: an answer proven
@@ -437,10 +371,8 @@ func (sc *sched) resolve(sel []int) error {
 // out — at least k answers certainly rank above it — is never refined
 // again. The ordering within the selection therefore follows the
 // current estimates, which for early-proven answers are only interval
-// midpoints (Item.Converged false) — set Options.Resolve when the
-// reported confidences (and their order) must carry the Eps guarantee.
-// On a context/timeout error the partial result so far is returned
-// alongside the error.
+// midpoints (Item.Converged false). On a context/timeout error the
+// partial result so far is returned alongside the error.
 func TopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt Options) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("rank: k must be positive, got %d", k)
@@ -463,8 +395,7 @@ func Threshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau fl
 
 // schedule is the shared driver of both cut modes: run the scheduling
 // loop with the mode's membership rule, decide once more from the
-// final bounds, select, and optionally resolve the selection to the
-// Eps floor (re-sorting, since resolution moves estimates).
+// final bounds, and select.
 func schedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options,
 	decide func(*sched), sel func(*sched) []int) (Result, error) {
 	ctx, cancel := opt.Budget.Context(ctx)
@@ -476,16 +407,7 @@ func schedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Opt
 	}
 	decide(sc)
 	sc.estimates()
-	ranking := sel(sc)
-	if err == nil && opt.Resolve {
-		// No decide pass runs after selection: drop the index so
-		// resolve-phase grants stop paying for its maintenance.
-		sc.ix = nil
-		err = sc.resolve(ranking)
-		sc.estimates()
-		sc.sortByEstimate(ranking)
-	}
-	return sc.result(ranking), err
+	return sc.result(sel(sc)), err
 }
 
 // RefineAll is the non-pruning baseline: every answer refined to its
@@ -496,21 +418,10 @@ func RefineAll(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Op
 	defer cancel()
 	sc := newSched(ctx, s, dnfs, opt)
 	err := sc.initErr()
-loop:
 	for i := range sc.refs {
-		if err != nil {
-			break
-		}
-		for !sc.refs[i].Done() {
-			q, ok := sc.quantum()
-			if !ok {
-				break loop
-			}
-			if err = sc.checkStuck(); err != nil {
-				break loop
-			}
-			if err = sc.grant(i, q); err != nil {
-				break loop
+		for err == nil && !sc.refs[i].Done() {
+			if err = sc.checkStuck(); err == nil {
+				err = sc.grant(i)
 			}
 		}
 	}
@@ -525,8 +436,8 @@ loop:
 }
 
 // run is the shared scheduling loop: decide memberships from the
-// current bounds, grant a refinement quantum to the widest undecided
-// answer, repeat until nothing undecided can be refined (or MaxSteps /
+// current bounds, grant grantSteps of refinement to the widest
+// undecided answer, repeat until nothing undecided can be refined (or
 // the context cuts the run short).
 func (sc *sched) run(decide func()) error {
 	for {
@@ -537,15 +448,11 @@ func (sc *sched) run(decide func()) error {
 			return err
 		}
 		decide()
-		q, ok := sc.quantum()
-		if !ok {
-			return nil
-		}
 		i := sc.pick()
 		if i < 0 {
 			return nil
 		}
-		if err := sc.grant(i, q); err != nil {
+		if err := sc.grant(i); err != nil {
 			return err
 		}
 	}

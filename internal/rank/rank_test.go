@@ -3,7 +3,7 @@ package rank
 import (
 	"context"
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/formula"
@@ -178,37 +178,9 @@ func TestHardAnswersNeedRefinement(t *testing.T) {
 	}
 }
 
-func TestResolveTightensSelected(t *testing.T) {
-	s := formula.NewSpace()
-	dnfs := hardAnswers(s, 12)
-	opt := Options{Eps: 1e-6} // Kind zero value: absolute error
-	plain, err := TopK(context.Background(), s, dnfs, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Resolve = true
-	resolved, err := TopK(context.Background(), s, dnfs, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Ranking) != 3 || len(resolved.Ranking) != 3 {
-		t.Fatalf("rankings %v / %v", plain.Ranking, resolved.Ranking)
-	}
-	for _, i := range resolved.Ranking {
-		it := resolved.Items[i]
-		if w := it.Hi - it.Lo; w > 2e-6+1e-12 {
-			t.Fatalf("resolved item %d width %v exceeds the 1e-6 floor", i, w)
-		}
-	}
-	if resolved.Steps < plain.Steps {
-		t.Fatalf("resolve spent fewer steps (%d) than plain (%d)", resolved.Steps, plain.Steps)
-	}
-}
-
 // Decided (membership proof) and Converged (estimate guarantee) are
 // independent: an answer proven into the top-k while its bounds are
-// still wide must not claim a guaranteed estimate — unless Resolve
-// refines it to the floor.
+// still wide must not claim a guaranteed estimate.
 func TestDecidedVsConverged(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := hardAnswers(s, 12)
@@ -229,66 +201,30 @@ func TestDecidedVsConverged(t *testing.T) {
 	if !wide {
 		t.Skip("no early-proven wide answer in this instance; tighten the workload to exercise the distinction")
 	}
-	resolved, err := TopK(context.Background(), s, dnfs, 3, Options{Eps: 1e-9, Resolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range resolved.Ranking {
-		if !resolved.Items[i].Converged {
-			t.Fatalf("resolve left item %d unconverged: %+v", i, resolved.Items[i])
-		}
-	}
 }
 
-func TestMaxStepsAnytime(t *testing.T) {
-	s := formula.NewSpace()
-	dnfs := hardAnswers(s, 12)
-	res, err := TopK(context.Background(), s, dnfs, 3, Options{MaxSteps: 2, StepBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps == 0 || res.Steps > 2 {
-		t.Fatalf("spent %d steps, want 1..2 (MaxSteps 2 on a workload needing refinement)", res.Steps)
-	}
-	if len(res.Ranking) != 3 {
-		t.Fatalf("anytime cut still must select k answers, got %v", res.Ranking)
-	}
-	// A large quantum must be clamped, not spent: MaxSteps is a bound
-	// on the total, wherever the steps land.
-	clamped, err := TopK(context.Background(), s, dnfs, 3, Options{MaxSteps: 2, StepBudget: 64, Resolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped.Steps > 2 {
-		t.Fatalf("StepBudget 64 spent %d steps past MaxSteps 2", clamped.Steps)
-	}
-}
-
-// Shared-cache ranking must not change the selection, only the work.
+// Shared-cache ranking must not change the selection, only the work: a
+// second run over the same lineage through the first's fragment cache
+// prepares from the memo.
 func TestRankSharedCache(t *testing.T) {
-	build := func() (*formula.Space, []formula.DNF) {
-		s := formula.NewSpace()
-		return s, hardAnswers(s, 10)
-	}
-	s1, d1 := build()
-	base, err := TopK(context.Background(), s1, d1, 3, Options{})
+	s := formula.NewSpace()
+	dnfs := hardAnswers(s, 10)
+	base, err := TopK(context.Background(), s, dnfs, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, d2 := build()
-	cached, err := TopK(context.Background(), s2, d2, 3, Options{Cache: formula.NewProbCache(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Ranking) != len(cached.Ranking) {
-		t.Fatalf("cache changed selection: %v vs %v", base.Ranking, cached.Ranking)
-	}
-	for i := range base.Ranking {
-		if base.Ranking[i] != cached.Ranking[i] {
-			t.Fatalf("cache changed selection: %v vs %v", base.Ranking, cached.Ranking)
+	frags := formula.NewFragCache(0)
+	for run := 0; run < 2; run++ {
+		before := frags.CacheStats()
+		cached, err := TopK(context.Background(), s, dnfs, 3, Options{Frags: frags})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(base.Items[base.Ranking[i]].P-cached.Items[cached.Ranking[i]].P) > 1e-9 {
-			t.Fatalf("cache changed estimates")
+		if !reflect.DeepEqual(base, cached) {
+			t.Fatalf("run %d: cache changed the result:\n%+v\nvs\n%+v", run, base, cached)
+		}
+		if after := frags.CacheStats(); run == 1 && after.Misses != before.Misses {
+			t.Fatalf("warm run prepared %d fragments afresh", after.Misses-before.Misses)
 		}
 	}
 }

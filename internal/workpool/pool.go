@@ -1,7 +1,6 @@
 // Package workpool provides bounded worker pools shared by the parallel
-// d-tree exploration in internal/core, the batch conf() fan-out in
-// internal/pdb, and the partition-parallel lineage pipelines in
-// internal/plan.
+// exact d-tree exploration in internal/core and the batch conf()
+// fan-out in internal/pdb.
 //
 // A Pool is a token semaphore, not a set of long-lived workers: Run
 // hands tasks to fresh goroutines only while tokens are available and

@@ -107,7 +107,7 @@ func TestFaultPoolContainsPanics(t *testing.T) {
 		t.Fatalf("panics_recovered = %d, want 1", n)
 	}
 
-	// Sequential pools contain too (inline path).
+	// Size-1 pools contain too (inline path).
 	seq := New(1)
 	caught := false
 	func() {

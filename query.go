@@ -47,9 +47,14 @@ type Query struct {
 // name, a registered *pdb.Relation, or a plan.Node subtree (the escape
 // hatch for pre-built IR such as the TPC-H catalog — its scans must
 // still be registered relations). Source errors, like every builder
-// error, surface at Build.
+// error, surface at Build — and so does a session Eps outside [0, 1)
+// (the wire's rule): ε ≥ 1 is trivially met by the unrefined bounds,
+// and a negative or NaN ε would silently evaluate exactly.
 func (s *Session) Query(source any) *Query {
 	q := &Query{sess: s}
+	if e := s.eps; math.IsNaN(e) || math.IsInf(e, 0) || e < 0 || e >= 1 {
+		q.fail("Session", "eps %v must be a finite value in [0, 1)", e)
+	}
 	switch src := source.(type) {
 	case string:
 		rel, ok := s.db.Relation(src)

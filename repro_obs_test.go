@@ -228,6 +228,39 @@ func TestObsTraceOnOffIdentical(t *testing.T) {
 	}
 }
 
+// TestRankedRunNeverEntersPool pins where the worker pool is entered on
+// the ε > 0 path: a ranked query refines on the calling goroutine and
+// runs no pool task at all, and an unranked one runs exactly conf()'s
+// one task per answer — leaf preparation inside an evaluation never
+// fans out, however wide the lineage and the pool.
+func TestRankedRunNeverEntersPool(t *testing.T) {
+	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
+	db.Pool().Resize(8)
+	poolTasks := func() int64 {
+		snap := db.Snapshot()
+		return snap.PoolSpawned + snap.PoolInline
+	}
+	q15 := gen.Q15IR(0, tpch.MaxDate/3)
+	ctx := context.Background()
+
+	ranked, err := db.Session(repro.WithEps(1e-3), repro.WithForceLineage()).Query(plan.Node(&plan.TopK{Input: q15, K: 3})).All(ctx)
+	if err != nil || len(ranked) != 3 {
+		t.Fatalf("ranked top-3: %d answers, err %v", len(ranked), err)
+	}
+	if n := poolTasks(); n != 0 {
+		t.Fatalf("ranked run entered the pool: %d tasks", n)
+	}
+
+	answers, err := db.Session(repro.WithEps(1e-2), repro.WithForceLineage()).Query(q15).All(ctx)
+	if err != nil || len(answers) < 2 {
+		t.Fatalf("unranked Q15: %d answers, err %v", len(answers), err)
+	}
+	if n := poolTasks(); n != int64(len(answers)) {
+		t.Fatalf("unranked run ran %d pool tasks for %d answers, want one per answer", n, len(answers))
+	}
+}
+
 // TestObsMetricsFacade drives the registry surface: DB.Metrics
 // accumulates across queries, Session.Metrics opens a delta window,
 // and PublishExpvar exposes the snapshot on the expvar surface.

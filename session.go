@@ -47,8 +47,9 @@ func WithBudget(b Budget) SessionOption {
 // WithEps sets the session's refinement floor: queries evaluate lineage
 // with the ε-approximation (absolute error, Definition 5.7) instead of
 // exact d-tree compilation, and ranked queries stop refining each
-// answer at the same floor. Use WithEvaluator for relative error or a
-// different algorithm.
+// answer at the same floor. eps must be a finite value in [0, 1);
+// anything else is a BuildError at Build. Use WithEvaluator for relative
+// error or a different algorithm.
 func WithEps(eps float64) SessionOption {
 	return func(s *Session) { s.eps, s.kind = eps, engine.Absolute }
 }
@@ -65,7 +66,8 @@ func WithEvaluator(ev Evaluator) SessionOption {
 // WithSharedCache makes the session memoize subformula probabilities in
 // the given cache instead of a fresh private one — the cross-session
 // sharing knob: sessions over one DB handed the same cache compute each
-// recurring lineage fragment once, whoever sees it first.
+// recurring lineage fragment once, whoever sees it first. Only exact
+// evaluation consults it; see WithSharedFragCache for ε > 0 and ranking.
 func WithSharedCache(c *ProbCache) SessionOption {
 	return func(s *Session) { s.cache = c }
 }
