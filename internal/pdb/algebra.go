@@ -3,6 +3,7 @@ package pdb
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -205,10 +206,11 @@ func concatVals(a, b []Value) []Value {
 }
 
 // WriteValueKey appends the canonical grouping-key encoding of v
-// ('|' then 8 little-endian bytes). GroupProject groups and orders
-// answers by concatenations of this encoding; the plan runtime and the
-// safe-plan executor share it so routed answer order never diverges
-// from the legacy evaluator's.
+// ('|' then 8 little-endian bytes). GroupProject and the plan runtime's
+// lineage grouping group and order answers by concatenations of this
+// encoding; the safe-plan operators order by CompareValueKeys, the same
+// order without the strings, so routed answer order never diverges from
+// the legacy evaluator's.
 func WriteValueKey(b *strings.Builder, v Value) {
 	u := uint64(v)
 	var buf [9]byte
@@ -229,4 +231,23 @@ func ValsKey(vals []Value) string {
 		WriteValueKey(&b, v)
 	}
 	return b.String()
+}
+
+// CompareValueKeys orders value vectors exactly as their ValsKey
+// encodings order as strings, without building them: column by column,
+// the unsigned order of the byte-reversed value (the encoding writes
+// the least significant byte first), a proper prefix before its
+// extensions. This is the order GroupProject, the plan runtime and the
+// safe-plan operators emit groups in. It is not numeric order for
+// negative values or values of 2⁸ and above: 256 sorts before 1.
+func CompareValueKeys(a, b []Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			if bits.ReverseBytes64(uint64(a[i])) < bits.ReverseBytes64(uint64(b[i])) {
+				return -1
+			}
+			return 1
+		}
+	}
+	return len(a) - len(b)
 }

@@ -2,6 +2,7 @@ package pdb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -259,5 +260,38 @@ func TestDerivedNamesDeterministicAndBounded(t *testing.T) {
 	}
 	if got := Select(r, func([]Value) bool { return true }).Name; got != "σ(R)" {
 		t.Fatalf("Select name %q", got)
+	}
+}
+
+// TestCompareValueKeysIsValsKeyOrder: the comparator is the string order
+// of the ValsKey encoding, on values where that is not numeric order
+// (negatives, 2⁸ and above) and on vectors of different lengths.
+func TestCompareValueKeysIsValsKeyOrder(t *testing.T) {
+	odd := []Value{math.MinInt64, -65536, -256, -1, 0, 1, 2, 124, 255, 256, 257, 65535, 65536, 1 << 32, math.MaxInt64}
+	vecs := [][]Value{nil}
+	for _, a := range odd {
+		vecs = append(vecs, []Value{a})
+		for _, b := range odd {
+			vecs = append(vecs, []Value{a, b})
+		}
+	}
+	sign := func(x int) int {
+		switch {
+		case x < 0:
+			return -1
+		case x > 0:
+			return 1
+		}
+		return 0
+	}
+	for _, a := range vecs {
+		for _, b := range vecs {
+			if got, want := sign(CompareValueKeys(a, b)), strings.Compare(ValsKey(a), ValsKey(b)); got != want {
+				t.Fatalf("CompareValueKeys(%v, %v) = %d, ValsKey order %d", a, b, got, want)
+			}
+		}
+	}
+	if CompareValueKeys([]Value{256}, []Value{1}) >= 0 {
+		t.Fatal("256 must sort before 1: the key order is byte-reversed, not numeric")
 	}
 }

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"repro/internal/formula"
 	"repro/internal/pdb"
 )
 
@@ -20,12 +19,27 @@ type origin struct {
 
 // leafInfo is one base relation with its pushed-down filters. The
 // filters are applied in place wherever the leaf's qualifying tuples
-// are consumed (independence check, safe-plan leaf tables, IQ levels) —
+// are consumed (independence check, safe-plan leaf scans, IQ levels) —
 // no filtered copy of the relation is ever materialized.
 type leafInfo struct {
 	rel     *pdb.Relation
 	filters []func([]pdb.Value) bool
 }
+
+// qualifies reports whether a tuple of the leaf passes every
+// pushed-down filter.
+func (l *leafInfo) qualifies(vals []pdb.Value) bool {
+	for _, f := range l.filters {
+		if !f(vals) {
+			return false
+		}
+	}
+	return true
+}
+
+// cancelStride is how many of a leaf's tuples a structural-route scan
+// (safe-plan leaf, IQ level) reads between polls of its context.
+const cancelStride = 4096
 
 // equality / inequality edges between origins. For ineqEdge the
 // semantics are left < right (strict).
@@ -161,24 +175,27 @@ func identityOrigins(cols []origin) bool {
 // block survives the filters (in which case treating the survivor as an
 // independent tuple is exact); shared variables across relations never
 // do. The check streams over the base tuples applying filters in place
-// — nothing is materialized, so queries that end up on the lineage
-// route pay no copying here.
+// and copies none of them; what it keeps is one bit per variable —
+// formula.Space hands out dense ids, so the bitset is grown to the
+// largest id met.
 func eventIndependent(leaves []leafInfo) bool {
-	seen := make(map[formula.Var]struct{})
+	var seen []uint64
 	for i := range leaves {
 		l := &leaves[i]
-	tuples:
-		for _, t := range l.rel.Tups {
-			for _, f := range l.filters {
-				if !f(t.Vals) {
-					continue tuples
-				}
+		for j := range l.rel.Tups {
+			t := &l.rel.Tups[j]
+			if !l.qualifies(t.Vals) {
+				continue
 			}
 			for _, at := range t.Lin {
-				if _, dup := seen[at.Var]; dup {
+				w, bit := int(at.Var>>6), uint64(1)<<(at.Var&63)
+				if w >= len(seen) {
+					seen = append(seen, make([]uint64, w+1-len(seen))...)
+				}
+				if seen[w]&bit != 0 {
 					return false
 				}
-				seen[at.Var] = struct{}{}
+				seen[w] |= bit
 			}
 		}
 	}

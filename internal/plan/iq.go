@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/formula"
@@ -155,16 +156,19 @@ func resolve(levels []origin, leaves []leafInfo) []iqLevel {
 // weighted streams each level's qualifying tuples into (value,
 // probability) pairs — the sorted scans' input — applying the
 // pushed-down filters in place, once per evaluation.
-func (p *iqPlan) weighted(s *formula.Space) [][]sprout.WeightedValue {
+func (p *iqPlan) weighted(ctx context.Context, s *formula.Space) ([][]sprout.WeightedValue, error) {
 	out := make([][]sprout.WeightedValue, len(p.levels))
-	for i, lv := range p.levels {
+	for i := range p.levels {
+		lv := &p.levels[i]
 		ws := make([]sprout.WeightedValue, 0, lv.leaf.rel.Len())
-	tuples:
-		for _, t := range lv.leaf.rel.Tups {
-			for _, f := range lv.leaf.filters {
-				if !f(t.Vals) {
-					continue tuples
+		for j, t := range lv.leaf.rel.Tups {
+			if j%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
+			}
+			if !lv.leaf.qualifies(t.Vals) {
+				continue
 			}
 			ws = append(ws, sprout.WeightedValue{
 				Val:  int64(t.Vals[lv.col]),
@@ -173,7 +177,7 @@ func (p *iqPlan) weighted(s *formula.Space) [][]sprout.WeightedValue {
 		}
 		out[i] = ws
 	}
-	return out
+	return out, nil
 }
 
 // confidence runs the sorted scans over materialized levels.

@@ -15,8 +15,9 @@
 //	   ▼
 //	Compile ── structural analysis (query graph, event independence)
 //	   │
-//	   ├── hierarchical, no self-joins → RouteSafe: extensional plan
-//	   │                                 over sprout.ProbTable ops
+//	   ├── hierarchical, no self-joins → RouteSafe: extensional plan,
+//	   │                                 one scan per leaf into
+//	   │                                 sprout.Grouper
 //	   ├── IQ chain / star pattern     → RouteIQ: sorted scans
 //	   │                                 (sprout.ChainConfidence, …)
 //	   └── otherwise                   → RouteLineage: pipelined

@@ -169,7 +169,12 @@ func compileRouted(root Node, opt Options) *Plan {
 		p.Why = fmt.Sprintf("lineage + d-tree (%s)", a.taint)
 		return p
 	}
-	if !eventIndependent(a.leaves) {
+	if indep, panicked := scanIndependent(a.leaves); panicked != nil {
+		// The lineage pipeline runs the same filters, so the failure
+		// surfaces where every other one does: contained, at execution.
+		p.Why = fmt.Sprintf("lineage + d-tree (independence scan panicked: %v)", panicked)
+		return p
+	} else if !indep {
 		p.Why = "correlated tuple events (shared variables) require lineage"
 		return p
 	}
@@ -194,6 +199,14 @@ func compileRouted(root Node, opt Options) *Plan {
 	}
 	p.Why = fmt.Sprintf("lineage + d-tree (not safe: %s; not IQ: %s)", safeReason, iqReason)
 	return p
+}
+
+// scanIndependent is eventIndependent with a panic out of a
+// caller-supplied leaf filter recovered and returned instead:
+// compilation must not unwind its caller.
+func scanIndependent(leaves []leafInfo) (indep bool, panicked any) {
+	defer func() { panicked = recover() }()
+	return eventIndependent(leaves), nil
 }
 
 // Explain returns a one-line routing explanation.
@@ -268,46 +281,32 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 	if err := p.validate(); err != nil {
 		return nil, nil, err
 	}
-	tr.SetPlan(p.Explain(), p.Route.String())
+	if tr != nil { // Explain formats: not on the untraced path
+		tr.SetPlan(p.Explain(), p.Route.String())
+	}
 	p.metrics.RecordRoute(p.Route.String())
+	if p.Root == nil {
+		return nil, nil, nil
+	}
+	// The structural routes poll ctx while they scan; lineage
+	// materialization itself is not interruptible (budgets and
+	// cancellation live in the evaluator). All three honour an
+	// already-expired context before starting.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	switch p.Route {
-	case RouteSafe:
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
+	case RouteSafe, RouteIQ:
 		start := time.Now()
-		rows := p.safe.answers(s)
-		out := make([]pdb.AnswerConf, 0, len(rows))
-		for _, r := range rows {
-			out = append(out, exactAnswer(r.vals, r.p))
+		out, err := p.structural(ctx, s)
+		if err != nil {
+			return nil, nil, err
 		}
 		out = p.rankExact(out)
-		tr.AddStage("safe", int64(len(out)), time.Since(start))
-		addAnswerTraces(tr, out)
-		return out, nil, nil
-	case RouteIQ:
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		start := time.Now()
-		levels := p.iq.weighted(s)
-		var out []pdb.AnswerConf
-		if p.iq.hasAnswer(levels) {
-			out = p.rankExact([]pdb.AnswerConf{exactAnswer(nil, p.iq.confidence(levels))})
-		}
-		tr.AddStage("iq", int64(len(out)), time.Since(start))
+		tr.AddStage(p.Route.String(), int64(len(out)), time.Since(start))
 		addAnswerTraces(tr, out)
 		return out, nil, nil
 	default:
-		if p.Root == nil {
-			return nil, nil, nil
-		}
-		// Lineage materialization itself is not interruptible (budgets
-		// and cancellation live in the evaluator), so honour an
-		// already-expired context before starting the pipeline.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
 		answers, lerr := p.lineageSafe(ctx, in, tr)
 		if lerr != nil {
 			return nil, nil, lerr
@@ -365,22 +364,43 @@ func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
 	return opt
 }
 
-// lineageSafe is lineage with panic containment: the pipeline runs
-// arbitrary operator code (joins, caller-supplied predicates) outside
-// the evaluators' containment, so a panic here must fail this query —
-// surfacing as an ordinary error through the partial-results plumbing —
-// rather than unwind the caller.
+// structural evaluates the plan's safe plan or IQ scan, contained like
+// lineageSafe. An IQ query with no qualifying combination of level
+// elements has no answer.
+func (p *Plan) structural(ctx context.Context, s *formula.Space) (out []pdb.AnswerConf, err error) {
+	if p.Route == RouteSafe {
+		defer p.contain("plan.safe", &err)
+		return p.safe.answers(ctx, s)
+	}
+	defer p.contain("plan.iq", &err)
+	levels, err := p.iq.weighted(ctx, s)
+	if err != nil || !p.iq.hasAnswer(levels) {
+		return nil, err
+	}
+	return []pdb.AnswerConf{exactAnswer(nil, p.iq.confidence(levels))}, nil
+}
+
+// lineageSafe is lineage, contained.
 func (p *Plan) lineageSafe(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) (answers []pdb.Answer, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			pe, first := fault.Promote(v, "plan.lineage")
-			if first {
-				p.metrics.RecordPanicRecovered()
-			}
-			answers, err = nil, pe
-		}
-	}()
+	defer p.contain("plan.lineage", &err)
 	return p.lineage(ctx, in, tr), nil
+}
+
+// contain is the one panic containment around all three routes'
+// execution, deferred by each: scans, joins and caller-supplied
+// predicates run outside the evaluators' containment, so a panic there
+// must fail this query — as an ordinary error through the
+// partial-results plumbing, in place of any result, counted once —
+// rather than unwind the caller. site names the route: plan.safe,
+// plan.iq or plan.lineage.
+func (p *Plan) contain(site string, err *error) {
+	if v := recover(); v != nil {
+		pe, first := fault.Promote(v, site)
+		if first {
+			p.metrics.RecordPanicRecovered()
+		}
+		*err = pe
+	}
 }
 
 // recordRank records a scheduler run on the trace: the "rank" stage,

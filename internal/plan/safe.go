@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,8 +17,8 @@ import (
 // subgoal, equality-connected columns form query variables, and the
 // GroupLineage columns are the head variables. For hierarchical queries
 // without self-joins the classic recursion produces a safe plan over
-// extensional operators (independent project / independent join on
-// sprout.ProbTable) that computes exact confidences without ever
+// extensional operators (the independent project and independent join
+// of package sprout) that computes exact confidences without ever
 // materializing lineage:
 //
 //   - one subgoal: independent-project the (filtered, tuple-independent)
@@ -27,40 +29,27 @@ import (
 //   - one component: a root variable occurring in every subgoal is moved
 //     into the head and projected away on top of the recursion. No such
 //     variable ⇒ the query is not hierarchical ⇒ not safe.
+//
+// Every column position is resolved at compile time, so evaluation is
+// one pass per operator: a leaf streams its qualifying tuples straight
+// into the grouping kernel (no per-tuple table in between), a join emits
+// only the columns its parent reads, already in the parent's order, and
+// allocations follow the number of groups, never the number of tuples.
+
+// safeEval evaluates one compiled subplan. The columns of the returned
+// table are the (sorted) head classes the subplan was compiled for.
+type safeEval func(ctx context.Context, s *formula.Space) (*sprout.ProbTable, error)
 
 // safePlan is a compiled safe plan.
 type safePlan struct {
 	// eval produces the extensional answer table; its columns are the
 	// sorted head variable classes of the root.
-	eval func(s *formula.Space) *varTable
-	// headClasses maps each requested output column to its variable
-	// class (answers reorder the root table into this order).
-	headClasses []int
+	eval safeEval
+	// headPos is the root-table column behind each requested output
+	// column.
+	headPos []int
 	// desc is a one-line plan description for traces.
 	desc string
-}
-
-// safeRow is one extensional answer: values in requested head-column
-// order, and the exact confidence.
-type safeRow struct {
-	vals []pdb.Value
-	p    float64
-}
-
-// varTable is a sprout.ProbTable whose columns are labeled with query
-// variable classes.
-type varTable struct {
-	t    *sprout.ProbTable
-	vars []int
-}
-
-func (vt *varTable) pos(class int) int {
-	for i, v := range vt.vars {
-		if v == class {
-			return i
-		}
-	}
-	return -1
 }
 
 // compileSafe attempts the safe route. On failure it returns the reason
@@ -89,7 +78,8 @@ func compileSafe(a *analysis) (*safePlan, string) {
 	for _, o := range a.head {
 		head = append(head, c.classOf[o])
 	}
-	eval, reason := c.compile(allLeaves, sortedUnique(head))
+	rootHead := sortedUnique(head)
+	eval, reason := c.compile(allLeaves, rootHead)
 	if eval == nil {
 		return nil, reason
 	}
@@ -98,9 +88,9 @@ func compileSafe(a *analysis) (*safePlan, string) {
 		names[i] = a.leaves[i].rel.Name
 	}
 	return &safePlan{
-		eval:        eval,
-		headClasses: head,
-		desc:        fmt.Sprintf("safe plan over %s", strings.Join(names, ", ")),
+		eval:    eval,
+		headPos: positions(rootHead, head),
+		desc:    fmt.Sprintf("safe plan over %s", strings.Join(names, ", ")),
 	}, ""
 }
 
@@ -184,7 +174,7 @@ func (c *safeCompiler) buildClasses(a *analysis) {
 
 // compile builds the evaluator for the subgoals in sub with the given
 // (sorted) head classes, or returns the reason it cannot.
-func (c *safeCompiler) compile(sub []int, head []int) (func(s *formula.Space) *varTable, string) {
+func (c *safeCompiler) compile(sub []int, head []int) (safeEval, string) {
 	if len(sub) == 1 {
 		return c.leafEval(sub[0], head), ""
 	}
@@ -194,24 +184,31 @@ func (c *safeCompiler) compile(sub []int, head []int) (func(s *formula.Space) *v
 		if !ok {
 			return nil, fmt.Sprintf("not hierarchical: no root variable over %d connected subgoals", len(sub))
 		}
-		inner, reason := c.compile(sub, sortedUnique(append(append([]int{}, head...), root)))
+		innerHead := sortedUnique(append(append([]int{}, head...), root))
+		inner, reason := c.compile(sub, innerHead)
 		if inner == nil {
 			return nil, reason
 		}
 		// π^ip onto head: project the root variable away, grouping with
 		// the independent-or rule (safe by the hierarchical property).
-		return func(s *formula.Space) *varTable {
-			vt := inner(s)
-			pos := make([]int, len(head))
-			for i, h := range head {
-				pos[i] = vt.pos(h)
+		pos := positions(innerHead, head)
+		return func(ctx context.Context, s *formula.Space) (*sprout.ProbTable, error) {
+			t, err := inner(ctx, s)
+			if err != nil {
+				return nil, err
 			}
-			return &varTable{t: vt.t.IndepProject(pos), vars: head}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return t.IndepProject(pos), nil
 		}, ""
 	}
 	// Independent components: compile each with its share of the head,
-	// then join on shared head variables.
-	parts := make([]func(s *formula.Space) *varTable, len(comps))
+	// then join on shared head variables. An intermediate join emits
+	// each variable of either side once; the last one emits head.
+	parts := make([]safeEval, len(comps))
+	joins := make([]joinStep, len(comps)-1)
+	var acc []int // classes of the columns joined so far
 	for i, comp := range comps {
 		compHead := intersect(head, c.varsOf(comp))
 		p, reason := c.compile(comp, compHead)
@@ -219,20 +216,56 @@ func (c *safeCompiler) compile(sub []int, head []int) (func(s *formula.Space) *v
 			return nil, reason
 		}
 		parts[i] = p
-	}
-	return func(s *formula.Space) *varTable {
-		acc := parts[0](s)
-		for _, p := range parts[1:] {
-			acc = joinVarTables(acc, p(s))
+		if i == 0 {
+			acc = compHead
+			continue
 		}
-		return reorder(acc, head)
+		shared := intersect(acc, compHead)
+		both := append(append([]int{}, acc...), compHead...)
+		out := head
+		if i < len(comps)-1 {
+			out = sortedUnique(both)
+		}
+		joins[i-1] = joinStep{
+			lcols: positions(acc, shared),
+			rcols: positions(compHead, shared),
+			keep:  positions(both, out),
+		}
+		acc = out
+	}
+	return func(ctx context.Context, s *formula.Space) (*sprout.ProbTable, error) {
+		t, err := parts[0](ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range parts[1:] {
+			r, err := p(ctx, s)
+			if err != nil {
+				return nil, err
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			t = sprout.IndepJoinOn(t, r, joins[i].lcols, joins[i].rcols, joins[i].keep)
+		}
+		return t, nil
 	}, ""
 }
 
+// joinStep is one independent join of a component chain, resolved to
+// column positions (sprout.IndepJoinOn's arguments): the components
+// joined so far meet the next one on their shared variables — none
+// makes it the Cartesian product of independent components.
+type joinStep struct {
+	lcols, rcols, keep []int
+}
+
 // leafEval compiles a single subgoal: filter, intra-leaf equality
-// selections, then independent-project onto the head classes. Sound for
-// event-independent tuples (checked before routing).
-func (c *safeCompiler) leafEval(li int, head []int) func(s *formula.Space) *varTable {
+// selections, then independent-project onto the head classes, fused
+// into one scan of the relation's tuples that feeds the grouping kernel
+// directly. Sound for event-independent tuples (checked before
+// routing).
+func (c *safeCompiler) leafEval(li int, head []int) safeEval {
 	leaf := c.leaves[li]
 	// Columns equated within the leaf (one class, several columns) need
 	// an equality selection before projecting one representative.
@@ -243,42 +276,36 @@ func (c *safeCompiler) leafEval(li int, head []int) func(s *formula.Space) *varT
 		}
 	}
 	pos := make([]int, len(head))
+	names := make([]string, len(head))
 	for i, h := range head {
-		cols := c.colsOf[h][li]
-		pos[i] = cols[0]
+		pos[i] = c.colsOf[h][li][0]
+		names[i] = leaf.rel.Cols[pos[i]]
 	}
-	return func(s *formula.Space) *varTable {
-		t := leafTable(s, leaf)
-		for _, g := range eqGroups {
-			g := g
-			t = t.Select(func(v []pdb.Value) bool {
-				for _, col := range g[1:] {
-					if v[col] != v[g[0]] {
-						return false
+	return func(ctx context.Context, s *formula.Space) (*sprout.ProbTable, error) {
+		g := sprout.NewGrouper(len(pos))
+		tups := leaf.rel.Tups
+	tuples:
+		for i := range tups {
+			if i%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			vals := tups[i].Vals
+			if !leaf.qualifies(vals) {
+				continue
+			}
+			for _, eq := range eqGroups {
+				for _, col := range eq[1:] {
+					if vals[col] != vals[eq[0]] {
+						continue tuples
 					}
 				}
-				return true
-			})
-		}
-		return &varTable{t: t.IndepProject(pos), vars: head}
-	}
-}
-
-// leafTable streams a leaf's qualifying tuples into an extensional
-// table, applying the pushed-down filters in place — no intermediate
-// relation is materialized.
-func leafTable(s *formula.Space, l leafInfo) *sprout.ProbTable {
-	t := &sprout.ProbTable{Cols: l.rel.Cols}
-tuples:
-	for _, tup := range l.rel.Tups {
-		for _, f := range l.filters {
-			if !f(tup.Vals) {
-				continue tuples
 			}
+			g.Add(vals, pos, tups[i].Lin.Probability(s))
 		}
-		t.Rows = append(t.Rows, sprout.ProbRow{Vals: tup.Vals, P: tup.Lin.Probability(s)})
+		return g.Table(names), nil
 	}
-	return t
 }
 
 // components partitions sub into connectivity components w.r.t. shared
@@ -363,114 +390,36 @@ func (c *safeCompiler) varsOf(sub []int) []int {
 	return sortedUnique(all)
 }
 
-// joinVarTables joins two independent extensional tables on their
-// shared variables (independent join), or cross-multiplies when they
-// share none.
-func joinVarTables(l, r *varTable) *varTable {
-	shared := intersect(l.vars, r.vars)
-	if len(shared) == 0 {
-		return crossVarTables(l, r)
+// answers evaluates the plan and maps the root table into requested
+// head-column order, sorted like the legacy group projection
+// (pdb.CompareValueKeys), keeping routed and legacy answer orders
+// aligned. The answers' values share one arena allocated here.
+func (sp *safePlan) answers(ctx context.Context, s *formula.Space) ([]pdb.AnswerConf, error) {
+	t, err := sp.eval(ctx, s)
+	if err != nil {
+		return nil, err
 	}
-	j := sprout.IndepJoin(l.t, r.t, l.pos(shared[0]), r.pos(shared[0]))
-	lw := len(l.vars)
-	// Residual equalities on further shared variables.
-	for _, sv := range shared[1:] {
-		lp, rp := l.pos(sv), lw+r.pos(sv)
-		j = j.Select(func(v []pdb.Value) bool { return v[lp] == v[rp] })
-	}
-	// Drop the right-side duplicates of the shared variables (a pure
-	// column removal — no grouping, so no independence assumption).
-	keep := make([]int, 0, lw+len(r.vars)-len(shared))
-	vars := make([]int, 0, cap(keep))
-	for i, v := range l.vars {
-		keep = append(keep, i)
-		vars = append(vars, v)
-	}
-	for i, v := range r.vars {
-		if !contains(shared, v) {
-			keep = append(keep, lw+i)
-			vars = append(vars, v)
+	w := len(sp.headPos)
+	arena := make([]pdb.Value, 0, len(t.Rows)*w)
+	out := make([]pdb.AnswerConf, len(t.Rows))
+	for i, r := range t.Rows {
+		for _, p := range sp.headPos {
+			arena = append(arena, r.Vals[p])
 		}
+		out[i] = exactAnswer(arena[i*w:(i+1)*w:(i+1)*w], r.P)
 	}
-	return &varTable{t: pickCols(j, keep), vars: vars}
+	slices.SortFunc(out, func(a, b pdb.AnswerConf) int { return pdb.CompareValueKeys(a.Vals, b.Vals) })
+	return out, nil
 }
 
-// crossVarTables is the Cartesian product with probability
-// multiplication (independent components).
-func crossVarTables(l, r *varTable) *varTable {
-	out := &sprout.ProbTable{Cols: append(append([]string{}, l.t.Cols...), r.t.Cols...)}
-	for _, lr := range l.t.Rows {
-		for _, rr := range r.t.Rows {
-			vals := make([]pdb.Value, 0, len(lr.Vals)+len(rr.Vals))
-			vals = append(vals, lr.Vals...)
-			vals = append(vals, rr.Vals...)
-			out.Rows = append(out.Rows, sprout.ProbRow{Vals: vals, P: lr.P * rr.P})
-		}
-	}
-	return &varTable{t: out, vars: append(append([]int{}, l.vars...), r.vars...)}
-}
-
-// pickCols returns t narrowed to the given columns, row for row.
-func pickCols(t *sprout.ProbTable, cols []int) *sprout.ProbTable {
-	out := &sprout.ProbTable{Cols: make([]string, len(cols))}
-	for i, c := range cols {
-		out.Cols[i] = t.Cols[c]
-	}
-	for _, r := range t.Rows {
-		vals := make([]pdb.Value, len(cols))
-		for i, c := range cols {
-			vals[i] = r.Vals[c]
-		}
-		out.Rows = append(out.Rows, sprout.ProbRow{Vals: vals, P: r.P})
+// positions returns, for each class in want, its column position in
+// vars.
+func positions(vars, want []int) []int {
+	out := make([]int, len(want))
+	for i, v := range want {
+		out[i] = slices.Index(vars, v)
 	}
 	return out
-}
-
-// reorder permutes vt's columns into the given variable order.
-func reorder(vt *varTable, vars []int) *varTable {
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		cols[i] = vt.pos(v)
-	}
-	return &varTable{t: pickCols(vt.t, cols), vars: append([]int{}, vars...)}
-}
-
-// answers evaluates the plan and maps the root table into requested
-// head-column order, sorted like the legacy group projection.
-func (sp *safePlan) answers(s *formula.Space) []safeRow {
-	vt := sp.eval(s)
-	pos := make([]int, len(sp.headClasses))
-	for i, class := range sp.headClasses {
-		pos[i] = vt.pos(class)
-	}
-	rows := make([]safeRow, 0, len(vt.t.Rows))
-	keys := make([]string, 0, len(vt.t.Rows))
-	for _, r := range vt.t.Rows {
-		vals := make([]pdb.Value, len(pos))
-		for i, p := range pos {
-			vals[i] = r.Vals[p]
-		}
-		rows = append(rows, safeRow{vals: vals, p: r.P})
-		// Keys are precomputed once per row (not per comparison) in
-		// pdb.GroupProject's encoding, keeping routed and legacy answer
-		// orders aligned.
-		keys = append(keys, pdb.ValsKey(vals))
-	}
-	sort.Sort(&rowsByKey{rows: rows, keys: keys})
-	return rows
-}
-
-// rowsByKey sorts rows and their precomputed grouping keys together.
-type rowsByKey struct {
-	rows []safeRow
-	keys []string
-}
-
-func (s *rowsByKey) Len() int           { return len(s.rows) }
-func (s *rowsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *rowsByKey) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 func sortedUnique(xs []int) []int {

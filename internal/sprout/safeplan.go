@@ -9,11 +9,16 @@
 // probabilities without ever materializing lineage, and the IQ scans use
 // the nesting structure of inequality joins. They are exact and fast but
 // apply only to the tractable classes.
+//
+// Both safe-plan operators cost one pass over their input and allocate
+// per output table, never per input row: they group through one
+// open-addressing table keyed on the projected value vector itself
+// (keyIndex), whose keys live in one flat arena that the output rows
+// then alias.
 package sprout
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/formula"
 	"repro/internal/pdb"
@@ -27,7 +32,9 @@ type ProbTable struct {
 	Rows []ProbRow
 }
 
-// ProbRow is a row and the probability of its event.
+// ProbRow is a row and the probability of its event. Rows an operator
+// returns alias that table's own value arena and are capped at their
+// width, so appending to one never writes into its neighbour.
 type ProbRow struct {
 	Vals []pdb.Value
 	P    float64
@@ -36,83 +43,217 @@ type ProbRow struct {
 // FromRelation converts a tuple-independent (or deterministic) relation
 // into a ProbTable, evaluating each tuple's lineage clause.
 func FromRelation(s *formula.Space, r *pdb.Relation) *ProbTable {
-	t := &ProbTable{Cols: r.Cols}
+	t := &ProbTable{Cols: r.Cols, Rows: make([]ProbRow, 0, len(r.Tups))}
 	for _, tup := range r.Tups {
 		t.Rows = append(t.Rows, ProbRow{Vals: tup.Vals, P: tup.Lin.Probability(s)})
 	}
 	return t
 }
 
-// Select keeps the rows satisfying pred.
-func (t *ProbTable) Select(pred func(vals []pdb.Value) bool) *ProbTable {
-	out := &ProbTable{Cols: t.Cols}
-	for _, r := range t.Rows {
-		if pred(r.Vals) {
-			out.Rows = append(out.Rows, r)
-		}
+// tableOver wraps a flat arena of width-column rows and their
+// probabilities as a ProbTable.
+func tableOver(cols []string, width int, vals []pdb.Value, ps []float64) *ProbTable {
+	t := &ProbTable{Cols: cols, Rows: make([]ProbRow, len(ps))}
+	for i, p := range ps {
+		t.Rows[i] = ProbRow{Vals: vals[i*width : (i+1)*width : (i+1)*width], P: p}
 	}
-	return out
+	return t
 }
 
-// IndepJoin hash-joins two tables on one column each, multiplying row
-// probabilities. Safe when the joined rows are independent events —
-// i.e. the two inputs come from distinct relations (no self-joins).
-func IndepJoin(l, r *ProbTable, lcol, rcol int) *ProbTable {
-	out := &ProbTable{Cols: append(append([]string{}, l.Cols...), r.Cols...)}
-	index := make(map[pdb.Value][]int, len(r.Rows))
-	for i, row := range r.Rows {
-		index[row.Vals[rcol]] = append(index[row.Vals[rcol]], i)
+// keyIndex assigns dense ids, in first-seen order, to the distinct
+// projections of value vectors onto width columns. It is an
+// open-addressing (linear probing, load ≤ ½) table over the keys
+// themselves: a vector that lands on a known key allocates nothing, and
+// no encoded key is ever built. Ids fit an int32 — a relation with 2³¹
+// distinct keys does not fit in memory as a []pdb.Tuple.
+type keyIndex struct {
+	width int
+	n     int         // distinct keys so far
+	keys  []pdb.Value // key id is keys[id*width : (id+1)*width]
+	slots []int32     // id + 1, 0 = empty; len is a power of two
+	probe []pdb.Value // scratch: the projection being looked up
+}
+
+// minSlots is a keyIndex's initial slot count; it holds minSlots/2 keys
+// before it first grows.
+const minSlots = 16
+
+func newKeyIndex(width int) keyIndex {
+	return keyIndex{
+		width: width,
+		keys:  make([]pdb.Value, 0, minSlots/2*width),
+		slots: make([]int32, minSlots),
+		probe: make([]pdb.Value, 0, width),
 	}
-	for _, lrow := range l.Rows {
-		for _, ri := range index[lrow.Vals[lcol]] {
-			rrow := r.Rows[ri]
-			vals := make([]pdb.Value, 0, len(lrow.Vals)+len(rrow.Vals))
-			vals = append(vals, lrow.Vals...)
-			vals = append(vals, rrow.Vals...)
-			out.Rows = append(out.Rows, ProbRow{Vals: vals, P: lrow.P * rrow.P})
+}
+
+func hashKey(key []pdb.Value) uint64 {
+	h := uint64(len(key))
+	for _, v := range key {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// lookup returns the id of vals projected onto cols. An unseen key gets
+// the next id when add is set and -1 otherwise.
+func (k *keyIndex) lookup(vals []pdb.Value, cols []int, add bool) int {
+	key := k.probe[:0]
+	for _, c := range cols {
+		key = append(key, vals[c])
+	}
+	if add && 2*(k.n+1) > len(k.slots) {
+		k.grow()
+	}
+	mask := uint64(len(k.slots) - 1)
+	for i := hashKey(key) & mask; ; i = (i + 1) & mask {
+		slot := k.slots[i]
+		if slot == 0 {
+			if !add {
+				return -1
+			}
+			k.n++
+			k.slots[i] = int32(k.n)
+			k.keys = append(k.keys, key...)
+			return k.n - 1
+		}
+		id := int(slot - 1)
+		if slices.Equal(k.keys[id*k.width:(id+1)*k.width], key) {
+			return id
 		}
 	}
-	return out
+}
+
+// grow doubles the slot table and re-seats every key.
+func (k *keyIndex) grow() {
+	k.slots = make([]int32, 2*len(k.slots))
+	mask := uint64(len(k.slots) - 1)
+	for id := 0; id < k.n; id++ {
+		i := hashKey(k.keys[id*k.width:(id+1)*k.width]) & mask
+		for k.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		k.slots[i] = int32(id + 1)
+	}
+}
+
+// Grouper is the independent-project kernel: it folds a stream of
+// (row, probability) pairs into one group per distinct projection of
+// the row, combining each group's events with the independent-or rule
+// 1 − Π(1 − p). Safe when rows collapsing into one group are
+// independent events — the condition the hierarchical property
+// guarantees at every projection of a safe plan. A zero-width
+// projection is the Boolean one: a single group, or none when no row
+// was added.
+type Grouper struct {
+	keyIndex
+	q []float64 // Π(1 − p) per group
+}
+
+// NewGrouper returns a Grouper projecting onto width columns.
+func NewGrouper(width int) *Grouper {
+	return &Grouper{keyIndex: newKeyIndex(width), q: make([]float64, 0, minSlots/2)}
+}
+
+// Add folds in a row with event probability p, grouped by its values at
+// cols (len(cols) must be the Grouper's width).
+func (g *Grouper) Add(vals []pdb.Value, cols []int, p float64) {
+	id := g.lookup(vals, cols, true)
+	if id == len(g.q) {
+		g.q = append(g.q, 1)
+	}
+	g.q[id] *= 1 - p
+}
+
+// Table returns the groups as a table with the given column names, in
+// pdb.CompareValueKeys order. That order fixes the multiplication order
+// of every operator above, and with it the last bit of every answer.
+// The Grouper must not be used afterwards: the rows alias its keys.
+func (g *Grouper) Table(cols []string) *ProbTable {
+	for i, q := range g.q {
+		g.q[i] = 1 - q
+	}
+	t := tableOver(cols, g.width, g.keys, g.q)
+	slices.SortFunc(t.Rows, func(a, b ProbRow) int { return pdb.CompareValueKeys(a.Vals, b.Vals) })
+	return t
 }
 
 // IndepProject projects onto the given columns, combining the rows of
-// each group with the independent-or rule 1 − Π(1 − p). Safe when rows
-// collapsing into one group are independent events — the condition the
-// hierarchical property guarantees at every projection of a safe plan.
+// each group with the independent-or rule (see Grouper).
 func (t *ProbTable) IndepProject(cols []int) *ProbTable {
-	out := &ProbTable{Cols: make([]string, len(cols))}
+	names := make([]string, len(cols))
 	for i, c := range cols {
-		out.Cols[i] = t.Cols[c]
+		names[i] = t.Cols[c]
 	}
-	type group struct {
-		vals []pdb.Value
-		q    float64 // Π (1 − p)
-	}
-	groups := make(map[string]*group)
-	var order []string
-	var key strings.Builder
+	g := NewGrouper(len(cols))
 	for _, r := range t.Rows {
-		key.Reset()
-		vals := make([]pdb.Value, len(cols))
-		for i, c := range cols {
-			vals[i] = r.Vals[c]
-			writeVal(&key, r.Vals[c])
-		}
-		k := key.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{vals: vals, q: 1}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.q *= 1 - r.P
+		g.Add(r.Vals, cols, r.P)
 	}
-	sort.Strings(order)
-	for _, k := range order {
-		g := groups[k]
-		out.Rows = append(out.Rows, ProbRow{Vals: g.vals, P: 1 - g.q})
+	return g.Table(names)
+}
+
+// IndepJoin hash-joins two tables on one column each, multiplying row
+// probabilities, and keeps every column of both. Safe when the joined
+// rows are independent events — i.e. the two inputs come from distinct
+// relations (no self-joins).
+func IndepJoin(l, r *ProbTable, lcol, rcol int) *ProbTable {
+	keep := make([]int, len(l.Cols)+len(r.Cols))
+	for i := range keep {
+		keep[i] = i
 	}
-	return out
+	return IndepJoinOn(l, r, []int{lcol}, []int{rcol}, keep)
+}
+
+// IndepJoinOn is the independent join on l[lcols[i]] = r[rcols[i]] for
+// every i — the Cartesian product when there are none — emitting only
+// the columns keep, which are positions in the concatenation of l's and
+// r's schemas. Output rows are in l's row order and, for one l row, in
+// r's row order.
+func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
+	lw := len(l.Cols)
+	names := make([]string, len(keep))
+	for i, c := range keep {
+		if c < lw {
+			names[i] = l.Cols[c]
+		} else {
+			names[i] = r.Cols[c-lw]
+		}
+	}
+	// Index r: the rows of one key, chained in row order.
+	idx := newKeyIndex(len(rcols))
+	var first, last []int32 // per key
+	next := make([]int32, len(r.Rows))
+	for i, row := range r.Rows {
+		next[i] = -1
+		if id := idx.lookup(row.Vals, rcols, true); id == len(first) {
+			first = append(first, int32(i))
+			last = append(last, int32(i))
+		} else {
+			next[last[id]] = int32(i)
+			last[id] = int32(i)
+		}
+	}
+	var vals []pdb.Value
+	var ps []float64
+	for _, lrow := range l.Rows {
+		id := idx.lookup(lrow.Vals, lcols, false)
+		if id < 0 {
+			continue
+		}
+		for ri := first[id]; ri >= 0; ri = next[ri] {
+			rrow := r.Rows[ri]
+			for _, c := range keep {
+				if c < lw {
+					vals = append(vals, lrow.Vals[c])
+				} else {
+					vals = append(vals, rrow.Vals[c-lw])
+				}
+			}
+			ps = append(ps, lrow.P*rrow.P)
+		}
+	}
+	return tableOver(names, len(keep), vals, ps)
 }
 
 // BooleanConfidence projects away every column: the probability that at
@@ -124,15 +265,4 @@ func (t *ProbTable) BooleanConfidence() float64 {
 		q *= 1 - r.P
 	}
 	return 1 - q
-}
-
-func writeVal(b *strings.Builder, v pdb.Value) {
-	u := uint64(v)
-	var buf [9]byte
-	buf[0] = '|'
-	for i := 1; i < 9; i++ {
-		buf[i] = byte(u)
-		u >>= 8
-	}
-	b.Write(buf[:])
 }
