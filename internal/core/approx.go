@@ -547,27 +547,24 @@ func (st *state) decompose(f frag) (Kind, []frag, []float64) {
 	if st.opt.refPrepare {
 		return st.decomposeRef(d)
 	}
-	if comps := st.components(f); len(comps) > 1 {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	if comps := st.components(f, sc); len(comps) > 1 {
 		subs := make([]formula.DNF, len(comps))
-		mult := make([]float64, len(comps))
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)
-			mult[i] = 1
 		}
-		return IndepOr, st.prepareAll(subs, true, true), mult
+		return IndepOr, st.prepareAll(subs, true, true), ones(len(subs))
 	}
-	if parts := independentAndParts(st.s, d); parts != nil {
-		mult := make([]float64, len(parts))
-		for i := range mult {
-			mult[i] = 1
-		}
-		return IndepAnd, st.prepareAll(parts, true, false), mult
+	sc.scanVars(st.s, d)
+	if parts := independentAndParts(d, sc); parts != nil {
+		return IndepAnd, st.prepareAll(parts, true, false), ones(len(parts))
 	}
-	x := chooseVar(st.s, d, st.opt.Order)
-	var subs []formula.DNF
-	var mult []float64
-	sc := prepPool.Get().(*prepScratch)
-	for a := 0; a < st.s.DomainSize(x); a++ {
+	x := chooseVar(d, st.opt.Order, sc)
+	dom := st.s.DomainSize(x)
+	subs := make([]formula.DNF, 0, dom)
+	mult := make([]float64, 0, dom)
+	for a := 0; a < dom; a++ {
 		sub := restrictPrepared(d, x, formula.Val(a), sc)
 		if sub.IsFalse() {
 			continue
@@ -576,8 +573,31 @@ func (st *state) decompose(f frag) (Kind, []frag, []float64) {
 		subs = append(subs, sub)
 		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
-	prepPool.Put(sc)
 	return ExclOr, st.prepareAll(subs, true, false), mult
+}
+
+// ones returns the multipliers of an independent-or / independent-and
+// node: n ones.
+func ones(n int) []float64 {
+	mult := make([]float64, n)
+	for i := range mult {
+		mult[i] = 1
+	}
+	return mult
+}
+
+// partsOrVar is the ⊙-then-⊕ analysis of one decomposition step for the
+// recursive compilers: the independent-and parts of d, or nil and the
+// Shannon-expansion variable. The scratch goes back to the pool before
+// the caller recurses, so a compilation holds one however deep it is.
+func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF, formula.Var) {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	sc.scanVars(s, d)
+	if parts := independentAndParts(d, sc); parts != nil {
+		return parts, 0
+	}
+	return nil, chooseVar(d, order, sc)
 }
 
 // prepareAll prepares every child fragment on the calling goroutine,
@@ -597,21 +617,15 @@ func (st *state) prepareAll(subs []formula.DNF, normalized, reduced bool) []frag
 func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
 	if comps := d.Components(); len(comps) > 1 {
 		subs := make([]formula.DNF, len(comps))
-		mult := make([]float64, len(comps))
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)
-			mult[i] = 1
 		}
-		return IndepOr, st.prepareAll(subs, false, false), mult
+		return IndepOr, st.prepareAll(subs, false, false), ones(len(subs))
 	}
-	if parts := independentAndParts(st.s, d); parts != nil {
-		mult := make([]float64, len(parts))
-		for i := range mult {
-			mult[i] = 1
-		}
-		return IndepAnd, st.prepareAll(parts, false, false), mult
+	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	if parts != nil {
+		return IndepAnd, st.prepareAll(parts, false, false), ones(len(parts))
 	}
-	x := chooseVar(st.s, d, st.opt.Order)
 	var subs []formula.DNF
 	var mult []float64
 	for a := 0; a < st.s.DomainSize(x); a++ {
@@ -790,7 +804,8 @@ func (st *state) exactDecompose(d formula.DNF) (float64, error) {
 		}
 		return 1 - q, nil
 	}
-	if parts := independentAndParts(st.s, d); parts != nil {
+	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	if parts != nil {
 		ps, err := st.exactChildren(parts)
 		if err != nil {
 			return 0, err
@@ -801,7 +816,6 @@ func (st *state) exactDecompose(d formula.DNF) (float64, error) {
 		}
 		return p, nil
 	}
-	x := chooseVar(st.s, d, st.opt.Order)
 	var subs []formula.DNF
 	var weights []float64
 	for a := 0; a < st.s.DomainSize(x); a++ {

@@ -67,7 +67,8 @@ func compileBudget(s *formula.Space, d formula.DNF, order VarOrder, bud *budget)
 	}
 
 	// Step 3: independent-and.
-	if parts := independentAndParts(s, d); parts != nil {
+	parts, x := partsOrVar(s, d, order)
+	if parts != nil {
 		node := &Node{Kind: IndepAnd, Children: make([]*Node, 0, len(parts))}
 		for _, p := range parts {
 			c, err := compileBudget(s, p, order, bud)
@@ -80,7 +81,6 @@ func compileBudget(s *formula.Space, d formula.DNF, order VarOrder, bud *budget)
 	}
 
 	// Step 4: Shannon expansion.
-	x := chooseVar(s, d, order)
 	node := &Node{Kind: ExclOr}
 	for a := 0; a < s.DomainSize(x); a++ {
 		sub := d.Restrict(x, formula.Val(a))

@@ -20,7 +20,7 @@ func TestFactorProductOfDisjunctions(t *testing.T) {
 		formula.MustClause(formula.Pos(y), formula.Pos(u)),
 		formula.MustClause(formula.Pos(y), formula.Pos(v)),
 	)
-	parts := independentAndParts(s, d)
+	parts := kernelParts(s, d)
 	if len(parts) != 2 {
 		t.Fatalf("got %d parts, want 2", len(parts))
 	}
@@ -48,7 +48,7 @@ func TestFactorThreeWay(t *testing.T) {
 			dn = append(dn, formula.MustClause(formula.Pos(first), formula.Pos(c), formula.Pos(last)))
 		}
 	}
-	parts := independentAndParts(s, dn)
+	parts := kernelParts(s, dn)
 	if len(parts) != 3 {
 		t.Fatalf("got %d parts, want 3", len(parts))
 	}
@@ -65,7 +65,7 @@ func TestFactorRejectsNonProduct(t *testing.T) {
 		formula.MustClause(formula.Pos(x), formula.Pos(u)),
 		formula.MustClause(formula.Pos(y), formula.Pos(v)),
 	)
-	if parts := independentAndParts(s, d); parts != nil {
+	if parts := kernelParts(s, d); parts != nil {
 		t.Fatalf("non-product DNF factorized: %v", parts)
 	}
 }
@@ -78,7 +78,7 @@ func TestFactorRequiresTags(t *testing.T) {
 		formula.MustClause(formula.Pos(x), formula.Pos(u)),
 		formula.MustClause(formula.Pos(x)),
 	)
-	if parts := independentAndParts(s, d); parts != nil {
+	if parts := kernelParts(s, d); parts != nil {
 		t.Fatal("untagged variables must disable factorization")
 	}
 }
@@ -91,7 +91,7 @@ func TestFactorSingleTag(t *testing.T) {
 		formula.MustClause(formula.Pos(x)),
 		formula.MustClause(formula.Pos(y)),
 	)
-	if parts := independentAndParts(s, d); parts != nil {
+	if parts := kernelParts(s, d); parts != nil {
 		t.Fatal("single-relation DNF has no ⊙ factorization")
 	}
 }
@@ -107,7 +107,7 @@ func TestFactorWithEmptyProjection(t *testing.T) {
 		formula.MustClause(formula.Pos(x)),
 		formula.MustClause(formula.Pos(y), formula.Pos(u)),
 	)
-	if parts := independentAndParts(s, d); parts != nil {
+	if parts := kernelParts(s, d); parts != nil {
 		// If a factorization is claimed it must be probability-preserving.
 		got := 1.0
 		for _, p := range parts {
@@ -147,7 +147,7 @@ func TestFactorPreservesProbabilityRandomized(t *testing.T) {
 		}
 		build(0, formula.Clause{})
 		d = d.Normalize()
-		parts := independentAndParts(s, d)
+		parts := kernelParts(s, d)
 		if parts == nil {
 			t.Fatalf("seed %d: product DNF did not factorize", seed)
 		}

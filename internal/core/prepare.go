@@ -25,8 +25,9 @@ import (
 //     RemoveSubsumed passes that would be content no-ops;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: leaf-bounds probabilities / sort
-//     permutation / bucket stamps, the restrict dedup table, and the
-//     union-find of the component partition.
+//     permutation / bucket stamps, the restrict dedup table, the
+//     union-find of the component partition, and the ⊙/⊕ analysis of
+//     the decomposition step (factor.go, varorder.go).
 //
 // The original allocate-everything pipeline is retained verbatim
 // behind the internal Options.refPrepare flag; the differential
@@ -46,6 +47,9 @@ type prepScratch struct {
 
 	comp  formula.CompScratch // component partition union-find
 	dedup dedupTable          // restrict dedup
+
+	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
+	fact factorScratch // decomposition step: ⊙ projection table
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
@@ -193,16 +197,14 @@ func prepVariant(opt Options) uint8 {
 // components returns the component partition of f.d — memoized on the
 // fragment-cache entry when f came through one (identical fragments
 // across answers and Shannon branches partition once), computed over
-// pooled union-find scratch otherwise.
-func (st *state) components(f frag) [][]int {
+// the caller's union-find scratch otherwise.
+func (st *state) components(f frag, sc *prepScratch) [][]int {
 	if f.entry != nil {
 		if comps, ok := f.entry.Components(); ok {
 			return comps
 		}
 	}
-	sc := prepPool.Get().(*prepScratch)
 	comps := f.d.ComponentsScratch(&sc.comp)
-	prepPool.Put(sc)
 	if f.entry != nil {
 		f.entry.SetComponents(comps)
 	}

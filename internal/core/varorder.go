@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/formula"
 )
@@ -21,29 +21,120 @@ const (
 	OrderMostFrequent
 )
 
+// varInfo is what one decomposition step knows about a variable of the
+// fragment it analyses. Records are indexed by variable id and
+// validated by stamp comparison, so nothing is cleared between steps.
+type varInfo struct {
+	stamp uint32 // == stepScan.epoch: the variable occurs in the scanned fragment
+	mark  uint32 // == stepScan.markEpoch: member of the set being counted
+	occ   int32  // number of clauses containing the variable
+	tag   int32  // position of its relation tag in stepScan.tags, -1 if untagged
+}
+
+// stepScan is the ⊙/⊕ analysis state of one decomposition step: one
+// pass over the fragment (scanVars) records, per variable, its
+// occurrence count and relation, and the distinct variables and tags in
+// first-seen order. independentAndParts and chooseVar both read it, so a
+// step scans its fragment once. Cost follows the fragment: the record
+// array is sized by the fragment's largest variable id (grown
+// geometrically, never cleared), everything else by its distinct
+// variables and tags.
+type stepScan struct {
+	info      []varInfo
+	epoch     uint32
+	markEpoch uint32
+
+	vars     []formula.Var // distinct variables, first-seen order
+	tags     []int32       // distinct relation tags, first-seen order; tags are caller-chosen, not dense
+	total    []int32       // total[i]: distinct variables of tags[i]
+	untagged bool          // some variable carries formula.NoTag
+	cands    []formula.Var // iqVariable: candidates surviving the occurrence test
+}
+
+// scanVars records the variables of d in sc.step. It must precede
+// independentAndParts and chooseVar on the same d.
+func (sc *prepScratch) scanVars(s *formula.Space, d formula.DNF) {
+	st := &sc.step
+	maxVar := formula.Var(-1)
+	for _, c := range d {
+		if n := len(c); n > 0 && c[n-1].Var > maxVar {
+			maxVar = c[n-1].Var
+		}
+	}
+	if need := int(maxVar) + 1; need > len(st.info) {
+		grown := make([]varInfo, max(need, 2*len(st.info)))
+		copy(grown, st.info)
+		st.info = grown
+	}
+	st.epoch++
+	if st.epoch == 0 { // wraparound: stale stamps could alias
+		for i := range st.info {
+			st.info[i].stamp = 0
+		}
+		st.epoch = 1
+	}
+	e, info := st.epoch, st.info
+	vars, tags, total := st.vars[:0], st.tags[:0], st.total[:0]
+	st.untagged = false
+	for _, c := range d {
+		for _, a := range c {
+			vi := &info[a.Var]
+			if vi.stamp == e {
+				vi.occ++
+				continue
+			}
+			vi.stamp, vi.occ, vi.tag = e, 1, -1
+			vars = append(vars, a.Var)
+			tag := s.Tag(a.Var)
+			if tag == formula.NoTag {
+				st.untagged = true
+				continue
+			}
+			pos := slices.Index(tags, tag)
+			if pos < 0 {
+				pos = len(tags)
+				tags = append(tags, tag)
+				total = append(total, 0)
+			}
+			total[pos]++
+			vi.tag = int32(pos)
+		}
+	}
+	st.vars, st.tags, st.total = vars, tags, total
+}
+
+// nextMark starts a fresh membership set over varInfo.mark.
+func (st *stepScan) nextMark() uint32 {
+	st.markEpoch++
+	if st.markEpoch == 0 {
+		for i := range st.info {
+			st.info[i].mark = 0
+		}
+		st.markEpoch = 1
+	}
+	return st.markEpoch
+}
+
 // chooseVar picks the Shannon-expansion variable for d according to the
-// configured order. d is non-empty and has at least one variable.
-func chooseVar(s *formula.Space, d formula.DNF, order VarOrder) formula.Var {
+// configured order. d is non-empty, has at least one variable, and is
+// the fragment sc.scanVars last scanned.
+func chooseVar(d formula.DNF, order VarOrder, sc *prepScratch) formula.Var {
 	if order == OrderAuto {
-		if v, ok := iqVariable(s, d); ok {
+		if v, ok := iqVariable(d, sc); ok {
 			return v
 		}
 	}
-	return mostFrequentVar(d)
+	return mostFrequentVar(sc)
 }
 
-// mostFrequentVar returns a variable occurring in the most clauses of d.
-func mostFrequentVar(d formula.DNF) formula.Var {
-	counts := make(map[formula.Var]int)
-	for _, c := range d {
-		for _, a := range c {
-			counts[a.Var]++
-		}
-	}
+// mostFrequentVar returns a variable occurring in the most clauses of
+// the scanned fragment, the smallest id among equals.
+func mostFrequentVar(sc *prepScratch) formula.Var {
+	st := &sc.step
 	best := formula.Var(-1)
-	bestN := -1
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v < best) {
+	bestN := int32(-1)
+	for _, v := range st.vars {
+		if n := st.info[v].occ; n > bestN || (n == bestN && v < best) {
 			best, bestN = v, n
 		}
 	}
@@ -56,88 +147,72 @@ func mostFrequentVar(d formula.DNF) formula.Var {
 // Eliminating such a variable first makes its co-factor subsume Φ|v, which
 // is what keeps the d-tree polynomial for IQ queries (Theorem 6.9).
 //
-// Following the paper, it counts the distinct variables per relation in Φ,
-// then redoes the count restricted to clauses containing a candidate x; if
-// the restricted counts match the unrestricted ones for every relation
-// other than x's own, x is chosen. Candidates are tried in descending
-// frequency so the successful variable (which by construction co-occurs
-// with many variables) is found early.
-func iqVariable(s *formula.Space, d formula.DNF) (formula.Var, bool) {
-	// Total distinct-variable counts per tag; bail out if any variable is
-	// untagged or only one relation is present (the rule needs >= 2).
-	total := make(map[int32]int)
-	seen := make(map[formula.Var]int32)
-	occ := make(map[formula.Var]int)
-	for _, c := range d {
-		for _, a := range c {
-			occ[a.Var]++
-			if _, ok := seen[a.Var]; ok {
-				continue
-			}
-			tag := s.Tag(a.Var)
-			if tag == formula.NoTag {
-				return 0, false
-			}
-			seen[a.Var] = tag
-			total[tag]++
-		}
-	}
-	if len(total) < 2 {
+// Following the paper, it takes the distinct variables per relation in Φ
+// from the scan, then redoes the count restricted to clauses containing a
+// candidate x; if x's clauses reach every variable of every relation
+// other than x's own, x is chosen. Candidates are tried by (occurrences
+// descending, id ascending), so the successful variable (which by
+// construction co-occurs with many variables) is found early and the
+// choice does not depend on clause order. It reports false when a
+// variable is untagged or fewer than two relations are present.
+func iqVariable(d formula.DNF, sc *prepScratch) (formula.Var, bool) {
+	st := &sc.step
+	if st.untagged || len(st.tags) < 2 {
 		return 0, false
 	}
+	info := st.info
 
-	candidates := make([]formula.Var, 0, len(seen))
-	for v := range seen {
-		candidates = append(candidates, v)
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		if occ[a] != occ[b] {
-			return occ[a] > occ[b]
+	// A variable co-occurring with all others must appear in at least as
+	// many clauses as the largest other relation has variables — the
+	// largest total, or the runner-up for variables of the largest
+	// relation itself. The test prunes most candidates, so only the
+	// survivors are sorted.
+	top, topN, secondN := int32(-1), int32(-1), int32(-1)
+	for i, n := range st.total {
+		if n > topN {
+			top, topN, secondN = int32(i), n, topN
+		} else if n > secondN {
+			secondN = n
 		}
-		return a < b
+	}
+	cands := st.cands[:0]
+	for _, v := range st.vars {
+		maxOther := topN
+		if info[v].tag == top {
+			maxOther = secondN
+		}
+		if info[v].occ >= maxOther {
+			cands = append(cands, v)
+		}
+	}
+	st.cands = cands
+	slices.SortFunc(cands, func(a, b formula.Var) int {
+		if oa, ob := info[a].occ, info[b].occ; oa != ob {
+			return int(ob - oa)
+		}
+		return int(a - b)
 	})
 
-	restricted := make(map[int32]map[formula.Var]struct{}, len(total))
-	for _, x := range candidates {
-		// A variable co-occurring with all others must appear in at least
-		// as many clauses as the largest other relation has variables; a
-		// cheap necessary condition that prunes most candidates.
-		maxOther := 0
-		for tag, n := range total {
-			if tag != seen[x] && n > maxOther {
-				maxOther = n
-			}
-		}
-		if occ[x] < maxOther {
-			continue
-		}
-		for tag := range total {
-			if m := restricted[tag]; m != nil {
-				clear(m)
-			} else {
-				restricted[tag] = make(map[formula.Var]struct{})
-			}
-		}
+	for _, x := range cands {
+		// Distinct variables of the other relations reached by x's
+		// clauses; a per-relation count can only fall short of its total,
+		// so the sums agree exactly when every relation's count does.
+		xtag := info[x].tag
+		want := len(st.vars) - int(st.total[xtag])
+		e := st.nextMark()
+		reached := 0
 		for _, c := range d {
 			if _, ok := c.Lookup(x); !ok {
 				continue
 			}
 			for _, a := range c {
-				restricted[seen[a.Var]][a.Var] = struct{}{}
+				if vi := &info[a.Var]; vi.mark != e && vi.tag != xtag {
+					vi.mark = e
+					reached++
+				}
 			}
 		}
-		ok := true
-		for tag, n := range total {
-			if tag == seen[x] {
-				continue
-			}
-			if len(restricted[tag]) != n {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if reached == want {
 			return x, true
 		}
 	}

@@ -16,11 +16,11 @@ func TestMostFrequentVar(t *testing.T) {
 		formula.MustClause(formula.Pos(x), formula.Pos(z)),
 		formula.MustClause(formula.Pos(y)),
 	)
-	if got := mostFrequentVar(d); got != x && got != y {
+	if got := kernelVar(s, d, OrderMostFrequent); got != x && got != y {
 		t.Fatalf("most frequent = %d, want x(%d) or y(%d)", got, x, y)
 	}
 	// x and y both occur twice; smallest id wins for determinism.
-	if got := mostFrequentVar(d); got != x {
+	if got := kernelVar(s, d, OrderMostFrequent); got != x {
 		t.Fatalf("tie-break: got %d, want %d", got, x)
 	}
 }
@@ -54,7 +54,7 @@ func TestIQVariableChoice(t *testing.T) {
 	// clauses together with every y present in Φ, so it is eligible; the
 	// rule must select an eligible variable.
 	s, d, xs, ys := iqLineage(4, 4)
-	v, ok := iqVariable(s, d)
+	v, ok := kernelIQVar(s, d)
 	if !ok {
 		t.Fatal("IQ rule found no variable on IQ lineage")
 	}
@@ -86,7 +86,7 @@ func TestIQVariableRejectsUntagged(t *testing.T) {
 	x := s.AddBool(0.5)
 	y := s.AddBoolTagged(0.5, 1)
 	d := formula.NewDNF(formula.MustClause(formula.Pos(x), formula.Pos(y)))
-	if _, ok := iqVariable(s, d); ok {
+	if _, ok := kernelIQVar(s, d); ok {
 		t.Fatal("untagged variable must disable the IQ rule")
 	}
 }
@@ -96,7 +96,7 @@ func TestIQVariableRejectsSingleRelation(t *testing.T) {
 	x := s.AddBoolTagged(0.5, 0)
 	y := s.AddBoolTagged(0.5, 0)
 	d := formula.NewDNF(formula.MustClause(formula.Pos(x), formula.Pos(y)))
-	if _, ok := iqVariable(s, d); ok {
+	if _, ok := kernelIQVar(s, d); ok {
 		t.Fatal("IQ rule needs at least two relations")
 	}
 }
@@ -121,7 +121,7 @@ func TestIQVariableOnHardPattern(t *testing.T) {
 	// rule itself; on this complete bipartite pattern r_0 does co-occur
 	// with all of S? No: r_0's clauses contain only s-vars from its own
 	// row. The rule must reject r_0 but may accept none.
-	if v, ok := iqVariable(s, d); ok {
+	if v, ok := kernelIQVar(s, d); ok {
 		// If a variable is returned it must genuinely satisfy the lemma.
 		vtag := s.Tag(v)
 		co := map[formula.Var]bool{}
