@@ -565,7 +565,7 @@ func (st *state) decompose(f frag) (Kind, []frag, []float64) {
 	subs := make([]formula.DNF, 0, dom)
 	mult := make([]float64, 0, dom)
 	for a := 0; a < dom; a++ {
-		sub := restrictPrepared(d, x, formula.Val(a), sc)
+		sub := restrictPrepared(d, x, formula.Val(a))
 		if sub.IsFalse() {
 			continue
 		}

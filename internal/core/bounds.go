@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/formula"
 )
@@ -38,8 +38,8 @@ func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 }
 
 // leafBoundsScratch is the allocation-free heart of the Figure 3
-// heuristic: all per-call bookkeeping (clause probabilities, the sort
-// permutation, the used set, and the per-bucket variable stamps) lives
+// heuristic: all per-call bookkeeping (the clause probabilities in
+// bucket order, the used set, and the per-bucket variable stamps) lives
 // in sc and is reused across calls. The arithmetic and its order are
 // exactly those of the original per-call-allocating implementation, so
 // the bounds are bitwise-identical.
@@ -54,26 +54,12 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		return p, p, 1
 	}
 
-	probs := sc.floats(len(d))
+	order, spare := sc.probKeys(len(d))
 	for i, c := range d {
-		probs[i] = c.Probability(s)
-	}
-	order := sc.ints(len(d))
-	for i := range order {
-		order[i] = i
+		order[i] = probKey{desc: ^math.Float64bits(c.Probability(s)), i: int32(i)}
 	}
 	if sortClauses {
-		// A stable sort's output is uniquely determined, so swapping the
-		// sort implementation cannot reorder equal-probability clauses.
-		slices.SortStableFunc(order, func(a, b int) int {
-			switch {
-			case probs[a] > probs[b]:
-				return -1
-			case probs[a] < probs[b]:
-				return 1
-			}
-			return 0
-		})
+		order = sortProbKeys(order, spare)
 	}
 
 	maxVar := formula.Var(-1)
@@ -94,7 +80,8 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		epoch := sc.nextEpoch()
 		q := 1.0 // Π (1 − P(clause)) over the bucket
 		started := false
-		for _, i := range order {
+		for _, k := range order {
+			i := k.i
 			if used[i] {
 				continue
 			}
@@ -106,7 +93,7 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 			for _, a := range c {
 				inBucket[a.Var] = epoch
 			}
-			q *= 1 - probs[i]
+			q *= 1 - k.prob()
 			used[i] = true
 			remaining--
 			started = true
@@ -138,6 +125,73 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		hi = lo // numeric guard; mathematically lo ≤ hi always
 	}
 	return lo, hi, ops
+}
+
+// probKey is a clause's place in Figure 3's bucket order — "sorted
+// descending on marginal probability", ties in clause order. A clause
+// probability is a product of values in (0, 1] (Space.AddVar panics
+// otherwise): never NaN, never negative, possibly +0 by underflow. On
+// those the IEEE 754 bit pattern is monotone, so ascending (desc, i) is
+// a total order and sorting by it yields the one permutation a stable
+// sort descending on probability does.
+type probKey struct {
+	desc uint64 // ^Float64bits(p): ascending desc is descending p
+	i    int32  // clause index
+}
+
+func (k probKey) prob() float64 { return math.Float64frombits(^k.desc) }
+
+// radixCutoff is the input size from which sortProbKeys' counting
+// passes beat insertion sort.
+const radixCutoff = 80
+
+// sortProbKeys sorts keys, which arrive in clause order, ascending on
+// desc keeping ties in that order, and returns them in keys or in spare
+// (same length). From radixCutoff up it is a byte-wise LSD radix sort —
+// O(n) where a comparison sort chases the keys O(n log n) times — that
+// skips every pass whose byte all keys share: for probabilities that
+// is most of the sign and exponent.
+func sortProbKeys(keys, spare []probKey) []probKey {
+	if len(keys) < radixCutoff {
+		for i := 1; i < len(keys); i++ {
+			k := keys[i]
+			j := i
+			for ; j > 0 && keys[j-1].desc > k.desc; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+		return keys
+	}
+	var counts [8][256]uint32
+	for _, k := range keys {
+		d := k.desc
+		counts[0][byte(d)]++
+		counts[1][byte(d>>8)]++
+		counts[2][byte(d>>16)]++
+		counts[3][byte(d>>24)]++
+		counts[4][byte(d>>32)]++
+		counts[5][byte(d>>40)]++
+		counts[6][byte(d>>48)]++
+		counts[7][byte(d>>56)]++
+	}
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if c[byte(keys[0].desc>>shift)] == uint32(len(keys)) {
+			continue
+		}
+		next := uint32(0)
+		for v, n := range c {
+			c[v], next = next, next+n
+		}
+		for _, k := range keys {
+			v := byte(k.desc >> shift)
+			spare[c[v]] = k
+			c[v]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys
 }
 
 // incExcMaxClauses bounds the inclusion-exclusion shortcut: DNFs with at

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/formula"
@@ -191,5 +192,87 @@ func TestEstimateFromClamps(t *testing.T) {
 	}
 	if got := EstimateFrom(Absolute, 0.5, 0, 0.1); got < 0 {
 		t.Fatalf("estimate %v below 0", got)
+	}
+}
+
+// TestLeafBoundsOrderMatchesStableSort: the radix-keyed sort puts the
+// clauses in exactly the order the stable sort descending on probability
+// did, on every kind of value a clause probability can take — ties of
+// every size, exact 1.0, underflow to +0, denormals — and on both sides
+// of the insertion-sort cutoff. The bucket arithmetic reads the
+// probability back from the key, so that round trip is checked too.
+func TestLeafBoundsOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	product := func() float64 { return rng.Float64() * rng.Float64() * rng.Float64() }
+	kinds := []struct {
+		name string
+		p    func() float64
+	}{
+		{"products", product},
+		{"all equal", func() float64 { return 0.25 }},
+		{"two-valued", func() float64 { return []float64{0.5, 0.125}[rng.Intn(2)] }},
+		{"a dozen values", func() float64 { return float64(1+rng.Intn(12)) / 16 }},
+		{"ones among products", func() float64 {
+			if rng.Intn(3) == 0 {
+				return 1
+			}
+			return product()
+		}},
+		{"underflow to +0", func() float64 { return math.Ldexp(rng.Float64(), -1060-rng.Intn(40)) }},
+		{"denormals", func() float64 { return math.Ldexp(rng.Float64(), -1030-rng.Intn(40)) }},
+		{"every magnitude", func() float64 { return math.Ldexp(rng.Float64(), -rng.Intn(1080)) }},
+		{"ascending", nil},
+	}
+	for _, n := range []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 1000, 100_000} {
+		for _, kind := range kinds {
+			probs := make([]float64, n)
+			for i := range probs {
+				if kind.p == nil {
+					probs[i] = float64(i+1) / float64(n+1)
+				} else {
+					probs[i] = kind.p()
+				}
+			}
+			keys, spare := make([]probKey, n), make([]probKey, n)
+			for i, p := range probs {
+				keys[i] = probKey{desc: ^math.Float64bits(p), i: int32(i)}
+			}
+			got, want := sortProbKeys(keys, spare), refLeafOrder(probs)
+			if len(got) != len(want) {
+				t.Fatalf("%s, n=%d: %d keys back", kind.name, n, len(got))
+			}
+			for j, k := range got {
+				if int(k.i) != want[j] {
+					t.Fatalf("%s, n=%d: position %d holds clause %d (p=%v), the stable sort puts clause %d (p=%v) there",
+						kind.name, n, j, k.i, probs[k.i], want[j], probs[want[j]])
+				}
+				if math.Float64bits(k.prob()) != math.Float64bits(probs[k.i]) {
+					t.Fatalf("%s, n=%d: clause %d reads back p=%v, was %v", kind.name, n, k.i, k.prob(), probs[k.i])
+				}
+			}
+		}
+	}
+}
+
+// TestLeafBoundsAllocationsWarm: once the pooled scratch has grown to
+// the input, the Figure 3 heuristic allocates nothing.
+func TestLeafBoundsAllocationsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	const n = 10_000
+	s := formula.NewSpace()
+	rng := rand.New(rand.NewSource(9))
+	vars := make([]formula.Var, n/4)
+	for i := range vars {
+		vars[i] = s.AddBool(0.05 + 0.9*rng.Float64())
+	}
+	d := make(formula.DNF, n)
+	for i := range d {
+		d[i] = formula.MustClause(formula.Pos(vars[rng.Intn(len(vars))]), formula.Pos(vars[rng.Intn(len(vars))]))
+	}
+	leafBounds(s, d, true)
+	if a := testing.AllocsPerRun(10, func() { leafBounds(s, d, true) }); a != 0 {
+		t.Fatalf("warm leafBounds on %d clauses: %v allocations, want 0", n, a)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/formula"
@@ -338,4 +339,26 @@ func refIqVariable(s *formula.Space, d formula.DNF) (formula.Var, bool) {
 		}
 	}
 	return 0, false
+}
+
+// refLeafOrder is Figure 3's clause order as leafBounds computed it
+// before the radix-keyed sort: a stable sort of the clause indices,
+// descending on probability, through a comparator that chases probs.
+func refLeafOrder(probs []float64) []int {
+	order := make([]int, len(probs))
+	for i := range order {
+		order[i] = i
+	}
+	// A stable sort's output is uniquely determined, so swapping the
+	// sort implementation cannot reorder equal-probability clauses.
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case probs[a] > probs[b]:
+			return -1
+		case probs[a] < probs[b]:
+			return 1
+		}
+		return 0
+	})
+	return order
 }

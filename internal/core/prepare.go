@@ -24,10 +24,12 @@ import (
 //     are subsumption-free too, so prepare skips Normalize /
 //     RemoveSubsumed passes that would be content no-ops;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
-//     per-prepare buffers: leaf-bounds probabilities / sort
-//     permutation / bucket stamps, the restrict dedup table, the
+//     per-prepare buffers: the leaf-bounds sort keys (probability and
+//     clause index, bounds.go) / used set / bucket stamps, the
 //     union-find of the component partition, and the ⊙/⊕ analysis of
-//     the decomposition step (factor.go, varorder.go).
+//     the decomposition step (factor.go, varorder.go). Deduplication —
+//     Normalize, RemoveSubsumed, the restrictions' Dedup — probes
+//     formula's own pooled clause table (formula/hash.go).
 //
 // The original allocate-everything pipeline is retained verbatim
 // behind the internal Options.refPrepare flag; the differential
@@ -39,14 +41,12 @@ import (
 // (conf()'s one task per answer, distinct Refiners) draw distinct
 // scratches from prepPool.
 type prepScratch struct {
-	fs    []float64 // leafBounds: clause probabilities
-	is    []int     // leafBounds: sort permutation
-	bs    []bool    // leafBounds: used set
-	st    []uint32  // leafBounds: per-bucket variable stamps
-	epoch uint32    // current stamp epoch for st
+	keys  [2][]probKey // leafBounds: clause probabilities in bucket order, and the sort's other buffer
+	bs    []bool       // leafBounds: used set
+	st    []uint32     // leafBounds: per-bucket variable stamps
+	epoch uint32       // current stamp epoch for st
 
-	comp  formula.CompScratch // component partition union-find
-	dedup dedupTable          // restrict dedup
+	comp formula.CompScratch // component partition union-find
 
 	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table
@@ -54,22 +54,12 @@ type prepScratch struct {
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
 
-// floats returns a length-n float buffer (contents undefined).
-func (sc *prepScratch) floats(n int) []float64 {
-	if cap(sc.fs) < n {
-		sc.fs = make([]float64, n)
+// probKeys returns two length-n key buffers (contents undefined).
+func (sc *prepScratch) probKeys(n int) (keys, spare []probKey) {
+	if cap(sc.keys[0]) < n {
+		sc.keys[0], sc.keys[1] = make([]probKey, n), make([]probKey, n)
 	}
-	sc.fs = sc.fs[:n]
-	return sc.fs
-}
-
-// ints returns a length-n int buffer (contents undefined).
-func (sc *prepScratch) ints(n int) []int {
-	if cap(sc.is) < n {
-		sc.is = make([]int, n)
-	}
-	sc.is = sc.is[:n]
-	return sc.is
+	return sc.keys[0][:n], sc.keys[1][:n]
 }
 
 // bools returns a length-n zeroed bool buffer.
@@ -107,62 +97,12 @@ func (sc *prepScratch) nextEpoch() uint32 {
 	return sc.epoch
 }
 
-// dedupTable removes duplicate clauses in first-occurrence order — the
-// exact semantics of DNF.Normalize — over a reusable open-addressing
-// table instead of a freshly allocated map.
-type dedupTable struct {
-	idx   []int32
-	stamp []uint32
-	epoch uint32
-}
-
-// dedup compacts d in place (the caller owns d's backing array) and
-// returns the duplicate-free prefix, preserving first occurrences in
-// order. Collisions are resolved by structural comparison, so the
-// result matches Normalize clause for clause.
-func (t *dedupTable) dedup(d formula.DNF) formula.DNF {
-	want := 2 * len(d)
-	size := len(t.idx)
-	if size < want {
-		size = 16
-		for size < want {
-			size <<= 1
-		}
-		t.idx = make([]int32, size)
-		t.stamp = make([]uint32, size)
-		t.epoch = 0
-	}
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.stamp)
-		t.epoch = 1
-	}
-	mask := uint64(size - 1)
-	out := d[:0]
-	for _, c := range d {
-		slot := c.Hash() & mask
-		for {
-			if t.stamp[slot] != t.epoch {
-				t.stamp[slot] = t.epoch
-				t.idx[slot] = int32(len(out))
-				out = append(out, c)
-				break
-			}
-			if out[t.idx[slot]].Equal(c) {
-				break // duplicate: keep the first occurrence only
-			}
-			slot = (slot + 1) & mask
-		}
-	}
-	return out
-}
-
 // restrictPrepared is Shannon restriction d|v=a for a *prepared*
 // (duplicate-free) d. It matches DNF.Restrict output clause for
 // clause: when no surviving clause lost an atom the result is a
 // subset of d and needs no deduplication at all; otherwise duplicates
-// are removed in first-occurrence order over the scratch table.
-func restrictPrepared(d formula.DNF, v formula.Var, a formula.Val, sc *prepScratch) formula.DNF {
+// are removed in place, in first-occurrence order.
+func restrictPrepared(d formula.DNF, v formula.Var, a formula.Val) formula.DNF {
 	out := make(formula.DNF, 0, len(d))
 	shrank := false
 	for _, c := range d {
@@ -176,7 +116,7 @@ func restrictPrepared(d formula.DNF, v formula.Var, a formula.Val, sc *prepScrat
 	if !shrank || len(out) <= 1 {
 		return out
 	}
-	return sc.dedup.dedup(out)
+	return out.Dedup()
 }
 
 // prepVariant encodes the Options switches preparation depends on —

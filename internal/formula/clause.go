@@ -145,7 +145,11 @@ func (c Clause) Restrict(v Var, a Val) (Clause, bool) {
 // Merge returns the conjunction c ∧ d as a clause, with ok = false if they
 // are inconsistent. Used by joins to combine lineage.
 func (c Clause) Merge(d Clause) (Clause, bool) {
-	out := make(Clause, 0, len(c)+len(d))
+	return appendMerge(make(Clause, 0, len(c)+len(d)), c, d)
+}
+
+// appendMerge appends the conjunction c ∧ d to out.
+func appendMerge(out, c, d Clause) (Clause, bool) {
 	i, j := 0, 0
 	for i < len(c) && j < len(d) {
 		switch {

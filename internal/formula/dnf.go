@@ -19,25 +19,37 @@ func NewDNF(clauses ...Clause) DNF {
 	return d.Normalize()
 }
 
-// Normalize removes duplicate clauses, preserving first-occurrence order.
+// Normalize removes duplicate clauses, preserving first-occurrence
+// order. It allocates its result and nothing else.
 func (d DNF) Normalize() DNF {
-	seen := make(map[uint64][]int, len(d))
-	out := make(DNF, 0, len(d))
+	return d.dedupInto(make(DNF, 0, len(d)))
+}
+
+// Dedup is Normalize compacting d in place: the result is a prefix of
+// d's backing array, which the caller must own.
+func (d DNF) Dedup() DNF {
+	return d.dedupInto(d[:0])
+}
+
+// dedupInto appends d's first occurrences to out, which is empty and
+// either separate from d or d's own prefix.
+func (d DNF) dedupInto(out DNF) DNF {
+	t := tablePool.Get().(*clauseTable)
+	t.reset(len(d))
 	for _, c := range d {
 		h := c.Hash()
-		dup := false
-		for _, i := range seen[h] {
-			if out[i].Equal(c) {
-				dup = true
+		for pos, i := t.next(h, h); ; pos, i = t.next(h, i) {
+			if pos < 0 {
+				t.put(h, i, len(out))
+				out = append(out, c)
+				break
+			}
+			if out[pos].Equal(c) {
 				break
 			}
 		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], len(out))
-		out = append(out, c)
 	}
+	tablePool.Put(t)
 	return out
 }
 
@@ -114,10 +126,15 @@ func (d DNF) RemoveSubsumed() DNF {
 	}
 	keep := make([]bool, len(d))
 	if !wide {
-		index := newClauseIndex(d)
+		t := tablePool.Get().(*clauseTable)
+		t.reset(len(d))
 		for i, c := range d {
-			keep[i] = !subsetPresent(c, index, i, widths)
+			t.add(c.Hash(), i)
 		}
+		for i, c := range d {
+			keep[i] = !subsetPresent(c, d, t, i, widths)
+		}
+		tablePool.Put(t)
 	} else {
 		// Pairwise fallback: sort indices by clause length so that a
 		// potential subsumer is visited before the clauses it subsumes.
@@ -151,11 +168,12 @@ func (d DNF) RemoveSubsumed() DNF {
 	return out
 }
 
-// subsetPresent reports whether any proper subset of c is a clause of the
-// DNF (by hash lookup with structural verification), or an equal clause
-// appears at an earlier index. Only subset sizes that actually occur as
-// clause widths (the widths bitmask) are enumerated, via Gosper's hack.
-func subsetPresent(c Clause, index *clauseIndex, self int, widths uint16) bool {
+// subsetPresent reports whether any proper subset of c = d[self] is a
+// clause of d, or an equal clause appears at an earlier index, by
+// lookups in t, which indexes all of d in order. Only subset sizes that
+// actually occur as clause widths (the widths bitmask) are enumerated,
+// via Gosper's hack.
+func subsetPresent(c Clause, d DNF, t *clauseTable, self int, widths uint16) bool {
 	n := len(c)
 	if n == 0 {
 		return false
@@ -164,8 +182,10 @@ func subsetPresent(c Clause, index *clauseIndex, self int, widths uint16) bool {
 	// short-circuits in the compiler. Subset hashes are built from the
 	// atoms' codes.
 	var codes [maxEnumWidthAtoms]uint64
+	full := uint64(0x5bd1e995) + uint64(n)*0x100000001b3
 	for b := 0; b < n; b++ {
 		codes[b] = atomCode(c[b])
+		full ^= codes[b]
 	}
 	for r := 1; r < n; r++ {
 		if widths&(1<<r) == 0 {
@@ -178,18 +198,39 @@ func subsetPresent(c Clause, index *clauseIndex, self int, widths uint16) bool {
 			for m := mask; m != 0; m &= m - 1 {
 				h ^= codes[bits.TrailingZeros32(uint32(m))]
 			}
-			if index.lookupSubsetHash(h, c, mask) >= 0 {
-				return true
+			for pos, i := t.next(h, h); pos >= 0; pos, i = t.next(h, i) {
+				if equalsSubset(d[pos], c, mask) {
+					return true
+				}
 			}
 			lo := mask & -mask
 			up := mask + lo
 			mask = (((up ^ mask) >> 2) / lo) | up
 		}
 	}
-	if i := index.lookup(c); i >= 0 && i != self {
-		return i < self // duplicate: keep only the first occurrence
+	// A duplicate: only the first occurrence stays.
+	for pos, i := t.next(full, full); pos >= 0 && pos != self; pos, i = t.next(full, i) {
+		if d[pos].Equal(c) {
+			return true
+		}
 	}
 	return false
+}
+
+// equalsSubset reports whether cand is the subset of base that mask
+// selects, without building it.
+func equalsSubset(cand, base Clause, mask int) bool {
+	j := 0
+	for b := 0; b < len(base); b++ {
+		if mask&(1<<b) == 0 {
+			continue
+		}
+		if j >= len(cand) || cand[j] != base[b] {
+			return false
+		}
+		j++
+	}
+	return j == len(cand)
 }
 
 const maxEnumWidthAtoms = 12

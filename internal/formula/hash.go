@@ -1,12 +1,15 @@
 package formula
 
-// Order-independent 64-bit hashing of clauses, used for hash-based
-// duplicate detection and subset enumeration. Each atom gets a strong
-// 64-bit code (splitmix64 of its packed representation); a clause's hash
-// is the XOR of its atoms' codes, so subset hashes can be enumerated
-// incrementally without materializing subset clauses. Lookups verify
-// candidates structurally, so hash collisions cost time, not
-// correctness.
+import "sync"
+
+// Order-independent 64-bit hashing of clauses, and the one hash table
+// built on it. Each atom gets a strong 64-bit code (splitmix64 of its
+// packed representation); a clause's hash is the XOR of its atoms'
+// codes, so the hash of a subset (RemoveSubsumed) or of a merge
+// (Interner) is computed without materializing the clause. clauseTable
+// is the open-addressing index every user probes — Normalize and Dedup,
+// RemoveSubsumed, the Interner. Candidates are verified structurally,
+// so hash collisions cost time, not correctness.
 
 // AtomHash returns a well-mixed 64-bit code for an atom; exported for
 // hash-based clause-projection counting in the d-tree factorizer.
@@ -34,54 +37,69 @@ func (c Clause) Hash() uint64 {
 	return h
 }
 
-// clauseIndex is a hash multimap from clause hash to clause indices,
-// with structural verification on lookup.
-type clauseIndex struct {
-	d DNF
-	m map[uint64][]int
+// clauseTable is an open-addressing (linear probing, load ≤ ½) index
+// from clause hashes to positions in a clause slice its user owns. A
+// slot packs the hash's upper half with the position, so a probe
+// rejects nearly every other clause without touching it; the user
+// verifies the candidates that remain, against a clause, a subset or a
+// merge it never builds. Entries are not removed.
+type clauseTable struct {
+	slots []uint64 // hash>>32<<32 | position+1; 0 = empty; len is a power of two
 }
 
-func newClauseIndex(d DNF) *clauseIndex {
-	ci := &clauseIndex{d: d, m: make(map[uint64][]int, len(d))}
-	for i, c := range d {
-		h := c.Hash()
-		ci.m[h] = append(ci.m[h], i)
+// minTableSlots is a clauseTable's least slot count.
+const minTableSlots = 16
+
+// reset empties the table and sizes it for n clauses, reusing its
+// memory: what a call pays is proportional to n, not to the largest
+// table the (pooled) value has ever been.
+func (t *clauseTable) reset(n int) {
+	size := minTableSlots
+	for size < 2*n {
+		size <<= 1
 	}
-	return ci
+	if cap(t.slots) < size {
+		t.slots = make([]uint64, size)
+		return
+	}
+	t.slots = t.slots[:size]
+	clear(t.slots)
 }
 
-// lookup returns the first index of a clause equal to c, or -1.
-func (ci *clauseIndex) lookup(c Clause) int {
-	for _, i := range ci.m[c.Hash()] {
-		if ci.d[i].Equal(c) {
-			return i
+// next walks the probe sequence of hash h. Called with i = h, and then
+// with the at it last returned, it yields the positions put under h
+// (and, rarely, under a hash that shares h's upper half), oldest first,
+// and -1 once the sequence is exhausted — at is then the empty slot
+// where put seats a new entry for h.
+func (t *clauseTable) next(h, i uint64) (pos int, at uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for i &= mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if s>>32 == h>>32 {
+			return int(uint32(s)) - 1, i + 1
 		}
 	}
-	return -1
 }
 
-// lookupSubsetHash returns the first index whose clause equals the given
-// subset of base (described by mask over base's atoms), or -1. The hash
-// is passed in (computed incrementally by the caller); verification
-// compares the stored clause against the masked atoms without
-// allocating.
-func (ci *clauseIndex) lookupSubsetHash(h uint64, base Clause, mask int) int {
-candidates:
-	for _, i := range ci.m[h] {
-		cand := ci.d[i]
-		j := 0
-		for b := 0; b < len(base); b++ {
-			if mask&(1<<b) == 0 {
-				continue
-			}
-			if j >= len(cand) || cand[j] != base[b] {
-				continue candidates
-			}
-			j++
-		}
-		if j == len(cand) {
-			return i
-		}
-	}
-	return -1
+// put seats position pos under hash h in the empty slot at.
+func (t *clauseTable) put(h, at uint64, pos int) {
+	t.slots[at] = h>>32<<32 | uint64(pos+1)
 }
+
+// add seats position pos under hash h behind every entry already in
+// h's probe sequence.
+func (t *clauseTable) add(h uint64, pos int) {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.put(h, i, pos)
+}
+
+// tablePool holds the tables of Normalize, Dedup and RemoveSubsumed,
+// which live for one call.
+var tablePool = sync.Pool{New: func() any { return new(clauseTable) }}

@@ -10,42 +10,64 @@ import "repro/internal/obs"
 // exactly once, and later DNF normalization compares mostly-identical
 // slices.
 //
+// The canonical clauses are indexed by one clauseTable that persists
+// and doubles as they accumulate, and their atoms live in shared arena
+// blocks: a hit reads one slot and the candidate, a miss allocates
+// nothing but (now and then) the next block.
+//
 // An Interner is not safe for concurrent use; each query pipeline owns
 // one.
 type Interner struct {
-	m       map[uint64][]Clause
+	t       clauseTable
+	clauses []Clause // canonical instances, in first-seen order
+	arena   []Atom   // free tail of the current block
 	hits    int64
-	inserts int64
 }
 
+// maxArenaBlock caps the blocks the Interner allocates atoms in. A
+// block has room for as many clauses again as the Interner holds, so a
+// pooled one that only ever saw a small query pins a small block.
+const maxArenaBlock = 1 << 12
+
 // NewInterner returns an empty clause interner.
-func NewInterner() *Interner {
-	return &Interner{m: make(map[uint64][]Clause)}
-}
+func NewInterner() *Interner { return new(Interner) }
 
 // MergeInterned returns the canonical instance of the conjunction a ∧ b,
 // with ok = false if the clauses are inconsistent. The merged clause is
-// only allocated when it is not already interned: the candidate lookup
-// hashes the would-be merge in place (XOR of the distinct atom codes)
-// and verifies structurally against the stored clauses.
+// only materialized when it is not already interned: the candidate
+// lookup hashes the would-be merge in place (XOR of the distinct atom
+// codes) and verifies structurally against the stored clauses.
 func (in *Interner) MergeInterned(a, b Clause) (Clause, bool) {
 	h, n, ok := mergeHash(a, b)
 	if !ok {
 		return nil, false
 	}
-	for _, cand := range in.m[h] {
-		if len(cand) == n && mergeEqual(cand, a, b) {
+	if 2*(len(in.clauses)+1) > len(in.t.slots) {
+		in.grow()
+	}
+	pos, i := in.t.next(h, h)
+	for ; pos >= 0; pos, i = in.t.next(h, i) {
+		if cand := in.clauses[pos]; len(cand) == n && mergeEqual(cand, a, b) {
 			in.hits++
 			return cand, true
 		}
 	}
-	merged, ok := a.Merge(b)
-	if !ok {
-		return nil, false
+	if len(in.arena) < n {
+		in.arena = make([]Atom, max(n, min(maxArenaBlock, n*(len(in.clauses)+8))))
 	}
-	in.m[h] = append(in.m[h], merged)
-	in.inserts++
+	merged, _ := appendMerge(in.arena[:0:n], a, b) // consistent: mergeHash said so
+	in.arena = in.arena[n:]
+	in.t.put(h, i, len(in.clauses))
+	in.clauses = append(in.clauses, merged)
 	return merged, true
+}
+
+// grow doubles the table and re-seats every clause.
+func (in *Interner) grow() {
+	in.t.slots = make([]uint64, max(minTableSlots, 2*len(in.t.slots)))
+	for pos, c := range in.clauses {
+		in.t.add(c.Hash(), pos)
+	}
 }
 
 // CacheStats reports the interner's traffic in the engine-wide unified
@@ -54,7 +76,8 @@ func (in *Interner) MergeInterned(a, b Clause) (Clause, bool) {
 // and never evicts, so Misses == Entries). Like the rest of the
 // Interner, it is not safe for concurrent use.
 func (in *Interner) CacheStats() obs.CacheStats {
-	return obs.CacheStats{Hits: in.hits, Misses: in.inserts, Entries: in.inserts}
+	n := int64(len(in.clauses))
+	return obs.CacheStats{Hits: in.hits, Misses: n, Entries: n}
 }
 
 // mergeHash computes the hash and length the merge of a and b would

@@ -133,18 +133,20 @@ type Answer struct {
 func GroupProject(r *Relation, cols []int) []Answer {
 	groups := make(map[string]*Answer)
 	var order []string
-	var keyBuf strings.Builder
+	var key []byte // reused: a tuple of a known group allocates nothing
 	for _, t := range r.Tups {
-		keyBuf.Reset()
-		vals := make([]Value, len(cols))
-		for i, c := range cols {
-			vals[i] = t.Vals[c]
-			WriteValueKey(&keyBuf, t.Vals[c])
+		key = key[:0]
+		for _, c := range cols {
+			key = appendValueKey(key, t.Vals[c])
 		}
-		k := keyBuf.String()
-		a, ok := groups[k]
+		a, ok := groups[string(key)]
 		if !ok {
+			vals := make([]Value, len(cols))
+			for i, c := range cols {
+				vals[i] = t.Vals[c]
+			}
 			a = &Answer{Vals: vals}
+			k := string(key)
 			groups[k] = a
 			order = append(order, k)
 		}
@@ -206,20 +208,20 @@ func concatVals(a, b []Value) []Value {
 }
 
 // WriteValueKey appends the canonical grouping-key encoding of v
-// ('|' then 8 little-endian bytes). GroupProject and the plan runtime's
-// lineage grouping group and order answers by concatenations of this
-// encoding; the safe-plan operators order by CompareValueKeys, the same
-// order without the strings, so routed answer order never diverges from
-// the legacy evaluator's.
+// ('|' then 8 little-endian bytes). GroupProject groups and orders
+// answers by concatenations of this encoding; the plan runtime's
+// lineage grouping and the safe-plan operators order by
+// CompareValueKeys, the same order without the strings, so routed
+// answer order never diverges from the legacy evaluator's.
 func WriteValueKey(b *strings.Builder, v Value) {
-	u := uint64(v)
 	var buf [9]byte
-	buf[0] = '|'
-	for i := 1; i < len(buf); i++ {
-		buf[i] = byte(u)
-		u >>= 8
-	}
-	b.Write(buf[:])
+	b.Write(appendValueKey(buf[:0], v))
+}
+
+// appendValueKey is WriteValueKey onto a byte slice.
+func appendValueKey(key []byte, v Value) []byte {
+	u := uint64(v)
+	return append(key, '|', byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
 // ValsKey returns the grouping key of a value vector (the concatenated

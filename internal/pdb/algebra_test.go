@@ -199,6 +199,29 @@ func TestGroupProjectDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestGroupProjectAllocsNotPerTuple: a tuple of a group already seen
+// costs no key string and no value vector — 10 000 tuples in 4 groups
+// allocate by the group (and its DNF's amortized growth), where one key
+// and one vector per tuple made it over 20 000.
+func TestGroupProjectAllocsNotPerTuple(t *testing.T) {
+	const n = 10_000
+	s := formula.NewSpace()
+	rows := make([][]Value, n)
+	probs := make([]float64, n)
+	for i := range rows {
+		rows[i] = []Value{Value(i % 4), Value(i)}
+		probs[i] = 0.5
+	}
+	r := NewTupleIndependent(s, "R", []string{"g", "v"}, rows, probs, 0)
+	if a := testing.AllocsPerRun(5, func() {
+		if got := GroupProject(r, []int{0}); len(got) != 4 {
+			t.Fatalf("%d groups", len(got))
+		}
+	}); a > 200 {
+		t.Fatalf("GroupProject over %d tuples in 4 groups: %v allocations, want at most 200", n, a)
+	}
+}
+
 func TestOperatorsDoNotAliasInputVals(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)

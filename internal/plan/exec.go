@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
 
 	"repro/internal/formula"
 	"repro/internal/pdb"
+	"repro/internal/sprout"
 )
 
 // This file is the pipelined physical runtime of the lineage route. It
@@ -29,7 +31,7 @@ type cursor interface {
 // answers. The answer values and order are identical to the legacy
 // eager evaluator's.
 func Lineage(root Node) []pdb.Answer {
-	ans, _ := lineageWithStats(root, nil)
+	ans, _, _ := lineageWithStats(context.Background(), root, nil) // only a dead context fails it
 	return ans
 }
 
@@ -48,10 +50,12 @@ type lineageStats struct {
 // Reusing one interner across the queries of a database keeps canonical
 // clause instances — and the allocation they cost — shared; an Interner
 // is not safe for concurrent use, so callers must hand each concurrent
-// pipeline its own (the façade DB keeps a pool).
-func lineageWithStats(root Node, in *formula.Interner) ([]pdb.Answer, lineageStats) {
+// pipeline its own (the façade DB keeps a pool). The join build loops
+// and the sink poll ctx every cancelStride tuples; a dead context is
+// the only error.
+func lineageWithStats(ctx context.Context, root Node, in *formula.Interner) ([]pdb.Answer, lineageStats, error) {
 	if root == nil {
-		return nil, lineageStats{}
+		return nil, lineageStats{}, nil
 	}
 	g, ok := root.(*GroupLineage)
 	if !ok {
@@ -60,36 +64,32 @@ func lineageWithStats(root Node, in *formula.Interner) ([]pdb.Answer, lineageSta
 	if in == nil {
 		in = formula.NewInterner()
 	}
-	cur := newCursor(g.Input, in)
-	var (
-		ans    []pdb.Answer
-		tuples int64
-	)
-	if len(g.Cols) == 0 {
-		ans, tuples = booleanSink(cur)
-	} else {
-		ans, tuples = groupSink(cur, g.Cols)
+	ans, tuples, err := groupSink(ctx, newCursor(ctx, g.Input, in), g.Cols)
+	if err != nil {
+		return nil, lineageStats{}, err
 	}
 	st := lineageStats{answers: int64(len(ans)), tuples: tuples}
 	for _, a := range ans {
 		st.clauses += int64(len(a.Lin))
 	}
-	return ans, st
+	return ans, st, nil
 }
 
-// newCursor builds the cursor tree for n.
-func newCursor(n Node, in *formula.Interner) cursor {
+// newCursor builds the cursor tree for n. A join drains its build side
+// here, polling ctx; once ctx is dead it stops short, and the sink —
+// which polls the same ctx — reports the cancellation.
+func newCursor(ctx context.Context, n Node, in *formula.Interner) cursor {
 	switch t := n.(type) {
 	case *Scan:
 		return &scanCursor{rel: t.Rel}
 	case *Select:
-		return &selectCursor{in: newCursor(t.Input, in), pred: t.Pred}
+		return &selectCursor{in: newCursor(ctx, t.Input, in), pred: t.Pred}
 	case *EquiJoin:
-		return newHashJoinCursor(t, in)
+		return newHashJoinCursor(ctx, t, in)
 	case *ThetaJoin:
-		return newThetaJoinCursor(t, in)
+		return newThetaJoinCursor(ctx, t, in)
 	case *Project:
-		return &projectCursor{in: newCursor(t.Input, in), cols: t.Cols}
+		return &projectCursor{in: newCursor(ctx, t.Input, in), cols: t.Cols}
 	case *GroupLineage:
 		// invariant: compile strips GroupLineage off the root and the
 		// façade rejects nested ones before a plan reaches the runtime.
@@ -166,10 +166,13 @@ type hashJoinCursor struct {
 	mi      int
 }
 
-func newHashJoinCursor(t *EquiJoin, in *formula.Interner) cursor {
-	right := newCursor(t.Right, in)
+func newHashJoinCursor(ctx context.Context, t *EquiJoin, in *formula.Interner) cursor {
+	right := newCursor(ctx, t.Right, in)
 	index := make(map[pdb.Value][]pdb.Tuple)
-	for {
+	for n := 0; ; n++ {
+		if n%cancelStride == 0 && ctx.Err() != nil {
+			break
+		}
 		rt, ok := right.next()
 		if !ok {
 			break
@@ -178,7 +181,7 @@ func newHashJoinCursor(t *EquiJoin, in *formula.Interner) cursor {
 		index[k] = append(index[k], rt)
 	}
 	return &hashJoinCursor{
-		left: newCursor(t.Left, in), index: index,
+		left: newCursor(ctx, t.Left, in), index: index,
 		lcol: t.LeftCol, on: t.On, in: in,
 	}
 }
@@ -216,17 +219,20 @@ type thetaJoinCursor struct {
 	open  bool
 }
 
-func newThetaJoinCursor(t *ThetaJoin, in *formula.Interner) cursor {
-	rc := newCursor(t.Right, in)
+func newThetaJoinCursor(ctx context.Context, t *ThetaJoin, in *formula.Interner) cursor {
+	rc := newCursor(ctx, t.Right, in)
 	var right []pdb.Tuple
-	for {
+	for n := 0; ; n++ {
+		if n%cancelStride == 0 && ctx.Err() != nil {
+			break
+		}
 		rt, ok := rc.next()
 		if !ok {
 			break
 		}
 		right = append(right, rt)
 	}
-	return &thetaJoinCursor{left: newCursor(t.Left, in), right: right, pred: thetaPred(t), in: in}
+	return &thetaJoinCursor{left: newCursor(ctx, t.Left, in), right: right, pred: thetaPred(t), in: in}
 }
 
 // thetaPred composes a ThetaJoin's condition: the structured Less (and
@@ -290,61 +296,63 @@ func joinTuple(lt, rt pdb.Tuple, in *formula.Interner) (pdb.Tuple, bool) {
 	return pdb.Tuple{Vals: vals, Lin: merged}, true
 }
 
-// booleanSink drains the stream into the Boolean answer: the lineage of
-// "some tuple exists". No tuples means no answer (certainly false).
-// The second result counts the tuples drained.
-func booleanSink(cur cursor) ([]pdb.Answer, int64) {
-	var d formula.DNF
-	for {
-		t, ok := cur.next()
-		if !ok {
-			break
-		}
-		d = append(d, t.Lin)
-	}
-	if len(d) == 0 {
-		return nil, 0
-	}
-	return []pdb.Answer{{Lin: d.Normalize()}}, int64(len(d))
+// sinkScratch stages what groupSink drains: every tuple's lineage clause
+// and group id, in arrival order, and the group sizes. It is pooled, so
+// a warm sink allocates per group, never per tuple.
+type sinkScratch struct {
+	clauses []formula.Clause
+	groups  []int32 // clauses[i] belongs to group groups[i]
+	sizes   []int   // tuples per group
 }
 
+var sinkPool = sync.Pool{New: func() any { return new(sinkScratch) }}
+
 // groupSink drains the stream grouping by the projected values,
-// mirroring pdb.GroupProject (including its sorted output order). The
-// second result counts the tuples drained.
-func groupSink(cur cursor, cols []int) ([]pdb.Answer, int64) {
-	groups := make(map[string]*pdb.Answer)
-	var order []string
-	var keyBuf strings.Builder
-	var tuples int64
+// mirroring pdb.GroupProject (including its output order, by
+// pdb.CompareValueKeys); no columns is the Boolean query "some tuple
+// exists", whose one answer has no values, and no tuples means no
+// answer (certainly false). The second result counts the tuples
+// drained. The answers' DNFs share one array sized by that count, each
+// capped at its group's share.
+func groupSink(ctx context.Context, cur cursor, cols []int) ([]pdb.Answer, int64, error) {
+	sc := sinkPool.Get().(*sinkScratch)
+	defer sinkPool.Put(sc)
+	sc.clauses, sc.groups, sc.sizes = sc.clauses[:0], sc.groups[:0], sc.sizes[:0]
+	idx := sprout.NewKeyIndex(len(cols))
 	for {
+		if len(sc.clauses)%cancelStride == 0 && ctx.Err() != nil {
+			break
+		}
 		t, ok := cur.next()
 		if !ok {
 			break
 		}
-		tuples++
-		keyBuf.Reset()
-		for _, c := range cols {
-			pdb.WriteValueKey(&keyBuf, t.Vals[c])
+		g := idx.Lookup(t.Vals, cols, true)
+		if g == len(sc.sizes) {
+			sc.sizes = append(sc.sizes, 0)
 		}
-		k := keyBuf.String()
-		a, ok := groups[k]
-		if !ok {
-			vals := make([]pdb.Value, len(cols))
-			for i, c := range cols {
-				vals[i] = t.Vals[c]
-			}
-			a = &pdb.Answer{Vals: vals}
-			groups[k] = a
-			order = append(order, k)
+		sc.sizes[g]++
+		sc.clauses, sc.groups = append(sc.clauses, t.Lin), append(sc.groups, int32(g))
+	}
+	// The drain, or a join's build loop before it, may have stopped short.
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	out := make([]pdb.Answer, len(sc.sizes))
+	lins := make([]formula.Clause, len(sc.clauses))
+	for g, n := range sc.sizes {
+		if len(cols) > 0 {
+			out[g].Vals = idx.Key(g)
 		}
-		a.Lin = append(a.Lin, t.Lin)
+		out[g].Lin, lins = lins[:0:n], lins[n:]
 	}
-	sort.Strings(order)
-	out := make([]pdb.Answer, 0, len(order))
-	for _, k := range order {
-		a := groups[k]
-		a.Lin = a.Lin.Normalize()
-		out = append(out, *a)
+	for i, c := range sc.clauses {
+		a := &out[sc.groups[i]]
+		a.Lin = append(a.Lin, c)
 	}
-	return out, tuples
+	for g := range out {
+		out[g].Lin = out[g].Lin.Dedup()
+	}
+	slices.SortFunc(out, func(a, b pdb.Answer) int { return pdb.CompareValueKeys(a.Vals, b.Vals) })
+	return out, int64(len(sc.clauses)), nil
 }

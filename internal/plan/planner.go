@@ -220,23 +220,28 @@ func (p *Plan) Lineage() []pdb.Answer {
 	if p.Root == nil {
 		return nil
 	}
-	return p.lineage(context.Background(), nil, nil)
+	answers, _ := p.lineage(context.Background(), nil, nil) // only a dead context fails it
+	return answers
 }
 
 // lineage materializes the plan's answer lineage. The materialization's
 // volumes are recorded on the plan's metrics and, on traced runs, on tr
-// as the "lineage" stage.
-func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) []pdb.Answer {
+// as the "lineage" stage. It stops within cancelStride tuples of ctx
+// dying, with ctx's error.
+func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) ([]pdb.Answer, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer rtrace.StartRegion(ctx, "repro.lineage").End()
 	start := time.Now()
-	answers, st := lineageWithStats(p.Root, in)
+	answers, st, err := lineageWithStats(ctx, p.Root, in)
+	if err != nil {
+		return nil, err
+	}
 	p.metrics.RecordLineage(st.answers, st.clauses, st.tuples)
 	tr.SetLineage(st.answers, st.clauses, st.tuples)
 	tr.AddStage("lineage", st.answers, time.Since(start))
-	return answers
+	return answers, nil
 }
 
 // Answers computes the confidence of every answer along the chosen
@@ -288,9 +293,7 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 	if p.Root == nil {
 		return nil, nil, nil
 	}
-	// The structural routes poll ctx while they scan; lineage
-	// materialization itself is not interruptible (budgets and
-	// cancellation live in the evaluator). All three honour an
+	// All three routes poll ctx while they scan, and honour an
 	// already-expired context before starting.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -383,7 +386,7 @@ func (p *Plan) structural(ctx context.Context, s *formula.Space) (out []pdb.Answ
 // lineageSafe is lineage, contained.
 func (p *Plan) lineageSafe(ctx context.Context, in *formula.Interner, tr *obs.QueryTrace) (answers []pdb.Answer, err error) {
 	defer p.contain("plan.lineage", &err)
-	return p.lineage(ctx, in, tr), nil
+	return p.lineage(ctx, in, tr)
 }
 
 // contain is the one panic containment around all three routes'

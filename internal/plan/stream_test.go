@@ -145,8 +145,8 @@ func TestPlannerLineageWithSharedInterner(t *testing.T) {
 		Cols:  []int{1},
 	}
 	in := formula.NewInterner()
-	first, _ := lineageWithStats(root, in)
-	second, _ := lineageWithStats(root, in) // reuse
+	first, _, _ := lineageWithStats(context.Background(), root, in)
+	second, _, _ := lineageWithStats(context.Background(), root, in) // reuse
 	fresh := Lineage(root)
 	if len(first) != len(fresh) || len(second) != len(fresh) {
 		t.Fatalf("answer counts diverge: %d/%d vs %d", len(first), len(second), len(fresh))

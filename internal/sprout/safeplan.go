@@ -13,7 +13,7 @@
 // Both safe-plan operators cost one pass over their input and allocate
 // per output table, never per input row: they group through one
 // open-addressing table keyed on the projected value vector itself
-// (keyIndex), whose keys live in one flat arena that the output rows
+// (KeyIndex), whose keys live in one flat arena that the output rows
 // then alias.
 package sprout
 
@@ -60,13 +60,14 @@ func tableOver(cols []string, width int, vals []pdb.Value, ps []float64) *ProbTa
 	return t
 }
 
-// keyIndex assigns dense ids, in first-seen order, to the distinct
+// KeyIndex assigns dense ids, in first-seen order, to the distinct
 // projections of value vectors onto width columns. It is an
 // open-addressing (linear probing, load ≤ ½) table over the keys
 // themselves: a vector that lands on a known key allocates nothing, and
 // no encoded key is ever built. Ids fit an int32 — a relation with 2³¹
-// distinct keys does not fit in memory as a []pdb.Tuple.
-type keyIndex struct {
+// distinct keys does not fit in memory as a []pdb.Tuple. The safe-plan
+// operators here and the lineage route's grouping sink (plan) share it.
+type KeyIndex struct {
 	width int
 	n     int         // distinct keys so far
 	keys  []pdb.Value // key id is keys[id*width : (id+1)*width]
@@ -74,12 +75,13 @@ type keyIndex struct {
 	probe []pdb.Value // scratch: the projection being looked up
 }
 
-// minSlots is a keyIndex's initial slot count; it holds minSlots/2 keys
+// minSlots is a KeyIndex's initial slot count; it holds minSlots/2 keys
 // before it first grows.
 const minSlots = 16
 
-func newKeyIndex(width int) keyIndex {
-	return keyIndex{
+// NewKeyIndex returns an empty index of width-column keys.
+func NewKeyIndex(width int) KeyIndex {
+	return KeyIndex{
 		width: width,
 		keys:  make([]pdb.Value, 0, minSlots/2*width),
 		slots: make([]int32, minSlots),
@@ -96,9 +98,16 @@ func hashKey(key []pdb.Value) uint64 {
 	return h
 }
 
-// lookup returns the id of vals projected onto cols. An unseen key gets
-// the next id when add is set and -1 otherwise.
-func (k *keyIndex) lookup(vals []pdb.Value, cols []int, add bool) int {
+// Key returns key id, aliasing the index's arena and capped at its
+// width.
+func (k *KeyIndex) Key(id int) []pdb.Value {
+	return k.keys[id*k.width : (id+1)*k.width : (id+1)*k.width]
+}
+
+// Lookup returns the id of vals projected onto cols (len(cols) must be
+// the index's width). An unseen key gets the next id when add is set
+// and -1 otherwise.
+func (k *KeyIndex) Lookup(vals []pdb.Value, cols []int, add bool) int {
 	key := k.probe[:0]
 	for _, c := range cols {
 		key = append(key, vals[c])
@@ -126,7 +135,7 @@ func (k *keyIndex) lookup(vals []pdb.Value, cols []int, add bool) int {
 }
 
 // grow doubles the slot table and re-seats every key.
-func (k *keyIndex) grow() {
+func (k *KeyIndex) grow() {
 	k.slots = make([]int32, 2*len(k.slots))
 	mask := uint64(len(k.slots) - 1)
 	for id := 0; id < k.n; id++ {
@@ -147,19 +156,19 @@ func (k *keyIndex) grow() {
 // projection is the Boolean one: a single group, or none when no row
 // was added.
 type Grouper struct {
-	keyIndex
-	q []float64 // Π(1 − p) per group
+	idx KeyIndex
+	q   []float64 // Π(1 − p) per group
 }
 
 // NewGrouper returns a Grouper projecting onto width columns.
 func NewGrouper(width int) *Grouper {
-	return &Grouper{keyIndex: newKeyIndex(width), q: make([]float64, 0, minSlots/2)}
+	return &Grouper{idx: NewKeyIndex(width), q: make([]float64, 0, minSlots/2)}
 }
 
 // Add folds in a row with event probability p, grouped by its values at
 // cols (len(cols) must be the Grouper's width).
 func (g *Grouper) Add(vals []pdb.Value, cols []int, p float64) {
-	id := g.lookup(vals, cols, true)
+	id := g.idx.Lookup(vals, cols, true)
 	if id == len(g.q) {
 		g.q = append(g.q, 1)
 	}
@@ -174,7 +183,7 @@ func (g *Grouper) Table(cols []string) *ProbTable {
 	for i, q := range g.q {
 		g.q[i] = 1 - q
 	}
-	t := tableOver(cols, g.width, g.keys, g.q)
+	t := tableOver(cols, g.idx.width, g.idx.keys, g.q)
 	slices.SortFunc(t.Rows, func(a, b ProbRow) int { return pdb.CompareValueKeys(a.Vals, b.Vals) })
 	return t
 }
@@ -221,12 +230,12 @@ func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
 		}
 	}
 	// Index r: the rows of one key, chained in row order.
-	idx := newKeyIndex(len(rcols))
+	idx := NewKeyIndex(len(rcols))
 	var first, last []int32 // per key
 	next := make([]int32, len(r.Rows))
 	for i, row := range r.Rows {
 		next[i] = -1
-		if id := idx.lookup(row.Vals, rcols, true); id == len(first) {
+		if id := idx.Lookup(row.Vals, rcols, true); id == len(first) {
 			first = append(first, int32(i))
 			last = append(last, int32(i))
 		} else {
@@ -237,7 +246,7 @@ func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
 	var vals []pdb.Value
 	var ps []float64
 	for _, lrow := range l.Rows {
-		id := idx.lookup(lrow.Vals, lcols, false)
+		id := idx.Lookup(lrow.Vals, lcols, false)
 		if id < 0 {
 			continue
 		}
