@@ -90,23 +90,6 @@ type Options struct {
 	DisableClosing     bool // never close leaves (Section V-D off)
 	DisableSubsumption bool // skip subsumed-clause removal (Fig. 1 step 1 off)
 	DisableBucketSort  bool // skip probability-sorting in LeafBounds
-
-	// refScan restores the Refiner's original O(tree)-per-Step
-	// bookkeeping — a full bottom-up bounds recompute and a whole-tree
-	// widest-leaf rescan after every refinement — instead of the
-	// incremental dirty-path propagation and open-leaf heap. The two
-	// paths produce bitwise-identical bounds and refinement orders
-	// (property-tested); the reference path is retained only for
-	// differential tests and benchmarks inside this package.
-	refScan bool
-
-	// refPrepare restores the original leaf-preparation pipeline: no
-	// prepared-fragment cache, no construction-aware Normalize /
-	// RemoveSubsumed skips, per-call allocation of every scratch
-	// buffer. Like refScan it produces bitwise-identical bounds and
-	// traces (property-tested) and exists only for differential tests
-	// and benchmarks inside this package.
-	refPrepare bool
 }
 
 // Result reports the outcome of Approx or Exact.
@@ -187,7 +170,7 @@ func Exact(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 // ExactCtx is Exact with cancellation semantics matching ApproxCtx.
 func ExactCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	st := newState(ctx, s, opt)
-	p, err := st.exactRec(d)
+	p, err := st.exactRec(d, false, false)
 	if err != nil {
 		res := st.finish(0, 1)
 		res.Converged = false
@@ -290,28 +273,20 @@ func (st *state) prepare(d formula.DNF) frag {
 	return st.prepareAs(d, false, false)
 }
 
-// prepareAs prepares fragment d. The flags declare properties d has by
-// construction so that content no-op passes are skipped: normalized
-// means d is duplicate-free (Normalize would return identical content),
-// reduced means d carries no subsumed clause (RemoveSubsumed would
-// too). Decomposition children earn these flags structurally: component
-// Selects and independent-and projections of a normalized parent are
-// duplicate-free, Shannon restrictions are deduplicated on the way out,
-// and component Selects of a reduced parent are reduced (a subsuming
-// pair shares the subsumed clause's variables, hence its component).
+// prepareAs prepares fragment d: leafHead under the construction flags
+// documented there, then — for a fragment that is not a leaf yet —
+// inclusion–exclusion when it is small and the Figure 3 heuristic
+// bounds otherwise.
 //
 // With Options.Frags configured, the fragment is looked up before any
-// of that and stored after; a hit replays the work charge of a
-// reference rerun (PreparedFrag.Work) so MaxWork budget traces stay
+// of that and stored after; a hit replays the work charge of an
+// uncached rerun (PreparedFrag.Work) so MaxWork budget traces stay
 // identical with and without the cache.
 func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 	// Chaos site: prepareAs has no error return, so every injected
 	// fault surfaces as a panic and unwinds to the nearest containment
 	// point (NewRefiner, rank's grant, or pdb's per-answer recover).
 	st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
-	if st.opt.refPrepare {
-		return st.prepareRef(d)
-	}
 	c := st.opt.Frags
 	if c != nil {
 		if e, ok := c.Lookup(d, st.variant); ok {
@@ -332,26 +307,11 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 		f.entry = c.Store(key, st.variant, e)
 		return f
 	}
-	if !normalized {
-		d = d.Normalize()
-	}
-	if d.IsTrue() {
-		return store(frag{d: d, lo: 1, hi: 1, exact: true}, w)
-	}
-	if d.IsFalse() {
-		return store(frag{d: d, lo: 0, hi: 0, exact: true}, w)
-	}
-	if !st.opt.DisableSubsumption && !reduced {
-		d = d.RemoveSubsumed()
-	}
-	if len(d) == 1 {
-		p := d[0].Probability(st.s)
+	d, p, leaf := st.leafHead(d, normalized, reduced)
+	if leaf {
 		return store(frag{d: d, lo: p, hi: p, exact: true}, w)
 	}
-	if len(d) <= incExcMaxClauses {
-		ops := int64(1) << len(d)
-		st.work.Add(ops)
-		p := inclusionExclusion(st.s, d)
+	if p, ops, ok := st.smallExact(d); ok {
 		return store(frag{d: d, lo: p, hi: p, exact: true}, w+ops)
 	}
 	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
@@ -536,108 +496,19 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 	return combine(kind, loArr, hiArr)
 }
 
-// decompose applies the first applicable decomposition of Figure 1 and
-// returns the node kind, the prepared children, and the per-child
-// multiplier (P(x = a) for Shannon branches, 1 otherwise). Children
-// inherit the construction guarantees documented on prepareAs, so their
-// preparation skips the corresponding no-op passes; the component
-// partition is memoized on the fragment-cache entry when present.
+// decompose is step for the ε > 0 compilers (explore, Refiner.refine):
+// the component partition is memoized on the fragment-cache entry when
+// f came through one, and the children come back prepared, under the
+// construction flags the step's rule earns them.
 func (st *state) decompose(f frag) (Kind, []frag, []float64) {
-	d := f.d
-	if st.opt.refPrepare {
-		return st.decomposeRef(d)
-	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	if comps := st.components(f, sc); len(comps) > 1 {
-		subs := make([]formula.DNF, len(comps))
-		for i, idx := range comps {
-			subs[i] = d.Select(idx)
-		}
-		return IndepOr, st.prepareAll(subs, true, true), ones(len(subs))
-	}
-	sc.scanVars(st.s, d)
-	if parts := independentAndParts(d, sc); parts != nil {
-		return IndepAnd, st.prepareAll(parts, true, false), ones(len(parts))
-	}
-	x := chooseVar(d, st.opt.Order, sc)
-	dom := st.s.DomainSize(x)
-	subs := make([]formula.DNF, 0, dom)
-	mult := make([]float64, 0, dom)
-	for a := 0; a < dom; a++ {
-		sub := restrictPrepared(d, x, formula.Val(a))
-		if sub.IsFalse() {
-			continue
-		}
-		st.nodes.Add(1) // the {{x=a}} ⊙-companion leaf
-		subs = append(subs, sub)
-		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
-	}
-	return ExclOr, st.prepareAll(subs, true, false), mult
-}
-
-// ones returns the multipliers of an independent-or / independent-and
-// node: n ones.
-func ones(n int) []float64 {
-	mult := make([]float64, n)
-	for i := range mult {
-		mult[i] = 1
-	}
-	return mult
-}
-
-// partsOrVar is the ⊙-then-⊕ analysis of one decomposition step for the
-// recursive compilers: the independent-and parts of d, or nil and the
-// Shannon-expansion variable. The scratch goes back to the pool before
-// the caller recurses, so a compilation holds one however deep it is.
-func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF, formula.Var) {
-	sc := prepPool.Get().(*prepScratch)
-	defer prepPool.Put(sc)
-	sc.scanVars(s, d)
-	if parts := independentAndParts(d, sc); parts != nil {
-		return parts, 0
-	}
-	return nil, chooseVar(d, order, sc)
-}
-
-// prepareAll prepares every child fragment on the calling goroutine,
-// forwarding the construction flags documented on prepareAs.
-func (st *state) prepareAll(subs []formula.DNF, normalized, reduced bool) []frag {
+	kind, subs, mult := st.step(f.d, st.components(f, sc), sc, nil)
 	frags := make([]frag, len(subs))
 	for i, sub := range subs {
-		frags[i] = st.prepareAs(sub, normalized, reduced)
+		frags[i] = st.prepareAs(sub, true, kind == IndepOr)
 	}
-	return frags
-}
-
-// decomposeRef is decompose on the original preparation pipeline:
-// fresh component partition, allocating Restrict, no construction
-// flags. Retained behind Options.refPrepare for the differential
-// property tests.
-func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
-	if comps := d.Components(); len(comps) > 1 {
-		subs := make([]formula.DNF, len(comps))
-		for i, idx := range comps {
-			subs[i] = d.Select(idx)
-		}
-		return IndepOr, st.prepareAll(subs, false, false), ones(len(subs))
-	}
-	parts, x := partsOrVar(st.s, d, st.opt.Order)
-	if parts != nil {
-		return IndepAnd, st.prepareAll(parts, false, false), ones(len(parts))
-	}
-	var subs []formula.DNF
-	var mult []float64
-	for a := 0; a < st.s.DomainSize(x); a++ {
-		sub := d.Restrict(x, formula.Val(a))
-		if sub.IsFalse() {
-			continue
-		}
-		st.nodes.Add(1) // the {{x=a}} ⊙-companion leaf
-		subs = append(subs, sub)
-		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
-	}
-	return ExclOr, st.prepareAll(subs, false, false), mult
+	return kind, frags, mult
 }
 
 // childCtx builds the bound context for child i of a node of the given
@@ -717,6 +588,11 @@ func (st *state) childCtx(cx bctx, kind Kind, q float64, loArr, hiArr []float64,
 	}
 }
 
+// combine folds the children's (weighted) bounds into the node's by the
+// rule of its kind: Σ under ⊕, 1 − Π(1 − ·) under ⊗, Π under ⊙. It is
+// the package's one statement of that algebra — explore, exact
+// evaluation and Node.Probability / Node.Bounds all fold through it;
+// gNode.recompute repeats its operations over cached values in place.
 func combine(kind Kind, loArr, hiArr []float64) (lo, hi float64) {
 	switch kind {
 	case ExclOr:
@@ -748,8 +624,9 @@ func combine(kind Kind, loArr, hiArr []float64) (lo, hi float64) {
 // Independent children recurse through exactChildren, which fans large
 // fragments out on the worker pool; results are combined in child-index
 // order, so parallel and sequential runs produce bitwise-identical
-// probabilities.
-func (st *state) exactRec(d formula.DNF) (float64, error) {
+// probabilities. normalized and reduced are leafHead's construction
+// flags.
+func (st *state) exactRec(d formula.DNF, normalized, reduced bool) (float64, error) {
 	// Poll the context on a stride of the shared node counter: checking
 	// every node would have all pool workers contending on the timer
 	// context's mutex. The first node still polls, so a dead context
@@ -766,74 +643,28 @@ func (st *state) exactRec(d formula.DNF) (float64, error) {
 		st.hitBudget()
 		return 0, ErrBudget
 	}
-	d = d.Normalize()
-	if d.IsTrue() {
-		return 1, nil
-	}
-	if d.IsFalse() {
-		return 0, nil
-	}
-	if !st.opt.DisableSubsumption {
-		d = d.RemoveSubsumed()
-	}
-	if len(d) == 1 {
-		return d[0].Probability(st.s), nil
+	d, p, leaf := st.leafHead(d, normalized, reduced)
+	if leaf {
+		return p, nil
 	}
 	return st.cachedProbErr(d, func() (float64, error) { return st.exactDecompose(d) })
 }
 
-// exactDecompose computes P(d) for a normalized, subsumption-reduced,
-// multi-clause DNF by the first applicable rule of Figure 1.
+// exactDecompose computes P(d) for a multi-clause DNF leafHead has
+// passed: inclusion–exclusion when small, else one step of Figure 1,
+// the children's probabilities folded by the node's rule.
 func (st *state) exactDecompose(d formula.DNF) (float64, error) {
-	if len(d) <= incExcMaxClauses {
-		st.work.Add(1 << len(d))
-		return inclusionExclusion(st.s, d), nil
-	}
-	if comps := d.Components(); len(comps) > 1 {
-		subs := make([]formula.DNF, len(comps))
-		for i, idx := range comps {
-			subs[i] = d.Select(idx)
-		}
-		ps, err := st.exactChildren(subs)
-		if err != nil {
-			return 0, err
-		}
-		q := 1.0
-		for _, p := range ps {
-			q *= 1 - p
-		}
-		return 1 - q, nil
-	}
-	parts, x := partsOrVar(st.s, d, st.opt.Order)
-	if parts != nil {
-		ps, err := st.exactChildren(parts)
-		if err != nil {
-			return 0, err
-		}
-		p := 1.0
-		for _, pp := range ps {
-			p *= pp
-		}
+	if p, _, ok := st.smallExact(d); ok {
 		return p, nil
 	}
-	var subs []formula.DNF
-	var weights []float64
-	for a := 0; a < st.s.DomainSize(x); a++ {
-		sub := d.Restrict(x, formula.Val(a))
-		if sub.IsFalse() {
-			continue
-		}
-		st.nodes.Add(1)
-		subs = append(subs, sub)
-		weights = append(weights, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
-	}
-	ps, err := st.exactChildren(subs)
+	kind, subs, mult := st.stepAlone(d, nil)
+	ps, err := st.exactChildren(subs, true, kind == IndepOr)
 	if err != nil {
 		return 0, err
 	}
-	total := 0.0
-	for i, p := range ps {
-		total += weights[i] * p
+	for i := range ps {
+		ps[i] *= mult[i]
 	}
-	return total, nil
+	p, _ := combine(kind, ps, ps)
+	return p, nil
 }

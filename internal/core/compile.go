@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/formula"
@@ -19,92 +20,58 @@ var ErrBudget = errors.New("core: node budget exhausted before convergence")
 // testing and small formulas; Exact and Approx perform the same
 // decompositions without materialization.
 func Compile(s *formula.Space, d formula.DNF, order VarOrder) *Node {
-	n, _ := compileBudget(s, d, order, &budget{limit: 0})
+	n, _ := CompileBudget(s, d, order, 0)
 	return n
 }
 
 // CompileBudget is Compile with a node budget; it returns ErrBudget when
 // the tree would exceed maxNodes (0 means unlimited).
 func CompileBudget(s *formula.Space, d formula.DNF, order VarOrder, maxNodes int) (*Node, error) {
-	return compileBudget(s, d, order, &budget{limit: maxNodes})
+	st := newState(context.Background(), s, Options{Order: order, MaxNodes: maxNodes})
+	return st.compile(d, false, false)
 }
 
-type budget struct {
-	used  int
-	limit int
+// treeTooBig reports that the nodes counted so far no longer fit
+// CompileBudget's maxNodes.
+func (st *state) treeTooBig() bool {
+	return st.opt.MaxNodes > 0 && st.nodes.Load() > int64(st.opt.MaxNodes)
 }
 
-func (b *budget) take(n int) bool {
-	b.used += n
-	return b.limit <= 0 || b.used <= b.limit
-}
-
-func compileBudget(s *formula.Space, d formula.DNF, order VarOrder, bud *budget) (*Node, error) {
-	if !bud.take(1) {
+// compile builds the complete d-tree of d: leafHead, then step until
+// every leaf is a single clause. normalized and reduced are leafHead's
+// construction flags.
+func (st *state) compile(d formula.DNF, normalized, reduced bool) (*Node, error) {
+	st.nodes.Add(1)
+	if st.treeTooBig() {
 		return nil, ErrBudget
 	}
-	d = d.Normalize()
-	if d.IsTrue() {
-		return NewLeaf(formula.DNF{formula.Clause{}}), nil
-	}
-	// Step 1: remove subsumed clauses.
-	d = d.RemoveSubsumed()
-	if len(d) == 1 {
+	d, _, leaf := st.leafHead(d, normalized, reduced)
+	if leaf {
+		if d.IsTrue() {
+			d = formula.DNF{formula.Clause{}}
+		}
 		return NewLeaf(d), nil
 	}
-
-	// Step 2: independent-or.
-	if comps := d.Components(); len(comps) > 1 {
-		node := &Node{Kind: IndepOr, Children: make([]*Node, 0, len(comps))}
-		for _, idx := range comps {
-			c, err := compileBudget(s, d.Select(idx), order, bud)
-			if err != nil {
-				return nil, err
-			}
-			node.Children = append(node.Children, c)
-		}
-		return node, nil
-	}
-
-	// Step 3: independent-and.
-	parts, x := partsOrVar(s, d, order)
-	if parts != nil {
-		node := &Node{Kind: IndepAnd, Children: make([]*Node, 0, len(parts))}
-		for _, p := range parts {
-			c, err := compileBudget(s, p, order, bud)
-			if err != nil {
-				return nil, err
-			}
-			node.Children = append(node.Children, c)
-		}
-		return node, nil
-	}
-
-	// Step 4: Shannon expansion.
-	node := &Node{Kind: ExclOr}
-	for a := 0; a < s.DomainSize(x); a++ {
-		sub := d.Restrict(x, formula.Val(a))
-		if sub.IsFalse() {
-			continue
-		}
-		atomLeaf := NewLeaf(formula.DNF{formula.MustClause(formula.Atom{Var: x, Val: formula.Val(a)})})
-		if !bud.take(2) { // the ⊙ node and its atom leaf
+	var atoms []formula.Atom
+	kind, subs, _ := st.stepAlone(d, &atoms)
+	if kind == ExclOr {
+		// step counted each branch's {x = a} leaf; the ⊙ node that
+		// joins it to the branch's subtree is this compiler's own.
+		st.nodes.Add(int64(len(subs)))
+		if st.treeTooBig() {
 			return nil, ErrBudget
 		}
-		child, err := compileBudget(s, sub, order, bud)
+	}
+	node := &Node{Kind: kind, Children: make([]*Node, len(subs))}
+	for i, sub := range subs {
+		c, err := st.compile(sub, true, kind == IndepOr)
 		if err != nil {
 			return nil, err
 		}
-		node.Children = append(node.Children, &Node{
-			Kind:     IndepAnd,
-			Children: []*Node{atomLeaf, child},
-		})
-	}
-	if len(node.Children) == 0 {
-		// d had clauses but every restriction vanished: impossible for a
-		// normalized non-empty DNF, since each clause survives under its
-		// own atom's value.
-		panic("core: Shannon expansion produced no branches")
+		if kind == ExclOr {
+			c = &Node{Kind: IndepAnd, Children: []*Node{NewLeaf(formula.DNF{formula.MustClause(atoms[i])}), c}}
+		}
+		node.Children[i] = c
 	}
 	return node, nil
 }

@@ -64,6 +64,28 @@ func TestCompileTrueAndSingleton(t *testing.T) {
 	}
 }
 
+// The empty DNF is false: one leaf holding it, like Exact and Approx
+// report 0. (Compile's own rule list used to miss the case and index
+// the variable scan at -1.)
+func TestCompileFalse(t *testing.T) {
+	s := formula.NewSpace()
+	s.AddBool(0.4)
+	for _, d := range []formula.DNF{nil, {}} {
+		tree, err := CompileBudget(s, d, OrderAuto, 1)
+		if err != nil {
+			t.Fatalf("CompileBudget: %v", err)
+		}
+		for _, n := range []*Node{tree, Compile(s, d, OrderMostFrequent)} {
+			if n.Kind != LeafKind || len(n.Leaf) != 0 || n.Size() != 1 || !n.Complete() {
+				t.Fatalf("⊥ should compile to one complete empty leaf, got\n%s", n.String(s))
+			}
+			if p := n.Probability(s); p != 0 {
+				t.Fatalf("P(⊥) = %v", p)
+			}
+		}
+	}
+}
+
 func TestCompileEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		cfg := randdnf.Default()

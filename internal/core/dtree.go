@@ -116,69 +116,35 @@ func (n *Node) CountKind(k Kind) int {
 // leaves the leaf probability is computed by brute force, so Probability
 // is exact on any d-tree but only efficient on (near-)complete ones.
 func (n *Node) Probability(s *formula.Space) float64 {
-	switch n.Kind {
-	case LeafKind:
-		if len(n.Leaf) == 1 {
-			return n.Leaf[0].Probability(s)
+	p, _ := n.fold(func(d formula.DNF) (lo, hi float64) {
+		if len(d) == 1 {
+			p := d[0].Probability(s)
+			return p, p
 		}
-		return formula.BruteForceProbability(s, n.Leaf)
-	case IndepOr:
-		q := 1.0
-		for _, c := range n.Children {
-			q *= 1 - c.Probability(s)
-		}
-		return 1 - q
-	case IndepAnd:
-		p := 1.0
-		for _, c := range n.Children {
-			p *= c.Probability(s)
-		}
-		return p
-	case ExclOr:
-		p := 0.0
-		for _, c := range n.Children {
-			p += c.Probability(s)
-		}
-		return p
-	}
-	panic("core: unknown node kind")
+		p := formula.BruteForceProbability(s, d)
+		return p, p
+	})
+	return p
 }
 
 // Bounds computes lower and upper probability bounds of the d-tree in one
 // bottom-up pass (Section V-B): leaf bounds come from the Independent
 // heuristic, inner nodes combine children bounds monotonically.
 func (n *Node) Bounds(s *formula.Space) (lo, hi float64) {
-	switch n.Kind {
-	case LeafKind:
-		return LeafBounds(s, n.Leaf, true)
-	case IndepOr:
-		ql, qh := 1.0, 1.0
-		for _, c := range n.Children {
-			l, h := c.Bounds(s)
-			ql *= 1 - l
-			qh *= 1 - h
-		}
-		return 1 - ql, 1 - qh
-	case IndepAnd:
-		lo, hi = 1, 1
-		for _, c := range n.Children {
-			l, h := c.Bounds(s)
-			lo *= l
-			hi *= h
-		}
-		return lo, hi
-	case ExclOr:
-		for _, c := range n.Children {
-			l, h := c.Bounds(s)
-			lo += l
-			hi += h
-		}
-		if hi > 1 {
-			hi = 1
-		}
-		return lo, hi
+	return n.fold(func(d formula.DNF) (lo, hi float64) { return LeafBounds(s, d, true) })
+}
+
+// fold evaluates the tree bottom-up: leaf at the leaves, combine — the
+// one statement of the ⊗ / ⊙ / ⊕ bound algebra — at the inner nodes.
+func (n *Node) fold(leaf func(formula.DNF) (lo, hi float64)) (lo, hi float64) {
+	if n.Kind == LeafKind {
+		return leaf(n.Leaf)
 	}
-	panic("core: unknown node kind")
+	los, his := make([]float64, len(n.Children)), make([]float64, len(n.Children))
+	for i, c := range n.Children {
+		los[i], his[i] = c.fold(leaf)
+	}
+	return combine(n.Kind, los, his)
 }
 
 // String renders the tree structure with variable names from s.

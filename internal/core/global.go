@@ -45,88 +45,6 @@ type gNode struct {
 	lo, hi   float64
 }
 
-func (n *gNode) isLeaf() bool { return len(n.children) == 0 }
-
-// bounds recomputes the node's probability interval bottom-up over the
-// whole subtree, including each child's branch weight. It is the
-// O(tree) reference implementation retained for the refScan path and
-// the differential tests; the hot path maintains the same values
-// incrementally (see gNode.recompute), bitwise-identically.
-func (n *gNode) bounds() (lo, hi float64) {
-	var sc boundsScratch
-	return n.boundsWith(&sc, 0)
-}
-
-// boundsWith is bounds with caller-provided scratch buffers: one
-// lo/hi slice pair per tree level, reused across calls, so repeated
-// full recomputes (the refScan reference path) allocate only on tree
-// growth. The operations and their order are exactly those of the
-// original per-call-allocating implementation.
-func (n *gNode) boundsWith(sc *boundsScratch, depth int) (lo, hi float64) {
-	if n.isLeaf() {
-		return n.frag.lo, n.frag.hi
-	}
-	for len(sc.lo) <= depth {
-		sc.lo = append(sc.lo, nil)
-		sc.hi = append(sc.hi, nil)
-	}
-	loArr, hiArr := sc.lo[depth][:0], sc.hi[depth][:0]
-	for _, c := range n.children {
-		l, h := c.boundsWith(sc, depth+1)
-		m := c.mult
-		if m == 0 {
-			m = 1
-		}
-		loArr = append(loArr, m*l)
-		hiArr = append(hiArr, m*h)
-	}
-	sc.lo[depth], sc.hi[depth] = loArr, hiArr // keep grown capacity
-	return combine(n.kind, loArr, hiArr)
-}
-
-// boundsScratch holds the per-level slice buffers of boundsWith.
-type boundsScratch struct {
-	lo, hi [][]float64
-}
-
-// complete reports whether every leaf is exact.
-func (n *gNode) complete() bool {
-	if n.isLeaf() {
-		return n.frag.exact
-	}
-	for _, c := range n.children {
-		if !c.complete() {
-			return false
-		}
-	}
-	return true
-}
-
-// widestLeaf returns the open leaf with the largest bounds interval, or
-// nil if every leaf is exact. Width ties go to the first such leaf in
-// DFS preorder (the scan below keeps the first strictly-widest hit).
-// This is the O(tree) reference implementation retained for the refScan
-// path; the hot path keeps the open leaves in a heap with the same
-// ordering (see leafHeap).
-func (n *gNode) widestLeaf() *gNode {
-	if n.isLeaf() {
-		if n.frag.exact {
-			return nil
-		}
-		return n
-	}
-	var best *gNode
-	bestW := -1.0
-	for _, c := range n.children {
-		if leaf := c.widestLeaf(); leaf != nil {
-			if w := leaf.frag.hi - leaf.frag.lo; w > bestW {
-				best, bestW = leaf, w
-			}
-		}
-	}
-	return best
-}
-
 // refine decomposes the leaf one level, turning it into an inner node
 // whose children are freshly prepared fragments wired for incremental
 // propagation (parent pointers, cached heuristic bounds).

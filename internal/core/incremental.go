@@ -11,16 +11,16 @@ import "container/heap"
 //   - a heap of open leaves ordered widest-interval-first, so widest-
 //     leaf selection is O(log leaves) instead of an O(tree) rescan.
 //
-// The O(tree) reference implementations are retained in global.go
-// behind Options.refScan for differential testing. Both paths produce
-// bitwise-identical bounds: recompute performs exactly the float
-// operations of gNode.bounds at each node, in the same order, and only
-// nodes whose subtree changed are recomputed — an unchanged child
+// The O(tree) implementations they replaced are the oracle in
+// oracle_test.go (refRefiner over gNode.bounds and gNode.widestLeaf).
+// Both produce bitwise-identical bounds: recompute performs exactly the
+// float operations of gNode.bounds at each node, in the same order, and
+// only nodes whose subtree changed are recomputed — an unchanged child
 // contributes the identical cached value a full recompute would derive.
 
 // recompute refreshes n's cached interval from its children's cached
-// intervals, mirroring gNode.bounds at this node (same operation
-// order, same clamping).
+// intervals — combine's operations in combine's order, over the cached
+// values in place.
 func (n *gNode) recompute() {
 	var lo, hi float64
 	switch n.kind {
@@ -82,8 +82,8 @@ func propagate(n *gNode) int {
 }
 
 // leafHeap orders the open (inexact) leaves widest bounds interval
-// first, ties broken by DFS preorder — exactly the leaf the reference
-// widestLeaf scan would return. Leaf widths never change after
+// first, ties broken by DFS preorder — exactly the leaf the oracle's
+// widestLeaf scan returns. Leaf widths never change after
 // preparation, so the heap needs no re-keying: leaves are pushed at
 // creation and popped once, when chosen for refinement.
 type leafHeap []*gNode
@@ -114,8 +114,8 @@ func (h *leafHeap) Pop() any {
 }
 
 // dfsBefore reports whether leaf a precedes leaf b in DFS preorder of
-// the materialized tree — the traversal order of the reference
-// widestLeaf scan, preserved as the heap's deterministic tie-break.
+// the materialized tree — the traversal order of a whole-tree
+// widest-leaf scan, which is the heap's deterministic tie-break.
 // Both arguments are leaves, so neither is an ancestor of the other
 // and the lockstep walk always reaches distinct siblings.
 func dfsBefore(a, b *gNode) bool {

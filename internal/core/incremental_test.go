@@ -12,8 +12,9 @@ import (
 
 // Differential property: the incremental dirty-path bound propagation
 // and heap-based widest-leaf selection must be indistinguishable from
-// the retained O(tree) reference path (full bottom-up recompute +
-// whole-tree rescan) across entire refinement traces — bitwise-equal
+// the O(tree) oracle (refRefiner in oracle_test.go: full bottom-up
+// recompute + whole-tree rescan, on the reference preparation
+// pipeline) across entire refinement traces — bitwise-equal
 // bounds after every single step, the same step counts, and the same
 // terminal errors. Bitwise equality also pins the refinement order:
 // a single divergent widest-leaf pick (e.g. a width tie broken
@@ -77,12 +78,13 @@ func TestRefinerIncrementalTieBreaks(t *testing.T) {
 	diffTrace(t, s, d, Options{Eps: 1e-6, Kind: Absolute}, "symmetric components")
 }
 
-// diffTrace steps an incremental and a reference refiner over d in
-// lockstep and requires bitwise-identical behavior at every step.
+// diffTrace steps a Refiner and the refRefiner oracle over d in
+// lockstep and requires bitwise-identical behavior at every step:
+// bounds, done flags, step counts, errors and Results.
 func diffTrace(t *testing.T, s *formula.Space, d formula.DNF, opt Options, format string, args ...any) {
 	t.Helper()
 	inc := NewRefiner(context.Background(), s, d, opt)
-	ref := NewRefiner(context.Background(), s, d, refOpt(opt))
+	ref := newRefRefiner(context.Background(), s, d, opt)
 	step := 0
 	for !inc.Done() || !ref.Done() {
 		iLo, iHi, iDone := inc.Step(1)
@@ -116,10 +118,4 @@ func diffTrace(t *testing.T, s *formula.Space, d formula.DNF, opt Options, forma
 
 func label(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
-}
-
-// refOpt returns opt with the O(tree) reference path enabled.
-func refOpt(opt Options) Options {
-	opt.refScan = true
-	return opt
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"slices"
 	"sort"
@@ -361,4 +362,383 @@ func refLeafOrder(probs []float64) []int {
 		return 0
 	})
 	return order
+}
+
+// The rest of this file is Figure 1 and the Refiner's bookkeeping as
+// they ran before figure1.go's shared step and incremental.go's dirty
+// path: the allocate-everything pipeline (d.Normalize on every
+// fragment, d.Components on a fresh union-find, d.Restrict with a full
+// dedup on every child) and the O(tree)-per-Step bounds recompute and
+// widest-leaf rescan, moved here verbatim from approx.go, parallel.go,
+// prepare.go, global.go and refiner.go. refExact is the oracle of exact
+// evaluation, refRefiner of every ε > 0 trace.
+
+// refExact is ExactCtx over refExactRec.
+func refExact(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
+	st := newState(ctx, s, opt)
+	p, err := st.refExactRec(d)
+	if err != nil {
+		res := st.finish(0, 1)
+		res.Converged = false
+		return res, err
+	}
+	res := st.finish(p, p)
+	res.Estimate, res.Exact, res.Converged = p, true, true
+	return res, nil
+}
+
+// refExactRec is exactRec as it ran before the shared step: the exhaustive, bounds-free compilation used for Eps 0.
+// Independent children recurse through refExactChildren, which fans large
+// fragments out on the worker pool; results are combined in child-index
+// order, so parallel and sequential runs produce bitwise-identical
+// probabilities.
+func (st *state) refExactRec(d formula.DNF) (float64, error) {
+	// Poll the context on a stride of the shared node counter: checking
+	// every node would have all pool workers contending on the timer
+	// context's mutex. The first node still polls, so a dead context
+	// fails fast. Once a poll has latched an interruption every node
+	// polls, or each RunAbort sibling of the unwinding batch would run on
+	// to a stride poll of its own.
+	if n := st.nodes.Add(1); n%exactCtxStride == 1 || st.poisoned.Load() {
+		if err := st.interruptedOrInjected(); err != nil {
+			return 0, err
+		}
+	}
+	st.work.Add(int64(len(d)))
+	if st.overBudget() {
+		st.hitBudget()
+		return 0, ErrBudget
+	}
+	d = d.Normalize()
+	if d.IsTrue() {
+		return 1, nil
+	}
+	if d.IsFalse() {
+		return 0, nil
+	}
+	if !st.opt.DisableSubsumption {
+		d = d.RemoveSubsumed()
+	}
+	if len(d) == 1 {
+		return d[0].Probability(st.s), nil
+	}
+	return st.cachedProbErr(d, func() (float64, error) { return st.refExactDecompose(d) })
+}
+
+// refExactDecompose computes P(d) for a normalized, subsumption-reduced,
+// multi-clause DNF by the first applicable rule of Figure 1.
+func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
+	if len(d) <= incExcMaxClauses {
+		st.work.Add(1 << len(d))
+		return inclusionExclusion(st.s, d), nil
+	}
+	if comps := d.Components(); len(comps) > 1 {
+		subs := make([]formula.DNF, len(comps))
+		for i, idx := range comps {
+			subs[i] = d.Select(idx)
+		}
+		ps, err := st.refExactChildren(subs)
+		if err != nil {
+			return 0, err
+		}
+		q := 1.0
+		for _, p := range ps {
+			q *= 1 - p
+		}
+		return 1 - q, nil
+	}
+	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	if parts != nil {
+		ps, err := st.refExactChildren(parts)
+		if err != nil {
+			return 0, err
+		}
+		p := 1.0
+		for _, pp := range ps {
+			p *= pp
+		}
+		return p, nil
+	}
+	var subs []formula.DNF
+	var weights []float64
+	for a := 0; a < st.s.DomainSize(x); a++ {
+		sub := d.Restrict(x, formula.Val(a))
+		if sub.IsFalse() {
+			continue
+		}
+		st.nodes.Add(1)
+		subs = append(subs, sub)
+		weights = append(weights, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
+	}
+	ps, err := st.refExactChildren(subs)
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for i, p := range ps {
+		total += weights[i] * p
+	}
+	return total, nil
+}
+
+// refExactChildren computes the exact probability of every child fragment,
+// in parallel when worthwhile. The result slice is ordered like subs and
+// callers combine it in index order, so the probabilities (and their
+// floating-point rounding) are identical to a sequential run. Errors are
+// reported in index order for the same reason.
+func (st *state) refExactChildren(subs []formula.DNF) ([]float64, error) {
+	ps := make([]float64, len(subs))
+	if !st.parallelizable(subs) {
+		for i, sub := range subs {
+			p, err := st.refExactRec(sub)
+			if err != nil {
+				return nil, err
+			}
+			ps[i] = p
+		}
+		return ps, nil
+	}
+	errs := make([]error, len(subs))
+	tasks := make([]func(), len(subs))
+	for i := range subs {
+		tasks[i] = func() { ps[i], errs[i] = st.refExactRec(subs[i]) }
+	}
+	st.opt.Pool.RunAbort(st.poison, tasks...)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
+}
+
+// partsOrVar is the ⊙-then-⊕ analysis of one decomposition step for the
+// recursive compilers: the independent-and parts of d, or nil and the
+// Shannon-expansion variable. The scratch goes back to the pool before
+// the caller recurses, so a compilation holds one however deep it is.
+func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF, formula.Var) {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	sc.scanVars(s, d)
+	if parts := independentAndParts(d, sc); parts != nil {
+		return parts, 0
+	}
+	return nil, chooseVar(d, order, sc)
+}
+
+// decomposeRef is decompose on the original preparation pipeline:
+// fresh component partition, allocating Restrict, no construction
+// flags.
+func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
+	if comps := d.Components(); len(comps) > 1 {
+		subs := make([]formula.DNF, len(comps))
+		for i, idx := range comps {
+			subs[i] = d.Select(idx)
+		}
+		return IndepOr, st.prepareAllRef(subs), ones(len(subs))
+	}
+	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	if parts != nil {
+		return IndepAnd, st.prepareAllRef(parts), ones(len(parts))
+	}
+	var subs []formula.DNF
+	var mult []float64
+	for a := 0; a < st.s.DomainSize(x); a++ {
+		sub := d.Restrict(x, formula.Val(a))
+		if sub.IsFalse() {
+			continue
+		}
+		st.nodes.Add(1) // the {{x=a}} ⊙-companion leaf
+		subs = append(subs, sub)
+		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
+	}
+	return ExclOr, st.prepareAllRef(subs), mult
+}
+
+// prepareAllRef prepares every child fragment from scratch.
+func (st *state) prepareAllRef(subs []formula.DNF) []frag {
+	frags := make([]frag, len(subs))
+	for i, sub := range subs {
+		frags[i] = st.prepareRef(sub)
+	}
+	return frags
+}
+
+// prepareRef is the original leaf-preparation pipeline: no fragment
+// cache, no
+// construction-aware shortcuts — every fragment is re-normalized,
+// re-reduced and re-bounded from scratch.
+func (st *state) prepareRef(d formula.DNF) frag {
+	st.work.Add(int64(len(d)))
+	d = d.Normalize()
+	if d.IsTrue() {
+		return frag{d: d, lo: 1, hi: 1, exact: true}
+	}
+	if d.IsFalse() {
+		return frag{d: d, lo: 0, hi: 0, exact: true}
+	}
+	if !st.opt.DisableSubsumption {
+		d = d.RemoveSubsumed()
+	}
+	if len(d) == 1 {
+		p := d[0].Probability(st.s)
+		return frag{d: d, lo: p, hi: p, exact: true}
+	}
+	if len(d) <= incExcMaxClauses {
+		st.work.Add(1 << len(d))
+		p := inclusionExclusion(st.s, d)
+		return frag{d: d, lo: p, hi: p, exact: true}
+	}
+	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
+	st.work.Add(int64(ops))
+	return frag{d: d, lo: lo, hi: hi, exact: lo == hi}
+}
+
+// refRefiner is the Refiner before the open-leaf heap, the dirty-path
+// propagation and the FragCache: every Step rescans the whole tree for
+// the widest open leaf, refines it on the reference pipeline and
+// recomputes the root interval bottom-up. It shares the Refiner's
+// shell (absorb, fail, the accessors); the heap stays empty.
+type refRefiner struct {
+	Refiner
+	scratch boundsScratch // reusable full-recompute buffers
+}
+
+func newRefRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) *refRefiner {
+	st := newState(ctx, s, opt)
+	r := &refRefiner{Refiner: Refiner{st: st, lo: 0, hi: 1}}
+	if err := st.ctx.Err(); err != nil {
+		r.fail(err)
+		return r
+	}
+	f := st.prepareRef(d)
+	r.root = &gNode{frag: f, lo: f.lo, hi: f.hi}
+	r.absorb(f.lo, f.hi)
+	return r
+}
+
+func (r *refRefiner) Step(budget int) (lo, hi float64, done bool) {
+	if budget < 1 {
+		budget = 1
+	}
+	for i := 0; i < budget && !r.done; i++ {
+		if err := r.st.interruptedOrInjected(); err != nil {
+			r.fail(err)
+			break
+		}
+		if r.st.overBudget() {
+			r.fail(ErrBudget)
+			break
+		}
+		leaf := r.root.widestLeaf()
+		if leaf == nil {
+			r.done = true
+			break
+		}
+		r.st.refineRef(leaf)
+		r.steps++
+		r.absorb(r.root.boundsWith(&r.scratch, 0))
+	}
+	return r.lo, r.hi, r.done
+}
+
+func (r *refRefiner) Result() Result {
+	res := r.st.finish(r.lo, r.hi)
+	res.EarlyStop = res.Converged && r.root != nil && !r.root.complete()
+	return res
+}
+
+// refineRef is refine over decomposeRef.
+func (st *state) refineRef(leaf *gNode) {
+	kind, children, mult := st.decomposeRef(leaf.frag.d)
+	leaf.kind = kind
+	leaf.children = make([]*gNode, len(children))
+	for i, f := range children {
+		leaf.children[i] = &gNode{
+			frag: f, mult: mult[i],
+			parent: leaf, childIdx: int32(i), depth: leaf.depth + 1,
+			lo: f.lo, hi: f.hi,
+		}
+	}
+	st.nodes.Add(int64(len(children)))
+}
+
+func (n *gNode) isLeaf() bool { return len(n.children) == 0 }
+
+// bounds recomputes the node's probability interval bottom-up over the
+// whole subtree, including each child's branch weight. The hot
+// path maintains the same values incrementally (see gNode.recompute),
+// bitwise-identically.
+func (n *gNode) bounds() (lo, hi float64) {
+	var sc boundsScratch
+	return n.boundsWith(&sc, 0)
+}
+
+// boundsWith is bounds with caller-provided scratch buffers: one
+// lo/hi slice pair per tree level, reused across calls, so repeated
+// full recomputes allocate only on tree
+// growth. The operations and their order are exactly those of the
+// original per-call-allocating implementation.
+func (n *gNode) boundsWith(sc *boundsScratch, depth int) (lo, hi float64) {
+	if n.isLeaf() {
+		return n.frag.lo, n.frag.hi
+	}
+	for len(sc.lo) <= depth {
+		sc.lo = append(sc.lo, nil)
+		sc.hi = append(sc.hi, nil)
+	}
+	loArr, hiArr := sc.lo[depth][:0], sc.hi[depth][:0]
+	for _, c := range n.children {
+		l, h := c.boundsWith(sc, depth+1)
+		m := c.mult
+		if m == 0 {
+			m = 1
+		}
+		loArr = append(loArr, m*l)
+		hiArr = append(hiArr, m*h)
+	}
+	sc.lo[depth], sc.hi[depth] = loArr, hiArr // keep grown capacity
+	return combine(n.kind, loArr, hiArr)
+}
+
+// boundsScratch holds the per-level slice buffers of boundsWith.
+type boundsScratch struct {
+	lo, hi [][]float64
+}
+
+// complete reports whether every leaf is exact.
+func (n *gNode) complete() bool {
+	if n.isLeaf() {
+		return n.frag.exact
+	}
+	for _, c := range n.children {
+		if !c.complete() {
+			return false
+		}
+	}
+	return true
+}
+
+// widestLeaf returns the open leaf with the largest bounds interval, or
+// nil if every leaf is exact. Width ties go to the first such leaf in
+// DFS preorder (the scan below keeps the first strictly-widest hit).
+// The hot path keeps the open leaves in a heap with the same ordering
+// (see leafHeap).
+func (n *gNode) widestLeaf() *gNode {
+	if n.isLeaf() {
+		if n.frag.exact {
+			return nil
+		}
+		return n
+	}
+	var best *gNode
+	bestW := -1.0
+	for _, c := range n.children {
+		if leaf := c.widestLeaf(); leaf != nil {
+			if w := leaf.frag.hi - leaf.frag.lo; w > bestW {
+				best, bestW = leaf, w
+			}
+		}
+	}
+	return best
 }

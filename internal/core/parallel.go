@@ -31,12 +31,13 @@ func (st *state) parallelizable(subs []formula.DNF) bool {
 // in parallel when worthwhile. The result slice is ordered like subs and
 // callers combine it in index order, so the probabilities (and their
 // floating-point rounding) are identical to a sequential run. Errors are
-// reported in index order for the same reason.
-func (st *state) exactChildren(subs []formula.DNF) ([]float64, error) {
+// reported in index order for the same reason. normalized and reduced
+// are the construction flags the children share (see leafHead).
+func (st *state) exactChildren(subs []formula.DNF, normalized, reduced bool) ([]float64, error) {
 	ps := make([]float64, len(subs))
 	if !st.parallelizable(subs) {
 		for i, sub := range subs {
-			p, err := st.exactRec(sub)
+			p, err := st.exactRec(sub, normalized, reduced)
 			if err != nil {
 				return nil, err
 			}
@@ -47,7 +48,7 @@ func (st *state) exactChildren(subs []formula.DNF) ([]float64, error) {
 	errs := make([]error, len(subs))
 	tasks := make([]func(), len(subs))
 	for i := range subs {
-		tasks[i] = func() { ps[i], errs[i] = st.exactRec(subs[i]) }
+		tasks[i] = func() { ps[i], errs[i] = st.exactRec(subs[i], normalized, reduced) }
 	}
 	st.opt.Pool.RunAbort(st.poison, tasks...)
 	for _, err := range errs {

@@ -18,10 +18,8 @@ import (
 //     Shannon siblings prepare once, and the component partition a
 //     later refinement needs is memoized on the entry;
 //   - construction-aware shortcuts: decomposition children are
-//     duplicate-free by construction (component Selects and
-//     independent-and projections of a normalized parent, Shannon
-//     restrictions deduplicated on the way out), and component Selects
-//     are subsumption-free too, so prepare skips Normalize /
+//     duplicate-free by construction, and component Selects are
+//     subsumption-free too, so leafHead (figure1.go) skips Normalize /
 //     RemoveSubsumed passes that would be content no-ops;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
@@ -31,10 +29,9 @@ import (
 //     Normalize, RemoveSubsumed, the restrictions' Dedup — probes
 //     formula's own pooled clause table (formula/hash.go).
 //
-// The original allocate-everything pipeline is retained verbatim
-// behind the internal Options.refPrepare flag; the differential
-// property tests in prepare_test.go prove both pipelines
-// bitwise-identical across full refinement and ranking traces.
+// The original allocate-everything pipeline is refRefiner's half of
+// oracle_test.go; the differential property tests in prepare_test.go
+// prove both pipelines bitwise-identical across full refinement traces.
 
 // prepScratch bundles the reusable buffers of leaf preparation. One
 // scratch serves one preparation at a time; concurrent evaluations
@@ -149,35 +146,4 @@ func (st *state) components(f frag, sc *prepScratch) [][]int {
 		f.entry.SetComponents(comps)
 	}
 	return comps
-}
-
-// prepareRef is the original leaf-preparation pipeline, retained
-// verbatim behind Options.refPrepare as the reference for the
-// differential property tests: no fragment cache, no
-// construction-aware shortcuts — every fragment is re-normalized,
-// re-reduced and re-bounded from scratch.
-func (st *state) prepareRef(d formula.DNF) frag {
-	st.work.Add(int64(len(d)))
-	d = d.Normalize()
-	if d.IsTrue() {
-		return frag{d: d, lo: 1, hi: 1, exact: true}
-	}
-	if d.IsFalse() {
-		return frag{d: d, lo: 0, hi: 0, exact: true}
-	}
-	if !st.opt.DisableSubsumption {
-		d = d.RemoveSubsumed()
-	}
-	if len(d) == 1 {
-		p := d[0].Probability(st.s)
-		return frag{d: d, lo: p, hi: p, exact: true}
-	}
-	if len(d) <= incExcMaxClauses {
-		st.work.Add(1 << len(d))
-		p := inclusionExclusion(st.s, d)
-		return frag{d: d, lo: p, hi: p, exact: true}
-	}
-	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
-	st.work.Add(int64(ops))
-	return frag{d: d, lo: lo, hi: hi, exact: lo == hi}
 }

@@ -21,11 +21,9 @@ func benchPrepDNF(clauses int) (*formula.Space, formula.DNF) {
 }
 
 // BenchmarkPrepare measures one full leaf preparation (normalize,
-// reduce, heuristic bounds) per op across the pipeline variants:
-// reference (original allocate-everything path), cold (optimized
-// pipeline, no fragment cache), and warm (optimized pipeline hitting a
-// pre-warmed fragment cache). Allocation counts are the point — run
-// with -benchmem.
+// reduce, heuristic bounds) per op, cold (no fragment cache) and warm
+// (hitting a pre-warmed fragment cache). Allocation counts are the
+// point — run with -benchmem.
 func BenchmarkPrepare(b *testing.B) {
 	for _, clauses := range []int{40, 160} {
 		s, d := benchPrepDNF(clauses)
@@ -33,7 +31,6 @@ func BenchmarkPrepare(b *testing.B) {
 			name string
 			opt  Options
 		}{
-			{"reference", Options{Eps: 1e-6, refPrepare: true}},
 			{"cold", Options{Eps: 1e-6}},
 			{"warm", Options{Eps: 1e-6, Frags: formula.NewFragCache(0)}},
 		}

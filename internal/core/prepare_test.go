@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,61 +10,13 @@ import (
 	"repro/internal/randdnf"
 )
 
-// refPrepOpt returns opt with both reference paths enabled: the
-// original allocate-everything leaf preparation and the O(tree)
-// refinement bookkeeping. Everything the optimized pipeline does —
-// fragment cache, construction-aware skips, pooled scratch, prepared
-// restrict — is differenced against this.
-func refPrepOpt(opt Options) Options {
-	opt.refPrepare = true
-	opt.refScan = true
-	opt.Frags = nil
-	return opt
-}
-
-// diffPrepareTrace steps a refiner on the optimized preparation
-// pipeline (with the given fragment cache, possibly pre-warmed) and a
-// reference refiner in lockstep, requiring bitwise-identical bounds at
-// every step, identical step counts, errors, and Results. ProbCache
-// hit/miss counters are exempted when a fragment cache is in play: a
-// fragment-cache hit legitimately skips the probability-cache lookup.
-func diffPrepareTrace(t *testing.T, s *formula.Space, d formula.DNF, opt Options, format string, args ...any) {
-	t.Helper()
-	inc := NewRefiner(context.Background(), s, d, opt)
-	ref := NewRefiner(context.Background(), s, d, refPrepOpt(opt))
-	step := 0
-	for !inc.Done() || !ref.Done() {
-		iLo, iHi, iDone := inc.Step(1)
-		rLo, rHi, rDone := ref.Step(1)
-		if iLo != rLo || iHi != rHi || iDone != rDone {
-			t.Fatalf("%s: step %d diverged: cached [%v,%v] done=%v, reference [%v,%v] done=%v",
-				label(format, args...), step, iLo, iHi, iDone, rLo, rHi, rDone)
-		}
-		step++
-		if step > 1<<20 {
-			t.Fatalf("%s: trace did not terminate", label(format, args...))
-		}
-	}
-	if inc.Steps() != ref.Steps() {
-		t.Fatalf("%s: step counts diverged: %d vs %d", label(format, args...), inc.Steps(), ref.Steps())
-	}
-	if !errors.Is(inc.Err(), ref.Err()) && !errors.Is(ref.Err(), inc.Err()) {
-		t.Fatalf("%s: errors diverged: %v vs %v", label(format, args...), inc.Err(), ref.Err())
-	}
-	ri, rr := inc.Result(), ref.Result()
-	ri.CacheHits, ri.CacheMisses = 0, 0
-	rr.CacheHits, rr.CacheMisses = 0, 0
-	if ri != rr {
-		t.Fatalf("%s: results diverged:\ncached    %+v\nreference %+v", label(format, args...), ri, rr)
-	}
-}
-
 // Differential property for the preparation hot path: the
 // fragment-cached pipeline — construction-aware Normalize /
 // RemoveSubsumed skips, prepared restrict, pooled scratch, memoized
 // component partitions, and warm cache hits replaying stored bounds
 // and work — must be indistinguishable from the original pipeline
-// across entire refinement traces. Each trace runs twice against one
+// (refRefiner, oracle_test.go) across entire refinement traces: bounds
+// after every step, step counts, errors and Results, bitwise. Each trace runs twice against one
 // shared cache (cold, then fully warm), so both the store and the
 // replay sides of every cache entry are pinned, including the MaxWork
 // budget variant whose trace depends on exact work accounting.
@@ -92,8 +43,8 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 		// replay the reference work charge exactly or the cut moves.
 		{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
 			Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000}},
-		// With a probability cache on top, warm reruns charge the
-		// reduced (cache-absorbed) inclusion-exclusion work.
+		// A ProbCache is not consulted at Eps > 0: the trace, its work
+		// charges included, must not notice one.
 		{randdnf.Default(), Options{Eps: 0.005, Kind: Absolute, Cache: formula.NewProbCache(0)}},
 		{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
 			Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000, Cache: formula.NewProbCache(0)}},
@@ -106,8 +57,8 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 			s, d := randdnf.Generate(v.cfg, 2000*int64(vi)+seed)
 			opt := v.opt
 			opt.Frags = formula.NewFragCache(0)
-			diffPrepareTrace(t, s, d, opt, "variant %d seed %d cold", vi, seed)
-			diffPrepareTrace(t, s, d, opt, "variant %d seed %d warm", vi, seed)
+			diffTrace(t, s, d, opt, "variant %d seed %d cold", vi, seed)
+			diffTrace(t, s, d, opt, "variant %d seed %d warm", vi, seed)
 			traces += 2
 		}
 	}
@@ -124,8 +75,8 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 		frags := formula.NewFragCache(0)
 		for ai, opt := range ablations {
 			opt.Frags = frags
-			diffPrepareTrace(t, s, d, opt, "ablation %d seed %d cold", ai, seed)
-			diffPrepareTrace(t, s, d, opt, "ablation %d seed %d warm", ai, seed)
+			diffTrace(t, s, d, opt, "ablation %d seed %d cold", ai, seed)
+			diffTrace(t, s, d, opt, "ablation %d seed %d warm", ai, seed)
 			traces += 2
 		}
 	}
@@ -134,25 +85,22 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// The one-shot Approx entry point must be equally indistinguishable,
-// cold and warm, cache counters aside.
+// The one-shot Approx entry point must be indistinguishable, cold and
+// warm, from Approx without a fragment cache.
 func TestApproxFragCacheMatchesReference(t *testing.T) {
 	frags := formula.NewFragCache(0)
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), 7000+seed)
 		opt := Options{Eps: 0.01, Kind: Absolute}
-		refRes, refErr := Approx(s, d, refPrepOpt(opt))
+		refRes, refErr := Approx(s, d, opt)
 		opt.Frags = frags
 		for run := 0; run < 2; run++ {
 			res, err := Approx(s, d, opt)
 			if !errors.Is(err, refErr) && !errors.Is(refErr, err) {
 				t.Fatalf("seed %d run %d: errors diverged: %v vs %v", seed, run, err, refErr)
 			}
-			res.CacheHits, res.CacheMisses = 0, 0
-			refCmp := refRes
-			refCmp.CacheHits, refCmp.CacheMisses = 0, 0
-			if res != refCmp {
-				t.Fatalf("seed %d run %d: results diverged:\ncached    %+v\nreference %+v", seed, run, res, refCmp)
+			if res != refRes {
+				t.Fatalf("seed %d run %d: results diverged:\ncached    %+v\nreference %+v", seed, run, res, refRes)
 			}
 		}
 	}
@@ -162,8 +110,8 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 }
 
 // Eight evaluations sharing one fragment cache concurrently (run under
-// -race) must each produce exactly the bounds trace of an isolated
-// reference run: entries are canonical, immutable and deterministic,
+// -race) must each produce exactly the bounds of an isolated run
+// without a cache: entries are canonical, immutable and deterministic,
 // so racing writers converge on identical values.
 func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 	const workers = 8
@@ -181,7 +129,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 	var traces []trace
 	for off := 0; off+20 <= len(big); off += 2 {
 		d := big[off : off+20].Clone().Normalize()
-		r, err := Approx(s, d, refPrepOpt(opt))
+		r, err := Approx(s, d, opt)
 		if err != nil {
 			t.Fatalf("reference trace at offset %d: %v", off, err)
 		}

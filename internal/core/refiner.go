@@ -35,23 +35,20 @@ import (
 // on the refined leaf's root path: the widest open leaf comes from a
 // heap, and the root interval is recomputed by propagating the leaf's
 // new bounds up the dirty path only — never a whole-tree pass (the
-// original O(tree)-per-Step bookkeeping survives as an internal
-// reference path for differential testing).
+// original O(tree)-per-Step bookkeeping is refRefiner, the oracle of
+// the differential tests in oracle_test.go).
 //
 // A Refiner is not safe for concurrent use; distinct Refiners are
 // independent and may run concurrently (sharing a cache is safe).
 type Refiner struct {
 	st    *state
 	root  *gNode
-	open  leafHeap // open leaves, widest first (incremental path)
+	open  leafHeap // open leaves, widest first
 	lo    float64
 	hi    float64
 	steps int
 	done  bool
 	err   error
-
-	ref     bool          // Options.refScan: use the O(tree) reference path
-	scratch boundsScratch // reference path: reusable full-recompute buffers
 }
 
 // NewRefiner prepares d (normalization, subsumption removal, initial
@@ -61,7 +58,7 @@ type Refiner struct {
 // Options guarantee is Done immediately with zero steps taken.
 func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (r *Refiner) {
 	st := newState(ctx, s, opt)
-	r = &Refiner{st: st, lo: 0, hi: 1, ref: opt.refScan}
+	r = &Refiner{st: st, lo: 0, hi: 1}
 	if err := st.ctx.Err(); err != nil {
 		r.fail(err)
 		return r
@@ -81,7 +78,7 @@ func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Option
 	}()
 	f := st.prepare(d)
 	r.root = &gNode{frag: f, lo: f.lo, hi: f.hi}
-	if !r.ref && !f.exact {
+	if !f.exact {
 		r.open = leafHeap{r.root}
 	}
 	r.absorb(f.lo, f.hi)
@@ -108,12 +105,7 @@ func (r *Refiner) Step(budget int) (lo, hi float64, done bool) {
 			r.fail(ErrBudget)
 			break
 		}
-		var leaf *gNode
-		if r.ref {
-			leaf = r.root.widestLeaf()
-		} else {
-			leaf = r.popWidest()
-		}
+		leaf := r.popWidest()
 		if leaf == nil {
 			// Tree complete: the bounds are exact. Reachable only when
 			// float rounding keeps an exact interval from satisfying a
@@ -123,14 +115,9 @@ func (r *Refiner) Step(budget int) (lo, hi float64, done bool) {
 		}
 		r.st.refine(leaf)
 		r.steps++
-		if r.ref {
-			r.absorb(r.root.boundsWith(&r.scratch, 0))
-			r.st.opt.Metrics.RecordRefineStep(0)
-		} else {
-			pathLen := r.attach(leaf)
-			r.absorb(r.root.lo, r.root.hi)
-			r.st.opt.Metrics.RecordRefineStep(pathLen)
-		}
+		pathLen := r.attach(leaf)
+		r.absorb(r.root.lo, r.root.hi)
+		r.st.opt.Metrics.RecordRefineStep(pathLen)
 	}
 	return r.lo, r.hi, r.done
 }
@@ -156,18 +143,9 @@ func (r *Refiner) Steps() int { return r.steps }
 // counters.
 func (r *Refiner) Result() Result {
 	res := r.st.finish(r.lo, r.hi)
-	res.EarlyStop = res.Converged && r.root != nil && !r.complete()
+	// An empty open-leaf heap is a complete tree: every leaf exact.
+	res.EarlyStop = res.Converged && len(r.open) > 0
 	return res
-}
-
-// complete reports that every leaf of the materialized tree is exact.
-// On the incremental path this is the open-leaf heap running empty —
-// O(1), where the reference path walks the whole tree.
-func (r *Refiner) complete() bool {
-	if r.ref {
-		return r.root.complete()
-	}
-	return len(r.open) == 0
 }
 
 // absorb intersects the freshly recomputed root interval with the best

@@ -23,56 +23,49 @@ func refinerStepWorkload(clauses int) (*formula.Space, formula.DNF, Options) {
 
 // TestRefinerPinnedStepCounts pins the step counts of the
 // BenchmarkRefinerStep fixtures: steps are machine-independent, so
-// drift is a behaviour change, and the incremental path must spend
-// exactly what the O(tree) reference does.
+// drift is a behaviour change, and the Refiner must spend exactly what
+// the O(tree) oracle does.
 func TestRefinerPinnedStepCounts(t *testing.T) {
 	for _, tc := range []struct{ clauses, want int }{{40, 484}, {80, 951}, {160, 1972}, {320, 3702}} {
 		s, d, opt := refinerStepWorkload(tc.clauses)
-		for _, ref := range []bool{false, true} {
-			opt.refScan = ref
-			r := NewRefiner(context.Background(), s, d, opt)
-			for !r.Done() {
-				r.Step(64)
-			}
-			if r.Steps() != tc.want {
-				t.Errorf("clauses=%d refScan=%v: %d steps, want %d", tc.clauses, ref, r.Steps(), tc.want)
-			}
+		r := NewRefiner(context.Background(), s, d, opt)
+		for !r.Done() {
+			r.Step(64)
+		}
+		if r.Steps() != tc.want {
+			t.Errorf("clauses=%d: %d steps, want %d", tc.clauses, r.Steps(), tc.want)
+		}
+		ref := newRefRefiner(context.Background(), s, d, opt)
+		for !ref.Done() {
+			ref.Step(64)
+		}
+		if ref.Steps() != tc.want {
+			t.Errorf("clauses=%d oracle: %d steps, want %d", tc.clauses, ref.Steps(), tc.want)
 		}
 	}
 }
 
 // BenchmarkRefinerStep measures the per-refinement cost of Refiner.Step
 // as the materialized tree grows: each sub-benchmark runs a refiner to
-// its node budget and reports ns/step. The incremental path (dirty-path
-// propagation + open-leaf heap) must scale sublinearly in tree size;
-// the reference path recomputes O(tree) per step and is retained here
-// so the algorithmic change stays measurable in isolation (its own
-// per-call allocations are already fixed via reused scratch buffers).
+// its node budget and reports ns/step, which must scale sublinearly in
+// tree size (dirty-path propagation + open-leaf heap).
 func BenchmarkRefinerStep(b *testing.B) {
 	for _, clauses := range []int{40, 80, 160, 320} {
 		s, d, opt := refinerStepWorkload(clauses)
-		for _, ref := range []bool{false, true} {
-			name := fmt.Sprintf("clauses=%d/incremental", clauses)
-			o := opt
-			if ref {
-				name = fmt.Sprintf("clauses=%d/reference", clauses)
-				o.refScan = true
-			}
-			b.Run(name, func(b *testing.B) {
-				totalSteps := 0
-				for i := 0; i < b.N; i++ {
-					r := NewRefiner(context.Background(), s, d, o)
-					for !r.Done() {
-						r.Step(64)
-					}
-					if r.Steps() == 0 {
-						b.Fatal("workload refines in zero steps; grow it")
-					}
-					totalSteps += r.Steps()
+		b.Run(fmt.Sprintf("clauses=%d", clauses), func(b *testing.B) {
+			totalSteps := 0
+			for i := 0; i < b.N; i++ {
+				r := NewRefiner(context.Background(), s, d, opt)
+				for !r.Done() {
+					r.Step(64)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalSteps), "ns/step")
-				b.ReportMetric(float64(totalSteps)/float64(b.N), "steps/op")
-			})
-		}
+				if r.Steps() == 0 {
+					b.Fatal("workload refines in zero steps; grow it")
+				}
+				totalSteps += r.Steps()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalSteps), "ns/step")
+			b.ReportMetric(float64(totalSteps)/float64(b.N), "steps/op")
+		})
 	}
 }

@@ -1,7 +1,9 @@
-// Package engine unifies the paper's confidence-computation algorithm
-// menu — exact d-tree compilation, the ε-approximation (depth-first and
-// global variants), the Karp-Luby/DKLR Monte Carlo baseline, and the
-// SPROUT exact plans — behind one cancellable Evaluator API.
+// Package engine unifies the paper's lineage-based confidence-computation
+// algorithm menu — exact d-tree compilation, the ε-approximation
+// (depth-first and global variants) and the Karp-Luby/DKLR Monte Carlo
+// baseline — behind one cancellable Evaluator API. (The SPROUT exact
+// plans read the query's structure, not a lineage DNF; internal/plan
+// routes to them.)
 //
 // Every algorithm is a value implementing
 //
@@ -251,20 +253,6 @@ func (e MonteCarlo) Evaluate(ctx context.Context, s *formula.Space, d formula.DN
 		out.Hi = clamp01(res.Estimate / (1 - e.Eps))
 	}
 	return out, err
-}
-
-// SproutPlan adapts an exact query-structural computation — a SPROUT
-// safe plan or IQ sorted-scan closure, which derives the probability
-// from the query plan rather than the lineage — to the Evaluator API.
-// The lineage argument is ignored.
-func SproutPlan(f func() float64) Evaluator {
-	return Func(func(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		p := f()
-		return Result{Lo: p, Hi: p, Estimate: p, Exact: true, Converged: true}, nil
-	})
 }
 
 func clamp01(x float64) float64 {

@@ -92,7 +92,6 @@ func TestCancellation(t *testing.T) {
 		{"approx", Approx{Eps: 0.001, Kind: Absolute}},
 		{"approx-global", Approx{Eps: 0.001, Kind: Absolute, Global: true}},
 		{"mc", MonteCarlo{Eps: 0.001, Delta: 0.0001}},
-		{"sprout", SproutPlan(func() float64 { return 0.5 })},
 	} {
 		start := time.Now()
 		_, err := c.ev.Evaluate(ctx, s, d)
@@ -158,16 +157,6 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 	defer ncleanup()
 	if nctx.Err() != nil {
 		t.Fatalf("nil-parent ctx.Err() = %v, want nil", nctx.Err())
-	}
-}
-
-func TestSproutPlanAdapter(t *testing.T) {
-	res, err := SproutPlan(func() float64 { return 0.375 }).Evaluate(context.Background(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exact || res.Estimate != 0.375 || res.Lo != 0.375 || res.Hi != 0.375 {
-		t.Fatalf("unexpected result %+v", res)
 	}
 }
 

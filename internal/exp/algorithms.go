@@ -132,9 +132,15 @@ func runAconf(s *formula.Space, d formula.DNF, eps, delta float64, maxSamples in
 	}, s, d)
 }
 
-// runMeasured wraps an arbitrary exact computation (SPROUT plans/scans).
+// runMeasured times an arbitrary exact computation (SPROUT plans/scans).
 func runMeasured(f func() float64) runResult {
-	return runEval(engine.SproutPlan(f), nil, nil)
+	start := time.Now()
+	p := f()
+	el := time.Since(start)
+	return runResult{
+		est: p, millis: float64(el.Microseconds()) / 1000,
+		ok: true, exact: true, estimate: prob(p),
+	}
 }
 
 // sumRuns aggregates per-answer runs into a per-query measurement (the

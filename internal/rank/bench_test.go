@@ -110,11 +110,14 @@ func TestTopKPrunesVsFull(t *testing.T) {
 // TestPinnedStepCounts pins the refinement-step counts of the benchmark
 // fixtures below. Steps are machine-independent, so any drift is a
 // behaviour change in the scheduler or the refiner, never noise; the
-// event-driven decide index and the full-rescan reference scheduler
-// must both land on the same count.
+// event-driven decide index and the full-rescan oracle scheduler must
+// both land on the same count.
 func TestPinnedStepCounts(t *testing.T) {
 	topK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
 		return TopK(ctx, s, dnfs, benchK, o)
+	}
+	oracleTopK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
+		return refTopK(ctx, s, dnfs, benchK, o)
 	}
 	type run func(context.Context, *formula.Space, []formula.DNF, Options) (Result, error)
 	s, dnfs := benchAnswers(benchN)
@@ -125,23 +128,23 @@ func TestPinnedStepCounts(t *testing.T) {
 		name string
 		s    *formula.Space
 		dnfs []formula.DNF
-		run  run
+		runs []run // RefineAll neither decides nor picks: it has no oracle side
 		want int
 	}{
-		{"topk", s, dnfs, topK, 11},
-		{"full", s, dnfs, RefineAll, 282},
-		{"topk-deep", sd, deep, topK, 140},
-		{"full-deep", sd, deep, RefineAll, 3449},
-		{"decide/n=60", s60, dnfs60, topK, 14},
-		{"decide/n=960", s960, dnfs960, topK, 15},
+		{"topk", s, dnfs, []run{topK, oracleTopK}, 11},
+		{"full", s, dnfs, []run{RefineAll}, 282},
+		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 140},
+		{"full-deep", sd, deep, []run{RefineAll}, 3449},
+		{"decide/n=60", s60, dnfs60, []run{topK, oracleTopK}, 14},
+		{"decide/n=960", s960, dnfs960, []run{topK, oracleTopK}, 15},
 	} {
-		for _, fullScan := range []bool{false, true} {
-			res, err := tc.run(context.Background(), tc.s, tc.dnfs, Options{Eps: benchEps, fullScan: fullScan})
+		for i, run := range tc.runs {
+			res, err := run(context.Background(), tc.s, tc.dnfs, Options{Eps: benchEps})
 			if err != nil {
-				t.Fatalf("%s fullScan=%v: %v", tc.name, fullScan, err)
+				t.Fatalf("%s run %d: %v", tc.name, i, err)
 			}
 			if res.Steps != tc.want {
-				t.Errorf("%s fullScan=%v: %d steps, want %d", tc.name, fullScan, res.Steps, tc.want)
+				t.Errorf("%s run %d: %d steps, want %d", tc.name, i, res.Steps, tc.want)
 			}
 		}
 	}
@@ -210,35 +213,24 @@ func BenchmarkTopKVsFull(b *testing.B) {
 }
 
 // BenchmarkDecide measures the per-grant scheduling cost (decide pass
-// + pick) as the answer count grows: the same top-k run under the
-// event-driven decide index versus the retained full-rescan reference
-// scheduler. Both spend identical refinement steps — the refiners'
-// work is common to both — so time/op differences isolate the
-// scheduling layer: O(affected · log n) + heap pick versus O(n²)
-// rescan + linear pick per grant.
+// + pick) as the answer count grows: the refinement steps stay within
+// a few of each other from n = 60 to n = 960, so growth in time/op is
+// the scheduling layer's.
 func BenchmarkDecide(b *testing.B) {
 	for _, n := range []int{60, 240, 960} {
 		s, dnfs := benchAnswers(n)
 		opt := Options{Eps: benchEps}
-		for _, full := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/incremental", n)
-			o := opt
-			if full {
-				name = fmt.Sprintf("n=%d/fullscan", n)
-				o.fullScan = true
-			}
-			b.Run(name, func(b *testing.B) {
-				steps := 0
-				for i := 0; i < b.N; i++ {
-					res, err := TopK(context.Background(), s, dnfs, benchK, o)
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps += res.Steps
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				res, err := TopK(context.Background(), s, dnfs, benchK, opt)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-			})
-		}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
 }
 

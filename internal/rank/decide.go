@@ -8,11 +8,11 @@ import (
 // This file holds the event-driven decide pass and the width-ordered
 // pick heap — the per-grant scheduling cost reduced from O(n²) (full
 // answer-pair rescan) and O(n) (linear widest scan) to O(affected ·
-// log n) and O(log n). The reference full-rescan implementations are
-// retained in rank.go behind Options.fullScan; both paths make
-// identical decisions in identical order (property-tested), because a
-// grant tightens exactly one answer's interval and the index re-decides
-// a superset of the answers that tightening can affect.
+// log n) and O(log n). The full-rescan implementations are the oracle
+// in oracle_test.go; both make identical decisions in identical order
+// (property-tested), because a grant tightens exactly one answer's
+// interval and the index re-decides a superset of the answers that
+// tightening can affect.
 
 // entry pairs a bound value with its answer index; entry slices are
 // kept sorted by (value asc, index asc), so equal-value runs are in
@@ -105,9 +105,9 @@ func refile(e []entry, old, moved entry) {
 
 // countAbove returns, for answer self holding bound value v, the number
 // of entries (w, j) with w > v plus those with w == v and j < self —
-// the certain/possible beat counts of the decide rules (matching the
-// beats tie-break), in O(log n). The caller corrects for self-counting
-// where applicable.
+// the certain/possible beat counts of the decide rules, exact ties
+// going to the lower index, in O(log n). The caller corrects for
+// self-counting where applicable.
 func countAbove(e []entry, v float64, self int) int {
 	n := len(e)
 	ub := sort.Search(n, func(k int) bool { return e[k].v > v })
@@ -143,7 +143,7 @@ func (ix *decideIndex) collectBand(sc *sched, e []entry, lo, hi float64) {
 // longer possibly beat (their Lo in [newHi, oldHi]). The closed bands
 // over-approximate the equal-bound tie cases; re-deciding an unaffected
 // answer is idempotent. Candidates come back in ascending index order —
-// the order the reference full pass decides (and emits) them in.
+// the order a full pass decides (and emits) them in.
 func (ix *decideIndex) drain(sc *sched) []int {
 	ix.stamp++
 	ix.cand = ix.cand[:0]
@@ -165,8 +165,8 @@ func (ix *decideIndex) drain(sc *sched) []int {
 }
 
 // widthHeap orders the undecided, still-refinable answers widest
-// interval first, ties to the lower index — the reference pick's
-// linear-scan order served in O(log n). Membership invariant: exactly
+// interval first, ties to the lower index — a linear scan's pick
+// order served in O(log n). Membership invariant: exactly
 // the answers with status undecided whose refiners can still step.
 type widthHeap struct {
 	sc  *sched

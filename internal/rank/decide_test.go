@@ -4,16 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/formula"
 )
-
-// fullScanOpt returns opt with the reference O(n²)-rescan scheduler
-// enabled.
-func fullScanOpt(opt Options) Options {
-	opt.fullScan = true
-	return opt
-}
 
 // requireSameResult demands bitwise-identical ranking outcomes: every
 // Item field (bounds, estimates, step counts, DecidedAtStep, flags),
@@ -49,16 +40,15 @@ func requireSameResult(t *testing.T, label string, a, b Result, emitA, emitB []I
 }
 
 // Differential property: the event-driven decide index and width heap
-// must be indistinguishable from the retained full-rescan scheduler —
+// must be indistinguishable from the full-rescan oracle scheduler —
 // same decisions, in the same order, at the same step counts — across
 // random TI and BID answer sets, both cut modes, several k and τ.
 func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
-	run := func(label string, s *formula.Space, dnfs []formula.DNF,
-		exec func(Options) (Result, error)) {
+	run := func(label string, exec, ref func(Options) (Result, error)) {
 		t.Helper()
 		var emitInc, emitFull []Item
 		inc, err1 := exec(Options{OnDecided: func(it Item) { emitInc = append(emitInc, it) }})
-		full, err2 := exec(fullScanOpt(Options{OnDecided: func(it Item) { emitFull = append(emitFull, it) }}))
+		full, err2 := ref(Options{OnDecided: func(it Item) { emitFull = append(emitFull, it) }})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", label, err1, err2)
 		}
@@ -69,12 +59,16 @@ func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
 		n := 8 + trial%7
 		s, dnfs := randomAnswerSet(int64(40_000+trial), bid, n, 9)
 		k := 1 + trial%5
-		run(fmt.Sprintf("topk trial %d", trial), s, dnfs, func(base Options) (Result, error) {
+		run(fmt.Sprintf("topk trial %d", trial), func(base Options) (Result, error) {
 			return TopK(context.Background(), s, dnfs, k, base)
+		}, func(base Options) (Result, error) {
+			return refTopK(context.Background(), s, dnfs, k, base)
 		})
 		tau := 0.1 + 0.2*float64(trial%4)
-		run(fmt.Sprintf("threshold trial %d", trial), s, dnfs, func(base Options) (Result, error) {
+		run(fmt.Sprintf("threshold trial %d", trial), func(base Options) (Result, error) {
 			return Threshold(context.Background(), s, dnfs, tau, base)
+		}, func(base Options) (Result, error) {
+			return refThreshold(context.Background(), s, dnfs, tau, base)
 		})
 	}
 }
@@ -85,13 +79,13 @@ func TestRankDecideIncrementalMatchesFullScanBench(t *testing.T) {
 	s, dnfs := benchAnswers(120)
 	opt := Options{Eps: 1e-6}
 	inc, err1 := TopK(context.Background(), s, dnfs, 10, opt)
-	full, err2 := TopK(context.Background(), s, dnfs, 10, fullScanOpt(opt))
+	full, err2 := refTopK(context.Background(), s, dnfs, 10, opt)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}
 	requireSameResult(t, "bench workload", inc, full, nil, nil)
 	thInc, err1 := Threshold(context.Background(), s, dnfs, 0.5, opt)
-	thFull, err2 := Threshold(context.Background(), s, dnfs, 0.5, fullScanOpt(opt))
+	thFull, err2 := refThreshold(context.Background(), s, dnfs, 0.5, opt)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}

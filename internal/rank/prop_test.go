@@ -182,8 +182,8 @@ func TestRankThresholdMatchesExactProperty(t *testing.T) {
 // Determinism property: rankings are byte-for-byte reproducible. The
 // heap-based widest-leaf selection (core) and widest-answer pick plus
 // the event-driven decide pass must keep the documented lowest-index
-// tie-break, so repeated runs — and the retained full-rescan reference
-// scheduler — produce bitwise-identical results even when interval
+// tie-break, so repeated runs — and the full-rescan oracle scheduler —
+// produce bitwise-identical results even when interval
 // widths tie at every step.
 func TestRankDeterminismProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
@@ -198,7 +198,7 @@ func TestRankDeterminismProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("trial %d rerun", trial), first, again, nil, nil)
-		ref, err := TopK(context.Background(), s, dnfs, k, fullScanOpt(Options{}))
+		ref, err := refTopK(context.Background(), s, dnfs, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestRankDeterminismTieBreak(t *testing.T) {
 			t.Fatalf("tied answers must select lowest indices in order, got ranking %v", res.Ranking)
 		}
 	}
-	ref, err := TopK(context.Background(), s, dnfs, k, fullScanOpt(Options{Eps: 1e-9}))
+	ref, err := refTopK(context.Background(), s, dnfs, k, Options{Eps: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

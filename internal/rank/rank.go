@@ -25,9 +25,9 @@
 // tightening can affect (O(affected · log n) per grant against sorted
 // bound arrays, instead of an O(n²) rescan of all answer pairs) and
 // the next grantee comes from a width-ordered heap (O(log n) instead
-// of a linear scan). The reference full-rescan scheduler is retained
-// internally for differential testing; both make identical decisions
-// in identical order.
+// of a linear scan). The full-rescan scheduler it replaced is the
+// oracle in oracle_test.go; both make identical decisions in identical
+// order.
 package rank
 
 import (
@@ -77,14 +77,6 @@ type Options struct {
 	// Shannon siblings), so within-run sharing alone removes most
 	// preparation work.
 	Frags *formula.FragCache
-	// fullScan restores the reference schedulers: a full O(n²) rescan
-	// of all answer pairs before every grant and a linear widest-
-	// interval pick, instead of the event-driven decide index and the
-	// width-ordered heap. Both paths make bitwise-identical decisions
-	// in the same order (property-tested); the reference path is
-	// retained only for differential tests and benchmarks inside this
-	// package.
-	fullScan bool
 	// Metrics, when non-nil, receives the run's grants and decide
 	// events, and is threaded into every refiner (steps, cache traffic,
 	// budget exhaustions). Nil-safe; nil costs one branch per event.
@@ -222,26 +214,10 @@ func newSched(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Opt
 	return sc
 }
 
-// beats reports that answer b certainly ranks above answer a under
-// every probability assignment consistent with the current bounds,
-// with ties broken deterministically by input index: when b.Lo == a.Hi
-// the only non-beating case is an exact tie, which the lower index
-// wins.
-func beats(b, a *Item) bool {
-	if b.Lo > a.Hi {
-		return true
-	}
-	return b.Lo == a.Hi && b.Index < a.Index
-}
-
 // pick returns the undecided answer with the widest interval that can
 // still be refined, or -1. Width ties go to the lower index. The heap
-// serves this in O(1) (grants re-sift in O(log n)); pickFull is the
-// retained linear reference scan.
+// serves this in O(1) (grants re-sift in O(log n)).
 func (sc *sched) pick() int {
-	if sc.opt.fullScan {
-		return sc.pickFull()
-	}
 	if sc.ph == nil {
 		sc.ph = newWidthHeap(sc)
 	}
@@ -249,19 +225,6 @@ func (sc *sched) pick() int {
 		return -1
 	}
 	return sc.ph.idx[0]
-}
-
-func (sc *sched) pickFull() int {
-	best, bestW := -1, -1.0
-	for i := range sc.items {
-		if sc.status[i] != undecided || sc.refs[i].Done() {
-			continue
-		}
-		if w := sc.items[i].Hi - sc.items[i].Lo; w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
 }
 
 // grant hands the chosen answer grantSteps of refinement and records
@@ -465,12 +428,8 @@ func (sc *sched) run(decide func()) error {
 // that, each grant tightened exactly one interval and only the
 // answers that tightening can affect are re-decided, each in
 // O(log n) against the sorted bound arrays — O(affected · log n) per
-// grant in place of the reference full O(n²) rescan.
+// grant in place of a full O(n²) rescan.
 func (sc *sched) decideTopK(k int) {
-	if sc.opt.fullScan {
-		sc.decideTopKFull(k)
-		return
-	}
 	if sc.ix == nil {
 		sc.ix = newDecideIndex(sc.items, true)
 		for a := range sc.items {
@@ -489,8 +448,9 @@ func (sc *sched) decideTopK(k int) {
 
 // decideOneTopK re-decides a single answer from the sorted bound
 // arrays: certain beaters are the answers whose Lo clears its Hi,
-// possible beaters the answers whose Hi clears its Lo (beats
-// tie-breaks included; the answer's own Hi > Lo entry is discounted).
+// possible beaters the answers whose Hi clears its Lo. An equal bound
+// clears only from a lower input index — the deterministic tie-break of
+// the whole ranking — and the answer's own Hi > Lo entry is discounted.
 func (sc *sched) decideOneTopK(a, k int) {
 	it := &sc.items[a]
 	if countAbove(sc.ix.los, it.Hi, a) >= k {
@@ -503,39 +463,6 @@ func (sc *sched) decideOneTopK(a, k int) {
 	}
 	if possible < k {
 		sc.markIn(a)
-	}
-}
-
-// decideTopKFull is the retained reference implementation: a full
-// rescan of all answer pairs.
-func (sc *sched) decideTopKFull(k int) {
-	n := len(sc.items)
-	for a := 0; a < n; a++ {
-		if sc.status[a] != undecided {
-			continue
-		}
-		certain, possible := 0, 0
-		for b := 0; b < n; b++ {
-			if b == a {
-				continue
-			}
-			switch {
-			case beats(&sc.items[b], &sc.items[a]):
-				certain++
-				possible++
-			case !beats(&sc.items[a], &sc.items[b]):
-				possible++
-			}
-			if certain >= k {
-				break // already provably out; possible no longer matters
-			}
-		}
-		switch {
-		case certain >= k:
-			sc.markOut(a)
-		case possible < k:
-			sc.markIn(a)
-		}
 	}
 }
 
@@ -596,10 +523,6 @@ func (sc *sched) selectTopK(k int) []int {
 // decision reads only the answer's own bounds, so each grant re-checks
 // exactly the granted answer — O(1) per grant after the first pass.
 func (sc *sched) decideThreshold(tau float64) {
-	if sc.opt.fullScan {
-		sc.decideThresholdFull(tau)
-		return
-	}
 	if sc.ix == nil {
 		sc.ix = newDecideIndex(sc.items, false)
 		for i := range sc.items {
@@ -622,22 +545,6 @@ func (sc *sched) decideOneThreshold(i int, tau float64) {
 		sc.markIn(i)
 	case sc.items[i].Hi < tau:
 		sc.markOut(i)
-	}
-}
-
-// decideThresholdFull is the retained reference implementation: every
-// undecided answer re-checked before every grant.
-func (sc *sched) decideThresholdFull(tau float64) {
-	for i := range sc.items {
-		if sc.status[i] != undecided {
-			continue
-		}
-		switch {
-		case sc.items[i].Lo >= tau:
-			sc.markIn(i)
-		case sc.items[i].Hi < tau:
-			sc.markOut(i)
-		}
 	}
 }
 
