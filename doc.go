@@ -81,9 +81,11 @@
 // the first Run, never as planner panics.
 //
 // Pre-built IR (such as the TPC-H catalog) runs through the façade via
-// sess.Query(node). Outside a DB, the Evaluator menu — ExactEval,
-// ApproxEval, MonteCarloEval — computes the confidence of one lineage
-// DNF: ApproxEval{Eps: 0.01, Kind: Absolute}.Evaluate(ctx, space, dnf).
+// sess.Query(node); the planner validates it at Build (a malformed tree
+// is a BuildError with Op "Query"). Outside a DB, the Evaluator menu —
+// ExactEval, ApproxEval, MonteCarloEval — computes the confidence of
+// one lineage DNF: ApproxEval{Eps: 0.01, Kind: Absolute}.Evaluate(ctx,
+// space, dnf).
 //
 // See README.md for a tour and the figure-regeneration commands, and
 // bench/README.md for the benchmark.

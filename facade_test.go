@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -129,7 +131,23 @@ func TestFacadeBuildValidation(t *testing.T) {
 			Right: mustScan(t, db, "S"),
 		})), "Query"},
 		{"adopted IR with unregistered scan", sess.Query(plan.Node(&plan.Scan{Rel: unregistered})), "Query"},
+		{"adopted IR with nil-relation scan", sess.Query(plan.Node(&plan.Scan{})), "Query"},
+		{"adopted IR with group column out of range", sess.Query(plan.Node(&plan.GroupLineage{
+			Input: mustScan(t, db, "R"), Cols: []int{7},
+		})), "Query"},
+		{"adopted IR with join column out of range", sess.Query(plan.Node(&plan.EquiJoin{
+			Left: mustScan(t, db, "R"), Right: mustScan(t, db, "S"), LeftCol: 7,
+		})), "Query"},
+		{"adopted IR with projection out of range", sess.Query(plan.Node(&plan.Project{
+			Input: mustScan(t, db, "R"), Cols: []int{0, 9},
+		})), "Query"},
+		{"adopted IR with nil select predicate", sess.Query(plan.Node(&plan.Select{Input: mustScan(t, db, "R")})), "Query"},
+		{"adopted IR with conditionless theta join", sess.Query(plan.Node(&plan.ThetaJoin{
+			Left: mustScan(t, db, "R"), Right: mustScan(t, db, "S"),
+		})), "Query"},
+		{"adopted IR with foreign node", sess.Query(plan.Node(&foreignNode{})), "Query"},
 		{"nil select predicate", sess.Query("R").Select(nil), "Select"},
+		{"nil join predicate", sess.Query("R").JoinPred(sess.Query("S"), nil), "JoinPred"},
 		{"empty projection", sess.Query("R").Project(), "Project"},
 		{"projection out of range", sess.Query("R").Project(5), "Project"},
 		{"group column out of range", sess.Query("R").GroupLineage(9), "GroupLineage"},
@@ -149,6 +167,7 @@ func TestFacadeBuildValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			_ = c.q.Schema() // runs on adopted IR before Build validates it: must not panic
 			_, err := c.q.Build()
 			if err == nil {
 				t.Fatal("Build succeeded, want BuildError")
@@ -193,6 +212,59 @@ func TestFacadeAdoptsCanonicalRankedIR(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("canonical ranked IR %T returned no answers", root)
 		}
+	}
+}
+
+// foreignNode satisfies plan.Node by embedding an IR struct without
+// being one: the planner must reject it, and the inspectors must not
+// panic on it.
+type foreignNode struct{ plan.Scan }
+
+// TestFacadeJoinPredMatchesJoinLess: an opaque predicate stating the
+// structured inequality returns what JoinLess returns — same values,
+// same order, bitwise the same exact confidences — on the d-tree route.
+func TestFacadeJoinPredMatchesJoinLess(t *testing.T) {
+	db := smallDB(t)
+	sess := db.Session(repro.WithEps(0))
+	ctx := context.Background()
+	pred := sess.Query("R").JoinPred(sess.Query("S"), func(lv, rv []pdb.Value) bool { return lv[1] < rv[0] }).GroupLineage(0)
+	less := sess.Query("R").JoinLess(sess.Query("S"), 1, 0).GroupLineage(0)
+
+	explain, err := pred.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(explain, "route=d-tree") {
+		t.Fatalf("JoinPred query explained %q, want the d-tree route", explain)
+	}
+	got, err := pred.All(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := less.All(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("JoinPred %d answers, JoinLess %d", len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i].Vals, want[i].Vals) || math.Float64bits(got[i].P) != math.Float64bits(want[i].P) {
+			t.Fatalf("answer %d: JoinPred %v P=%v, JoinLess %v P=%v", i, got[i].Vals, got[i].P, want[i].Vals, want[i].P)
+		}
+	}
+}
+
+// TestDBRelationsRegistrationOrder: Relations lists names in
+// registration order; re-registering the identical relation is a no-op.
+func TestDBRelationsRegistrationOrder(t *testing.T) {
+	db := smallDB(t)
+	r, _ := db.Relation("R")
+	w := pdb.NewDeterministic("W", []string{"x"}, [][]pdb.Value{{1}})
+	db.Register(r, w)
+	db.Register(w)
+	if got := db.Relations(); !slices.Equal(got, []string{"R", "S", "W"}) {
+		t.Fatalf("Relations() = %v, want [R S W]", got)
 	}
 }
 
@@ -436,4 +508,108 @@ func TestDBPartitionPoolIsolation(t *testing.T) {
 	if got := a.Parallelism(); got != 3 {
 		t.Fatalf("Pool().Resize(3) then Parallelism() = %d", got)
 	}
+}
+
+// FuzzAdoptedIRNeverPanics drives the façade's IR entry point with
+// decoded trees over two registered relations and one unregistered:
+// Build either returns a *BuildError, or a Prepared whose All answers
+// without error and without a contained panic.
+func FuzzAdoptedIRNeverPanics(f *testing.F) {
+	db := smallDB(f)
+	sess := db.Session(repro.WithEps(0.01))
+	r, _ := db.Relation("R")
+	s, _ := db.Relation("S")
+	rels := []*pdb.Relation{r, s, {Name: "ghost", Cols: []string{"x"}}, nil}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := (&irDecoder{data: data, rels: rels}).node(0)
+		q := sess.Query(root)
+		_ = q.Schema()
+		pr, err := q.Build()
+		if err != nil {
+			if be := new(repro.BuildError); !errors.As(err, &be) {
+				t.Fatalf("Build error %v is not a *BuildError", err)
+			}
+			return
+		}
+		if _, err := pr.All(context.Background()); err != nil {
+			t.Fatalf("%s: All: %v", pr.Explain(), err)
+		}
+		if n := db.Snapshot().PanicsRecovered; n != 0 {
+			t.Fatalf("%s: PanicsRecovered = %d", pr.Explain(), n)
+		}
+	})
+}
+
+// irDecoder reads a plan tree, one kind byte per node (mod 9: nil,
+// Scan, Select, EquiJoin, ThetaJoin, Project, GroupLineage, TopK,
+// Threshold; always a Scan below depth 4), children first, then the
+// node's parameters. A Scan's byte picks R, S, the unregistered ghost
+// or a nil relation; a column byte decodes to [-2, 6); a column list
+// is a count byte (mod 4) and that many columns; an optional predicate
+// or residual is present when its byte is odd, a Less when its byte is
+// odd. Predicates bounds-check, so a run never panics in caller code.
+type irDecoder struct {
+	data []byte
+	rels []*pdb.Relation
+}
+
+func (d *irDecoder) next() int {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[0]
+	d.data = d.data[1:]
+	return int(b)
+}
+
+func (d *irDecoder) col() int { return d.next()%8 - 2 }
+
+func (d *irDecoder) cols() []int {
+	cols := make([]int, d.next()%4)
+	for i := range cols {
+		cols[i] = d.col()
+	}
+	return cols
+}
+
+func (d *irDecoder) node(depth int) plan.Node {
+	kind := d.next() % 9
+	if depth > 4 {
+		kind = 1
+	}
+	switch kind {
+	case 1:
+		return &plan.Scan{Rel: d.rels[d.next()%len(d.rels)]}
+	case 2:
+		n := &plan.Select{Input: d.node(depth + 1)}
+		if b := d.next(); b%2 == 1 {
+			c := b / 2 % 4
+			n.Pred = func(v []pdb.Value) bool { return c < len(v) && v[c] >= 10 }
+		}
+		return n
+	case 3:
+		n := &plan.EquiJoin{Left: d.node(depth + 1), Right: d.node(depth + 1), LeftCol: d.col(), RightCol: d.col()}
+		if d.next()%2 == 1 {
+			n.On = func(l, r []pdb.Value) bool { return len(l) == 0 || len(r) == 0 || l[0] != r[len(r)-1] }
+		}
+		return n
+	case 4:
+		n := &plan.ThetaJoin{Left: d.node(depth + 1), Right: d.node(depth + 1)}
+		if d.next()%2 == 1 {
+			n.Less = &plan.Less{LeftCol: d.col(), RightCol: d.col()}
+		}
+		if d.next()%2 == 1 {
+			n.Pred = func(l, r []pdb.Value) bool { return len(l) > 0 && len(r) > 0 && l[0] <= r[0] }
+		}
+		return n
+	case 5:
+		return &plan.Project{Input: d.node(depth + 1), Cols: d.cols()}
+	case 6:
+		return &plan.GroupLineage{Input: d.node(depth + 1), Cols: d.cols()}
+	case 7:
+		return &plan.TopK{Input: d.node(depth + 1), K: d.next() % 4}
+	case 8:
+		return &plan.Threshold{Input: d.node(depth + 1), Tau: float64(d.next()) / 255}
+	}
+	return nil
 }

@@ -18,27 +18,29 @@ import (
 )
 
 // TestEndToEndTPCH drives the full stack: generate a probabilistic
-// database, evaluate a query through the declarative builder, compute
-// per-answer confidence with the conf() operator backed by the d-tree
-// algorithm, and cross-check against the SPROUT safe plan.
+// database, materialize a query's answer lineage through the plan
+// runtime, compute per-answer confidence with the conf() operator
+// backed by the d-tree algorithm, and cross-check against the SPROUT
+// safe plan and the planner's safe route.
 func TestEndToEndTPCH(t *testing.T) {
 	db := tpch.Generate(tpch.Config{SF: 0.0006, ProbHigh: 1, Seed: 3})
 
-	q := &pdb.Query{
-		From: []pdb.FromItem{
-			{Rel: db.Supplier},
-			{
-				Rel: db.Lineitem,
-				Select: func(v []pdb.Value) bool {
-					return v[db.Lineitem.MustCol("l_shipdate")] < tpch.MaxDate/3
-				},
-				EquiLeft:  pdb.ColRef{Item: 0, Col: "s_suppkey"},
-				EquiRight: "l_suppkey",
+	// q(s_suppkey) :- Supplier(s_suppkey, …), Lineitem(…, l_suppkey, …),
+	// s_suppkey = l_suppkey, l_shipdate < MaxDate/3.
+	suppkey := db.Supplier.MustCol("s_suppkey")
+	shipdate := db.Lineitem.MustCol("l_shipdate")
+	root := &plan.GroupLineage{
+		Input: &plan.EquiJoin{
+			Left: &plan.Scan{Rel: db.Supplier},
+			Right: &plan.Select{
+				Input: &plan.Scan{Rel: db.Lineitem},
+				Pred:  func(v []pdb.Value) bool { return v[shipdate] < tpch.MaxDate/3 },
 			},
+			LeftCol: suppkey, RightCol: db.Lineitem.MustCol("l_suppkey"),
 		},
-		Project: []pdb.ColRef{{Item: 0, Col: "s_suppkey"}},
+		Cols: []int{suppkey},
 	}
-	answers := q.Evaluate()
+	answers := plan.Lineage(root)
 	if len(answers) == 0 {
 		t.Skip("no answers at this scale")
 	}
@@ -64,10 +66,10 @@ func TestEndToEndTPCH(t *testing.T) {
 		}
 	}
 
-	// The same declarative query through the planner: FromLegacy carries
-	// the structured equality join, so the planner routes it to an exact
-	// safe plan — no lineage, no evaluator — with identical answers.
-	routed := plan.Compile(plan.FromLegacy(q))
+	// The same query through the planner: the structured equality join
+	// routes it to an exact safe plan — no lineage, no evaluator — with
+	// identical answers.
+	routed := plan.Compile(root)
 	if routed.Route != plan.RouteSafe {
 		t.Fatalf("planner chose %v (%s), want safe", routed.Route, routed.Why)
 	}
@@ -76,7 +78,7 @@ func TestEndToEndTPCH(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(planned) != len(answers) {
-		t.Fatalf("planner %d answers, legacy %d", len(planned), len(answers))
+		t.Fatalf("planner %d answers, lineage %d", len(planned), len(answers))
 	}
 	for _, a := range planned {
 		want, ok := byKey[a.Vals[0]]

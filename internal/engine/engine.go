@@ -41,8 +41,11 @@ const (
 	Relative = core.Relative
 )
 
-// ErrBudget is returned when an evaluation exhausts its Budget before
-// reaching the requested guarantee.
+// ErrBudget is returned by Exact and Approx when an evaluation exhausts
+// its MaxNodes or MaxWork budget before reaching the requested
+// guarantee. MonteCarlo never returns it: a spent MaxSamples budget is
+// a nil error with Result.Converged false. An expired Timeout surfaces
+// as the context's error on every evaluator.
 var ErrBudget = core.ErrBudget
 
 // Budget bounds the resources of a single evaluation. The zero value is

@@ -141,14 +141,3 @@ func Fig9(p Params, errors []float64) *Table {
 	}
 	return t
 }
-
-// Figures runs every figure with the given parameters (nil slices mean
-// figure defaults) and returns the tables in paper order.
-func Figures(p Params) []*Table {
-	return []*Table{
-		Fig6a(p), Fig6b(p), Fig6c(p),
-		Fig7(p, nil),
-		Fig8(p, nil), Fig8c(p, nil),
-		Fig9(p, nil),
-	}
-}

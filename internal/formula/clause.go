@@ -116,12 +116,6 @@ func (c Clause) Subsumes(d Clause) bool {
 	return i == len(c)
 }
 
-// ConsistentWith reports whether c ∧ (v = a) is consistent.
-func (c Clause) ConsistentWith(v Var, a Val) bool {
-	val, ok := c.Lookup(v)
-	return !ok || val == a
-}
-
 // Restrict returns c with any atom on v removed, and ok = false if c is
 // inconsistent with v = a (c contains v = b, b != a). This implements the
 // clause-level step of Shannon expansion Φ|x=a.

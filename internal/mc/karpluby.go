@@ -7,17 +7,12 @@
 package mc
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
 
 	"repro/internal/formula"
 )
-
-// ErrSampleBudget is returned when an estimator hits its sample cap
-// before reaching the requested guarantee (the experiments' "timeout").
-var ErrSampleBudget = errors.New("mc: sample budget exhausted before convergence")
 
 // KarpLuby is the Karp-Luby-Madras importance sampler over the clause
 // cover of a DNF. Each Sample draws a clause i with probability

@@ -10,6 +10,11 @@ import (
 	"repro/internal/formula"
 )
 
+// The eager, fully-materializing relational algebra: the reference the
+// plan package's tests drive through their IR interpreter
+// (plan/oracle_test.go), and the operators of the Figure 5
+// reproduction. Queries run through plan's pipelined runtime instead.
+//
 // Relations and their tuples are immutable once built: every operator
 // below returns output tuples whose Vals slices are freshly allocated
 // (never aliasing an input's), and never writes into its inputs. Callers
@@ -212,7 +217,7 @@ func concatVals(a, b []Value) []Value {
 // answers by concatenations of this encoding; the plan runtime's
 // lineage grouping and the safe-plan operators order by
 // CompareValueKeys, the same order without the strings, so routed
-// answer order never diverges from the legacy evaluator's.
+// answer order never diverges from GroupProject's.
 func WriteValueKey(b *strings.Builder, v Value) {
 	var buf [9]byte
 	b.Write(appendValueKey(buf[:0], v))

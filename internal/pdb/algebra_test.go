@@ -318,3 +318,103 @@ func TestCompareValueKeysIsValsKeyOrder(t *testing.T) {
 		t.Fatal("256 must sort before 1: the key order is byte-reversed, not numeric")
 	}
 }
+
+// Conjunctive queries composed from the operators, the way the plan
+// package's eager reference (evalIR in plan/oracle_test.go) composes
+// them for every IR query: selections, equi-joins with and without a
+// residual predicate over the concatenated schema, theta joins, and a
+// grouped or Boolean head.
+
+func TestQueryEquiJoinProject(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	// q(c) :- R(a, b), T(b, c). Groups come out in CompareValueKeys
+	// order: 300 (0x12c) before 100 (0x64) before 200 (0xc8).
+	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})
+	want := []struct {
+		c Value
+		p float64
+	}{
+		{300, (1 - 0.4*0.3) * 0.4}, // (r2 ∨ r3) ∧ t3
+		{100, 0.5 * 0.2},           // r1 ∧ t1
+		{200, (1 - 0.4*0.3) * 0.3}, // (r2 ∨ r3) ∧ t2
+	}
+	if len(answers) != len(want) {
+		t.Fatalf("got %d answers, want %d", len(answers), len(want))
+	}
+	for i, w := range want {
+		if answers[i].Vals[0] != w.c {
+			t.Fatalf("answer %d is %v, want %d", i, answers[i].Vals, w.c)
+		}
+		if got := core.ExactProbability(s, answers[i].Lin); math.Abs(got-w.p) > 1e-12 {
+			t.Fatalf("answer %d: conf %v, want %v", w.c, got, w.p)
+		}
+	}
+}
+
+func TestQueryBoolean(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	// q() :- R(a, 20), T(20, c): rows (2,20),(3,20) × (20,200),(20,300).
+	lin, some := BooleanAnswer(EquiJoin(Select(r, func(v []Value) bool { return v[1] == 20 }), u, 1, 0))
+	if !some || len(lin) != 4 {
+		t.Fatalf("lineage %v (some=%v), want 4 clauses", lin, some)
+	}
+}
+
+func TestQueryBooleanEmpty(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	if lin, some := BooleanAnswer(EquiJoin(Select(r, func([]Value) bool { return false }), u, 1, 0)); some || lin != nil {
+		t.Fatalf("expected no answer, got %v", lin)
+	}
+}
+
+func TestQueryThetaJoin(t *testing.T) {
+	s := formula.NewSpace()
+	r := NewTupleIndependent(s, "R", []string{"x"},
+		[][]Value{{1}, {5}, {9}}, []float64{0.5, 0.5, 0.5}, 0)
+	u := NewTupleIndependent(s, "U", []string{"y"},
+		[][]Value{{3}, {7}}, []float64{0.5, 0.5}, 1)
+	// q(y) :- R(x), U(y), x < y: y=3 via x=1; y=7 via x=1 and x=5.
+	answers := GroupProject(ThetaJoin(r, u, func(l, rv []Value) bool { return l[0] < rv[0] }), []int{1})
+	if len(answers) != 2 || len(answers[0].Lin) != 1 || len(answers[1].Lin) != 2 {
+		t.Fatalf("answers %v", answers)
+	}
+	if got := core.ExactProbability(s, answers[1].Lin); math.Abs(got-0.75*0.5) > 1e-12 {
+		t.Fatalf("y=7: conf %v, want %v", got, 0.75*0.5)
+	}
+}
+
+func TestQueryEquiWithExtraPredicate(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	// The residual predicate sees the right side at offset len(R.Cols):
+	// only c = 300 qualifies, joined with the two b = 20 rows of R.
+	w := len(r.Cols)
+	j := Select(EquiJoin(r, u, 1, 0), func(v []Value) bool { return v[w+1] > 200 })
+	if lin, some := BooleanAnswer(j); !some || len(lin) != 2 {
+		t.Fatalf("lineage %v (some=%v), want 2 clauses", lin, some)
+	}
+}
+
+func TestQueryTriangleMatchesManualPipeline(t *testing.T) {
+	// The Figure-5 triangle as three equi-joins plus the ordering
+	// selection; TestFigure5Triangle states it as one equi-join and a
+	// theta join.
+	s := formula.NewSpace()
+	e, vars := figure5(s)
+	n1 := Rename(e, "n1", []string{"u", "v"})
+	n2 := Rename(e, "n2", []string{"u", "v"})
+	n3 := Rename(e, "n3", []string{"u", "v"})
+	j := EquiJoin(EquiJoin(n1, n2, 1, 0), n3, 3, 1) // n1.v = n2.u, n2.v = n3.v
+	j = Select(j, func(v []Value) bool {
+		n1u, n2u, n3u, n3v := v[0], v[2], v[4], v[5]
+		return n1u == n3u && n1u < n2u && n2u < n3v
+	})
+	lin, some := BooleanAnswer(j)
+	want := formula.MustClause(formula.Pos(vars[2]), formula.Pos(vars[4]), formula.Pos(vars[5]))
+	if !some || len(lin) != 1 || !lin[0].Equal(want) {
+		t.Fatalf("lineage %s, want e3∧e5∧e6", lin.String(s))
+	}
+}

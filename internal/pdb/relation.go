@@ -8,6 +8,12 @@
 // the final projection groups tuples by answer value, turning the clause
 // sets into answer DNFs, exactly the relational encoding of DNFs the
 // paper assumes.
+//
+// Queries are stated as internal/plan IR and run by its planner. The
+// eager operators here (algebra.go) are the reference it is checked
+// against: the plan tests drive them through an IR interpreter
+// (plan/oracle_test.go), and they back the Figure 5 reproduction
+// (figure5_test.go).
 package pdb
 
 import (

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"repro/internal/pdb"
 )
 
@@ -9,8 +11,10 @@ import (
 // collecting the equality and inequality join conditions as edges
 // between origins. Opaque predicates anywhere except directly over a
 // scan taint the analysis — the structural routes need to *see* the
-// conditions. Analysis is pure plan-shape work; the per-tuple event
-// independence check (below) is the only part that reads data.
+// conditions. The same walk is the IR's one validator: a malformed tree
+// is recorded as invalid, and Compile turns that into the plan's error.
+// Analysis is pure plan-shape work; the per-tuple event independence
+// check (below) is the only part that reads data.
 
 // origin identifies a base-relation column: leaf index and column.
 type origin struct {
@@ -56,25 +60,37 @@ type analysis struct {
 	// taint, when non-empty, names the IR feature that blocks the
 	// structural routes (opaque predicate, residual join condition, …).
 	taint string
+	// invalid, when non-empty, names the first malformation the walk
+	// met: the tree cannot execute on any route.
+	invalid string
 }
 
-// analyze extracts the query graph under a GroupLineage root. ok is
-// false when the plan shape itself is unsupported (never — every shape
-// degrades to a taint reason instead).
+// analyze extracts the query graph under a GroupLineage root.
 func analyze(g *GroupLineage) *analysis {
 	a := &analysis{}
 	cols := a.walk(g.Input)
 	for _, c := range g.Cols {
-		a.head = append(a.head, cols[c])
+		if a.inRange("GroupLineage", c, cols) {
+			a.head = append(a.head, cols[c])
+		}
 	}
 	return a
 }
 
 // walk returns the origin of every output column of n, registering
-// leaves and edges on the way.
+// leaves and edges on the way. A malformed node — a nil input,
+// relation or predicate, an out-of-range column, a ThetaJoin without a
+// condition, GroupLineage or a ranking node below the root, a type
+// outside the IR — marks the analysis invalid; the first reason wins.
 func (a *analysis) walk(n Node) []origin {
 	switch t := n.(type) {
+	case nil:
+		a.reject("nil input node")
 	case *Scan:
+		if t.Rel == nil {
+			a.reject("Scan of a nil relation")
+			return nil
+		}
 		li := len(a.leaves)
 		a.leaves = append(a.leaves, leafInfo{rel: t.Rel})
 		out := make([]origin, len(t.Rel.Cols))
@@ -86,16 +102,21 @@ func (a *analysis) walk(n Node) []origin {
 		// A filter directly over a leaf chain is pushed into the leaf;
 		// anywhere else it is an opaque predicate over derived tuples.
 		out := a.walk(t.Input)
-		if isLeafChain(t.Input) && identityOrigins(out) {
+		switch {
+		case t.Pred == nil:
+			a.reject("Select without a predicate")
+		case isLeafChain(t.Input) && identityOrigins(out):
 			a.leaves[out[0].leaf].filters = append(a.leaves[out[0].leaf].filters, t.Pred)
-		} else {
+		default:
 			a.mark("selection over a derived relation")
 		}
 		return out
 	case *EquiJoin:
 		l := a.walk(t.Left)
 		r := a.walk(t.Right)
-		a.eqs = append(a.eqs, eqEdge{l[t.LeftCol], r[t.RightCol]})
+		if a.inRange("EquiJoin left", t.LeftCol, l) && a.inRange("EquiJoin right", t.RightCol, r) {
+			a.eqs = append(a.eqs, eqEdge{l[t.LeftCol], r[t.RightCol]})
+		}
 		if t.On != nil {
 			a.mark("residual equi-join predicate")
 		}
@@ -103,36 +124,33 @@ func (a *analysis) walk(n Node) []origin {
 	case *ThetaJoin:
 		l := a.walk(t.Left)
 		r := a.walk(t.Right)
-		if t.Less != nil {
+		switch {
+		case t.Less == nil && t.Pred == nil:
+			a.reject("ThetaJoin without Less or Pred")
+		case t.Less != nil && a.inRange("Less left", t.Less.LeftCol, l) && a.inRange("Less right", t.Less.RightCol, r):
 			a.ineqs = append(a.ineqs, ineqEdge{l[t.Less.LeftCol], r[t.Less.RightCol]})
 		}
 		if t.Pred != nil {
 			a.mark("opaque theta-join predicate")
-		}
-		if t.Less == nil && t.Pred == nil {
-			a.mark("theta join without condition")
 		}
 		return append(l, r...)
 	case *Project:
 		in := a.walk(t.Input)
 		out := make([]origin, len(t.Cols))
 		for i, c := range t.Cols {
-			out[i] = in[c]
+			if a.inRange("Project", c, in) {
+				out[i] = in[c]
+			}
 		}
 		return out
 	case *GroupLineage:
-		a.mark("nested GroupLineage")
-		return make([]origin, len(t.Cols))
-	case *TopK:
-		// Ranking nodes are root-only; the planner strips them before
-		// analysis, so finding one here means a malformed plan.
-		a.mark("ranking node below the root")
-		return a.walk(t.Input)
-	case *Threshold:
-		a.mark("ranking node below the root")
-		return a.walk(t.Input)
+		a.reject("GroupLineage below the plan root")
+	case *TopK, *Threshold:
+		// CompileWith strips the one ranking root before analysis.
+		a.reject("ranking node (TopK/Threshold) below the plan root")
+	default:
+		a.reject(fmt.Sprintf("unknown node type %T", n))
 	}
-	a.mark("unknown node")
 	return nil
 }
 
@@ -140,6 +158,22 @@ func (a *analysis) mark(reason string) {
 	if a.taint == "" {
 		a.taint = reason
 	}
+}
+
+func (a *analysis) reject(reason string) {
+	if a.invalid == "" {
+		a.invalid = reason
+	}
+}
+
+// inRange reports whether col indexes cols, rejecting the tree
+// otherwise.
+func (a *analysis) inRange(op string, col int, cols []origin) bool {
+	if col >= 0 && col < len(cols) {
+		return true
+	}
+	a.reject(fmt.Sprintf("%s column %d out of range [0, %d)", op, col, len(cols)))
+	return false
 }
 
 // isLeafChain reports whether n is a Scan, possibly under Selects.

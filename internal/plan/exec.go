@@ -11,13 +11,15 @@ import (
 	"repro/internal/sprout"
 )
 
-// This file is the pipelined physical runtime of the lineage route. It
-// replaces the eager, fully-materializing operators of pdb/algebra.go
-// in the query path: operators are pull-based cursors, tuples stream
-// from the scans into the final grouping sink, and only join build
-// sides are buffered. Clause merges are interned through one
-// formula.Interner per pipeline, so lineage clauses reaching the sink
-// share canonical backing arrays.
+// This file is the pipelined physical runtime of the lineage route:
+// operators are pull-based cursors, tuples stream from the scans into
+// the final grouping sink, and only join build sides are buffered.
+// Clause merges are interned through one formula.Interner per pipeline,
+// so lineage clauses reaching the sink share canonical backing arrays.
+// pdb/algebra.go's eager operators compute the same answers; the plan
+// tests drive them as the reference (oracle_test.go). The runtime only
+// sees trees Compile's analysis walk accepted: every entry point
+// returns the plan's Err first, and Lineage(root) analyzes its root.
 
 // cursor is a pull-based tuple stream.
 type cursor interface {
@@ -28,11 +30,24 @@ type cursor interface {
 // answers with grouped lineage DNFs — the relational encoding of DNFs
 // the confidence algorithms consume. A root that is not a GroupLineage
 // is treated as a Boolean query over its output. A nil root has no
-// answers. The answer values and order are identical to the legacy
-// eager evaluator's.
+// answers, and neither has a malformed one (Compile(root).Err() says
+// why). The answer values and order are those of pdb's eager
+// operators (pdb.GroupProject).
 func Lineage(root Node) []pdb.Answer {
+	if root == nil || analyze(groupOf(root)).invalid != "" {
+		return nil
+	}
 	ans, _, _ := lineageWithStats(context.Background(), root, nil) // only a dead context fails it
 	return ans
+}
+
+// groupOf returns root's GroupLineage; any other root is the Boolean
+// query over its output.
+func groupOf(root Node) *GroupLineage {
+	if g, ok := root.(*GroupLineage); ok {
+		return g
+	}
+	return &GroupLineage{Input: root}
 }
 
 // lineageStats reports one lineage materialization's output volumes:
@@ -57,10 +72,7 @@ func lineageWithStats(ctx context.Context, root Node, in *formula.Interner) ([]p
 	if root == nil {
 		return nil, lineageStats{}, nil
 	}
-	g, ok := root.(*GroupLineage)
-	if !ok {
-		g = &GroupLineage{Input: root}
-	}
+	g := groupOf(root)
 	if in == nil {
 		in = formula.NewInterner()
 	}
@@ -91,17 +103,16 @@ func newCursor(ctx context.Context, n Node, in *formula.Interner) cursor {
 	case *Project:
 		return &projectCursor{in: newCursor(ctx, t.Input, in), cols: t.Cols}
 	case *GroupLineage:
-		// invariant: compile strips GroupLineage off the root and the
-		// façade rejects nested ones before a plan reaches the runtime.
+		// invariant: the runtime strips the root GroupLineage, and
+		// analyze rejects one below the root at compile.
 		panic("plan: GroupLineage below the plan root")
 	case *TopK, *Threshold:
-		// invariant: ranking roots are stripped by compile; validate and
-		// the façade reject non-root placement.
+		// invariant: Compile strips the ranking root, and analyze rejects
+		// one below it.
 		panic("plan: TopK/Threshold must be the plan root")
 	}
-	// invariant: Node is sealed and every IR type is handled above;
-	// foreign embedders are rejected by the façade's checkNode before
-	// any cursor is built.
+	// invariant: analyze rejects nil inputs and foreign node types at
+	// compile, before any cursor is built.
 	panic(fmt.Sprintf("plan: unknown node %T", n))
 }
 
@@ -250,8 +261,8 @@ func thetaPred(t *ThetaJoin) func(left, right []pdb.Value) bool {
 		}
 	}
 	if pred == nil {
-		// invariant: the façade's builder and checkNode guarantee every
-		// ThetaJoin carries Less or Pred before a plan is compiled.
+		// invariant: analyze rejects a ThetaJoin without Less or Pred at
+		// compile.
 		panic("plan: ThetaJoin without Less or Pred")
 	}
 	return pred

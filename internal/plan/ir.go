@@ -39,8 +39,8 @@ import (
 
 // Node is a logical plan operator. Column references are positions into
 // the referenced child's output schema (see Schema); joins concatenate
-// their children's schemas left-then-right, exactly like the legacy
-// eager operators did.
+// their children's schemas left-then-right, like pdb.EquiJoin and
+// pdb.ThetaJoin. Compile validates the whole tree (see Plan.Err).
 type Node interface {
 	isNode()
 }
@@ -94,8 +94,8 @@ type Project struct {
 // GroupLineage is the duplicate-eliminating projection that terminates
 // a query: tuples are grouped by the projected values and each group's
 // lineage clauses become the answer's DNF. Empty Cols is the Boolean
-// query (project away everything). GroupLineage is only meaningful as
-// the root of a plan.
+// query (project away everything). GroupLineage is root-only (under an
+// optional TopK/Threshold); Compile rejects one anywhere below.
 type GroupLineage struct {
 	Input Node
 	Cols  []int
@@ -105,9 +105,8 @@ type GroupLineage struct {
 // probable (ties broken by answer order). It is root-only: the planner
 // strips it off the plan root and routes the input underneath —
 // structural routes short-circuit to an exact sort, the lineage route
-// runs the anytime bound-separation scheduler (internal/rank). A TopK
-// anywhere below the root is a programming error and the runtime
-// rejects it.
+// runs the anytime bound-separation scheduler (internal/rank). Compile
+// rejects a TopK anywhere below the root.
 type TopK struct {
 	Input Node
 	K     int
@@ -129,12 +128,11 @@ func (*GroupLineage) isNode() {}
 func (*TopK) isNode()         {}
 func (*Threshold) isNode()    {}
 
-// Width returns the number of output columns of n. Malformed trees —
-// a nil-relation scan, or a foreign type satisfying Node by embedding
-// one of the IR structs — report width 0 rather than panicking: these
-// inspectors run on adopted, not-yet-validated user IR (the façade's
-// builder calls Width before Build gets to reject the tree), so they
-// must stay total.
+// Width returns the number of output columns of n. Width, Name and
+// Schema are total: they run on trees Compile has not validated yet
+// (the façade's builder calls them on adopted IR before Build), so a
+// nil node, a nil-relation scan or a foreign type satisfying Node by
+// embedding one of the IR structs reports width 0 instead of a panic.
 func Width(n Node) int {
 	switch t := n.(type) {
 	case *Scan:
@@ -189,10 +187,10 @@ func Name(n Node) string {
 }
 
 // Schema returns the output column names of n. Joins qualify each
-// side's columns with the side's Name, mirroring the legacy operators.
-// Total over malformed trees, like Width: unknown nodes (and
-// out-of-range projections, which Build rejects with a BuildError)
-// yield a nil schema rather than a panic.
+// side's columns with the side's Name, like pdb's join operators. Total
+// over malformed trees, like Width: a nil or unknown node and a
+// nil-relation scan have a nil schema, and an out-of-range projected
+// column is named "col(c)".
 func Schema(n Node) []string {
 	switch t := n.(type) {
 	case *Scan:
@@ -215,12 +213,12 @@ func Schema(n Node) []string {
 	case *Threshold:
 		return Schema(t.Input)
 	}
-	panic(fmt.Sprintf("plan: unknown node %T", n))
+	return nil
 }
 
 // projectSchema resolves a projection's column names, naming
-// out-of-range positions "col(c)" instead of panicking — Build rejects
-// such trees, but Schema may inspect them first.
+// out-of-range positions "col(c)" instead of panicking — Compile
+// rejects such trees, but Schema may inspect them first.
 func projectSchema(in []string, cols []int) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {

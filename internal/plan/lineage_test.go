@@ -12,8 +12,8 @@ import (
 
 // TestLineageSinkMatchesStringKeyedGrouping: the lineage route's sink —
 // groups found through sprout.KeyIndex, ordered by pdb.CompareValueKeys,
-// their clauses staged flat and regrouped — returns what the legacy
-// evaluator's string-keyed pdb.GroupProject / BooleanAnswer return:
+// their clauses staged flat and regrouped — returns what the eager
+// reference's string-keyed pdb.GroupProject / BooleanAnswer return:
 // the same groups in the same order and, clause for clause, the same
 // DNFs. Group values are drawn where encoded-key order is not numeric
 // order (negative, 2⁸ and above), and repeat so that groups interleave
@@ -33,28 +33,29 @@ func TestLineageSinkMatchesStringKeyedGrouping(t *testing.T) {
 			return pdb.NewTupleIndependent(s, name, []string{"a", "b", "c"}, rows, probs, tag)
 		}
 		r, u := rel("R", 0), rel("U", 1)
-		q := &pdb.Query{From: []pdb.FromItem{
-			{Rel: r},
-			{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-			// The self-join makes different tuple combinations merge to one clause.
-			{Rel: r, EquiLeft: pdb.ColRef{Item: 1, Col: "b"}, EquiRight: "b"},
-		}}
-		for _, project := range [][]pdb.ColRef{nil, {{Item: 0, Col: "a"}}, {{Item: 1, Col: "c"}, {Item: 0, Col: "a"}}} {
-			q.Project = project
-			got, want := Lineage(FromLegacy(q)), q.Evaluate()
+		// R ⋈ U on b, then R again on U.b: the self-join makes different
+		// tuple combinations merge to one clause.
+		join := &EquiJoin{
+			Left:    &EquiJoin{Left: scan(r), Right: scan(u), LeftCol: 1, RightCol: 1},
+			Right:   scan(r),
+			LeftCol: 4, RightCol: 1,
+		}
+		for _, project := range [][]int{nil, {0}, {5, 0}} { // (), (R.a), (U.c, R.a)
+			root := &GroupLineage{Input: join, Cols: project}
+			got, want := Lineage(root), evalIR(root)
 			if len(got) != len(want) {
-				t.Fatalf("seed %d, project %v: %d answers, legacy evaluator %d", seed, project, len(got), len(want))
+				t.Fatalf("seed %d, project %v: %d answers, eager reference %d", seed, project, len(got), len(want))
 			}
 			for i := range want {
 				if pdb.CompareValueKeys(got[i].Vals, want[i].Vals) != 0 || (got[i].Vals == nil) != (want[i].Vals == nil) {
-					t.Fatalf("seed %d, project %v: answer %d is %v, legacy evaluator %v", seed, project, i, got[i].Vals, want[i].Vals)
+					t.Fatalf("seed %d, project %v: answer %d is %v, eager reference %v", seed, project, i, got[i].Vals, want[i].Vals)
 				}
 				if len(got[i].Lin) != len(want[i].Lin) {
-					t.Fatalf("seed %d, project %v: answer %v has %d clauses, legacy evaluator %d", seed, project, got[i].Vals, len(got[i].Lin), len(want[i].Lin))
+					t.Fatalf("seed %d, project %v: answer %v has %d clauses, eager reference %d", seed, project, got[i].Vals, len(got[i].Lin), len(want[i].Lin))
 				}
 				for j := range want[i].Lin {
 					if !got[i].Lin[j].Equal(want[i].Lin[j]) {
-						t.Fatalf("seed %d, project %v: answer %v clause %d is %v, legacy evaluator %v", seed, project, got[i].Vals, j, got[i].Lin[j], want[i].Lin[j])
+						t.Fatalf("seed %d, project %v: answer %v clause %d is %v, eager reference %v", seed, project, got[i].Vals, j, got[i].Lin[j], want[i].Lin[j])
 					}
 				}
 			}

@@ -20,7 +20,8 @@ import (
 // math.Float64bits(P). The structural half of compilation
 // (safeCompiler's classes, components and root variables) is shared:
 // it decides the plan, not the arithmetic. refEventIndependent is the
-// map-based independence scan the bitset replaced.
+// map-based independence scan the bitset replaced. evalIR, at the end,
+// is the eager reference for whole queries.
 
 // refTable is an extensional probabilistic table: each row carries the
 // probability of the independent event it represents. Safe plans
@@ -367,7 +368,7 @@ func refReorder(vt *refVarTable, vars []int) *refVarTable {
 }
 
 // answers evaluates the plan and maps the root table into requested
-// head-column order, sorted like the legacy group projection.
+// head-column order, sorted like pdb.GroupProject.
 func (sp *refSafePlan) answers(s *formula.Space) []refSafeRow {
 	vt := sp.eval(s)
 	pos := make([]int, len(sp.headClasses))
@@ -383,8 +384,7 @@ func (sp *refSafePlan) answers(s *formula.Space) []refSafeRow {
 		}
 		rows = append(rows, refSafeRow{vals: vals, p: r.P})
 		// Keys are precomputed once per row (not per comparison) in
-		// pdb.GroupProject's encoding, keeping routed and legacy answer
-		// orders aligned.
+		// pdb.GroupProject's encoding, keeping the answer orders aligned.
 		keys = append(keys, pdb.ValsKey(vals))
 	}
 	sort.Sort(&refRowsByKey{rows: rows, keys: keys})
@@ -427,4 +427,64 @@ func refEventIndependent(leaves []leafInfo) bool {
 		}
 	}
 	return true
+}
+
+// evalIR is the eager reference evaluator: the IR interpreted over
+// pdb's algebra operators, every intermediate relation materialized,
+// grouped by pdb.GroupProject (a Boolean head by pdb.BooleanAnswer).
+// It shares nothing with the cursors, the interner or the structural
+// kernels; Lineage and every route must return its answers, in its
+// order. root must be valid IR.
+func evalIR(root Node) []pdb.Answer {
+	g, ok := root.(*GroupLineage)
+	if !ok {
+		g = &GroupLineage{Input: root}
+	}
+	rel := evalRel(g.Input)
+	if len(g.Cols) > 0 {
+		return pdb.GroupProject(rel, g.Cols)
+	}
+	if lin, some := pdb.BooleanAnswer(rel); some {
+		return []pdb.Answer{{Lin: lin}}
+	}
+	return nil
+}
+
+func evalRel(n Node) *pdb.Relation {
+	switch t := n.(type) {
+	case *Scan:
+		return t.Rel
+	case *Select:
+		return pdb.Select(evalRel(t.Input), t.Pred)
+	case *EquiJoin:
+		l := evalRel(t.Left)
+		j := pdb.EquiJoin(l, evalRel(t.Right), t.LeftCol, t.RightCol)
+		if t.On != nil {
+			w := len(l.Cols)
+			j = pdb.Select(j, func(v []pdb.Value) bool { return t.On(v[:w], v[w:]) })
+		}
+		return j
+	case *ThetaJoin:
+		return pdb.ThetaJoin(evalRel(t.Left), evalRel(t.Right), func(lv, rv []pdb.Value) bool {
+			if t.Less != nil && lv[t.Less.LeftCol] >= rv[t.Less.RightCol] {
+				return false
+			}
+			return t.Pred == nil || t.Pred(lv, rv)
+		})
+	case *Project:
+		in := evalRel(t.Input)
+		out := &pdb.Relation{Name: "π", Cols: make([]string, len(t.Cols))}
+		for i, c := range t.Cols {
+			out.Cols[i] = in.Cols[c]
+		}
+		for _, tup := range in.Tups {
+			vals := make([]pdb.Value, len(t.Cols))
+			for i, c := range t.Cols {
+				vals[i] = tup.Vals[c]
+			}
+			out.Tups = append(out.Tups, pdb.Tuple{Vals: vals, Lin: tup.Lin})
+		}
+		return out
+	}
+	panic(fmt.Sprintf("evalIR: %T is not a relational operator", n))
 }

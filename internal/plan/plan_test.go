@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -47,44 +49,29 @@ func answersEqual(t *testing.T, s *formula.Space, got, want []pdb.Answer) {
 	}
 }
 
-func TestPlannerPipelineMatchesLegacyEvaluator(t *testing.T) {
+func TestPlannerPipelineMatchesEagerOracle(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
-	queries := []*pdb.Query{
-		{ // grouped equi join
-			From: []pdb.FromItem{
-				{Rel: r},
-				{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-			},
-			Project: []pdb.ColRef{{Item: 1, Col: "c"}},
-		},
-		{ // Boolean with selection
-			From: []pdb.FromItem{
-				{Rel: r, Select: func(v []pdb.Value) bool { return v[1] == 20 }},
-				{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-			},
-		},
-		{ // theta join
-			From: []pdb.FromItem{
-				{Rel: r},
-				{Rel: u, On: func(l, rv []pdb.Value) bool { return l[0] < rv[1] }},
-			},
-		},
-		{ // equi join with residual predicate
-			From: []pdb.FromItem{
-				{Rel: r},
-				{
-					Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b",
-					On: func(l, rv []pdb.Value) bool { return rv[1] > 200 },
-				},
-			},
-		},
+	join := &EquiJoin{Left: scan(r), Right: scan(u), LeftCol: 1, RightCol: 0} // R.b = T.b
+	queries := []Node{
+		// grouped equi join
+		&GroupLineage{Input: join, Cols: []int{3}},
+		// Boolean with selection
+		&GroupLineage{Input: &EquiJoin{Left: sel(scan(r), func(v []pdb.Value) bool { return v[1] == 20 }), Right: scan(u), LeftCol: 1, RightCol: 0}},
+		// theta join
+		&GroupLineage{Input: &ThetaJoin{Left: scan(r), Right: scan(u), Pred: func(l, rv []pdb.Value) bool { return l[0] < rv[1] }}},
+		// equi join with residual predicate
+		&GroupLineage{Input: &EquiJoin{Left: scan(r), Right: scan(u), LeftCol: 1, RightCol: 0,
+			On: func(l, rv []pdb.Value) bool { return rv[1] > 200 }}},
+		// structured inequality under a reordering projection
+		&GroupLineage{Input: &Project{Input: &ThetaJoin{Left: scan(r), Right: scan(u), Less: &Less{LeftCol: 0, RightCol: 1}}, Cols: []int{3, 0}}, Cols: []int{1}},
+		// bare join: the Boolean query over its output
+		join,
 	}
 	for i, q := range queries {
-		got := Lineage(FromLegacy(q))
-		want := q.Evaluate()
+		want := evalIR(q)
 		t.Logf("query %d: %d answers", i, len(want))
-		answersEqual(t, s, got, want)
+		answersEqual(t, s, Lineage(q), want)
 	}
 }
 
@@ -92,16 +79,13 @@ func TestPlannerPipelineEmptyAndNil(t *testing.T) {
 	if got := Lineage(nil); got != nil {
 		t.Fatalf("nil root: %v", got)
 	}
-	if got := Lineage(FromLegacy(&pdb.Query{})); got != nil {
-		t.Fatalf("empty query: %v", got)
+	if got := Lineage(&GroupLineage{}); got != nil {
+		t.Fatalf("GroupLineage without input: %v", got)
 	}
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
-	q := &pdb.Query{From: []pdb.FromItem{
-		{Rel: r, Select: func(v []pdb.Value) bool { return false }},
-		{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-	}}
-	if got := Lineage(FromLegacy(q)); len(got) != 0 {
+	none := sel(scan(r), func(v []pdb.Value) bool { return false })
+	if got := Lineage(&GroupLineage{Input: &EquiJoin{Left: none, Right: scan(u), LeftCol: 1, RightCol: 0}}); len(got) != 0 {
 		t.Fatalf("filtered-out query: %v", got)
 	}
 }
@@ -368,5 +352,89 @@ func TestPlannerNamesAndSchema(t *testing.T) {
 	pr := &Project{Input: j, Cols: []int{3, 0}}
 	if got := Schema(pr); got[0] != "T.c" || got[1] != "R.a" {
 		t.Fatalf("project schema %v", got)
+	}
+	// The inspectors are total: a foreign node has no schema and no width.
+	f := &foreign{Scan{Rel: r}}
+	if got := Schema(f); got != nil {
+		t.Fatalf("foreign node schema %v, want nil", got)
+	}
+	if Width(f) != 0 || Name(f) == "" {
+		t.Fatalf("foreign node: width %d, name %q", Width(f), Name(f))
+	}
+}
+
+// foreign satisfies Node by embedding an IR struct without being one.
+type foreign struct{ Scan }
+
+// TestPlannerRejectsMalformedTrees: the analysis walk is the IR's one
+// validator. Every malformed shape compiles — without a panic — to a
+// plan whose Err names the problem; Answers, Stream and Lineage return
+// it (or nothing) without running a route, so no panic is contained
+// and none is counted.
+func TestPlannerRejectsMalformedTrees(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	m := obs.NewMetrics()
+	ctx := context.Background()
+	join := func(l, r Node) *EquiJoin { return &EquiJoin{Left: l, Right: r, LeftCol: 1, RightCol: 0} }
+	cases := []struct {
+		name, why string
+		root      Node
+	}{
+		{"nil-relation scan", "nil relation", &GroupLineage{Input: &Scan{}}},
+		{"nil select input", "nil input", &GroupLineage{Input: &Select{Pred: func([]pdb.Value) bool { return true }}}},
+		{"nil join side", "nil input", &GroupLineage{Input: join(scan(r), nil)}},
+		{"nil select predicate", "without a predicate", &GroupLineage{Input: &Select{Input: scan(r)}}},
+		{"nil group input", "nil input", &GroupLineage{Cols: []int{0}}},
+		{"nil ranking input", "nil input", &TopK{K: 1}},
+		{"equi-join column out of range", "EquiJoin right column 7", &EquiJoin{Left: scan(r), Right: scan(u), RightCol: 7}},
+		{"negative equi-join column", "EquiJoin left column -1", &EquiJoin{Left: scan(r), Right: scan(u), LeftCol: -1}},
+		{"less column out of range", "Less left column 2", &ThetaJoin{Left: scan(r), Right: scan(u), Less: &Less{LeftCol: 2}}},
+		{"project column out of range", "Project column 4", &GroupLineage{Input: &Project{Input: scan(r), Cols: []int{0, 4}}}},
+		{"group column out of range", "GroupLineage column 7", &GroupLineage{Input: join(scan(r), scan(u)), Cols: []int{7}}},
+		{"conditionless theta join", "ThetaJoin without Less or Pred", &GroupLineage{Input: &ThetaJoin{Left: scan(r), Right: scan(u)}}},
+		{"nested GroupLineage", "GroupLineage below", join(&GroupLineage{Input: scan(r), Cols: []int{0, 1}}, scan(u))},
+		{"ranking below the root", "ranking node", &GroupLineage{Input: &Threshold{Input: scan(r), Tau: 0.5}}},
+		{"stacked ranking roots", "ranking node", &TopK{Input: &TopK{Input: scan(r), K: 1}, K: 1}},
+		{"non-positive K", "K must be positive", &TopK{Input: &GroupLineage{Input: scan(r), Cols: []int{0}}, K: 0}},
+		{"unknown node type", "unknown node type", &GroupLineage{Input: &foreign{Scan{Rel: r}}}},
+	}
+	for _, c := range cases {
+		p := CompileWith(c.root, Options{Metrics: m})
+		if err := p.Err(); err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Fatalf("%s: Err() = %v, want one naming %q", c.name, err, c.why)
+		}
+		if !strings.Contains(p.Explain(), "invalid plan") {
+			t.Errorf("%s: Explain() = %q", c.name, p.Explain())
+		}
+		got, err := p.Answers(ctx, s, nil)
+		var pe *fault.PanicError
+		if err != p.Err() || errors.As(err, &pe) || got != nil {
+			t.Fatalf("%s: Answers = %d answers, %v; want the plan's error %v", c.name, len(got), err, p.Err())
+		}
+		streamed, err := drain(t, p, ctx, s)
+		if err != p.Err() || len(streamed) != 0 {
+			t.Fatalf("%s: Stream = %d answers, %v; want the plan's error", c.name, len(streamed), err)
+		}
+		if p.Lineage() != nil || Lineage(c.root) != nil {
+			t.Fatalf("%s: lineage materialized for an invalid plan", c.name)
+		}
+	}
+	if n := m.Snapshot().PanicsRecovered; n != 0 {
+		t.Fatalf("PanicsRecovered = %d, want 0: malformed trees must fail at compile", n)
+	}
+}
+
+// TestPlanRelations: Relations lists every scan in tree order, a
+// self-join's relation twice.
+func TestPlanRelations(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	p := Compile(&TopK{Input: &GroupLineage{Input: &EquiJoin{
+		Left:  &EquiJoin{Left: scan(r), Right: sel(scan(u), func([]pdb.Value) bool { return true }), LeftCol: 1, RightCol: 0},
+		Right: scan(r), LeftCol: 0, RightCol: 0,
+	}}, K: 1})
+	if got := p.Relations(); !slices.Equal(got, []*pdb.Relation{r, u, r}) {
+		t.Fatalf("Relations() = %v, want R, T, R", got)
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	rtrace "runtime/trace"
 	"sort"
@@ -108,11 +109,12 @@ type Plan struct {
 	metrics  *obs.Metrics
 	inject   *fault.Injector
 	watchdog time.Duration
-	// nestedRank records (at compile time) that a ranking node survived
-	// below the root — the plan is unexecutable and Answers errors.
-	nestedRank bool
-	safe       *safePlan
-	iq         *iqPlan
+	// err is why the plan cannot execute (see Err); leaves are the scans
+	// the analysis walk registered (see Relations).
+	err    error
+	leaves []leafInfo
+	safe   *safePlan
+	iq     *iqPlan
 }
 
 // Compile analyzes root and chooses the cheapest applicable route:
@@ -120,7 +122,8 @@ type Plan struct {
 // yields an empty lineage-routed plan. A TopK/Threshold root is
 // stripped and recorded: Answers then returns only the ranked
 // selection — exactly sorted on the structural routes, decided by the
-// anytime bound-separation scheduler on the lineage route.
+// anytime bound-separation scheduler on the lineage route. A malformed
+// tree compiles to a plan whose Err says why; no route executes it.
 func Compile(root Node) *Plan {
 	return CompileWith(root, Options{})
 }
@@ -136,11 +139,41 @@ func CompileWith(root Node, opt Options) *Plan {
 	}
 	p := compileRouted(root, opt)
 	p.rank = spec
-	p.nestedRank = root != nil && containsRank(root)
 	if spec != nil {
+		switch {
+		case root == nil:
+			p.reject("nil input node")
+		case spec.topk && spec.k <= 0:
+			p.reject(fmt.Sprintf("TopK.K must be positive, got %d", spec.k))
+		}
 		p.Why = spec.describe() + " over " + p.Why
 	}
 	return p
+}
+
+// reject marks the plan unexecutable: every execution entry point
+// returns the error, and Explain shows the reason.
+func (p *Plan) reject(reason string) {
+	if p.err == nil {
+		p.err = errors.New("plan: " + reason)
+		p.Why = "invalid plan: " + reason
+	}
+}
+
+// Err returns why the plan cannot execute — the first malformation
+// Compile met — or nil. Answers, Stream and their traced forms return
+// it before any route runs, and Lineage returns nil answers.
+func (p *Plan) Err() error { return p.err }
+
+// Relations returns the base relation of every Scan in the plan, in
+// left-to-right tree order (a self-join lists its relation twice). For
+// an invalid plan it lists the scans Compile reached.
+func (p *Plan) Relations() []*pdb.Relation {
+	rels := make([]*pdb.Relation, len(p.leaves))
+	for i := range p.leaves {
+		rels[i] = p.leaves[i].rel
+	}
+	return rels
 }
 
 // compileRouted routes a rank-free query.
@@ -150,13 +183,10 @@ func compileRouted(root Node, opt Options) *Plan {
 		p.Why = "empty query"
 		return p
 	}
-	g, ok := root.(*GroupLineage)
-	if !ok {
-		g = &GroupLineage{Input: root}
-	}
-	a := analyze(g)
-	if len(a.leaves) == 0 {
-		p.Why = "no relations"
+	a := analyze(groupOf(root))
+	p.leaves = a.leaves
+	if a.invalid != "" {
+		p.reject(a.invalid)
 		return p
 	}
 	// Rule the structural routes out by plan shape and options before
@@ -215,9 +245,10 @@ func (p *Plan) Explain() string {
 }
 
 // Lineage evaluates the plan's root through the pipelined runtime,
-// regardless of route — the answers with their lineage DNFs.
+// regardless of route — the answers with their lineage DNFs (none for
+// an invalid plan).
 func (p *Plan) Lineage() []pdb.Answer {
-	if p.Root == nil {
+	if p.Root == nil || p.err != nil {
 		return nil
 	}
 	answers, _ := p.lineage(context.Background(), nil, nil) // only a dead context fails it
@@ -248,7 +279,7 @@ func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryT
 // route. The structural routes are exact and ignore ev; the lineage
 // route materializes answer DNFs and fans them out over ev (nil ev
 // defaults to exact d-tree compilation). The returned answers are
-// sorted by value exactly like the legacy evaluator's.
+// sorted by value, in pdb.CompareValueKeys order.
 //
 // For a ranked plan (a TopK/Threshold root was compiled), only the
 // selected answers are returned, most probable first. The structural
@@ -283,8 +314,8 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := p.validate(); err != nil {
-		return nil, nil, err
+	if p.err != nil {
+		return nil, nil, p.err
 	}
 	if tr != nil { // Explain formats: not on the untraced path
 		tr.SetPlan(p.Explain(), p.Route.String())
@@ -471,18 +502,6 @@ func fmtVals(vals []pdb.Value) string {
 	return b.String()
 }
 
-// validate rejects malformed ranking plans; the failure is identical on
-// every route and execution surface (Answers and Stream).
-func (p *Plan) validate() error {
-	if p.rank != nil && p.rank.topk && p.rank.k <= 0 {
-		return fmt.Errorf("plan: TopK.K must be positive, got %d", p.rank.k)
-	}
-	if p.nestedRank {
-		return fmt.Errorf("plan: ranking nodes (TopK/Threshold) must be the plan root")
-	}
-	return nil
-}
-
 // rankExact applies a ranking root to exactly-computed answers: sort
 // by probability descending (stable, so the route's value order breaks
 // ties) and cut at k / τ — the structural routes' short-circuit, no
@@ -506,27 +525,6 @@ func (p *Plan) rankExact(out []pdb.AnswerConf) []pdb.AnswerConf {
 		}
 	}
 	return out[:cut]
-}
-
-// containsRank reports whether a ranking node remains anywhere in the
-// tree — only the stripped plan root may rank, so any survivor makes
-// the plan unexecutable.
-func containsRank(n Node) bool {
-	switch t := n.(type) {
-	case *TopK, *Threshold:
-		return true
-	case *Select:
-		return containsRank(t.Input)
-	case *EquiJoin:
-		return containsRank(t.Left) || containsRank(t.Right)
-	case *ThetaJoin:
-		return containsRank(t.Left) || containsRank(t.Right)
-	case *Project:
-		return containsRank(t.Input)
-	case *GroupLineage:
-		return containsRank(t.Input)
-	}
-	return false
 }
 
 // rankOptionsFrom derives the lineage route's scheduler configuration

@@ -14,11 +14,11 @@ import (
 	"repro/internal/pdb"
 )
 
-// Satellite: planner equivalence property. For random acyclic
-// conjunctive queries over random tuple-independent and BID relations,
-// the planner-routed confidences must equal the legacy eager evaluator
-// (pdb.Query.Evaluate) plus exact d-tree compilation, within 1e-12 —
-// whatever route the planner picks.
+// Planner equivalence property. For random acyclic conjunctive queries
+// over random tuple-independent and BID relations, the planner-routed
+// confidences must equal the eager reference evaluator (evalIR, over
+// pdb's algebra operators) plus engine.Exact, within 1e-12 — whatever
+// route the planner picks.
 
 // randomRelation builds a small relation: tuple-independent,
 // block-independent-disjoint, or deterministic.
@@ -67,56 +67,54 @@ func randomRelation(rng *rand.Rand, s *formula.Space, name string, tag int32) *p
 	}
 }
 
-// randomQuery builds a random left-deep acyclic query over 1–3
-// relations (occasionally repeating one, which must push the planner
-// onto the lineage route).
-func randomQuery(rng *rand.Rand, rels []*pdb.Relation) *pdb.Query {
+// randomQuery builds a random left-deep acyclic query over 1–3 leaves
+// (occasionally repeating a relation, which must push the planner onto
+// the lineage route): each leaf optionally filtered, each later leaf
+// joined against the accumulated left side — an equality with a column
+// of one earlier leaf or, one time in five, an opaque inequality — and
+// a Boolean or 1–2 column grouped head.
+func randomQuery(rng *rand.Rand, rels []*pdb.Relation) *GroupLineage {
 	n := 1 + rng.Intn(3)
-	items := make([]pdb.FromItem, 0, n)
 	perm := rng.Perm(len(rels))
+	var acc Node
+	leafRels := make([]*pdb.Relation, 0, n)
+	offsets := make([]int, 0, n) // each leaf's first column in acc's schema
+	width := 0
 	for i := 0; i < n; i++ {
 		rel := rels[perm[i%len(perm)]]
 		if rng.Intn(8) == 0 {
 			rel = rels[perm[0]] // occasional self-join
 		}
-		item := pdb.FromItem{Rel: rel}
+		leaf := scan(rel)
 		if rng.Intn(3) == 0 {
 			col := rng.Intn(len(rel.Cols))
 			cut := pdb.Value(rng.Intn(5))
-			item.Select = func(v []pdb.Value) bool { return v[col] <= cut }
+			leaf = sel(leaf, func(v []pdb.Value) bool { return v[col] <= cut })
 		}
-		if i > 0 {
-			if rng.Intn(5) == 0 { // opaque theta join
-				lcol := rng.Intn(widthOf(items))
-				rcol := rng.Intn(len(rel.Cols))
-				item.On = func(l, r []pdb.Value) bool { return l[lcol] < r[rcol] }
-			} else {
-				li := rng.Intn(i)
-				lrel := items[li].Rel
-				item.EquiLeft = pdb.ColRef{Item: li, Col: lrel.Cols[rng.Intn(len(lrel.Cols))]}
-				item.EquiRight = rel.Cols[rng.Intn(len(rel.Cols))]
-			}
+		switch {
+		case i == 0:
+			acc = leaf
+		case rng.Intn(5) == 0: // opaque theta join
+			lcol := rng.Intn(width)
+			rcol := rng.Intn(len(rel.Cols))
+			acc = &ThetaJoin{Left: acc, Right: leaf, Pred: func(l, r []pdb.Value) bool { return l[lcol] < r[rcol] }}
+		default:
+			li := rng.Intn(i)
+			lcol := offsets[li] + rng.Intn(len(leafRels[li].Cols))
+			acc = &EquiJoin{Left: acc, Right: leaf, LeftCol: lcol, RightCol: rng.Intn(len(rel.Cols))}
 		}
-		items = append(items, item)
+		leafRels, offsets = append(leafRels, rel), append(offsets, width)
+		width += len(rel.Cols)
 	}
-	q := &pdb.Query{From: items}
+	g := &GroupLineage{Input: acc}
 	if rng.Intn(2) == 0 { // grouped projection over 1–2 columns
 		np := 1 + rng.Intn(2)
 		for i := 0; i < np; i++ {
 			it := rng.Intn(n)
-			rel := items[it].Rel
-			q.Project = append(q.Project, pdb.ColRef{Item: it, Col: rel.Cols[rng.Intn(len(rel.Cols))]})
+			g.Cols = append(g.Cols, offsets[it]+rng.Intn(len(leafRels[it].Cols)))
 		}
 	}
-	return q
-}
-
-func widthOf(items []pdb.FromItem) int {
-	w := 0
-	for _, it := range items {
-		w += len(it.Rel.Cols)
-	}
-	return w
+	return g
 }
 
 func key(vals []pdb.Value) string {
@@ -137,22 +135,26 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		for i := range rels {
 			rels[i] = randomRelation(rng, s, fmt.Sprintf("R%d", i), int32(i))
 		}
-		q := randomQuery(rng, rels)
+		root := randomQuery(rng, rels)
 
-		legacy := q.Evaluate()
+		ref := evalIR(root)
 		want := map[string]float64{}
-		for _, a := range legacy {
-			want[key(a.Vals)] = core.ExactProbability(s, a.Lin)
+		for _, a := range ref {
+			res, err := engine.Exact{}.Evaluate(context.Background(), s, a.Lin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[key(a.Vals)] = res.Estimate
 		}
 
-		p := Compile(FromLegacy(q))
+		p := Compile(root)
 		routes[p.Route]++
 		got, err := p.Answers(context.Background(), s, engine.Exact{})
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, p.Explain(), err)
 		}
-		if len(got) != len(legacy) {
-			t.Fatalf("iter %d (%s): %d answers, legacy %d", iter, p.Explain(), len(got), len(legacy))
+		if len(got) != len(ref) {
+			t.Fatalf("iter %d (%s): %d answers, eager reference %d", iter, p.Explain(), len(got), len(ref))
 		}
 		for _, a := range got {
 			wp, ok := want[key(a.Vals)]
@@ -160,7 +162,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 				t.Fatalf("iter %d (%s): unexpected answer %v", iter, p.Explain(), a.Vals)
 			}
 			if math.Abs(a.P-wp) > 1e-12 {
-				t.Fatalf("iter %d (%s): answer %v confidence %v, legacy %v (Δ=%g)",
+				t.Fatalf("iter %d (%s): answer %v confidence %v, eager reference %v (Δ=%g)",
 					iter, p.Explain(), a.Vals, a.P, wp, math.Abs(a.P-wp))
 			}
 		}
@@ -173,8 +175,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 }
 
 // TestPlannerEquivalencePropertyIQ drives the IQ route with random
-// structured inequality chains and stars (the legacy bridge cannot
-// express structured Less conditions, so these are built as IR).
+// structured inequality chains and stars.
 func TestPlannerEquivalencePropertyIQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	routes := map[Route]int{}
@@ -218,9 +219,9 @@ func TestPlannerEquivalencePropertyIQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Lineage(root)
+		want := evalIR(root)
 		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d answers, lineage %d", iter, len(got), len(want))
+			t.Fatalf("iter %d: %d answers, eager reference %d", iter, len(got), len(want))
 		}
 		if len(got) == 1 {
 			wp := core.ExactProbability(s, want[0].Lin)

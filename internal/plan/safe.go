@@ -391,9 +391,9 @@ func (c *safeCompiler) varsOf(sub []int) []int {
 }
 
 // answers evaluates the plan and maps the root table into requested
-// head-column order, sorted like the legacy group projection
-// (pdb.CompareValueKeys), keeping routed and legacy answer orders
-// aligned. The answers' values share one arena allocated here.
+// head-column order, sorted like pdb.GroupProject
+// (pdb.CompareValueKeys), keeping every route's answer order aligned.
+// The answers' values share one arena allocated here.
 func (sp *safePlan) answers(ctx context.Context, s *formula.Space) ([]pdb.AnswerConf, error) {
 	t, err := sp.eval(ctx, s)
 	if err != nil {

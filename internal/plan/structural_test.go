@@ -22,15 +22,6 @@ import (
 // replaced, cancellation and panic containment on the safe and IQ
 // routes, the allocation pin, and the zero-answer edge.
 
-// groupOf returns root's GroupLineage (a bare join is Boolean), the way
-// compileRouted reads it.
-func groupOf(root Node) *GroupLineage {
-	if g, ok := root.(*GroupLineage); ok {
-		return g
-	}
-	return &GroupLineage{Input: root}
-}
-
 // assertMatchesOracle runs a safe-routed plan and the oracle over the
 // same analysis and requires identical rows, row order and
 // math.Float64bits(P). It returns the number of answers.
@@ -103,19 +94,16 @@ func TestSafeRouteBitwiseMatchesOracleProperty(t *testing.T) {
 					}
 				}
 			}
-			q := randomQuery(rng, rels)
+			root := randomQuery(rng, rels)
 			if remap {
 				// The corpus' selections compare against 0..4; keep them
 				// selective on the remapped values.
-				for i := range q.From {
-					if q.From[i].Select != nil {
-						cut := byteOrderValues[rng.Intn(len(byteOrderValues))]
-						col := rng.Intn(len(q.From[i].Rel.Cols))
-						q.From[i].Select = func(v []pdb.Value) bool { return v[col] <= cut }
-					}
+				for _, f := range leafFilters(root) {
+					cut := byteOrderValues[rng.Intn(len(byteOrderValues))]
+					col := rng.Intn(len(f.Input.(*Scan).Rel.Cols))
+					f.Pred = func(v []pdb.Value) bool { return v[col] <= cut }
 				}
 			}
-			root := FromLegacy(q)
 			p := Compile(root)
 			if p.Route != RouteSafe {
 				continue
@@ -138,6 +126,21 @@ func TestSafeRouteBitwiseMatchesOracleProperty(t *testing.T) {
 			t.Fatalf("remap=%v: corpus too thin: %d safe, %d empty, %d multi-row", remap, safe, empty, multi)
 		}
 	}
+}
+
+// leafFilters returns randomQuery's leaf selections in leaf order.
+func leafFilters(n Node) []*Select {
+	switch t := n.(type) {
+	case *Select:
+		return []*Select{t}
+	case *EquiJoin:
+		return append(leafFilters(t.Left), leafFilters(t.Right)...)
+	case *ThetaJoin:
+		return append(leafFilters(t.Left), leafFilters(t.Right)...)
+	case *GroupLineage:
+		return leafFilters(t.Input)
+	}
+	return nil
 }
 
 func scan(r *pdb.Relation) Node { return &Scan{Rel: r} }

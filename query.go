@@ -45,11 +45,13 @@ type Query struct {
 
 // Query starts a fluent query over a source: a registered relation
 // name, a registered *pdb.Relation, or a plan.Node subtree (the escape
-// hatch for pre-built IR such as the TPC-H catalog — its scans must
-// still be registered relations). Source errors, like every builder
-// error, surface at Build — and so does a session Eps outside [0, 1)
-// (the wire's rule): ε ≥ 1 is trivially met by the unrefined bounds,
-// and a negative or NaN ε would silently evaluate exactly.
+// hatch for pre-built IR such as the TPC-H catalog). Adopted IR is
+// validated by the planner at Build — a malformed tree is a BuildError
+// with Op "Query" carrying plan.Compile's reason — and its scans must
+// read registered relations. Source errors, like every builder error,
+// surface at Build — and so does a session Eps outside [0, 1) (the
+// wire's rule): ε ≥ 1 is trivially met by the unrefined bounds, and a
+// negative or NaN ε would silently evaluate exactly.
 func (s *Session) Query(source any) *Query {
 	q := &Query{sess: s}
 	if e := s.eps; math.IsNaN(e) || math.IsInf(e, 0) || e < 0 || e >= 1 {
@@ -83,75 +85,15 @@ func (s *Session) Query(source any) *Query {
 	return q
 }
 
-// adoptNode takes over a pre-built IR subtree: record its shape flags
-// and validate its scans and ranking placement like the fluent methods
-// would have. The accepted shapes mirror plan.Compile's: an optional
-// TopK/Threshold root, an optional GroupLineage directly underneath,
-// and a rank- and group-free operator tree below that.
+// adoptNode takes over a pre-built IR subtree, recording the shape
+// flags the fluent methods check; Build validates the tree itself.
 func (q *Query) adoptNode(n plan.Node) {
 	q.node = n
-	switch t := n.(type) {
-	case *plan.TopK:
+	switch n.(type) {
+	case *plan.TopK, *plan.Threshold:
 		q.ranked, q.grouped = true, true
-		q.checkGrouped(t.Input)
-	case *plan.Threshold:
-		q.ranked, q.grouped = true, true
-		q.checkGrouped(t.Input)
 	case *plan.GroupLineage:
 		q.grouped = true
-		q.checkNode(t.Input)
-	default:
-		q.checkNode(n)
-	}
-}
-
-// checkGrouped validates the input of an adopted ranking root, which
-// may be the canonical GroupLineage (the shape plan.Compile routes) or
-// a bare operator tree.
-func (q *Query) checkGrouped(n plan.Node) {
-	if g, ok := n.(*plan.GroupLineage); ok {
-		q.checkNode(g.Input)
-		return
-	}
-	q.checkNode(n)
-}
-
-// checkNode walks an adopted operator tree: every scan must read a
-// registered relation, and no ranking or grouping node may appear —
-// the root-level ones were already stripped by adoptNode, so any
-// survivor here is nested.
-func (q *Query) checkNode(n plan.Node) {
-	switch t := n.(type) {
-	case nil:
-	case *plan.Scan:
-		if !q.sess.db.known(t.Rel) {
-			name := "<nil>"
-			if t.Rel != nil {
-				name = t.Rel.Name
-			}
-			q.fail("Query", "plan scans relation %q, which is not registered with the DB", name)
-		}
-	case *plan.Select:
-		q.checkNode(t.Input)
-	case *plan.EquiJoin:
-		q.checkNode(t.Left)
-		q.checkNode(t.Right)
-	case *plan.ThetaJoin:
-		if t.Less == nil && t.Pred == nil {
-			q.fail("Query", "ThetaJoin has neither Less nor Pred — an adopted theta join must carry its condition")
-		}
-		q.checkNode(t.Left)
-		q.checkNode(t.Right)
-	case *plan.Project:
-		q.checkNode(t.Input)
-	case *plan.GroupLineage:
-		q.fail("Query", "GroupLineage below the query root")
-	case *plan.TopK:
-		q.fail("Query", "TopK below the query root — ranking must be the outermost operator")
-	case *plan.Threshold:
-		q.fail("Query", "Threshold below the query root — ranking must be the outermost operator")
-	default:
-		q.fail("Query", "unknown plan node %T", n)
 	}
 }
 
@@ -361,7 +303,8 @@ func (q *Query) Schema() []string {
 
 // Build validates the chain and compiles it through the planner. Every
 // builder failure recorded so far is returned, joined; each is a
-// *BuildError.
+// *BuildError. A tree the planner rejects, or one scanning a relation
+// the DB does not know, fails with Op "Query".
 func (q *Query) Build() (*Prepared, error) {
 	if len(q.errs) > 0 {
 		return nil, errors.Join(q.errs...)
@@ -369,7 +312,16 @@ func (q *Query) Build() (*Prepared, error) {
 	if q.node == nil {
 		return nil, &BuildError{Op: "Build", Reason: "empty query"}
 	}
-	return &Prepared{p: plan.CompileWith(q.node, q.sess.planOptions()), sess: q.sess}, nil
+	p := plan.CompileWith(q.node, q.sess.planOptions())
+	if err := p.Err(); err != nil {
+		return nil, &BuildError{Op: "Query", Reason: err.Error()}
+	}
+	for _, rel := range p.Relations() {
+		if !q.sess.db.known(rel) {
+			return nil, &BuildError{Op: "Query", Reason: fmt.Sprintf("plan scans relation %q, which is not registered with the DB", rel.Name)}
+		}
+	}
+	return &Prepared{p: p, sess: q.sess}, nil
 }
 
 // Explain builds the query and returns the planner's one-line routing
