@@ -196,68 +196,104 @@ func sortProbKeys(keys, spare []probKey) []probKey {
 
 // incExcMaxClauses bounds the inclusion-exclusion shortcut: DNFs with at
 // most this many clauses get an exact probability at leaf-preparation
-// time (2^k clause merges), collapsing the deep tail of Shannon
-// enumeration into point intervals. This implements the spirit of
-// Remark 5.3 (better leaf bounds) with an exact, cheap special case.
+// time (a walk over at most 2^k clause subsets), collapsing the deep
+// tail of Shannon enumeration into point intervals. This implements the
+// spirit of Remark 5.3 (better leaf bounds) with an exact, cheap special
+// case.
 const incExcMaxClauses = 6
 
 // inclusionExclusion computes P(d) exactly via
 // P(∨ c_i) = Σ_{∅≠S} (−1)^{|S|+1} P(∧_{i∈S} c_i); inconsistent
-// conjunctions contribute 0. Cost O(2^k · width), allocation-free: the
-// conjunction probability is computed by a k-way merge scan over the
-// (sorted) selected clauses.
+// conjunctions contribute 0. It walks the subsets S depth-first over
+// clause indices, each level merging its parent's conjunction with one
+// later clause, so an inconsistent merge prunes every superset. Cost
+// O(2^k · width), pruned at the first inconsistent merge; the stack of
+// merged conjunctions lives on the pooled scratch, so the call
+// allocates nothing once the scratch has grown to the input.
+//
+// Precondition: every clause comes from formula.NewClause — atoms in
+// ascending Var, no variable twice. The merge relies on it.
+//
+// The floating-point order is fixed: each conjunction's probability is
+// the product over its atoms in ascending variable order from 1.0, and
+// the terms are summed in ascending mask order. Reusing the parent's
+// product would be cheaper but would change the last bits of P.
 func inclusionExclusion(s *formula.Space, d formula.DNF) float64 {
 	n := len(d)
-	var pos [incExcMaxClauses]int
-	total := 0.0
-	for mask := 1; mask < 1<<n; mask++ {
-		for b := 0; b < n; b++ {
-			pos[b] = 0
-		}
-		p := 1.0
-		ok := true
-		for {
-			// Find the smallest next variable across selected clauses.
-			best := formula.Var(-1)
-			for b := 0; b < n; b++ {
-				if mask&(1<<b) == 0 || pos[b] >= len(d[b]) {
-					continue
-				}
-				if v := d[b][pos[b]].Var; best < 0 || v < best {
-					best = v
-				}
-			}
-			if best < 0 {
+	width := 0
+	for _, c := range d {
+		width += len(c)
+	}
+	sc := prepPool.Get().(*prepScratch)
+	stack := sc.atoms(n * width) // level l's conjunction in stack[l*width:]
+
+	var p [1 << incExcMaxClauses]float64 // P(∧ S) by clause mask S
+	var ok [1 << incExcMaxClauses]bool   // S is consistent
+	var mask, last, size [incExcMaxClauses]int
+	l, j := 0, 0 // the level to fill next, and the clause to try there
+	for {
+		if j == n {
+			if l == 0 {
 				break
 			}
-			// All selected clauses mentioning best must agree on its value.
-			val := formula.Val(-1)
-			for b := 0; b < n; b++ {
-				if mask&(1<<b) == 0 || pos[b] >= len(d[b]) || d[b][pos[b]].Var != best {
-					continue
-				}
-				if val < 0 {
-					val = d[b][pos[b]].Val
-				} else if d[b][pos[b]].Val != val {
-					ok = false
-				}
-				pos[b]++
-			}
-			if !ok {
-				break
-			}
-			p *= s.P(formula.Atom{Var: best, Val: val})
-		}
-		if !ok {
+			l-- // level l's subtree is done: try its next clause
+			j = last[l] + 1
 			continue
 		}
-		if bits.OnesCount(uint(mask))%2 == 1 {
-			total += p
+		var parent []formula.Atom
+		pm := 0
+		if l > 0 {
+			parent, pm = stack[(l-1)*width:][:size[l-1]], mask[l-1]
+		}
+		conj, consistent := mergeAtoms(stack[l*width:l*width:(l+1)*width], parent, d[j])
+		if !consistent {
+			j++ // every superset is inconsistent too
+			continue
+		}
+		m := pm | 1<<j
+		p[m], ok[m] = formula.Clause(conj).Probability(s), true
+		mask[l], last[l], size[l] = m, j, len(conj)
+		l, j = l+1, j+1
+	}
+	prepPool.Put(sc)
+
+	total := 0.0
+	for m := 1; m < 1<<n; m++ {
+		if !ok[m] {
+			continue
+		}
+		if bits.OnesCount(uint(m))%2 == 1 {
+			total += p[m]
 		} else {
-			total -= p
+			total -= p[m]
 		}
 	}
 	return clamp01(total)
+}
+
+// mergeAtoms appends the union of the ascending atom lists a and b to
+// dst, reporting false at the first variable they give different values.
+func mergeAtoms(dst, a, b []formula.Atom) ([]formula.Atom, bool) {
+	i, k := 0, 0
+	for i < len(a) && k < len(b) {
+		x, y := a[i], b[k]
+		switch {
+		case x.Var < y.Var:
+			dst = append(dst, x)
+			i++
+		case x.Var > y.Var:
+			dst = append(dst, y)
+			k++
+		case x.Val != y.Val:
+			return dst, false
+		default:
+			dst = append(dst, x)
+			i++
+			k++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[k:]...), true
 }
 
 func disjointStamp(c formula.Clause, stamps []uint32, epoch uint32) bool {

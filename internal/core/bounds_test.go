@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -274,5 +275,79 @@ func TestLeafBoundsAllocationsWarm(t *testing.T) {
 	leafBounds(s, d, true)
 	if a := testing.AllocsPerRun(10, func() { leafBounds(s, d, true) }); a != 0 {
 		t.Fatalf("warm leafBounds on %d clauses: %v allocations, want 0", n, a)
+	}
+}
+
+// pairwiseInconsistentSix is six clauses over two multi-valued
+// variables, every pair contradicting: the subset walk prunes at depth 2.
+func pairwiseInconsistentSix() (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	x, y := s.AddVar(0.1, 0.2, 0.3, 0.4), s.AddVar(0.2, 0.3, 0.5)
+	var d formula.DNF
+	for _, a := range [][2]formula.Val{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {0, 1}, {0, 2}} {
+		d = append(d, formula.MustClause(formula.Atom{Var: x, Val: a[0]}, formula.Atom{Var: y, Val: a[1]}))
+	}
+	return s, d
+}
+
+// disjointSix is six clauses over pairwise distinct variables: the
+// subset walk visits all 63 subsets.
+func disjointSix() (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	var d formula.DNF
+	for i := 0; i < 6; i++ {
+		x, y := s.AddBool(0.1+0.1*float64(i)), s.AddBool(0.35)
+		d = append(d, formula.MustClause(formula.Pos(x), formula.Neg(y)))
+	}
+	return s, d
+}
+
+// TestInclusionExclusionAllocationsWarm: once the pooled scratch holds
+// the walk's stack, leaf exact probability allocates nothing, whether
+// the walk visits every subset or prunes at depth 2.
+func TestInclusionExclusionAllocationsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	gs, gd := rstGrid(3)
+	is, id := pairwiseInconsistentSix()
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		d    formula.DNF
+	}{{"6-clause width-3 grid", gs, gd[:6]}, {"6 pairwise inconsistent clauses", is, id}} {
+		inclusionExclusion(tc.s, tc.d)
+		if a := testing.AllocsPerRun(100, func() { inclusionExclusion(tc.s, tc.d) }); a != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", tc.name, a)
+		}
+	}
+}
+
+// TestSmallExactChargesEverySubset: smallExact charges 2^len(d) work
+// units however much of the subset lattice the walk prunes, so MaxWork
+// budget traces and FragCache Work values do not depend on it.
+func TestSmallExactChargesEverySubset(t *testing.T) {
+	is, id := pairwiseInconsistentSix()
+	ds, dd := disjointSix()
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		d    formula.DNF
+	}{{"pairwise inconsistent (pruned at depth 2)", is, id}, {"disjoint (nothing pruned)", ds, dd}, {"four disjoint", ds, dd[:4]}} {
+		st := newState(context.Background(), tc.s, Options{})
+		st.work.Add(5)
+		p, ops, ok := st.smallExact(tc.d)
+		want := int64(1) << len(tc.d)
+		if !ok || ops != want || st.work.Load() != 5+want {
+			t.Errorf("%s: ok=%v ops=%d, work charged %d; want ok, %d and %d", tc.name, ok, ops, st.work.Load()-5, want, want)
+		}
+		if math.Float64bits(p) != math.Float64bits(refInclusionExclusion(tc.s, tc.d)) {
+			t.Errorf("%s: P = %v, oracle %v", tc.name, p, refInclusionExclusion(tc.s, tc.d))
+		}
+	}
+	gs, gd := rstGrid(3)
+	st := newState(context.Background(), gs, Options{})
+	if _, ops, ok := st.smallExact(gd[:incExcMaxClauses+1]); ok || ops != 0 || st.work.Load() != 0 {
+		t.Errorf("%d clauses: ok=%v ops=%d work=%d, want the shortcut declined and nothing charged", incExcMaxClauses+1, ok, ops, st.work.Load())
 	}
 }

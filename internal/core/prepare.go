@@ -25,7 +25,9 @@ import (
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
 //     clause index, bounds.go) / used set / bucket stamps, the
 //     union-find of the component partition, and the ⊙/⊕ analysis of
-//     the decomposition step (factor.go, varorder.go). Deduplication —
+//     the decomposition step (factor.go, varorder.go), and the stack of
+//     merged conjunctions of the inclusion–exclusion walk (bounds.go).
+//     Deduplication —
 //     Normalize, RemoveSubsumed, the restrictions' Dedup — probes
 //     formula's own pooled clause table (formula/hash.go).
 //
@@ -47,6 +49,8 @@ type prepScratch struct {
 
 	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table
+
+	conj []formula.Atom // inclusionExclusion: the walk's stack of merged conjunctions
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
@@ -57,6 +61,14 @@ func (sc *prepScratch) probKeys(n int) (keys, spare []probKey) {
 		sc.keys[0], sc.keys[1] = make([]probKey, n), make([]probKey, n)
 	}
 	return sc.keys[0][:n], sc.keys[1][:n]
+}
+
+// atoms returns a length-n atom buffer (contents undefined).
+func (sc *prepScratch) atoms(n int) []formula.Atom {
+	if cap(sc.conj) < n {
+		sc.conj = make([]formula.Atom, n)
+	}
+	return sc.conj[:n]
 }
 
 // bools returns a length-n zeroed bool buffer.
