@@ -70,15 +70,27 @@ func BenchmarkSafeVsDtree(b *testing.B) {
 }
 
 // BenchmarkPipelinedLineage isolates the streaming runtime: lineage
-// materialization for a grouped join query through the pipelined
-// cursors (build-side buffering only, interned clause merges).
+// materialization through the pipelined cursors (build-side buffering
+// only, interned clause merges) for a grouped join (Q15) and a chain of
+// joins with a filtered lineitem build side (B21). Allocations are
+// reported: they follow the groups and the build sides, so a
+// per-output-tuple allocation shows as a jump in allocs/op.
 func BenchmarkPipelinedLineage(b *testing.B) {
 	db := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 42})
-	node := db.Q15IR(0, tpch.MaxDate/3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if answers := plan.Lineage(node); len(answers) == 0 {
-			b.Fatal("no answers")
-		}
+	for _, q := range []struct {
+		name string
+		node plan.Node
+	}{
+		{"Q15", db.Q15IR(0, tpch.MaxDate/3)},
+		{"B21", db.B21IR(db.CommonNationKey())},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if answers := plan.Lineage(q.node); len(answers) == 0 {
+					b.Fatal("no answers")
+				}
+			}
+		})
 	}
 }

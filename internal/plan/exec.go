@@ -20,8 +20,30 @@ import (
 // tests drive them as the reference (oracle_test.go). The runtime only
 // sees trees Compile's analysis walk accepted: every entry point
 // returns the plan's Err first, and Lineage(root) analyzes its root.
+//
+// Tuple lifetime. A tuple's Vals are valid until the cursor that
+// returned it is next asked for a tuple: a join, or a projection that
+// must lay out its columns, writes every output into one arena it owns.
+// Every consumer keeps to that. A join holds its left tuple only until
+// it advances its left input. A join's build loop copies the rows it
+// buffers, unless they come from a leaf chain — a Scan under Selects
+// and pass-through projections — whose Vals alias the relation. The
+// sink copies group keys into its KeyIndex. Lineage clauses are
+// interned or the relation's own, and outlive the pipeline.
+//
+// Column pruning. While the cursors are built, each operator learns
+// which of its output columns its ancestors read (join keys, Less
+// columns, Project and GroupLineage columns) and emits only those; the
+// parents' column indices are remapped to match. An opaque predicate (a
+// Select, EquiJoin.On, ThetaJoin.Pred) may read any column, so the
+// input below it is emitted full width, in schema order. A Select over
+// a leaf chain reads the relation's own Vals, so that costs no copy. A
+// Project under a pruning parent is no cursor at all: the parent reads
+// through it into its input's output. The safe route resolves its
+// columns the same way (safe.go: positions, joinStep).
 
-// cursor is a pull-based tuple stream.
+// cursor is a pull-based tuple stream. A returned tuple's Vals are
+// valid until the next call to next.
 type cursor interface {
 	next() (pdb.Tuple, bool)
 }
@@ -65,9 +87,9 @@ type lineageStats struct {
 // Reusing one interner across the queries of a database keeps canonical
 // clause instances — and the allocation they cost — shared; an Interner
 // is not safe for concurrent use, so callers must hand each concurrent
-// pipeline its own (the façade DB keeps a pool). The join build loops
-// and the sink poll ctx every cancelStride tuples; a dead context is
-// the only error.
+// pipeline its own (the façade DB keeps a pool). The join build loops,
+// the join probes and the sink poll ctx every cancelStride tuples; a
+// dead context is the only error.
 func lineageWithStats(ctx context.Context, root Node, in *formula.Interner) ([]pdb.Answer, lineageStats, error) {
 	if root == nil {
 		return nil, lineageStats{}, nil
@@ -76,7 +98,10 @@ func lineageWithStats(ctx context.Context, root Node, in *formula.Interner) ([]p
 	if in == nil {
 		in = formula.NewInterner()
 	}
-	ans, tuples, err := groupSink(ctx, newCursor(ctx, g.Input, in), g.Cols)
+	b := builder{ctx: ctx, in: in}
+	defer b.release()
+	out := b.build(g.Input, reads(Width(g.Input), g.Cols))
+	ans, tuples, err := groupSink(ctx, out.cur, out.remap(g.Cols))
 	if err != nil {
 		return nil, lineageStats{}, err
 	}
@@ -87,21 +112,77 @@ func lineageWithStats(ctx context.Context, root Node, in *formula.Interner) ([]p
 	return ans, st, nil
 }
 
-// newCursor builds the cursor tree for n. A join drains its build side
-// here, polling ctx; once ctx is dead it stops short, and the sink —
-// which polls the same ctx — reports the cancellation.
-func newCursor(ctx context.Context, n Node, in *formula.Interner) cursor {
+// builder builds one pipeline's cursors. It hands every join the
+// context its build loop and probe poll, the pipeline's interner and a
+// pooled build side; release returns those once the sink has drained.
+type builder struct {
+	ctx  context.Context
+	in   *formula.Interner
+	held []*buildSide
+}
+
+// stream is a built cursor and how its output lays out the node's
+// schema.
+type stream struct {
+	cur cursor
+	// at[p] is the position of schema column p in the emitted Vals, -1
+	// when no ancestor reads it; nil is the identity (full width).
+	at []int
+	// width is the number of values each emitted tuple carries.
+	width int
+	// stable: the emitted Vals alias the relation's tuples, so they
+	// outlive the next call to next and a build loop keeps them as they
+	// are.
+	stable bool
+}
+
+// pos is the position of schema column p in s's emitted Vals.
+func (s stream) pos(p int) int {
+	if s.at == nil {
+		return p
+	}
+	return s.at[p]
+}
+
+// remap returns the emitted positions of the schema columns cols.
+func (s stream) remap(cols []int) []int {
+	if s.at == nil {
+		return cols
+	}
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = s.at[c]
+	}
+	return out
+}
+
+// reads marks the columns cols of a width-column schema as read.
+func reads(width int, cols []int) []bool {
+	need := make([]bool, width)
+	for _, c := range cols {
+		need[c] = true
+	}
+	return need
+}
+
+// build builds the cursor for n, emitting at least the schema columns
+// need marks; a nil need asks for every column in schema order, as an
+// opaque reader does. A join drains its build side here, polling b.ctx;
+// once it is dead the join stops short, and the sink — which polls the
+// same context — reports the cancellation.
+func (b *builder) build(n Node, need []bool) stream {
 	switch t := n.(type) {
 	case *Scan:
-		return &scanCursor{rel: t.Rel}
+		return stream{cur: &scanCursor{rel: t.Rel}, width: len(t.Rel.Cols), stable: true}
 	case *Select:
-		return &selectCursor{in: newCursor(ctx, t.Input, in), pred: t.Pred}
-	case *EquiJoin:
-		return newHashJoinCursor(ctx, t, in)
-	case *ThetaJoin:
-		return newThetaJoinCursor(ctx, t, in)
+		in := b.build(t.Input, nil) // the predicate is opaque
+		return stream{cur: &selectCursor{in: in.cur, pred: t.Pred}, width: in.width, stable: in.stable}
 	case *Project:
-		return &projectCursor{in: newCursor(ctx, t.Input, in), cols: t.Cols}
+		return b.project(t, need)
+	case *EquiJoin:
+		return b.hashJoin(t, need)
+	case *ThetaJoin:
+		return b.thetaJoin(t, need)
 	case *GroupLineage:
 		// invariant: the runtime strips the root GroupLineage, and
 		// analyze rejects one below the root at compile.
@@ -114,6 +195,134 @@ func newCursor(ctx context.Context, n Node, in *formula.Interner) cursor {
 	// invariant: analyze rejects nil inputs and foreign node types at
 	// compile, before any cursor is built.
 	panic(fmt.Sprintf("plan: unknown node %T", n))
+}
+
+// project passes its input through when the parent prunes — the
+// parent's columns are remapped onto the input's output — and writes
+// the projected columns into an arena when an opaque parent needs them
+// in schema order.
+func (b *builder) project(t *Project, need []bool) stream {
+	inNeed := make([]bool, Width(t.Input))
+	for i, c := range t.Cols {
+		if need == nil || need[i] {
+			inNeed[c] = true
+		}
+	}
+	in := b.build(t.Input, inNeed)
+	if need == nil {
+		pick := in.remap(t.Cols)
+		return stream{cur: &projectCursor{in: in.cur, pick: pick, vals: make([]pdb.Value, len(pick))}, width: len(pick)}
+	}
+	at := make([]int, len(t.Cols))
+	for i, c := range t.Cols {
+		at[i] = -1
+		if need[i] {
+			at[i] = in.pos(c)
+		}
+	}
+	return stream{cur: in.cur, at: at, width: in.width, stable: in.stable}
+}
+
+// sideNeeds splits a join's need between its sides and adds the join's
+// own key columns; an opaque join predicate, or an opaque parent, needs
+// both sides full width.
+func sideNeeds(need []bool, lw, rw, lkey, rkey int, opaque bool) (lneed, rneed []bool) {
+	if need == nil || opaque {
+		return nil, nil
+	}
+	lneed, rneed = make([]bool, lw), make([]bool, rw)
+	copy(lneed, need[:lw])
+	copy(rneed, need[lw:])
+	lneed[lkey], rneed[rkey] = true, true
+	return lneed, rneed
+}
+
+// hashJoin drains the right input into a build side chained by key,
+// then builds the left input it probes with.
+func (b *builder) hashJoin(t *EquiJoin, need []bool) stream {
+	lw, rw := Width(t.Left), Width(t.Right)
+	lneed, rneed := sideNeeds(need, lw, rw, t.LeftCol, t.RightCol, t.On != nil)
+	r := b.build(t.Right, rneed)
+	c := &hashJoinCursor{build: b.buildSide(), idx: sprout.NewKeyIndex(1), on: t.On, ri: -1}
+	rkey := [1]int{r.pos(t.RightCol)}
+	c.build.fill(b.ctx, r, &c.idx, rkey[:])
+	l := b.build(t.Left, lneed)
+	c.lkey[0] = l.pos(t.LeftCol)
+	var at []int
+	c.probe, at = b.probe(need, l, r, lw, rw)
+	return stream{cur: c, at: at, width: len(c.vals)}
+}
+
+// thetaJoin drains the right input into a build side, then builds the
+// left input whose every tuple meets every buffered row.
+func (b *builder) thetaJoin(t *ThetaJoin, need []bool) stream {
+	lw, rw := Width(t.Left), Width(t.Right)
+	var lkey, rkey int
+	if t.Less != nil {
+		lkey, rkey = t.Less.LeftCol, t.Less.RightCol
+	}
+	// invariant: analyze rejects a ThetaJoin without Less or Pred, so
+	// one without Less has an opaque Pred.
+	lneed, rneed := sideNeeds(need, lw, rw, lkey, rkey, t.Pred != nil || t.Less == nil)
+	r := b.build(t.Right, rneed)
+	bs := b.buildSide()
+	bs.fill(b.ctx, r, nil, nil)
+	l := b.build(t.Left, lneed)
+	c := &thetaJoinCursor{rows: bs.rows, ri: len(bs.rows), pred: thetaPred(t, l.pos(lkey), r.pos(rkey))}
+	var at []int
+	c.probe, at = b.probe(need, l, r, lw, rw)
+	return stream{cur: c, at: at, width: len(c.vals)}
+}
+
+// thetaPred composes a ThetaJoin's condition: the structured Less over
+// the emitted positions lcol, rcol of its columns (and any residual
+// predicate), or the opaque Pred alone.
+func thetaPred(t *ThetaJoin, lcol, rcol int) func(left, right []pdb.Value) bool {
+	pred := t.Pred
+	if t.Less != nil {
+		extra := pred
+		pred = func(lv, rv []pdb.Value) bool {
+			if lv[lcol] >= rv[rcol] {
+				return false
+			}
+			return extra == nil || extra(lv, rv)
+		}
+	}
+	if pred == nil {
+		// invariant: analyze rejects a ThetaJoin without Less or Pred at
+		// compile.
+		panic("plan: ThetaJoin without Less or Pred")
+	}
+	return pred
+}
+
+// probe sets up a join's probe over its built sides l and r. The output
+// is the schema columns need marks (all lw+rw when need is nil), in
+// schema order, picked from the sides' emitted values; at maps the
+// join's schema onto it for the join's parent.
+func (b *builder) probe(need []bool, l, r stream, lw, rw int) (j probe, at []int) {
+	if need != nil {
+		at = make([]int, lw+rw)
+	}
+	pick := make([]int, 0, lw+rw)
+	for p := 0; p < lw+rw; p++ {
+		if need != nil {
+			if !need[p] {
+				at[p] = -1
+				continue
+			}
+			at[p] = len(pick)
+		}
+		if p < lw {
+			pick = append(pick, l.pos(p))
+			j.nl++
+		} else {
+			pick = append(pick, r.pos(p-lw))
+		}
+	}
+	j.left, j.ctx, j.in = l.cur, b.ctx, b.in
+	j.pick, j.vals = pick, make([]pdb.Value, len(pick))
+	return j, at
 }
 
 type scanCursor struct {
@@ -147,9 +356,12 @@ func (c *selectCursor) next() (pdb.Tuple, bool) {
 	}
 }
 
+// projectCursor lays a projection out in schema order, for an opaque
+// reader above it.
 type projectCursor struct {
 	in   cursor
-	cols []int
+	pick []int       // input positions of the projected columns
+	vals []pdb.Value // the arena
 }
 
 func (c *projectCursor) next() (pdb.Tuple, bool) {
@@ -157,154 +369,186 @@ func (c *projectCursor) next() (pdb.Tuple, bool) {
 	if !ok {
 		return pdb.Tuple{}, false
 	}
-	vals := make([]pdb.Value, len(c.cols))
-	for i, col := range c.cols {
-		vals[i] = t.Vals[col]
+	for i, p := range c.pick {
+		c.vals[i] = t.Vals[p]
 	}
-	return pdb.Tuple{Vals: vals, Lin: t.Lin}, true
+	return pdb.Tuple{Vals: c.vals, Lin: t.Lin}, true
 }
 
-// hashJoinCursor streams its left input against a hash index built by
-// draining the right input once (the only buffering in the pipeline).
-type hashJoinCursor struct {
-	left    cursor
-	index   map[pdb.Value][]pdb.Tuple
-	lcol    int
-	on      func(left, right []pdb.Value) bool
-	in      *formula.Interner
-	cur     pdb.Tuple // current left tuple
-	matches []pdb.Tuple
-	mi      int
+// probe is the probe half both joins share: the left input, polled
+// for cancellation every cancelStride tuples so that a probe matching
+// nothing still stops; the interner the joins merge through; and the
+// arena every output is written to, the left tuple's emitted columns
+// first.
+type probe struct {
+	left   cursor
+	ctx    context.Context
+	pulled int
+	cur    pdb.Tuple // the current left tuple
+	in     *formula.Interner
+	pick   []int       // emitted columns: positions in the left tuple's Vals, then in the right's
+	nl     int         // how many of pick are left positions
+	vals   []pdb.Value // the arena
 }
 
-func newHashJoinCursor(ctx context.Context, t *EquiJoin, in *formula.Interner) cursor {
-	right := newCursor(ctx, t.Right, in)
-	index := make(map[pdb.Value][]pdb.Tuple)
+// advance makes the next left tuple current and writes its emitted
+// columns; false at the end of the left input or once ctx is dead.
+func (j *probe) advance() bool {
+	if j.pulled%cancelStride == 0 && j.ctx.Err() != nil {
+		return false
+	}
+	j.pulled++
+	t, ok := j.left.next()
+	if !ok {
+		return false
+	}
+	j.cur = t
+	for i, p := range j.pick[:j.nl] {
+		j.vals[i] = t.Vals[p]
+	}
+	return true
+}
+
+// emit joins the current left tuple with rt: the merged lineage and the
+// arena, completed with rt's emitted columns; ok = false when the
+// lineages are inconsistent (mutually exclusive BID alternatives never
+// co-exist).
+func (j *probe) emit(rt *pdb.Tuple) (pdb.Tuple, bool) {
+	merged, ok := j.in.MergeInterned(j.cur.Lin, rt.Lin)
+	if !ok {
+		return pdb.Tuple{}, false
+	}
+	right := j.vals[j.nl:]
+	for i, p := range j.pick[j.nl:] {
+		right[i] = rt.Vals[p]
+	}
+	return pdb.Tuple{Vals: j.vals, Lin: merged}, true
+}
+
+// buildSide is a join's buffered right input: its rows in arrival
+// order and, for a hash join, the rows of each key chained in that
+// order — first per key id, next per row, -1 ending a chain (last is
+// the fill's scratch). Rows of a stable input alias its tuples; an
+// unstable input's values are copied into vals. Build sides are pooled,
+// so a warm join allocates none of these arrays.
+type buildSide struct {
+	rows              []pdb.Tuple
+	vals              []pdb.Value
+	first, last, next []int32
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildSide) }}
+
+// buildSide takes a build side from the pool for the pipeline.
+func (b *builder) buildSide() *buildSide {
+	bs := buildPool.Get().(*buildSide)
+	b.held = append(b.held, bs)
+	return bs
+}
+
+// release returns the pipeline's build sides to the pool, cleared of
+// every tuple, so that the pool pins neither relations nor clauses.
+func (b *builder) release() {
+	for _, bs := range b.held {
+		clear(bs.rows)
+		bs.rows, bs.vals = bs.rows[:0], bs.vals[:0]
+		bs.first, bs.last, bs.next = bs.first[:0], bs.last[:0], bs.next[:0]
+		buildPool.Put(bs)
+	}
+}
+
+// fill drains s, polling ctx every cancelStride rows, and chains each
+// row to its key's id in idx — the key is the row's values at cols —
+// when idx is set.
+func (bs *buildSide) fill(ctx context.Context, s stream, idx *sprout.KeyIndex, cols []int) {
 	for n := 0; ; n++ {
 		if n%cancelStride == 0 && ctx.Err() != nil {
 			break
 		}
-		rt, ok := right.next()
+		t, ok := s.cur.next()
 		if !ok {
 			break
 		}
-		k := rt.Vals[t.RightCol]
-		index[k] = append(index[k], rt)
+		if idx != nil {
+			if id := idx.Lookup(t.Vals, cols, true); id == len(bs.first) {
+				bs.first, bs.last = append(bs.first, int32(n)), append(bs.last, int32(n))
+			} else {
+				bs.next[bs.last[id]], bs.last[id] = int32(n), int32(n)
+			}
+			bs.next = append(bs.next, -1)
+		}
+		if !s.stable {
+			bs.vals = append(bs.vals, t.Vals...)
+			t.Vals = nil
+		}
+		bs.rows = append(bs.rows, t)
 	}
-	return &hashJoinCursor{
-		left: newCursor(ctx, t.Left, in), index: index,
-		lcol: t.LeftCol, on: t.On, in: in,
+	if !s.stable {
+		w := s.width
+		for i := range bs.rows {
+			bs.rows[i].Vals = bs.vals[i*w : (i+1)*w : (i+1)*w]
+		}
 	}
+}
+
+// hashJoinCursor streams its left input against its build side, found
+// through a KeyIndex over the right key.
+type hashJoinCursor struct {
+	probe
+	build *buildSide
+	idx   sprout.KeyIndex
+	lkey  [1]int // the left key's emitted position
+	on    func(left, right []pdb.Value) bool
+	ri    int32 // the current left tuple's next candidate row, -1 for none
 }
 
 func (c *hashJoinCursor) next() (pdb.Tuple, bool) {
 	for {
-		for c.mi < len(c.matches) {
-			rt := c.matches[c.mi]
-			c.mi++
+		for c.ri >= 0 {
+			rt := &c.build.rows[c.ri]
+			c.ri = c.build.next[c.ri]
 			if c.on != nil && !c.on(c.cur.Vals, rt.Vals) {
 				continue
 			}
-			if out, ok := joinTuple(c.cur, rt, c.in); ok {
+			if out, ok := c.emit(rt); ok {
 				return out, true
 			}
 		}
-		lt, ok := c.left.next()
-		if !ok {
+		if !c.advance() {
 			return pdb.Tuple{}, false
 		}
-		c.cur = lt
-		c.matches = c.index[lt.Vals[c.lcol]]
-		c.mi = 0
+		if id := c.idx.Lookup(c.cur.Vals, c.lkey[:], false); id >= 0 {
+			c.ri = c.build.first[id]
+		}
 	}
 }
 
-// thetaJoinCursor streams its left input against the buffered right.
+// thetaJoinCursor streams its left input against every buffered right
+// row.
 type thetaJoinCursor struct {
-	left  cursor
-	right []pdb.Tuple
-	pred  func(left, right []pdb.Value) bool
-	in    *formula.Interner
-	cur   pdb.Tuple
-	ri    int
-	open  bool
-}
-
-func newThetaJoinCursor(ctx context.Context, t *ThetaJoin, in *formula.Interner) cursor {
-	rc := newCursor(ctx, t.Right, in)
-	var right []pdb.Tuple
-	for n := 0; ; n++ {
-		if n%cancelStride == 0 && ctx.Err() != nil {
-			break
-		}
-		rt, ok := rc.next()
-		if !ok {
-			break
-		}
-		right = append(right, rt)
-	}
-	return &thetaJoinCursor{left: newCursor(ctx, t.Left, in), right: right, pred: thetaPred(t), in: in}
-}
-
-// thetaPred composes a ThetaJoin's condition: the structured Less (and
-// any residual predicate), or the opaque Pred alone.
-func thetaPred(t *ThetaJoin) func(left, right []pdb.Value) bool {
-	pred := t.Pred
-	if t.Less != nil {
-		less := *t.Less
-		extra := pred
-		pred = func(lv, rv []pdb.Value) bool {
-			if lv[less.LeftCol] >= rv[less.RightCol] {
-				return false
-			}
-			return extra == nil || extra(lv, rv)
-		}
-	}
-	if pred == nil {
-		// invariant: analyze rejects a ThetaJoin without Less or Pred at
-		// compile.
-		panic("plan: ThetaJoin without Less or Pred")
-	}
-	return pred
+	probe
+	rows []pdb.Tuple
+	pred func(left, right []pdb.Value) bool
+	ri   int // the current left tuple's next candidate row
 }
 
 func (c *thetaJoinCursor) next() (pdb.Tuple, bool) {
 	for {
-		if c.open {
-			for c.ri < len(c.right) {
-				rt := c.right[c.ri]
-				c.ri++
-				if !c.pred(c.cur.Vals, rt.Vals) {
-					continue
-				}
-				if out, ok := joinTuple(c.cur, rt, c.in); ok {
-					return out, true
-				}
+		for c.ri < len(c.rows) {
+			rt := &c.rows[c.ri]
+			c.ri++
+			if !c.pred(c.cur.Vals, rt.Vals) {
+				continue
 			}
-			c.open = false
+			if out, ok := c.emit(rt); ok {
+				return out, true
+			}
 		}
-		lt, ok := c.left.next()
-		if !ok {
+		if !c.advance() {
 			return pdb.Tuple{}, false
 		}
-		c.cur = lt
 		c.ri = 0
-		c.open = true
 	}
-}
-
-// joinTuple concatenates values and merges lineage through the
-// interner; ok = false when the lineages are inconsistent (mutually
-// exclusive BID alternatives never co-exist).
-func joinTuple(lt, rt pdb.Tuple, in *formula.Interner) (pdb.Tuple, bool) {
-	merged, ok := in.MergeInterned(lt.Lin, rt.Lin)
-	if !ok {
-		return pdb.Tuple{}, false
-	}
-	vals := make([]pdb.Value, 0, len(lt.Vals)+len(rt.Vals))
-	vals = append(vals, lt.Vals...)
-	vals = append(vals, rt.Vals...)
-	return pdb.Tuple{Vals: vals, Lin: merged}, true
 }
 
 // sinkScratch stages what groupSink drains: every tuple's lineage clause
@@ -318,6 +562,14 @@ type sinkScratch struct {
 
 var sinkPool = sync.Pool{New: func() any { return new(sinkScratch) }}
 
+// release returns the scratch to the pool without the drained clauses,
+// which would otherwise keep finished queries' interner arenas alive.
+func (sc *sinkScratch) release() {
+	clear(sc.clauses)
+	sc.clauses, sc.groups, sc.sizes = sc.clauses[:0], sc.groups[:0], sc.sizes[:0]
+	sinkPool.Put(sc)
+}
+
 // groupSink drains the stream grouping by the projected values,
 // mirroring pdb.GroupProject (including its output order, by
 // pdb.CompareValueKeys); no columns is the Boolean query "some tuple
@@ -327,8 +579,7 @@ var sinkPool = sync.Pool{New: func() any { return new(sinkScratch) }}
 // capped at its group's share.
 func groupSink(ctx context.Context, cur cursor, cols []int) ([]pdb.Answer, int64, error) {
 	sc := sinkPool.Get().(*sinkScratch)
-	defer sinkPool.Put(sc)
-	sc.clauses, sc.groups, sc.sizes = sc.clauses[:0], sc.groups[:0], sc.sizes[:0]
+	defer sc.release()
 	idx := sprout.NewKeyIndex(len(cols))
 	for {
 		if len(sc.clauses)%cancelStride == 0 && ctx.Err() != nil {
@@ -345,7 +596,8 @@ func groupSink(ctx context.Context, cur cursor, cols []int) ([]pdb.Answer, int64
 		sc.sizes[g]++
 		sc.clauses, sc.groups = append(sc.clauses, t.Lin), append(sc.groups, int32(g))
 	}
-	// The drain, or a join's build loop before it, may have stopped short.
+	// The drain, or a join's build loop or probe before it, may have
+	// stopped short.
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
