@@ -18,6 +18,8 @@ package pdb
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/formula"
 )
@@ -34,10 +36,77 @@ type Tuple struct {
 }
 
 // Relation is a named list of tuples over a fixed schema.
+//
+// The planner memoizes a summary of the tuples' lineage on the relation
+// (DisjointLineage). Appending to Tups or reslicing it is detected and
+// the summary recomputed, but Tups must not be edited in place — a
+// tuple's Vals or Lin rewritten — once the relation has been queried.
+// A Relation must not be copied once queried (go vet's copylocks check
+// enforces it).
 type Relation struct {
 	Name string
 	Cols []string
 	Tups []Tuple
+
+	summary atomic.Pointer[lineageSummary]
+}
+
+// lineageSummary is what DisjointLineage memoizes, keyed on the Tups
+// slice it was computed from (its length and first element).
+type lineageSummary struct {
+	n        int
+	first    *Tuple
+	lo, hi   formula.Var
+	disjoint bool
+}
+
+// DisjointLineage reports whether no variable occurs twice among the
+// relation's lineage atoms — in particular in two of its tuples — and
+// the closed range [lo, hi] of the variables that occur (lo > hi when
+// none does, as for a deterministic relation). Tuple-independent
+// relations, BID relations whose blocks have one alternative, and any
+// subset of them are disjoint. The answer is computed from the tuples
+// once and memoized; concurrent first calls may each compute it, and
+// agree.
+func (r *Relation) DisjointLineage() (lo, hi formula.Var, ok bool) {
+	var first *Tuple
+	if len(r.Tups) > 0 {
+		first = &r.Tups[0]
+	}
+	s := r.summary.Load()
+	if s == nil || s.n != len(r.Tups) || s.first != first {
+		s = summarize(r.Tups)
+		s.first = first
+		r.summary.Store(s)
+	}
+	return s.lo, s.hi, s.disjoint
+}
+
+// summarize computes a lineageSummary: one pass for the variable range,
+// one marking each variable in a bitset over that range.
+func summarize(tups []Tuple) *lineageSummary {
+	s := &lineageSummary{n: len(tups), lo: math.MaxInt32, hi: -1, disjoint: true}
+	for i := range tups {
+		for _, at := range tups[i].Lin {
+			s.lo, s.hi = min(s.lo, at.Var), max(s.hi, at.Var)
+		}
+	}
+	if s.lo > s.hi {
+		return s
+	}
+	seen := make([]uint64, (int(s.hi-s.lo)>>6)+1)
+	for i := range tups {
+		for _, at := range tups[i].Lin {
+			d := int(at.Var - s.lo)
+			w, bit := d>>6, uint64(1)<<(d&63)
+			if seen[w]&bit != 0 {
+				s.disjoint = false
+				return s
+			}
+			seen[w] |= bit
+		}
+	}
+	return s
 }
 
 // ColIndex returns the position of the named column, or -1.

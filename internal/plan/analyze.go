@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/formula"
 	"repro/internal/pdb"
 )
 
@@ -208,11 +209,20 @@ func identityOrigins(cols []origin) bool {
 // construction; BID relations only when at most one alternative of each
 // block survives the filters (in which case treating the survivor as an
 // independent tuple is exact); shared variables across relations never
-// do. The check streams over the base tuples applying filters in place
-// and copies none of them; what it keeps is one bit per variable —
-// formula.Space hands out dense ids, so the bitset is grown to the
-// largest id met.
+// do.
+//
+// It first asks the relations' memoized lineage summaries
+// (summaryIndependent), which touches no tuple and runs no filter. Only
+// when they cannot vouch for the leaves does it stream over the base
+// tuples, applying filters in place and copying none of them; what that
+// scan keeps is one bit per variable — formula.Space hands out dense
+// ids, so the bitset is grown to the largest id met. The summaries
+// assume, as pdb.Relation states, that Tups is not edited in place once
+// queried.
 func eventIndependent(leaves []leafInfo) bool {
+	if summaryIndependent(leaves) {
+		return true
+	}
 	var seen []uint64
 	for i := range leaves {
 		l := &leaves[i]
@@ -232,6 +242,35 @@ func eventIndependent(leaves []leafInfo) bool {
 				seen[w] |= bit
 			}
 		}
+	}
+	return true
+}
+
+// summaryIndependent reports that the leaves' lineage is pairwise
+// variable-disjoint whatever their filters select: every leaf's
+// relation is internally disjoint and the non-empty variable ranges do
+// not overlap. It costs O(leaves²) range comparisons. False means only
+// that the summaries cannot tell — a BID block with two alternatives, a
+// variable shared across relations, or a self-join (a relation's range
+// overlaps itself).
+func summaryIndependent(leaves []leafInfo) bool {
+	type span struct{ lo, hi formula.Var }
+	var buf [8]span
+	spans := buf[:0]
+	for i := range leaves {
+		lo, hi, ok := leaves[i].rel.DisjointLineage()
+		if !ok {
+			return false
+		}
+		if lo > hi {
+			continue
+		}
+		for _, sp := range spans {
+			if lo <= sp.hi && sp.lo <= hi {
+				return false
+			}
+		}
+		spans = append(spans, span{lo, hi})
 	}
 	return true
 }

@@ -190,7 +190,7 @@ func compileRouted(root Node, opt Options) *Plan {
 		return p
 	}
 	// Rule the structural routes out by plan shape and options before
-	// paying the per-tuple independence scan.
+	// checking event independence, which may scan every tuple.
 	if opt.DisableSafe && opt.DisableIQ {
 		p.Why = "structural routes disabled"
 		return p

@@ -18,9 +18,9 @@ import (
 
 // Tests of the structural routes' scan-speed kernels: bitwise
 // differential against the string-keyed pipeline they replaced
-// (oracle_test.go), the bitset independence scan against the map it
-// replaced, cancellation and panic containment on the safe and IQ
-// routes, the allocation pin, and the zero-answer edge.
+// (oracle_test.go), the bitset independence scan and the lineage
+// summaries against the map scan, cancellation and panic containment on
+// the safe and IQ routes, the allocation pins, and the zero-answer edge.
 
 // assertMatchesOracle runs a safe-routed plan and the oracle over the
 // same analysis and requires identical rows, row order and
@@ -333,7 +333,95 @@ func TestEventIndependentMatchesMapOracle(t *testing.T) {
 		if got, ref := eventIndependent(c.leaves), refEventIndependent(c.leaves); got != ref || got != c.want {
 			t.Errorf("%s: bitset scan %v, map scan %v, want %v", c.name, got, ref, c.want)
 		}
+		if summaryIndependent(c.leaves) && !c.want {
+			t.Errorf("%s: the lineage summaries vouch for correlated leaves", c.name)
+		}
 	}
+}
+
+// FuzzIndependenceSummaryAgreesWithScan decodes bytes into relations —
+// tuple-independent, BID with one to three alternatives per block,
+// deterministic, and hand-built ones whose variables may repeat within
+// the relation or come from an earlier one — and leaves over them,
+// each with a random filter; a relation picked twice is a self-join.
+// Whenever the summaries say independent, the map scan must agree, and
+// eventIndependent must always equal it. The seed corpus is under
+// testdata/fuzz.
+func FuzzIndependenceSummaryAgreesWithScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		leaves := decodeIndependenceLeaves(&lineageDecoder{data: data})
+		ref := refEventIndependent(leaves)
+		if summaryIndependent(leaves) && !ref {
+			t.Fatal("the lineage summaries vouch for leaves the map scan finds correlated")
+		}
+		if got := eventIndependent(leaves); got != ref {
+			t.Fatalf("eventIndependent %v, map scan %v", got, ref)
+		}
+	})
+}
+
+// decodeIndependenceLeaves reads, from d's bytes: a relation count
+// (1–3); per relation a size byte (1–5 tuples or blocks) and a kind
+// byte (mod 4: tuple-independent, BID, hand-built, deterministic), then
+// per tuple a value byte — a BID block first reads its alternative
+// count (1–3), a hand-built tuple a variable byte picking any variable
+// already in the space or, past them, a fresh one; then a leaf count
+// (1–4) and per leaf a relation byte and a filter byte (mod 3: none,
+// v[0] ≠ k, v[0] ≥ k) with its value byte k. Values lie in 0..3;
+// missing bytes read 0.
+func decodeIndependenceLeaves(d *lineageDecoder) []leafInfo {
+	s := formula.NewSpace()
+	rels := make([]*pdb.Relation, 1+d.next()%3)
+	for i := range rels {
+		name, cols := fmt.Sprintf("R%d", i), []string{"a", "i"}
+		n := 1 + d.next()%5
+		val := func(j int) []pdb.Value { return []pdb.Value{pdb.Value(d.next() % 4), pdb.Value(j)} }
+		switch d.next() % 4 {
+		case 0:
+			rows, probs := make([][]pdb.Value, n), make([]float64, n)
+			for j := range rows {
+				rows[j], probs[j] = val(j), 0.5
+			}
+			rels[i] = pdb.NewTupleIndependent(s, name, cols, rows, probs, int32(i))
+		case 1:
+			blocks := make([][]pdb.BIDAlternative, n)
+			for j := range blocks {
+				blocks[j] = make([]pdb.BIDAlternative, 1+d.next()%3)
+				for k := range blocks[j] {
+					blocks[j][k] = pdb.BIDAlternative{Vals: val(j), Prob: 0.25}
+				}
+			}
+			rels[i] = pdb.NewBID(s, name, cols, blocks, int32(i))
+		case 2:
+			rels[i] = &pdb.Relation{Name: name, Cols: cols}
+			for j := 0; j < n; j++ {
+				vals := val(j)
+				v := formula.Var(d.next() % (s.NumVars() + 1))
+				if int(v) == s.NumVars() {
+					v = s.AddBool(0.5)
+				}
+				rels[i].Tups = append(rels[i].Tups, pdb.Tuple{Vals: vals, Lin: formula.MustClause(formula.Pos(v))})
+			}
+		default:
+			rows := make([][]pdb.Value, n)
+			for j := range rows {
+				rows[j] = val(j)
+			}
+			rels[i] = pdb.NewDeterministic(name, cols, rows)
+		}
+	}
+	leaves := make([]leafInfo, 1+d.next()%4)
+	for i := range leaves {
+		leaves[i].rel = rels[d.next()%len(rels)]
+		kind, k := d.next()%3, pdb.Value(d.next()%4)
+		switch kind {
+		case 1:
+			leaves[i].filters = []func([]pdb.Value) bool{func(v []pdb.Value) bool { return v[0] != k }}
+		case 2:
+			leaves[i].filters = []func([]pdb.Value) bool{func(v []pdb.Value) bool { return v[0] >= k }}
+		}
+	}
+	return leaves
 }
 
 // TestStructuralRoutesHonourCancel: a client that goes away mid-scan
@@ -417,18 +505,30 @@ func TestPlannerStructuralPanicContained(t *testing.T) {
 		}
 	}
 
-	// Panics on every call: the independence scan meets it first.
-	always := CompileWith(&GroupLineage{Input: &Select{
-		Input: &Scan{Rel: r},
-		Pred:  func([]pdb.Value) bool { panic("bad predicate") },
-	}, Cols: []int{1}}, opt)
-	if always.Route != RouteLineage {
-		t.Fatalf("panicking independence scan routed %s", always.Explain())
+	// Panics on every call over a relation the lineage summary cannot
+	// vouch for (a BID block with two alternatives): the independence
+	// scan runs the filter and meets the panic first.
+	bid := pdb.NewBID(s, "B", []string{"k", "alt"}, [][]pdb.BIDAlternative{
+		{{Vals: []pdb.Value{1, 0}, Prob: 0.3}, {Vals: []pdb.Value{1, 1}, Prob: 0.4}},
+	}, 2)
+	always := func([]pdb.Value) bool { panic("bad predicate") }
+	scanned := CompileWith(&GroupLineage{Input: &Select{Input: &Scan{Rel: bid}, Pred: always}, Cols: []int{1}}, opt)
+	if scanned.Route != RouteLineage {
+		t.Fatalf("panicking independence scan routed %s", scanned.Explain())
 	}
 	if n := m.Snapshot().PanicsRecovered; n != 0 {
 		t.Fatalf("PanicsRecovered = %d after compile, want 0: the failure is counted where it surfaces", n)
 	}
-	check("panic at compile", always, "plan.lineage")
+	check("panic at compile", scanned, "plan.lineage")
+
+	// The same filter over a tuple-independent relation: the summary
+	// answers independence without calling it, so the plan routes safe
+	// and the panic is contained where the safe plan first runs it.
+	summarized := CompileWith(&GroupLineage{Input: &Select{Input: &Scan{Rel: r}, Pred: always}, Cols: []int{1}}, opt)
+	if summarized.Route != RouteSafe {
+		t.Fatalf("summary-independent leaf routed %s", summarized.Explain())
+	}
+	check("panic after a summary-only compile", summarized, "plan.safe")
 
 	// Healthy during compile, panics at evaluation.
 	for _, route := range []Route{RouteSafe, RouteIQ} {
@@ -495,6 +595,58 @@ func TestSafeRouteAllocsPerGroupNotPerTuple(t *testing.T) {
 	t.Logf("allocations per Answers: %v over 10 000 tuples, %v over 40 000", small, large)
 	if small != large || small > 64 {
 		t.Fatalf("allocations per Answers: %v over 10 000 tuples, %v over 40 000; want equal and at most 64", small, large)
+	}
+}
+
+// TestCompileAllocsIndependentOfDriverSize pins the independence check's
+// cost: compiling a tuple-independent three-way join (a star on partkey,
+// routed safe) allocates the same number of objects over 10 000 driver
+// tuples as over 40 000, and never calls the driver's filter — the
+// relations' lineage summaries answer independence without a tuple scan.
+// Only the filter count is checked under -race.
+func TestCompileAllocsIndependentOfDriverSize(t *testing.T) {
+	measure := func(n int) float64 {
+		s := formula.NewSpace()
+		rows := make([][]pdb.Value, n)
+		probs := make([]float64, n)
+		for i := range rows {
+			rows[i] = []pdb.Value{pdb.Value(i % 50), pdb.Value(i % 7), pdb.Value(i % 100)}
+			probs[i] = 0.001
+		}
+		li := pdb.NewTupleIndependent(s, "lineitem", []string{"partkey", "suppkey", "qty"}, rows, probs, 0)
+		part := pdb.NewTupleIndependent(s, "part", []string{"partkey", "brand"},
+			[][]pdb.Value{{1, 10}, {2, 20}, {3, 10}}, []float64{0.5, 0.6, 0.7}, 1)
+		ps := pdb.NewTupleIndependent(s, "partsupp", []string{"partkey"},
+			[][]pdb.Value{{1}, {2}}, []float64{0.4, 0.8}, 2)
+		calls := 0
+		root := &GroupLineage{
+			Input: &EquiJoin{
+				Left: &EquiJoin{
+					Left:    sel(scan(li), func(v []pdb.Value) bool { calls++; return v[2] < 30 }),
+					Right:   scan(part),
+					LeftCol: 0, RightCol: 0,
+				},
+				Right:   scan(ps),
+				LeftCol: 0, RightCol: 0,
+			},
+			Cols: []int{4},
+		}
+		if p := Compile(root); p.Route != RouteSafe {
+			t.Fatalf("routed %s", p.Explain())
+		}
+		allocs := testing.AllocsPerRun(10, func() { Compile(root) })
+		if calls != 0 {
+			t.Fatalf("compile over %d driver tuples called the leaf filter %d times", n, calls)
+		}
+		return allocs
+	}
+	small, large := measure(10_000), measure(40_000)
+	t.Logf("allocations per Compile: %v over 10 000 driver tuples, %v over 40 000", small, large)
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	if small != large {
+		t.Fatalf("allocations per Compile: %v over 10 000 driver tuples, %v over 40 000; want equal", small, large)
 	}
 }
 
