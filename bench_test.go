@@ -450,7 +450,7 @@ func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, size i
 	if cache {
 		// One cache shared across iterations: the steady state of a
 		// server answering repeated/overlapping queries.
-		ev.Cache = formula.NewProbCache(0)
+		ev.Cache = formula.NewFragCache(0)
 	}
 	b.ResetTimer()
 	// After ResetTimer: it deletes user-reported metrics.
@@ -540,10 +540,10 @@ func BenchmarkCacheTPCH(b *testing.B) {
 		}
 	})
 	b.Run("cache-on", func(b *testing.B) {
-		cache := formula.NewProbCache(0)
+		cache := formula.NewFragCache(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Exact(db.Space, d, core.Options{Cache: cache}); err != nil {
+			if _, err := core.Exact(db.Space, d, core.Options{Frags: cache}); err != nil {
 				b.Fatal(err)
 			}
 		}

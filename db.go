@@ -19,9 +19,9 @@ import (
 // worker pool that parallel d-tree exploration and batch conf() fan out
 // on.
 //
-// A DB is safe for concurrent use. Short-lived state — the subformula
-// probability cache, the default budget and evaluator — lives one level
-// down, in Sessions:
+// A DB is safe for concurrent use. Short-lived state — the fragment
+// cache, the default budget and evaluator — lives one level down, in
+// Sessions:
 //
 //	db := repro.NewDB(space, relations...)
 //	sess := db.Session(repro.WithEps(1e-3))

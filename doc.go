@@ -16,7 +16,7 @@
 // implementation lives in the internal packages:
 //
 //	internal/formula  — variables, clauses, DNFs, probability spaces,
-//	                    and the hash-consed subformula probability cache
+//	                    and the hash-consed fragment cache
 //	internal/core     — d-tree compilation, bounds, ε-approximation
 //	internal/engine   — the unified, cancellable Evaluator API over the
 //	                    whole algorithm menu (d-tree exact/approx, Monte
@@ -57,9 +57,9 @@
 //     private worker pool (db.Pool().Resize sizes it per DB).
 //     NewDB(space, relations...).
 //
-//   - Session — per-client scope: a subformula probability cache, a
-//     default Budget, a default Evaluator. db.Session(WithEps(1e-3),
-//     WithBudget(...), WithSharedCache(...), ...).
+//   - Session — per-client scope: a fragment cache, a default Budget, a
+//     default Evaluator. db.Session(WithEps(1e-3), WithBudget(...),
+//     WithSharedFragCache(...), ...).
 //
 //   - Query — the fluent builder compiled to the plan IR with
 //     build-time validation: sess.Query("R").Select(...).Join(...).
@@ -151,13 +151,10 @@ type (
 	ApproxEval = engine.Approx
 	// MonteCarloEval is the Karp-Luby/DKLR (ε, δ) baseline.
 	MonteCarloEval = engine.MonteCarlo
-	// ProbCache is the hash-consed subformula probability memo table
-	// shared across evaluations of one probability space.
-	ProbCache = formula.ProbCache
-	// FragCache is the prepared-fragment memo table — normalized form,
-	// heuristic bounds and component partition of leaf fragments —
-	// shared across evaluations of one probability space like
-	// ProbCache, but short-circuiting leaf preparation itself.
+	// FragCache is the hash-consed fragment memo table shared across
+	// evaluations of one probability space: prepared leaf fragments
+	// (normalized form, heuristic bounds, component partition) for
+	// ε > 0, exact subformula probabilities for exact evaluation.
 	FragCache = formula.FragCache
 )
 
@@ -198,8 +195,8 @@ type (
 	// deterministically; String with timings.
 	QueryTrace = obs.QueryTrace
 	// CacheStats is the unified cache-statistics shape every cache
-	// (ProbCache, FragCache, Interner) reports from its CacheStats
-	// method: Hits, Misses, Entries.
+	// (FragCache, Interner) reports from its CacheStats method: Hits,
+	// Misses, Entries.
 	CacheStats = obs.CacheStats
 	// HistogramSnapshot is a frozen power-of-two histogram.
 	HistogramSnapshot = obs.HistogramSnapshot
@@ -318,10 +315,12 @@ var (
 	Bounds = core.LeafBounds
 	// AConf is the Karp-Luby/DKLR (ε, δ) baseline.
 	AConf = mc.AConf
-	// NewProbCache returns an empty subformula probability cache.
-	NewProbCache = formula.NewProbCache
-	// NewFragCache returns an empty prepared-fragment cache.
+	// NewFragCache returns an empty fragment cache.
 	NewFragCache = formula.NewFragCache
+	// NewProbCache is NewFragCache under its former name.
+	//
+	// Deprecated: named only by bench/; use NewFragCache.
+	NewProbCache = formula.NewFragCache
 	// NewInterner returns an empty hash-consing clause interner (the
 	// pipelined runtime's join-merge deduplication).
 	NewInterner = formula.NewInterner

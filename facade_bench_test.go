@@ -14,7 +14,7 @@ import (
 // costs over hand-assembling the internal surface (plan.CompileWith +
 // Plan.Answers with an explicit evaluator) on the same ranked
 // lineage-route workload. Both sides build and run the query from
-// scratch per iteration with a fresh subformula cache, so the numbers
+// scratch per iteration with a fresh fragment cache, so the numbers
 // differ only by the façade's builder, validation, and session
 // plumbing — which must stay within noise (≤5%).
 func BenchmarkFacadeOverhead(b *testing.B) {
@@ -40,7 +40,7 @@ func BenchmarkFacadeOverhead(b *testing.B) {
 			p := plan.CompileWith(
 				&plan.TopK{Input: &plan.GroupLineage{Input: &plan.Scan{Rel: rel}, Cols: []int{0}}, K: k},
 				plan.Options{DisableSafe: true, DisableIQ: true})
-			ev := engine.Approx{Eps: 1e-3, Kind: engine.Absolute, Cache: formula.NewProbCache(0)}
+			ev := engine.Approx{Eps: 1e-3, Kind: engine.Absolute, Frags: formula.NewFragCache(0)}
 			got, err := p.Answers(ctx, s, ev)
 			if err != nil {
 				b.Fatal(err)

@@ -146,6 +146,15 @@ func TestFacadeBuildValidation(t *testing.T) {
 			Left: mustScan(t, db, "R"), Right: mustScan(t, db, "S"),
 		})), "Query"},
 		{"adopted IR with foreign node", sess.Query(plan.Node(&foreignNode{})), "Query"},
+		{"adopted IR with NaN tau", sess.Query(plan.Node(&plan.Threshold{
+			Input: &plan.GroupLineage{Input: mustScan(t, db, "R"), Cols: []int{0}}, Tau: math.NaN(),
+		})), "Query"},
+		{"adopted IR with tau above one", sess.Query(plan.Node(&plan.Threshold{
+			Input: &plan.GroupLineage{Input: mustScan(t, db, "R"), Cols: []int{0}}, Tau: 1.5,
+		})), "Query"},
+		{"adopted IR with negative tau", sess.Query(plan.Node(&plan.Threshold{
+			Input: &plan.GroupLineage{Input: mustScan(t, db, "R"), Cols: []int{0}}, Tau: -0.25,
+		})), "Query"},
 		{"nil select predicate", sess.Query("R").Select(nil), "Select"},
 		{"nil join predicate", sess.Query("R").JoinPred(sess.Query("S"), nil), "JoinPred"},
 		{"empty projection", sess.Query("R").Project(), "Project"},
@@ -404,7 +413,7 @@ func TestFacadeSessionsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shared := repro.NewProbCache(0)
+	shared := repro.NewFragCache(0)
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*2)
@@ -414,7 +423,7 @@ func TestFacadeSessionsConcurrent(t *testing.T) {
 			defer wg.Done()
 			opts := []repro.SessionOption{}
 			if w%2 == 0 {
-				opts = append(opts, repro.WithSharedCache(shared))
+				opts = append(opts, repro.WithSharedFragCache(shared))
 			}
 			sess := db.Session(opts...)
 			got, err := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).All(ctx)
@@ -475,8 +484,13 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("WithEps evaluator %T, want engine.Approx", sess.Evaluator())
 	}
-	if ap.Eps != 0.01 || ap.Budget != b || ap.Cache != sess.Cache() {
+	if ap.Eps != 0.01 || ap.Budget != b || ap.Frags != sess.FragCache() {
 		t.Fatalf("derived Approx %+v does not carry the session knobs", ap)
+	}
+	// At Eps 0 the exact evaluator memoizes in the same session cache.
+	sess = db.Session(repro.WithBudget(b))
+	if ex := sess.Evaluator().(engine.Exact); ex.Budget != b || ex.Cache != sess.FragCache() {
+		t.Fatalf("derived Exact %+v does not carry the session knobs", ex)
 	}
 
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}
@@ -531,6 +545,9 @@ func FuzzAdoptedIRNeverPanics(f *testing.F) {
 			}
 			return
 		}
+		if th, ok := root.(*plan.Threshold); ok && !(th.Tau >= 0 && th.Tau <= 1) {
+			t.Fatalf("%s: Build accepted Threshold tau %v", pr.Explain(), th.Tau)
+		}
 		if _, err := pr.All(context.Background()); err != nil {
 			t.Fatalf("%s: All: %v", pr.Explain(), err)
 		}
@@ -544,7 +561,8 @@ func FuzzAdoptedIRNeverPanics(f *testing.F) {
 // Scan, Select, EquiJoin, ThetaJoin, Project, GroupLineage, TopK,
 // Threshold; always a Scan below depth 4), children first, then the
 // node's parameters. A Scan's byte picks R, S, the unregistered ghost
-// or a nil relation; a column byte decodes to [-2, 6); a column list
+// or a nil relation; a Threshold's byte b decodes to b/250 (above 1
+// past 250) or, at 255, NaN; a column byte decodes to [-2, 6); a column list
 // is a count byte (mod 4) and that many columns; an optional predicate
 // or residual is present when its byte is odd, a Less when its byte is
 // odd. Predicates bounds-check, so a run never panics in caller code.
@@ -609,7 +627,11 @@ func (d *irDecoder) node(depth int) plan.Node {
 	case 7:
 		return &plan.TopK{Input: d.node(depth + 1), K: d.next() % 4}
 	case 8:
-		return &plan.Threshold{Input: d.node(depth + 1), Tau: float64(d.next()) / 255}
+		n := &plan.Threshold{Input: d.node(depth + 1), Tau: math.NaN()}
+		if b := d.next(); b < 255 {
+			n.Tau = float64(b) / 250
+		}
+		return n
 	}
 	return nil
 }

@@ -51,20 +51,22 @@ type Options struct {
 	// whose individual leaves are huge.
 	MaxWork int
 
-	// Cache, when non-nil, memoizes exact multi-clause subformula
-	// probabilities for exact evaluation (Eps 0) only. Sharing one cache
-	// across evaluations over the same Space (the answers of a query,
-	// repeated Shannon branches) computes each repeated fragment once.
-	// The cache must not be reused with a different Space.
-	Cache *formula.ProbCache
+	// Cache is not consulted.
+	//
+	// Deprecated: named only by bench/; exact evaluation memoizes in
+	// Frags.
+	Cache *formula.FragCache
 
-	// Frags, when non-nil, memoizes prepared leaf fragments — the
-	// normalized, subsumption-reduced form together with its heuristic
-	// bounds and component partition. It is the one memo of evaluation
-	// at Eps > 0: a hit short-circuits the whole preparation pipeline
-	// (normalize, reduce, leaf bounds), which profiling shows dominates
-	// ranking workloads. Share one Frags across evaluations over the
-	// same Space only, like Cache.
+	// Frags, when non-nil, is evaluation's one memo. At Eps > 0 it holds
+	// prepared leaf fragments — the normalized, subsumption-reduced form
+	// together with its heuristic bounds and component partition — and
+	// a hit short-circuits the whole preparation pipeline (normalize,
+	// reduce, leaf bounds), which profiling shows dominates ranking
+	// workloads. At Eps 0 it holds the exact probabilities of
+	// multi-clause subformulas. Sharing one Frags across evaluations over
+	// the same Space (the answers of a query, repeated Shannon branches)
+	// computes each repeated fragment once; it must not be reused with a
+	// different Space.
 	Frags *formula.FragCache
 
 	// Pool is the worker pool exact evaluation fans independent branches
@@ -102,8 +104,8 @@ type Result struct {
 	Nodes int
 	// LeavesClosed counts leaves discarded by the Theorem 5.12 check.
 	LeavesClosed int
-	// CacheHits and CacheMisses count subformula memo-cache lookups by
-	// this evaluation (zero when Options.Cache is nil or Eps > 0).
+	// CacheHits and CacheMisses count exact evaluation's subformula
+	// lookups in Options.Frags (zero when Frags is nil or Eps > 0).
 	CacheHits, CacheMisses int64
 	// Exact reports Lo == Hi.
 	Exact bool
@@ -319,28 +321,31 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 	return store(frag{d: d, lo: lo, hi: hi, exact: lo == hi}, w+int64(ops))
 }
 
-// cachedProbErr memoizes compute() for multi-clause fragments when a
-// cache is configured; failed computations are not stored.
-func (st *state) cachedProbErr(d formula.DNF, compute func() (float64, error)) (float64, error) {
-	c := st.opt.Cache
-	if c == nil || len(d) <= 1 {
-		return compute()
+// exactMemo is exactDecompose memoized in Options.Frags under
+// variantExact, when a cache is configured. d is the multi-clause
+// fragment leafHead passed; a hit charges nothing beyond what exactRec
+// already charged for reaching it, and failed computations are not
+// stored.
+func (st *state) exactMemo(d formula.DNF) (float64, error) {
+	c := st.opt.Frags
+	if c == nil {
+		return st.exactDecompose(d)
 	}
 	// Chaos site: like leaf.prepare, every fault kind surfaces as a
 	// contained panic (see Injector.FirePanic).
 	st.opt.Inject.FirePanic(fault.SiteCacheLookup)
-	if p, ok := c.Lookup(d); ok {
+	if e, ok := c.Lookup(d, variantExact); ok {
 		st.hits.Add(1)
-		st.opt.Metrics.RecordProbCache(true)
-		return p, nil
+		st.opt.Metrics.RecordFragCache(true)
+		return e.Lo, nil
 	}
 	st.misses.Add(1)
-	st.opt.Metrics.RecordProbCache(false)
-	p, err := compute()
+	st.opt.Metrics.RecordFragCache(false)
+	p, err := st.exactDecompose(d)
 	if err != nil {
 		return 0, err
 	}
-	c.Store(d, p)
+	c.Store(d, variantExact, &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true})
 	return p, nil
 }
 
@@ -647,7 +652,7 @@ func (st *state) exactRec(d formula.DNF, normalized, reduced bool) (float64, err
 	if leaf {
 		return p, nil
 	}
-	return st.cachedProbErr(d, func() (float64, error) { return st.exactDecompose(d) })
+	return st.exactMemo(d)
 }
 
 // exactDecompose computes P(d) for a multi-clause DNF leafHead has

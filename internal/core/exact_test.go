@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -15,7 +16,8 @@ import (
 // the pipeline it replaced, in oracle_test.go — and requires them to be
 // indistinguishable. At pool 1 everything is deterministic and
 // everything must agree: the estimate to the bit, the node count, the
-// error, and (with a ProbCache each) the hit and miss counts. At pools 2
+// error, and (with a memo each: a FragCache for the step, refExact's
+// own refMemo for the reference) the hit and miss counts. At pools 2
 // and 8 the estimate must still agree to the bit, and the node count
 // too unless racing lookups of a shared cache decide it; an evaluation
 // under a budget is compared at pool 1 only, because which sibling sees
@@ -24,16 +26,20 @@ import (
 func diffExact(t testing.TB, s *formula.Space, d formula.DNF, opt Options, cached bool) {
 	t.Helper()
 	ctx := context.Background()
-	newCache := func() *formula.ProbCache {
+	newCache := func() *formula.FragCache {
 		if !cached {
 			return nil
 		}
-		return formula.NewProbCache(0)
+		return formula.NewFragCache(0)
+	}
+	var memo *refMemo
+	if cached {
+		memo = newRefMemo()
 	}
 	opt.Pool = workpool.New(1)
 	ref := opt
-	opt.Cache, ref.Cache = newCache(), newCache()
-	want, wantErr := refExact(ctx, s, d, ref)
+	opt.Frags = newCache()
+	want, wantErr := refExact(ctx, s, d, ref, memo)
 	got, err := ExactCtx(ctx, s, d, opt)
 	if !errors.Is(err, wantErr) || !errors.Is(wantErr, err) {
 		t.Fatalf("errors diverged: %v, reference %v\n%s", err, wantErr, d.String(s))
@@ -46,7 +52,7 @@ func diffExact(t testing.TB, s *formula.Space, d formula.DNF, opt Options, cache
 	}
 	for _, size := range []int{2, 8} {
 		opt.Pool = workpool.New(size)
-		opt.Cache = newCache()
+		opt.Frags = newCache()
 		got, err := ExactCtx(ctx, s, d, opt)
 		if err != nil {
 			t.Fatalf("pool %d: %v", size, err)
@@ -62,7 +68,7 @@ func diffExact(t testing.TB, s *formula.Space, d formula.DNF, opt Options, cache
 
 // exactVariant decodes the option half of a differential case: bit 0
 // picks the variable order, bit 1 the subsumption ablation, bit 2 a
-// ProbCache; budget, when non-zero, cuts the run by work (bit 3 clear)
+// memo; budget, when non-zero, cuts the run by work (bit 3 clear)
 // or by nodes (bit 3 set).
 func exactVariant(flags uint8, budget uint16) (opt Options, cached bool) {
 	if flags&1 != 0 {
@@ -81,7 +87,7 @@ func exactVariant(flags uint8, budget uint16) (opt Options, cached bool) {
 // moving exact evaluation onto figure1.go's step and the construction
 // flags: tagged and untagged variables, Boolean and four-valued
 // domains, both variable orders, the subsumption ablation, work and
-// node cuts, with and without a ProbCache — every combination on fresh
+// node cuts, with and without a memo — every combination on fresh
 // seeds, plus instances wide enough to fan out on the pool.
 func TestExactMatchesReferencePipeline(t *testing.T) {
 	cfgs := []randdnf.Config{
@@ -130,4 +136,54 @@ func FuzzExactMatchesReferencePipeline(f *testing.F) {
 		opt, cached := exactVariant(flags, budget)
 		diffExact(t, s, d, opt, cached)
 	})
+}
+
+// TestExactCachePersisted: exact evaluation's entries survive
+// FragCache.Save and LoadFragCache (format v3, their own variant). Over
+// the reloaded cache every evaluation misses nothing and repeats a warm
+// rerun on the saved cache exactly, so P keeps the bits of the run that
+// filled it — the warm start a restarted daemon's exact queries get.
+func TestExactCachePersisted(t *testing.T) {
+	s, big := randdnf.Generate(randdnf.Config{
+		Vars: 30, Clauses: 44, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6,
+	}, 9100)
+	var ds []formula.DNF
+	for off := 0; off+20 <= len(big); off += 4 {
+		ds = append(ds, big[off:off+20])
+	}
+	filled := formula.NewFragCache(0)
+	cold := make([]Result, len(ds))
+	for i, d := range ds {
+		var err error
+		if cold[i], err = Exact(s, d, Options{Frags: filled}); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := filled.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := formula.LoadFragCache(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Len() != filled.Len() || loaded.Len() == 0 {
+		t.Fatalf("reloaded %d entries, saved %d", loaded.Len(), filled.Len())
+	}
+	for i, d := range ds {
+		warm, err := Exact(s, d, Options{Frags: filled})
+		if err != nil {
+			t.Fatalf("window %d warm: %v", i, err)
+		}
+		got, err := Exact(s, d, Options{Frags: loaded})
+		if err != nil {
+			t.Fatalf("window %d reloaded: %v", i, err)
+		}
+		if got.CacheMisses != 0 {
+			t.Fatalf("window %d: %d misses on the reloaded cache", i, got.CacheMisses)
+		}
+		if got != warm || math.Float64bits(got.Estimate) != math.Float64bits(cold[i].Estimate) {
+			t.Fatalf("window %d diverged:\nreloaded %+v\nwarm     %+v\ncold     %+v", i, got, warm, cold[i])
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/formula"
@@ -544,10 +545,11 @@ func decodeSmallDNF(data []byte) (*formula.Space, formula.DNF) {
 // prepare.go, global.go and refiner.go. refExact is the oracle of exact
 // evaluation, refRefiner of every ε > 0 trace.
 
-// refExact is ExactCtx over refExactRec.
-func refExact(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
+// refExact is ExactCtx over refExactRec, memoizing in memo (nil: no
+// memo) instead of Options.Frags.
+func refExact(ctx context.Context, s *formula.Space, d formula.DNF, opt Options, memo *refMemo) (Result, error) {
 	st := newState(ctx, s, opt)
-	p, err := st.refExactRec(d)
+	p, err := st.refExactRec(d, memo)
 	if err != nil {
 		res := st.finish(0, 1)
 		res.Converged = false
@@ -563,7 +565,7 @@ func refExact(ctx context.Context, s *formula.Space, d formula.DNF, opt Options)
 // fragments out on the worker pool; results are combined in child-index
 // order, so parallel and sequential runs produce bitwise-identical
 // probabilities.
-func (st *state) refExactRec(d formula.DNF) (float64, error) {
+func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
 	// Poll the context on a stride of the shared node counter: checking
 	// every node would have all pool workers contending on the timer
 	// context's mutex. The first node still polls, so a dead context
@@ -593,12 +595,64 @@ func (st *state) refExactRec(d formula.DNF) (float64, error) {
 	if len(d) == 1 {
 		return d[0].Probability(st.s), nil
 	}
-	return st.cachedProbErr(d, func() (float64, error) { return st.refExactDecompose(d) })
+	if memo == nil {
+		return st.refExactDecompose(d, memo)
+	}
+	if p, ok := memo.lookup(d); ok {
+		st.hits.Add(1)
+		return p, nil
+	}
+	st.misses.Add(1)
+	p, err := st.refExactDecompose(d, memo)
+	if err != nil {
+		return 0, err
+	}
+	memo.store(d, p)
+	return p, nil
+}
+
+// refMemo is refExact's memo of exact multi-clause fragment
+// probabilities: a map from DNF.Hash to the fragments stored under it,
+// told apart by DNF.Equal. It shares no code with the FragCache exact
+// evaluation memoizes in, so diffExact pins that cache's hit and miss
+// counts against an independent table.
+type refMemo struct {
+	mu sync.Mutex
+	m  map[uint64][]refMemoEntry
+}
+
+type refMemoEntry struct {
+	d formula.DNF
+	p float64
+}
+
+func newRefMemo() *refMemo { return &refMemo{m: make(map[uint64][]refMemoEntry)} }
+
+func (m *refMemo) lookup(d formula.DNF) (float64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.m[d.Hash()] {
+		if e.d.Equal(d) {
+			return e.p, true
+		}
+	}
+	return 0, false
+}
+
+// store keeps the first entry for d, as the memo it pins does.
+func (m *refMemo) store(d formula.DNF, p float64) {
+	if _, ok := m.lookup(d); ok {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := d.Hash()
+	m.m[h] = append(m.m[h], refMemoEntry{d: d, p: p})
 }
 
 // refExactDecompose computes P(d) for a normalized, subsumption-reduced,
 // multi-clause DNF by the first applicable rule of Figure 1.
-func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
+func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error) {
 	if len(d) <= incExcMaxClauses {
 		st.work.Add(1 << len(d))
 		return refInclusionExclusion(st.s, d), nil
@@ -608,7 +662,7 @@ func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)
 		}
-		ps, err := st.refExactChildren(subs)
+		ps, err := st.refExactChildren(subs, memo)
 		if err != nil {
 			return 0, err
 		}
@@ -620,7 +674,7 @@ func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
 	}
 	parts, x := partsOrVar(st.s, d, st.opt.Order)
 	if parts != nil {
-		ps, err := st.refExactChildren(parts)
+		ps, err := st.refExactChildren(parts, memo)
 		if err != nil {
 			return 0, err
 		}
@@ -641,7 +695,7 @@ func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
 		subs = append(subs, sub)
 		weights = append(weights, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
-	ps, err := st.refExactChildren(subs)
+	ps, err := st.refExactChildren(subs, memo)
 	if err != nil {
 		return 0, err
 	}
@@ -657,11 +711,11 @@ func (st *state) refExactDecompose(d formula.DNF) (float64, error) {
 // callers combine it in index order, so the probabilities (and their
 // floating-point rounding) are identical to a sequential run. Errors are
 // reported in index order for the same reason.
-func (st *state) refExactChildren(subs []formula.DNF) ([]float64, error) {
+func (st *state) refExactChildren(subs []formula.DNF, memo *refMemo) ([]float64, error) {
 	ps := make([]float64, len(subs))
 	if !st.parallelizable(subs) {
 		for i, sub := range subs {
-			p, err := st.refExactRec(sub)
+			p, err := st.refExactRec(sub, memo)
 			if err != nil {
 				return nil, err
 			}
@@ -672,7 +726,7 @@ func (st *state) refExactChildren(subs []formula.DNF) ([]float64, error) {
 	errs := make([]error, len(subs))
 	tasks := make([]func(), len(subs))
 	for i := range subs {
-		tasks[i] = func() { ps[i], errs[i] = st.refExactRec(subs[i]) }
+		tasks[i] = func() { ps[i], errs[i] = st.refExactRec(subs[i], memo) }
 	}
 	st.opt.Pool.RunAbort(st.poison, tasks...)
 	for _, err := range errs {

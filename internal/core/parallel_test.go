@@ -142,15 +142,15 @@ func TestExactDeadlineSticky(t *testing.T) {
 func TestExactCacheAcrossRuns(t *testing.T) {
 	s := formula.NewSpace()
 	d := hierarchicalDNF(30, 5, s)
-	cache := formula.NewProbCache(0)
-	first, err := Exact(s, d, Options{Cache: cache})
+	cache := formula.NewFragCache(0)
+	first, err := Exact(s, d, Options{Frags: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheMisses == 0 {
 		t.Fatal("first run recorded no cache misses")
 	}
-	second, err := Exact(s, d, Options{Cache: cache})
+	second, err := Exact(s, d, Options{Frags: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

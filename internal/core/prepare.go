@@ -143,6 +143,14 @@ func prepVariant(opt Options) uint8 {
 	return v
 }
 
+// variantExact keys exact evaluation's entries in the same FragCache: a
+// fragment exactRec has passed through leafHead, mapped to its exact
+// probability as a point PreparedFrag. The bit lies outside
+// prepVariant's, so exact and prepared entries never answer each
+// other's lookups. One variant serves every Order and ablation setting,
+// which change how P is computed, not its value.
+const variantExact uint8 = 1 << 7
+
 // components returns the component partition of f.d — memoized on the
 // fragment-cache entry when f came through one (identical fragments
 // across answers and Shannon branches partition once), computed over

@@ -43,11 +43,6 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 		// replay the reference work charge exactly or the cut moves.
 		{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
 			Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000}},
-		// A ProbCache is not consulted at Eps > 0: the trace, its work
-		// charges included, must not notice one.
-		{randdnf.Default(), Options{Eps: 0.005, Kind: Absolute, Cache: formula.NewProbCache(0)}},
-		{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
-			Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000, Cache: formula.NewProbCache(0)}},
 	}
 	traces := 0
 	for vi, v := range variants {
@@ -78,6 +73,21 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 			diffTrace(t, s, d, opt, "ablation %d seed %d cold", ai, seed)
 			diffTrace(t, s, d, opt, "ablation %d seed %d warm", ai, seed)
 			traces += 2
+		}
+	}
+	// Exact evaluation memoizes in the same cache under variantExact: a
+	// cache it filled first must go unnoticed by the ε > 0 traces, their
+	// work charges included.
+	for seed := int64(0); seed < 10; seed++ {
+		s, d := randdnf.Generate(randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7}, 6000+seed)
+		frags := formula.NewFragCache(0)
+		if _, err := Exact(s, d, Options{Frags: frags}); err != nil {
+			t.Fatalf("exact seed %d: %v", seed, err)
+		}
+		for oi, opt := range []Options{{Eps: 0.005, Kind: Absolute}, {Eps: 1e-9, Kind: Absolute, MaxWork: 4000}} {
+			opt.Frags = frags
+			diffTrace(t, s, d, opt, "after exact %d seed %d", oi, seed)
+			traces++
 		}
 	}
 	if traces < 200 {

@@ -12,9 +12,10 @@
 // with context-based cancellation/deadlines and a structured Budget in
 // place of the per-package MaxNodes/MaxWork/sample-count knobs. Exact
 // evaluation explores independent branches on a bounded worker pool
-// (internal/workpool) and shares a hash-consed subformula probability
-// cache (formula.ProbCache), its traffic surfaced in Result; ε > 0
-// evaluation runs on the calling goroutine and shares a FragCache.
+// (internal/workpool); ε > 0 evaluation runs on the calling goroutine.
+// Both memoize in one formula.FragCache: prepared leaf fragments at
+// ε > 0, exact subformula probabilities at ε = 0, the latter's traffic
+// surfaced in Result.
 package engine
 
 import (
@@ -105,8 +106,9 @@ type Result struct {
 	LeavesClosed int
 	// Samples counts estimator invocations (MonteCarlo).
 	Samples int
-	// CacheHits and CacheMisses count subformula memo-cache lookups made
-	// by this evaluation (exact evaluation only; zero without a cache).
+	// CacheHits and CacheMisses count the exact subformula lookups this
+	// evaluation made in its FragCache (exact evaluation only; zero
+	// without a cache).
 	CacheHits, CacheMisses int64
 }
 
@@ -142,9 +144,10 @@ func fromCore(r core.Result) Result {
 type Exact struct {
 	// Budget bounds the evaluation.
 	Budget Budget
-	// Cache, when non-nil, memoizes subformula probabilities across
-	// evaluations sharing it (same Space only).
-	Cache *formula.ProbCache
+	// Cache, when non-nil, memoizes exact subformula probabilities
+	// across evaluations sharing it (same Space only). It is the one
+	// memo a session hands both evaluators (see Approx.Frags).
+	Cache *formula.FragCache
 	// Pool is the worker pool parallel exploration fans out on (size 1:
 	// none); nil means the shared workpool.Default.
 	Pool *workpool.Pool
@@ -162,7 +165,7 @@ func (e Exact) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (R
 	defer cancel()
 	res, err := core.ExactCtx(ctx, s, d, core.Options{
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Pool: e.Pool,
+		Frags: e.Cache, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	})
 	return fromCore(res), err
@@ -179,11 +182,14 @@ type Approx struct {
 	Kind ErrorKind
 	// Budget bounds the evaluation.
 	Budget Budget
-	// Cache, when non-nil, memoizes subformula probabilities at Eps 0.
-	Cache *formula.ProbCache
-	// Frags, when non-nil, memoizes prepared leaf fragments
-	// (normalized/reduced form, heuristic bounds, component partition)
-	// across evaluations at Eps > 0 — same Space only, like Cache.
+	// Cache is not consulted.
+	//
+	// Deprecated: named only by bench/; Frags is the memo at every Eps.
+	Cache *formula.FragCache
+	// Frags, when non-nil, memoizes across evaluations (same Space only)
+	// prepared leaf fragments (normalized/reduced form, heuristic
+	// bounds, component partition) at Eps > 0, and exact subformula
+	// probabilities at Eps 0.
 	Frags *formula.FragCache
 	// Pool is the worker pool evaluation at Eps 0 fans out on; nil means
 	// the shared workpool.Default. Eps > 0 never enters it.
@@ -205,7 +211,7 @@ func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (
 	opt := core.Options{
 		Eps: e.Eps, Kind: e.Kind,
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Frags: e.Frags, Pool: e.Pool,
+		Frags: e.Frags, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	}
 	var res core.Result

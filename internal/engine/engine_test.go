@@ -33,7 +33,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 		}{
 			{"exact", Exact{}, 1e-9},
 			{"exact-seq", Exact{Pool: workpool.New(1)}, 1e-9},
-			{"exact-cache", Exact{Cache: formula.NewProbCache(0)}, 1e-9},
+			{"exact-cache", Exact{Cache: formula.NewFragCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"approx-global", Approx{Eps: 0.01, Kind: Absolute, Global: true}, 0.01 + 1e-9},
 			{"mc", MonteCarlo{Eps: 0.05, Delta: 0.01, Seed: seed}, 0.12},
@@ -164,7 +164,7 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 // shared cache reports hits in Result.
 func TestCacheSurfacedInResult(t *testing.T) {
 	s, d := randInstance(8)
-	cache := formula.NewProbCache(0)
+	cache := formula.NewFragCache(0)
 	ev := Exact{Cache: cache}
 	first, err := ev.Evaluate(context.Background(), s, d)
 	if err != nil {

@@ -24,9 +24,9 @@ type Params struct {
 
 	Delta float64 // aconf δ (the paper fixes 0.0001)
 
-	// ShareCache shares one memo across the answers of each multi-answer
-	// query — a prepared-fragment cache on the ε > 0 runs, a subformula
-	// probability cache on the exact runs. Off by default: the figures
+	// ShareCache shares one fragment cache across the answers of each
+	// multi-answer query, read by its ε > 0 and its exact runs alike
+	// (each under its own variant). Off by default: the figures
 	// reproduce the paper's per-answer measurements; turning it on
 	// measures the engine's cross-answer sharing instead.
 	ShareCache bool
@@ -112,9 +112,9 @@ func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKin
 	}, s, d)
 }
 
-// runDtreeExact measures the error-0 configuration.
-func runDtreeExact(s *formula.Space, d formula.DNF, maxNodes int, cache *formula.ProbCache) runResult {
-	r := runEval(engine.Exact{Budget: dtreeBudget(maxNodes), Cache: cache}, s, d)
+// runDtreeExact measures the error-0 configuration; frags as runDtree.
+func runDtreeExact(s *formula.Space, d formula.DNF, maxNodes int, frags *formula.FragCache) runResult {
+	r := runEval(engine.Exact{Budget: dtreeBudget(maxNodes), Cache: frags}, s, d)
 	r.exact = true
 	return r
 }

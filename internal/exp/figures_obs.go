@@ -50,7 +50,6 @@ func ObsTable(p Params) *Table {
 	for _, st := range tr.Stages {
 		add("stage "+st.Name, fmt.Sprintf("items=%d wall=%v", st.Items, st.Wall))
 	}
-	add("prob cache", fmt.Sprintf("%d/%d hits (%.1f%%)", tr.ProbCache.Hits, tr.ProbCache.Lookups(), 100*tr.ProbCache.HitRate()))
 	add("frag cache", fmt.Sprintf("%d/%d hits (%.1f%%)", tr.FragCache.Hits, tr.FragCache.Lookups(), 100*tr.FragCache.HitRate()))
 	add("interner", fmt.Sprintf("%d/%d hits, %d stored", tr.Interner.Hits, tr.Interner.Lookups(), tr.Interner.Entries))
 	add("wall", fmt.Sprint(tr.Wall))

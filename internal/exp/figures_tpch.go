@@ -122,11 +122,9 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 		// multi-answer query share base tuples, so repeated lineage
 		// fragments hit the cache. Off by default to keep the figure
 		// faithful to the paper's per-answer measurements.
-		var dtCache *formula.FragCache
-		var deCache *formula.ProbCache
+		var frags *formula.FragCache
 		if p.ShareCache {
-			dtCache = formula.NewFragCache(0)
-			deCache = formula.NewProbCache(0)
+			frags = formula.NewFragCache(0)
 		}
 		dnfs := lineageDNFs(q.node)
 		for i, d := range dnfs {
@@ -135,8 +133,8 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 				continue
 			}
 			ac = append(ac, runAconf(db.Space, d, relErr001, p.Delta, p.AconfMaxSample, p.Seed+int64(i)))
-			dt = append(dt, runDtree(db.Space, d, relErr001, engine.Relative, p.DtreeMaxNodes, dtCache))
-			de = append(de, runDtreeExact(db.Space, d, p.DtreeMaxNodes, deCache))
+			dt = append(dt, runDtree(db.Space, d, relErr001, engine.Relative, p.DtreeMaxNodes, frags))
+			de = append(de, runDtreeExact(db.Space, d, p.DtreeMaxNodes, frags))
 		}
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		sa, sd, se := sumRuns(ac), sumRuns(dt), sumRuns(de)

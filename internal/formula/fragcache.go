@@ -14,7 +14,9 @@ import (
 // statement analogue for fragments: the d-tree compiler prepares every
 // leaf it constructs, join lineage repeats identical subformulas across
 // answers and across Shannon siblings, and a FragCache lets each
-// distinct fragment be prepared once.
+// distinct fragment be prepared once. Exact evaluation stores its
+// results in the same shape: D the fragment, Lo == Hi its probability,
+// Exact set, Work 0.
 //
 // The component partition of D (the independent-or ⊗ split the compiler
 // needs when the leaf is later refined) is recorded lazily the first
@@ -62,21 +64,24 @@ func (f *PreparedFrag) SetComponents(comps [][]int) {
 	f.comps.Store(&comps)
 }
 
-// FragCache is a concurrent memo table from raw lineage fragments to
-// their prepared forms — normalization, subsumption removal, heuristic
-// [lo, hi] bounds and (lazily) the component partition, the whole
-// per-leaf preparation pipeline of the d-tree compiler. It is keyed by
-// the fragment as the compiler encounters it (pre-preparation), so
-// identical subformulas reached across the answers of a query or across
-// Shannon siblings of one compilation prepare once; like ProbCache it
-// is shared by handing it to every evaluation over the same Space and
-// must not be reused with a different Space (entries embed that space's
-// probabilities in their bounds).
+// FragCache is the engine's one concurrent memo table. Evaluation at
+// ε > 0 maps raw lineage fragments to their prepared forms —
+// normalization, subsumption removal, heuristic [lo, hi] bounds and
+// (lazily) the component partition, the whole per-leaf preparation
+// pipeline of the d-tree compiler — keyed by the fragment as the
+// compiler encounters it (pre-preparation). Exact evaluation maps
+// already-prepared fragments to their exact probabilities, stored as
+// point entries (Lo == Hi, Exact). Either way identical subformulas
+// reached across the answers of a query or across Shannon siblings of
+// one compilation are computed once. A cache is shared by handing it to
+// every evaluation over the same Space and must not be reused with a
+// different Space (entries embed that space's probabilities).
 //
-// Preparation also depends on two ablation switches (subsumption
-// removal and bucket sorting), so lookups carry a variant byte; entries
-// prepared under one variant are invisible to another, which keeps a
-// shared cache correct even when evaluations with different ablation
+// Lookups carry a variant byte that partitions the key space: the
+// evaluator chooses it (internal/core keys preparation by its two
+// ablation switches and exact entries by a variant of their own), and
+// entries stored under one variant are invisible to another, which
+// keeps a shared cache correct even when evaluations with different
 // settings share it.
 //
 // Entries are never evicted; once MaxEntries is reached new fragments
@@ -108,6 +113,35 @@ func NewFragCache(maxEntries int) *FragCache {
 		maxEntries = DefaultFragCacheEntries
 	}
 	return &FragCache{buckets: make(map[uint64][]*fragCacheEntry), max: maxEntries}
+}
+
+// Hash returns a 64-bit hash of the DNF, sensitive to clause order. The
+// evaluation paths that use it hash DNFs in the canonical form produced
+// by Normalize/RemoveSubsumed (deterministic clause order), so equal
+// subformulas reached along different d-tree branches hash equally.
+func (d DNF) Hash() uint64 {
+	h := uint64(0xcbf29ce484222325) // FNV-1a offset basis
+	for _, c := range d {
+		h ^= c.Hash()
+		h *= 0x100000001b3
+	}
+	// Final avalanche so short DNFs spread over the full range.
+	h ^= uint64(len(d))
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	return h ^ (h >> 31)
+}
+
+// Equal reports whether d and e are identical clause sequences.
+func (d DNF) Equal(e DNF) bool {
+	if len(d) != len(e) {
+		return false
+	}
+	for i := range d {
+		if !d[i].Equal(e[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func fragKeyHash(d DNF, variant uint8) uint64 {
@@ -173,3 +207,14 @@ func (c *FragCache) CacheStats() obs.CacheStats {
 		Entries: int64(c.Len()),
 	}
 }
+
+// ProbCache is the former name of the exact-probability memo, now a
+// variant of FragCache.
+//
+// Deprecated: named only by bench/; use FragCache.
+type ProbCache = FragCache
+
+// NewProbCache returns NewFragCache(maxEntries).
+//
+// Deprecated: named only by bench/; use NewFragCache.
+func NewProbCache(maxEntries int) *FragCache { return NewFragCache(maxEntries) }

@@ -17,6 +17,30 @@ func fragTestDNF(seed int) DNF {
 	return d
 }
 
+func TestDNFHashEqual(t *testing.T) {
+	s := NewSpace()
+	x, y, z := s.AddBool(0.3), s.AddBool(0.5), s.AddBool(0.7)
+	ds := []DNF{
+		NewDNF(MustClause(Pos(x)), MustClause(Pos(y))),
+		NewDNF(MustClause(Pos(x)), MustClause(Pos(z))),
+		NewDNF(MustClause(Pos(y), Pos(z))),
+		NewDNF(MustClause(Neg(x), Pos(y)), MustClause(Pos(z))),
+	}
+	for i, d := range ds {
+		if !d.Equal(d.Clone()) {
+			t.Fatalf("DNF %d not Equal to its clone", i)
+		}
+		if d.Hash() != d.Clone().Hash() {
+			t.Fatalf("DNF %d clone hashes differently", i)
+		}
+		for j, e := range ds {
+			if i != j && d.Equal(e) {
+				t.Fatalf("distinct DNFs %d and %d compare Equal", i, j)
+			}
+		}
+	}
+}
+
 func TestFragCacheRoundTrip(t *testing.T) {
 	c := NewFragCache(0)
 	d := fragTestDNF(0)

@@ -21,7 +21,9 @@ import (
 // Version history: v1 had no checksum; v2 wraps the entry stream in a
 // CRC32-checksummed payload; v3 entries always carry the full Work
 // charge (v2's depended on a ProbCache being configured, keyed into
-// Variant). Older files load as a cold start.
+// Variant). Older files load as a cold start. Exact evaluation's point
+// entries are stored under a variant of their own; they added a variant
+// value, not a new meaning for the existing ones, so they stay v3.
 const (
 	fragCacheMagic   = "repro.fragcache"
 	fragCacheVersion = 3

@@ -25,7 +25,7 @@
 // obs imports only the standard library, so every internal package
 // (formula, workpool, core, rank, plan, pdb) and the façade can depend
 // on it without cycles. CacheStats is the unified statistics shape the
-// formula caches (ProbCache, FragCache, Interner) report through.
+// formula caches (FragCache, Interner) report through.
 package obs
 
 import (
@@ -35,8 +35,8 @@ import (
 )
 
 // CacheStats is the unified cache-statistics shape: cumulative lookup
-// traffic plus current size. formula.ProbCache, formula.FragCache and
-// formula.Interner all report it from their CacheStats methods (the
+// traffic plus current size. formula.FragCache and formula.Interner
+// both report it from their CacheStats methods (the
 // interner counts every first-seen clause as both a miss and a stored
 // entry — it has no capacity bound and never evicts).
 type CacheStats struct {
@@ -211,10 +211,8 @@ type Metrics struct {
 	RankDecidedIn  Counter
 	RankDecidedOut Counter
 
-	// Cache traffic, recorded per lookup by internal/core (ProbCache,
-	// FragCache) and per pipeline by the façade (Interner deltas).
-	ProbCacheHits   Counter
-	ProbCacheMisses Counter
+	// Cache traffic, recorded per lookup by internal/core (FragCache)
+	// and per pipeline by the façade (Interner deltas).
 	FragCacheHits   Counter
 	FragCacheMisses Counter
 	InternerHits    Counter
@@ -302,19 +300,8 @@ func (m *Metrics) RecordRankDecided(in bool) {
 	}
 }
 
-// RecordProbCache counts one subformula probability cache lookup.
-func (m *Metrics) RecordProbCache(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.ProbCacheHits.Inc()
-	} else {
-		m.ProbCacheMisses.Inc()
-	}
-}
-
-// RecordFragCache counts one prepared-fragment cache lookup.
+// RecordFragCache counts one fragment cache lookup (a preparation or
+// an exact subformula).
 func (m *Metrics) RecordFragCache(hit bool) {
 	if m == nil {
 		return
@@ -423,8 +410,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RankGrants:        m.RankGrants.Value(),
 		RankDecidedIn:     m.RankDecidedIn.Value(),
 		RankDecidedOut:    m.RankDecidedOut.Value(),
-		ProbCacheHits:     m.ProbCacheHits.Value(),
-		ProbCacheMisses:   m.ProbCacheMisses.Value(),
 		FragCacheHits:     m.FragCacheHits.Value(),
 		FragCacheMisses:   m.FragCacheMisses.Value(),
 		InternerHits:      m.InternerHits.Value(),
@@ -485,6 +470,10 @@ type Snapshot struct {
 	RankDecidedIn  int64 `json:"rank_decided_in"`
 	RankDecidedOut int64 `json:"rank_decided_out"`
 
+	// ProbCacheHits and ProbCacheMisses are always 0.
+	//
+	// Deprecated: named only by bench/; exact lookups count as
+	// FragCacheHits and FragCacheMisses.
 	ProbCacheHits   int64 `json:"prob_cache_hits"`
 	ProbCacheMisses int64 `json:"prob_cache_misses"`
 	FragCacheHits   int64 `json:"frag_cache_hits"`
@@ -520,8 +509,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 		RankGrants:        s.RankGrants - base.RankGrants,
 		RankDecidedIn:     s.RankDecidedIn - base.RankDecidedIn,
 		RankDecidedOut:    s.RankDecidedOut - base.RankDecidedOut,
-		ProbCacheHits:     s.ProbCacheHits - base.ProbCacheHits,
-		ProbCacheMisses:   s.ProbCacheMisses - base.ProbCacheMisses,
 		FragCacheHits:     s.FragCacheHits - base.FragCacheHits,
 		FragCacheMisses:   s.FragCacheMisses - base.FragCacheMisses,
 		InternerHits:      s.InternerHits - base.InternerHits,
@@ -537,14 +524,9 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 	}
 }
 
-// ProbCache returns the snapshot's subformula-cache traffic in the
+// FragCache returns the snapshot's fragment-cache traffic in the
 // unified CacheStats shape (Entries unknown at registry level: caches
 // are session-owned).
-func (s Snapshot) ProbCache() CacheStats {
-	return CacheStats{Hits: s.ProbCacheHits, Misses: s.ProbCacheMisses}
-}
-
-// FragCache returns the snapshot's fragment-cache traffic.
 func (s Snapshot) FragCache() CacheStats {
 	return CacheStats{Hits: s.FragCacheHits, Misses: s.FragCacheMisses}
 }

@@ -16,7 +16,6 @@ func TestMetricsNilSafe(t *testing.T) {
 	m.RecordRefineStep(5)
 	m.RecordRankGrant()
 	m.RecordRankDecided(true)
-	m.RecordProbCache(true)
 	m.RecordFragCache(false)
 	m.RecordInterner(1, 2)
 	m.RecordPoolSpawn()
@@ -47,9 +46,8 @@ func TestMetricsRecordAndSnapshot(t *testing.T) {
 	m.RecordRankGrant()
 	m.RecordRankDecided(true)
 	m.RecordRankDecided(false)
-	m.RecordProbCache(true)
-	m.RecordProbCache(false)
 	m.RecordFragCache(true)
+	m.RecordFragCache(false)
 	m.RecordInterner(5, 2)
 	m.RecordPoolSpawn()
 	m.RecordPoolInline()
@@ -69,7 +67,7 @@ func TestMetricsRecordAndSnapshot(t *testing.T) {
 	if s.RankGrants != 1 || s.RankDecidedIn != 1 || s.RankDecidedOut != 1 {
 		t.Fatalf("rank = %+v", s)
 	}
-	if s.ProbCacheHits != 1 || s.ProbCacheMisses != 1 || s.FragCacheHits != 1 {
+	if s.FragCacheHits != 1 || s.FragCacheMisses != 1 {
 		t.Fatalf("caches = %+v", s)
 	}
 	if s.InternerHits != 5 || s.InternerStored != 2 {
@@ -84,8 +82,8 @@ func TestMetricsRecordAndSnapshot(t *testing.T) {
 	if s.QueryWallMicros.Sum != 1500 || s.FirstAnswerMicros.Sum != 200 {
 		t.Fatalf("latency = %d/%d us", s.QueryWallMicros.Sum, s.FirstAnswerMicros.Sum)
 	}
-	if got := s.ProbCache().HitRate(); got != 0.5 {
-		t.Fatalf("prob hit rate = %v, want 0.5", got)
+	if got := s.FragCache().HitRate(); got != 0.5 {
+		t.Fatalf("frag hit rate = %v, want 0.5", got)
 	}
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
@@ -118,7 +116,7 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				m.RecordRefineStep(i % 17)
-				m.RecordProbCache(i%2 == 0)
+				m.RecordFragCache(i%2 == 0)
 				m.RecordPoolSpawn()
 				m.RecordPoolSpawnDone()
 			}
@@ -129,8 +127,8 @@ func TestMetricsConcurrent(t *testing.T) {
 	if s.RefineSteps != 8000 || s.DirtyPathLen.Count != 8000 {
 		t.Fatalf("steps = %d, hist count = %d", s.RefineSteps, s.DirtyPathLen.Count)
 	}
-	if s.ProbCacheHits+s.ProbCacheMisses != 8000 {
-		t.Fatalf("cache lookups = %d", s.ProbCacheHits+s.ProbCacheMisses)
+	if s.FragCacheHits+s.FragCacheMisses != 8000 {
+		t.Fatalf("cache lookups = %d", s.FragCacheHits+s.FragCacheMisses)
 	}
 	if s.PoolActive != 0 {
 		t.Fatalf("pool active = %d, want 0", s.PoolActive)
@@ -189,7 +187,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.SetLineage(1, 2, 3)
 	tr.SetRank("top-k", 5, 0, 10, 5, 5)
 	tr.AddAnswer(AnswerTrace{Vals: "(1)"})
-	tr.SetCaches(CacheStats{}, CacheStats{}, CacheStats{})
+	tr.SetCaches(CacheStats{}, CacheStats{})
 	tr.Finish(time.Second, 0, nil)
 	if tr.Text() != "" || tr.String() != "" {
 		t.Fatal("nil trace should render empty")
@@ -206,7 +204,7 @@ func TestTraceRenderDeterministic(t *testing.T) {
 		tr.SetRank("top-k", 2, 0, 57, 2, 2)
 		tr.AddAnswer(AnswerTrace{Vals: "(7)", P: 0.75, Lo: 0.7, Hi: 0.8, Steps: 12, DecidedAtStep: 31, Member: true})
 		tr.AddAnswer(AnswerTrace{Vals: "(3)", P: 0.5, Lo: 0.45, Hi: 0.55, Steps: 9, DecidedAtStep: 57, Member: true})
-		tr.SetCaches(CacheStats{Hits: 10, Misses: 2}, CacheStats{Hits: 5, Misses: 5}, CacheStats{Hits: 1, Misses: 3, Entries: 3})
+		tr.SetCaches(CacheStats{Hits: 10, Misses: 2}, CacheStats{Hits: 1, Misses: 3, Entries: 3})
 		tr.Finish(wall*2, wall/4, nil)
 		return tr
 	}
@@ -221,7 +219,7 @@ func TestTraceRenderDeterministic(t *testing.T) {
 		"stage lineage", "answers=4 clauses=40 tuples=400",
 		"top-k k=2", "steps=57", "decided in=2 out=2",
 		"[1] (7) P=0.750000 bounds=[0.700000,0.800000] steps=12 decided@31",
-		"caches: prob 10/12 hits (83.3%)",
+		"caches: frag 10/12 hits (83.3%) | intern 1/4 hits (25.0%)",
 		"total: answers=2",
 	} {
 		if !strings.Contains(txt, want) {

@@ -48,11 +48,10 @@ type QueryTrace struct {
 	Answers      []AnswerTrace `json:"answers,omitempty"`
 	AnswersTotal int           `json:"answers_total"`
 
-	// ProbCache and FragCache are the session caches' traffic during
-	// this execution (façade-computed deltas); Interner is the borrowed
-	// interner's traffic. Deltas are exact under sequential use of the
-	// session; concurrent sessions sharing caches see mixed traffic.
-	ProbCache CacheStats `json:"prob_cache"`
+	// FragCache is the session cache's traffic during this execution (a
+	// façade-computed delta); Interner is the borrowed interner's
+	// traffic. Deltas are exact under sequential use of the session;
+	// concurrent sessions sharing a cache see mixed traffic.
 	FragCache CacheStats `json:"frag_cache"`
 	Interner  CacheStats `json:"interner"`
 
@@ -163,11 +162,10 @@ func (t *QueryTrace) AddAnswer(a AnswerTrace) {
 }
 
 // SetCaches records the execution's cache traffic.
-func (t *QueryTrace) SetCaches(prob, frag, intern CacheStats) {
+func (t *QueryTrace) SetCaches(frag, intern CacheStats) {
 	if t == nil {
 		return
 	}
-	t.ProbCache = prob
 	t.FragCache = frag
 	t.Interner = intern
 }
@@ -248,7 +246,7 @@ func (t *QueryTrace) render(timed bool) string {
 			add(2, fmt.Sprintf("... (%d more)", n))
 		}
 	}
-	add(1, "caches: prob "+fmtCache(t.ProbCache)+" | frag "+fmtCache(t.FragCache)+" | intern "+fmtCache(t.Interner))
+	add(1, "caches: frag "+fmtCache(t.FragCache)+" | intern "+fmtCache(t.Interner))
 	tail := fmt.Sprintf("total: answers=%d", t.AnswersTotal)
 	if t.Err != "" {
 		tail += " err=" + t.Err

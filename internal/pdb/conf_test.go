@@ -118,7 +118,7 @@ func TestConfCancelled(t *testing.T) {
 }
 
 // TestConfConcurrentBatches exercises concurrent Conf batches sharing
-// one probability cache over one space — the production pattern for
+// one fragment cache over one space — the production pattern for
 // multi-query traffic — under the race detector.
 func TestConfConcurrentBatches(t *testing.T) {
 	pool := workpool.New(4)
@@ -129,7 +129,7 @@ func TestConfConcurrentBatches(t *testing.T) {
 	for i := range answers {
 		want[i] = formula.BruteForceProbability(s, answers[i].Lin)
 	}
-	cache := formula.NewProbCache(0)
+	cache := formula.NewFragCache(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

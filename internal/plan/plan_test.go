@@ -397,6 +397,9 @@ func TestPlannerRejectsMalformedTrees(t *testing.T) {
 		{"ranking below the root", "ranking node", &GroupLineage{Input: &Threshold{Input: scan(r), Tau: 0.5}}},
 		{"stacked ranking roots", "ranking node", &TopK{Input: &TopK{Input: scan(r), K: 1}, K: 1}},
 		{"non-positive K", "K must be positive", &TopK{Input: &GroupLineage{Input: scan(r), Cols: []int{0}}, K: 0}},
+		{"NaN tau", "Tau must be a probability in [0, 1], got NaN", &Threshold{Input: &GroupLineage{Input: scan(r), Cols: []int{0}}, Tau: math.NaN()}},
+		{"tau above one", "Tau must be a probability in [0, 1], got 1.5", &Threshold{Input: &GroupLineage{Input: scan(r), Cols: []int{0}}, Tau: 1.5}},
+		{"negative tau", "Tau must be a probability in [0, 1], got -0.25", &Threshold{Input: &GroupLineage{Input: scan(r), Cols: []int{0}}, Tau: -0.25}},
 		{"unknown node type", "unknown node type", &GroupLineage{Input: &foreign{Scan{Rel: r}}}},
 	}
 	for _, c := range cases {

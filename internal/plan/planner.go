@@ -145,6 +145,8 @@ func CompileWith(root Node, opt Options) *Plan {
 			p.reject("nil input node")
 		case spec.topk && spec.k <= 0:
 			p.reject(fmt.Sprintf("TopK.K must be positive, got %d", spec.k))
+		case !spec.topk && !(spec.tau >= 0 && spec.tau <= 1): // NaN fails both
+			p.reject(fmt.Sprintf("Tau must be a probability in [0, 1], got %v", spec.tau))
 		}
 		p.Why = spec.describe() + " over " + p.Why
 	}

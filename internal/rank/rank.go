@@ -66,9 +66,11 @@ type Options struct {
 	// and the whole run's wall clock (Timeout; a cancelled parent
 	// context stops the run immediately, see engine.Budget.Context).
 	Budget engine.Budget
-	// Cache and Pool are not consulted (kept for bench/): refiners
-	// memoize through Frags and run on the calling goroutine.
-	Cache *formula.ProbCache
+	// Cache and Pool are not consulted: refiners memoize through Frags
+	// and run on the calling goroutine.
+	//
+	// Deprecated: named only by bench/.
+	Cache *formula.FragCache
 	Pool  *workpool.Pool
 	// Frags, when non-nil, memoizes prepared leaf fragments across all
 	// answers of the run (and across runs over the same Space) — see

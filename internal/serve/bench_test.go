@@ -55,7 +55,7 @@ func BenchmarkServeFirstByte(b *testing.B) {
 
 // BenchmarkServeThroughput measures full-query turnaround in batch
 // mode on a warm named session — the steady-state cost of one served
-// query, prepared-fragment and probability caches hot.
+// query, fragment cache hot.
 func BenchmarkServeThroughput(b *testing.B) {
 	base := benchServer(b)
 	body, err := json.Marshal(serve.Request{Session: "bench", Query: topkQuery(2)})

@@ -424,9 +424,10 @@ func TestServeHTTPBuildErrors400(t *testing.T) {
 }
 
 // TestServeHTTPSessionAffinity pins the session manager: requests
-// naming a session share its caches (the second identical query hits
-// the prepared-fragment cache), the sticky explicit Eps is inherited,
-// and /v1/sessions lists the pinned sessions.
+// naming a session share its fragment cache (the second identical
+// query hits it, ranked at eps > 0 and unranked at eps 0 alike), the
+// sticky explicit Eps is inherited, and /v1/sessions lists the pinned
+// sessions.
 func TestServeHTTPSessionAffinity(t *testing.T) {
 	_, base := newTestServer(t, repro.ServeConfig{DefaultEps: 1e-3})
 
@@ -451,6 +452,23 @@ func TestServeHTTPSessionAffinity(t *testing.T) {
 		t.Fatalf("second run on session alice hit no prepared fragments: %+v", tr.Trace)
 	}
 
+	// Exact queries keep affinity too: carol's explicit eps 0, unranked,
+	// lineage-route query memoizes each answer's exact probability in
+	// the session's fragment cache on run one, and run two reads it back.
+	exact := topkQuery(1).TopK.Input
+	mc1, _ := run(serve.Request{Session: "carol", Eps: f64(0), Query: exact})
+	mc2, _ := run(serve.Request{Session: "carol", Eps: f64(0), Query: exact})
+	if mc2.Eps != 0 || !strings.Contains(mc2.Explain, "d-tree") {
+		t.Fatalf("carol's rerun meta %+v, want eps 0 on the lineage route", mc2)
+	}
+	if tr := getTrace(t, base, mc1.ID); tr.Trace == nil || tr.Trace.Rank != nil ||
+		tr.Trace.FragCache.Hits != 0 || tr.Trace.FragCache.Misses == 0 {
+		t.Fatalf("carol's first exact run should only miss: %+v", tr.Trace)
+	}
+	if tr := getTrace(t, base, mc2.ID); tr.Trace == nil || tr.Trace.FragCache.Hits == 0 {
+		t.Fatalf("second exact run on session carol hit no memoized fragments: %+v", tr.Trace)
+	}
+
 	// Sticky explicit Eps: bob pins 0.005 once; his next request
 	// without an Eps inherits it.
 	mb1, _ := run(serve.Request{Session: "bob", Eps: f64(0.005), Query: topkQuery(2)})
@@ -462,7 +480,7 @@ func TestServeHTTPSessionAffinity(t *testing.T) {
 		t.Fatalf("bob's inherited eps = %g, want the sticky 0.005", mb2.Eps)
 	}
 
-	// /v1/sessions lists both, idle, with bob's pinned precision.
+	// /v1/sessions lists all three, idle, with bob's pinned precision.
 	resp, err := http.Get(base + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
@@ -478,8 +496,8 @@ func TestServeHTTPSessionAffinity(t *testing.T) {
 	for _, s := range sl.Sessions {
 		byName[s.Name] = s
 	}
-	if len(byName) != 2 {
-		t.Fatalf("sessions %v, want alice and bob", sl.Sessions)
+	if len(byName) != 3 {
+		t.Fatalf("sessions %v, want alice, bob and carol", sl.Sessions)
 	}
 	if s := byName["bob"]; !s.Explicit || s.Eps != 0.005 || s.Inflight != 0 {
 		t.Fatalf("bob's session row %+v", s)

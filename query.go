@@ -370,8 +370,8 @@ func (pr *Prepared) Explain() string { return pr.p.Explain() }
 
 // runObs is the per-execution observability bookkeeping every Prepared
 // entry point (Run, All, Analyze) shares: the borrowed interner with
-// its traffic baseline, the session-cache baselines for the trace's
-// deltas, the wall/first-answer clock, and the runtime/trace task that
+// its traffic baseline, the session-cache baseline for the trace's
+// delta, the wall/first-answer clock, and the runtime/trace task that
 // scopes the execution's regions. begin opens it; finish records into
 // the DB registry, completes the trace, and returns the interner.
 type runObs struct {
@@ -379,7 +379,6 @@ type runObs struct {
 	tr      *obs.QueryTrace
 	in      *formula.Interner
 	inBase  obs.CacheStats
-	probB   obs.CacheStats
 	fragB   obs.CacheStats
 	start   time.Time
 	first   time.Duration
@@ -392,7 +391,6 @@ func (pr *Prepared) begin(ctx context.Context, tr *obs.QueryTrace) (context.Cont
 	}
 	o := &runObs{pr: pr, tr: tr, in: pr.sess.db.interner()}
 	o.inBase = o.in.CacheStats()
-	o.probB = pr.sess.cache.CacheStats()
 	o.fragB = pr.sess.frags.CacheStats()
 	if rtrace.IsEnabled() {
 		var task *rtrace.Task
@@ -418,11 +416,7 @@ func (o *runObs) finish(err error) {
 	met := sess.db.metrics
 	met.RecordInterner(inDelta.Hits, inDelta.Misses)
 	met.RecordQuery(wall, o.first)
-	o.tr.SetCaches(
-		sess.cache.CacheStats().Sub(o.probB),
-		sess.frags.CacheStats().Sub(o.fragB),
-		inDelta,
-	)
+	o.tr.SetCaches(sess.frags.CacheStats().Sub(o.fragB), inDelta)
 	o.tr.Finish(wall, o.first, err)
 	if o.endTask != nil {
 		o.endTask()

@@ -15,8 +15,8 @@ import (
 // NewServer wires a query service (internal/serve via the ServeConfig /
 // QueryServer re-exports) over a DB: POST /v1/query streams a wire-IR
 // query's answers as Server-Sent Events the moment each membership is
-// proven, named sessions pin probability and prepared-fragment caches
-// across requests, admission control degrades then sheds under
+// proven, named sessions pin a fragment cache across requests,
+// admission control degrades then sheds under
 // pressure, and GET /metrics // GET /v1/query/{id}/trace export the
 // DB's observability layer. Mount srv.Handler on any net/http server,
 // or srv.ListenAndServe(addr); stop with srv.Shutdown.
@@ -36,19 +36,18 @@ type serveBackend struct {
 
 func (b *serveBackend) Snapshot() obs.Snapshot { return b.db.Snapshot() }
 
-// OpenSession creates one affinity unit: a private probability cache
-// and (unless the server shares one warm-started cache across all
-// sessions) a private prepared-fragment cache. The repro.Session
-// itself is created per request — sessions are cheap, and the
-// per-request one carries that request's effective Eps and budget over
-// these pinned caches.
+// OpenSession creates one affinity unit: a private fragment cache,
+// unless the server shares one warm-started cache across all sessions.
+// The repro.Session itself is created per request — sessions are cheap,
+// and the per-request one carries that request's effective Eps and
+// budget over the pinned cache.
 func (b *serveBackend) OpenSession() serve.SessionClient {
 	frags := b.cfg.SharedFrags
 	if frags == nil {
 		frags = NewFragCache(0)
 	}
 	return &serveClient{
-		db: b.db, prob: NewProbCache(0), frags: frags,
+		db: b.db, frags: frags,
 		inject:   b.cfg.Inject,
 		watchdog: b.cfg.Watchdog,
 	}
@@ -57,7 +56,6 @@ func (b *serveBackend) OpenSession() serve.SessionClient {
 // serveClient is serve.SessionClient over the façade.
 type serveClient struct {
 	db       *DB
-	prob     *ProbCache
 	frags    *FragCache
 	inject   *fault.Injector
 	watchdog time.Duration
@@ -66,7 +64,6 @@ type serveClient struct {
 func (c *serveClient) Run(ctx context.Context, req *serve.Request, p serve.RunParams, sink serve.Sink) (serve.RunOutcome, error) {
 	var tr *QueryTrace
 	opts := []SessionOption{
-		WithSharedCache(c.prob),
 		WithSharedFragCache(c.frags),
 		WithBudget(p.Budget),
 		WithTrace(func(t *QueryTrace) { tr = t }),

@@ -10,17 +10,15 @@ import (
 	"repro/internal/plan"
 )
 
-// Session scopes the per-client state of the façade: a subformula
-// probability cache shared by every query the session runs, a default
-// evaluation budget, and a default evaluator derived from them. A
-// Session is cheap (create one per request, or keep one per client for
-// cache warmth across queries) and safe for concurrent use — N
-// goroutines may run queries on one Session, and N Sessions may share
-// one DB; the cache is concurrent and everything else is read-only
-// after creation.
+// Session scopes the per-client state of the façade: a fragment cache
+// shared by every query the session runs, a default evaluation budget,
+// and a default evaluator derived from them. A Session is cheap (create
+// one per request, or keep one per client for cache warmth across
+// queries) and safe for concurrent use — N goroutines may run queries
+// on one Session, and N Sessions may share one DB; the cache is
+// concurrent and everything else is read-only after creation.
 type Session struct {
 	db           *DB
-	cache        *formula.ProbCache
 	frags        *formula.FragCache
 	budget       engine.Budget
 	eps          float64
@@ -57,32 +55,29 @@ func WithEps(eps float64) SessionOption {
 // WithEvaluator installs the evaluator queries hand lineage to,
 // overriding the Eps/Budget-derived default. The evaluator is used
 // verbatim — wire the session's cache in yourself if it should share
-// (see Session.Cache). Ranked queries derive their scheduler
+// (see Session.FragCache). Ranked queries derive their scheduler
 // configuration from it, exactly like Plan.Answers.
 func WithEvaluator(ev Evaluator) SessionOption {
 	return func(s *Session) { s.eval = ev }
 }
 
-// WithSharedCache makes the session memoize subformula probabilities in
+// WithSharedFragCache makes the session memoize lineage fragments in
 // the given cache instead of a fresh private one — the cross-session
 // sharing knob: sessions over one DB handed the same cache compute each
-// recurring lineage fragment once, whoever sees it first. Only exact
-// evaluation consults it; see WithSharedFragCache for ε > 0 and ranking.
-func WithSharedCache(c *ProbCache) SessionOption {
-	return func(s *Session) { s.cache = c }
-}
-
-// WithSharedFragCache makes the session memoize *prepared* lineage
-// fragments (normalized form, heuristic bounds, component partition) in
-// the given cache instead of a fresh private one — the
-// prepared-statement analogue of WithSharedCache. Where the probability
-// cache pays off once a fragment has been computed exactly, the
-// fragment cache short-circuits leaf preparation itself, the dominant
-// cost of approximate and ranked evaluation. Share one across sessions
-// over the same DB only.
+// recurring fragment once, whoever sees it first. Approximate and
+// ranked evaluation store prepared fragments there (normalized form,
+// heuristic bounds, component partition), short-circuiting leaf
+// preparation, their dominant cost; exact evaluation stores exact
+// subformula probabilities. Share one across sessions over the same DB
+// only.
 func WithSharedFragCache(c *FragCache) SessionOption {
 	return func(s *Session) { s.frags = c }
 }
+
+// WithSharedCache is WithSharedFragCache under its former name.
+//
+// Deprecated: named only by bench/; use WithSharedFragCache.
+func WithSharedCache(c *FragCache) SessionOption { return WithSharedFragCache(c) }
 
 // WithForceLineage disables the planner's structural routes (safe
 // plans, IQ sorted scans) for the session's queries, forcing lineage
@@ -127,14 +122,11 @@ func WithWatchdog(d time.Duration) SessionOption {
 }
 
 // Session opens a session on the DB. With no options: a fresh private
-// probability cache, no budget, exact evaluation.
+// fragment cache, no budget, exact evaluation.
 func (db *DB) Session(opts ...SessionOption) *Session {
 	s := &Session{db: db, view: db.metrics.View()}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.cache == nil {
-		s.cache = formula.NewProbCache(0)
 	}
 	if s.frags == nil {
 		s.frags = formula.NewFragCache(0)
@@ -145,12 +137,8 @@ func (db *DB) Session(opts ...SessionOption) *Session {
 // DB returns the database the session runs against.
 func (s *Session) DB() *DB { return s.db }
 
-// Cache returns the session's subformula probability cache (the private
-// one, or the cache installed by WithSharedCache).
-func (s *Session) Cache() *ProbCache { return s.cache }
-
-// FragCache returns the session's prepared-fragment cache (the private
-// one, or the cache installed by WithSharedFragCache).
+// FragCache returns the session's fragment cache (the private one, or
+// the cache installed by WithSharedFragCache).
 func (s *Session) FragCache() *FragCache { return s.frags }
 
 // Metrics returns the traffic the DB's registry has recorded since
@@ -169,9 +157,9 @@ func (s *Session) Evaluator() Evaluator {
 		return s.eval
 	}
 	if s.eps > 0 {
-		return engine.Approx{Eps: s.eps, Kind: s.kind, Budget: s.budget, Cache: s.cache, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
+		return engine.Approx{Eps: s.eps, Kind: s.kind, Budget: s.budget, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
 	}
-	return engine.Exact{Budget: s.budget, Cache: s.cache, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
+	return engine.Exact{Budget: s.budget, Cache: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
 }
 
 // planOptions translates the session knobs into planner options; every

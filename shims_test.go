@@ -1,0 +1,234 @@
+package repro_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// benchOnlyShims are the declarations that survive only because the
+// frozen benchmark module (bench/) names them. Production code must not
+// reference them, so the inert surface can only shrink until the
+// benchmark is re-baselined and they are deleted. field is empty for a
+// package-level object.
+var benchOnlyShims = []struct{ pkg, obj, field string }{
+	{"repro/internal/formula", "ProbCache", ""},
+	{"repro/internal/formula", "NewProbCache", ""},
+	{"repro", "NewProbCache", ""},
+	{"repro", "WithSharedCache", ""},
+	{"repro/internal/core", "Options", "Cache"},
+	{"repro/internal/engine", "Approx", "Cache"},
+	{"repro/internal/rank", "Options", "Cache"},
+	{"repro/internal/rank", "Options", "Pool"},
+	{"repro/internal/plan", "Options", "Shards"},
+	{"repro/internal/plan", "Plan", "Shards"},
+	{"repro/internal/obs", "Snapshot", "ProbCacheHits"},
+	{"repro/internal/obs", "Snapshot", "ProbCacheMisses"},
+}
+
+// shimAllowances are the production references that remain on purpose,
+// by shim and file: the planner sets Plan.Shards to the 1 bench/ reads.
+var shimAllowances = map[string]int{
+	"repro/internal/plan.Plan.Shards in internal/plan/planner.go": 1,
+}
+
+// TestBenchOnlyShimsUnused type-checks every non-test package outside
+// bench/ from source and fails on any reference to a bench-only shim
+// outside its own declaration, and on any pdb.ConfWith call whose sixth
+// argument is not nil (or a ConfWith that names that parameter).
+func TestBenchOnlyShimsUnused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a static check; the race detector only slows the type checker down")
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Standard-library imports are type-checked from GOROOT's source
+	// without cgo, so the check needs neither export data nor a C
+	// toolchain.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	m := &modChecker{fset: fset, root: root, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modPackage{}}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if rel == "bench" || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if files, _ := filepath.Glob(filepath.Join(path, "*.go")); len(files) > 0 {
+			_, err = m.check(filepath.ToSlash(filepath.Join("repro", rel)))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each shim's object, and the source range of its declaration.
+	type span struct{ lo, hi token.Pos }
+	decl := map[types.Object]span{}
+	name := map[types.Object]string{}
+	for _, s := range benchOnlyShims {
+		p := m.pkgs[s.pkg]
+		if p == nil {
+			t.Fatalf("package %s not checked", s.pkg)
+		}
+		obj := p.pkg.Scope().Lookup(s.obj)
+		full := s.pkg + "." + s.obj
+		if obj != nil && s.field != "" {
+			full += "." + s.field
+			st, _ := obj.Type().Underlying().(*types.Struct)
+			obj = nil
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if st.Field(i).Name() == s.field {
+					obj = st.Field(i)
+				}
+			}
+		}
+		if obj == nil {
+			t.Fatalf("shim %s not found: drop it from benchOnlyShims", full)
+		}
+		n := p.enclosingDecl(obj.Pos())
+		decl[obj], name[obj] = span{n.Pos(), n.End()}, full
+	}
+
+	refs := map[string]int{}
+	var confWith types.Object
+	if p := m.pkgs["repro/internal/pdb"]; p != nil {
+		confWith = p.pkg.Scope().Lookup("ConfWith")
+	}
+	for _, p := range m.pkgs {
+		for id, obj := range p.info.Uses {
+			if sp, ok := decl[obj]; ok && (id.Pos() < sp.lo || id.Pos() >= sp.hi) {
+				file, _ := filepath.Rel(root, fset.Position(id.Pos()).Filename)
+				refs[name[obj]+" in "+filepath.ToSlash(file)]++
+				if shimAllowances[name[obj]+" in "+filepath.ToSlash(file)] == 0 {
+					t.Errorf("%s: production code references %s, which only bench/ may name", fset.Position(id.Pos()), name[obj])
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if p.info.Defs[n.Name] == confWith && confWith != nil {
+						if params := n.Type.Params.List; len(params) > 0 {
+							if last := params[len(params)-1]; len(last.Names) == 1 && last.Names[0].Name != "_" {
+								t.Errorf("%s: ConfWith names its sixth parameter, which only bench/ may set", fset.Position(last.Pos()))
+							}
+						}
+					}
+				case *ast.CallExpr:
+					fn := n.Fun
+					if sel, ok := fn.(*ast.SelectorExpr); ok {
+						fn = sel.Sel
+					}
+					if id, ok := fn.(*ast.Ident); ok && confWith != nil && p.info.Uses[id] == confWith {
+						if len(n.Args) != 6 || p.info.Uses[identOf(n.Args[5])] != types.Universe.Lookup("nil") {
+							t.Errorf("%s: ConfWith's sixth argument must be nil; only bench/ may set it", fset.Position(n.Pos()))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, n := range shimAllowances {
+		if refs[key] != n {
+			t.Errorf("allowance %q expects %d references, found %d: lower it", key, n, refs[key])
+		}
+	}
+}
+
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := e.(*ast.Ident)
+	return id
+}
+
+// modChecker type-checks the module's packages from source, each once,
+// serving them to one another as imports.
+type modChecker struct {
+	fset *token.FileSet
+	root string
+	std  types.Importer
+	pkgs map[string]*modPackage
+}
+
+type modPackage struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+func (m *modChecker) Import(path string) (*types.Package, error) {
+	if path != "repro" && !strings.HasPrefix(path, "repro/") {
+		return m.std.Import(path)
+	}
+	p, err := m.check(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.pkg, nil
+}
+
+func (m *modChecker) check(path string) (*modPackage, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	dir := filepath.Join(m.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")))
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p := &modPackage{info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}}
+	for _, e := range ents {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+	}
+	conf := types.Config{Importer: m}
+	if p.pkg, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// enclosingDecl returns the declaration that declares the object at
+// pos: its struct field, value or type spec, or function.
+func (p *modPackage) enclosingDecl(pos token.Pos) ast.Node {
+	var found ast.Node
+	for _, f := range p.files {
+		if pos < f.Pos() || pos >= f.End() {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil || pos < n.Pos() || pos >= n.End() {
+				return false
+			}
+			switch n.(type) {
+			case *ast.Field, *ast.ValueSpec, *ast.TypeSpec, *ast.FuncDecl:
+				found = n
+			}
+			return true
+		})
+	}
+	return found
+}
