@@ -65,11 +65,10 @@ func benchDtree(b *testing.B, s *formula.Space, d formula.DNF, eps float64, kind
 	for i := 0; i < b.N; i++ {
 		// MaxWork caps pathological hard-region instances the way the
 		// harness's timeout budget does; converged runs are unaffected.
-		res, err := core.Approx(s, d, core.Options{Eps: eps, Kind: kind, MaxWork: 30_000_000})
+		_, err := core.ApproxCtx(context.Background(), s, d, core.Options{Eps: eps, Kind: kind, MaxWork: 30_000_000})
 		if err != nil && err != core.ErrBudget {
 			b.Fatal(err)
 		}
-		_ = res
 	}
 }
 
@@ -80,7 +79,7 @@ func benchDtreeExact(b *testing.B, s *formula.Space, d formula.DNF) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Exact(s, d, core.Options{}); err != nil {
+		if _, err := core.ExactCtx(context.Background(), s, d, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,8 +99,9 @@ func benchAconf(b *testing.B, s *formula.Space, d formula.DNF, eps float64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := mc.AConf(s, d, mc.AConfOptions{Eps: eps, Delta: 0.01, MaxSamples: samples}, rng)
-		_ = res
+		if _, err := mc.AConfCtx(context.Background(), s, d, mc.AConfOptions{Eps: eps, Delta: 0.01, MaxSamples: samples}, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -319,7 +319,7 @@ func BenchmarkAblationBucketSort(b *testing.B) {
 	for _, disabled := range []bool{false, true} {
 		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Approx(s, d, core.Options{
+				if _, err := core.ApproxCtx(context.Background(), s, d, core.Options{
 					Eps: 0.01, Kind: core.Relative, DisableBucketSort: disabled,
 				}); err != nil {
 					b.Fatal(err)
@@ -337,7 +337,7 @@ func BenchmarkAblationClosing(b *testing.B) {
 	for _, disabled := range []bool{false, true} {
 		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Approx(g.Space(), d, core.Options{
+				if _, err := core.ApproxCtx(context.Background(), g.Space(), d, core.Options{
 					Eps: 0.05, Kind: core.Relative, DisableClosing: disabled,
 				}); err != nil {
 					b.Fatal(err)
@@ -356,7 +356,7 @@ func BenchmarkAblationSubsumption(b *testing.B) {
 				b.Skip("empty")
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Exact(db.Space, d, core.Options{
+				if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{
 					DisableSubsumption: disabled,
 				}); err != nil {
 					b.Fatal(err)
@@ -382,7 +382,7 @@ func BenchmarkAblationVarOrder(b *testing.B) {
 				b.Skip("empty")
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Exact(db.Space, d, core.Options{Order: o.order}); err != nil {
+				if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{Order: o.order}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -397,7 +397,7 @@ func BenchmarkAblationGlobalVsDepthFirst(b *testing.B) {
 	s, d := ablationInstance()
 	b.Run("depth-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Approx(s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
+			if _, err := core.ApproxCtx(context.Background(), s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,7 +515,7 @@ func BenchmarkParallelExact(b *testing.B) {
 			opt := core.Options{Pool: workpool.New(cfg.pool)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Exact(s, d, opt); err != nil {
+				if _, err := core.ExactCtx(context.Background(), s, d, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -534,7 +534,7 @@ func BenchmarkCacheTPCH(b *testing.B) {
 	}
 	b.Run("cache-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Exact(db.Space, d, core.Options{}); err != nil {
+			if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -543,7 +543,7 @@ func BenchmarkCacheTPCH(b *testing.B) {
 		cache := formula.NewFragCache(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Exact(db.Space, d, core.Options{Frags: cache}); err != nil {
+			if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{Frags: cache}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -587,7 +587,7 @@ func BenchmarkCompileHierarchical(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Exact(s, d, core.Options{}); err != nil {
+		if _, err := core.ExactCtx(context.Background(), s, d, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,13 +65,14 @@ func NewDB(space *formula.Space, rels ...*pdb.Relation) *DB {
 // Metrics returns the DB's engine-wide observability registry: route
 // counts, lineage volumes, refinement steps, cache traffic, pool
 // saturation, per-query latency histograms. Every session and query of
-// the DB records into it; read it with Snapshot, or open a per-window
-// delta with its View method (Session.Metrics does).
+// the DB records into it; read it with Snapshot, and the traffic of a
+// stretch of work as db.Snapshot().Sub(before).
 func (db *DB) Metrics() *obs.Metrics { return db.metrics }
 
 // Snapshot freezes the DB's metrics registry into the flat,
 // JSON-marshalable export shape — the struct the serving layer scrapes
-// and PublishExpvar publishes.
+// and PublishExpvar publishes. Snapshot.Sub of an earlier snapshot is
+// the traffic recorded in between.
 func (db *DB) Snapshot() obs.Snapshot { return db.metrics.Snapshot() }
 
 // expvarSlots holds one indirection per expvar name ever published by

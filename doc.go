@@ -96,7 +96,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/formula"
-	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
@@ -117,28 +116,12 @@ type (
 	DNF = formula.DNF
 )
 
-// Monte Carlo baseline types.
-type (
-	// AConfOptions configures the Karp-Luby/DKLR baseline.
-	AConfOptions = mc.AConfOptions
-	// MCResult is a Monte Carlo estimator outcome.
-	MCResult = mc.Result
-)
-
-// D-tree algorithm types.
-type (
-	// Options configures Exact.
-	Options = core.Options
-	// Result reports bounds, estimate and statistics.
-	Result = core.Result
-	// ErrorKind selects absolute or relative approximation.
-	ErrorKind = core.ErrorKind
-)
-
 // Unified confidence-engine types: one cancellable API over the whole
 // algorithm menu, with parallel branch exploration and subformula
 // memoization.
 type (
+	// ErrorKind selects absolute or relative approximation.
+	ErrorKind = core.ErrorKind
 	// Evaluator is the single confidence-computation entry point.
 	Evaluator = engine.Evaluator
 	// Budget bounds an evaluation (nodes, work, samples, wall clock).
@@ -177,7 +160,7 @@ type (
 )
 
 // Observability types: the per-DB metrics registry and the per-query
-// EXPLAIN ANALYZE trace (see DB.Metrics, Session.Metrics, WithTrace,
+// EXPLAIN ANALYZE trace (see DB.Metrics, DB.Snapshot, WithTrace,
 // Prepared.Analyze).
 type (
 	// Metrics is the engine-wide registry of atomic counters, gauges and
@@ -185,10 +168,9 @@ type (
 	// stage. All recording methods are nil-safe no-ops.
 	Metrics = obs.Metrics
 	// MetricsSnapshot is a frozen registry: the flat, JSON-marshalable
-	// export shape (DB.Snapshot, Session.Metrics, DB.PublishExpvar).
+	// export shape (DB.Snapshot, DB.PublishExpvar). The traffic of a
+	// stretch of work is db.Snapshot().Sub(before).
 	MetricsSnapshot = obs.Snapshot
-	// MetricsView is a delta window over a registry (Metrics.View).
-	MetricsView = obs.View
 	// QueryTrace is one query execution's EXPLAIN ANALYZE trace
 	// (Prepared.Analyze, WithTrace): routing, per-stage timings,
 	// per-answer refinement outcomes, cache traffic. Text renders it
@@ -307,14 +289,8 @@ var (
 	NewClause = formula.NewClause
 	// NewDNF builds a normalized DNF.
 	NewDNF = formula.NewDNF
-	// Exact computes P(d) exactly via exhaustive d-tree compilation.
-	Exact = core.Exact
-	// ExactProbability is Exact returning only the probability.
-	ExactProbability = core.ExactProbability
 	// Bounds computes the Figure-3 bucket bounds on P(d).
 	Bounds = core.LeafBounds
-	// AConf is the Karp-Luby/DKLR (ε, δ) baseline.
-	AConf = mc.AConf
 	// NewFragCache returns an empty fragment cache.
 	NewFragCache = formula.NewFragCache
 	// NewProbCache is NewFragCache under its former name.

@@ -1,6 +1,6 @@
 // Quickstart: the DB → Session → Query → stream lifecycle of the
-// façade, then the paper's Example 5.2 evaluated through the direct,
-// paper-faithful entry points.
+// façade, then the paper's Example 5.2 evaluated directly through the
+// Evaluator menu.
 //
 // The façade part builds a tiny probabilistic order database, opens a
 // session, declares a fluent query, and streams its answers; the
@@ -15,12 +15,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/formula"
-	"repro/internal/mc"
 	"repro/internal/pdb"
 )
 
@@ -93,8 +90,9 @@ func main() {
 		db.Snapshot().Queries, db.Snapshot().QueryWallMicros.Mean())
 
 	// ------------------------------------------------------------------
-	// The paper-faithful direct surface (Example 5.2).
+	// The Evaluator menu on one lineage DNF (Example 5.2).
 	// ------------------------------------------------------------------
+	ctx := context.Background()
 	e := formula.NewSpace()
 	x := e.AddBool(0.3)
 	y := e.AddBool(0.2)
@@ -110,18 +108,24 @@ func main() {
 	)
 	fmt.Println("Φ =", phi.String(e))
 
-	lo, hi := core.LeafBounds(e, phi, true)
+	lo, hi := repro.Bounds(e, phi, true)
 	fmt.Printf("bucket bounds:          [%.4f, %.4f]\n", lo, hi)
-	fmt.Printf("exact (d-tree):         %.4f\n", core.ExactProbability(e, phi))
+	exact, err := repro.ExactEval{}.Evaluate(ctx, e, phi)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("exact (d-tree):         %.4f\n", exact.Estimate)
 
-	abs, err := core.Approx(e, phi, core.Options{Eps: 0.004, Kind: core.Absolute})
+	abs, err := repro.ApproxEval{Eps: 0.004, Kind: repro.Absolute}.Evaluate(ctx, e, phi)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("absolute ε=0.004:       %.4f  (bounds [%.4f, %.4f], %d nodes)\n",
 		abs.Estimate, abs.Lo, abs.Hi, abs.Nodes)
 
-	res := mc.AConf(e, phi, mc.AConfOptions{Eps: 0.01, Delta: 0.001},
-		rand.New(rand.NewSource(1)))
+	res, err := repro.MonteCarloEval{Eps: 0.01, Delta: 0.001, Seed: 1}.Evaluate(ctx, e, phi)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("aconf (Karp-Luby/DKLR): %.4f  (%d samples)\n", res.Estimate, res.Samples)
 }

@@ -7,10 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/graphs"
 )
 
@@ -19,20 +20,22 @@ func main() {
 	// ≥ 0.3 (Figure 8 top), absolute error 0.05 for small edge
 	// probabilities (Figure 8 bottom), where a relative guarantee on a
 	// near-zero probability would force near-exhaustive compilation.
+	ctx := context.Background()
+	budget := repro.Budget{MaxWork: 50_000_000}
 	fmt.Println("P(triangle) on random n-cliques")
 	fmt.Println("nodes  edge-p  error     clauses  P(triangle)  d-tree nodes  time")
 	for _, n := range []int{6, 10, 15, 20, 25} {
 		for _, p := range []float64{0.01, 0.1, 0.3, 0.7} {
 			g := graphs.Complete(n, p)
 			d := g.TriangleDNF()
-			opt := core.Options{Eps: 0.01, Kind: core.Relative, MaxWork: 50_000_000}
+			ev := repro.ApproxEval{Eps: 0.01, Kind: repro.Relative, Budget: budget}
 			errLabel := "rel .01"
 			if p < 0.3 {
-				opt = core.Options{Eps: 0.05, Kind: core.Absolute, MaxWork: 50_000_000}
+				ev = repro.ApproxEval{Eps: 0.05, Kind: repro.Absolute, Budget: budget}
 				errLabel = "abs .05"
 			}
 			t0 := time.Now()
-			res, err := core.Approx(g.Space(), d, opt)
+			res, err := ev.Evaluate(ctx, g.Space(), d)
 			if err != nil {
 				fmt.Printf("%-6d %-7g %-9s %-8d timeout\n", n, p, errLabel, len(d))
 				continue
@@ -46,6 +49,6 @@ func main() {
 	// random graph's worlds are uniform over all subgraphs of the clique.
 	g := graphs.Complete(6, 0.5)
 	d := g.TriangleDNF()
-	res, _ := core.Approx(g.Space(), d, core.Options{Eps: 0.0001, Kind: core.Absolute})
+	res, _ := repro.ApproxEval{Eps: 0.0001, Kind: repro.Absolute}.Evaluate(ctx, g.Space(), d)
 	fmt.Printf("\nuniform K6: P(triangle) ≈ %.6f over 2^15 equiprobable worlds\n", res.Estimate)
 }

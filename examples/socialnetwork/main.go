@@ -6,23 +6,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/graphs"
-	"repro/internal/mc"
 )
 
 func main() {
+	ctx := context.Background()
 	g := graphs.Karate(0.3, 0.95, 42)
 	s := g.Space()
 	fmt.Printf("karate club: %d members, %d possible friendships\n\n", g.N, g.NumEdges())
 
 	// Triangle motif (the query of Section VI-A).
 	tri := g.TriangleDNF()
-	res, err := core.Approx(s, tri, core.Options{Eps: 0.001, Kind: core.Relative})
+	res, err := repro.ApproxEval{Eps: 0.001, Kind: repro.Relative}.Evaluate(ctx, s, tri)
 	if err != nil {
 		panic(err)
 	}
@@ -32,7 +32,7 @@ func main() {
 	// Two degrees of separation between the two club factions' hubs
 	// (members 1 and 34 in the classic numbering).
 	sep := g.SeparationDNF(0, 33)
-	sres, err := core.Approx(s, sep, core.Options{Eps: 0.0001, Kind: core.Relative})
+	sres, err := repro.ApproxEval{Eps: 0.0001, Kind: repro.Relative}.Evaluate(ctx, s, sep)
 	if err != nil {
 		panic(err)
 	}
@@ -42,15 +42,17 @@ func main() {
 	fmt.Println("relative error   d-tree          aconf")
 	for _, eps := range []float64{0.05, 0.01, 0.001} {
 		t0 := time.Now()
-		dres, err := core.Approx(s, tri, core.Options{Eps: eps, Kind: core.Relative})
+		dres, err := repro.ApproxEval{Eps: eps, Kind: repro.Relative}.Evaluate(ctx, s, tri)
 		if err != nil {
 			panic(err)
 		}
 		dt := time.Since(t0)
 
 		t0 = time.Now()
-		ares := mc.AConf(s, tri, mc.AConfOptions{Eps: eps, Delta: 0.0001, MaxSamples: 2_000_000},
-			rand.New(rand.NewSource(7)))
+		ares, err := repro.MonteCarloEval{Eps: eps, Delta: 0.0001, Budget: repro.Budget{MaxSamples: 2_000_000}, Seed: 7}.Evaluate(ctx, s, tri)
+		if err != nil {
+			panic(err)
+		}
 		at := time.Since(t0)
 		acell := fmt.Sprintf("%-14v", at)
 		if !ares.Converged {

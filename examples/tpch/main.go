@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/tpch"
 )
 
@@ -23,6 +21,13 @@ func main() {
 	fmt.Printf("generated TPC-H SF=0.002: %d lineitems, %d orders, %d parts\n\n",
 		db.Lineitem.Len(), db.Orders.Len(), db.Part.Len())
 	ctx := context.Background()
+	exact := func(d repro.DNF) float64 {
+		res, err := repro.ExactEval{}.Evaluate(ctx, db.Space, d)
+		if err != nil {
+			panic(err)
+		}
+		return res.Estimate
+	}
 
 	// The façade root: one DB owning the space and the catalog's
 	// relations; sessions scope caches and evaluator defaults.
@@ -56,9 +61,8 @@ func main() {
 	if lineage := b17.Plan().Lineage(); len(routed) == 0 {
 		fmt.Printf("\nB17 (tractable join): no answer (certainly false)\n")
 	} else {
-		exact := core.ExactProbability(db.Space, lineage[0].Lin)
 		fmt.Printf("\nB17 (tractable join): %d clauses, route=%s\n", len(lineage[0].Lin), b17.Plan().Route)
-		fmt.Printf("  safe plan:  %.8f\n  d-tree(0):  %.8f\n", routed[0].P, exact)
+		fmt.Printf("  safe plan:  %.8f\n  d-tree(0):  %.8f\n", routed[0].P, exact(lineage[0].Lin))
 	}
 
 	// Tractable inequality chain: routed to an IQ sorted scan.
@@ -75,13 +79,13 @@ func main() {
 	} else {
 		fmt.Printf("\nIQ6 (chain inequality): %d clauses, route=%s\n", len(iqLineage[0].Lin), iq6.Plan().Route)
 		fmt.Printf("  IQ scan:    %.8f\n  d-tree(0):  %.8f\n",
-			iqAnswers[0].P, core.ExactProbability(db.Space, iqLineage[0].Lin))
+			iqAnswers[0].P, exact(iqLineage[0].Lin))
 	}
 
 	// Hard query: the planner falls back to lineage + d-tree; the
 	// session's evaluator decides the algorithm (here the
 	// ε-approximation with guarantees).
-	hardSess := fdb.Session(repro.WithEvaluator(engine.Approx{Eps: 0.01, Kind: engine.Relative}))
+	hardSess := fdb.Session(repro.WithEvaluator(repro.ApproxEval{Eps: 0.01, Kind: repro.Relative}))
 	b21 := hardSess.Query(db.B21IR(db.CommonNationKey()))
 	t0 := time.Now()
 	hard, err := b21.All(ctx)

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/formula"
 	"repro/internal/pdb"
 	"repro/internal/plan"
@@ -496,6 +498,32 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}
 	if ev := db.Session(repro.WithEvaluator(custom)).Evaluator(); ev != custom {
 		t.Fatalf("WithEvaluator returned %v, want the installed evaluator", ev)
+	}
+}
+
+// TestSessionTimeoutBoundsWholeQuery pins WithBudget's Timeout as one
+// deadline per query, not per answer: with every answer's evaluation
+// slowed by 2 ms (the eval.step latency fault) on a one-worker pool, a
+// 100-answer unranked query needs ≥ 200 ms, so a 20 ms Timeout must
+// stop it with context.DeadlineExceeded within a few Timeouts.
+func TestSessionTimeoutBoundsWholeQuery(t *testing.T) {
+	const answers, timeout = 100, 20 * time.Millisecond
+	s, rel := facadeWorkload(answers)
+	db := repro.NewDB(s, rel)
+	db.Pool().Resize(1)
+	inj := repro.NewFaultInjector(1)
+	inj.Configure(fault.SiteEvalStep, repro.FaultSiteConfig{Latency: 1, LatencyDur: 2 * time.Millisecond})
+	sess := db.Session(repro.WithForceLineage(), repro.WithInjector(inj),
+		repro.WithBudget(repro.Budget{Timeout: timeout}))
+
+	start := time.Now()
+	got, err := sess.Query("answers").GroupLineage(0).All(context.Background())
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("%d answers, err %v after %v; want context.DeadlineExceeded", len(got), err, elapsed)
+	}
+	if elapsed > 5*timeout {
+		t.Fatalf("query ran %v under a %v Timeout", elapsed, timeout)
 	}
 }
 

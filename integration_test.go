@@ -99,9 +99,13 @@ func TestFourAlgorithmsAgree(t *testing.T) {
 	s := g.Space()
 	d := g.TriangleDNF()
 
-	exact := core.ExactProbability(s, d)
-
-	approx, err := core.Approx(s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
+	ctx := context.Background()
+	ex, err := core.ExactCtx(ctx, s, d, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := ex.Estimate
+	approx, err := core.ApproxCtx(ctx, s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestFourAlgorithmsAgree(t *testing.T) {
 		t.Fatalf("approx %v vs exact %v", approx.Estimate, exact)
 	}
 
-	global, err := core.ApproxGlobalCtx(context.Background(), s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
+	global, err := core.ApproxGlobalCtx(ctx, s, d, core.Options{Eps: 0.001, Kind: core.Absolute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +129,9 @@ func TestFourAlgorithmsAgree(t *testing.T) {
 		t.Fatalf("obdd %v vs exact %v", bdd.Probability(), exact)
 	}
 
-	res := mc.AConf(s, d, mc.AConfOptions{Eps: 0.02, Delta: 0.01},
+	res, err := mc.AConfCtx(ctx, s, d, mc.AConfOptions{Eps: 0.02, Delta: 0.01},
 		rand.New(rand.NewSource(17)))
-	if !res.Converged {
+	if err != nil || !res.Converged {
 		t.Fatalf("aconf did not converge in %d samples", res.Samples)
 	}
 	if math.Abs(res.Estimate-exact) > 0.04*exact+1e-9 {

@@ -94,9 +94,12 @@ type Options struct {
 	DisableBucketSort  bool // skip probability-sorting in LeafBounds
 }
 
-// Result reports the outcome of Approx or Exact.
+// Result is the outcome of an evaluation, shared by every algorithm of
+// the menu (engine.Result is this type).
 type Result struct {
-	// Lo and Hi bound the exact probability: Lo ≤ P(Φ) ≤ Hi.
+	// Lo and Hi bound the probability: Lo ≤ P(Φ) ≤ Hi. For the d-tree
+	// the bounds are certain; for Monte Carlo they hold with probability
+	// at least 1−δ (and are [0, 1] when the run did not converge).
 	Lo, Hi float64
 	// Estimate is an ε-approximation of P(Φ) when Converged is true.
 	Estimate float64
@@ -104,33 +107,30 @@ type Result struct {
 	Nodes int
 	// LeavesClosed counts leaves discarded by the Theorem 5.12 check.
 	LeavesClosed int
+	// Samples counts estimator invocations (Monte Carlo only).
+	Samples int
 	// CacheHits and CacheMisses count exact evaluation's subformula
 	// lookups in Options.Frags (zero when Frags is nil or Eps > 0).
 	CacheHits, CacheMisses int64
-	// Exact reports Lo == Hi.
+	// Exact reports a certain, exact Estimate (Lo == Hi).
 	Exact bool
 	// EarlyStop reports that the Proposition 5.8 condition fired before
 	// the compilation was exhaustive.
 	EarlyStop bool
 	// Converged reports that the requested guarantee was achieved (always
-	// true unless the node budget was exhausted or the context fired
-	// first).
+	// true unless a budget was exhausted or the context fired first).
 	Converged bool
 }
 
-// Approx computes an ε-approximation of P(d) by incremental d-tree
+// ApproxCtx computes an ε-approximation of P(d) by incremental d-tree
 // compilation (Section V-D). It decomposes d depth-first following
 // Figure 1, checking before each node construction whether (1) the current
 // global bounds already satisfy the sufficient ε-approximation condition
 // of Proposition 5.8 (then it stops), or (2) the current leaf can be
-// closed per Theorem 5.12 while still guaranteeing the error bound.
-func Approx(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	return ApproxCtx(context.Background(), s, d, opt)
-}
-
-// ApproxCtx is Approx with cancellation: when ctx is cancelled or its
-// deadline passes, evaluation stops promptly and the context's error is
-// returned together with the bounds reached so far (Converged false).
+// closed per Theorem 5.12 while still guaranteeing the error bound. When
+// ctx is cancelled or its deadline passes, evaluation stops promptly and
+// the context's error is returned together with the bounds reached so
+// far (Converged false).
 func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)
@@ -159,17 +159,13 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 	return res, nil
 }
 
-// Exact computes P(d) exactly by exhaustive d-tree compilation without
-// materializing the tree and without computing per-leaf bounds. This is
-// the "d-tree(error 0)" configuration of the experiments; it runs in
-// polynomial time on lineage of tractable queries (Section VI).
+// ExactCtx computes P(d) exactly by exhaustive d-tree compilation
+// without materializing the tree and without computing per-leaf bounds.
+// This is the "d-tree(error 0)" configuration of the experiments; it
+// runs in polynomial time on lineage of tractable queries (Section VI).
 // Independent branches are explored in parallel on Options.Pool (see
-// internal/workpool) when it has more than one worker.
-func Exact(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	return ExactCtx(context.Background(), s, d, opt)
-}
-
-// ExactCtx is Exact with cancellation semantics matching ApproxCtx.
+// internal/workpool) when it has more than one worker. Cancellation
+// matches ApproxCtx.
 func ExactCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	st := newState(ctx, s, opt)
 	p, err := st.exactRec(d, false, false)
@@ -183,10 +179,12 @@ func ExactCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options)
 	return res, nil
 }
 
-// ExactProbability is a convenience wrapper around Exact returning just
+// ExactProbability is ExactCtx on a background context, returning just
 // the probability.
+//
+// Deprecated: named only by bench/; call ExactCtx.
 func ExactProbability(s *formula.Space, d formula.DNF) float64 {
-	r, _ := Exact(s, d, Options{})
+	r, _ := ExactCtx(context.Background(), s, d, Options{})
 	return r.Estimate
 }
 

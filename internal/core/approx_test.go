@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestApproxAbsoluteGuarantee(t *testing.T) {
 			}
 			s, d := randdnf.Generate(cfg, seed)
 			want := formula.BruteForceProbability(s, d)
-			res, err := Approx(s, d, Options{Eps: eps, Kind: Absolute})
+			res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -120,7 +121,7 @@ func TestApproxRelativeGuarantee(t *testing.T) {
 			cfg.MinProb = 0.02
 			s, d := randdnf.Generate(cfg, seed)
 			want := formula.BruteForceProbability(s, d)
-			res, err := Approx(s, d, Options{Eps: eps, Kind: Relative})
+			res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Relative})
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -135,7 +136,7 @@ func TestApproxWithClosingDisabled(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := Approx(s, d, Options{Eps: 0.01, Kind: Absolute, DisableClosing: true})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Absolute, DisableClosing: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestApproxAblationVariants(t *testing.T) {
 		for seed := int64(0); seed < 15; seed++ {
 			s, d := randdnf.Generate(randdnf.Default(), seed)
 			want := formula.BruteForceProbability(s, d)
-			res, err := Approx(s, d, opt)
+			res, err := ApproxCtx(context.Background(), s, d, opt)
 			if err != nil {
 				t.Fatalf("variant %d seed %d: %v", vi, seed, err)
 			}
@@ -181,7 +182,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		}
 		s, d := randdnf.Generate(cfg, seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := Exact(s, d, Options{})
+		res, err := ExactCtx(context.Background(), s, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +195,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 func TestApproxEpsZeroIsExact(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 3)
 	want := formula.BruteForceProbability(s, d)
-	res, err := Approx(s, d, Options{Eps: 0})
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestApproxEarlyStopOnIndependentClauses(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		d = append(d, formula.MustClause(formula.Pos(s.AddBool(0.01+0.001*float64(i)))))
 	}
-	res, err := Approx(s, d, Options{Eps: 0.01, Kind: Relative})
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Relative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +228,15 @@ func TestApproxEarlyStopOnIndependentClauses(t *testing.T) {
 func TestApproxTrivialInputs(t *testing.T) {
 	s := formula.NewSpace()
 	x := s.AddBool(0.5)
-	res, err := Approx(s, formula.DNF{}, Options{Eps: 0.1, Kind: Absolute})
+	res, err := ApproxCtx(context.Background(), s, formula.DNF{}, Options{Eps: 0.1, Kind: Absolute})
 	if err != nil || res.Estimate != 0 || !res.Exact {
 		t.Fatalf("false: %+v err=%v", res, err)
 	}
-	res, err = Approx(s, formula.DNF{formula.Clause{}}, Options{Eps: 0.1, Kind: Relative})
+	res, err = ApproxCtx(context.Background(), s, formula.DNF{formula.Clause{}}, Options{Eps: 0.1, Kind: Relative})
 	if err != nil || res.Estimate != 1 || !res.Exact {
 		t.Fatalf("true: %+v err=%v", res, err)
 	}
-	res, err = Approx(s, formula.NewDNF(formula.MustClause(formula.Pos(x))), Options{Eps: 0.1, Kind: Absolute})
+	res, err = ApproxCtx(context.Background(), s, formula.NewDNF(formula.MustClause(formula.Pos(x))), Options{Eps: 0.1, Kind: Absolute})
 	if err != nil || res.Estimate != 0.5 {
 		t.Fatalf("singleton: %+v err=%v", res, err)
 	}
@@ -246,7 +247,7 @@ func TestApproxBudget(t *testing.T) {
 		Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
 	}, 11)
 	want := formula.BruteForceProbability(s, d)
-	res, err := Approx(s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 5})
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 5})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -262,8 +263,8 @@ func TestApproxBudget(t *testing.T) {
 func TestApproxDeterministic(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 5)
 	opt := Options{Eps: 0.01, Kind: Absolute}
-	a, _ := Approx(s, d, opt)
-	b, _ := Approx(s, d, opt)
+	a, _ := ApproxCtx(context.Background(), s, d, opt)
+	b, _ := ApproxCtx(context.Background(), s, d, opt)
 	if a != b {
 		t.Fatalf("non-deterministic results: %+v vs %+v", a, b)
 	}
@@ -274,8 +275,8 @@ func TestApproxTighterEpsMoreNodes(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 12, Clauses: 14, MaxWidth: 3, MaxDomain: 2, MinProb: 0.2, MaxProb: 0.8,
 	}, 21)
-	loose, _ := Approx(s, d, Options{Eps: 0.2, Kind: Absolute})
-	tight, _ := Approx(s, d, Options{Eps: 0.001, Kind: Absolute})
+	loose, _ := ApproxCtx(context.Background(), s, d, Options{Eps: 0.2, Kind: Absolute})
+	tight, _ := ApproxCtx(context.Background(), s, d, Options{Eps: 0.001, Kind: Absolute})
 	if loose.Nodes > tight.Nodes {
 		t.Fatalf("loose eps used %d nodes > tight eps %d", loose.Nodes, tight.Nodes)
 	}
@@ -286,7 +287,7 @@ func TestIntervalWidthRespectsCondition(t *testing.T) {
 	// sufficient condition used for the guarantee.
 	for seed := int64(0); seed < 20; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
-		res, err := Approx(s, d, Options{Eps: 0.03, Kind: Absolute})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.03, Kind: Absolute})
 		if err != nil {
 			t.Fatal(err)
 		}

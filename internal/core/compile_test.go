@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,8 +44,8 @@ func TestExample44(t *testing.T) {
 	if got := tree.Probability(s); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("tree probability %v, want %v", got, want)
 	}
-	if got := ExactProbability(s, phi); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Exact %v, want %v", got, want)
+	if got, err := ExactCtx(context.Background(), s, phi, Options{}); err != nil || math.Abs(got.Estimate-want) > 1e-12 {
+		t.Fatalf("Exact %v (%v), want %v", got.Estimate, err, want)
 	}
 }
 
@@ -175,9 +176,9 @@ func TestHierarchicalLineageLinearTree(t *testing.T) {
 		t.Fatalf("got %d leaves, want one per variable (%d)", leaves, nVars)
 	}
 	want := formula.BruteForceProbability(s, d[:0].Or(d[:6])) // sanity on a prefix
-	got := ExactProbability(s, d[:0].Or(d[:6]))
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("prefix probability mismatch: %v vs %v", got, want)
+	got, err := ExactCtx(context.Background(), s, d[:0].Or(d[:6]), Options{})
+	if err != nil || math.Abs(got.Estimate-want) > 1e-12 {
+		t.Fatalf("prefix probability mismatch: %v (%v) vs %v", got.Estimate, err, want)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestExactCachePersisted(t *testing.T) {
 	cold := make([]Result, len(ds))
 	for i, d := range ds {
 		var err error
-		if cold[i], err = Exact(s, d, Options{Frags: filled}); err != nil {
+		if cold[i], err = ExactCtx(context.Background(), s, d, Options{Frags: filled}); err != nil {
 			t.Fatalf("window %d: %v", i, err)
 		}
 	}
@@ -171,11 +171,11 @@ func TestExactCachePersisted(t *testing.T) {
 		t.Fatalf("reloaded %d entries, saved %d", loaded.Len(), filled.Len())
 	}
 	for i, d := range ds {
-		warm, err := Exact(s, d, Options{Frags: filled})
+		warm, err := ExactCtx(context.Background(), s, d, Options{Frags: filled})
 		if err != nil {
 			t.Fatalf("window %d warm: %v", i, err)
 		}
-		got, err := Exact(s, d, Options{Frags: loaded})
+		got, err := ExactCtx(context.Background(), s, d, Options{Frags: loaded})
 		if err != nil {
 			t.Fatalf("window %d reloaded: %v", i, err)
 		}

@@ -10,7 +10,7 @@ import (
 // V-D: it materializes the partial d-tree, repeatedly recomputes the
 // root bounds, and refines the open leaf with the largest bounds
 // interval until the ε-approximation condition of Proposition 5.8
-// holds. Unlike Approx it keeps every node in memory and performs no
+// holds. Unlike ApproxCtx it keeps every node in memory and performs no
 // leaf closing — it is the paper's motivation for the memory-efficient
 // depth-first variant, retained here as an alternative strategy and an
 // ablation target. Cancellation matches ApproxCtx: the context is

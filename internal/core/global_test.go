@@ -47,7 +47,7 @@ func TestGlobalMatchesDepthFirst(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
 		want := formula.BruteForceProbability(s, d)
-		a, err1 := Approx(s, d, Options{Eps: 0.02, Kind: Absolute})
+		a, err1 := ApproxCtx(context.Background(), s, d, Options{Eps: 0.02, Kind: Absolute})
 		g, err2 := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.02, Kind: Absolute})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("seed %d: %v / %v", seed, err1, err2)

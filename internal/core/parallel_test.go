@@ -37,11 +37,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 	check := func(name string, s *formula.Space, d formula.DNF) {
 		t.Helper()
-		seq, err := Exact(s, d, Options{Pool: workpool.New(1)})
+		seq, err := ExactCtx(context.Background(), s, d, Options{Pool: workpool.New(1)})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
-		par, err := Exact(s, d, Options{Pool: wide})
+		par, err := ExactCtx(context.Background(), s, d, Options{Pool: wide})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}
@@ -72,8 +72,8 @@ func TestParallelApproxMatchesSequential(t *testing.T) {
 		s, d := randdnf.Generate(randdnf.Config{
 			Vars: 40, Clauses: 70, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.95,
 		}, seed)
-		seq, errS := Approx(s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(1)})
-		par, errP := Approx(s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(8)})
+		seq, errS := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(1)})
+		par, errP := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(8)})
 		if errS != nil || errP != nil {
 			t.Fatalf("seed %d: errs %v / %v", seed, errS, errP)
 		}
@@ -143,14 +143,14 @@ func TestExactCacheAcrossRuns(t *testing.T) {
 	s := formula.NewSpace()
 	d := hierarchicalDNF(30, 5, s)
 	cache := formula.NewFragCache(0)
-	first, err := Exact(s, d, Options{Frags: cache})
+	first, err := ExactCtx(context.Background(), s, d, Options{Frags: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheMisses == 0 {
 		t.Fatal("first run recorded no cache misses")
 	}
-	second, err := Exact(s, d, Options{Frags: cache})
+	second, err := ExactCtx(context.Background(), s, d, Options{Frags: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestExactCacheAcrossRuns(t *testing.T) {
 		t.Fatalf("cached run built %d nodes, uncached %d — expected fewer", second.Nodes, first.Nodes)
 	}
 	// Cached and uncached evaluation must agree exactly.
-	plain, err := Exact(s, d, Options{})
+	plain, err := ExactCtx(context.Background(), s, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

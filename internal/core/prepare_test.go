@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -81,7 +82,7 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		s, d := randdnf.Generate(randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7}, 6000+seed)
 		frags := formula.NewFragCache(0)
-		if _, err := Exact(s, d, Options{Frags: frags}); err != nil {
+		if _, err := ExactCtx(context.Background(), s, d, Options{Frags: frags}); err != nil {
 			t.Fatalf("exact seed %d: %v", seed, err)
 		}
 		for oi, opt := range []Options{{Eps: 0.005, Kind: Absolute}, {Eps: 1e-9, Kind: Absolute, MaxWork: 4000}} {
@@ -102,10 +103,10 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), 7000+seed)
 		opt := Options{Eps: 0.01, Kind: Absolute}
-		refRes, refErr := Approx(s, d, opt)
+		refRes, refErr := ApproxCtx(context.Background(), s, d, opt)
 		opt.Frags = frags
 		for run := 0; run < 2; run++ {
-			res, err := Approx(s, d, opt)
+			res, err := ApproxCtx(context.Background(), s, d, opt)
 			if !errors.Is(err, refErr) && !errors.Is(refErr, err) {
 				t.Fatalf("seed %d run %d: errors diverged: %v vs %v", seed, run, err, refErr)
 			}
@@ -139,7 +140,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 	var traces []trace
 	for off := 0; off+20 <= len(big); off += 2 {
 		d := big[off : off+20].Clone().Normalize()
-		r, err := Approx(s, d, opt)
+		r, err := ApproxCtx(context.Background(), s, d, opt)
 		if err != nil {
 			t.Fatalf("reference trace at offset %d: %v", off, err)
 		}
@@ -155,7 +156,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 			o := opt
 			o.Frags = frags
 			for i, tr := range traces {
-				res, err := Approx(s, tr.d, o)
+				res, err := ApproxCtx(context.Background(), s, tr.d, o)
 				if err != nil {
 					errs[w] = err
 					return

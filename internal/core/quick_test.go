@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -47,7 +48,7 @@ func TestQuickExactEqualsBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := Exact(s, d, Options{})
+		res, err := ExactCtx(context.Background(), s, d, Options{})
 		return err == nil && math.Abs(res.Estimate-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -60,7 +61,7 @@ func TestQuickAbsoluteGuarantee(t *testing.T) {
 		eps := 0.001 + float64(e)/260.0 // 0.001 .. ~0.98
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := Approx(s, d, Options{Eps: eps, Kind: Absolute})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
 		if err != nil || !res.Converged {
 			return false
 		}
@@ -76,7 +77,7 @@ func TestQuickRelativeGuarantee(t *testing.T) {
 		eps := 0.01 + float64(e%80)/100.0 // 0.01 .. 0.80
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := Approx(s, d, Options{Eps: eps, Kind: Relative})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Relative})
 		if err != nil || !res.Converged {
 			return false
 		}
@@ -135,7 +136,7 @@ func TestQuickInclusionExclusion(t *testing.T) {
 func TestQuickEstimateWithinBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
-		res, err := Approx(s, d, Options{Eps: 0.05, Kind: Absolute})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.05, Kind: Absolute})
 		if err != nil {
 			return false
 		}
@@ -162,7 +163,7 @@ func TestQuickDecompositionInvariance(t *testing.T) {
 			{Eps: 0.01, Kind: Absolute, DisableBucketSort: true},
 			{Eps: 0.01, Kind: Absolute, Order: OrderMostFrequent},
 		} {
-			res, err := Approx(s, d, opt)
+			res, err := ApproxCtx(context.Background(), s, d, opt)
 			if err != nil || math.Abs(res.Estimate-want) > 0.01+1e-9 {
 				return false
 			}

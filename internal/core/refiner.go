@@ -138,7 +138,7 @@ func (r *Refiner) Err() error { return r.err }
 func (r *Refiner) Steps() int { return r.steps }
 
 // Result summarizes the refinement so far in the same form as
-// Approx/Exact: current bounds, an estimate (guarantee-respecting when
+// ApproxCtx/ExactCtx: current bounds, an estimate (guarantee-respecting when
 // Converged, the interval midpoint otherwise), and the node and cache
 // counters.
 func (r *Refiner) Result() Result {

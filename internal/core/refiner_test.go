@@ -133,9 +133,9 @@ func TestRefinerCancelled(t *testing.T) {
 	if !done || !errors.Is(r2.Err(), context.Canceled) {
 		t.Fatalf("done=%v err=%v after cancel", done, r2.Err())
 	}
-	want := ExactProbability(s2, d2)
-	if lo > want+1e-9 || hi < want-1e-9 {
-		t.Fatalf("partial bounds [%v,%v] miss %v", lo, hi, want)
+	want, err := ExactCtx(context.Background(), s2, d2, Options{})
+	if err != nil || lo > want.Estimate+1e-9 || hi < want.Estimate-1e-9 {
+		t.Fatalf("partial bounds [%v,%v] miss %v (%v)", lo, hi, want.Estimate, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/formula"
@@ -148,7 +149,7 @@ func TestIQLineagePolynomialExact(t *testing.T) {
 	// n = m = 40 gives 780 clauses; exhaustive Shannon without the
 	// subsumption + IQ order would be astronomically large.
 	s, d, xs, ys := iqLineage(40, 40)
-	res, err := Exact(s, d, Options{Order: OrderAuto})
+	res, err := ExactCtx(context.Background(), s, d, Options{Order: OrderAuto})
 	if err != nil {
 		t.Fatal(err)
 	}

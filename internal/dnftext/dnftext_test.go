@@ -1,6 +1,7 @@
 package dnftext
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -27,9 +28,9 @@ clause v
 	if s.NumVars() != 4 || len(d) != 3 {
 		t.Fatalf("vars %d clauses %d", s.NumVars(), len(d))
 	}
-	p := core.ExactProbability(s, d)
-	if math.Abs(p-0.8456) > 1e-12 {
-		t.Fatalf("P = %v, want 0.8456", p)
+	p, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil || math.Abs(p.Estimate-0.8456) > 1e-12 {
+		t.Fatalf("P = %v (%v), want 0.8456", p.Estimate, err)
 	}
 }
 

@@ -61,7 +61,8 @@ type Budget struct {
 	// MaxSamples bounds Monte Carlo estimator invocations.
 	MaxSamples int
 	// Timeout, when positive, is applied to the evaluation's context as
-	// a deadline via Context. The deadline only ever tightens the
+	// a deadline via Context (a façade session applies it once per
+	// query, over all its answers). The deadline only ever tightens the
 	// parent: a parent cancelled (or expired) before or during the
 	// evaluation still stops it with the parent's error — Timeout never
 	// grants a dead context another lease on life.
@@ -85,32 +86,7 @@ func (b Budget) Context(ctx context.Context) (context.Context, context.CancelFun
 }
 
 // Result is the outcome of an evaluation, unified across algorithms.
-type Result struct {
-	// Lo and Hi bound the probability. For the deterministic algorithms
-	// the bounds are certain; for MonteCarlo they hold with probability
-	// at least 1−δ (and are [0, 1] when the run did not converge).
-	Lo, Hi float64
-	// Estimate is the probability estimate.
-	Estimate float64
-	// Exact reports a certain, exact Estimate (Lo == Hi).
-	Exact bool
-	// Converged reports that the algorithm's guarantee was achieved
-	// within the budget.
-	Converged bool
-	// EarlyStop reports that a d-tree evaluator stopped on the
-	// Proposition 5.8 condition before exhaustive compilation.
-	EarlyStop bool
-	// Nodes counts d-tree nodes constructed (d-tree evaluators).
-	Nodes int
-	// LeavesClosed counts Theorem 5.12 leaf closings (Approx).
-	LeavesClosed int
-	// Samples counts estimator invocations (MonteCarlo).
-	Samples int
-	// CacheHits and CacheMisses count the exact subformula lookups this
-	// evaluation made in its FragCache (exact evaluation only; zero
-	// without a cache).
-	CacheHits, CacheMisses int64
-}
+type Result = core.Result
 
 // Evaluator is the single entry point for confidence computation: it
 // evaluates the probability of a lineage DNF over a probability space.
@@ -126,15 +102,6 @@ type Func func(ctx context.Context, s *formula.Space, d formula.DNF) (Result, er
 // Evaluate implements Evaluator.
 func (f Func) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
 	return f(ctx, s, d)
-}
-
-func fromCore(r core.Result) Result {
-	return Result{
-		Lo: r.Lo, Hi: r.Hi, Estimate: r.Estimate,
-		Exact: r.Exact, Converged: r.Converged, EarlyStop: r.EarlyStop,
-		Nodes: r.Nodes, LeavesClosed: r.LeavesClosed,
-		CacheHits: r.CacheHits, CacheMisses: r.CacheMisses,
-	}
 }
 
 // Exact evaluates probabilities exactly by exhaustive d-tree
@@ -163,12 +130,11 @@ type Exact struct {
 func (e Exact) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
 	ctx, cancel := e.Budget.Context(ctx)
 	defer cancel()
-	res, err := core.ExactCtx(ctx, s, d, core.Options{
+	return core.ExactCtx(ctx, s, d, core.Options{
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
 		Frags: e.Cache, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	})
-	return fromCore(res), err
 }
 
 // Approx evaluates an ε-approximation with certain error guarantees by
@@ -214,14 +180,10 @@ func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (
 		Frags: e.Frags, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	}
-	var res core.Result
-	var err error
 	if e.Global {
-		res, err = core.ApproxGlobalCtx(ctx, s, d, opt)
-	} else {
-		res, err = core.ApproxCtx(ctx, s, d, opt)
+		return core.ApproxGlobalCtx(ctx, s, d, opt)
 	}
-	return fromCore(res), err
+	return core.ApproxCtx(ctx, s, d, opt)
 }
 
 // MonteCarlo evaluates an (ε, δ) relative approximation with the

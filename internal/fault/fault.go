@@ -148,9 +148,6 @@ func (in *Injector) Configure(site string, cfg SiteConfig) {
 	in.armed.Store(true)
 }
 
-// Enabled reports whether any site is configured. Nil-safe.
-func (in *Injector) Enabled() bool { return in != nil && in.armed.Load() }
-
 func (in *Injector) site(name string) *siteState {
 	if in == nil || !in.armed.Load() {
 		return nil

@@ -74,9 +74,6 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 
 func TestFaultInjectorNilSafe(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Fatal("nil injector reports enabled")
-	}
 	if err := in.Fire(SiteEvalStep); err != nil {
 		t.Fatalf("nil injector fired: %v", err)
 	}
@@ -87,16 +84,10 @@ func TestFaultInjectorNilSafe(t *testing.T) {
 	}
 	// Constructed but unconfigured: inert, including for unknown sites.
 	live := NewInjector(7)
-	if live.Enabled() {
-		t.Fatal("unconfigured injector reports enabled")
-	}
 	if err := live.Fire("nowhere"); err != nil {
 		t.Fatalf("unconfigured site fired: %v", err)
 	}
 	live.Configure(SiteEvalStep, SiteConfig{Error: 1})
-	if !live.Enabled() {
-		t.Fatal("configured injector reports disabled")
-	}
 	if err := live.Fire("still.nowhere"); err != nil {
 		t.Fatalf("unconfigured site fired on armed injector: %v", err)
 	}

@@ -76,22 +76,6 @@ func (c Clause) Lookup(v Var) (Val, bool) {
 	return 0, false
 }
 
-// IndependentOf reports whether c and d share no variable.
-func (c Clause) IndependentOf(d Clause) bool {
-	i, j := 0, 0
-	for i < len(c) && j < len(d) {
-		switch {
-		case c[i].Var < d[j].Var:
-			i++
-		case c[i].Var > d[j].Var:
-			j++
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // Subsumes reports whether c is a subset of d (then c ∨ d ≡ c, so d is
 // redundant in any DNF containing c).
 func (c Clause) Subsumes(d Clause) bool {

@@ -84,23 +84,6 @@ func TestClauseLookup(t *testing.T) {
 	}
 }
 
-func TestClauseIndependence(t *testing.T) {
-	_, vs := boolSpace(t, 0.5, 0.5, 0.5)
-	x, y, z := vs[0], vs[1], vs[2]
-	a := MustClause(Pos(x), Pos(y))
-	b := MustClause(Pos(z))
-	c := MustClause(Neg(y), Pos(z))
-	if !a.IndependentOf(b) {
-		t.Error("xy and z share no variable")
-	}
-	if a.IndependentOf(c) {
-		t.Error("xy and ¬yz share y")
-	}
-	if !a.IndependentOf(Clause{}) {
-		t.Error("everything is independent of ⊤")
-	}
-}
-
 func TestClauseSubsumes(t *testing.T) {
 	_, vs := boolSpace(t, 0.5, 0.5, 0.5)
 	x, y, z := vs[0], vs[1], vs[2]

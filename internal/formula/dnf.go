@@ -82,16 +82,6 @@ func (d DNF) Vars() []Var {
 	return out
 }
 
-// NumAtoms returns the total number of atoms over all clauses (the "size"
-// of the DNF in the paper's complexity statements).
-func (d DNF) NumAtoms() int {
-	n := 0
-	for _, c := range d {
-		n += len(c)
-	}
-	return n
-}
-
 // RemoveSubsumed returns d with every clause that is subsumed by another
 // clause of d removed (step 1 of the compilation algorithm, Figure 1).
 //

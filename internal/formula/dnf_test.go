@@ -199,16 +199,13 @@ func TestMonotonicity(t *testing.T) {
 	}
 }
 
-func TestVarsAndNumAtoms(t *testing.T) {
+func TestDNFVars(t *testing.T) {
 	_, vs := boolSpace(t, 0.5, 0.5, 0.5)
 	x, y, z := vs[0], vs[1], vs[2]
 	d := NewDNF(MustClause(Pos(z), Pos(x)), MustClause(Pos(y)))
 	vars := d.Vars()
 	if len(vars) != 3 || vars[0] != x || vars[1] != y || vars[2] != z {
 		t.Fatalf("Vars = %v", vars)
-	}
-	if d.NumAtoms() != 3 {
-		t.Fatalf("NumAtoms = %d", d.NumAtoms())
 	}
 }
 

@@ -221,3 +221,27 @@ func TestFragCacheSaveLoadSurvivesRestartLookup(t *testing.T) {
 		t.Fatalf("expected 1 hit after warm lookup, got %+v", s)
 	}
 }
+
+// FuzzLoadFragCache pins LoadFragCache's cold-start contract on
+// arbitrary bytes: it never panics, always returns a usable cache, and
+// returns an error only together with an empty one. The seed corpus in
+// testdata/fuzz holds a real save with prepared and exact-variant
+// entries, that save truncated and with a payload byte flipped, a wrong
+// magic, a version-2 header and an oversized entry count.
+func FuzzLoadFragCache(f *testing.F) {
+	f.Add([]byte{})
+	probe := DNF{MustClause(Pos(0))}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadFragCache(bytes.NewReader(data), 0)
+		if c == nil {
+			t.Fatalf("nil cache (err %v)", err)
+		}
+		if err != nil && c.Len() != 0 {
+			t.Fatalf("error %v came with %d loaded entries, want a cold (empty) cache", err, c.Len())
+		}
+		c.Store(probe, 0, &PreparedFrag{D: probe, Lo: 0.5, Hi: 0.5, Exact: true})
+		if _, ok := c.Lookup(probe, 0); !ok {
+			t.Fatal("loaded cache does not serve a fresh entry")
+		}
+	})
+}

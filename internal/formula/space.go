@@ -128,9 +128,3 @@ func (s *Space) P(a Atom) float64 { return s.dists[a.Var][a.Val] }
 
 // PTrue returns P(x = true) for a Boolean variable.
 func (s *Space) PTrue(x Var) float64 { return s.dists[x][True] }
-
-// Valid reports whether the atom refers to a variable and domain value
-// that exist in this space.
-func (s *Space) Valid(a Atom) bool {
-	return a.Var >= 0 && int(a.Var) < len(s.dists) && a.Val >= 0 && int(a.Val) < len(s.dists[a.Var])
-}

@@ -70,27 +70,6 @@ func TestSpaceNames(t *testing.T) {
 	}
 }
 
-func TestSpaceValid(t *testing.T) {
-	s := NewSpace()
-	v := s.AddVar(0.5, 0.25, 0.25)
-	cases := []struct {
-		a    Atom
-		want bool
-	}{
-		{Atom{v, 0}, true},
-		{Atom{v, 2}, true},
-		{Atom{v, 3}, false},
-		{Atom{v, -1}, false},
-		{Atom{v + 1, 0}, false},
-		{Atom{-1, 0}, false},
-	}
-	for _, tc := range cases {
-		if got := s.Valid(tc.a); got != tc.want {
-			t.Errorf("Valid(%v) = %v, want %v", tc.a, got, tc.want)
-		}
-	}
-}
-
 func TestBruteForceKnown(t *testing.T) {
 	// P((x ∨ y) for independent booleans) = 1 − (1−px)(1−py).
 	s, vs := boolSpace(t, 0.3, 0.2)

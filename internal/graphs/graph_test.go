@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestTriangleProbabilitySmall(t *testing.T) {
 	g := Complete(4, 0.5)
 	d := g.TriangleDNF()
 	want := formula.BruteForceProbability(g.Space(), d)
-	got, err := core.Approx(g.Space(), d, core.Options{Eps: 0.001, Kind: core.Absolute})
+	got, err := core.ApproxCtx(context.Background(), g.Space(), d, core.Options{Eps: 0.001, Kind: core.Absolute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestPath2DNF(t *testing.T) {
 		t.Fatalf("path2 clauses %d, want 12", len(d))
 	}
 	want := formula.BruteForceProbability(g.Space(), d)
-	got := core.ExactProbability(g.Space(), d)
+	got := exactP(g.Space(), d)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("path2 P %v vs %v", got, want)
 	}
@@ -139,7 +140,7 @@ func TestPath3DNF(t *testing.T) {
 		}
 	}
 	want := formula.BruteForceProbability(g.Space(), d)
-	got := core.ExactProbability(g.Space(), d)
+	got := exactP(g.Space(), d)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("path3 P %v vs %v", got, want)
 	}
@@ -162,7 +163,7 @@ func TestSeparationDNF(t *testing.T) {
 		t.Fatalf("s2 clauses %d, want 4", len(d))
 	}
 	want := formula.BruteForceProbability(g.Space(), d)
-	got := core.ExactProbability(g.Space(), d)
+	got := exactP(g.Space(), d)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("s2 P %v vs %v", got, want)
 	}
@@ -175,7 +176,7 @@ func TestSeparationSparse(t *testing.T) {
 	if len(d) != 1 || len(d[0]) != 2 {
 		t.Fatalf("s2 lineage %v", d)
 	}
-	if got := core.ExactProbability(g.Space(), d); math.Abs(got-0.25) > 1e-12 {
+	if got := exactP(g.Space(), d); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("P = %v, want 0.25", got)
 	}
 }
@@ -257,7 +258,7 @@ func TestSocialNetworkQueriesRun(t *testing.T) {
 		if len(d) == 0 {
 			t.Fatalf("%s: empty lineage", name)
 		}
-		res, err := core.Approx(s, d, core.Options{Eps: 0.05, Kind: core.Relative})
+		res, err := core.ApproxCtx(context.Background(), s, d, core.Options{Eps: 0.05, Kind: core.Relative})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -303,4 +304,13 @@ func TestNodeTriangleDNF(t *testing.T) {
 	if sum != 3*len(whole) {
 		t.Fatalf("per-node clauses sum %d, want 3x%d triangles", sum, len(whole))
 	}
+}
+
+// exactP is P(d) by exact d-tree compilation.
+func exactP(s *formula.Space, d formula.DNF) float64 {
+	res, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res.Estimate
 }

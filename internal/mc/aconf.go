@@ -19,8 +19,8 @@ type Result struct {
 	Converged bool
 }
 
-// AConfOptions configures AConf. The zero value of MaxSamples means the
-// default cap of 50 million estimator calls.
+// AConfOptions configures AConfCtx. The zero value of MaxSamples means
+// the default cap of 50 million estimator calls.
 type AConfOptions struct {
 	Eps        float64 // relative error ε, 0 < ε < 1
 	Delta      float64 // failure probability δ, 0 < δ < 1
@@ -29,17 +29,11 @@ type AConfOptions struct {
 
 const defaultMaxSamples = 50_000_000
 
-// AConf is the aconf() operator of MayBMS (Section VII-1): an (ε, δ)
+// AConfCtx is the aconf() operator of MayBMS (Section VII-1): an (ε, δ)
 // relative approximation of P(d) combining the fractional Karp-Luby
 // estimator with the Dagum-Karp-Luby-Ross AA optimal stopping
 // algorithm [6]. With probability at least 1−δ the returned estimate is
-// within relative error ε of P(d).
-func AConf(s *formula.Space, d formula.DNF, opt AConfOptions, rng *rand.Rand) Result {
-	res, _ := AConfCtx(context.Background(), s, d, opt, rng)
-	return res
-}
-
-// AConfCtx is AConf with cancellation: the sample loops poll ctx every
+// within relative error ε of P(d). The sample loops poll ctx every
 // ctxCheckStride samples and return the best-effort estimate so far with
 // Converged false and the context's error when it fires.
 func AConfCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt AConfOptions, rng *rand.Rand) (Result, error) {
@@ -165,45 +159,4 @@ func budgetResult(sum float64, n, used int) Result {
 		est = sum / float64(n)
 	}
 	return Result{Estimate: est, Samples: used, Converged: false}
-}
-
-// NaiveAbsolute is the trivial Monte Carlo sampler for absolute error
-// (Section VII-3 notes that absolute approximation is trivial for Monte
-// Carlo): it draws ⌈ln(2/δ)/(2ε²)⌉ random worlds over the variables of d
-// and returns the satisfaction frequency, a Hoeffding (ε, δ) absolute
-// approximation.
-func NaiveAbsolute(s *formula.Space, d formula.DNF, eps, delta float64, rng *rand.Rand) Result {
-	d = d.Normalize()
-	if len(d) == 0 {
-		return Result{Estimate: 0, Converged: true}
-	}
-	if d.IsTrue() {
-		return Result{Estimate: 1, Converged: true}
-	}
-	vars := d.Vars()
-	n := int(math.Ceil(math.Log(2/delta) / (2 * eps * eps)))
-	assign := make(map[formula.Var]formula.Val, len(vars))
-	hits := 0
-	for i := 0; i < n; i++ {
-		for _, v := range vars {
-			assign[v] = sampleVal(s, v, rng)
-		}
-		if formula.EvaluateWorld(d, assign) {
-			hits++
-		}
-	}
-	return Result{Estimate: float64(hits) / float64(n), Samples: n, Converged: true}
-}
-
-func sampleVal(s *formula.Space, v formula.Var, rng *rand.Rand) formula.Val {
-	u := rng.Float64()
-	acc := 0.0
-	n := s.DomainSize(v)
-	for a := 0; a < n-1; a++ {
-		acc += s.P(formula.Atom{Var: v, Val: formula.Val(a)})
-		if u < acc {
-			return formula.Val(a)
-		}
-	}
-	return formula.Val(n - 1)
 }

@@ -2,12 +2,10 @@
 // against (Section II and VII-1): the Karp-Luby unbiased estimator for
 // DNF probability in the fractional variant of Vazirani's book (smaller
 // variance than the zero-one estimator), the Dagum-Karp-Luby-Ross optimal
-// Monte Carlo stopping algorithm that together form MayBMS's aconf(),
-// and a naive absolute-error sampler for reference.
+// Monte Carlo stopping algorithm that together form MayBMS's aconf().
 package mc
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -161,11 +159,4 @@ func (k *KarpLuby) Mean(n int) float64 {
 		total += k.Sample()
 	}
 	return total / float64(n)
-}
-
-// FixedSampleCount returns the classical sample count ⌈3·n·ln(2/δ)/ε²⌉
-// from [15] that makes the average of zero-one Karp-Luby estimates an
-// (ε, δ) relative approximation for a DNF of n clauses.
-func FixedSampleCount(clauses int, eps, delta float64) int {
-	return int(math.Ceil(3 * float64(clauses) * math.Log(2/delta) / (eps * eps)))
 }

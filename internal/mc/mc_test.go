@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,8 +75,8 @@ func TestAConfRelativeGuarantee(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
 		want := formula.BruteForceProbability(s, d)
-		res := AConf(s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(seed+100)))
-		if !res.Converged {
+		res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(seed+100)))
+		if err != nil || !res.Converged {
 			t.Fatalf("seed %d: did not converge in %d samples", seed, res.Samples)
 		}
 		if math.Abs(res.Estimate-want) > 0.08*want+1e-9 {
@@ -88,21 +89,21 @@ func TestAConfRelativeGuarantee(t *testing.T) {
 func TestAConfTrivialInputs(t *testing.T) {
 	s := formula.NewSpace()
 	s.AddBool(0.5)
-	rng := rand.New(rand.NewSource(1))
-	if res := AConf(s, formula.DNF{}, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); res.Estimate != 0 || !res.Converged {
-		t.Fatalf("false: %+v", res)
+	ctx, rng := context.Background(), rand.New(rand.NewSource(1))
+	if res, err := AConfCtx(ctx, s, formula.DNF{}, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); err != nil || res.Estimate != 0 || !res.Converged {
+		t.Fatalf("false: %+v, %v", res, err)
 	}
 	d := formula.DNF{formula.Clause{}}
-	if res := AConf(s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); res.Estimate != 1 || !res.Converged {
-		t.Fatalf("true: %+v", res)
+	if res, err := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); err != nil || res.Estimate != 1 || !res.Converged {
+		t.Fatalf("true: %+v, %v", res, err)
 	}
 }
 
 func TestAConfBudget(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 3)
-	res := AConf(s, d, AConfOptions{Eps: 0.001, Delta: 0.001, MaxSamples: 50}, rand.New(rand.NewSource(5)))
-	if res.Converged {
-		t.Fatal("50 samples cannot satisfy eps=0.001")
+	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.001, Delta: 0.001, MaxSamples: 50}, rand.New(rand.NewSource(5)))
+	if err != nil || res.Converged {
+		t.Fatalf("converged=%v err=%v: 50 samples cannot satisfy eps=0.001", res.Converged, err)
 	}
 	if res.Samples > 50 {
 		t.Fatalf("used %d samples, budget 50", res.Samples)
@@ -111,8 +112,9 @@ func TestAConfBudget(t *testing.T) {
 
 func TestAConfDeterministicForSeed(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 6)
-	a := AConf(s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
-	b := AConf(s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
+	ctx := context.Background()
+	a, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
+	b, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
 	if a != b {
 		t.Fatalf("same seed gave %+v and %+v", a, b)
 	}
@@ -130,33 +132,10 @@ func TestAConfSmallProbabilities(t *testing.T) {
 		formula.MustClause(formula.Pos(y)),
 	)
 	want := formula.BruteForceProbability(s, d)
-	res := AConf(s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(11)))
-	if math.Abs(res.Estimate-want)/want > 0.08 {
+	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(11)))
+	if err != nil || math.Abs(res.Estimate-want)/want > 0.08 {
 		t.Fatalf("rel err %.3f too large (est %v, want %v)",
 			math.Abs(res.Estimate-want)/want, res.Estimate, want)
-	}
-}
-
-func TestNaiveAbsolute(t *testing.T) {
-	s, d := randdnf.Generate(randdnf.Default(), 8)
-	want := formula.BruteForceProbability(s, d)
-	res := NaiveAbsolute(s, d, 0.02, 0.01, rand.New(rand.NewSource(13)))
-	if math.Abs(res.Estimate-want) > 0.03 {
-		t.Fatalf("estimate %v, want %v±0.02", res.Estimate, want)
-	}
-	if !res.Converged {
-		t.Fatal("naive sampler always converges")
-	}
-}
-
-func TestFixedSampleCount(t *testing.T) {
-	n := FixedSampleCount(10, 0.1, 0.05)
-	want := int(math.Ceil(3 * 10 * math.Log(40.0) / 0.01))
-	if n != want {
-		t.Fatalf("got %d, want %d", n, want)
-	}
-	if FixedSampleCount(10, 0.1, 0.05) <= FixedSampleCount(10, 0.2, 0.05) {
-		t.Fatal("smaller eps must need more samples")
 	}
 }
 

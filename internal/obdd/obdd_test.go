@@ -1,6 +1,7 @@
 package obdd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -39,9 +40,9 @@ func TestProbabilityMatchesDtreeExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.ExactProbability(s, d)
-		if math.Abs(b.Probability()-want) > 1e-9 {
-			t.Fatalf("seed %d: obdd %v vs d-tree %v", seed, b.Probability(), want)
+		want, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+		if err != nil || math.Abs(b.Probability()-want.Estimate) > 1e-9 {
+			t.Fatalf("seed %d: obdd %v vs d-tree %v (%v)", seed, b.Probability(), want.Estimate, err)
 		}
 	}
 }
@@ -111,9 +112,9 @@ func TestHierarchicalLineageLinearSize(t *testing.T) {
 	if b.Size() > 2*nVars {
 		t.Fatalf("OBDD size %d not linear in %d variables", b.Size(), nVars)
 	}
-	want := core.ExactProbability(s, d)
-	if math.Abs(b.Probability()-want) > 1e-9 {
-		t.Fatalf("P = %v, want %v", b.Probability(), want)
+	want, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil || math.Abs(b.Probability()-want.Estimate) > 1e-9 {
+		t.Fatalf("P = %v, want %v (%v)", b.Probability(), want.Estimate, err)
 	}
 }
 

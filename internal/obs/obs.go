@@ -9,8 +9,8 @@
 //     power-of-two histograms, owned per façade DB and updated from
 //     every subsystem. Snapshot() freezes it into a plain, comparable,
 //     JSON-marshalable struct (the serving layer's export shape, also
-//     published via expvar by DB.PublishExpvar); View() opens a
-//     per-Session delta window over the same registry.
+//     published via expvar by DB.PublishExpvar); Snapshot.Sub turns two
+//     snapshots into the traffic recorded between them.
 //   - QueryTrace (trace.go) — one query execution's EXPLAIN ANALYZE:
 //     the routing line plus per-stage timings, per-answer refinement
 //     outcomes, and cache traffic, rendered as a text tree.
@@ -423,32 +423,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		QueryWallMicros:   m.QueryWallMicros.Snapshot(),
 		FirstAnswerMicros: m.FirstAnswerMicros.Snapshot(),
 	}
-}
-
-// View opens a delta window over the registry: its Snapshot reports
-// only the traffic recorded since the View was created. Sessions hand
-// one out so a client can read "what did my session cost" off the
-// shared per-DB registry. A nil receiver returns a nil View, whose
-// Snapshot is zero.
-func (m *Metrics) View() *View {
-	if m == nil {
-		return nil
-	}
-	return &View{m: m, base: m.Snapshot()}
-}
-
-// View is a delta window over a Metrics registry (see Metrics.View).
-type View struct {
-	m    *Metrics
-	base Snapshot
-}
-
-// Snapshot returns the traffic recorded since the View was created.
-func (v *View) Snapshot() Snapshot {
-	if v == nil {
-		return Snapshot{}
-	}
-	return v.m.Snapshot().Sub(v.base)
 }
 
 // Snapshot is a frozen Metrics registry: the flat export shape.

@@ -26,13 +26,6 @@ func TestMetricsNilSafe(t *testing.T) {
 	if got := m.Snapshot(); got.Queries != 0 {
 		t.Fatalf("nil Metrics snapshot not zero: %+v", got)
 	}
-	if v := m.View(); v != nil {
-		t.Fatalf("nil Metrics View = %v, want nil", v)
-	}
-	var nv *View
-	if got := nv.Snapshot(); got.Queries != 0 {
-		t.Fatalf("nil View snapshot not zero: %+v", got)
-	}
 }
 
 func TestMetricsRecordAndSnapshot(t *testing.T) {
@@ -90,17 +83,24 @@ func TestMetricsRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestMetricsViewDelta reads a delta window off the registry the one
+// way there is: a later snapshot minus a baseline (Snapshot.Sub).
 func TestMetricsViewDelta(t *testing.T) {
 	m := NewMetrics()
 	m.RecordRankGrant()
-	v := m.View()
-	if got := v.Snapshot().RankGrants; got != 0 {
-		t.Fatalf("fresh view grants = %d, want 0", got)
+	m.RecordPoolSpawn()
+	base := m.Snapshot()
+	if got := m.Snapshot().Sub(base).RankGrants; got != 0 {
+		t.Fatalf("fresh window grants = %d, want 0", got)
 	}
 	m.RecordRankGrant()
 	m.RecordRankGrant()
-	if got := v.Snapshot().RankGrants; got != 2 {
-		t.Fatalf("view grants = %d, want 2", got)
+	d := m.Snapshot().Sub(base)
+	if d.RankGrants != 2 {
+		t.Fatalf("window grants = %d, want 2", d.RankGrants)
+	}
+	if d.PoolActive != 1 {
+		t.Fatalf("window pool active = %d, want the gauge's current 1", d.PoolActive)
 	}
 	if got := m.Snapshot().RankGrants; got != 3 {
 		t.Fatalf("registry grants = %d, want 3", got)

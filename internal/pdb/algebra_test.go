@@ -1,6 +1,7 @@
 package pdb
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -102,7 +103,7 @@ func TestGroupProjectBuildsDNF(t *testing.T) {
 	// distinct T tuples: (2,20,20,200) uses t#1, (3,20,20,200) uses t#1.
 	// P = P((r2 ∨ r3) ∧ t2) = (1-(1-.6)(1-.7))·0.3.
 	want := (1 - 0.4*0.3) * 0.3
-	got := core.ExactProbability(s, byVal[200].Lin)
+	got := exactP(s, byVal[200].Lin)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("answer 200 confidence %v, want %v", got, want)
 	}
@@ -153,8 +154,8 @@ func TestBIDLeftoverProbability(t *testing.T) {
 	if s.DomainSize(v) != 3 {
 		t.Fatalf("domain size %d, want 3", s.DomainSize(v))
 	}
-	p0 := core.ExactProbability(s, formula.NewDNF(b.Tups[0].Lin))
-	p1 := core.ExactProbability(s, formula.NewDNF(b.Tups[1].Lin))
+	p0 := exactP(s, formula.NewDNF(b.Tups[0].Lin))
+	p1 := exactP(s, formula.NewDNF(b.Tups[1].Lin))
 	if math.Abs(p0-0.3) > 1e-12 || math.Abs(p1-0.2) > 1e-12 {
 		t.Fatalf("alternative probabilities %v, %v", p0, p1)
 	}
@@ -346,7 +347,7 @@ func TestQueryEquiJoinProject(t *testing.T) {
 		if answers[i].Vals[0] != w.c {
 			t.Fatalf("answer %d is %v, want %d", i, answers[i].Vals, w.c)
 		}
-		if got := core.ExactProbability(s, answers[i].Lin); math.Abs(got-w.p) > 1e-12 {
+		if got := exactP(s, answers[i].Lin); math.Abs(got-w.p) > 1e-12 {
 			t.Fatalf("answer %d: conf %v, want %v", w.c, got, w.p)
 		}
 	}
@@ -381,7 +382,7 @@ func TestQueryThetaJoin(t *testing.T) {
 	if len(answers) != 2 || len(answers[0].Lin) != 1 || len(answers[1].Lin) != 2 {
 		t.Fatalf("answers %v", answers)
 	}
-	if got := core.ExactProbability(s, answers[1].Lin); math.Abs(got-0.75*0.5) > 1e-12 {
+	if got := exactP(s, answers[1].Lin); math.Abs(got-0.75*0.5) > 1e-12 {
 		t.Fatalf("y=7: conf %v, want %v", got, 0.75*0.5)
 	}
 }
@@ -417,4 +418,13 @@ func TestQueryTriangleMatchesManualPipeline(t *testing.T) {
 	if !some || len(lin) != 1 || !lin[0].Equal(want) {
 		t.Fatalf("lineage %s, want e3∧e5∧e6", lin.String(s))
 	}
+}
+
+// exactP is P(d) by exact d-tree compilation.
+func exactP(s *formula.Space, d formula.DNF) float64 {
+	res, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res.Estimate
 }

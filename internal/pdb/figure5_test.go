@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/formula"
 )
 
@@ -66,7 +65,7 @@ func TestFigure5Triangle(t *testing.T) {
 	}
 
 	// Confidence: P(e3∧e5∧e6) = .1·.5·.2 = 0.01.
-	got := core.ExactProbability(s, lin)
+	got := exactP(s, lin)
 	if math.Abs(got-0.01) > 1e-12 {
 		t.Fatalf("triangle confidence %v, want 0.01", got)
 	}
@@ -150,7 +149,7 @@ func TestFigure5TwoDegrees(t *testing.T) {
 	// node 17: e3∧e5∧¬e6       = .1·.5·.8           = 0.04
 	wantP := []float64{0.09, 0.7452, 0.04}
 	for i, a := range answers {
-		got := core.ExactProbability(s, a.Lin)
+		got := exactP(s, a.Lin)
 		if math.Abs(got-wantP[i]) > 1e-12 {
 			t.Fatalf("node %d: confidence %v, want %v (lineage %s)",
 				a.Vals[0], got, wantP[i], a.Lin.String(s))

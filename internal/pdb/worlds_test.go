@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/formula"
 )
 
@@ -38,7 +37,7 @@ func TestPossibleWorldsSemantics(t *testing.T) {
 	if !any {
 		t.Fatal("query empty")
 	}
-	want := core.ExactProbability(s, lin)
+	want := exactP(s, lin)
 
 	rng := rand.New(rand.NewSource(33))
 	const n = 150_000

@@ -41,8 +41,8 @@ func answersEqual(t *testing.T, s *formula.Space, got, want []pdb.Answer) {
 				t.Fatalf("answer %d: vals %v vs %v", i, got[i].Vals, want[i].Vals)
 			}
 		}
-		gp := core.ExactProbability(s, got[i].Lin)
-		wp := core.ExactProbability(s, want[i].Lin)
+		gp := exactP(s, got[i].Lin)
+		wp := exactP(s, want[i].Lin)
 		if math.Abs(gp-wp) > 1e-12 {
 			t.Fatalf("answer %d: confidence %v vs %v", i, gp, wp)
 		}
@@ -108,7 +108,7 @@ func routedVsLineage(t *testing.T, s *formula.Space, p *Plan) {
 				t.Fatalf("answer %d: vals %v vs %v", i, got[i].Vals, want[i].Vals)
 			}
 		}
-		wp := core.ExactProbability(s, want[i].Lin)
+		wp := exactP(s, want[i].Lin)
 		if math.Abs(got[i].P-wp) > 1e-12 {
 			t.Fatalf("answer %d: routed %v vs lineage-exact %v", i, got[i].P, wp)
 		}
@@ -292,7 +292,7 @@ func TestPlannerAnswersUsesEvaluatorOnLineageRoute(t *testing.T) {
 		t.Fatalf("%d answers, want %d", len(got), len(want))
 	}
 	for i := range got {
-		wp := core.ExactProbability(s, want[i].Lin)
+		wp := exactP(s, want[i].Lin)
 		if math.Abs(got[i].P-wp) > 1e-6 {
 			t.Fatalf("answer %d: %v vs %v", i, got[i].P, wp)
 		}
@@ -440,4 +440,13 @@ func TestPlanRelations(t *testing.T) {
 	if got := p.Relations(); !slices.Equal(got, []*pdb.Relation{r, u, r}) {
 		t.Fatalf("Relations() = %v, want R, T, R", got)
 	}
+}
+
+// exactP is P(d) by exact d-tree compilation.
+func exactP(s *formula.Space, d formula.DNF) float64 {
+	res, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res.Estimate
 }

@@ -546,7 +546,7 @@ func rankOptionsFrom(ev engine.Evaluator) rank.Options {
 			Metrics: e.Metrics, Inject: e.Inject,
 		}
 	case engine.Exact:
-		return rank.Options{Budget: e.Budget, Metrics: e.Metrics, Inject: e.Inject}
+		return rank.Options{Budget: e.Budget, Frags: e.Cache, Metrics: e.Metrics, Inject: e.Inject}
 	case engine.MonteCarlo:
 		return rank.Options{Budget: e.Budget}
 	case *engine.Approx:

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/formula"
 	"repro/internal/pdb"
@@ -224,7 +223,7 @@ func TestPlannerEquivalencePropertyIQ(t *testing.T) {
 			t.Fatalf("iter %d: %d answers, eager reference %d", iter, len(got), len(want))
 		}
 		if len(got) == 1 {
-			wp := core.ExactProbability(s, want[0].Lin)
+			wp := exactP(s, want[0].Lin)
 			if math.Abs(got[0].P-wp) > 1e-12 {
 				t.Fatalf("iter %d: IQ %v vs exact %v", iter, got[0].P, wp)
 			}

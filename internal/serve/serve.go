@@ -14,9 +14,9 @@
 //
 // Around that core the server adds what a shared daemon needs:
 //
-//   - Session affinity: requests naming a session share its probability
-//     and prepared-fragment caches, so a warm workload's repeated
-//     subformulas are priced once. Idle sessions expire.
+//   - Session affinity: requests naming a session share its fragment
+//     cache, so a warm workload's repeated subformulas are priced once.
+//     Idle sessions expire.
 //   - Admission control: a two-threshold inflight limiter. Past the
 //     soft threshold, queries that left precision to the server run at
 //     a wider (cheaper) Eps — the documented degradation knob — while
@@ -68,8 +68,10 @@ type Config struct {
 	// DefaultEps. 0 means DefaultDegradedEps.
 	DegradedEps float64
 	// DefaultBudget bounds each query that does not carry its own
-	// budget. Together with MaxInflight it is the server's work
-	// envelope: MaxInflight × budget bounds total concurrent work.
+	// budget: Timeout is one deadline for the whole query, MaxNodes and
+	// MaxWork bound each answer's evaluation. Together with MaxInflight
+	// it is the server's work envelope: MaxInflight × budget bounds
+	// total concurrent work.
 	DefaultBudget engine.Budget
 	// MaxInflight is the hard admission ceiling (429 past it);
 	// 0 means 4 × GOMAXPROCS.

@@ -16,9 +16,9 @@ import (
 // query itself in the wire plan IR.
 type Request struct {
 	// Session names the affinity session the query runs under. Named
-	// sessions pin their probability and prepared-fragment caches across
-	// requests (and expire when idle, Config.SessionTTL); an empty name
-	// runs the query on a fresh one-shot session.
+	// sessions pin their fragment cache across requests (and expire when
+	// idle, Config.SessionTTL); an empty name runs the query on a fresh
+	// one-shot session.
 	Session string `json:"session,omitempty"`
 	// Eps, when present, is an explicit request for the ε-approximation
 	// floor (absolute error). An explicit Eps is a contract: admission
@@ -250,10 +250,10 @@ type RunOutcome struct {
 }
 
 // SessionClient is one affinity session's query executor: the backend
-// pins per-session state (probability and prepared-fragment caches)
-// inside it, and Run builds and executes one wire request against it.
-// Implementations must be safe for concurrent Runs — the soak profile
-// is N goroutines per named session.
+// pins per-session state (the fragment cache) inside it, and Run builds
+// and executes one wire request against it. Implementations must be
+// safe for concurrent Runs — the soak profile is N goroutines per named
+// session.
 type SessionClient interface {
 	Run(ctx context.Context, req *Request, p RunParams, sink Sink) (RunOutcome, error)
 }

@@ -1,6 +1,7 @@
 package sprout
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,9 +42,9 @@ func TestSafePlanHierarchical(t *testing.T) {
 		sProj := FromRelation(s, sl).IndepProject([]int{0})
 		joined := IndepJoin(FromRelation(s, r), sProj, 0, 0)
 		got := joined.BooleanConfidence()
-		want := core.ExactProbability(s, lin)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("seed %d: safe plan %v, d-tree exact %v", seed, got, want)
+		want, err := core.ExactCtx(context.Background(), s, lin, core.Options{})
+		if err != nil || math.Abs(got-want.Estimate) > 1e-9 {
+			t.Fatalf("seed %d: safe plan %v, d-tree exact %v (%v)", seed, got, want.Estimate, err)
 		}
 	}
 }

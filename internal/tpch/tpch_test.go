@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestB1AgainstSprout(t *testing.T) {
 		t.Fatal("B1 lineage empty")
 	}
 	want := db.SproutB1(cutoff)
-	got, err := core.Approx(db.Space, lin, core.Options{Eps: 1e-6, Kind: core.Absolute})
+	got, err := core.ApproxCtx(context.Background(), db.Space, lin, core.Options{Eps: 1e-6, Kind: core.Absolute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestQ1AgainstSprout(t *testing.T) {
 	}
 	for _, a := range answers {
 		want := byKey[[2]pdb.Value{a.Vals[0], a.Vals[1]}]
-		got := core.ExactProbability(db.Space, a.Lin)
+		got := exactP(db.Space, a.Lin)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("answer %v: d-tree %v vs sprout %v", a.Vals, got, want)
 		}
@@ -152,7 +153,7 @@ func TestB6AgainstSprout(t *testing.T) {
 	if len(lin) == 0 {
 		t.Skip("selection empty at this scale")
 	}
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -174,7 +175,7 @@ func TestQ15AgainstSprout(t *testing.T) {
 		if !ok {
 			t.Fatalf("supplier %d missing from safe plan", a.Vals[0])
 		}
-		got := core.ExactProbability(db.Space, a.Lin)
+		got := exactP(db.Space, a.Lin)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("supplier %d: %v vs %v", a.Vals[0], got, want)
 		}
@@ -188,7 +189,7 @@ func TestB16AgainstSprout(t *testing.T) {
 		t.Skip("empty selection")
 	}
 	want := db.SproutB16(5, 20)
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -201,7 +202,7 @@ func TestB17AgainstSprout(t *testing.T) {
 		t.Skip("empty selection")
 	}
 	want := db.SproutB17(3, 7)
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -217,7 +218,7 @@ func TestIQB1AgainstSprout(t *testing.T) {
 		}
 		return
 	}
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -233,7 +234,7 @@ func TestIQB4AgainstSprout(t *testing.T) {
 		}
 		return
 	}
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -249,7 +250,7 @@ func TestIQ6AgainstSprout(t *testing.T) {
 		}
 		return
 	}
-	got := core.ExactProbability(db.Space, lin)
+	got := exactP(db.Space, lin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
 	}
@@ -276,7 +277,7 @@ func TestHardQueryApproxWithinBounds(t *testing.T) {
 	if len(lin) == 0 {
 		t.Skip("B21 empty at tiny scale")
 	}
-	res, err := core.Approx(db.Space, lin, core.Options{Eps: 0.01, Kind: core.Relative})
+	res, err := core.ApproxCtx(context.Background(), db.Space, lin, core.Options{Eps: 0.01, Kind: core.Relative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,4 +318,13 @@ func TestEveryKth(t *testing.T) {
 	if same.Len() != db.Region.Len() {
 		t.Fatal("everyKth must not grow small relations")
 	}
+}
+
+// exactP is P(d) by exact d-tree compilation.
+func exactP(s *formula.Space, d formula.DNF) float64 {
+	res, err := core.ExactCtx(context.Background(), s, d, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res.Estimate
 }

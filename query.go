@@ -368,15 +368,18 @@ func (pr *Prepared) Plan() *plan.Plan { return pr.p }
 // Explain returns the planner's one-line routing explanation.
 func (pr *Prepared) Explain() string { return pr.p.Explain() }
 
-// runObs is the per-execution observability bookkeeping every Prepared
-// entry point (Run, All, Analyze) shares: the borrowed interner with
-// its traffic baseline, the session-cache baseline for the trace's
-// delta, the wall/first-answer clock, and the runtime/trace task that
-// scopes the execution's regions. begin opens it; finish records into
-// the DB registry, completes the trace, and returns the interner.
+// runObs is the per-execution bookkeeping every Prepared entry point
+// (Run, All, Analyze) shares: the query's deadline (the session
+// budget's Timeout), the borrowed interner with its traffic baseline,
+// the session-cache baseline for the trace's delta, the
+// wall/first-answer clock, and the runtime/trace task that scopes the
+// execution's regions. begin opens it; finish releases the deadline,
+// records into the DB registry, completes the trace, and returns the
+// interner.
 type runObs struct {
 	pr      *Prepared
 	tr      *obs.QueryTrace
+	cancel  context.CancelFunc
 	in      *formula.Interner
 	inBase  obs.CacheStats
 	fragB   obs.CacheStats
@@ -386,10 +389,8 @@ type runObs struct {
 }
 
 func (pr *Prepared) begin(ctx context.Context, tr *obs.QueryTrace) (context.Context, *runObs) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	o := &runObs{pr: pr, tr: tr, in: pr.sess.db.interner()}
+	ctx, o.cancel = pr.sess.budget.Context(ctx)
 	o.inBase = o.in.CacheStats()
 	o.fragB = pr.sess.frags.CacheStats()
 	if rtrace.IsEnabled() {
@@ -410,6 +411,7 @@ func (o *runObs) answered() {
 
 func (o *runObs) finish(err error) {
 	wall := time.Since(o.start)
+	o.cancel()
 	sess := o.pr.sess
 	inDelta := o.in.CacheStats().Sub(o.inBase)
 	sess.db.release(o.in)

@@ -261,7 +261,7 @@ func TestRankedRunNeverEntersPool(t *testing.T) {
 }
 
 // TestObsMetricsFacade drives the registry surface: DB.Metrics
-// accumulates across queries, Session.Metrics opens a delta window,
+// accumulates across queries, Snapshot.Sub reads a delta window,
 // and PublishExpvar exposes the snapshot on the expvar surface.
 func TestObsMetricsFacade(t *testing.T) {
 	db := smallDB(t)
@@ -292,17 +292,19 @@ func TestObsMetricsFacade(t *testing.T) {
 		t.Fatalf("interner traffic not recorded: %+v", snap)
 	}
 
-	// A session opened now sees only the traffic it causes.
-	sess2 := db.Session()
-	if d := sess2.Metrics(); d.Queries != 0 {
-		t.Fatalf("fresh session window reports %d queries", d.Queries)
+	// A window opened now, Snapshot minus a baseline, sees only the
+	// traffic that follows it.
+	base := db.Snapshot()
+	if d := db.Snapshot().Sub(base); d.Queries != 0 {
+		t.Fatalf("fresh window reports %d queries", d.Queries)
 	}
+	sess2 := db.Session()
 	if _, err := sess2.Query("R").GroupLineage(0).All(ctx); err != nil {
 		t.Fatal(err)
 	}
-	d := sess2.Metrics()
+	d := db.Snapshot().Sub(base)
 	if d.Queries != 1 {
-		t.Fatalf("session window Queries = %d, want 1", d.Queries)
+		t.Fatalf("window Queries = %d, want 1", d.Queries)
 	}
 	if got := db.Snapshot().Queries; got != 2 {
 		t.Fatalf("DB-wide Queries = %d, want 2", got)

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro"
@@ -31,8 +30,10 @@ func TestFacade(t *testing.T) {
 		mk(pos(v)),
 	)
 
-	if got := repro.ExactProbability(s, phi); math.Abs(got-0.8456) > 1e-12 {
-		t.Fatalf("exact = %v, want 0.8456", got)
+	ctx := context.Background()
+	exact, err := repro.ExactEval{}.Evaluate(ctx, s, phi)
+	if err != nil || !exact.Exact || math.Abs(exact.Estimate-0.8456) > 1e-12 {
+		t.Fatalf("exact = %+v err=%v, want 0.8456", exact, err)
 	}
 
 	lo, hi := repro.Bounds(s, phi, true)
@@ -40,7 +41,6 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("bounds [%v, %v] miss the exact probability", lo, hi)
 	}
 
-	ctx := context.Background()
 	res, err := repro.ApproxEval{Eps: 0.01, Kind: repro.Absolute}.Evaluate(ctx, s, phi)
 	if err != nil || !res.Converged {
 		t.Fatalf("approx failed: %+v err=%v", res, err)
@@ -57,14 +57,8 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("relative estimate %v out of range", rel.Estimate)
 	}
 
-	mc := repro.AConf(s, phi, repro.AConfOptions{Eps: 0.05, Delta: 0.01},
-		rand.New(rand.NewSource(1)))
-	if math.Abs(mc.Estimate-0.8456) > 0.05 {
-		t.Fatalf("aconf estimate %v too far", mc.Estimate)
-	}
-
-	exact, err := repro.Exact(s, phi, repro.Options{})
-	if err != nil || !exact.Exact {
-		t.Fatalf("Exact: %+v err=%v", exact, err)
+	mc, err := repro.MonteCarloEval{Eps: 0.05, Delta: 0.01, Seed: 1}.Evaluate(ctx, s, phi)
+	if err != nil || math.Abs(mc.Estimate-0.8456) > 0.05 {
+		t.Fatalf("aconf estimate %v too far (err=%v)", mc.Estimate, err)
 	}
 }

@@ -26,7 +26,6 @@ type Session struct {
 	eval         engine.Evaluator
 	forceLineage bool
 	trace        func(*obs.QueryTrace)
-	view         *obs.View
 	inject       *fault.Injector
 	watchdog     time.Duration
 }
@@ -34,10 +33,12 @@ type Session struct {
 // SessionOption configures a Session at creation.
 type SessionOption func(*Session)
 
-// WithBudget sets the session's default evaluation budget
-// (nodes / work / samples / wall clock). It bounds the session's
-// default evaluator; an evaluator installed with WithEvaluator carries
-// its own budget and is used verbatim.
+// WithBudget sets the session's evaluation budget. Timeout bounds each
+// query as a whole: one deadline from the start of Run, All or Analyze
+// to its last answer. MaxNodes, MaxWork and MaxSamples bound each
+// answer's evaluation, through the session's default evaluator; an
+// evaluator installed with WithEvaluator carries its own budget and is
+// used verbatim, under the session's query deadline.
 func WithBudget(b Budget) SessionOption {
 	return func(s *Session) { s.budget = b }
 }
@@ -124,7 +125,7 @@ func WithWatchdog(d time.Duration) SessionOption {
 // Session opens a session on the DB. With no options: a fresh private
 // fragment cache, no budget, exact evaluation.
 func (db *DB) Session(opts ...SessionOption) *Session {
-	s := &Session{db: db, view: db.metrics.View()}
+	s := &Session{db: db}
 	for _, o := range opts {
 		o(s)
 	}
@@ -140,12 +141,6 @@ func (s *Session) DB() *DB { return s.db }
 // FragCache returns the session's fragment cache (the private one, or
 // the cache installed by WithSharedFragCache).
 func (s *Session) FragCache() *FragCache { return s.frags }
-
-// Metrics returns the traffic the DB's registry has recorded since
-// this session was created — a delta window over the shared per-DB
-// registry, not a private ledger: with concurrent sessions on one DB
-// the window includes the others' traffic too.
-func (s *Session) Metrics() obs.Snapshot { return s.view.Snapshot() }
 
 // Evaluator returns the evaluator the session's queries hand lineage
 // to: the one installed by WithEvaluator, else the ε-approximation at

@@ -2,10 +2,14 @@ package repro_test
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/plan"
+	"repro/internal/tpch"
 )
 
 // TestSessionsShareFragCache runs the same ranked query from eight
@@ -60,5 +64,64 @@ func TestSessionsShareFragCache(t *testing.T) {
 		t.Fatalf("degenerate sharing: hits=%d misses=%d", st.Hits, st.Misses)
 	} else {
 		t.Logf("shared fragment cache: %d hits, %d misses, %d entries", st.Hits, st.Misses, st.Entries)
+	}
+}
+
+// TestExactRankedRunHitsSessionFragCache runs a ranked query twice on
+// one default (exact) session: the second run must hit the session's
+// FragCache, and the cache must change nothing a run reports — answers,
+// their order, Float64bits(P) and rank steps equal the first run's and
+// a fresh session's.
+func TestExactRankedRunHitsSessionFragCache(t *testing.T) {
+	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
+	node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
+	ctx := context.Background()
+
+	var steps int64
+	open := func() *repro.Session {
+		return db.Session(repro.WithForceLineage(), repro.WithTrace(func(tr *repro.QueryTrace) { steps = tr.Rank.Steps }))
+	}
+	type run struct {
+		answers []repro.Answer
+		steps   int64
+		cache   repro.CacheStats
+	}
+	exec := func(sess *repro.Session) run {
+		before := sess.FragCache().CacheStats()
+		answers, err := sess.Query(node).All(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{answers, steps, sess.FragCache().CacheStats().Sub(before)}
+	}
+
+	sess := open()
+	first := exec(sess)
+	second := exec(sess)
+	fresh := exec(open())
+	if len(first.answers) != 3 {
+		t.Fatalf("%d answers, want 3", len(first.answers))
+	}
+	if second.cache.Hits == 0 {
+		t.Fatalf("second exact ranked run made %d hits in %d session-cache lookups, want > 0",
+			second.cache.Hits, second.cache.Lookups())
+	}
+	for _, c := range []struct {
+		name string
+		got  run
+	}{{"second run", second}, {"fresh session", fresh}} {
+		if c.got.steps != first.steps {
+			t.Errorf("%s: %d rank steps, first run %d", c.name, c.got.steps, first.steps)
+		}
+		if len(c.got.answers) != len(first.answers) {
+			t.Fatalf("%s: %d answers, first run %d", c.name, len(c.got.answers), len(first.answers))
+		}
+		for i, a := range c.got.answers {
+			b := first.answers[i]
+			if !slices.Equal(a.Vals, b.Vals) || math.Float64bits(a.P) != math.Float64bits(b.P) {
+				t.Errorf("%s answer %d: %v P=%v, first run %v P=%v", c.name, i, a.Vals, a.P, b.Vals, b.P)
+			}
+		}
 	}
 }

@@ -26,6 +26,7 @@ var benchOnlyShims = []struct{ pkg, obj, field string }{
 	{"repro", "NewProbCache", ""},
 	{"repro", "WithSharedCache", ""},
 	{"repro/internal/core", "Options", "Cache"},
+	{"repro/internal/core", "ExactProbability", ""},
 	{"repro/internal/engine", "Approx", "Cache"},
 	{"repro/internal/rank", "Options", "Cache"},
 	{"repro/internal/rank", "Options", "Pool"},
