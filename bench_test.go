@@ -90,7 +90,6 @@ func benchAconf(b *testing.B, s *formula.Space, d formula.DNF, eps float64) {
 	if len(d) == 0 {
 		b.Skip("empty lineage at bench scale")
 	}
-	rng := rand.New(rand.NewSource(7))
 	// Clause-scaled sample budget, mirroring the harness's timeout
 	// semantics (each sample costs one pass over the DNF).
 	samples := 2_000_000 / len(d)
@@ -99,7 +98,7 @@ func benchAconf(b *testing.B, s *formula.Space, d formula.DNF, eps float64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.AConfCtx(context.Background(), s, d, mc.AConfOptions{Eps: eps, Delta: 0.01, MaxSamples: samples}, rng); err != nil {
+		if _, err := mc.AConfCtx(context.Background(), s, d, mc.AConfOptions{Eps: eps, Delta: 0.01, MaxSamples: samples, Seed: int64(7 + i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -446,7 +445,7 @@ func confBatchAnswers(nAnswers, blocks, window, perBlock int) (*formula.Space, [
 func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, size int, cache bool) {
 	b.Helper()
 	pool := workpool.New(size)
-	ev := engine.Exact{Pool: pool}
+	ev := engine.Approx{Pool: pool}
 	if cache {
 		// One cache shared across iterations: the steady state of a
 		// server answering repeated/overlapping queries.

@@ -62,17 +62,13 @@ func NewDB(space *formula.Space, rels ...*pdb.Relation) *DB {
 	return db
 }
 
-// Metrics returns the DB's engine-wide observability registry: route
+// Snapshot freezes the DB's engine-wide metrics registry — route
 // counts, lineage volumes, refinement steps, cache traffic, pool
-// saturation, per-query latency histograms. Every session and query of
-// the DB records into it; read it with Snapshot, and the traffic of a
-// stretch of work as db.Snapshot().Sub(before).
-func (db *DB) Metrics() *obs.Metrics { return db.metrics }
-
-// Snapshot freezes the DB's metrics registry into the flat,
-// JSON-marshalable export shape — the struct the serving layer scrapes
-// and PublishExpvar publishes. Snapshot.Sub of an earlier snapshot is
-// the traffic recorded in between.
+// saturation, per-query latency histograms, recorded into by every
+// session and query of the DB — into the flat, JSON-marshalable export
+// shape the serving layer scrapes and PublishExpvar publishes.
+// Snapshot.Sub of an earlier snapshot is the traffic recorded in
+// between.
 func (db *DB) Snapshot() obs.Snapshot { return db.metrics.Snapshot() }
 
 // expvarSlots holds one indirection per expvar name ever published by

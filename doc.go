@@ -83,9 +83,9 @@
 // Pre-built IR (such as the TPC-H catalog) runs through the façade via
 // sess.Query(node); the planner validates it at Build (a malformed tree
 // is a BuildError with Op "Query"). Outside a DB, the Evaluator menu —
-// ExactEval, ApproxEval, MonteCarloEval — computes the confidence of
-// one lineage DNF: ApproxEval{Eps: 0.01, Kind: Absolute}.Evaluate(ctx,
-// space, dnf).
+// ApproxEval (exact at its zero Eps), MonteCarloEval — computes the
+// confidence of one lineage DNF: ApproxEval{Eps: 0.01, Kind:
+// Absolute}.Evaluate(ctx, space, dnf).
 //
 // See README.md for a tour and the figure-regeneration commands, and
 // bench/README.md for the benchmark.
@@ -128,9 +128,9 @@ type (
 	Budget = engine.Budget
 	// EvalResult is the unified evaluation outcome.
 	EvalResult = engine.Result
-	// ExactEval evaluates exactly via parallel d-tree compilation.
-	ExactEval = engine.Exact
-	// ApproxEval evaluates an ε-approximation with error guarantees.
+	// ApproxEval evaluates an ε-approximation with error guarantees;
+	// Eps 0, its zero value, evaluates exactly via parallel d-tree
+	// compilation.
 	ApproxEval = engine.Approx
 	// MonteCarloEval is the Karp-Luby/DKLR (ε, δ) baseline.
 	MonteCarloEval = engine.MonteCarlo
@@ -159,14 +159,10 @@ type (
 	ThresholdNode = plan.Threshold
 )
 
-// Observability types: the per-DB metrics registry and the per-query
-// EXPLAIN ANALYZE trace (see DB.Metrics, DB.Snapshot, WithTrace,
+// Observability types: the per-DB metrics registry's snapshot and the
+// per-query EXPLAIN ANALYZE trace (see DB.Snapshot, WithTrace,
 // Prepared.Analyze).
 type (
-	// Metrics is the engine-wide registry of atomic counters, gauges and
-	// bounded histograms, one per DB, recorded into by every execution
-	// stage. All recording methods are nil-safe no-ops.
-	Metrics = obs.Metrics
 	// MetricsSnapshot is a frozen registry: the flat, JSON-marshalable
 	// export shape (DB.Snapshot, DB.PublishExpvar). The traffic of a
 	// stretch of work is db.Snapshot().Sub(before).
@@ -192,8 +188,8 @@ type (
 	// ServeConfig tunes a query server (precision defaults, degradation
 	// knob, admission thresholds, session TTL, warm fragment cache).
 	ServeConfig = serve.Config
-	// QueryServer is the service itself: Handler to mount, or
-	// ListenAndServe/Shutdown for a managed daemon.
+	// QueryServer is the service itself: Handler to mount on any
+	// net/http server, Shutdown to drain it.
 	QueryServer = serve.Server
 	// ServeRequest is the POST /v1/query body: session name, optional
 	// explicit Eps and budget, and the wire query IR.

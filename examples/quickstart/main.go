@@ -110,7 +110,7 @@ func main() {
 
 	lo, hi := repro.Bounds(e, phi, true)
 	fmt.Printf("bucket bounds:          [%.4f, %.4f]\n", lo, hi)
-	exact, err := repro.ExactEval{}.Evaluate(ctx, e, phi)
+	exact, err := repro.ApproxEval{}.Evaluate(ctx, e, phi) // Eps 0: exact
 	if err != nil {
 		panic(err)
 	}

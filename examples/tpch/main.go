@@ -22,7 +22,7 @@ func main() {
 		db.Lineitem.Len(), db.Orders.Len(), db.Part.Len())
 	ctx := context.Background()
 	exact := func(d repro.DNF) float64 {
-		res, err := repro.ExactEval{}.Evaluate(ctx, db.Space, d)
+		res, err := repro.ApproxEval{}.Evaluate(ctx, db.Space, d) // Eps 0: exact
 		if err != nil {
 			panic(err)
 		}

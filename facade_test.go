@@ -476,8 +476,8 @@ func TestFacadeSessionsConcurrent(t *testing.T) {
 func TestFacadeEvaluatorOptions(t *testing.T) {
 	db := smallDB(t)
 
-	if _, ok := db.Session().Evaluator().(engine.Exact); !ok {
-		t.Fatalf("default evaluator %T, want engine.Exact", db.Session().Evaluator())
+	if ap, ok := db.Session().Evaluator().(engine.Approx); !ok || ap.Eps != 0 {
+		t.Fatalf("default evaluator %+v, want exact engine.Approx (Eps 0)", db.Session().Evaluator())
 	}
 
 	b := repro.Budget{MaxNodes: 123}
@@ -489,10 +489,10 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 	if ap.Eps != 0.01 || ap.Budget != b || ap.Frags != sess.FragCache() {
 		t.Fatalf("derived Approx %+v does not carry the session knobs", ap)
 	}
-	// At Eps 0 the exact evaluator memoizes in the same session cache.
+	// At Eps 0 exact evaluation memoizes in the same session cache.
 	sess = db.Session(repro.WithBudget(b))
-	if ex := sess.Evaluator().(engine.Exact); ex.Budget != b || ex.Cache != sess.FragCache() {
-		t.Fatalf("derived Exact %+v does not carry the session knobs", ex)
+	if ex := sess.Evaluator().(engine.Approx); ex.Eps != 0 || ex.Budget != b || ex.Frags != sess.FragCache() {
+		t.Fatalf("derived exact Approx %+v does not carry the session knobs", ex)
 	}
 
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}

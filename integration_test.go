@@ -13,8 +13,6 @@ import (
 	"repro/internal/pdb"
 	"repro/internal/plan"
 	"repro/internal/tpch"
-
-	"math/rand"
 )
 
 // TestEndToEndTPCH drives the full stack: generate a probabilistic
@@ -45,8 +43,8 @@ func TestEndToEndTPCH(t *testing.T) {
 		t.Skip("no answers at this scale")
 	}
 
-	confs, err := pdb.Conf(context.Background(), db.Space, answers,
-		engine.Approx{Eps: 0.0001, Kind: engine.Absolute})
+	confs, err := pdb.ConfWith(context.Background(), db.Space, answers,
+		engine.Approx{Eps: 0.0001, Kind: engine.Absolute}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +127,7 @@ func TestFourAlgorithmsAgree(t *testing.T) {
 		t.Fatalf("obdd %v vs exact %v", bdd.Probability(), exact)
 	}
 
-	res, err := mc.AConfCtx(ctx, s, d, mc.AConfOptions{Eps: 0.02, Delta: 0.01},
-		rand.New(rand.NewSource(17)))
+	res, err := mc.AConfCtx(ctx, s, d, mc.AConfOptions{Eps: 0.02, Delta: 0.01, Seed: 17})
 	if err != nil || !res.Converged {
 		t.Fatalf("aconf did not converge in %d samples", res.Samples)
 	}

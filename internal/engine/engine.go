@@ -1,11 +1,12 @@
-// Package engine unifies the paper's lineage-based confidence-computation
-// algorithm menu — exact d-tree compilation, the ε-approximation
-// (depth-first and global variants) and the Karp-Luby/DKLR Monte Carlo
-// baseline — behind one cancellable Evaluator API. (The SPROUT exact
-// plans read the query's structure, not a lineage DNF; internal/plan
-// routes to them.)
+// Package engine puts the paper's lineage-based confidence computation
+// behind one cancellable Evaluator API with two evaluators: Approx, the
+// d-tree ε-approximation (depth-first or global), whose zero Eps is
+// exact d-tree compilation — the paper's "d-tree(error 0)" — and
+// MonteCarlo, the Karp-Luby/DKLR baseline. (The SPROUT exact plans read
+// the query's structure, not a lineage DNF; internal/plan routes to
+// them.)
 //
-// Every algorithm is a value implementing
+// Every evaluator is a value implementing
 //
 //	Evaluate(ctx, space, lineage) (Result, error)
 //
@@ -20,7 +21,6 @@ package engine
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -42,11 +42,11 @@ const (
 	Relative = core.Relative
 )
 
-// ErrBudget is returned by Exact and Approx when an evaluation exhausts
-// its MaxNodes or MaxWork budget before reaching the requested
-// guarantee. MonteCarlo never returns it: a spent MaxSamples budget is
-// a nil error with Result.Converged false. An expired Timeout surfaces
-// as the context's error on every evaluator.
+// ErrBudget is returned by Approx when an evaluation exhausts its
+// MaxNodes or MaxWork budget before reaching the requested guarantee.
+// MonteCarlo never returns it: a spent MaxSamples budget is a nil error
+// with Result.Converged false. An expired Timeout surfaces as the
+// context's error on every evaluator.
 var ErrBudget = core.ErrBudget
 
 // Budget bounds the resources of a single evaluation. The zero value is
@@ -96,55 +96,16 @@ type Evaluator interface {
 	Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error)
 }
 
-// Func adapts a function to Evaluator.
-type Func func(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error)
-
-// Evaluate implements Evaluator.
-func (f Func) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	return f(ctx, s, d)
-}
-
-// Exact evaluates probabilities exactly by exhaustive d-tree
-// compilation (the paper's "d-tree(error 0)" configuration). The zero
-// value is ready to use: parallel branch exploration on the default
-// pool, no cache, no budget.
-type Exact struct {
-	// Budget bounds the evaluation.
-	Budget Budget
-	// Cache, when non-nil, memoizes exact subformula probabilities
-	// across evaluations sharing it (same Space only). It is the one
-	// memo a session hands both evaluators (see Approx.Frags).
-	Cache *formula.FragCache
-	// Pool is the worker pool parallel exploration fans out on (size 1:
-	// none); nil means the shared workpool.Default.
-	Pool *workpool.Pool
-	// Metrics, when non-nil, receives the evaluation's cache traffic
-	// and budget exhaustions (nil-safe, see obs.Metrics).
-	Metrics *obs.Metrics
-	// Inject, when non-nil, fires deterministic faults at the core
-	// chaos sites (nil-safe, see fault.Injector).
-	Inject *fault.Injector
-}
-
-// Evaluate implements Evaluator.
-func (e Exact) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	ctx, cancel := e.Budget.Context(ctx)
-	defer cancel()
-	return core.ExactCtx(ctx, s, d, core.Options{
-		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Frags: e.Cache, Pool: e.Pool,
-		Metrics: e.Metrics, Inject: e.Inject,
-	})
-}
-
 // Approx evaluates an ε-approximation with certain error guarantees by
 // incremental d-tree compilation (Section V-D), depth-first with leaf
 // closing by default, or the global largest-interval-first strategy
-// when Global is set. Eps 0 degenerates to exact evaluation.
+// when Global is set. Eps 0, the zero value, is exact evaluation by
+// exhaustive d-tree compilation (the paper's "d-tree(error 0)"), with
+// independent branches explored in parallel on Pool.
 type Approx struct {
-	// Eps is the allowed error (0 ≤ Eps < 1).
+	// Eps is the allowed error (0 ≤ Eps < 1); 0 means exact.
 	Eps float64
-	// Kind selects absolute or relative error.
+	// Kind selects absolute or relative error (inert at Eps 0).
 	Kind ErrorKind
 	// Budget bounds the evaluation.
 	Budget Budget
@@ -186,6 +147,11 @@ func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (
 	return core.ApproxCtx(ctx, s, d, opt)
 }
 
+// Exact is Approx, whose zero Eps is exact evaluation.
+//
+// Deprecated: named only by bench/; use Approx.
+type Exact = Approx
+
 // MonteCarlo evaluates an (ε, δ) relative approximation with the
 // Karp-Luby/DKLR baseline (the aconf() operator of MayBMS). Its bounds
 // are probabilistic: they hold with probability at least 1−δ.
@@ -202,36 +168,12 @@ type MonteCarlo struct {
 	Seed int64
 }
 
-// Evaluate implements Evaluator.
+// Evaluate implements Evaluator. Eps or Delta outside (0, 1) is an
+// error, returned before any sample is drawn.
 func (e MonteCarlo) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
 	ctx, cancel := e.Budget.Context(ctx)
 	defer cancel()
-	seed := e.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	res, err := mc.AConfCtx(ctx, s, d, mc.AConfOptions{
-		Eps: e.Eps, Delta: e.Delta, MaxSamples: e.Budget.MaxSamples,
-	}, rng)
-	out := Result{
-		Estimate: res.Estimate, Samples: res.Samples, Converged: res.Converged,
-		Lo: 0, Hi: 1,
-	}
-	if res.Converged && e.Eps > 0 && e.Eps < 1 {
-		// Invert the relative guarantee (1−ε)p ≤ p̂ ≤ (1+ε)p.
-		out.Lo = clamp01(res.Estimate / (1 + e.Eps))
-		out.Hi = clamp01(res.Estimate / (1 - e.Eps))
-	}
-	return out, err
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
+	return mc.AConfCtx(ctx, s, d, mc.AConfOptions{
+		Eps: e.Eps, Delta: e.Delta, MaxSamples: e.Budget.MaxSamples, Seed: e.Seed,
+	})
 }

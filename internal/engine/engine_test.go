@@ -31,9 +31,9 @@ func TestEvaluatorsAgree(t *testing.T) {
 			ev   Evaluator
 			tol  float64
 		}{
-			{"exact", Exact{}, 1e-9},
-			{"exact-seq", Exact{Pool: workpool.New(1)}, 1e-9},
-			{"exact-cache", Exact{Cache: formula.NewFragCache(0)}, 1e-9},
+			{"exact", Approx{}, 1e-9},
+			{"exact-seq", Approx{Pool: workpool.New(1)}, 1e-9},
+			{"exact-cache", Approx{Frags: formula.NewFragCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"approx-global", Approx{Eps: 0.01, Kind: Absolute, Global: true}, 0.01 + 1e-9},
 			{"mc", MonteCarlo{Eps: 0.05, Delta: 0.01, Seed: seed}, 0.12},
@@ -68,11 +68,32 @@ func TestRelativeGuaranteeBounds(t *testing.T) {
 	}
 }
 
+// TestMonteCarloRejectsParametersOutsideUnitInterval pins that
+// MonteCarlo fails fast on Eps or Delta that is NaN or outside (0, 1),
+// instead of burning its sample cap or converging to vacuous bounds.
+func TestMonteCarloRejectsParametersOutsideUnitInterval(t *testing.T) {
+	s, d := randInstance(2)
+	for _, ev := range []MonteCarlo{
+		{Eps: 0, Delta: 0.01}, {Eps: 0.05, Delta: 0}, {Eps: 1.5, Delta: 0.01},
+		{Eps: 0.05, Delta: 1}, {Eps: math.NaN(), Delta: 0.01}, {Eps: 0.05, Delta: -0.5},
+	} {
+		start := time.Now()
+		res, err := ev.Evaluate(context.Background(), s, d)
+		if err == nil || res.Converged || res.Samples != 0 {
+			t.Fatalf("%+v: err=%v converged=%v samples=%d, want an error before sampling",
+				ev, err, res.Converged, res.Samples)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("%+v: rejection took %v", ev, el)
+		}
+	}
+}
+
 func TestBudgetExhaustion(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 60, Clauses: 200, MaxWidth: 4, MaxDomain: 2, MinProb: 0.2, MaxProb: 0.8,
 	}, 5)
-	_, err := Exact{Budget: Budget{MaxNodes: 3}}.Evaluate(context.Background(), s, d)
+	_, err := Approx{Budget: Budget{MaxNodes: 3}}.Evaluate(context.Background(), s, d)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -88,7 +109,7 @@ func TestCancellation(t *testing.T) {
 		name string
 		ev   Evaluator
 	}{
-		{"exact", Exact{}},
+		{"exact", Approx{}},
 		{"approx", Approx{Eps: 0.001, Kind: Absolute}},
 		{"approx-global", Approx{Eps: 0.001, Kind: Absolute, Global: true}},
 		{"mc", MonteCarlo{Eps: 0.001, Delta: 0.0001}},
@@ -108,7 +129,7 @@ func TestBudgetTimeout(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 120, Clauses: 800, MaxWidth: 6, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
 	}, 7)
-	ev := Exact{Budget: Budget{Timeout: time.Millisecond}}
+	ev := Approx{Budget: Budget{Timeout: time.Millisecond}}
 	start := time.Now()
 	_, err := ev.Evaluate(context.Background(), s, d)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -135,7 +156,7 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 
 	s, d := randInstance(1)
 	for _, ev := range []Evaluator{
-		Exact{Budget: Budget{Timeout: time.Hour}},
+		Approx{Budget: Budget{Timeout: time.Hour}},
 		Approx{Eps: 0.01, Budget: Budget{Timeout: time.Hour}},
 		Approx{Eps: 0.01, Global: true, Budget: Budget{Timeout: time.Hour}},
 	} {
@@ -165,7 +186,7 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 func TestCacheSurfacedInResult(t *testing.T) {
 	s, d := randInstance(8)
 	cache := formula.NewFragCache(0)
-	ev := Exact{Cache: cache}
+	ev := Approx{Frags: cache}
 	first, err := ev.Evaluate(context.Background(), s, d)
 	if err != nil {
 		t.Fatal(err)

@@ -112,9 +112,9 @@ func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKin
 	}, s, d)
 }
 
-// runDtreeExact measures the error-0 configuration; frags as runDtree.
+// runDtreeExact measures the error-0 configuration: runDtree at ε = 0.
 func runDtreeExact(s *formula.Space, d formula.DNF, maxNodes int, frags *formula.FragCache) runResult {
-	r := runEval(engine.Exact{Budget: dtreeBudget(maxNodes), Cache: frags}, s, d)
+	r := runDtree(s, d, 0, engine.Absolute, maxNodes, frags)
 	r.exact = true
 	return r
 }

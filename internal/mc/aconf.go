@@ -2,29 +2,23 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/formula"
 )
 
-// Result reports an estimator outcome.
-type Result struct {
-	// Estimate is the probability estimate.
-	Estimate float64
-	// Samples is the number of estimator invocations used.
-	Samples int
-	// Converged reports whether the requested guarantee was met within
-	// the sample budget.
-	Converged bool
-}
-
 // AConfOptions configures AConfCtx. The zero value of MaxSamples means
-// the default cap of 50 million estimator calls.
+// the default cap of 50 million estimator calls; Seed 0 means seed 1.
 type AConfOptions struct {
 	Eps        float64 // relative error ε, 0 < ε < 1
 	Delta      float64 // failure probability δ, 0 < δ < 1
 	MaxSamples int
+	// Seed seeds the call's own generator, so concurrent calls sharing
+	// one AConfOptions value are safe and each is deterministic.
+	Seed int64
 }
 
 const defaultMaxSamples = 50_000_000
@@ -33,22 +27,40 @@ const defaultMaxSamples = 50_000_000
 // relative approximation of P(d) combining the fractional Karp-Luby
 // estimator with the Dagum-Karp-Luby-Ross AA optimal stopping
 // algorithm [6]. With probability at least 1−δ the returned estimate is
-// within relative error ε of P(d). The sample loops poll ctx every
+// within relative error ε of P(d), and [Lo, Hi] inverts that guarantee
+// to contain P(d); Lo and Hi are 0 and 1 when the run did not converge.
+// Eps or Delta outside (0, 1), NaN included, is an error returned
+// before any sample is drawn. The sample loops poll ctx every
 // ctxCheckStride samples and return the best-effort estimate so far with
 // Converged false and the context's error when it fires.
-func AConfCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt AConfOptions, rng *rand.Rand) (Result, error) {
+func AConfCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt AConfOptions) (core.Result, error) {
+	if !(opt.Eps > 0 && opt.Eps < 1) || !(opt.Delta > 0 && opt.Delta < 1) {
+		return core.Result{Hi: 1}, fmt.Errorf("mc: eps %v and delta %v must both lie in (0, 1)", opt.Eps, opt.Delta)
+	}
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	var (
+		res core.Result
+		err error
+	)
 	d = d.Normalize()
-	if len(d) == 0 {
-		return Result{Estimate: 0, Converged: true}, nil
+	switch {
+	case len(d) == 0:
+		res = core.Result{Converged: true}
+	case d.IsTrue():
+		res = core.Result{Estimate: 1, Converged: true}
+	default:
+		kl := NewKarpLuby(s, d, rand.New(rand.NewSource(seed)))
+		res, err = dklr(ctx, kl.SampleNormalized, opt)
+		res.Estimate = min(res.Estimate*kl.Sum(), 1)
 	}
-	if d.IsTrue() {
-		return Result{Estimate: 1, Converged: true}, nil
-	}
-	kl := NewKarpLuby(s, d, rng)
-	res, err := dklr(ctx, kl.SampleNormalized, opt)
-	res.Estimate *= kl.Sum()
-	if res.Estimate > 1 {
-		res.Estimate = 1
+	res.Lo, res.Hi = 0, 1
+	if res.Converged {
+		// Invert the relative guarantee (1−ε)p ≤ p̂ ≤ (1+ε)p.
+		res.Lo = res.Estimate / (1 + opt.Eps)
+		res.Hi = min(res.Estimate/(1-opt.Eps), 1)
 	}
 	return res, err
 }
@@ -68,7 +80,7 @@ const ctxCheckStride = 1024
 //  2. μ̂ sizes a variance-estimation run over sample pairs, giving
 //     ρ̂ = max(sample variance, ε·μ̂),
 //  3. ρ̂ and μ̂ size the final averaging run whose mean is returned.
-func dklr(ctx context.Context, sample func() float64, opt AConfOptions) (Result, error) {
+func dklr(ctx context.Context, sample func() float64, opt AConfOptions) (core.Result, error) {
 	eps, delta := opt.Eps, opt.Delta
 	budget := opt.MaxSamples
 	if budget <= 0 {
@@ -149,14 +161,14 @@ func dklr(ctx context.Context, sample func() float64, opt AConfOptions) (Result,
 		done++
 		used++
 	}
-	return Result{Estimate: total / float64(done), Samples: used, Converged: true}, nil
+	return core.Result{Estimate: total / float64(done), Samples: used, Converged: true}, nil
 }
 
 // budgetResult returns the best-effort mean when the budget runs out.
-func budgetResult(sum float64, n, used int) Result {
+func budgetResult(sum float64, n, used int) core.Result {
 	est := 0.0
 	if n > 0 {
 		est = sum / float64(n)
 	}
-	return Result{Estimate: est, Samples: used, Converged: false}
+	return core.Result{Estimate: est, Samples: used}
 }

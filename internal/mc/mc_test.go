@@ -75,7 +75,7 @@ func TestAConfRelativeGuarantee(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(seed+100)))
+		res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01, Seed: seed + 100})
 		if err != nil || !res.Converged {
 			t.Fatalf("seed %d: did not converge in %d samples", seed, res.Samples)
 		}
@@ -89,19 +89,19 @@ func TestAConfRelativeGuarantee(t *testing.T) {
 func TestAConfTrivialInputs(t *testing.T) {
 	s := formula.NewSpace()
 	s.AddBool(0.5)
-	ctx, rng := context.Background(), rand.New(rand.NewSource(1))
-	if res, err := AConfCtx(ctx, s, formula.DNF{}, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); err != nil || res.Estimate != 0 || !res.Converged {
+	ctx := context.Background()
+	if res, err := AConfCtx(ctx, s, formula.DNF{}, AConfOptions{Eps: 0.1, Delta: 0.1}); err != nil || res.Estimate != 0 || !res.Converged {
 		t.Fatalf("false: %+v, %v", res, err)
 	}
 	d := formula.DNF{formula.Clause{}}
-	if res, err := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rng); err != nil || res.Estimate != 1 || !res.Converged {
+	if res, err := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}); err != nil || res.Estimate != 1 || !res.Converged {
 		t.Fatalf("true: %+v, %v", res, err)
 	}
 }
 
 func TestAConfBudget(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 3)
-	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.001, Delta: 0.001, MaxSamples: 50}, rand.New(rand.NewSource(5)))
+	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.001, Delta: 0.001, MaxSamples: 50, Seed: 5})
 	if err != nil || res.Converged {
 		t.Fatalf("converged=%v err=%v: 50 samples cannot satisfy eps=0.001", res.Converged, err)
 	}
@@ -110,11 +110,34 @@ func TestAConfBudget(t *testing.T) {
 	}
 }
 
+// TestAConfRejectsParametersOutsideUnitInterval pins that Eps or Delta
+// that is NaN or outside (0, 1) fails before any sample is drawn,
+// instead of running to the sample cap (Eps or Delta 0) or reporting a
+// vacuous convergence (Eps ≥ 1).
+func TestAConfRejectsParametersOutsideUnitInterval(t *testing.T) {
+	s := formula.NewSpace()
+	x, y := s.AddBool(0.3), s.AddBool(0.4)
+	d := formula.NewDNF(formula.MustClause(formula.Pos(x)), formula.MustClause(formula.Pos(y)))
+	for _, tc := range []struct{ eps, delta float64 }{
+		{0, 0.01}, {0.05, 0}, {1.5, 0.01}, {1, 0.01}, {0.05, 1},
+		{-0.1, 0.01}, {0.05, -1}, {math.NaN(), 0.01}, {0.05, math.NaN()},
+		{math.Inf(1), 0.01},
+	} {
+		res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: tc.eps, Delta: tc.delta})
+		if err == nil {
+			t.Fatalf("eps %v delta %v: nil error, want a parameter error", tc.eps, tc.delta)
+		}
+		if res.Samples != 0 || res.Converged || res.Lo != 0 || res.Hi != 1 {
+			t.Fatalf("eps %v delta %v: %+v, want no samples and bounds [0, 1]", tc.eps, tc.delta, res)
+		}
+	}
+}
+
 func TestAConfDeterministicForSeed(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 6)
 	ctx := context.Background()
-	a, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
-	b, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1}, rand.New(rand.NewSource(9)))
+	a, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1, Seed: 9})
+	b, _ := AConfCtx(ctx, s, d, AConfOptions{Eps: 0.1, Delta: 0.1, Seed: 9})
 	if a != b {
 		t.Fatalf("same seed gave %+v and %+v", a, b)
 	}
@@ -132,7 +155,7 @@ func TestAConfSmallProbabilities(t *testing.T) {
 		formula.MustClause(formula.Pos(y)),
 	)
 	want := formula.BruteForceProbability(s, d)
-	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01}, rand.New(rand.NewSource(11)))
+	res, err := AConfCtx(context.Background(), s, d, AConfOptions{Eps: 0.05, Delta: 0.01, Seed: 11})
 	if err != nil || math.Abs(res.Estimate-want)/want > 0.08 {
 		t.Fatalf("rel err %.3f too large (est %v, want %v)",
 			math.Abs(res.Estimate-want)/want, res.Estimate, want)

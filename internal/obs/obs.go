@@ -83,9 +83,6 @@ type Gauge struct{ v atomic.Int64 }
 // Add adds n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -503,9 +500,4 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 // are session-owned).
 func (s Snapshot) FragCache() CacheStats {
 	return CacheStats{Hits: s.FragCacheHits, Misses: s.FragCacheMisses}
-}
-
-// Interner returns the snapshot's interner traffic.
-func (s Snapshot) Interner() CacheStats {
-	return CacheStats{Hits: s.InternerHits, Misses: s.InternerStored, Entries: s.InternerStored}
 }

@@ -33,21 +33,15 @@ type AnswerConf struct {
 	DecidedAtStep int
 }
 
-// Conf is the conf() operator: it computes the confidence of every
-// answer with the given evaluator, fanning the batch out across the
-// shared worker pool. A per-answer failure (typically a budget
-// exhaustion) is recorded on that answer instead of aborting the batch;
-// the returned error aggregates every per-answer error. Cancelling ctx
-// stops in-flight evaluations promptly and marks unstarted answers with
-// the context's error. The returned slice always has one entry per
-// answer, in answer order.
-func Conf(ctx context.Context, s *formula.Space, answers []Answer, ev engine.Evaluator) ([]AnswerConf, error) {
-	return ConfWith(ctx, s, answers, ev, nil, nil)
-}
-
-// ConfWith is Conf fanning out on a caller-owned worker pool (nil means
-// the shared workpool.Default), one task per answer. The last parameter
-// is unread; only bench/ names it.
+// ConfWith is the conf() operator: it computes the confidence of every
+// answer with the given evaluator, fanning the batch out on pool (nil
+// means the shared workpool.Default), one task per answer. A per-answer
+// failure (typically a budget exhaustion) is recorded on that answer
+// instead of aborting the batch; the returned error aggregates every
+// per-answer error. Cancelling ctx stops in-flight evaluations promptly
+// and marks unstarted answers with the context's error. The returned
+// slice always has one entry per answer, in answer order. The last
+// parameter is unread; only bench/ names it.
 func ConfWith(ctx context.Context, s *formula.Space, answers []Answer, ev engine.Evaluator, pool *workpool.Pool, _ []int) ([]AnswerConf, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -108,13 +102,7 @@ func evalMetrics(ev engine.Evaluator) *obs.Metrics {
 	switch e := ev.(type) {
 	case engine.Approx:
 		return e.Metrics
-	case engine.Exact:
-		return e.Metrics
 	case *engine.Approx:
-		if e != nil {
-			return e.Metrics
-		}
-	case *engine.Exact:
 		if e != nil {
 			return e.Metrics
 		}

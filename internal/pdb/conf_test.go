@@ -18,7 +18,7 @@ func TestConfOperator(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
 	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})
-	confs, err := Conf(context.Background(), s, answers, engine.Exact{})
+	confs, err := ConfWith(context.Background(), s, answers, engine.Approx{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestConfOperatorApprox(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
 	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})
-	confs, err := Conf(context.Background(), s, answers,
-		engine.Approx{Eps: 0.01, Kind: engine.Absolute})
+	confs, err := ConfWith(context.Background(), s, answers,
+		engine.Approx{Eps: 0.01, Kind: engine.Absolute}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,13 @@ func TestConfOperatorApprox(t *testing.T) {
 			t.Fatalf("answer %v: %v want %v±0.01", c.Vals, c.P, want)
 		}
 	}
+}
+
+// evalFunc adapts a function to engine.Evaluator.
+type evalFunc func(ctx context.Context, s *formula.Space, d formula.DNF) (engine.Result, error)
+
+func (f evalFunc) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (engine.Result, error) {
+	return f(ctx, s, d)
 }
 
 // TestConfPartialErrors checks that one answer's failure is recorded on
@@ -63,14 +70,14 @@ func TestConfPartialErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	failIdx := 1
-	ev := engine.Func(func(ctx context.Context, sp *formula.Space, d formula.DNF) (engine.Result, error) {
+	ev := evalFunc(func(ctx context.Context, sp *formula.Space, d formula.DNF) (engine.Result, error) {
 		calls.Add(1)
 		if d.Equal(answers[failIdx].Lin) {
 			return engine.Result{}, boom
 		}
-		return engine.Exact{}.Evaluate(ctx, sp, d)
+		return engine.Approx{}.Evaluate(ctx, sp, d)
 	})
-	confs, err := Conf(context.Background(), s, answers, ev)
+	confs, err := ConfWith(context.Background(), s, answers, ev, nil, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("aggregated err = %v, want wrapped boom", err)
 	}
@@ -106,7 +113,7 @@ func TestConfCancelled(t *testing.T) {
 	answers := GroupProject(EquiJoin(r, u, 1, 0), []int{3})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	confs, err := Conf(ctx, s, answers, engine.Exact{})
+	confs, err := ConfWith(ctx, s, answers, engine.Approx{}, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -117,7 +124,7 @@ func TestConfCancelled(t *testing.T) {
 	}
 }
 
-// TestConfConcurrentBatches exercises concurrent Conf batches sharing
+// TestConfConcurrentBatches exercises concurrent conf() batches sharing
 // one fragment cache over one space — the production pattern for
 // multi-query traffic — under the race detector.
 func TestConfConcurrentBatches(t *testing.T) {
@@ -136,9 +143,9 @@ func TestConfConcurrentBatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				confs, err := ConfWith(context.Background(), s, answers, engine.Exact{Cache: cache, Pool: pool}, pool, nil)
+				confs, err := ConfWith(context.Background(), s, answers, engine.Approx{Frags: cache, Pool: pool}, pool, nil)
 				if err != nil {
-					t.Errorf("Conf: %v", err)
+					t.Errorf("ConfWith: %v", err)
 					return
 				}
 				for i, c := range confs {
@@ -160,13 +167,12 @@ func TestEvalMetricsPointerEvaluator(t *testing.T) {
 	m := obs.NewMetrics()
 	for _, ev := range []engine.Evaluator{
 		engine.Approx{Metrics: m}, &engine.Approx{Metrics: m},
-		engine.Exact{Metrics: m}, &engine.Exact{Metrics: m},
 	} {
 		if got := evalMetrics(ev); got != m {
 			t.Fatalf("%T: registry %p, want %p", ev, got, m)
 		}
 	}
-	for _, ev := range []engine.Evaluator{(*engine.Approx)(nil), (*engine.Exact)(nil), engine.MonteCarlo{}, nil} {
+	for _, ev := range []engine.Evaluator{(*engine.Approx)(nil), engine.MonteCarlo{}, nil} {
 		if got := evalMetrics(ev); got != nil {
 			t.Fatalf("%T: registry %p, want nil", ev, got)
 		}

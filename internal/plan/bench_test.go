@@ -61,7 +61,7 @@ func BenchmarkSafeVsDtree(b *testing.B) {
 		b.Run(q.name+"/forced-dtree", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := plan.CompileWith(q.node, plan.Options{DisableSafe: true, DisableIQ: true})
-				if _, err := p.Answers(ctx, db.Space, engine.Exact{}); err != nil {
+				if _, err := p.Answers(ctx, db.Space, engine.Approx{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -368,9 +368,9 @@ type foreign struct{ Scan }
 
 // TestPlannerRejectsMalformedTrees: the analysis walk is the IR's one
 // validator. Every malformed shape compiles — without a panic — to a
-// plan whose Err names the problem; Answers, Stream and Lineage return
-// it (or nothing) without running a route, so no panic is contained
-// and none is counted.
+// plan whose Err names the problem; Answers, StreamTraced and Lineage
+// return it (or nothing) without running a route, so no panic is
+// contained and none is counted.
 func TestPlannerRejectsMalformedTrees(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
@@ -417,7 +417,7 @@ func TestPlannerRejectsMalformedTrees(t *testing.T) {
 		}
 		streamed, err := drain(t, p, ctx, s)
 		if err != p.Err() || len(streamed) != 0 {
-			t.Fatalf("%s: Stream = %d answers, %v; want the plan's error", c.name, len(streamed), err)
+			t.Fatalf("%s: StreamTraced = %d answers, %v; want the plan's error", c.name, len(streamed), err)
 		}
 		if p.Lineage() != nil || Lineage(c.root) != nil {
 			t.Fatalf("%s: lineage materialized for an invalid plan", c.name)

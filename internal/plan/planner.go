@@ -163,7 +163,7 @@ func (p *Plan) reject(reason string) {
 }
 
 // Err returns why the plan cannot execute — the first malformation
-// Compile met — or nil. Answers, Stream and their traced forms return
+// Compile met — or nil. Answers, AnswersTraced and StreamTraced return
 // it before any route runs, and Lineage returns nil answers.
 func (p *Plan) Err() error { return p.err }
 
@@ -304,9 +304,9 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 	return confs, err
 }
 
-// answers is the one execution path behind Answers and Stream. On the
-// ranked lineage route a non-nil onDecided is called synchronously from
-// inside the scheduling loop the moment an answer's membership is
+// answers is the one execution path behind Answers and StreamTraced. On
+// the ranked lineage route a non-nil onDecided is called synchronously
+// from inside the scheduling loop the moment an answer's membership is
 // proven (rank.Options.OnDecided), with the answer's index into the
 // lineage and its outcome so far; no other route calls it. The second
 // result is that run's ranking — the lineage index behind each returned
@@ -371,7 +371,7 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 			return confs, res.Ranking, err
 		}
 		if ev == nil {
-			ev = engine.Exact{}
+			ev = engine.Approx{}
 		}
 		start := time.Now()
 		region := rtrace.StartRegion(ctx, "repro.conf")
@@ -531,13 +531,12 @@ func (p *Plan) rankExact(out []pdb.AnswerConf) []pdb.AnswerConf {
 
 // rankOptionsFrom derives the lineage route's scheduler configuration
 // from the evaluator the caller would have used for plain answers: the
-// d-tree evaluators contribute their refinement floor, budget and
+// d-tree evaluator contributes its refinement floor, budget and
 // fragment cache. MonteCarlo has no bound-refinement analogue —
 // rankings need certain intervals — but its Budget (notably the
 // Timeout) still bounds the scheduler. Evaluate has value receivers, so
-// a pointer to any of the three is an Evaluator too and reads like its
-// value. A nil or unknown evaluator means refine-to-exactness with no
-// budget.
+// a pointer to either is an Evaluator too and reads like its value. A
+// nil or unknown evaluator means refine-to-exactness with no budget.
 func rankOptionsFrom(ev engine.Evaluator) rank.Options {
 	switch e := ev.(type) {
 	case engine.Approx:
@@ -545,15 +544,9 @@ func rankOptionsFrom(ev engine.Evaluator) rank.Options {
 			Eps: e.Eps, Kind: e.Kind, Budget: e.Budget, Frags: e.Frags,
 			Metrics: e.Metrics, Inject: e.Inject,
 		}
-	case engine.Exact:
-		return rank.Options{Budget: e.Budget, Frags: e.Cache, Metrics: e.Metrics, Inject: e.Inject}
 	case engine.MonteCarlo:
 		return rank.Options{Budget: e.Budget}
 	case *engine.Approx:
-		if e != nil {
-			return rankOptionsFrom(*e)
-		}
-	case *engine.Exact:
 		if e != nil {
 			return rankOptionsFrom(*e)
 		}

@@ -16,7 +16,7 @@ import (
 // Planner equivalence property. For random acyclic conjunctive queries
 // over random tuple-independent and BID relations, the planner-routed
 // confidences must equal the eager reference evaluator (evalIR, over
-// pdb's algebra operators) plus engine.Exact, within 1e-12 — whatever
+// pdb's algebra operators) plus exact engine.Approx, within 1e-12 — whatever
 // route the planner picks.
 
 // randomRelation builds a small relation: tuple-independent,
@@ -139,7 +139,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		ref := evalIR(root)
 		want := map[string]float64{}
 		for _, a := range ref {
-			res, err := engine.Exact{}.Evaluate(context.Background(), s, a.Lin)
+			res, err := engine.Approx{}.Evaluate(context.Background(), s, a.Lin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 
 		p := Compile(root)
 		routes[p.Route]++
-		got, err := p.Answers(context.Background(), s, engine.Exact{})
+		got, err := p.Answers(context.Background(), s, engine.Approx{})
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, p.Explain(), err)
 		}

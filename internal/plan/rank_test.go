@@ -189,7 +189,7 @@ func TestPlannerRankNodeMetadata(t *testing.T) {
 func TestRankOptionsFromPointerEvaluator(t *testing.T) {
 	budget := engine.Budget{MaxNodes: 7, Timeout: time.Second}
 	approx := engine.Approx{Eps: 0.01, Kind: engine.Relative, Budget: budget, Frags: formula.NewFragCache(0)}
-	exact := engine.Exact{Budget: budget}
+	exact := engine.Approx{Budget: budget, Frags: formula.NewFragCache(0)}
 	mc := engine.MonteCarlo{Eps: 0.1, Delta: 0.01, Budget: budget}
 	for _, c := range []struct {
 		name       string
@@ -197,7 +197,7 @@ func TestRankOptionsFromPointerEvaluator(t *testing.T) {
 		nilPointer engine.Evaluator
 	}{
 		{"approx", approx, &approx, (*engine.Approx)(nil)},
-		{"exact", exact, &exact, (*engine.Exact)(nil)},
+		{"exact", exact, &exact, (*engine.Approx)(nil)},
 		{"montecarlo", mc, &mc, (*engine.MonteCarlo)(nil)},
 	} {
 		want := rankOptionsFrom(c.val)

@@ -10,12 +10,12 @@ import (
 	"repro/internal/pdb"
 )
 
-// Stream executes the plan, delivering answers as an iterator instead
-// of a materialized slice. On a ranked lineage-route plan the stream is
-// genuinely anytime: each answer is yielded synchronously from inside
-// the scheduling loop the moment its top-k/threshold membership is
-// proven (rank.Options.OnDecided), so the first answer of a
-// top-10-of-240 query arrives before refinement of the other 230
+// StreamTraced executes the plan, delivering answers as an iterator
+// instead of a materialized slice. On a ranked lineage-route plan the
+// stream is genuinely anytime: each answer is yielded synchronously
+// from inside the scheduling loop the moment its top-k/threshold
+// membership is proven (rank.Options.OnDecided), so the first answer of
+// a top-10-of-240 query arrives before refinement of the other 230
 // finishes. Borderline answers the scheduler cut by estimate (Decided
 // false in the scheduler's terms) follow after the run completes, in
 // rank order. The structural routes and unranked plans compute their
@@ -27,17 +27,14 @@ import (
 // nothing. A failure (context cancellation, timeout) ends the stream
 // with a final (zero answer, error) pair after whatever prefix of
 // answers was proven — the partial, error-carrying iterator.
-func (p *Plan) Stream(ctx context.Context, s *formula.Space, ev engine.Evaluator) iter.Seq2[pdb.AnswerConf, error] {
-	return p.StreamTraced(ctx, s, ev, nil, nil)
-}
-
-// StreamTraced is Stream running the lineage pipeline through a
-// caller-owned clause interner (nil allocates a fresh one; see Lineage)
-// and populating tr — the per-query EXPLAIN ANALYZE trace — with the
-// routing decision, stage timings and per-answer outcomes. A nil tr
-// records nothing; the yielded answers are bitwise identical either
-// way. The trace's answer section reflects the scheduler's final
-// ranking even when the consumer breaks out early.
+//
+// The lineage pipeline runs through a caller-owned clause interner in
+// (nil allocates a fresh one; see Lineage), and tr — the per-query
+// EXPLAIN ANALYZE trace — receives the routing decision, stage timings
+// and per-answer outcomes. A nil tr records nothing; the yielded
+// answers are bitwise identical either way. The trace's answer section
+// reflects the scheduler's final ranking even when the consumer breaks
+// out early.
 func (p *Plan) StreamTraced(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner, tr *obs.QueryTrace) iter.Seq2[pdb.AnswerConf, error] {
 	return func(yield func(pdb.AnswerConf, error) bool) {
 		if ctx == nil {

@@ -14,7 +14,7 @@ import (
 func drain(t *testing.T, p *Plan, ctx context.Context, s *formula.Space) ([]pdb.AnswerConf, error) {
 	t.Helper()
 	var out []pdb.AnswerConf
-	for a, err := range p.Stream(ctx, s, nil) {
+	for a, err := range p.StreamTraced(ctx, s, nil, nil, nil) {
 		if err != nil {
 			return out, err
 		}
@@ -23,7 +23,7 @@ func drain(t *testing.T, p *Plan, ctx context.Context, s *formula.Space) ([]pdb.
 	return out, nil
 }
 
-// TestPlannerStreamMatchesAnswers pins Stream against Answers on every
+// TestPlannerStreamMatchesAnswers pins StreamTraced against Answers on every
 // route: the same answer multiset, with order allowed to differ only on
 // the ranked lineage route (proof order vs rank order).
 func TestPlannerStreamMatchesAnswers(t *testing.T) {
@@ -97,7 +97,7 @@ func TestPlannerStreamEarlyBreak(t *testing.T) {
 	} {
 		p := Compile(root)
 		n := 0
-		for _, err := range p.Stream(context.Background(), s, nil) {
+		for _, err := range p.StreamTraced(context.Background(), s, nil, nil, nil) {
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,7 +59,7 @@ func assertMatchesOracle(t *testing.T, label string, s *formula.Space, p *Plan, 
 func forcedLineageCount(t *testing.T, s *formula.Space, root Node) int {
 	t.Helper()
 	p := CompileWith(root, Options{DisableSafe: true, DisableIQ: true})
-	got, err := p.Answers(context.Background(), s, engine.Exact{})
+	got, err := p.Answers(context.Background(), s, engine.Approx{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +653,7 @@ func TestCompileAllocsIndependentOfDriverSize(t *testing.T) {
 // TestBooleanNoQualifyingCombinationEmitsNoAnswer pins the edge ROADMAP
 // item 5 names: when no combination of tuples qualifies, a Boolean query
 // has no answer — not a P = 0 one — on the safe route, on the IQ route
-// and on forced lineage + engine.Exact alike.
+// and on forced lineage + exact engine.Approx alike.
 func TestBooleanNoQualifyingCombinationEmitsNoAnswer(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s) // R(a, b) with a ∈ 1..3, b ∈ {10, 20}; T(b, c) with c ∈ 100..300

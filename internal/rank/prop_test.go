@@ -12,12 +12,12 @@ import (
 )
 
 // Property tests: the schedulers must agree with the ground truth
-// obtained by evaluating every answer exactly (engine.Exact) and
+// obtained by evaluating every answer exactly (engine.Approx at Eps 0) and
 // sorting, over 300 random lineage sets — 150 tuple-independent
 // (Boolean variables) and 150 BID-style (multi-valued variables).
 // Near-ties are compared with a tolerance: the scheduler computes
 // probabilities along a different (equally exact) floating-point path
-// than engine.Exact, so answers closer than 1e-9 may legitimately
+// than exact evaluation, so answers closer than 1e-9 may legitimately
 // swap.
 
 const propTol = 1e-9
@@ -59,7 +59,7 @@ func exactProbs(t *testing.T, s *formula.Space, dnfs []formula.DNF) []float64 {
 	t.Helper()
 	ps := make([]float64, len(dnfs))
 	for i, d := range dnfs {
-		res, err := engine.Exact{}.Evaluate(context.Background(), s, d)
+		res, err := engine.Approx{}.Evaluate(context.Background(), s, d)
 		if err != nil {
 			t.Fatalf("ground truth answer %d: %v", i, err)
 		}

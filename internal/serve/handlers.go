@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -203,10 +202,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	disconnected := false
 	defer func() { s.met.RecordDone(disconnected) }()
 
-	budget := req.Budget.Engine()
-	if budget == (engine.Budget{}) {
-		budget = s.cfg.DefaultBudget
-	}
+	budget := req.Budget.Engine(s.cfg.DefaultBudget)
 
 	// The query context cancels when the client disconnects (ending the
 	// evaluation mid-refinement) or when shutdown hard-stops the drain.

@@ -67,8 +67,8 @@ type Config struct {
 	// Eps are widened, and only when DegradedEps is wider than
 	// DefaultEps. 0 means DefaultDegradedEps.
 	DegradedEps float64
-	// DefaultBudget bounds each query that does not carry its own
-	// budget: Timeout is one deadline for the whole query, MaxNodes and
+	// DefaultBudget fills every budget field a request leaves zero or
+	// absent: Timeout is one deadline for the whole query, MaxNodes and
 	// MaxWork bound each answer's evaluation. Together with MaxInflight
 	// it is the server's work envelope: MaxInflight × budget bounds
 	// total concurrent work.
@@ -104,8 +104,8 @@ type Config struct {
 	// than this stops with fault.ErrStuck instead of occupying an
 	// admission slot forever. Read by the repro backend.
 	Watchdog time.Duration
-	// Logf, when set, receives server lifecycle lines (startup,
-	// shutdown, sweep counts). Nil means silent.
+	// Logf, when set, receives server lifecycle lines (the shutdown
+	// drain). Nil means silent.
 	Logf func(format string, args ...any)
 }
 
@@ -143,7 +143,7 @@ func (c Config) withDefaults() Config {
 
 // Server is the query service. Create one with New (or repro.NewServer,
 // which wires the façade backend), mount Handler on any net/http
-// server or call ListenAndServe, and stop it with Shutdown.
+// server, and drain it with Shutdown before closing that server.
 type Server struct {
 	cfg      Config
 	backend  Backend
@@ -165,9 +165,6 @@ type Server struct {
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
-
-	httpMu sync.Mutex
-	httpSv *http.Server
 }
 
 // New builds a Server over a backend. The returned server's janitor
@@ -236,18 +233,6 @@ func (s *Server) nextID() string {
 	return fmt.Sprintf("q-%d", s.qid.Add(1))
 }
 
-// ListenAndServe runs the server on addr until Shutdown (which returns
-// http.ErrServerClosed here, like net/http) or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	sv := &http.Server{Addr: addr, Handler: s.mux}
-	s.httpMu.Lock()
-	s.httpSv = sv
-	s.httpMu.Unlock()
-	s.logf("serve: listening on %s (max_inflight=%d degrade_at=%d degraded_eps=%g)",
-		addr, s.cfg.MaxInflight, s.cfg.DegradeAt, s.cfg.DegradedEps)
-	return sv.ListenAndServe()
-}
-
 // Shutdown drains the server: new queries get 503 immediately,
 // in-flight streams run to completion until ctx is done, then the
 // stragglers are cancelled and awaited. The janitor stops either way.
@@ -275,14 +260,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	<-s.janitorDone
 	s.met.RecordDrain(time.Since(start))
 	s.logf("serve: drained in %v", time.Since(start))
-
-	s.httpMu.Lock()
-	sv := s.httpSv
-	s.httpMu.Unlock()
-	if sv != nil {
-		if herr := sv.Shutdown(ctx); err == nil {
-			err = herr
-		}
-	}
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -751,6 +752,58 @@ func TestServeHTTPDisconnectCancels(t *testing.T) {
 			t.Fatalf("disconnect not retired: %+v", m)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServeHTTPBudgetFieldsFallBackToDefault pins the wire budget merge:
+// a request budget that sets only max_nodes keeps the server's default
+// Timeout, so an intractable exact query still ends at that deadline,
+// exactly like a request with no budget; and a timeout_ms too large for
+// a time.Duration — it would wrap negative, which means no deadline —
+// is a 400.
+func TestServeHTTPBudgetFieldsFallBackToDefault(t *testing.T) {
+	_, base := newTestServer(t, repro.ServeConfig{DefaultBudget: repro.Budget{Timeout: 50 * time.Millisecond}})
+	// The client-side timeout turns a server that drops its default
+	// deadline into a failure instead of a hang.
+	client := &http.Client{Timeout: 3 * time.Second}
+	for _, b := range []*serve.Budget{nil, {MaxNodes: 1 << 40}} {
+		body, err := json.Marshal(serve.Request{Eps: f64(0), Budget: b, Query: gridQuery()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := client.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("budget %+v: %v", b, err)
+		}
+		errMsg := ""
+		err = readSSE(resp.Body, func(e sseEvent) bool {
+			if e.name == "error" {
+				var ev struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(e.data, &ev); err != nil {
+					t.Fatalf("error event: %v", err)
+				}
+				errMsg = ev.Error
+			}
+			return true
+		})
+		resp.Body.Close()
+		el := time.Since(start)
+		if err != nil {
+			t.Fatalf("budget %+v: stream still open after %v: %v", b, el, err)
+		}
+		if !strings.Contains(errMsg, "deadline") || el > time.Second {
+			t.Fatalf("budget %+v: ended after %v with error %q, want the 50ms default deadline", b, el, errMsg)
+		}
+	}
+
+	resp := postQuery(t, base, serve.Request{Budget: &serve.Budget{TimeoutMS: math.MaxInt64 / 1000}, Query: topkQuery(1)}, "")
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "timeout_ms") {
+		t.Fatalf("overflowing timeout_ms: status %d (%s), want 400", resp.StatusCode, body)
 	}
 }
 

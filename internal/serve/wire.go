@@ -28,8 +28,8 @@ type Request struct {
 	// degradation. On a named session the explicit Eps is sticky: later
 	// requests on the session inherit it unless they carry their own.
 	Eps *float64 `json:"eps,omitempty"`
-	// Budget bounds the evaluation; zero fields fall back to the
-	// server's default budget.
+	// Budget bounds the evaluation; zero or absent fields fall back,
+	// one by one, to the server's default budget.
 	Budget *Budget `json:"budget,omitempty"`
 	// Query is the plan in wire IR form.
 	Query *Node `json:"query"`
@@ -44,8 +44,9 @@ const MaxWireNodes = 4096
 
 // Validate rejects request shapes that must never reach the engine:
 // a non-finite or out-of-range Eps (NaN would poison every bounds
-// comparison downstream), negative budget fields (the engine treats
-// them as "no budget", silently unbounding the query), and plans over
+// comparison downstream), negative budget fields and a timeout_ms that
+// overflows a time.Duration into a negative one (the engine treats
+// both as "no budget", silently unbounding the query), and plans over
 // MaxWireNodes operators. Violations come back as 400 RequestErrors;
 // a valid request passes through untouched.
 func (r *Request) Validate() error {
@@ -58,6 +59,9 @@ func (r *Request) Validate() error {
 	if b := r.Budget; b != nil {
 		if b.MaxNodes < 0 || b.MaxWork < 0 || b.MaxSamples < 0 || b.TimeoutMS < 0 {
 			return &RequestError{Status: 400, Err: errors.New("budget fields must be non-negative")}
+		}
+		if int64(b.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
+			return &RequestError{Status: 400, Err: fmt.Errorf("budget timeout_ms %d overflows a duration", b.TimeoutMS)}
 		}
 	}
 	if n := countNodes(r.Query); n > MaxWireNodes {
@@ -110,17 +114,26 @@ type Budget struct {
 	TimeoutMS  int `json:"timeout_ms,omitempty"`
 }
 
-// Engine converts to the engine's budget shape (nil means unlimited).
-func (b *Budget) Engine() engine.Budget {
+// Engine converts to the engine's budget shape, field by field: a zero
+// (or absent) field takes def's value, so a request that sets only
+// max_nodes still runs under the server's default Timeout.
+func (b *Budget) Engine(def engine.Budget) engine.Budget {
 	if b == nil {
-		return engine.Budget{}
+		return def
 	}
-	return engine.Budget{
-		MaxNodes:   b.MaxNodes,
-		MaxWork:    b.MaxWork,
-		MaxSamples: b.MaxSamples,
-		Timeout:    time.Duration(b.TimeoutMS) * time.Millisecond,
+	if b.MaxNodes != 0 {
+		def.MaxNodes = b.MaxNodes
 	}
+	if b.MaxWork != 0 {
+		def.MaxWork = b.MaxWork
+	}
+	if b.MaxSamples != 0 {
+		def.MaxSamples = b.MaxSamples
+	}
+	if b.TimeoutMS != 0 {
+		def.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
+	}
+	return def
 }
 
 // Node is one wire-format plan operator; exactly one field must be set.

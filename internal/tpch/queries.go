@@ -28,7 +28,6 @@ const (
 	psPartkey = iota
 	psSuppkey
 	psAvailqty
-	psSupplycost
 )
 
 // everyKth thins r down to at most target tuples, deterministically.

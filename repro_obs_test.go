@@ -260,7 +260,7 @@ func TestRankedRunNeverEntersPool(t *testing.T) {
 	}
 }
 
-// TestObsMetricsFacade drives the registry surface: DB.Metrics
+// TestObsMetricsFacade drives the registry surface: DB.Snapshot
 // accumulates across queries, Snapshot.Sub reads a delta window,
 // and PublishExpvar exposes the snapshot on the expvar surface.
 func TestObsMetricsFacade(t *testing.T) {

@@ -31,7 +31,7 @@ func TestFacade(t *testing.T) {
 	)
 
 	ctx := context.Background()
-	exact, err := repro.ExactEval{}.Evaluate(ctx, s, phi)
+	exact, err := repro.ApproxEval{}.Evaluate(ctx, s, phi)
 	if err != nil || !exact.Exact || math.Abs(exact.Estimate-0.8456) > 1e-12 {
 		t.Fatalf("exact = %+v err=%v, want 0.8456", exact, err)
 	}

@@ -17,9 +17,9 @@ import (
 // query's answers as Server-Sent Events the moment each membership is
 // proven, named sessions pin a fragment cache across requests,
 // admission control degrades then sheds under
-// pressure, and GET /metrics // GET /v1/query/{id}/trace export the
-// DB's observability layer. Mount srv.Handler on any net/http server,
-// or srv.ListenAndServe(addr); stop with srv.Shutdown.
+// pressure, and GET /metrics and GET /v1/query/{id}/trace export the
+// DB's observability layer. Mount srv.Handler on any net/http server;
+// drain with srv.Shutdown before closing it.
 //
 // The wire query IR mirrors the fluent builder one-to-one and is
 // compiled through it, so every misuse a Go caller would get as a

@@ -22,7 +22,6 @@ type Session struct {
 	frags        *formula.FragCache
 	budget       engine.Budget
 	eps          float64
-	kind         engine.ErrorKind
 	eval         engine.Evaluator
 	forceLineage bool
 	trace        func(*obs.QueryTrace)
@@ -50,7 +49,7 @@ func WithBudget(b Budget) SessionOption {
 // anything else is a BuildError at Build. Use WithEvaluator for relative
 // error or a different algorithm.
 func WithEps(eps float64) SessionOption {
-	return func(s *Session) { s.eps, s.kind = eps, engine.Absolute }
+	return func(s *Session) { s.eps = eps }
 }
 
 // WithEvaluator installs the evaluator queries hand lineage to,
@@ -135,26 +134,19 @@ func (db *DB) Session(opts ...SessionOption) *Session {
 	return s
 }
 
-// DB returns the database the session runs against.
-func (s *Session) DB() *DB { return s.db }
-
 // FragCache returns the session's fragment cache (the private one, or
 // the cache installed by WithSharedFragCache).
 func (s *Session) FragCache() *FragCache { return s.frags }
 
 // Evaluator returns the evaluator the session's queries hand lineage
 // to: the one installed by WithEvaluator, else the ε-approximation at
-// the WithEps floor, else exact d-tree compilation — the derived
-// evaluators carrying the session's budget, cache and the DB's
-// metrics registry.
+// the WithEps floor (exact d-tree compilation at the default 0),
+// carrying the session's budget, cache and the DB's metrics registry.
 func (s *Session) Evaluator() Evaluator {
 	if s.eval != nil {
 		return s.eval
 	}
-	if s.eps > 0 {
-		return engine.Approx{Eps: s.eps, Kind: s.kind, Budget: s.budget, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
-	}
-	return engine.Exact{Budget: s.budget, Cache: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
+	return engine.Approx{Eps: s.eps, Budget: s.budget, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
 }
 
 // planOptions translates the session knobs into planner options; every
