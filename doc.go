@@ -136,7 +136,7 @@ type (
 	MonteCarloEval = engine.MonteCarlo
 	// FragCache is the hash-consed fragment memo table shared across
 	// evaluations of one probability space: prepared leaf fragments
-	// (normalized form, heuristic bounds, component partition) for
+	// (normalized form, heuristic bounds, decomposition step) for
 	// ε > 0, exact subformula probabilities for exact evaluation.
 	FragCache = formula.FragCache
 )

@@ -59,7 +59,7 @@ type Options struct {
 
 	// Frags, when non-nil, is evaluation's one memo. At Eps > 0 it holds
 	// prepared leaf fragments — the normalized, subsumption-reduced form
-	// together with its heuristic bounds and component partition — and
+	// together with its heuristic bounds and decomposition step — and
 	// a hit short-circuits the whole preparation pipeline (normalize,
 	// reduce, leaf bounds), which profiling shows dominates ranking
 	// workloads. At Eps 0 it holds the exact probabilities of
@@ -261,7 +261,7 @@ func newState(ctx context.Context, s *formula.Space, opt Options) *state {
 // frag is a prepared DNF fragment: normalized, subsumption-reduced, with
 // heuristic bounds already computed. entry, when non-nil, is the
 // fragment-cache entry backing it, which additionally memoizes the
-// component partition across decompositions.
+// fragment's decomposition (see decompose).
 type frag struct {
 	d      formula.DNF
 	lo, hi float64
@@ -500,18 +500,55 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 }
 
 // decompose is step for the ε > 0 compilers (explore, Refiner.refine):
-// the component partition is memoized on the fragment-cache entry when
-// f came through one, and the children come back prepared, under the
-// construction flags the step's rule earns them.
+// the children come back prepared, under the construction flags the
+// step's rule earns them. When f came through the fragment cache the
+// outcome is memoized on its entry, and a later decomposition of that
+// entry under the same Order replays it instead: no step, no
+// restriction, no child Lookup.
 func (st *state) decompose(f frag) (Kind, []frag, []float64) {
+	if f.entry != nil {
+		if dec := f.entry.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
+			return st.replay(dec)
+		}
+	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(f.d, st.components(f, sc), sc, nil)
+	kind, subs, mult := st.step(f.d, f.d.ComponentsScratch(&sc.comp), sc, nil)
 	frags := make([]frag, len(subs))
 	for i, sub := range subs {
 		frags[i] = st.prepareAs(sub, true, kind == IndepOr)
 	}
+	if f.entry != nil {
+		// Every child holds an entry too: prepareAs sets one whenever a
+		// cache is configured.
+		children := make([]*formula.PreparedFrag, len(frags))
+		for i, c := range frags {
+			children[i] = c.entry
+		}
+		f.entry.SetDecision(&formula.Decision{Kind: uint8(kind), Order: uint8(st.opt.Order), Children: children, Weights: mult})
+	}
 	return kind, frags, mult
+}
+
+// replay is decompose from a recorded decision. It repeats every side
+// effect of the calls it skips, in their order: the node step counts
+// for each ⊕ branch, then per child the leaf.prepare chaos site and
+// prepareAs's cache hit — both hit counters and the work charge. The
+// weights are shared with the decision; callers only read them.
+func (st *state) replay(dec *formula.Decision) (Kind, []frag, []float64) {
+	kind := Kind(dec.Kind)
+	if kind == ExclOr {
+		st.nodes.Add(int64(len(dec.Children)))
+	}
+	frags := make([]frag, len(dec.Children))
+	for i, e := range dec.Children {
+		st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
+		st.opt.Frags.CountHit()
+		st.opt.Metrics.RecordFragCache(true)
+		st.work.Add(e.Work)
+		frags[i] = frag{d: e.D, lo: e.Lo, hi: e.Hi, exact: e.Exact, entry: e}
+	}
+	return kind, frags, dec.Weights
 }
 
 // childCtx builds the bound context for child i of a node of the given

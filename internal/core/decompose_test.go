@@ -480,8 +480,13 @@ func TestDecompositionStepAllocations(t *testing.T) {
 
 // TestRefinerStepAllocationsWarm pins what one Refiner.Step(1) on the
 // 6×6 grid allocates when every fragment it prepares is already in the
-// FragCache — the production serving path. The parent of the array
-// kernels allocated 110 here: the step's maps, not its results.
+// FragCache — the production serving path. The root's decomposition is
+// a recorded decision by then, so the step replays it and allocates only
+// the tree it grows: the []frag, the children slice, one gNode per ⊕
+// branch (two) and the open-leaf heap's growth. Before the decision
+// memo it re-ran the step, restricted, and looked each child up: 15
+// allocations (110 before the array kernels: the step's maps, not its
+// results).
 func TestRefinerStepAllocationsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -501,7 +506,7 @@ func TestRefinerStepAllocationsWarm(t *testing.T) {
 		rs[i].Step(1)
 		i++
 	})
-	if n != 15 {
-		t.Fatalf("warm Refiner.Step(1) allocates %v, want 15", n)
+	if n != 5 {
+		t.Fatalf("warm Refiner.Step(1) allocates %v, want 5", n)
 	}
 }

@@ -99,10 +99,10 @@ func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]fo
 }
 
 // stepAlone is step for the recursive compilers (exact evaluation,
-// Compile), which hold no fragment-cache entry to memoize the component
-// partition on: partition and analysis run on one pooled scratch that is
-// back in the pool before the caller recurses, so a compilation holds
-// one scratch however deep it is.
+// Compile), which hold no fragment-cache entry to memoize the step on:
+// partition and analysis run on one pooled scratch that is back in the
+// pool before the caller recurses, so a compilation holds one scratch
+// however deep it is.
 func (st *state) stepAlone(d formula.DNF, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)

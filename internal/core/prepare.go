@@ -15,8 +15,11 @@ import (
 //
 //   - a prepared-fragment cache (formula.FragCache, Options.Frags):
 //     identical subformulas across the answers of a query and across
-//     Shannon siblings prepare once, and the component partition a
-//     later refinement needs is memoized on the entry;
+//     Shannon siblings prepare once, and the decomposition step a later
+//     refinement applies is memoized on the entry (formula.Decision,
+//     see decompose): a warm refinement replays the kind, the children's
+//     entries and their weights instead of re-running the step,
+//     restricting and looking each child up;
 //   - construction-aware shortcuts: decomposition children are
 //     duplicate-free by construction, and component Selects are
 //     subsumption-free too, so leafHead (figure1.go) skips Normalize /
@@ -24,7 +27,7 @@ import (
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
 //     clause index, bounds.go) / used set / bucket stamps, the
-//     union-find of the component partition, and the ⊙/⊕ analysis of
+//     component partition and its union-find, and the ⊙/⊕ analysis of
 //     the decomposition step (factor.go, varorder.go), and the stack of
 //     merged conjunctions of the inclusion–exclusion walk (bounds.go).
 //     Deduplication —
@@ -45,7 +48,7 @@ type prepScratch struct {
 	st    []uint32     // leafBounds: per-bucket variable stamps
 	epoch uint32       // current stamp epoch for st
 
-	comp formula.CompScratch // component partition union-find
+	comp formula.CompScratch // component partition and its union-find
 
 	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table
@@ -150,20 +153,3 @@ func prepVariant(opt Options) uint8 {
 // other's lookups. One variant serves every Order and ablation setting,
 // which change how P is computed, not its value.
 const variantExact uint8 = 1 << 7
-
-// components returns the component partition of f.d — memoized on the
-// fragment-cache entry when f came through one (identical fragments
-// across answers and Shannon branches partition once), computed over
-// the caller's union-find scratch otherwise.
-func (st *state) components(f frag, sc *prepScratch) [][]int {
-	if f.entry != nil {
-		if comps, ok := f.entry.Components(); ok {
-			return comps
-		}
-	}
-	comps := f.d.ComponentsScratch(&sc.comp)
-	if f.entry != nil {
-		f.entry.SetComponents(comps)
-	}
-	return comps
-}

@@ -74,8 +74,8 @@ func BenchmarkLeafBounds(b *testing.B) {
 }
 
 // BenchmarkComponents measures the connected-component partition:
-// fresh allocation per call (public entry point), reused union-find
-// scratch, and the memoized partition on a fragment-cache entry.
+// fresh allocation per call (public entry point) against reused
+// scratch, which allocates nothing once grown.
 func BenchmarkComponents(b *testing.B) {
 	for _, clauses := range []int{40, 160, 640} {
 		// Several variable-disjoint blocks, interleaved: the partition
@@ -110,19 +110,6 @@ func BenchmarkComponents(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if len(d.ComponentsScratch(&sc)) != blocks {
-					b.Fatal("unexpected partition")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("clauses=%d/memoized", len(d)), func(b *testing.B) {
-			e := &formula.PreparedFrag{D: d}
-			e.SetComponents(d.Components())
-			f := frag{d: d, entry: e}
-			st := newState(context.Background(), formula.NewSpace(), Options{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(st.components(f, nil)) != blocks { // memo hit: the scratch is never touched
 					b.Fatal("unexpected partition")
 				}
 			}

@@ -11,42 +11,49 @@ import (
 	"repro/internal/randdnf"
 )
 
+// prepCorpus is one random corpus of the preparation property tests:
+// a generator configuration and the evaluation options it is traced
+// under.
+type prepCorpus struct {
+	cfg randdnf.Config
+	opt Options
+}
+
+// prepCorpora are the random corpora the preparation hot path is traced
+// over (seed 2000·index + k generates a corpus's k-th formula).
+var prepCorpora = []prepCorpus{
+	{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute}},
+	{randdnf.Default(), Options{Eps: 0.05, Kind: Relative}},
+	{randdnf.Config{Vars: 14, Clauses: 20, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6},
+		Options{Eps: 1e-4, Kind: Absolute}},
+	// Multi-valued domains exercise the prepared-restrict dedup.
+	{randdnf.Config{Vars: 12, Clauses: 18, MaxWidth: 3, MaxDomain: 4, MinProb: 0.05, MaxProb: 0.5},
+		Options{Eps: 1e-3, Kind: Absolute}},
+	// Ablation variants change the prepared form; the cache keys
+	// them apart (prepVariant) and each must match its own reference.
+	{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableSubsumption: true}},
+	{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableBucketSort: true}},
+	{randdnf.Config{Vars: 14, Clauses: 20, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6},
+		Options{Eps: 1e-3, Kind: Absolute, DisableSubsumption: true, DisableBucketSort: true}},
+	// A work budget cuts the trace mid-tree: warm cache hits must
+	// replay the reference work charge exactly or the cut moves.
+	{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
+		Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000}},
+}
+
 // Differential property for the preparation hot path: the
 // fragment-cached pipeline — construction-aware Normalize /
 // RemoveSubsumed skips, prepared restrict, pooled scratch, memoized
-// component partitions, and warm cache hits replaying stored bounds
-// and work — must be indistinguishable from the original pipeline
+// decompositions, and warm cache hits replaying stored bounds and work
+// — must be indistinguishable from the original pipeline
 // (refRefiner, oracle_test.go) across entire refinement traces: bounds
 // after every step, step counts, errors and Results, bitwise. Each trace runs twice against one
 // shared cache (cold, then fully warm), so both the store and the
 // replay sides of every cache entry are pinned, including the MaxWork
 // budget variant whose trace depends on exact work accounting.
 func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
-	type variant struct {
-		cfg randdnf.Config
-		opt Options
-	}
-	variants := []variant{
-		{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute}},
-		{randdnf.Default(), Options{Eps: 0.05, Kind: Relative}},
-		{randdnf.Config{Vars: 14, Clauses: 20, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6},
-			Options{Eps: 1e-4, Kind: Absolute}},
-		// Multi-valued domains exercise the prepared-restrict dedup.
-		{randdnf.Config{Vars: 12, Clauses: 18, MaxWidth: 3, MaxDomain: 4, MinProb: 0.05, MaxProb: 0.5},
-			Options{Eps: 1e-3, Kind: Absolute}},
-		// Ablation variants change the prepared form; the cache keys
-		// them apart (prepVariant) and each must match its own reference.
-		{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableSubsumption: true}},
-		{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableBucketSort: true}},
-		{randdnf.Config{Vars: 14, Clauses: 20, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6},
-			Options{Eps: 1e-3, Kind: Absolute, DisableSubsumption: true, DisableBucketSort: true}},
-		// A work budget cuts the trace mid-tree: warm cache hits must
-		// replay the reference work charge exactly or the cut moves.
-		{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
-			Options{Eps: 1e-9, Kind: Absolute, MaxWork: 4000}},
-	}
 	traces := 0
-	for vi, v := range variants {
+	for vi, v := range prepCorpora {
 		for seed := int64(0); seed < 12; seed++ {
 			// One cache per seed: a cache is bound to one Space, and
 			// each seed generates its own.

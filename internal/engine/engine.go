@@ -115,7 +115,7 @@ type Approx struct {
 	Cache *formula.FragCache
 	// Frags, when non-nil, memoizes across evaluations (same Space only)
 	// prepared leaf fragments (normalized/reduced form, heuristic
-	// bounds, component partition) at Eps > 0, and exact subformula
+	// bounds, decomposition step) at Eps > 0, and exact subformula
 	// probabilities at Eps 0.
 	Frags *formula.FragCache
 	// Pool is the worker pool evaluation at Eps 0 fans out on; nil means

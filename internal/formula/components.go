@@ -4,10 +4,11 @@ package formula
 // (independent-or) decomposition test the d-tree compiler runs on every
 // leaf it refines. The union-find here is iterative (path halving), so
 // arbitrarily long variable chains cannot grow the goroutine stack, and
-// all per-call bookkeeping lives in an epoch-stamped CompScratch that
-// callers on a hot path reuse across calls; only the returned partition
-// itself is freshly allocated (it outlives the call — the compiler
-// memoizes it on the prepared fragment).
+// all per-call bookkeeping, the returned partition included, lives in
+// an epoch-stamped CompScratch that callers on a hot path reuse across
+// calls. The compiler consumes each partition within the step that
+// computed it (the step's outcome, not the partition, is what it
+// memoizes on the prepared fragment).
 
 // CompScratch holds the reusable union-find buffers of
 // DNF.ComponentsScratch. The zero value is ready to use; a scratch may
@@ -18,6 +19,10 @@ type CompScratch struct {
 	stamp  []uint32 // epoch stamps validating parent entries
 	gstamp []uint32 // epoch stamps validating group entries
 	epoch  uint32
+
+	counts []int   // per-group clause counts
+	arena  []int   // the partition's clause indices, group after group
+	out    [][]int // the partition's group headers, slices of arena
 }
 
 // grow ensures the scratch covers variable ids up to maxVar and starts
@@ -67,8 +72,9 @@ func (d DNF) Components() [][]int {
 }
 
 // ComponentsScratch is Components with caller-provided scratch buffers,
-// for hot paths that partition many DNFs: across calls it allocates
-// only the returned partition (one []int arena plus the group headers).
+// for hot paths that partition many DNFs: once the buffers have grown it
+// allocates nothing. The partition lives in sc and is valid until sc's
+// next use.
 func (d DNF) ComponentsScratch(sc *CompScratch) [][]int {
 	maxVar := Var(-1)
 	for _, c := range d {
@@ -87,7 +93,7 @@ func (d DNF) ComponentsScratch(sc *CompScratch) [][]int {
 	}
 
 	// Assign group ids in order of first clause and count group sizes,
-	// then carve the index groups out of a single arena. Empty clauses
+	// then carve the index groups out of the scratch arena. Empty clauses
 	// are independent of everything; each forms its own component at the
 	// end (the compiler short-circuits "true" before reaching here, but
 	// Components stays total).
@@ -105,23 +111,31 @@ func (d DNF) ComponentsScratch(sc *CompScratch) [][]int {
 			nGroups++
 		}
 	}
+	if cap(sc.arena) < len(d) {
+		sc.arena = make([]int, len(d))
+	}
+	if n := nGroups + empties; cap(sc.out) < n {
+		sc.out = make([][]int, n)
+	}
+	arena, out := sc.arena[:len(d)], sc.out[:nGroups]
 	if nGroups+empties == 1 {
 		// Single component (the common refined-leaf case): one group
 		// holding every clause index.
-		arena := make([]int, len(d))
 		for i := range arena {
 			arena[i] = i
 		}
-		return [][]int{arena}
+		return append(out[:0], arena)
 	}
-	counts := make([]int, nGroups)
+	if cap(sc.counts) < nGroups {
+		sc.counts = make([]int, nGroups)
+	}
+	counts := sc.counts[:nGroups]
+	clear(counts)
 	for _, c := range d {
 		if len(c) > 0 {
 			counts[sc.group[sc.find(c[0].Var)]]++
 		}
 	}
-	arena := make([]int, len(d))
-	out := make([][]int, nGroups, nGroups+empties)
 	off := 0
 	for g, n := range counts {
 		out[g] = arena[off : off : off+n]

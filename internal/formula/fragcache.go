@@ -18,14 +18,14 @@ import (
 // results in the same shape: D the fragment, Lo == Hi its probability,
 // Exact set, Work 0.
 //
-// The component partition of D (the independent-or ⊗ split the compiler
-// needs when the leaf is later refined) is recorded lazily the first
-// time a decomposition computes it, via SetComponents.
+// The decomposition step the compiler applies when the leaf is later
+// refined is memoized on the entry the first time it runs, as a
+// Decision (SetDecision).
 //
 // PreparedFrag values are shared between goroutines once published by a
 // FragCache; all fields are read-only after Store, and the lazy
-// component partition is accessed through an atomic pointer. Callers
-// must treat D and the partition as immutable.
+// decision is accessed through an atomic pointer. Callers must treat D
+// and the decision as immutable.
 type PreparedFrag struct {
 	// D is the prepared form: normalized (duplicate clauses removed)
 	// and, unless the preparing evaluation disabled it, subsumption-
@@ -37,45 +37,65 @@ type PreparedFrag struct {
 	Lo, Hi float64
 	// Exact reports Lo == Hi.
 	Exact bool
+	// cached is set by the Store that made this frag a cache entry.
+	cached bool
 	// Work is the number of clause-processing operations preparation
 	// charged against the evaluation's work budget. Cache hits charge
 	// the same amount, so budget traces are identical whether a
 	// fragment is prepared or replayed.
 	Work int64
 
-	comps atomic.Pointer[[][]int]
+	dec atomic.Pointer[Decision]
 }
 
-// Components returns the recorded component partition of D, if any
-// decomposition has computed it yet.
-func (f *PreparedFrag) Components() ([][]int, bool) {
-	p := f.comps.Load()
-	if p == nil {
-		return nil, false
+// Decision is the outcome of one d-tree decomposition step on a
+// prepared fragment: the node kind, the variable order the step ran
+// under (both as the compiler's own enum values), and the children as
+// their canonical cache entries with their branch weights (P(x = a) under
+// Shannon expansion, 1 otherwise). The step is a pure function of D, the
+// order and the entry's variant, so replaying a Decision is
+// indistinguishable from re-running the step and looking every child up.
+type Decision struct {
+	Kind, Order uint8
+	Children    []*PreparedFrag
+	Weights     []float64
+}
+
+// Decision returns the decomposition recorded on f, or nil.
+func (f *PreparedFrag) Decision() *Decision { return f.dec.Load() }
+
+// SetDecision records dec on f, provided f and every child are cache
+// entries: a replayed child must be exactly what a Lookup of its key
+// would return, so a decision over a frag a full cache handed back
+// unstored is dropped. Concurrent setters race benignly: under one order
+// every caller stores an equal value (children are canonical entries),
+// and a reader checks the order of the one value it loads.
+func (f *PreparedFrag) SetDecision(dec *Decision) {
+	if !f.cached {
+		return
 	}
-	return *p, true
-}
-
-// SetComponents records the component partition of D. Concurrent
-// setters race benignly: the partition is a deterministic function of
-// D, so every caller stores an equal value and last-write-wins keeps
-// the entry consistent.
-func (f *PreparedFrag) SetComponents(comps [][]int) {
-	f.comps.Store(&comps)
+	for _, c := range dec.Children {
+		if !c.cached {
+			return
+		}
+	}
+	f.dec.Store(dec)
 }
 
 // FragCache is the engine's one concurrent memo table. Evaluation at
 // ε > 0 maps raw lineage fragments to their prepared forms —
-// normalization, subsumption removal, heuristic [lo, hi] bounds and
-// (lazily) the component partition, the whole per-leaf preparation
-// pipeline of the d-tree compiler — keyed by the fragment as the
-// compiler encounters it (pre-preparation). Exact evaluation maps
-// already-prepared fragments to their exact probabilities, stored as
-// point entries (Lo == Hi, Exact). Either way identical subformulas
-// reached across the answers of a query or across Shannon siblings of
-// one compilation are computed once. A cache is shared by handing it to
-// every evaluation over the same Space and must not be reused with a
-// different Space (entries embed that space's probabilities).
+// normalization, subsumption removal and heuristic [lo, hi] bounds, the
+// whole per-leaf preparation pipeline of the d-tree compiler — keyed by
+// the fragment as the compiler encounters it (pre-preparation); each
+// entry later memoizes its decomposition step as well (Decision), so a
+// warm refinement neither re-runs the step nor looks its children up.
+// Exact evaluation maps already-prepared fragments to their exact
+// probabilities, stored as point entries (Lo == Hi, Exact). Either way
+// identical subformulas reached across the answers of a query or across
+// Shannon siblings of one compilation are computed once. A cache is
+// shared by handing it to every evaluation over the same Space and must
+// not be reused with a different Space (entries embed that space's
+// probabilities).
 //
 // Lookups carry a variant byte that partitions the key space: the
 // evaluator chooses it (internal/core keys preparation by its two
@@ -86,7 +106,10 @@ func (f *PreparedFrag) SetComponents(comps [][]int) {
 //
 // Entries are never evicted; once MaxEntries is reached new fragments
 // are prepared but not stored, bounding memory while keeping every hit
-// already earned. All methods are safe for concurrent use.
+// already earned. (Decisions point at their children's entries, so an
+// evicting table would keep an evicted child reachable through its
+// parent's decision — safe, but no longer what a Lookup returns.) All
+// methods are safe for concurrent use.
 type FragCache struct {
 	mu      sync.RWMutex
 	buckets map[uint64][]*fragCacheEntry
@@ -152,7 +175,7 @@ func fragKeyHash(d DNF, variant uint8) uint64 {
 
 // Lookup returns the prepared form of d under the given variant, if
 // present. The returned PreparedFrag is shared and must be treated as
-// immutable (SetComponents excepted).
+// immutable (SetDecision excepted).
 func (c *FragCache) Lookup(d DNF, variant uint8) (*PreparedFrag, bool) {
 	h := fragKeyHash(d, variant)
 	c.mu.RLock()
@@ -185,10 +208,16 @@ func (c *FragCache) Store(d DNF, variant uint8, f *PreparedFrag) *PreparedFrag {
 	if c.n >= c.max {
 		return f
 	}
+	f.cached = true
 	c.buckets[h] = append(c.buckets[h], &fragCacheEntry{key: d, variant: variant, frag: f})
 	c.n++
 	return f
 }
+
+// CountHit records a hit served without a Lookup — a child of a
+// replayed Decision — so CacheStats reads exactly as if it had been
+// looked up.
+func (c *FragCache) CountHit() { c.hits.Add(1) }
 
 // Len returns the number of memoized fragments.
 func (c *FragCache) Len() int {

@@ -132,15 +132,39 @@ func TestFragCacheCapacity(t *testing.T) {
 	}
 }
 
-func TestPreparedFragComponentsLazy(t *testing.T) {
-	f := &PreparedFrag{D: fragTestDNF(2)}
-	if _, ok := f.Components(); ok {
-		t.Fatal("components reported before SetComponents")
+// A decision is recorded only over cache entries: a parent or a child a
+// full cache handed back unstored would replay as a hit a Lookup could
+// never produce.
+func TestPreparedFragDecisionLazy(t *testing.T) {
+	c := NewFragCache(3)
+	parent := &PreparedFrag{D: fragTestDNF(2)}
+	kids := []*PreparedFrag{{D: fragTestDNF(20)}, {D: fragTestDNF(30)}}
+	dec := &Decision{Kind: 3, Order: 1, Children: kids, Weights: []float64{0.25, 0.75}}
+	if parent.Decision() != nil {
+		t.Fatal("decision reported before SetDecision")
 	}
-	comps := [][]int{{0, 1, 2, 3, 4, 5}}
-	f.SetComponents(comps)
-	got, ok := f.Components()
-	if !ok || len(got) != 1 || len(got[0]) != 6 {
-		t.Fatalf("components after set: ok=%v got=%v", ok, got)
+	parent.SetDecision(dec)
+	if parent.Decision() != nil {
+		t.Fatal("decision recorded on a frag no cache holds")
+	}
+	c.Store(parent.D, 0, parent)
+	c.Store(kids[0].D, 0, kids[0])
+	parent.SetDecision(dec)
+	if parent.Decision() != nil {
+		t.Fatal("decision recorded over a child no cache holds")
+	}
+	c.Store(kids[1].D, 0, kids[1])
+	parent.SetDecision(dec)
+	if got := parent.Decision(); got != dec {
+		t.Fatalf("decision after every entry is stored: %+v", got)
+	}
+	// The cache is full now: a fourth frag comes back unstored.
+	late := &PreparedFrag{D: fragTestDNF(40)}
+	if c.Store(late.D, 0, late) != late || c.Len() != 3 {
+		t.Fatal("overflow store did not hand the frag back")
+	}
+	parent.SetDecision(&Decision{Kind: 1, Children: []*PreparedFrag{late}, Weights: []float64{1}})
+	if parent.Decision() != dec {
+		t.Fatal("decision over an overflowed child replaced the recorded one")
 	}
 }

@@ -24,6 +24,11 @@ import (
 // Variant). Older files load as a cold start. Exact evaluation's point
 // entries are stored under a variant of their own; they added a variant
 // value, not a new meaning for the existing ones, so they stay v3.
+// Entries no longer carry their component partition: older v3 saves
+// have a Comps field, which gob skips on load, so they still load whole.
+// The Decision that replaced the partition is not persisted (it points
+// at other entries); a loaded entry re-derives it on its first
+// decomposition. What a v3 entry means is unchanged, so no version bump.
 const (
 	fragCacheMagic   = "repro.fragcache"
 	fragCacheVersion = 3
@@ -51,9 +56,6 @@ type fragEntryGob struct {
 	Lo, Hi  float64
 	Exact   bool
 	Work    int64
-	// Comps is the lazily-memoized component partition, nil when no
-	// decomposition had computed it by save time.
-	Comps [][]int
 }
 
 // Save writes the cache's memoized fragments to w in the versioned,
@@ -91,9 +93,6 @@ func (c *FragCache) Save(w io.Writer) error {
 			Hi:      e.frag.Hi,
 			Exact:   e.frag.Exact,
 			Work:    e.frag.Work,
-		}
-		if comps, ok := e.frag.Components(); ok {
-			g.Comps = comps
 		}
 		if err := penc.Encode(g); err != nil {
 			return fmt.Errorf("formula: FragCache.Save entry: %w", err)
@@ -181,11 +180,7 @@ func LoadFragCache(r io.Reader, maxEntries int) (*FragCache, error) {
 			// half-decoded cache.
 			return NewFragCache(maxEntries), fmt.Errorf("formula: LoadFragCache entry %d of %d: %w", i, n, err)
 		}
-		f := &PreparedFrag{D: g.D, Lo: g.Lo, Hi: g.Hi, Exact: g.Exact, Work: g.Work}
-		if g.Comps != nil {
-			f.SetComponents(g.Comps)
-		}
-		c.Store(g.Key, g.Variant, f)
+		c.Store(g.Key, g.Variant, &PreparedFrag{D: g.D, Lo: g.Lo, Hi: g.Hi, Exact: g.Exact, Work: g.Work})
 	}
 	return c, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -22,9 +24,6 @@ func persistTestCache(t *testing.T) (*FragCache, []DNF) {
 			Hi:    0.2 * float64(i+1) / 10,
 			Exact: i%2 == 0,
 			Work:  int64(10 + i),
-		}
-		if i%3 == 0 {
-			frag.SetComponents([][]int{{0}, {1}})
 		}
 		c.Store(key, uint8(i%2), frag)
 		keys = append(keys, key)
@@ -57,14 +56,6 @@ func TestFragCacheSaveLoadRoundtrip(t *testing.T) {
 		if !got.D.Equal(want.D) || got.Lo != want.Lo || got.Hi != want.Hi ||
 			got.Exact != want.Exact || got.Work != want.Work {
 			t.Fatalf("entry %d mismatch: got %+v want %+v", i, got, want)
-		}
-		wc, wok := want.Components()
-		gc, gok := got.Components()
-		if wok != gok {
-			t.Fatalf("entry %d components presence: got %v want %v", i, gok, wok)
-		}
-		if wok && len(wc) != len(gc) {
-			t.Fatalf("entry %d components mismatch: got %v want %v", i, gc, wc)
 		}
 		// The other variant must stay invisible.
 		if _, ok := loaded.Lookup(key, uint8((i+1)%2)); ok {
@@ -219,6 +210,65 @@ func TestFragCacheSaveLoadSurvivesRestartLookup(t *testing.T) {
 	}
 	if s := warm.CacheStats(); s.Hits != 1 {
 		t.Fatalf("expected 1 hit after warm lookup, got %+v", s)
+	}
+}
+
+// readFuzzBytes returns the []byte value of a one-argument corpus file
+// in testdata/fuzz.
+func readFuzzBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	if !ok || len(lines) != 2 {
+		t.Fatalf("%s: not a one-argument []byte corpus file", path)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(v)
+}
+
+// The committed real-save fixture was written while entries still
+// carried their component partition (fragEntryGob's old Comps field).
+// The format stays v3 without it: gob skips the field, every entry
+// loads, none carries a decision (decisions are never persisted), and
+// a reload of what it saves now holds the same entries.
+func TestFragCacheLoadsSaveWrittenWithComps(t *testing.T) {
+	data := readFuzzBytes(t, "testdata/fuzz/FuzzLoadFragCache/real-save")
+	if !bytes.Contains(data, []byte("Comps")) {
+		t.Fatal("fixture does not declare the Comps field it is meant to pin")
+	}
+	c, err := LoadFragCache(bytes.NewReader(data), 0)
+	if err != nil {
+		t.Fatalf("LoadFragCache: %v", err)
+	}
+	if c.Len() != 11 {
+		t.Fatalf("loaded %d entries, want the fixture's 11", c.Len())
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again, err := LoadFragCache(&buf, 0)
+	if err != nil || again.Len() != c.Len() {
+		t.Fatalf("re-save reloads %d entries (%v), want %d", again.Len(), err, c.Len())
+	}
+	for _, bucket := range c.buckets {
+		for _, e := range bucket {
+			if e.frag.Decision() != nil {
+				t.Fatalf("entry %v loaded with a decision", e.key)
+			}
+			got, ok := again.Lookup(e.key, e.variant)
+			if !ok || !got.D.Equal(e.frag.D) || got.Lo != e.frag.Lo || got.Hi != e.frag.Hi ||
+				got.Exact != e.frag.Exact || got.Work != e.frag.Work {
+				t.Fatalf("entry %v (variant %d) did not survive a re-save: %+v", e.key, e.variant, got)
+			}
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func WithEvaluator(ev Evaluator) SessionOption {
 // sharing knob: sessions over one DB handed the same cache compute each
 // recurring fragment once, whoever sees it first. Approximate and
 // ranked evaluation store prepared fragments there (normalized form,
-// heuristic bounds, component partition), short-circuiting leaf
+// heuristic bounds, decomposition step), short-circuiting leaf
 // preparation, their dominant cost; exact evaluation stores exact
 // subformula probabilities. Share one across sessions over the same DB
 // only.
