@@ -58,7 +58,6 @@ func main() {
 		fragPath    = flag.String("fragcache", "", "persist the shared prepared-fragment cache at this path")
 		expvarName  = flag.String("expvar", "reprod", "expvar name for the engine snapshot (empty disables)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		watchdog    = flag.Duration("watchdog", 0, "stuck-query watchdog: fail ranked runs making no bound progress for this long (0 = off)")
 		chaosSeed   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection with this seed (0 = off)")
 		chaosSpec   = flag.String("chaos", "", "per-site fault probabilities, 'site:kind=p,kind=p;site:…' with sites eval.step|leaf.prepare|cache.lookup|sse.flush and kinds panic|error|cancel|latency|latency_ms (empty = a mild default schedule)")
 	)
@@ -94,7 +93,6 @@ func main() {
 		SessionTTL:    *sessionTTL,
 		SharedFrags:   frags,
 		Inject:        inj,
-		Watchdog:      *watchdog,
 		Logf:          log.Printf,
 	})
 	if *expvarName != "" {

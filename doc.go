@@ -230,10 +230,10 @@ var (
 	LoadFragCacheFile = formula.LoadFragCacheFile
 )
 
-// Fault isolation and chaos types: panic containment, the stuck-query
-// watchdog, and deterministic fault injection (see the README's
-// Robustness section). Production code never touches these — a nil
-// injector costs a single nil check per probe site.
+// Fault isolation and chaos types: panic containment and deterministic
+// fault injection (see the README's Robustness section). Production
+// code never touches these — a nil injector costs a single nil check
+// per probe site.
 type (
 	// FaultInjector is the seeded, deterministic fault injector: arm it
 	// with WithInjector (per session) or ServeConfig.Inject (whole
@@ -259,9 +259,6 @@ var (
 	// ErrFaultInjected marks errors synthesized by a FaultInjector
 	// (errors.Is-able through every wrapping layer).
 	ErrFaultInjected = fault.ErrInjected
-	// ErrQueryStuck is the stuck-query watchdog's verdict: a ranked run
-	// made no bound progress within the WithWatchdog deadline.
-	ErrQueryStuck = fault.ErrStuck
 )
 
 // Planner routes.

@@ -504,27 +504,52 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 // TestSessionTimeoutBoundsWholeQuery pins WithBudget's Timeout as one
 // deadline per query, not per answer: with every answer's evaluation
 // slowed by 2 ms (the eval.step latency fault) on a one-worker pool, a
-// 100-answer unranked query needs ≥ 200 ms, so a 20 ms Timeout must
-// stop it with context.DeadlineExceeded within a few Timeouts.
+// 100-answer query needs ≥ 200 ms, so a 20 ms Timeout must stop it
+// with context.DeadlineExceeded within a few Timeouts — the unranked
+// batch path and the ranked anytime stream alike.
 func TestSessionTimeoutBoundsWholeQuery(t *testing.T) {
 	const answers, timeout = 100, 20 * time.Millisecond
 	s, rel := facadeWorkload(answers)
 	db := repro.NewDB(s, rel)
 	db.Pool().Resize(1)
-	inj := repro.NewFaultInjector(1)
-	inj.Configure(fault.SiteEvalStep, repro.FaultSiteConfig{Latency: 1, LatencyDur: 2 * time.Millisecond})
-	sess := db.Session(repro.WithForceLineage(), repro.WithInjector(inj),
-		repro.WithBudget(repro.Budget{Timeout: timeout}))
+	session := func() *repro.Session {
+		inj := repro.NewFaultInjector(1)
+		inj.Configure(fault.SiteEvalStep, repro.FaultSiteConfig{Latency: 1, LatencyDur: 2 * time.Millisecond})
+		return db.Session(repro.WithForceLineage(), repro.WithInjector(inj),
+			repro.WithBudget(repro.Budget{Timeout: timeout}))
+	}
+	check := func(t *testing.T, n int, err error, elapsed time.Duration) {
+		t.Helper()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d answers, err %v after %v; want context.DeadlineExceeded", n, err, elapsed)
+		}
+		if elapsed > 5*timeout {
+			t.Fatalf("query ran %v under a %v Timeout", elapsed, timeout)
+		}
+	}
 
-	start := time.Now()
-	got, err := sess.Query("answers").GroupLineage(0).All(context.Background())
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("%d answers, err %v after %v; want context.DeadlineExceeded", len(got), err, elapsed)
-	}
-	if elapsed > 5*timeout {
-		t.Fatalf("query ran %v under a %v Timeout", elapsed, timeout)
-	}
+	t.Run("unranked", func(t *testing.T) {
+		start := time.Now()
+		got, err := session().Query("answers").GroupLineage(0).All(context.Background())
+		check(t, len(got), err, time.Since(start))
+	})
+
+	t.Run("ranked stream", func(t *testing.T) {
+		start := time.Now()
+		var n int
+		var finalErr error
+		for _, err := range session().Query("answers").GroupLineage(0).TopK(10).Run(context.Background()) {
+			if finalErr != nil {
+				t.Fatalf("stream yielded past its error %v", finalErr)
+			}
+			if err != nil {
+				finalErr = err
+				continue
+			}
+			n++
+		}
+		check(t, n, finalErr, time.Since(start))
+	})
 }
 
 // TestDBPartitionPoolIsolation pins per-DB pools: sizing one DB's pool

@@ -26,33 +26,21 @@ func (n *gNode) recompute() {
 	switch n.kind {
 	case ExclOr:
 		for _, c := range n.children {
-			m := c.mult
-			if m == 0 {
-				m = 1
-			}
-			lo += m * c.lo
-			hi += m * c.hi
+			lo += c.mult * c.lo
+			hi += c.mult * c.hi
 		}
 	case IndepOr:
 		ql, qh := 1.0, 1.0
 		for _, c := range n.children {
-			m := c.mult
-			if m == 0 {
-				m = 1
-			}
-			ql *= 1 - m*c.lo
-			qh *= 1 - m*c.hi
+			ql *= 1 - c.mult*c.lo
+			qh *= 1 - c.mult*c.hi
 		}
 		lo, hi = 1-ql, 1-qh
 	case IndepAnd:
 		lo, hi = 1, 1
 		for _, c := range n.children {
-			m := c.mult
-			if m == 0 {
-				m = 1
-			}
-			lo *= m * c.lo
-			hi *= m * c.hi
+			lo *= c.mult * c.lo
+			hi *= c.mult * c.hi
 		}
 	}
 	if hi > 1 {

@@ -70,7 +70,6 @@ type runResult struct {
 	millis   float64
 	ok       bool // converged within budget
 	detail   int  // nodes or samples
-	exact    bool
 	estimate string
 }
 
@@ -93,7 +92,7 @@ func runEval(ev engine.Evaluator, s *formula.Space, d formula.DNF) runResult {
 	}
 	return runResult{
 		est: res.Estimate, millis: float64(el.Microseconds()) / 1000,
-		ok: err == nil && res.Converged, detail: detail, exact: res.Exact,
+		ok: err == nil && res.Converged, detail: detail,
 		estimate: prob(res.Estimate),
 	}
 }
@@ -110,13 +109,6 @@ func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKin
 	return runEval(engine.Approx{
 		Eps: eps, Kind: kind, Budget: dtreeBudget(maxNodes), Frags: frags,
 	}, s, d)
-}
-
-// runDtreeExact measures the error-0 configuration: runDtree at ε = 0.
-func runDtreeExact(s *formula.Space, d formula.DNF, maxNodes int, frags *formula.FragCache) runResult {
-	r := runDtree(s, d, 0, engine.Absolute, maxNodes, frags)
-	r.exact = true
-	return r
 }
 
 // runAconf measures the Karp-Luby/DKLR baseline.
@@ -139,7 +131,7 @@ func runMeasured(f func() float64) runResult {
 	el := time.Since(start)
 	return runResult{
 		est: p, millis: float64(el.Microseconds()) / 1000,
-		ok: true, exact: true, estimate: prob(p),
+		ok: true, estimate: prob(p),
 	}
 }
 
@@ -147,12 +139,11 @@ func runMeasured(f func() float64) runResult {
 // paper reports one time per query; multi-answer queries sum their
 // answers' confidence-computation times).
 func sumRuns(rs []runResult) runResult {
-	out := runResult{ok: true, exact: true}
+	out := runResult{ok: true}
 	for _, r := range rs {
 		out.millis += r.millis
 		out.detail += r.detail
 		out.ok = out.ok && r.ok
-		out.exact = out.exact && r.exact
 	}
 	if n := len(rs); n == 1 {
 		out.est = rs[0].est

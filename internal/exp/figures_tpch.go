@@ -134,7 +134,7 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 			}
 			ac = append(ac, runAconf(db.Space, d, relErr001, p.Delta, p.AconfMaxSample, p.Seed+int64(i)))
 			dt = append(dt, runDtree(db.Space, d, relErr001, engine.Relative, p.DtreeMaxNodes, frags))
-			de = append(de, runDtreeExact(db.Space, d, p.DtreeMaxNodes, frags))
+			de = append(de, runDtree(db.Space, d, 0, engine.Absolute, p.DtreeMaxNodes, frags))
 		}
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		sa, sd, se := sumRuns(ac), sumRuns(dt), sumRuns(de)
@@ -179,7 +179,7 @@ func Fig6c(p Params) *Table {
 		}
 		ac := runAconf(db.Space, dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
 		dt := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
-		de := runDtreeExact(db.Space, dnf, p.DtreeMaxNodes, nil)
+		de := runDtree(db.Space, dnf, 0, engine.Absolute, p.DtreeMaxNodes, nil)
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		t.Rows = append(t.Rows, []string{
 			q.name, fmt.Sprint(len(dnf)),

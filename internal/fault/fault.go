@@ -37,11 +37,6 @@ const (
 // failures from organic ones with errors.Is.
 var ErrInjected = errors.New("injected fault")
 
-// ErrStuck is the watchdog's verdict: a query's refiners made no bound
-// progress within the configured deadline, so the scheduler tripped a
-// cancel rather than spin forever.
-var ErrStuck = errors.New("stuck query: no bound progress within watchdog deadline")
-
 // PanicError is a recovered panic promoted to a value that flows
 // through the ordinary partial-results error plumbing: per-answer Err
 // fields, the rank scheduler's error return, the SSE error event.

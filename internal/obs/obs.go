@@ -225,9 +225,8 @@ type Metrics struct {
 	BudgetExhausted Counter
 
 	// Fault isolation: panics contained into errors (counted once, at
-	// the first recovery point) and stuck-query watchdog trips.
+	// the first recovery point).
 	PanicsRecovered Counter
-	WatchdogTrips   Counter
 
 	// Per-query latency in microseconds: full wall clock and time to
 	// first answer (streamed runs only).
@@ -365,14 +364,6 @@ func (m *Metrics) RecordPanicRecovered() {
 	m.PanicsRecovered.Inc()
 }
 
-// RecordWatchdogTrip counts one stuck-query watchdog firing.
-func (m *Metrics) RecordWatchdogTrip() {
-	if m == nil {
-		return
-	}
-	m.WatchdogTrips.Inc()
-}
-
 // RecordQuery counts one query execution with its wall-clock time and
 // (when positive, i.e. on streamed runs that yielded at least one
 // answer) its time to first answer.
@@ -416,7 +407,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		PoolActive:        m.PoolActive.Value(),
 		BudgetExhausted:   m.BudgetExhausted.Value(),
 		PanicsRecovered:   m.PanicsRecovered.Value(),
-		WatchdogTrips:     m.WatchdogTrips.Value(),
 		QueryWallMicros:   m.QueryWallMicros.Snapshot(),
 		FirstAnswerMicros: m.FirstAnswerMicros.Snapshot(),
 	}
@@ -458,7 +448,6 @@ type Snapshot struct {
 
 	BudgetExhausted int64 `json:"budget_exhausted"`
 	PanicsRecovered int64 `json:"panics_recovered"`
-	WatchdogTrips   int64 `json:"watchdog_trips"`
 
 	QueryWallMicros   HistogramSnapshot `json:"query_wall_us"`
 	FirstAnswerMicros HistogramSnapshot `json:"first_answer_us"`
@@ -489,7 +478,6 @@ func (s Snapshot) Sub(base Snapshot) Snapshot {
 		PoolActive:        s.PoolActive,
 		BudgetExhausted:   s.BudgetExhausted - base.BudgetExhausted,
 		PanicsRecovered:   s.PanicsRecovered - base.PanicsRecovered,
-		WatchdogTrips:     s.WatchdogTrips - base.WatchdogTrips,
 		QueryWallMicros:   s.QueryWallMicros.Sub(base.QueryWallMicros),
 		FirstAnswerMicros: s.FirstAnswerMicros.Sub(base.FirstAnswerMicros),
 	}

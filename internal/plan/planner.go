@@ -67,9 +67,6 @@ type Options struct {
 	// chaos sites (the core sites, through the ranking scheduler) — the
 	// default injector when the evaluator carries none. Nil-safe.
 	Inject *fault.Injector
-	// Watchdog, when positive, is the ranked route's stuck-query
-	// deadline (see rank.Options.Watchdog).
-	Watchdog time.Duration
 }
 
 // rankSpec is a ranking root (TopK/Threshold) stripped off the plan:
@@ -105,10 +102,9 @@ type Plan struct {
 	// pool is the worker pool the ranking scheduler and conf fan-out run
 	// on; metrics is the registry every execution records into (nil =
 	// none).
-	pool     *workpool.Pool
-	metrics  *obs.Metrics
-	inject   *fault.Injector
-	watchdog time.Duration
+	pool    *workpool.Pool
+	metrics *obs.Metrics
+	inject  *fault.Injector
 	// err is why the plan cannot execute (see Err); leaves are the scans
 	// the analysis walk registered (see Relations).
 	err    error
@@ -180,7 +176,7 @@ func (p *Plan) Relations() []*pdb.Relation {
 
 // compileRouted routes a rank-free query.
 func compileRouted(root Node, opt Options) *Plan {
-	p := &Plan{Root: root, Route: RouteLineage, Shards: 1, pool: opt.Pool, metrics: opt.Metrics, inject: opt.Inject, watchdog: opt.Watchdog}
+	p := &Plan{Root: root, Route: RouteLineage, Shards: 1, pool: opt.Pool, metrics: opt.Metrics, inject: opt.Inject}
 	if root == nil {
 		p.Why = "empty query"
 		return p
@@ -384,8 +380,7 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 }
 
 // rankOptions derives the scheduler configuration from the evaluator,
-// defaulting the metrics registry, fault injector and watchdog deadline
-// to the plan's own.
+// defaulting the metrics registry and fault injector to the plan's own.
 func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
 	opt := rankOptionsFrom(ev)
 	if opt.Metrics == nil {
@@ -393,9 +388,6 @@ func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
 	}
 	if opt.Inject == nil {
 		opt.Inject = p.inject
-	}
-	if opt.Watchdog == 0 {
-		opt.Watchdog = p.watchdog
 	}
 	return opt
 }

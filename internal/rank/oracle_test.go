@@ -43,9 +43,6 @@ func refSchedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt 
 		if err = sc.ctx.Err(); err != nil {
 			break
 		}
-		if err = sc.checkStuck(); err != nil {
-			break
-		}
 		decide(sc)
 		i := sc.pickFull()
 		if i < 0 {

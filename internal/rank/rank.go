@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -86,11 +85,6 @@ type Options struct {
 	// Inject, when non-nil, fires deterministic faults at the core
 	// chaos sites inside every refiner (nil-safe, see fault.Injector).
 	Inject *fault.Injector
-	// Watchdog, when positive, is the stuck-query deadline: if no grant
-	// tightens any answer's bounds for this long, the run stops with
-	// fault.ErrStuck (and a watchdog_trips metric) instead of spinning —
-	// the budget-cancel of last resort for a wedged refiner.
-	Watchdog time.Duration
 	// OnDecided, when non-nil, is invoked synchronously from the
 	// scheduling loop the moment an answer's membership is *proven*
 	// (status decided-in: fewer than k answers can possibly rank above
@@ -181,12 +175,6 @@ type sched struct {
 	steps  int
 	ix     *decideIndex
 	ph     *widthHeap
-
-	// Stuck-query watchdog (Options.Watchdog): lastProgress is stamped
-	// whenever a grant tightens some bound; the scheduling loops check
-	// it before every grant.
-	wd           time.Duration
-	lastProgress time.Time
 }
 
 func newSched(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options) *sched {
@@ -196,10 +184,6 @@ func newSched(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Opt
 		refs:   make([]*core.Refiner, len(dnfs)),
 		items:  make([]Item, len(dnfs)),
 		status: make([]status, len(dnfs)),
-	}
-	if opt.Watchdog > 0 {
-		sc.wd = opt.Watchdog
-		sc.lastProgress = time.Now()
 	}
 	co := opt.coreOptions()
 	if co.Frags == nil {
@@ -239,9 +223,6 @@ func (sc *sched) grant(i int) error {
 	oldLo, oldHi := sc.items[i].Lo, sc.items[i].Hi
 	lo, hi := sc.step(i)
 	sc.steps += sc.refs[i].Steps() - before
-	if sc.wd > 0 && (lo != oldLo || hi != oldHi) {
-		sc.lastProgress = time.Now()
-	}
 	sc.items[i].Lo, sc.items[i].Hi = lo, hi
 	if sc.ix != nil {
 		sc.ix.update(i, oldLo, oldHi, lo, hi)
@@ -272,16 +253,6 @@ func (sc *sched) step(i int) (lo, hi float64) {
 	}()
 	lo, hi, _ = sc.refs[i].Step(grantSteps)
 	return lo, hi
-}
-
-// checkStuck trips the watchdog when no grant has tightened any bound
-// within the deadline.
-func (sc *sched) checkStuck() error {
-	if sc.wd <= 0 || time.Since(sc.lastProgress) <= sc.wd {
-		return nil
-	}
-	sc.opt.Metrics.RecordWatchdogTrip()
-	return fault.ErrStuck
 }
 
 // initErr surfaces a refiner that failed during preparation (contained
@@ -385,9 +356,7 @@ func RefineAll(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Op
 	err := sc.initErr()
 	for i := range sc.refs {
 		for err == nil && !sc.refs[i].Done() {
-			if err = sc.checkStuck(); err == nil {
-				err = sc.grant(i)
-			}
+			err = sc.grant(i)
 		}
 	}
 	sc.estimates()
@@ -407,9 +376,6 @@ func RefineAll(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Op
 func (sc *sched) run(decide func()) error {
 	for {
 		if err := sc.ctx.Err(); err != nil {
-			return err
-		}
-		if err := sc.checkStuck(); err != nil {
 			return err
 		}
 		decide()

@@ -20,14 +20,14 @@ import (
 // chaosErrOK reports whether a stream-level error message is an
 // acceptable chaos outcome: empty (the run survived the faults), an
 // injected fault or its contained-panic form, a spurious cancellation,
-// a budget stop, or a watchdog trip. Anything else — a corrupt answer,
+// or a budget or deadline stop. Anything else — a corrupt answer,
 // a raw runtime error that escaped containment — fails the soak.
 func chaosErrOK(msg string) bool {
 	if msg == "" {
 		return true
 	}
 	for _, sub := range []string{
-		"injected", "panic recovered", "context canceled", "budget", "stuck", "deadline",
+		"injected", "panic recovered", "context canceled", "budget", "deadline",
 	} {
 		if strings.Contains(msg, sub) {
 			return true
@@ -43,7 +43,7 @@ func chaosErrOK(msg string) bool {
 // mixed workload. The containment contract under test: the daemon
 // never exits, every admitted stream still ends with a well-formed
 // final done event, every failure message is a recognized injected /
-// budget / watchdog shape, each injected panic is recovered and
+// budget / deadline shape, each injected panic is recovered and
 // counted exactly once, and afterwards the server drains to zero
 // inflight with no leaked goroutines.
 func TestChaosSoakInjectedFaults(t *testing.T) {
@@ -67,7 +67,6 @@ func TestChaosSoakInjectedFaults(t *testing.T) {
 		MaxInflight: 64,
 		DegradeAt:   64,
 		Inject:      inj,
-		Watchdog:    30 * time.Second, // present but generous: must not trip here
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -149,8 +148,7 @@ func TestChaosSoakInjectedFaults(t *testing.T) {
 		t.Logf("site %-13s fired %5d: panics %d errors %d cancels %d delays %d",
 			site, s.Fired, s.Panics, s.Errors, s.Cancels, s.Delays)
 	}
-	t.Logf("recovered: engine %d serve %d; watchdog trips %d",
-		m.Engine.PanicsRecovered, m.Serve.Panics, m.Engine.WatchdogTrips)
+	t.Logf("recovered: engine %d serve %d", m.Engine.PanicsRecovered, m.Serve.Panics)
 
 	// The soak must actually exercise both containment layers...
 	var enginePanics int64
@@ -171,9 +169,6 @@ func TestChaosSoakInjectedFaults(t *testing.T) {
 	}
 	if m.Serve.Panics < st[fault.SiteSSEFlush].Panics {
 		t.Errorf("serve panics %d < injected sse.flush panics %d — flush panics must reach the serving containment", m.Serve.Panics, st[fault.SiteSSEFlush].Panics)
-	}
-	if m.Engine.WatchdogTrips != 0 {
-		t.Errorf("watchdog tripped %d times under a 30s deadline", m.Engine.WatchdogTrips)
 	}
 	if m.Serve.Requests != sessions*queries+1 || m.Serve.Rejected != 0 {
 		t.Errorf("requests/rejected = %d/%d, want %d/0", m.Serve.Requests, m.Serve.Rejected, sessions*queries+1)

@@ -48,7 +48,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for the zero Config.
+// Defaults for the zero Config, and the recent-query trace ring's size.
 const (
 	DefaultDegradedEps = 0.05
 	DefaultSessionTTL  = 5 * time.Minute
@@ -81,11 +81,6 @@ type Config struct {
 	DegradeAt int
 	// SessionTTL expires idle named sessions; 0 means DefaultSessionTTL.
 	SessionTTL time.Duration
-	// SweepEvery is the janitor period; 0 derives it from SessionTTL.
-	SweepEvery time.Duration
-	// TraceBuffer bounds the recent-query trace ring;
-	// 0 means DefaultTraceBuffer.
-	TraceBuffer int
 	// SharedFrags, when set, is a prepared-fragment cache every session
 	// shares instead of pinning its own — the warm-start hook: load one
 	// with formula.LoadFragCache and hand it here, and the daemon starts
@@ -99,11 +94,6 @@ type Config struct {
 	// sites). Nil — the production configuration — costs a single nil
 	// check per probe.
 	Inject *fault.Injector
-	// Watchdog, when positive, arms the stuck-query watchdog on ranked
-	// queries: a run whose refinement stops tightening bounds for longer
-	// than this stops with fault.ErrStuck instead of occupying an
-	// admission slot forever. Read by the repro backend.
-	Watchdog time.Duration
 	// Logf, when set, receives server lifecycle lines (the shutdown
 	// drain). Nil means silent.
 	Logf func(format string, args ...any)
@@ -125,18 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = DefaultSessionTTL
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.SessionTTL / 4
-		if c.SweepEvery < time.Second {
-			c.SweepEvery = time.Second
-		}
-		if c.SweepEvery > 30*time.Second {
-			c.SweepEvery = 30 * time.Second
-		}
-	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = DefaultTraceBuffer
 	}
 	return c
 }
@@ -178,7 +156,7 @@ func New(backend Backend, cfg Config) *Server {
 		backend:     backend,
 		adm:         &admission{max: int64(cfg.MaxInflight), degradeAt: int64(cfg.DegradeAt)},
 		sessions:    newSessionManager(backend, cfg.SessionTTL, met),
-		traces:      newTraceStore(cfg.TraceBuffer),
+		traces:      newTraceStore(DefaultTraceBuffer),
 		met:         met,
 		mux:         http.NewServeMux(),
 		baseCtx:     ctx,
@@ -213,10 +191,11 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// janitor periodically expires idle sessions.
+// janitor expires idle sessions every quarter of the session TTL,
+// clamped to [1s, 30s].
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
-	t := time.NewTicker(s.cfg.SweepEvery)
+	t := time.NewTicker(min(max(s.cfg.SessionTTL/4, time.Second), 30*time.Second))
 	defer t.Stop()
 	for {
 		select {

@@ -511,7 +511,6 @@ func TestServeHTTPSessionExpiry(t *testing.T) {
 	_, base := newTestServer(t, repro.ServeConfig{
 		DefaultEps: 0.01,
 		SessionTTL: 50 * time.Millisecond,
-		SweepEvery: time.Second, // floor of the knob; rely on it once
 	})
 	if _, _, errMsg, _, _ := collectStream(t, base, serve.Request{Session: "ghost", Query: topkQuery(1)}); errMsg != "" {
 		t.Fatalf("stream error: %s", errMsg)

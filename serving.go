@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -46,19 +45,14 @@ func (b *serveBackend) OpenSession() serve.SessionClient {
 	if frags == nil {
 		frags = NewFragCache(0)
 	}
-	return &serveClient{
-		db: b.db, frags: frags,
-		inject:   b.cfg.Inject,
-		watchdog: b.cfg.Watchdog,
-	}
+	return &serveClient{db: b.db, frags: frags, inject: b.cfg.Inject}
 }
 
 // serveClient is serve.SessionClient over the façade.
 type serveClient struct {
-	db       *DB
-	frags    *FragCache
-	inject   *fault.Injector
-	watchdog time.Duration
+	db     *DB
+	frags  *FragCache
+	inject *fault.Injector
 }
 
 func (c *serveClient) Run(ctx context.Context, req *serve.Request, p serve.RunParams, sink serve.Sink) (serve.RunOutcome, error) {
@@ -73,9 +67,6 @@ func (c *serveClient) Run(ctx context.Context, req *serve.Request, p serve.RunPa
 	}
 	if c.inject != nil {
 		opts = append(opts, WithInjector(c.inject))
-	}
-	if c.watchdog > 0 {
-		opts = append(opts, WithWatchdog(c.watchdog))
 	}
 	sess := c.db.Session(opts...)
 

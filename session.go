@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/formula"
@@ -26,7 +24,6 @@ type Session struct {
 	forceLineage bool
 	trace        func(*obs.QueryTrace)
 	inject       *fault.Injector
-	watchdog     time.Duration
 }
 
 // SessionOption configures a Session at creation.
@@ -111,16 +108,6 @@ func WithInjector(inj *fault.Injector) SessionOption {
 	return func(s *Session) { s.inject = inj }
 }
 
-// WithWatchdog arms the stuck-query watchdog on the session's ranked
-// queries: when no refinement grant tightens any answer's bounds for
-// longer than d, the run stops with fault.ErrStuck (and the registry's
-// watchdog_trips counter increments) instead of spinning forever. Zero
-// disables the watchdog; a healthy run under a generous deadline is
-// scheduled identically to an unwatched one.
-func WithWatchdog(d time.Duration) SessionOption {
-	return func(s *Session) { s.watchdog = d }
-}
-
 // Session opens a session on the DB. With no options: a fresh private
 // fragment cache, no budget, exact evaluation.
 func (db *DB) Session(opts ...SessionOption) *Session {
@@ -158,6 +145,5 @@ func (s *Session) planOptions() plan.Options {
 		Pool:        s.db.pool,
 		Metrics:     s.db.metrics,
 		Inject:      s.inject,
-		Watchdog:    s.watchdog,
 	}
 }
