@@ -282,7 +282,9 @@ var (
 	NewClause = formula.NewClause
 	// NewDNF builds a normalized DNF.
 	NewDNF = formula.NewDNF
-	// Bounds computes the Figure-3 bucket bounds on P(d).
+	// Bounds computes leaf bounds on P(d): Figure 3's bucket bounds,
+	// with a Harris upper bound where every variable occurs with one
+	// value.
 	Bounds = core.LeafBounds
 	// NewFragCache returns an empty fragment cache.
 	NewFragCache = formula.NewFragCache

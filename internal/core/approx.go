@@ -275,8 +275,7 @@ func (st *state) prepare(d formula.DNF) frag {
 
 // prepareAs prepares fragment d: leafHead under the construction flags
 // documented there, then — for a fragment that is not a leaf yet —
-// inclusion–exclusion when it is small and the Figure 3 heuristic
-// bounds otherwise.
+// inclusion–exclusion when it is small and LeafBounds otherwise.
 //
 // With Options.Frags configured, the fragment is looked up before any
 // of that and stored after; a hit replays the work charge of an

@@ -7,19 +7,42 @@ import (
 	"repro/internal/formula"
 )
 
-// LeafBounds implements the Independent heuristic of Figure 3: it
-// partitions the DNF into buckets of pairwise-independent clauses, computes
-// the exact probability of each bucket, and returns
+// LeafBounds bounds the probability of a DNF leaf, refining the
+// Independent heuristic of Figure 3. Clauses are taken in bucket order —
+// descending on marginal probability when sortClauses is true, which
+// empirically tightens the lower bound (Example 5.2; experiments
+// disable it only for ablation) — and the first bucket greedily absorbs
+// every clause independent of those it already holds. Its probability
+// is a lower bound.
+//
+// A leaf is positive when every variable in it occurs with a single
+// value, as in all tuple-independent lineage. Its clauses are then
+// increasing events of independent variables, so by Harris' inequality
+// they are positively correlated and
+//
+//	P(d) ≤ 1 − Π_c (1 − P(c))
+//
+// — Gatterbauer and Suciu's dissociation bound, never looser than
+// Figure 3's sum of bucket probabilities. A positive leaf gets
+//
+//	lo = P(first bucket),  hi = 1 − Π_c (1 − P(c))
+//
+// from one pass over its clauses; no later bucket is built. A leaf in
+// which some variable occurs with two values (block-independent-disjoint
+// lineage) can be negatively correlated, so it keeps Figure 3 whole:
+// the partition into buckets of pairwise-independent clauses and
 //
 //	lo = max bucket probability,  hi = min(1, sum of bucket probabilities).
 //
-// Both are correct bounds on P(d) (Proposition 5.1). When sortClauses is
-// true, clauses are first sorted descending on marginal probability, which
-// empirically tightens the lower bound (Example 5.2); experiments disable
-// it only for ablation.
+// Either way, when the first bucket absorbs every clause they are
+// pairwise independent and lo == hi == P(d).
 //
-// When the partition produces a single bucket, all clauses are pairwise
-// independent and lo == hi == P(d) exactly.
+// Floating point: every union — each bucket probability and the Harris
+// bound — is accumulated by orIndep, whose terms are all non-negative.
+// With n clauses, the widest w atoms wide, and u = 2⁻⁵³, each returned
+// bound is within a relative (4n + w)·u of the exact value of the
+// expression it computes, so lo ≤ P(d)·(1 + (4n + w)·u) and
+// hi ≥ P(d)·(1 − (4n + w)·u).
 func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64) {
 	lo, hi, _ = leafBounds(s, d, sortClauses)
 	return lo, hi
@@ -27,9 +50,10 @@ func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 
 // leafBounds additionally reports the number of clause-processing
 // operations performed, which the incremental algorithm charges against
-// its work budget (the heuristic is the quadratic part of the paper's
-// cost analysis). It draws scratch buffers from the preparation pool;
-// leafBoundsScratch is the same computation over caller-owned scratch.
+// its work budget (Figure 3's bucket loop is the quadratic part of the
+// paper's cost analysis; a positive leaf costs one pass). It draws
+// scratch buffers from the preparation pool; leafBoundsScratch is the
+// same computation over caller-owned scratch.
 func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64, ops int) {
 	sc := prepPool.Get().(*prepScratch)
 	lo, hi, ops = leafBoundsScratch(s, d, sortClauses, sc)
@@ -37,12 +61,10 @@ func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 	return lo, hi, ops
 }
 
-// leafBoundsScratch is the allocation-free heart of the Figure 3
-// heuristic: all per-call bookkeeping (the clause probabilities in
-// bucket order, the used set, and the per-bucket variable stamps) lives
-// in sc and is reused across calls. The arithmetic and its order are
-// exactly those of the original per-call-allocating implementation, so
-// the bounds are bitwise-identical.
+// leafBoundsScratch is the allocation-free heart of LeafBounds: the
+// clause probabilities in bucket order, the per-variable stamps and the
+// value each stamped variable occurs with live in sc and are reused
+// across calls.
 func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *prepScratch) (lo, hi float64, ops int) {
 	switch {
 	case d.IsFalse():
@@ -68,64 +90,92 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 			maxVar = c[len(c)-1].Var
 		}
 	}
-	inBucket := sc.stamps(int(maxVar) + 1) // epoch stamps, one bucket per epoch
+	stamp, val := sc.stamps(int(maxVar)+1), sc.vals(int(maxVar)+1)
 
-	used := sc.bools(len(d))
-	remaining := len(d)
-	sum := 0.0
-	buckets := 0
-	for remaining > 0 {
-		// Start a bucket with the most probable unused clause, then absorb
-		// every later unused clause independent of the bucket so far.
-		epoch := sc.nextEpoch()
-		q := 1.0 // Π (1 − P(clause)) over the bucket
-		started := false
-		for _, k := range order {
-			i := k.i
-			if used[i] {
+	// One pass over every clause builds the first bucket — the most
+	// probable clause, then every later one independent of the bucket so
+	// far — accumulates the Harris bound, and checks positivity. Bucket
+	// variables carry the stamp in, other variables seen so far the stamp
+	// seen, and val holds the value each stamped variable occurs with.
+	// Clauses left out move, in order, to the front of order.
+	seen, in := sc.epochPair()
+	positive := true
+	rest := 0
+	for _, k := range order {
+		ops++
+		c := d[k.i]
+		fits := disjointStamp(c, stamp, in)
+		mark := seen
+		if fits {
+			mark = in
+		}
+		for _, a := range c {
+			switch stamp[a.Var] {
+			case in:
+				positive = positive && val[a.Var] == a.Val
 				continue
+			case seen:
+				positive = positive && val[a.Var] == a.Val
+			default:
+				val[a.Var] = a.Val
 			}
+			stamp[a.Var] = mark
+		}
+		hi = orIndep(hi, k.prob())
+		if fits {
+			lo = orIndep(lo, k.prob())
+		} else {
+			order[rest] = k
+			rest++
+		}
+	}
+	switch {
+	case rest == 0:
+		// All clauses pairwise independent: the bucket probability is exact.
+		return lo, lo, ops
+	case positive:
+		return lo, max(lo, hi), ops // numeric guard; mathematically lo ≤ hi
+	}
+
+	// Not positive: Figure 3's later buckets, each absorbing every
+	// remaining clause independent of it, in order.
+	sum := lo
+	for rest > 0 {
+		epoch := sc.nextEpoch()
+		bp, n := 0.0, 0
+		for _, k := range order[:rest] {
 			ops++
-			c := d[i]
-			if started && !disjointStamp(c, inBucket, epoch) {
+			c := d[k.i]
+			if !disjointStamp(c, stamp, epoch) {
+				order[n] = k
+				n++
 				continue
 			}
 			for _, a := range c {
-				inBucket[a.Var] = epoch
+				stamp[a.Var] = epoch
 			}
-			q *= 1 - k.prob()
-			used[i] = true
-			remaining--
-			started = true
+			bp = orIndep(bp, k.prob())
 		}
-		bp := 1 - q
-		if bp > lo {
-			lo = bp
-		}
+		rest = n
+		lo = max(lo, bp)
 		sum += bp
-		buckets++
 		// Once the bucket sum reaches 1 the upper bound is already
 		// clamped to 1, and the first (greedy, highest-probability)
 		// buckets dominate the lower bound: further partitioning cannot
 		// improve the upper bound, so stop. Bounds remain correct
 		// (Proposition 5.1 holds for any bucket subset with hi = 1).
-		if sum >= 1 && buckets >= 2 && remaining > 0 {
+		if sum >= 1 && rest > 0 {
 			return lo, 1, ops
 		}
 	}
-	if buckets == 1 {
-		// All clauses pairwise independent: the bucket probability is exact.
-		return lo, lo, ops
-	}
-	hi = sum
-	if hi > 1 {
-		hi = 1
-	}
-	if hi < lo {
-		hi = lo // numeric guard; mathematically lo ≤ hi always
-	}
-	return lo, hi, ops
+	return lo, max(lo, min(sum, 1)), ops
 }
+
+// orIndep is P(A ∨ B) = s + p·(1 − s) for independent events of
+// probabilities s and p, the union kernel of LeafBounds. Every term is
+// non-negative, so unlike 1 − (1 − s)(1 − p) it keeps its relative
+// precision when s and p are tiny, and never exceeds 1.
+func orIndep(s, p float64) float64 { return s + p*(1-s) }
 
 // probKey is a clause's place in Figure 3's bucket order — "sorted
 // descending on marginal probability", ties in clause order. A clause

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,16 +25,21 @@ func example52() (*formula.Space, formula.DNF) {
 }
 
 func TestExample52Unsorted(t *testing.T) {
-	// Without probability sorting, the greedy partitioning starting from
-	// c1 yields B1 = c1 ∨ c3 and B2 = c2 with bounds [0.812, 1], exactly
-	// as in the first partitioning of Example 5.2.
+	// Without probability sorting, Figure 3's greedy partitioning
+	// starting from c1 yields B1 = c1 ∨ c3 and B2 = c2 with bounds
+	// [0.812, 1], exactly as in the first partitioning of Example 5.2.
+	// The leaf is positive, so LeafBounds keeps B1 for lo and bounds
+	// hi by Harris: 1 − 0.94·0.79·0.2 = 0.85148.
 	s, d := example52()
-	lo, hi := LeafBounds(s, d, false)
-	if math.Abs(lo-0.812) > 1e-12 {
-		t.Fatalf("lo = %v, want 0.812", lo)
+	if lo, hi := fig3Bounds(s, d, false); math.Abs(lo-0.812) > 1e-12 || hi != 1 {
+		t.Fatalf("Figure 3 = [%v, %v], want [0.812, 1] (0.812+0.21 > 1 clamps)", lo, hi)
 	}
-	if hi != 1 {
-		t.Fatalf("hi = %v, want 1 (0.812+0.21 clamped is not reached; sum > 1)", hi)
+	lo, hi := LeafBounds(s, d, false)
+	if math.Abs(lo-0.812) > 1e-12 || math.Abs(hi-0.85148) > 1e-12 {
+		t.Fatalf("LeafBounds = [%v, %v], want [0.812, 0.85148]", lo, hi)
+	}
+	if exact := formula.BruteForceProbability(s, d); lo > exact || hi < exact {
+		t.Fatalf("bounds [%v, %v] miss the exact %v", lo, hi, exact)
 	}
 }
 
@@ -41,14 +47,15 @@ func TestExample52Sorted(t *testing.T) {
 	// With descending-probability sorting, B1 = c3 ∨ c2 (P = 0.842) and
 	// B2 = c1 (P = 0.06), giving lower bound 0.842 as in the paper. The
 	// paper states the upper bound as 0.848, but Figure 3 defines it as
-	// min(1, ΣP(Bi)) = min(1, 0.842+0.06) = 0.902; we implement Figure 3.
+	// min(1, ΣP(Bi)) = min(1, 0.842+0.06) = 0.902. LeafBounds keeps the
+	// lower bound and tightens hi to the Harris 0.85148.
 	s, d := example52()
-	lo, hi := LeafBounds(s, d, true)
-	if math.Abs(lo-0.842) > 1e-12 {
-		t.Fatalf("lo = %v, want 0.842", lo)
+	if lo, hi := fig3Bounds(s, d, true); math.Abs(lo-0.842) > 1e-12 || math.Abs(hi-0.902) > 1e-12 {
+		t.Fatalf("Figure 3 = [%v, %v], want [0.842, 0.902]", lo, hi)
 	}
-	if math.Abs(hi-0.902) > 1e-12 {
-		t.Fatalf("hi = %v, want 0.902 per Figure 3", hi)
+	lo, hi := LeafBounds(s, d, true)
+	if math.Abs(lo-0.842) > 1e-12 || math.Abs(hi-0.85148) > 1e-12 {
+		t.Fatalf("LeafBounds = [%v, %v], want [0.842, 0.85148]", lo, hi)
 	}
 	exact := formula.BruteForceProbability(s, d)
 	if math.Abs(exact-0.8456) > 1e-12 {
@@ -93,7 +100,33 @@ func TestLeafBoundsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestLeafBoundsContainExactRandom(t *testing.T) {
+// TestLeafBoundsContainRationalOracle: every leaf bound holds the
+// exact rational P within LeafBounds' floating-point budget, positive
+// leaves never bound looser than Figure 3 and the others are Figure 3
+// bit for bit (checkLeafBounds). The corpora: random DNFs, Boolean and
+// three-valued; small atom probabilities with clauses up to 8 wide;
+// atom probabilities near 1; block-disjoint leaves of three-valued
+// variables; and as named rows the R(x) S(x,y) T(y) grids at p = 1e-5,
+// where a bucket computed as 1 − Π(1 − p) cancelled below P, and the
+// BID counterexample, whose Harris bound is below P, so that only the
+// positivity check keeps it off the leaf.
+func TestLeafBoundsContainRationalOracle(t *testing.T) {
+	s, d := example52()
+	checkLeafBounds(t, "Example 5.2", s, d)
+	for _, side := range []int{3, 4} {
+		s, d := tinyGrid(side, 1e-5)
+		checkLeafBounds(t, fmt.Sprintf("%d×%d grid at p = 1e-5", side, side), s, d)
+	}
+	s, d = bidCounterexample()
+	checkLeafBounds(t, "BID counterexample", s, d)
+	harris := 0.0
+	for _, c := range d {
+		harris = orIndep(harris, c.Probability(s))
+	}
+	if p, _ := ratProb(s, d).Float64(); math.Abs(p-0.999) > 1e-12 || harris >= p {
+		t.Fatalf("BID counterexample: P = %v, Harris %v; want 0.999 above the Harris bound", p, harris)
+	}
+
 	for seed := int64(0); seed < 80; seed++ {
 		cfg := randdnf.Default()
 		cfg.Clauses = 8
@@ -101,17 +134,148 @@ func TestLeafBoundsContainExactRandom(t *testing.T) {
 			cfg.MaxDomain = 3
 		}
 		s, d := randdnf.Generate(cfg, seed)
-		want := formula.BruteForceProbability(s, d)
-		for _, sorted := range []bool{true, false} {
-			lo, hi := LeafBounds(s, d, sorted)
-			if lo > want+1e-9 || hi < want-1e-9 {
-				t.Fatalf("seed %d sorted=%v: [%v,%v] misses %v", seed, sorted, lo, hi, want)
-			}
-			if lo < 0 || hi > 1 || lo > hi {
-				t.Fatalf("seed %d: malformed bounds [%v,%v]", seed, lo, hi)
-			}
+		checkLeafBounds(t, fmt.Sprintf("randdnf seed %d", seed), s, d)
+	}
+	rng := rand.New(rand.NewSource(17))
+	small := func() float64 { return math.Pow(10, -9+6*rng.Float64()) }
+	near1 := func() float64 { return 1 - math.Pow(10, -9+6*rng.Float64()) }
+	for i := 0; i < 60; i++ {
+		neg := []float64{0, 0.2}[i%2] // every other corpus is not positive
+		s, d := randLeaf(rng, 20, 7+rng.Intn(10), 8, 2, small, neg)
+		checkLeafBounds(t, fmt.Sprintf("small-p %d", i), s, d)
+		s, d = randLeaf(rng, 16, 7+rng.Intn(10), 4, 2, near1, neg)
+		checkLeafBounds(t, fmt.Sprintf("near-1 %d", i), s, d)
+		s, d = randLeaf(rng, 10, 7+rng.Intn(10), 3, 3, nil, 0)
+		checkLeafBounds(t, fmt.Sprintf("BID %d", i), s, d)
+	}
+}
+
+// FuzzLeafBoundsContainOracle is checkLeafBounds over byte-decoded
+// leaves of up to 10 variables and 24 clauses (decodeLeafDNF). The
+// seed corpus under testdata/fuzz holds the BID counterexample, whose
+// Harris bound is 0.960 against P = 0.999.
+func FuzzLeafBoundsContainOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, d := decodeLeafDNF(data)
+		checkLeafBounds(t, "fuzz", s, d)
+	})
+}
+
+// decodeLeafDNF reads: a variable count (1–10), per variable a domain
+// byte (2 or 3 values) and one weight byte per value (weight 1 + b,
+// renormalized), then up to 24 clauses, each a width byte (1–4 atoms)
+// followed by (variable, value) pairs. Inconsistent clauses are
+// dropped. Missing bytes read 0.
+func decodeLeafDNF(data []byte) (*formula.Space, formula.DNF) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	nvars := 1 + next()%10
+	s := formula.NewSpace()
+	for i := 0; i < nvars; i++ {
+		dist := make([]float64, 2+next()%2)
+		sum := 0.0
+		for a := range dist {
+			dist[a] = float64(1 + next())
+			sum += dist[a]
+		}
+		for a := range dist {
+			dist[a] /= sum
+		}
+		s.AddVar(dist...)
+	}
+	var d formula.DNF
+	for len(data) > 0 && len(d) < 24 {
+		atoms := make([]formula.Atom, 1+next()%4)
+		for i := range atoms {
+			v := formula.Var(next() % nvars)
+			atoms[i] = formula.Atom{Var: v, Val: formula.Val(next() % s.DomainSize(v))}
+		}
+		if c, ok := formula.NewClause(atoms...); ok {
+			d = append(d, c)
 		}
 	}
+	return s, d
+}
+
+// tinyGrid is the R(x) S(x,y) T(y) lineage grid: clause xᵢ ∧ sᵢⱼ ∧ yⱼ
+// for every cell of a side×side grid, every variable at probability p.
+func tinyGrid(side int, p float64) (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	xs, ys := make([]formula.Var, side), make([]formula.Var, side)
+	for i := range xs {
+		xs[i], ys[i] = s.AddBool(p), s.AddBool(p)
+	}
+	var d formula.DNF
+	for _, x := range xs {
+		for _, y := range ys {
+			d = append(d, formula.MustClause(formula.Pos(x), formula.Pos(s.AddBool(p)), formula.Pos(y)))
+		}
+	}
+	return s, d
+}
+
+// bidCounterexample is nine clauses (x = a ∧ yⱼ): x three-valued at 1/3
+// each, y₁…y₃ Boolean at 0.9. P = 0.999, but a leaf taken for positive
+// would get the Harris hi 1 − 0.7⁹ ≈ 0.960.
+func bidCounterexample() (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	x := s.AddVar(1.0/3, 1.0/3, 1.0/3)
+	var d formula.DNF
+	for j := 0; j < 3; j++ {
+		y := s.AddBool(0.9)
+		for a := formula.Val(0); a < 3; a++ {
+			d = append(d, formula.MustClause(formula.Atom{Var: x, Val: a}, formula.Pos(y)))
+		}
+	}
+	return s, d
+}
+
+// randLeaf is a random leaf of n clauses, 1 to width atoms each, over nv
+// variables. Booleans (dom 2) are true with probability p() and occur
+// negated with probability neg; larger domains take random weights and
+// random values.
+func randLeaf(rng *rand.Rand, nv, n, width, dom int, p func() float64, neg float64) (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	for i := 0; i < nv; i++ {
+		if dom == 2 {
+			s.AddBool(p())
+			continue
+		}
+		dist := make([]float64, dom)
+		sum := 0.0
+		for a := range dist {
+			dist[a] = 0.05 + rng.Float64()
+			sum += dist[a]
+		}
+		for a := range dist {
+			dist[a] /= sum
+		}
+		s.AddVar(dist...)
+	}
+	var d formula.DNF
+	for len(d) < n {
+		atoms := make([]formula.Atom, 1+rng.Intn(width))
+		for j := range atoms {
+			a := formula.Atom{Var: formula.Var(rng.Intn(nv)), Val: formula.True}
+			switch {
+			case dom > 2:
+				a.Val = formula.Val(rng.Intn(dom))
+			case rng.Float64() < neg:
+				a.Val = formula.False
+			}
+			atoms[j] = a
+		}
+		if c, ok := formula.NewClause(atoms...); ok {
+			d = append(d, c)
+		}
+	}
+	return s, d
 }
 
 func TestSortingNeverLoosensLowerBound(t *testing.T) {
@@ -256,7 +420,8 @@ func TestLeafBoundsOrderMatchesStableSort(t *testing.T) {
 }
 
 // TestLeafBoundsAllocationsWarm: once the pooled scratch has grown to
-// the input, the Figure 3 heuristic allocates nothing.
+// the input, LeafBounds allocates nothing, on a positive leaf (one pass)
+// and on one that is not (Figure 3's buckets).
 func TestLeafBoundsAllocationsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -268,13 +433,18 @@ func TestLeafBoundsAllocationsWarm(t *testing.T) {
 	for i := range vars {
 		vars[i] = s.AddBool(0.05 + 0.9*rng.Float64())
 	}
-	d := make(formula.DNF, n)
-	for i := range d {
-		d[i] = formula.MustClause(formula.Pos(vars[rng.Intn(len(vars))]), formula.Pos(vars[rng.Intn(len(vars))]))
+	pos, bid := make(formula.DNF, n), make(formula.DNF, n)
+	for i := range pos {
+		xi := rng.Intn(len(vars))
+		x, y := vars[xi], vars[(xi+1+rng.Intn(len(vars)-1))%len(vars)]
+		pos[i] = formula.MustClause(formula.Pos(x), formula.Pos(y))
+		bid[i] = formula.MustClause(formula.Pos(x), formula.Atom{Var: y, Val: formula.Val(i % 2)})
 	}
-	leafBounds(s, d, true)
-	if a := testing.AllocsPerRun(10, func() { leafBounds(s, d, true) }); a != 0 {
-		t.Fatalf("warm leafBounds on %d clauses: %v allocations, want 0", n, a)
+	for name, d := range map[string]formula.DNF{"positive": pos, "not positive": bid} {
+		leafBounds(s, d, true)
+		if a := testing.AllocsPerRun(10, func() { leafBounds(s, d, true) }); a != 0 {
+			t.Errorf("warm leafBounds on %d %s clauses: %v allocations, want 0", n, name, a)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 	"sort"
@@ -367,6 +368,179 @@ func refLeafOrder(probs []float64) []int {
 		return 0
 	})
 	return order
+}
+
+// fig3Bounds is Figure 3 as leafBounds computed it before the Harris
+// bound, for every leaf: the greedy partition of all clauses into
+// buckets of pairwise-independent clauses, lo the largest bucket
+// probability and hi their sum clamped to 1, stopping early once the
+// sum reaches 1. It computes each bucket with the same orIndep kernel —
+// the old 1 − Π(1 − p) cancels for tiny p (3×3 grid at p = 1e-5: hi
+// 8.9928e-15 against P = 9.0e-15) — so the two differ in the rule
+// alone: on a leaf that is not positive they agree bitwise, and on a
+// positive one the Harris bound is never looser.
+func fig3Bounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64) {
+	switch {
+	case d.IsFalse():
+		return 0, 0
+	case d.IsTrue():
+		return 1, 1
+	}
+	probs := make([]float64, len(d))
+	order := make([]int, len(d))
+	for i, c := range d {
+		probs[i], order[i] = c.Probability(s), i
+	}
+	if sortClauses {
+		order = refLeafOrder(probs)
+	}
+	used := make([]bool, len(d))
+	sum := 0.0
+	for remaining, buckets := len(d), 1; remaining > 0; buckets++ {
+		bucket := map[formula.Var]bool{}
+		bp := 0.0
+		for _, i := range order {
+			independent := true
+			for _, a := range d[i] {
+				independent = independent && !bucket[a.Var]
+			}
+			if used[i] || !independent {
+				continue
+			}
+			for _, a := range d[i] {
+				bucket[a.Var] = true
+			}
+			bp = orIndep(bp, probs[i])
+			used[i] = true
+			remaining--
+		}
+		lo = max(lo, bp)
+		sum += bp
+		if sum >= 1 && buckets >= 2 && remaining > 0 {
+			return lo, 1
+		}
+	}
+	return lo, max(lo, min(sum, 1))
+}
+
+// refPositive reports whether every variable of d occurs with a single
+// value — the leaves that get the Harris bound.
+func refPositive(d formula.DNF) bool {
+	val := map[formula.Var]formula.Val{}
+	for _, c := range d {
+		for _, a := range c {
+			if v, ok := val[a.Var]; ok && v != a.Val {
+				return false
+			}
+			val[a.Var] = a.Val
+		}
+	}
+	return true
+}
+
+// ratProb is P(d) in exact rational arithmetic, the leaf bounds' ground
+// truth: it enumerates the possible worlds of d's variables by Shannon
+// expansion on the first variable of the first clause — one branch per
+// value d gives it, and one for all its other values together — and
+// stops a branch once its formula is decided. A branch weighs the atom
+// probability as the exact rational of its float64; the other-values
+// branch weighs the remainder 1 − Σ, so P is exactly the probability
+// the space's atom probabilities define, whatever rounding their
+// distribution's sum carries.
+func ratProb(s *formula.Space, d formula.DNF) *big.Rat {
+	if len(d) == 0 {
+		return new(big.Rat)
+	}
+	for _, c := range d {
+		if len(c) == 0 {
+			return big.NewRat(1, 1)
+		}
+	}
+	x := d[0][0].Var
+	var vals []formula.Val
+	for _, c := range d {
+		for _, a := range c {
+			if a.Var == x && !slices.Contains(vals, a.Val) {
+				vals = append(vals, a.Val)
+			}
+		}
+	}
+	p, other := new(big.Rat), big.NewRat(1, 1)
+	for _, a := range vals {
+		w := new(big.Rat).SetFloat64(s.P(formula.Atom{Var: x, Val: a}))
+		other.Sub(other, w)
+		p.Add(p, w.Mul(w, ratProb(s, ratRestrict(d, x, a))))
+	}
+	if other.Sign() != 0 {
+		p.Add(p, other.Mul(other, ratProb(s, ratRestrict(d, x, -1))))
+	}
+	return p
+}
+
+// ratRestrict is d given x = a, where a = -1 stands for a value no
+// clause gives x.
+func ratRestrict(d formula.DNF, x formula.Var, a formula.Val) formula.DNF {
+	var out formula.DNF
+	for _, c := range d {
+		r, keep := formula.Clause{}, true
+		for _, at := range c {
+			switch {
+			case at.Var != x:
+				r = append(r, at)
+			case at.Val != a:
+				keep = false
+			}
+		}
+		if keep {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// leafBudget is LeafBounds' floating-point contract for d as a
+// rational: the relative (4n + w)·2⁻⁵³ by which a bound may miss P(d),
+// n clauses, the widest w atoms wide.
+func leafBudget(d formula.DNF) *big.Rat {
+	w := 0
+	for _, c := range d {
+		w = max(w, len(c))
+	}
+	return new(big.Rat).SetFrac(big.NewInt(int64(4*len(d)+w)), new(big.Int).Lsh(big.NewInt(1), 53))
+}
+
+// checkLeafBounds asserts LeafBounds' contract on d against ratProb,
+// both clause orders: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
+// bitwise Figure 3 on a leaf that is not positive; and on a positive one
+// lo no higher than Figure 3's and hi never looser, within the budget.
+func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF) {
+	t.Helper()
+	p, tol := ratProb(s, d), leafBudget(d)
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	times := func(x *big.Rat, k int64) *big.Rat { // x·(1 + k·budget)
+		f := new(big.Rat).Mul(tol, big.NewRat(k, 1))
+		return f.Mul(x, f.Add(f, big.NewRat(1, 1)))
+	}
+	pf, _ := p.Float64()
+	positive := refPositive(d)
+	for _, sorted := range []bool{true, false} {
+		lo, hi := LeafBounds(s, d, sorted)
+		flo, fhi := fig3Bounds(s, d, sorted)
+		switch {
+		case rat(lo).Cmp(times(p, 1)) > 0:
+			t.Fatalf("%s sorted=%v: lo %v above P %v\n%s", name, sorted, lo, pf, d.String(s))
+		case rat(hi).Cmp(times(p, -1)) < 0:
+			t.Fatalf("%s sorted=%v: hi %v below P %v\n%s", name, sorted, hi, pf, d.String(s))
+		case lo < 0 || hi > 1 || lo > hi:
+			t.Fatalf("%s sorted=%v: malformed bounds [%v, %v]", name, sorted, lo, hi)
+		case !positive && (math.Float64bits(lo) != math.Float64bits(flo) || math.Float64bits(hi) != math.Float64bits(fhi)):
+			t.Fatalf("%s sorted=%v: not positive, [%v, %v] but Figure 3 [%v, %v]", name, sorted, lo, hi, flo, fhi)
+		case positive && lo > flo:
+			t.Fatalf("%s sorted=%v: first-bucket lo %v above Figure 3's %v", name, sorted, lo, flo)
+		case positive && rat(hi).Cmp(times(rat(fhi), 2)) > 0:
+			t.Fatalf("%s sorted=%v: Harris hi %v looser than Figure 3's %v", name, sorted, hi, fhi)
+		}
+	}
 }
 
 // refInclusionExclusion is inclusionExclusion as it ran before the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/formula"
@@ -26,7 +27,7 @@ import (
 //     RemoveSubsumed passes that would be content no-ops;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
-//     clause index, bounds.go) / used set / bucket stamps, the
+//     clause index, bounds.go) / variable stamps and values, the
 //     component partition and its union-find, and the ⊙/⊕ analysis of
 //     the decomposition step (factor.go, varorder.go), and the stack of
 //     merged conjunctions of the inclusion–exclusion walk (bounds.go).
@@ -43,10 +44,10 @@ import (
 // (conf()'s one task per answer, distinct Refiners) draw distinct
 // scratches from prepPool.
 type prepScratch struct {
-	keys  [2][]probKey // leafBounds: clause probabilities in bucket order, and the sort's other buffer
-	bs    []bool       // leafBounds: used set
-	st    []uint32     // leafBounds: per-bucket variable stamps
-	epoch uint32       // current stamp epoch for st
+	keys  [2][]probKey  // leafBounds: clause probabilities in bucket order, and the sort's other buffer
+	st    []uint32      // leafBounds: per-bucket variable stamps
+	val   []formula.Val // leafBounds: the value each variable stamped by the first pass occurs with
+	epoch uint32        // current stamp epoch for st
 
 	comp formula.CompScratch // component partition and its union-find
 
@@ -74,15 +75,13 @@ func (sc *prepScratch) atoms(n int) []formula.Atom {
 	return sc.conj[:n]
 }
 
-// bools returns a length-n zeroed bool buffer.
-func (sc *prepScratch) bools(n int) []bool {
-	if cap(sc.bs) < n {
-		sc.bs = make([]bool, n)
-		return sc.bs
+// vals returns a length-n value buffer. An entry is meaningful only
+// where st holds an epoch of the current call, so it is never cleared.
+func (sc *prepScratch) vals(n int) []formula.Val {
+	if cap(sc.val) < n {
+		sc.val = make([]formula.Val, n)
 	}
-	sc.bs = sc.bs[:n]
-	clear(sc.bs)
-	return sc.bs
+	return sc.val[:n]
 }
 
 // stamps returns the stamp buffer grown to cover n entries. Entries
@@ -107,6 +106,16 @@ func (sc *prepScratch) nextEpoch() uint32 {
 		sc.epoch = 1
 	}
 	return sc.epoch
+}
+
+// epochPair starts two fresh stamp epochs of one wraparound cycle, so
+// the clear cannot fall between them and strand stamps of the first.
+func (sc *prepScratch) epochPair() (a, b uint32) {
+	a = sc.nextEpoch()
+	if a == math.MaxUint32 {
+		a = sc.nextEpoch() // wraps: clears st and returns 1
+	}
+	return a, sc.nextEpoch()
 }
 
 // restrictPrepared is Shannon restriction d|v=a for a *prepared*

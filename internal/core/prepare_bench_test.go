@@ -51,8 +51,9 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafBounds isolates the Figure 3 heuristic — the quadratic
-// part of preparation — on pooled scratch vs the per-call-allocating
+// BenchmarkLeafBounds isolates the leaf bounds — one pass on these
+// positive leaves, Figure 3's quadratic bucket loop on others — on
+// pooled scratch vs the per-call-allocating
 // shape it replaced (fresh scratch each call approximates it).
 func BenchmarkLeafBounds(b *testing.B) {
 	for _, clauses := range []int{40, 160, 640} {

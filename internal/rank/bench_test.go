@@ -111,7 +111,8 @@ func TestTopKPrunesVsFull(t *testing.T) {
 // fixtures below. Steps are machine-independent, so any drift is a
 // behaviour change in the scheduler or the refiner, never noise; the
 // event-driven decide index and the full-rescan oracle scheduler must
-// both land on the same count.
+// both land on the same count, and every top-k selection must agree
+// with exact evaluation — the arbiter when a pin is re-taken.
 func TestPinnedStepCounts(t *testing.T) {
 	topK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
 		return TopK(ctx, s, dnfs, benchK, o)
@@ -133,8 +134,8 @@ func TestPinnedStepCounts(t *testing.T) {
 	}{
 		{"topk", s, dnfs, []run{topK, oracleTopK}, 11},
 		{"full", s, dnfs, []run{RefineAll}, 282},
-		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 140},
-		{"full-deep", sd, deep, []run{RefineAll}, 3449},
+		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 144},
+		{"full-deep", sd, deep, []run{RefineAll}, 3441},
 		{"decide/n=60", s60, dnfs60, []run{topK, oracleTopK}, 14},
 		{"decide/n=960", s960, dnfs960, []run{topK, oracleTopK}, 15},
 	} {
@@ -145,6 +146,9 @@ func TestPinnedStepCounts(t *testing.T) {
 			}
 			if res.Steps != tc.want {
 				t.Errorf("%s run %d: %d steps, want %d", tc.name, i, res.Steps, tc.want)
+			}
+			if i == 0 && len(tc.runs) == 2 {
+				checkTopKSelection(t, tc.name, exactProbs(t, tc.s, tc.dnfs), res, benchK)
 			}
 		}
 	}
