@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -225,12 +226,15 @@ type state struct {
 	// pooled snapshots worker-pool availability once per evaluation, so
 	// the per-node parallelizable check stays lock-free.
 	pooled bool
+	// variant partitions Options.Frags keys by the switches preparation
+	// depends on; see prepVariant.
+	variant uint8
 
 	nodes     atomic.Int64
 	work      atomic.Int64
-	budgetHit atomic.Bool
 	hits      atomic.Int64
 	misses    atomic.Int64
+	budgetHit atomic.Bool
 	// poisoned marks the evaluation as doomed: a sibling pool task
 	// panicked and the batch is unwinding, so every context poll reports
 	// cancellation and workers drain at the next stride instead of
@@ -242,9 +246,9 @@ type state struct {
 	doneLo, doneHi float64
 	cancelErr      error
 
-	// variant partitions Options.Frags keys by the switches preparation
-	// depends on; see prepVariant.
-	variant uint8
+	// kids is the buffer Refiner.refine hands decompose, reused across
+	// refinements.
+	kids []frag
 }
 
 func newState(ctx context.Context, s *formula.Space, opt Options) *state {
@@ -458,8 +462,9 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 		}
 	}
 
-	// (3) Decompose per Figure 1.
-	kind, children, mult := st.decompose(f)
+	// (3) Decompose per Figure 1. The children stay in this frame's own
+	// slice while the recursion below decomposes their descendants.
+	kind, children, mult := st.decompose(f, nil)
 
 	// Effective child bounds (scaled by the ⊕ branch weight where
 	// applicable); refined in place as children complete.
@@ -500,22 +505,24 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 
 // decompose is step for the ε > 0 compilers (explore, Refiner.refine):
 // the children come back prepared, under the construction flags the
-// step's rule earns them. When f came through the fragment cache the
-// outcome is memoized on its entry, and a later decomposition of that
-// entry under the same Order replays it instead: no step, no
+// step's rule earns them, written from the start of buf's array when
+// it has room and into a fresh one otherwise (buf may be nil); buf's
+// old contents are overwritten. When f came through the fragment cache
+// the outcome is memoized on its entry, and a later decomposition of
+// that entry under the same Order replays it instead: no step, no
 // restriction, no child Lookup.
-func (st *state) decompose(f frag) (Kind, []frag, []float64) {
+func (st *state) decompose(f frag, buf []frag) (Kind, []frag, []float64) {
 	if f.entry != nil {
 		if dec := f.entry.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
-			return st.replay(dec)
+			return st.replay(dec, buf)
 		}
 	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
 	kind, subs, mult := st.step(f.d, f.d.ComponentsScratch(&sc.comp), sc, nil)
-	frags := make([]frag, len(subs))
-	for i, sub := range subs {
-		frags[i] = st.prepareAs(sub, true, kind == IndepOr)
+	frags := slices.Grow(buf[:0], len(subs))
+	for _, sub := range subs {
+		frags = append(frags, st.prepareAs(sub, true, kind == IndepOr))
 	}
 	if f.entry != nil {
 		// Every child holds an entry too: prepareAs sets one whenever a
@@ -529,23 +536,24 @@ func (st *state) decompose(f frag) (Kind, []frag, []float64) {
 	return kind, frags, mult
 }
 
-// replay is decompose from a recorded decision. It repeats every side
-// effect of the calls it skips, in their order: the node step counts
-// for each ⊕ branch, then per child the leaf.prepare chaos site and
-// prepareAs's cache hit — both hit counters and the work charge. The
-// weights are shared with the decision; callers only read them.
-func (st *state) replay(dec *formula.Decision) (Kind, []frag, []float64) {
+// replay is decompose from a recorded decision, returning the children
+// in buf as decompose does. It repeats every side effect of the calls
+// it skips, in their order: the node step counts for each ⊕ branch,
+// then per child the leaf.prepare chaos site and prepareAs's cache hit
+// — both hit counters and the work charge. The weights are shared with
+// the decision; callers only read them.
+func (st *state) replay(dec *formula.Decision, buf []frag) (Kind, []frag, []float64) {
 	kind := Kind(dec.Kind)
 	if kind == ExclOr {
 		st.nodes.Add(int64(len(dec.Children)))
 	}
-	frags := make([]frag, len(dec.Children))
-	for i, e := range dec.Children {
+	frags := slices.Grow(buf[:0], len(dec.Children))
+	for _, e := range dec.Children {
 		st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
 		st.opt.Frags.CountHit()
 		st.opt.Metrics.RecordFragCache(true)
 		st.work.Add(e.Work)
-		frags[i] = frag{d: e.D, lo: e.Lo, hi: e.Hi, exact: e.Exact, entry: e}
+		frags = append(frags, frag{d: e.D, lo: e.Lo, hi: e.Hi, exact: e.Exact, entry: e})
 	}
 	return kind, frags, dec.Weights
 }

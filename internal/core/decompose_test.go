@@ -482,11 +482,9 @@ func TestDecompositionStepAllocations(t *testing.T) {
 // 6×6 grid allocates when every fragment it prepares is already in the
 // FragCache — the production serving path. The root's decomposition is
 // a recorded decision by then, so the step replays it and allocates only
-// the tree it grows: the []frag, the children slice, one gNode per ⊕
-// branch (two) and the open-leaf heap's growth. Before the decision
-// memo it re-ran the step, restricted, and looked each child up: 15
-// allocations (110 before the array kernels: the step's maps, not its
-// results).
+// what grows: the children's node block, the open-leaf heap (which held
+// the root alone, in the Refiner) and the state's child buffer, on its
+// first use.
 func TestRefinerStepAllocationsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -506,7 +504,37 @@ func TestRefinerStepAllocationsWarm(t *testing.T) {
 		rs[i].Step(1)
 		i++
 	})
-	if n != 5 {
-		t.Fatalf("warm Refiner.Step(1) allocates %v, want 5", n)
+	if n != 3 {
+		t.Fatalf("warm Refiner.Step(1) allocates %v, want 3", n)
+	}
+}
+
+// TestRefinerStepAllocationsCold pins the first Refiner.Step(1) on the
+// 6×6 grid over a cache that holds only the root. Of its 19
+// allocations, the step makes 10: the ⊕ branches' DNF list and
+// weights, and four per branch restricting it. Each of the two children
+// makes 2 in preparation: its subsumption pass and its entry. The
+// recorded decision and its child list make 2, and the three growths
+// the warm pin lists make the rest. The cache's table allocates nothing
+// here: its first growth made room for eight entries.
+func TestRefinerStepAllocationsCold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	s, d := rstGrid(6)
+	ctx := context.Background()
+	NewRefiner(ctx, s, d, Options{Eps: 1e-9}).Step(1) // size the pooled scratch
+	const runs = 20
+	rs := make([]*Refiner, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range rs {
+		rs[i] = NewRefiner(ctx, s, d, Options{Eps: 1e-9, Frags: formula.NewFragCache(0)})
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		rs[i].Step(1)
+		i++
+	})
+	if n != 19 {
+		t.Fatalf("cold Refiner.Step(1) allocates %v, want 19", n)
 	}
 }

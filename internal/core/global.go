@@ -28,10 +28,14 @@ func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt O
 	return r.Result(), r.Err()
 }
 
-// gNode is a mutable node of the materialized partial d-tree.
+// gNode is a mutable node of the materialized partial d-tree. A node's
+// children are one block, allocated when the node is refined and never
+// resized, so a child's address is fixed for the tree's lifetime: the
+// open-leaf heap and the grandchildren's parent fields point into the
+// block.
 type gNode struct {
 	kind     Kind // LeafKind until refined
-	children []*gNode
+	children []gNode
 	mult     float64 // ⊕ branch weight (P(x=a)); 1 elsewhere
 	frag     frag    // for leaves
 
@@ -47,13 +51,17 @@ type gNode struct {
 
 // refine decomposes the leaf one level, turning it into an inner node
 // whose children are freshly prepared fragments wired for incremental
-// propagation (parent pointers, cached heuristic bounds).
+// propagation (parent pointers, cached heuristic bounds). The children
+// come back in st.kids, reused across refinements, and are copied into
+// the leaf's block — the one allocation a warm refinement makes for the
+// tree.
 func (st *state) refine(leaf *gNode) {
-	kind, children, mult := st.decompose(leaf.frag)
+	kind, children, mult := st.decompose(leaf.frag, st.kids)
+	st.kids = children
 	leaf.kind = kind
-	leaf.children = make([]*gNode, len(children))
+	leaf.children = make([]gNode, len(children))
 	for i, f := range children {
-		leaf.children[i] = &gNode{
+		leaf.children[i] = gNode{
 			frag: f, mult: mult[i],
 			parent: leaf, childIdx: int32(i), depth: leaf.depth + 1,
 			lo: f.lo, hi: f.hi,

@@ -25,20 +25,23 @@ func (n *gNode) recompute() {
 	var lo, hi float64
 	switch n.kind {
 	case ExclOr:
-		for _, c := range n.children {
+		for i := range n.children {
+			c := &n.children[i]
 			lo += c.mult * c.lo
 			hi += c.mult * c.hi
 		}
 	case IndepOr:
 		ql, qh := 1.0, 1.0
-		for _, c := range n.children {
+		for i := range n.children {
+			c := &n.children[i]
 			ql *= 1 - c.mult*c.lo
 			qh *= 1 - c.mult*c.hi
 		}
 		lo, hi = 1-ql, 1-qh
 	case IndepAnd:
 		lo, hi = 1, 1
-		for _, c := range n.children {
+		for i := range n.children {
+			c := &n.children[i]
 			lo *= c.mult * c.lo
 			hi *= c.mult * c.hi
 		}
@@ -73,7 +76,9 @@ func propagate(n *gNode) int {
 // first, ties broken by DFS preorder — exactly the leaf the oracle's
 // widestLeaf scan returns. Leaf widths never change after
 // preparation, so the heap needs no re-keying: leaves are pushed at
-// creation and popped once, when chosen for refinement.
+// creation and popped once, when chosen for refinement. Its elements
+// point into their parents' child blocks (or at the Refiner's root),
+// which never move.
 type leafHeap []*gNode
 
 func (h leafHeap) Len() int { return len(h) }
@@ -133,8 +138,8 @@ func (r *Refiner) popWidest() *gNode {
 // leaf's new combined interval up the dirty path, returning that
 // path's length.
 func (r *Refiner) attach(leaf *gNode) int {
-	for _, c := range leaf.children {
-		if !c.frag.exact {
+	for i := range leaf.children {
+		if c := &leaf.children[i]; !c.frag.exact {
 			heap.Push(&r.open, c)
 		}
 	}

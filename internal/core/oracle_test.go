@@ -1011,7 +1011,7 @@ func newRefRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Opt
 		return r
 	}
 	f := st.prepareRef(d)
-	r.root = &gNode{frag: f, lo: f.lo, hi: f.hi}
+	r.root = gNode{frag: f, lo: f.lo, hi: f.hi}
 	r.absorb(f.lo, f.hi)
 	return r
 }
@@ -1043,7 +1043,7 @@ func (r *refRefiner) Step(budget int) (lo, hi float64, done bool) {
 
 func (r *refRefiner) Result() Result {
 	res := r.st.finish(r.lo, r.hi)
-	res.EarlyStop = res.Converged && r.root != nil && !r.root.complete()
+	res.EarlyStop = res.Converged && !r.root.complete()
 	return res
 }
 
@@ -1051,9 +1051,9 @@ func (r *refRefiner) Result() Result {
 func (st *state) refineRef(leaf *gNode) {
 	kind, children, mult := st.decomposeRef(leaf.frag.d)
 	leaf.kind = kind
-	leaf.children = make([]*gNode, len(children))
+	leaf.children = make([]gNode, len(children))
 	for i, f := range children {
-		leaf.children[i] = &gNode{
+		leaf.children[i] = gNode{
 			frag: f, mult: mult[i],
 			parent: leaf, childIdx: int32(i), depth: leaf.depth + 1,
 			lo: f.lo, hi: f.hi,
@@ -1087,7 +1087,8 @@ func (n *gNode) boundsWith(sc *boundsScratch, depth int) (lo, hi float64) {
 		sc.hi = append(sc.hi, nil)
 	}
 	loArr, hiArr := sc.lo[depth][:0], sc.hi[depth][:0]
-	for _, c := range n.children {
+	for i := range n.children {
+		c := &n.children[i]
 		l, h := c.boundsWith(sc, depth+1)
 		m := c.mult
 		if m == 0 {
@@ -1110,8 +1111,8 @@ func (n *gNode) complete() bool {
 	if n.isLeaf() {
 		return n.frag.exact
 	}
-	for _, c := range n.children {
-		if !c.complete() {
+	for i := range n.children {
+		if !n.children[i].complete() {
 			return false
 		}
 	}
@@ -1132,8 +1133,8 @@ func (n *gNode) widestLeaf() *gNode {
 	}
 	var best *gNode
 	bestW := -1.0
-	for _, c := range n.children {
-		if leaf := c.widestLeaf(); leaf != nil {
+	for i := range n.children {
+		if leaf := n.children[i].widestLeaf(); leaf != nil {
 			if w := leaf.frag.hi - leaf.frag.lo; w > bestW {
 				best, bestW = leaf, w
 			}

@@ -39,11 +39,13 @@ import (
 // the differential tests in oracle_test.go).
 //
 // A Refiner is not safe for concurrent use; distinct Refiners are
-// independent and may run concurrently (sharing a cache is safe).
+// independent and may run concurrently (sharing a cache is safe). The
+// tree's root lives in the Refiner, so a Refiner must not be copied.
 type Refiner struct {
 	st    *state
-	root  *gNode
-	open  leafHeap // open leaves, widest first
+	root  gNode
+	open  leafHeap  // open leaves, widest first
+	open0 [1]*gNode // open's first array: the root alone
 	lo    float64
 	hi    float64
 	steps int
@@ -77,9 +79,10 @@ func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Option
 		}
 	}()
 	f := st.prepare(d)
-	r.root = &gNode{frag: f, lo: f.lo, hi: f.hi}
+	r.root = gNode{frag: f, lo: f.lo, hi: f.hi}
 	if !f.exact {
-		r.open = leafHeap{r.root}
+		r.open0[0] = &r.root
+		r.open = r.open0[:]
 	}
 	r.absorb(f.lo, f.hi)
 	return r

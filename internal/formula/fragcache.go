@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -111,10 +112,25 @@ func (f *PreparedFrag) SetDecision(dec *Decision) {
 // evicting table would keep an evicted child reachable through its
 // parent's decision — safe, but no longer what a Lookup returns.) All
 // methods are safe for concurrent use.
+//
+// Layout: the entries live in one arena in insertion order, each
+// keeping its key's hash. An open-addressing table (linear probing,
+// load ≤ ½) indexes the arena: a uint32 slot holds an arena position
+// plus one. A probe compares stored hashes first and verifies the few
+// candidates that remain structurally. Growth doubles the slot array,
+// re-seats every position from the stored hashes (never rehashing a
+// key) and grows the arena to the new table's capacity, so a Store
+// allocates only when it doubles the table.
+//
+// Locking: one RWMutex guards both arrays. Lookup probes under the read
+// lock and Store under the write lock. Save reads the arena from a
+// snapshot taken under the read lock, which stays valid because the
+// arena only grows and an entry never changes once appended; it writes
+// the entries in insertion order.
 type FragCache struct {
 	mu      sync.RWMutex
-	buckets map[uint64][]*fragCacheEntry
-	n       int
+	slots   []uint32         // arena position+1; 0 = empty; len is a power of two
+	entries []fragCacheEntry // insertion order
 	max     int
 
 	hits   atomic.Int64
@@ -122,13 +138,21 @@ type FragCache struct {
 }
 
 type fragCacheEntry struct {
-	key     DNF // the fragment as presented for preparation
-	variant uint8
+	hash    uint64 // fragKeyHash(key, variant)
+	key     DNF    // the fragment as presented for preparation
 	frag    *PreparedFrag
+	variant uint8
 }
 
 // DefaultFragCacheEntries bounds a cache built with NewFragCache(0).
 const DefaultFragCacheEntries = 1 << 19
+
+// maxFragCacheEntries caps MaxEntries within what a uint32 slot
+// addresses, on every platform's int.
+const maxFragCacheEntries = 1<<31 - 1
+
+// minFragCacheSlots is the slot count of a cache's first table.
+const minFragCacheSlots = 16
 
 // NewFragCache returns an empty cache holding at most maxEntries
 // prepared fragments (maxEntries <= 0 means DefaultFragCacheEntries).
@@ -136,7 +160,7 @@ func NewFragCache(maxEntries int) *FragCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultFragCacheEntries
 	}
-	return &FragCache{buckets: make(map[uint64][]*fragCacheEntry), max: maxEntries}
+	return &FragCache{max: min(maxEntries, maxFragCacheEntries)}
 }
 
 // Hash returns a 64-bit hash of the DNF, sensitive to clause order. The
@@ -169,9 +193,30 @@ func (d DNF) Equal(e DNF) bool {
 }
 
 func fragKeyHash(d DNF, variant uint8) uint64 {
-	// Mix the variant into the bucket hash so ablation variants of the
-	// same fragment never collide structurally.
+	// Mix the variant into the hash so ablation variants of the same
+	// fragment never collide structurally.
 	return d.Hash() ^ (uint64(variant) * 0x9e3779b97f4a7c15)
+}
+
+// find probes for d under variant, whose fragKeyHash is h. It returns
+// the entry's arena position, or -1 and the empty slot that ends the
+// probe sequence (meaningless when the table has no slots yet). The
+// caller holds c.mu.
+func (c *FragCache) find(d DNF, variant uint8, h uint64) (pos int, at uint64) {
+	if len(c.slots) == 0 {
+		return -1, 0
+	}
+	mask := uint64(len(c.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := c.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		e := &c.entries[s-1]
+		if e.hash == h && e.variant == variant && e.key.Equal(d) {
+			return int(s - 1), i
+		}
+	}
 }
 
 // Lookup returns the prepared form of d under the given variant, if
@@ -180,12 +225,11 @@ func fragKeyHash(d DNF, variant uint8) uint64 {
 func (c *FragCache) Lookup(d DNF, variant uint8) (*PreparedFrag, bool) {
 	h := fragKeyHash(d, variant)
 	c.mu.RLock()
-	for _, e := range c.buckets[h] {
-		if e.variant == variant && e.key.Equal(d) {
-			c.mu.RUnlock()
-			c.hits.Add(1)
-			return e.frag, true
-		}
+	if pos, _ := c.find(d, variant, h); pos >= 0 {
+		f := c.entries[pos].frag
+		c.mu.RUnlock()
+		c.hits.Add(1)
+		return f, true
 	}
 	c.mu.RUnlock()
 	c.misses.Add(1)
@@ -201,18 +245,39 @@ func (c *FragCache) Store(d DNF, variant uint8, f *PreparedFrag) *PreparedFrag {
 	h := fragKeyHash(d, variant)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.buckets[h] {
-		if e.variant == variant && e.key.Equal(d) {
-			return e.frag
-		}
+	pos, at := c.find(d, variant, h)
+	if pos >= 0 {
+		return c.entries[pos].frag
 	}
-	if c.n >= c.max {
+	if len(c.entries) >= c.max {
 		return f
 	}
+	if 2*(len(c.entries)+1) > len(c.slots) {
+		c.grow()
+		_, at = c.find(d, variant, h)
+	}
 	f.cached = true
-	c.buckets[h] = append(c.buckets[h], &fragCacheEntry{key: d, variant: variant, frag: f})
-	c.n++
+	c.entries = append(c.entries, fragCacheEntry{hash: h, key: d, frag: f, variant: variant})
+	c.slots[at] = uint32(len(c.entries))
 	return f
+}
+
+// grow doubles the slot array (or makes the first one), re-seats every
+// arena position from its stored hash, and gives the arena room for as
+// many entries as the new table holds (half its slots), so no append
+// reallocates it between two growths.
+func (c *FragCache) grow() {
+	size := max(2*len(c.slots), minFragCacheSlots)
+	c.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for p := range c.entries {
+		i := c.entries[p].hash & mask
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = uint32(p + 1)
+	}
+	c.entries = slices.Grow(c.entries, size/2-len(c.entries))
 }
 
 // CountHit records a hit served without a Lookup — a child of a
@@ -224,7 +289,7 @@ func (c *FragCache) CountHit() { c.hits.Add(1) }
 func (c *FragCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.n
+	return len(c.entries)
 }
 
 // CacheStats returns the cumulative hit/miss traffic across all users

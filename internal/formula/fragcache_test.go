@@ -1,7 +1,9 @@
 package formula
 
 import (
+	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -166,5 +168,119 @@ func TestPreparedFragDecisionLazy(t *testing.T) {
 	parent.SetDecision(&Decision{Kind: 1, Children: []*PreparedFrag{late}, Weights: []float64{1}})
 	if parent.Decision() != dec {
 		t.Fatal("decision over an overflowed child replaced the recorded one")
+	}
+}
+
+// Eight writers store overlapping key sets, each key under two variants
+// and often through a clone, while the table doubles from 16 to 4096
+// slots; readers look keys up and one goroutine saves throughout. Every
+// (key, variant) ends with one canonical entry, the one every writer and
+// a final Lookup see, and Len counts each once.
+func TestFragCacheConcurrentWritersCanonical(t *testing.T) {
+	const writers, span, stride, keys = 8, 200, 50, 7*50 + 200
+	key := func(k int) DNF {
+		return DNF{
+			MustClause(Atom{Var: Var(k), Val: True}),
+			MustClause(Atom{Var: Var(keys + k%13), Val: True}, Atom{Var: Var(2*keys + k%7), Val: True}),
+		}
+	}
+	c := NewFragCache(0)
+	got := make([][]*PreparedFrag, writers) // got[w][2*k+variant]
+	var wg, bg sync.WaitGroup
+	var done atomic.Bool // close is shadowed in this package's tests
+	for r := 0; r < 2; r++ {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for i := 0; ; i++ {
+				if done.Load() {
+					return
+				}
+				k := (i*31 + r*7) % keys
+				if f, ok := c.Lookup(key(k), uint8(i%2)); ok && !f.D.Equal(key(k)) {
+					t.Errorf("Lookup(key %d) returned the entry of %v", k, f.D)
+					return
+				}
+			}
+		}()
+	}
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			if done.Load() {
+				return
+			}
+			var buf bytes.Buffer
+			if err := c.Save(&buf); err != nil {
+				t.Errorf("Save: %v", err)
+				return
+			}
+			if _, err := LoadFragCache(&buf, 0); err != nil {
+				t.Errorf("LoadFragCache of a concurrent Save: %v", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		got[w] = make([]*PreparedFrag, 2*keys)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w * stride; k < w*stride+span; k++ {
+				for v := 0; v < 2; v++ {
+					d := key(k)
+					if (k+w+v)%2 == 0 {
+						d = d.Clone()
+					}
+					got[w][2*k+v] = c.Store(d, uint8(v), &PreparedFrag{D: d, Lo: float64(v), Hi: 1})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	bg.Wait()
+	for k := 0; k < keys; k++ {
+		for v := 0; v < 2; v++ {
+			want, ok := c.Lookup(key(k), uint8(v))
+			if !ok || want.Lo != float64(v) {
+				t.Fatalf("key %d variant %d: Lookup = %+v, %v after every writer stored it", k, v, want, ok)
+			}
+			for w := range got {
+				if g := got[w][2*k+v]; g != nil && g != want {
+					t.Fatalf("key %d variant %d: writer %d holds %p, canonical entry %p", k, v, w, g, want)
+				}
+			}
+		}
+	}
+	if n := c.Len(); n != 2*keys {
+		t.Fatalf("Len = %d, want %d (one entry per key and variant)", n, 2*keys)
+	}
+}
+
+// TestFragCacheStoreAllocationsAmortized pins the arena: filling a
+// fresh cache with 4 096 distinct fragments allocates only the cache,
+// the slot-array doublings and the arena's growth — no per-entry node
+// or bucket.
+func TestFragCacheStoreAllocationsAmortized(t *testing.T) {
+	const n = 4096
+	keys := make([]DNF, n)
+	frags := make([]*PreparedFrag, n)
+	for i := range keys {
+		keys[i] = fragTestDNF(7 * i)
+		frags[i] = &PreparedFrag{D: keys[i]}
+	}
+	a := testing.AllocsPerRun(5, func() {
+		c := NewFragCache(0)
+		for i, d := range keys {
+			c.Store(d, 0, frags[i])
+		}
+		if c.Len() != n {
+			t.Fatalf("Len = %d, want %d", c.Len(), n)
+		}
+	})
+	if per := a / n; per > 0.01 {
+		t.Fatalf("%v allocations over %d distinct stores (%.4f each), want at most 0.01 each", a, n, per)
 	}
 }

@@ -3,6 +3,8 @@ package formula
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -360,4 +362,132 @@ func TestNormalizeAllocatesOnlyItsResult(t *testing.T) {
 	}); a > 1 {
 		t.Fatalf("Normalize of a duplicate-free %d-clause DNF: %v allocations, want at most 1", n, a)
 	}
+}
+
+// refFragCache is the FragCache table before the open-addressing arena:
+// a map from key hash to a bucket of entry pointers behind one RWMutex,
+// moved here verbatim, identifiers prefixed with ref. The arena table
+// must return the same canonical entry on every Store and Lookup, count
+// the same hits and misses, and stop storing at the same entry.
+type refFragCache struct {
+	mu      sync.RWMutex
+	buckets map[uint64][]*refFragCacheEntry
+	n       int
+	max     int
+
+	hits   atomic.Int64
+	misses atomic.Int64
+}
+
+type refFragCacheEntry struct {
+	key     DNF // the fragment as presented for preparation
+	variant uint8
+	frag    *PreparedFrag
+}
+
+func newRefFragCache(maxEntries int) *refFragCache {
+	if maxEntries <= 0 {
+		maxEntries = DefaultFragCacheEntries
+	}
+	return &refFragCache{buckets: make(map[uint64][]*refFragCacheEntry), max: maxEntries}
+}
+
+func (c *refFragCache) Lookup(d DNF, variant uint8) (*PreparedFrag, bool) {
+	h := fragKeyHash(d, variant)
+	c.mu.RLock()
+	for _, e := range c.buckets[h] {
+		if e.variant == variant && e.key.Equal(d) {
+			c.mu.RUnlock()
+			c.hits.Add(1)
+			return e.frag, true
+		}
+	}
+	c.mu.RUnlock()
+	c.misses.Add(1)
+	return nil, false
+}
+
+func (c *refFragCache) Store(d DNF, variant uint8, f *PreparedFrag) *PreparedFrag {
+	h := fragKeyHash(d, variant)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.buckets[h] {
+		if e.variant == variant && e.key.Equal(d) {
+			return e.frag
+		}
+	}
+	if c.n >= c.max {
+		return f
+	}
+	f.cached = true
+	c.buckets[h] = append(c.buckets[h], &refFragCacheEntry{key: d, variant: variant, frag: f})
+	c.n++
+	return f
+}
+
+func (c *refFragCache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.n
+}
+
+// fragOracleKey is the fuzz target's i-th key (i < 256): the false DNF,
+// the true DNF, then two-clause fragments over 32 variables, all
+// pairwise distinct.
+func fragOracleKey(i int) DNF {
+	switch i {
+	case 0:
+		return DNF{}
+	case 1:
+		return DNF{Clause{}}
+	}
+	return DNF{
+		MustClause(Atom{Var: Var(i % 16), Val: True}),
+		MustClause(Atom{Var: Var(16 + i/16), Val: Val(i % 2)}),
+	}
+}
+
+// FuzzFragCacheMatchesMapOracle runs one Store/Lookup sequence on the
+// arena table and on the map table it replaced. The first byte picks the
+// entry cap (0: the default, else 1..47, so the cache fills); each
+// further pair of bytes is one operation: bit 0 of the first picks
+// Lookup over Store, bits 1-2 the variant, bit 3 a clone of the key
+// (structural, not pointer, equality); the second byte names one of 256
+// keys. 256 keys under four variants grow the table from 16 to 2048
+// slots. Every operation must return the same canonical entry, and the
+// hit and miss counts and Len must agree after each.
+func FuzzFragCacheMatchesMapOracle(f *testing.F) {
+	f.Add([]byte{}) // the rest of the seed corpus is in testdata/fuzz
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		limit := int(data[0] % 48)
+		got, ref := NewFragCache(limit), newRefFragCache(limit)
+		for i := 1; i+1 < len(data); i += 2 {
+			op, k := data[i], int(data[i+1])
+			variant := op >> 1 & 3
+			key := fragOracleKey(k)
+			if op&8 != 0 {
+				key = key.Clone()
+			}
+			if op&1 == 0 {
+				p := &PreparedFrag{D: key, Lo: float64(k) / 256, Hi: 1}
+				if g, r := got.Store(key, variant, p), ref.Store(key, variant, p); g != r {
+					t.Fatalf("op %d: Store(key %d, variant %d) returned %p, map oracle %p", i/2, k, variant, g, r)
+				}
+			} else {
+				g, gok := got.Lookup(key, variant)
+				r, rok := ref.Lookup(key, variant)
+				if g != r || gok != rok {
+					t.Fatalf("op %d: Lookup(key %d, variant %d) = %p, %v; map oracle %p, %v", i/2, k, variant, g, gok, r, rok)
+				}
+			}
+			st := got.CacheStats()
+			if st.Hits != ref.hits.Load() || st.Misses != ref.misses.Load() || st.Entries != int64(ref.Len()) {
+				t.Fatalf("op %d: stats %+v, map oracle hits %d misses %d entries %d",
+					i/2, st, ref.hits.Load(), ref.misses.Load(), ref.Len())
+			}
+		}
+	})
 }

@@ -66,17 +66,19 @@ type fragEntryGob struct {
 // died. Traffic counters (hits/misses) are process-local and not
 // persisted.
 //
-// Save snapshots the entry set under the cache's read lock; entries
-// stored concurrently with the snapshot may or may not be included.
-// Entries embed the probability space's variable identities, so a saved
-// cache is only meaningful to a process rebuilding the identical Space
-// (same generator, same seed) — the same rule as sharing a live cache.
+// Save writes the entries in insertion order, so two saves of one cache
+// are byte-identical, and so are a save and the save of what it loads
+// (LoadFragCache stores in file order). It snapshots the arena under
+// the cache's read lock; entries stored concurrently with the snapshot
+// may or may not be included. Entries embed the probability space's
+// variable identities, so a saved cache is only meaningful to a process
+// rebuilding the identical Space (same generator, same seed) — the same
+// rule as sharing a live cache.
 func (c *FragCache) Save(w io.Writer) error {
+	// Appends never write below len, and an entry never changes once
+	// appended: the snapshot can be read after the lock is released.
 	c.mu.RLock()
-	entries := make([]*fragCacheEntry, 0, c.n)
-	for _, bucket := range c.buckets {
-		entries = append(entries, bucket...)
-	}
+	entries := c.entries
 	c.mu.RUnlock()
 
 	var payload bytes.Buffer
@@ -84,7 +86,8 @@ func (c *FragCache) Save(w io.Writer) error {
 	if err := penc.Encode(len(entries)); err != nil {
 		return fmt.Errorf("formula: FragCache.Save count: %w", err)
 	}
-	for _, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		g := fragEntryGob{
 			Key:     e.key,
 			Variant: e.variant,

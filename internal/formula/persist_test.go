@@ -258,16 +258,14 @@ func TestFragCacheLoadsSaveWrittenWithComps(t *testing.T) {
 	if err != nil || again.Len() != c.Len() {
 		t.Fatalf("re-save reloads %d entries (%v), want %d", again.Len(), err, c.Len())
 	}
-	for _, bucket := range c.buckets {
-		for _, e := range bucket {
-			if e.frag.Decision() != nil {
-				t.Fatalf("entry %v loaded with a decision", e.key)
-			}
-			got, ok := again.Lookup(e.key, e.variant)
-			if !ok || !got.D.Equal(e.frag.D) || got.Lo != e.frag.Lo || got.Hi != e.frag.Hi ||
-				got.Exact != e.frag.Exact || got.Work != e.frag.Work {
-				t.Fatalf("entry %v (variant %d) did not survive a re-save: %+v", e.key, e.variant, got)
-			}
+	for _, e := range c.entries {
+		if e.frag.Decision() != nil {
+			t.Fatalf("entry %v loaded with a decision", e.key)
+		}
+		got, ok := again.Lookup(e.key, e.variant)
+		if !ok || !got.D.Equal(e.frag.D) || got.Lo != e.frag.Lo || got.Hi != e.frag.Hi ||
+			got.Exact != e.frag.Exact || got.Work != e.frag.Work {
+			t.Fatalf("entry %v (variant %d) did not survive a re-save: %+v", e.key, e.variant, got)
 		}
 	}
 }
@@ -294,4 +292,33 @@ func FuzzLoadFragCache(f *testing.F) {
 			t.Fatal("loaded cache does not serve a fresh entry")
 		}
 	})
+}
+
+// Save writes entries in insertion order: two saves of one cache are
+// byte-identical, and so is the save of what a save loads.
+func TestFragCacheSaveDeterministic(t *testing.T) {
+	c := NewFragCache(0)
+	for i := 0; i < 50; i++ {
+		d := fragTestDNF(3 * i)
+		c.Store(d, uint8(i%3), &PreparedFrag{D: d, Lo: float64(i) / 100, Hi: 0.9, Exact: i%5 == 0, Work: int64(i)})
+	}
+	save := func(c *FragCache) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		return buf.Bytes()
+	}
+	first, second := save(c), save(c)
+	if !bytes.Equal(first, second) {
+		t.Fatal("two saves of one cache differ")
+	}
+	loaded, err := LoadFragCache(bytes.NewReader(first), 0)
+	if err != nil {
+		t.Fatalf("LoadFragCache: %v", err)
+	}
+	if again := save(loaded); !bytes.Equal(first, again) {
+		t.Fatal("the save of a loaded save differs from it")
+	}
 }
