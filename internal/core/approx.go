@@ -274,7 +274,7 @@ type frag struct {
 }
 
 func (st *state) prepare(d formula.DNF) frag {
-	return st.prepareAs(d, false, false)
+	return st.prepareAs(d, false, false, nil)
 }
 
 // prepareAs prepares fragment d: leafHead under the construction flags
@@ -284,8 +284,10 @@ func (st *state) prepare(d formula.DNF) frag {
 // With Options.Frags configured, the fragment is looked up before any
 // of that and stored after; a hit replays the work charge of an
 // uncached rerun (PreparedFrag.Work) so MaxWork budget traces stay
-// identical with and without the cache.
-func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
+// identical with and without the cache. The entry a miss stores is
+// written to slot, a zero PreparedFrag the caller hands over for good,
+// or to a fresh one when slot is nil.
+func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formula.PreparedFrag) frag {
 	// Chaos site: prepareAs has no error return, so every injected
 	// fault surfaces as a panic and unwinds to the nearest containment
 	// point (NewRefiner, rank's grant, or pdb's per-answer recover).
@@ -306,8 +308,11 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 		if c == nil {
 			return f
 		}
-		e := &formula.PreparedFrag{D: f.d, Lo: f.lo, Hi: f.hi, Exact: f.exact, Work: work}
-		f.entry = c.Store(key, st.variant, e)
+		if slot == nil {
+			slot = new(formula.PreparedFrag)
+		}
+		*slot = formula.PreparedFrag{D: f.d, Lo: f.lo, Hi: f.hi, Exact: f.exact, Work: work}
+		f.entry = c.Store(key, st.variant, slot)
 		return f
 	}
 	d, p, leaf := st.leafHead(d, normalized, reduced)
@@ -507,10 +512,11 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 // the children come back prepared, under the construction flags the
 // step's rule earns them, written from the start of buf's array when
 // it has room and into a fresh one otherwise (buf may be nil); buf's
-// old contents are overwritten. When f came through the fragment cache
-// the outcome is memoized on its entry, and a later decomposition of
-// that entry under the same Order replays it instead: no step, no
-// restriction, no child Lookup.
+// old contents are overwritten. With a fragment cache, the children's
+// entries come from one block of slots per step. When f came through
+// the cache the outcome is memoized on its entry, and a later
+// decomposition of that entry under the same Order replays it instead:
+// no step, no restriction, no child Lookup.
 func (st *state) decompose(f frag, buf []frag) (Kind, []frag, []float64) {
 	if f.entry != nil {
 		if dec := f.entry.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
@@ -520,10 +526,19 @@ func (st *state) decompose(f frag, buf []frag) (Kind, []frag, []float64) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
 	kind, subs, mult := st.step(f.d, f.d.ComponentsScratch(&sc.comp), sc, nil)
-	frags := slices.Grow(buf[:0], len(subs))
-	for _, sub := range subs {
-		frags = append(frags, st.prepareAs(sub, true, kind == IndepOr))
+	var slots []formula.PreparedFrag
+	if st.opt.Frags != nil {
+		slots = make([]formula.PreparedFrag, len(subs))
 	}
+	frags := slices.Grow(buf[:0], len(subs))
+	for i, sub := range subs {
+		var slot *formula.PreparedFrag
+		if slots != nil {
+			slot = &slots[i]
+		}
+		frags = append(frags, st.prepareAs(sub, true, kind == IndepOr, slot))
+	}
+	clear(subs) // the list stays in sc; the blocks it names need not
 	if f.entry != nil {
 		// Every child holds an entry too: prepareAs sets one whenever a
 		// cache is configured.

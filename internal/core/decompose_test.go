@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -34,8 +35,10 @@ func kernelIQVar(s *formula.Space, d formula.DNF) (formula.Var, bool) {
 // diffStep compares the array kernels, run over sc (shared across
 // cases, so stale stamps from earlier fragments are in play), with the
 // map oracle on d: the ⊙ parts clause for clause and in order, the
-// Lemma 6.8 choice, and the variable under both orders. It returns a
-// description of the first difference, or "".
+// Lemma 6.8 choice, and the variable under both orders. Then, when d
+// is in step's domain, it runs the whole step under both orders
+// against stepRef (see diffChildren). It returns a description of the
+// first difference, or "".
 func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 	sc.scanVars(s, d)
 	got, want := independentAndParts(d, sc), refIndependentAndParts(s, d)
@@ -60,6 +63,68 @@ func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 	for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
 		if g, w := chooseVar(d, order, sc), refChooseVar(s, d, order); g != w {
 			return fmt.Sprintf("⊕ order %d: x%d, oracle x%d", order, g, w)
+		}
+	}
+	// step's domain: the multi-clause fragments leafHead passes on.
+	if d = d.Normalize(); len(d) < 2 || d.IsTrue() {
+		return ""
+	}
+	for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
+		if diff := diffChildren(sc, s, d, order); diff != "" {
+			return fmt.Sprintf("step order %d: %s", order, diff)
+		}
+	}
+	return ""
+}
+
+// diffChildren runs step on d over sc and compares it with stepRef:
+// the kind, the ⊕ node count, the weights bitwise and the children
+// clause for clause and in order. Every child DNF, and every child
+// clause that is not one of d's own, must have cap == len, so that an
+// append to one child can never write into a sibling's part of the
+// step's shared block.
+func diffChildren(sc *prepScratch, s *formula.Space, d formula.DNF, order VarOrder) string {
+	st := newState(context.Background(), s, Options{Order: order})
+	ref := newState(context.Background(), s, Options{Order: order})
+	kind, subs, mult := st.step(d, d.ComponentsScratch(&sc.comp), sc, nil)
+	wantKind, want, wantMult := ref.stepRef(d)
+	if kind != wantKind || len(subs) != len(want) {
+		return fmt.Sprintf("%v with %d children, oracle %v with %d", kind, len(subs), wantKind, len(want))
+	}
+	if g, w := st.nodes.Load(), ref.nodes.Load(); g != w {
+		return fmt.Sprintf("%d nodes counted, oracle %d", g, w)
+	}
+	if len(mult) != len(wantMult) {
+		return fmt.Sprintf("%d weights, oracle %d", len(mult), len(wantMult))
+	}
+	for i := range wantMult {
+		if math.Float64bits(mult[i]) != math.Float64bits(wantMult[i]) {
+			return fmt.Sprintf("weight %d: %v, oracle %v", i, mult[i], wantMult[i])
+		}
+	}
+	own := make(map[*formula.Atom]int, len(d))
+	for _, c := range d {
+		if len(c) > 0 {
+			own[&c[0]] = len(c)
+		}
+	}
+	for i := range want {
+		if cap(subs[i]) != len(subs[i]) {
+			return fmt.Sprintf("child %d: cap %d, len %d", i, cap(subs[i]), len(subs[i]))
+		}
+		if len(subs[i]) != len(want[i]) {
+			return fmt.Sprintf("child %d: %d clauses, oracle %d", i, len(subs[i]), len(want[i]))
+		}
+		for j, c := range subs[i] {
+			if !c.Equal(want[i][j]) {
+				return fmt.Sprintf("child %d clause %d: %v, oracle %v", i, j, c, want[i][j])
+			}
+			if len(c) > 0 && own[&c[0]] == len(c) {
+				continue
+			}
+			if cap(c) != len(c) {
+				return fmt.Sprintf("child %d clause %d: cap %d, len %d", i, j, cap(c), len(c))
+			}
 		}
 	}
 	return ""
@@ -510,13 +575,15 @@ func TestRefinerStepAllocationsWarm(t *testing.T) {
 }
 
 // TestRefinerStepAllocationsCold pins the first Refiner.Step(1) on the
-// 6×6 grid over a cache that holds only the root. Of its 19
-// allocations, the step makes 10: the ⊕ branches' DNF list and
-// weights, and four per branch restricting it. Each of the two children
-// makes 2 in preparation: its subsumption pass and its entry. The
-// recorded decision and its child list make 2, and the three growths
-// the warm pin lists make the rest. The cache's table allocates nothing
-// here: its first growth made room for eight entries.
+// 6×6 grid over a cache that holds only the root. Of its 9
+// allocations, the ⊕ step makes 3: the children's clause block, the
+// atom block of the clauses it shortened, and the weights. The child
+// list is the scratch's, and neither child allocates in preparation:
+// no clause is subsumed, so RemoveSubsumed returns its input. The
+// children's cache entries are one block of slots (1), the recorded
+// decision and its child list make 2, and the three growths the warm
+// pin lists make the rest. The cache's table allocates nothing here:
+// its first growth made room for eight entries.
 func TestRefinerStepAllocationsCold(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -534,7 +601,7 @@ func TestRefinerStepAllocationsCold(t *testing.T) {
 		rs[i].Step(1)
 		i++
 	})
-	if n != 19 {
-		t.Fatalf("cold Refiner.Step(1) allocates %v, want 19", n)
+	if n != 9 {
+		t.Fatalf("cold Refiner.Step(1) allocates %v, want 9", n)
 	}
 }

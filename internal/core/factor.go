@@ -55,7 +55,9 @@ type projSlot struct {
 // by the search — subsets holding the smallest tag, fewest tags first,
 // then ascending — and each part lists its clauses in first-seen order.
 // Both orders reach the caller's arithmetic (child order is
-// multiplication order), so they are part of the contract.
+// multiplication order), so they are part of the contract. The parts
+// are fresh; the list holding them is sc.subs, valid until sc's next
+// step.
 func independentAndParts(d formula.DNF, sc *prepScratch) []formula.DNF {
 	st := &sc.step
 	n := len(st.tags)
@@ -76,8 +78,9 @@ func independentAndParts(d formula.DNF, sc *prepScratch) []formula.DNF {
 	if !ok {
 		return nil
 	}
-	parts := sc.factorRec(a, sub, make([]formula.DNF, 0, n))
-	return sc.factorRec(b, full&^sub, parts)
+	parts := sc.factorRec(a, sub, sc.subs[:0])
+	sc.subs = sc.factorRec(b, full&^sub, parts)
+	return sc.subs
 }
 
 // factorRec factorizes d (whose variables span exactly the tags of

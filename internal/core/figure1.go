@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/formula"
+import (
+	"slices"
+
+	"repro/internal/formula"
+)
 
 // This file is Figure 1, stated once. Every compiler in the package —
 // depth-first explore and Refiner.refine (through decompose), exact
@@ -16,11 +20,15 @@ import "repro/internal/formula"
 // clause. The flags declare what d has by construction, so the passes
 // that would be content no-ops are skipped: normalized means
 // duplicate-free, reduced means no clause subsumes another. Children of
-// step earn them structurally — component Selects and independent-and
+// step earn them structurally — components and independent-and
 // projections of a normalized parent are duplicate-free, Shannon
-// restrictions are deduplicated on the way out, and component Selects
-// of a reduced parent are reduced (a subsuming pair shares the subsumed
-// clause's variables, hence its component).
+// restrictions are deduplicated on the way out, and components of a
+// reduced parent are reduced (a subsuming pair shares the subsumed
+// clause's variables, hence its component). The passes that do run
+// copy nothing when they change nothing (an answer's lineage the plan
+// has deduplicated already, a Shannon branch with no subsumed clause):
+// the prepared form is then d itself — a caller's DNF or a step block,
+// read-only either way.
 //
 // Callers charge len(d) to the work budget first, where their own
 // budget check or cache replay needs it.
@@ -60,32 +68,96 @@ func (st *state) smallExact(d formula.DNF) (p float64, ops int64, ok bool) {
 // partition: ⊗ by connected components, else ⊙ by factorization, else ⊕
 // by Shannon expansion on the Lemma 6.8 / most-frequent variable. It
 // returns the node kind, the child DNFs and the per-child weight
-// (P(x = a) under ⊕, 1 otherwise). Children are normalized by
-// construction, and reduced too under ⊗ (see leafHead). Each surviving
-// ⊕ branch counts one node here, before any child is visited: the
-// {x = a} leaf of its ⊙ companion. Compile alone needs those atoms and
-// passes a slice to receive them; the evaluators pass nil and the step
-// allocates nothing for them. The ⊙ / ⊕ analysis runs on sc.
+// (P(x = a) under ⊕, the shared ones otherwise). Children are
+// normalized by construction, and reduced too under ⊗ (see leafHead).
+//
+// The children of ⊗ and ⊕ are written into one fresh block per step
+// (⊙'s parts into the projection blocks of factor.go), every child DNF
+// and every clause ⊕ shortened sliced with cap == len, so an append to
+// one can never reach another. The blocks are never reused: FragCache
+// keys, entries' D and recorded decisions alias them. The child list
+// itself is transient — it lives in sc until sc's next step.
+//
+// Each surviving ⊕ branch counts one node here, before any child is
+// visited: the {x = a} leaf of its ⊙ companion. Compile alone needs
+// those atoms and passes a slice to receive them; the evaluators pass
+// nil and the step allocates nothing for them. The ⊙ / ⊕ analysis runs
+// on sc.
 func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
 	if len(comps) > 1 {
-		subs := make([]formula.DNF, len(comps))
-		for i, idx := range comps {
-			subs[i] = d.Select(idx)
+		block, subs := make(formula.DNF, 0, len(d)), sc.subs[:0]
+		for _, idx := range comps {
+			start := len(block)
+			for _, j := range idx {
+				block = append(block, d[j])
+			}
+			subs = append(subs, block[start:len(block):len(block)])
 		}
+		sc.subs = subs
 		return IndepOr, subs, ones(len(subs))
 	}
 	sc.scanVars(st.s, d)
 	if parts := independentAndParts(d, sc); parts != nil {
 		return IndepAnd, parts, ones(len(parts))
 	}
-	x := chooseVar(d, st.opt.Order, sc)
+	return st.shannon(d, chooseVar(d, st.opt.Order, sc), sc, atoms)
+}
+
+// shannon is step's ⊕ rule: the restrictions d|x=a of every value a
+// that leaves a clause, with weights P(x = a). A clause without x
+// appears in every branch and is shared with d; a clause with x = a
+// appears in branch a alone, shortened by one atom. A counting pass
+// sizes the header and atom blocks exactly. A branch that shortened a
+// clause can hold duplicates (d is duplicate-free); they are removed
+// in place, first occurrences first, which is DNF.Restrict's output
+// clause for clause.
+func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
+	xv := sc.xvals(len(d))
+	without, with, natoms := 0, 0, 0
+	for i, c := range d {
+		v, ok := c.Lookup(x)
+		if !ok {
+			xv[i] = -1
+			without++
+			continue
+		}
+		xv[i] = v
+		with++
+		natoms += len(c) - 1
+	}
 	dom := st.s.DomainSize(x)
-	subs := make([]formula.DNF, 0, dom)
-	mult := make([]float64, 0, dom)
+	block := make(formula.DNF, dom*without+with)
+	atomBlock := make([]formula.Atom, 0, natoms)
+	subs, mult := sc.subs[:0], make([]float64, 0, dom)
+	next := 0 // block headers in use
 	for a := 0; a < dom; a++ {
-		sub := restrictPrepared(d, x, formula.Val(a))
+		start, shrank := next, false
+		for i, c := range d {
+			switch xv[i] {
+			case -1:
+				block[next] = c
+			case formula.Val(a):
+				from := len(atomBlock)
+				for _, at := range c {
+					if at.Var != x {
+						atomBlock = append(atomBlock, at)
+					}
+				}
+				block[next] = formula.Clause(atomBlock[from:len(atomBlock):len(atomBlock)])
+				shrank = true
+			default:
+				continue
+			}
+			next++
+		}
+		sub := block[start:next:next]
 		if sub.IsFalse() {
 			continue
+		}
+		if shrank && len(sub) > 1 {
+			sub = sub.Dedup()
+			next = start + len(sub)
+			sub = sub[:len(sub):len(sub)]
 		}
 		at := formula.Atom{Var: x, Val: formula.Val(a)}
 		st.nodes.Add(1)
@@ -95,6 +167,7 @@ func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]fo
 			*atoms = append(*atoms, at)
 		}
 	}
+	sc.subs = subs
 	return ExclOr, subs, mult
 }
 
@@ -102,16 +175,30 @@ func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]fo
 // Compile), which hold no fragment-cache entry to memoize the step on:
 // partition and analysis run on one pooled scratch that is back in the
 // pool before the caller recurses, so a compilation holds one scratch
-// however deep it is.
+// however deep it is — and the child list is copied out of it.
 func (st *state) stepAlone(d formula.DNF, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	return st.step(d, d.ComponentsScratch(&sc.comp), sc, atoms)
+	kind, subs, mult := st.step(d, d.ComponentsScratch(&sc.comp), sc, atoms)
+	return kind, slices.Clone(subs), mult
 }
 
+// sharedOnes backs ones: filled at start-up, never written after.
+var sharedOnes = func() []float64 {
+	s := make([]float64, 256)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}()
+
 // ones returns the weights of an independent-or / independent-and
-// node: n ones.
+// node: n ones. Up to 256 they are one slice shared by every such node
+// and decision, so callers only read them.
 func ones(n int) []float64 {
+	if n <= len(sharedOnes) {
+		return sharedOnes[:n:n]
+	}
 	mult := make([]float64, n)
 	for i := range mult {
 		mult[i] = 1

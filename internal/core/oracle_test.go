@@ -920,25 +920,32 @@ func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF,
 	defer prepPool.Put(sc)
 	sc.scanVars(s, d)
 	if parts := independentAndParts(d, sc); parts != nil {
-		return parts, 0
+		return slices.Clone(parts), 0
 	}
 	return nil, chooseVar(d, order, sc)
 }
 
 // decomposeRef is decompose on the original preparation pipeline:
-// fresh component partition, allocating Restrict, no construction
-// flags.
+// stepRef's children, each prepared from scratch.
 func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
+	kind, subs, mult := st.stepRef(d)
+	return kind, st.prepareAllRef(subs), mult
+}
+
+// stepRef is step as it ran before the step blocks: a fresh component
+// partition and one Select per component, one allocating DNF.Restrict
+// per ⊕ branch.
+func (st *state) stepRef(d formula.DNF) (Kind, []formula.DNF, []float64) {
 	if comps := d.Components(); len(comps) > 1 {
 		subs := make([]formula.DNF, len(comps))
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)
 		}
-		return IndepOr, st.prepareAllRef(subs), ones(len(subs))
+		return IndepOr, subs, ones(len(subs))
 	}
 	parts, x := partsOrVar(st.s, d, st.opt.Order)
 	if parts != nil {
-		return IndepAnd, st.prepareAllRef(parts), ones(len(parts))
+		return IndepAnd, parts, ones(len(parts))
 	}
 	var subs []formula.DNF
 	var mult []float64
@@ -951,7 +958,7 @@ func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
 		subs = append(subs, sub)
 		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
-	return ExclOr, st.prepareAllRef(subs), mult
+	return ExclOr, subs, mult
 }
 
 // prepareAllRef prepares every child fragment from scratch.

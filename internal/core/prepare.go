@@ -9,9 +9,9 @@ import (
 
 // This file holds the leaf-preparation hot path. Every d-tree node the
 // compiler constructs starts as a prepared fragment — normalization,
-// subsumption removal, and the Figure 3 heuristic bounds — and PR-5
+// subsumption removal, and the Figure 3 heuristic bounds — and
 // profiling showed that preparation, not refinement bookkeeping,
-// dominates the canonical ranking workloads (>50% of samples). Three
+// dominated the canonical ranking workloads (>50% of samples). Four
 // mechanisms make preparation proportional to *new* work:
 //
 //   - a prepared-fragment cache (formula.FragCache, Options.Frags):
@@ -22,17 +22,23 @@ import (
 //     entries and their weights instead of re-running the step,
 //     restricting and looking each child up;
 //   - construction-aware shortcuts: decomposition children are
-//     duplicate-free by construction, and component Selects are
+//     duplicate-free by construction, and component children are
 //     subsumption-free too, so leafHead (figure1.go) skips Normalize /
-//     RemoveSubsumed passes that would be content no-ops;
+//     RemoveSubsumed passes that would be content no-ops — and the
+//     passes it does run return their input when they change nothing;
+//   - one allocation per kind of memory per step: step (figure1.go)
+//     writes all children of a decomposition into one clause block (and
+//     the clauses ⊕ shortens into one atom block), and decompose hands
+//     their cache entries one block of slots. The blocks are fresh per
+//     step, never pooled: cache keys, entries and decisions alias them;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
 //     clause index, bounds.go) / variable stamps and values, the
-//     component partition and its union-find, and the ⊙/⊕ analysis of
-//     the decomposition step (factor.go, varorder.go), and the stack of
-//     merged conjunctions of the inclusion–exclusion walk (bounds.go).
-//     Deduplication —
-//     Normalize, RemoveSubsumed, the restrictions' Dedup — probes
+//     component partition and its union-find, the ⊙/⊕ analysis of the
+//     decomposition step and its transient child list (factor.go,
+//     varorder.go, figure1.go), and the stack of merged conjunctions of
+//     the inclusion–exclusion walk (bounds.go). Deduplication —
+//     Normalize, RemoveSubsumed, the ⊕ branches' Dedup — probes
 //     formula's own pooled clause table (formula/hash.go).
 //
 // The original allocate-everything pipeline is refRefiner's half of
@@ -53,6 +59,8 @@ type prepScratch struct {
 
 	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table
+	subs []formula.DNF // decomposition step: the transient child list
+	xval []formula.Val // ⊕ step: the expansion variable's value per clause, -1 if absent
 
 	conj []formula.Atom // inclusionExclusion: the walk's stack of merged conjunctions
 }
@@ -73,6 +81,14 @@ func (sc *prepScratch) atoms(n int) []formula.Atom {
 		sc.conj = make([]formula.Atom, n)
 	}
 	return sc.conj[:n]
+}
+
+// xvals returns a length-n value buffer (contents undefined).
+func (sc *prepScratch) xvals(n int) []formula.Val {
+	if cap(sc.xval) < n {
+		sc.xval = make([]formula.Val, n)
+	}
+	return sc.xval[:n]
 }
 
 // vals returns a length-n value buffer. An entry is meaningful only
@@ -116,28 +132,6 @@ func (sc *prepScratch) epochPair() (a, b uint32) {
 		a = sc.nextEpoch() // wraps: clears st and returns 1
 	}
 	return a, sc.nextEpoch()
-}
-
-// restrictPrepared is Shannon restriction d|v=a for a *prepared*
-// (duplicate-free) d. It matches DNF.Restrict output clause for
-// clause: when no surviving clause lost an atom the result is a
-// subset of d and needs no deduplication at all; otherwise duplicates
-// are removed in place, in first-occurrence order.
-func restrictPrepared(d formula.DNF, v formula.Var, a formula.Val) formula.DNF {
-	out := make(formula.DNF, 0, len(d))
-	shrank := false
-	for _, c := range d {
-		if r, ok := c.Restrict(v, a); ok {
-			if len(r) != len(c) {
-				shrank = true
-			}
-			out = append(out, r)
-		}
-	}
-	if !shrank || len(out) <= 1 {
-		return out
-	}
-	return out.Dedup()
 }
 
 // prepVariant encodes the Options switches preparation depends on —

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/formula"
@@ -140,7 +142,10 @@ func TestRefinerCancelled(t *testing.T) {
 }
 
 // A shared fragment cache lets a second refiner over the same lineage
-// reuse the first's prepared fragments.
+// reuse the first's prepared fragments. Two refiners stepping at once
+// over one cache (run under -race) replay decisions the other recorded
+// and read entries whose clauses live in the other's step blocks; every
+// step's bounds must be bitwise those of a serial run.
 func TestRefinerSharedCache(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 24, Clauses: 40, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.3,
@@ -160,6 +165,45 @@ func TestRefinerSharedCache(t *testing.T) {
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Fatalf("cache changed bounds: [%v,%v] vs [%v,%v]", lo1, hi1, lo2, hi2)
 	}
+
+	rs, rd := randdnf.Generate(randdnf.Config{
+		Vars: 20, Clauses: 60, MaxWidth: 3, MaxDomain: 3, ForceWidth: true, MinProb: 0.2, MaxProb: 0.6,
+	}, 5)
+	gs, gd := rstGrid(5)
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		d    formula.DNF
+	}{{"random", rs, rd}, {"5×5 grid", gs, gd}} {
+		serial := boundsTrace(NewRefiner(context.Background(), tc.s, tc.d, Options{Eps: 1e-9, Kind: Absolute, Frags: formula.NewFragCache(0)}))
+		shared := formula.NewFragCache(0)
+		var traces [2][][2]uint64
+		var wg sync.WaitGroup
+		for w := range traces {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				traces[w] = boundsTrace(NewRefiner(context.Background(), tc.s, tc.d, Options{Eps: 1e-9, Kind: Absolute, Frags: shared}))
+			}()
+		}
+		wg.Wait()
+		for w, tr := range traces {
+			if !slices.Equal(tr, serial) {
+				t.Fatalf("%s: concurrent refiner %d diverged from the serial run (%d steps, serial %d)", tc.name, w, len(tr), len(serial))
+			}
+		}
+	}
+}
+
+// boundsTrace runs r to completion one refinement at a time and returns
+// the bits of its bounds after every step.
+func boundsTrace(r *Refiner) [][2]uint64 {
+	var out [][2]uint64
+	for !r.Done() {
+		lo, hi, _ := r.Step(1)
+		out = append(out, [2]uint64{math.Float64bits(lo), math.Float64bits(hi)})
+	}
+	return out
 }
 
 func TestRefinerExactAtPrepare(t *testing.T) {

@@ -20,31 +20,44 @@ func NewDNF(clauses ...Clause) DNF {
 }
 
 // Normalize removes duplicate clauses, preserving first-occurrence
-// order. It allocates its result and nothing else.
+// order. It may return d itself — it does when d has no duplicates, and
+// then allocates nothing — so treat the result as read-only. Otherwise
+// it allocates the result, once, at the first duplicate.
 func (d DNF) Normalize() DNF {
-	return d.dedupInto(make(DNF, 0, len(d)))
+	return d.dedup(false)
 }
 
 // Dedup is Normalize compacting d in place: the result is a prefix of
 // d's backing array, which the caller must own.
 func (d DNF) Dedup() DNF {
-	return d.dedupInto(d[:0])
+	return d.dedup(true)
 }
 
-// dedupInto appends d's first occurrences to out, which is empty and
-// either separate from d or d's own prefix.
-func (d DNF) dedupInto(out DNF) DNF {
+// dedup returns d's first occurrences in order. Up to the first
+// duplicate they are d's own prefix, extended without a write; from
+// there on they are appended in place (inPlace) or to a fresh copy of
+// that prefix.
+func (d DNF) dedup(inPlace bool) DNF {
 	t := tablePool.Get().(*clauseTable)
 	t.reset(len(d))
+	out, prefix := d[:0], true
 	for _, c := range d {
 		h := c.Hash()
 		for pos, i := t.next(h, h); ; pos, i = t.next(h, i) {
 			if pos < 0 {
 				t.put(h, i, len(out))
-				out = append(out, c)
+				if prefix {
+					out = out[:len(out)+1]
+				} else {
+					out = append(out, c)
+				}
 				break
 			}
 			if out[pos].Equal(c) {
+				if prefix && !inPlace {
+					out = append(make(DNF, 0, len(d)-1), out...)
+				}
+				prefix = false
 				break
 			}
 		}
@@ -84,6 +97,8 @@ func (d DNF) Vars() []Var {
 
 // RemoveSubsumed returns d with every clause that is subsumed by another
 // clause of d removed (step 1 of the compilation algorithm, Figure 1).
+// It returns d itself when nothing is subsumed, allocating nothing, so
+// treat the result as read-only.
 //
 // For clauses of bounded width k (k is at most the number of joined
 // relations for query lineage) it enumerates the 2^k−2 proper subsets of
@@ -114,9 +129,10 @@ func (d DNF) RemoveSubsumed() DNF {
 		// lineage before Shannon expansion.
 		return d
 	}
-	keep := make([]bool, len(d))
+	t := tablePool.Get().(*clauseTable)
+	defer tablePool.Put(t)
+	keep := t.keepFlags(len(d))
 	if !wide {
-		t := tablePool.Get().(*clauseTable)
 		t.reset(len(d))
 		for i, c := range d {
 			t.add(c.Hash(), i)
@@ -124,7 +140,6 @@ func (d DNF) RemoveSubsumed() DNF {
 		for i, c := range d {
 			keep[i] = !subsetPresent(c, d, t, i, widths)
 		}
-		tablePool.Put(t)
 	} else {
 		// Pairwise fallback: sort indices by clause length so that a
 		// potential subsumer is visited before the clauses it subsumes.
@@ -149,7 +164,16 @@ func (d DNF) RemoveSubsumed() DNF {
 			}
 		}
 	}
-	out := make(DNF, 0, len(d))
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == len(d) {
+		return d
+	}
+	out := make(DNF, 0, n)
 	for i, c := range d {
 		if keep[i] {
 			out = append(out, c)

@@ -60,7 +60,10 @@ type PreparedFrag struct {
 type Decision struct {
 	Kind, Order uint8
 	Children    []*PreparedFrag
-	Weights     []float64
+	// Weights are shared and read-only: every replay hands out this
+	// slice, and the weights of an independent-or or independent-and
+	// step are one slice of ones shared by all of them.
+	Weights []float64
 }
 
 // Decision returns the decomposition recorded on f, or nil.

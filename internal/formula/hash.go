@@ -45,6 +45,7 @@ func (c Clause) Hash() uint64 {
 // merge it never builds. Entries are not removed.
 type clauseTable struct {
 	slots []uint64 // hash>>32<<32 | position+1; 0 = empty; len is a power of two
+	keep  []bool   // RemoveSubsumed's per-clause survivor flags
 }
 
 // minTableSlots is a clauseTable's least slot count.
@@ -64,6 +65,14 @@ func (t *clauseTable) reset(n int) {
 	}
 	t.slots = t.slots[:size]
 	clear(t.slots)
+}
+
+// keepFlags returns a length-n flag buffer (contents undefined).
+func (t *clauseTable) keepFlags(n int) []bool {
+	if cap(t.keep) < n {
+		t.keep = make([]bool, n)
+	}
+	return t.keep[:n]
 }
 
 // next walks the probe sequence of hash h. Called with i = h, and then
@@ -100,6 +109,6 @@ func (t *clauseTable) add(h uint64, pos int) {
 	t.put(h, i, pos)
 }
 
-// tablePool holds the tables of Normalize, Dedup and RemoveSubsumed,
-// which live for one call.
+// tablePool holds the tables of Normalize, Dedup and RemoveSubsumed
+// (with the latter's flags), which live for one call.
 var tablePool = sync.Pool{New: func() any { return new(clauseTable) }}

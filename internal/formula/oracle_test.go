@@ -343,8 +343,9 @@ func TestClauseTableMatchesMapOracleSeeded(t *testing.T) {
 	}
 }
 
-// TestNormalizeAllocatesOnlyItsResult pins the table's pooling: no map,
-// no per-clause slice.
+// TestNormalizeAllocatesOnlyItsResult pins the table's pooling and the
+// no-copy path: no map, no per-clause slice, and a duplicate-free DNF
+// comes back as itself, with no allocation at all.
 func TestNormalizeAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -356,11 +357,77 @@ func TestNormalizeAllocatesOnlyItsResult(t *testing.T) {
 	}
 	d.Normalize() // size the pooled table
 	if a := testing.AllocsPerRun(10, func() {
-		if got := d.Normalize(); len(got) != n {
-			t.Fatalf("%d clauses, want %d", len(got), n)
+		if got := d.Normalize(); len(got) != n || &got[0] != &d[0] {
+			t.Fatalf("%d clauses, want d itself (%d)", len(got), n)
 		}
-	}); a > 1 {
-		t.Fatalf("Normalize of a duplicate-free %d-clause DNF: %v allocations, want at most 1", n, a)
+	}); a != 0 {
+		t.Fatalf("Normalize of a duplicate-free %d-clause DNF: %v allocations, want 0", n, a)
+	}
+}
+
+// TestRemoveSubsumedNothingSubsumedAllocatesNothing pins the no-copy
+// path of RemoveSubsumed on mixed clause widths, where the subset
+// enumeration runs: with nothing subsumed, d comes back as itself and
+// the survivor flags come from the pooled table.
+func TestRemoveSubsumedNothingSubsumedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	const n = 1000
+	d := make(DNF, n)
+	for i := range d {
+		c := Clause{{Var: Var(i), Val: True}, {Var: Var(n + i%31), Val: True}}
+		if i%2 == 1 {
+			c = append(c, Atom{Var: Var(2*n + i%7), Val: False})
+		}
+		d[i] = c
+	}
+	d.RemoveSubsumed() // size the pooled table
+	if a := testing.AllocsPerRun(10, func() {
+		if got := d.RemoveSubsumed(); len(got) != n || &got[0] != &d[0] {
+			t.Fatalf("%d clauses, want d itself (%d)", len(got), n)
+		}
+	}); a != 0 {
+		t.Fatalf("RemoveSubsumed with nothing subsumed: %v allocations, want 0", a)
+	}
+}
+
+// TestNormalizeCopiesFromFirstDuplicate checks the copy that starts at
+// the first duplicate against the always-copy oracle, wherever that
+// duplicate falls, and that neither Normalize nor a copy's Dedup
+// writes into d.
+func TestNormalizeCopiesFromFirstDuplicate(t *testing.T) {
+	c := make([]Clause, 5)
+	for i := range c {
+		c[i] = Clause{{Var: Var(i), Val: True}, {Var: Var(10 + i%2), Val: True}}
+	}
+	for _, tc := range []struct {
+		name string
+		d    DNF
+	}{
+		{"none", DNF{c[0], c[1], c[2]}},
+		{"first", DNF{c[0], c[0], c[1], c[2]}},
+		{"middle", DNF{c[0], c[1], c[2], c[1], c[3]}},
+		{"last", DNF{c[0], c[1], c[2], c[3], c[0]}},
+		{"every clause, adjacent", DNF{c[0], c[0], c[1], c[1], c[2], c[2]}},
+		{"every clause, repeated", DNF{c[0], c[1], c[2], c[0], c[1], c[2], c[2]}},
+	} {
+		before := tc.d.Clone()
+		want := refNormalize(tc.d)
+		got := tc.d.Normalize()
+		if !dnfIdentical(got, want) {
+			t.Errorf("%s: Normalize = %v, oracle %v", tc.name, got, want)
+		}
+		aliased, wantAliased := &got[0] == &tc.d[0], len(want) == len(tc.d)
+		if aliased != wantAliased {
+			t.Errorf("%s: result aliases d: %v, want %v", tc.name, aliased, wantAliased)
+		}
+		if !dnfIdentical(tc.d, before) {
+			t.Errorf("%s: Normalize changed d to %v", tc.name, tc.d)
+		}
+		if got := tc.d.Clone().Dedup(); !dnfIdentical(got, want) {
+			t.Errorf("%s: Dedup = %v, oracle %v", tc.name, got, want)
+		}
 	}
 }
 
