@@ -525,7 +525,7 @@ func (st *state) decompose(f frag, buf []frag) (Kind, []frag, []float64) {
 	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(f.d, f.d.ComponentsScratch(&sc.comp), sc, nil)
+	kind, subs, mult := st.step(f.d, sc, nil)
 	var slots []formula.PreparedFrag
 	if st.opt.Frags != nil {
 		slots = make([]formula.PreparedFrag, len(subs))

@@ -64,7 +64,8 @@ func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 // leafBoundsScratch is the allocation-free heart of LeafBounds: the
 // clause probabilities in bucket order, the per-variable stamps and the
 // value each stamped variable occurs with live in sc and are reused
-// across calls.
+// across calls. The first pass needs two live epochs and takes both in
+// one call; each later bucket takes one.
 func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *prepScratch) (lo, hi float64, ops int) {
 	switch {
 	case d.IsFalse():
@@ -76,7 +77,8 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		return p, p, 1
 	}
 
-	order, spare := sc.probKeys(len(d))
+	sc.keys[0], sc.keys[1] = grow(sc.keys[0], len(d), 0), grow(sc.keys[1], len(d), 0)
+	order, spare := sc.keys[0], sc.keys[1]
 	for i, c := range d {
 		order[i] = probKey{desc: ^math.Float64bits(c.Probability(s)), i: int32(i)}
 	}
@@ -84,13 +86,9 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		order = sortProbKeys(order, spare)
 	}
 
-	maxVar := formula.Var(-1)
-	for _, c := range d {
-		if len(c) > 0 && c[len(c)-1].Var > maxVar {
-			maxVar = c[len(c)-1].Var
-		}
-	}
-	stamp, val := sc.stamps(int(maxVar)+1), sc.vals(int(maxVar)+1)
+	top := int(maxVar(d))
+	sc.st, sc.val = grow(sc.st, top+1, 0), grow(sc.val, top+1, 0)
+	stamp, val := sc.st, sc.val
 
 	// One pass over every clause builds the first bucket — the most
 	// probable clause, then every later one independent of the bucket so
@@ -98,7 +96,8 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 	// variables carry the stamp in, other variables seen so far the stamp
 	// seen, and val holds the value each stamped variable occurs with.
 	// Clauses left out move, in order, to the front of order.
-	seen, in := sc.epochPair()
+	seen := sc.epochs(2)
+	in := seen + 1
 	positive := true
 	rest := 0
 	for _, k := range order {
@@ -141,7 +140,7 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 	// remaining clause independent of it, in order.
 	sum := lo
 	for rest > 0 {
-		epoch := sc.nextEpoch()
+		epoch := sc.epochs(1)
 		bp, n := 0.0, 0
 		for _, k := range order[:rest] {
 			ops++
@@ -275,7 +274,8 @@ func inclusionExclusion(s *formula.Space, d formula.DNF) float64 {
 		width += len(c)
 	}
 	sc := prepPool.Get().(*prepScratch)
-	stack := sc.atoms(n * width) // level l's conjunction in stack[l*width:]
+	sc.conj = grow(sc.conj, n*width, 0)
+	stack := sc.conj // level l's conjunction in stack[l*width:]
 
 	var p [1 << incExcMaxClauses]float64 // P(∧ S) by clause mask S
 	var ok [1 << incExcMaxClauses]bool   // S is consistent

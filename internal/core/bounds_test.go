@@ -111,14 +111,15 @@ func TestLeafBoundsEdgeCases(t *testing.T) {
 // BID counterexample, whose Harris bound is below P, so that only the
 // positivity check keeps it off the leaf.
 func TestLeafBoundsContainRationalOracle(t *testing.T) {
+	sc := new(prepScratch)
 	s, d := example52()
-	checkLeafBounds(t, "Example 5.2", s, d)
+	checkLeafBounds(t, "Example 5.2", s, d, sc)
 	for _, side := range []int{3, 4} {
 		s, d := tinyGrid(side, 1e-5)
-		checkLeafBounds(t, fmt.Sprintf("%d×%d grid at p = 1e-5", side, side), s, d)
+		checkLeafBounds(t, fmt.Sprintf("%d×%d grid at p = 1e-5", side, side), s, d, sc)
 	}
 	s, d = bidCounterexample()
-	checkLeafBounds(t, "BID counterexample", s, d)
+	checkLeafBounds(t, "BID counterexample", s, d, sc)
 	harris := 0.0
 	for _, c := range d {
 		harris = orIndep(harris, c.Probability(s))
@@ -134,7 +135,7 @@ func TestLeafBoundsContainRationalOracle(t *testing.T) {
 			cfg.MaxDomain = 3
 		}
 		s, d := randdnf.Generate(cfg, seed)
-		checkLeafBounds(t, fmt.Sprintf("randdnf seed %d", seed), s, d)
+		checkLeafBounds(t, fmt.Sprintf("randdnf seed %d", seed), s, d, sc)
 	}
 	rng := rand.New(rand.NewSource(17))
 	small := func() float64 { return math.Pow(10, -9+6*rng.Float64()) }
@@ -142,22 +143,26 @@ func TestLeafBoundsContainRationalOracle(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		neg := []float64{0, 0.2}[i%2] // every other corpus is not positive
 		s, d := randLeaf(rng, 20, 7+rng.Intn(10), 8, 2, small, neg)
-		checkLeafBounds(t, fmt.Sprintf("small-p %d", i), s, d)
+		checkLeafBounds(t, fmt.Sprintf("small-p %d", i), s, d, sc)
 		s, d = randLeaf(rng, 16, 7+rng.Intn(10), 4, 2, near1, neg)
-		checkLeafBounds(t, fmt.Sprintf("near-1 %d", i), s, d)
+		checkLeafBounds(t, fmt.Sprintf("near-1 %d", i), s, d, sc)
 		s, d = randLeaf(rng, 10, 7+rng.Intn(10), 3, 3, nil, 0)
-		checkLeafBounds(t, fmt.Sprintf("BID %d", i), s, d)
+		checkLeafBounds(t, fmt.Sprintf("BID %d", i), s, d, sc)
 	}
 }
 
 // FuzzLeafBoundsContainOracle is checkLeafBounds over byte-decoded
-// leaves of up to 10 variables and 24 clauses (decodeLeafDNF). The
-// seed corpus under testdata/fuzz holds the BID counterexample, whose
-// Harris bound is 0.960 against P = 0.999.
+// leaves of up to 10 variables and 24 clauses (decodeLeafDNF), on one
+// scratch whose counter is set, before each input, a few epochs short
+// of the wrap at a distance taken from the input. The seed corpus under
+// testdata/fuzz holds the BID counterexample, whose Harris bound is
+// 0.960 against P = 0.999.
 func FuzzLeafBoundsContainOracle(f *testing.F) {
+	sc := new(prepScratch)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, d := decodeLeafDNF(data)
-		checkLeafBounds(t, "fuzz", s, d)
+		nearWrap(sc, wrapDistance(data))
+		checkLeafBounds(t, "fuzz", s, d, sc)
 	})
 }
 

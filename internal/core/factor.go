@@ -15,7 +15,8 @@ const maxFactorTags = 16
 
 // factorScratch is the ⊙ half of the decomposition-step scratch: the
 // projection table of trysplit and the bookkeeping that outlives one
-// split test.
+// split test. Each split test stamps the table with a fresh epoch of
+// the scratch's one counter (prepScratch.epochs).
 type factorScratch struct {
 	// rank[i] is the position of stepScan.tags[i] in ascending tag
 	// order: subsets are bitmasks over ranks, because the enumeration
@@ -25,9 +26,9 @@ type factorScratch struct {
 	// Open-addressing table of projections, one slot per distinct
 	// (side, projection): the hash sits beside the reference so probes
 	// compare it before touching a clause, and slots are validated by
-	// epoch so the table is never cleared.
+	// the epoch of the split under test, so the table is never cleared.
 	slots []projSlot
-	epoch uint32
+	stamp uint32
 
 	// Representatives of the distinct projections of the split under
 	// test, per side, in first-seen order.
@@ -160,7 +161,7 @@ func deposit(sub, mask uint32) uint32 {
 // of d. It stops and reports false once no subset of mask can split d.
 func (sc *prepScratch) leadCounts(d formula.DNF, mask uint32, lead *[maxFactorTags]int) bool {
 	info, rank := sc.step.info, &sc.fact.rank
-	e := sc.step.nextMark()
+	e := sc.epochs(1)
 	for _, c := range d {
 		var seen uint32
 		grew := false
@@ -218,7 +219,7 @@ func (sc *prepScratch) trysplit(d formula.DNF, sub uint32) (a, b formula.DNF, ok
 	// which also bounds the table: it never holds more than |d|+2
 	// projections.
 	f := &sc.fact
-	f.resetTable(len(d) + 2)
+	sc.resetTable(len(d) + 2)
 	repsA, repsB := f.repsA[:0], f.repsB[:0]
 	for ci, c := range d {
 		var hA, hB uint64 = 0x5bd1e995, 0x5bd1e995
@@ -254,21 +255,11 @@ func (sc *prepScratch) trysplit(d formula.DNF, sub uint32) (a, b formula.DNF, ok
 }
 
 // resetTable empties the projection table and sizes it for n entries
-// at a load of at most one half.
-func (f *factorScratch) resetTable(n int) {
-	if want := 2 * n; len(f.slots) < want {
-		size := 16
-		for size < want {
-			size <<= 1
-		}
-		f.slots = make([]projSlot, size)
-		f.epoch = 0
-	}
-	f.epoch++
-	if f.epoch == 0 {
-		clear(f.slots)
-		f.epoch = 1
-	}
+// at a load of at most one half, a power of two of at least 16 slots.
+func (sc *prepScratch) resetTable(n int) {
+	f := &sc.fact
+	size := max(16, 1<<bits.Len(uint(2*n-1)))
+	f.slots, f.stamp = grow(f.slots, size, size), sc.epochs(1)
 }
 
 // addProjectionRep records clause ci as the representative of its
@@ -285,8 +276,8 @@ func (sc *prepScratch) addProjectionRep(d formula.DNF, h uint64, ci int, sub uin
 	mask := uint64(len(f.slots) - 1)
 	for slot := h & mask; ; slot = (slot + 1) & mask {
 		sl := &f.slots[slot]
-		if sl.stamp != f.epoch {
-			*sl = projSlot{hash: h, ref: ref, stamp: f.epoch}
+		if sl.stamp != f.stamp {
+			*sl = projSlot{hash: h, ref: ref, stamp: f.stamp}
 			return true
 		}
 		if sl.hash == h && sl.ref&1 == ref&1 && sc.projEqual(d[ci], d[sl.ref>>1], sub, side) {

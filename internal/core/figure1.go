@@ -64,12 +64,12 @@ func (st *state) smallExact(d formula.DNF) (p float64, ops int64, ok bool) {
 }
 
 // step applies the first applicable rule of Figure 1 to d, a
-// multi-clause fragment leafHead has passed, given its component
-// partition: ⊗ by connected components, else ⊙ by factorization, else ⊕
-// by Shannon expansion on the Lemma 6.8 / most-frequent variable. It
-// returns the node kind, the child DNFs and the per-child weight
-// (P(x = a) under ⊕, the shared ones otherwise). Children are
-// normalized by construction, and reduced too under ⊗ (see leafHead).
+// multi-clause fragment leafHead has passed: ⊗ by connected components,
+// else ⊙ by factorization, else ⊕ by Shannon expansion on the Lemma 6.8
+// / most-frequent variable. It returns the node kind, the child DNFs
+// and the per-child weight (P(x = a) under ⊕, the shared ones
+// otherwise). Children are normalized by construction, and reduced too
+// under ⊗ (see leafHead).
 //
 // The children of ⊗ and ⊕ are written into one fresh block per step
 // (⊙'s parts into the projection blocks of factor.go), every child DNF
@@ -81,26 +81,82 @@ func (st *state) smallExact(d formula.DNF) (p float64, ops int64, ok bool) {
 // Each surviving ⊕ branch counts one node here, before any child is
 // visited: the {x = a} leaf of its ⊙ companion. Compile alone needs
 // those atoms and passes a slice to receive them; the evaluators pass
-// nil and the step allocates nothing for them. The ⊙ / ⊕ analysis runs
-// on sc.
-func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
-	if len(comps) > 1 {
-		block, subs := make(formula.DNF, 0, len(d)), sc.subs[:0]
-		for _, idx := range comps {
-			start := len(block)
-			for _, j := range idx {
-				block = append(block, d[j])
-			}
-			subs = append(subs, block[start:len(block):len(block)])
-		}
-		sc.subs = subs
+// nil and the step allocates nothing for them. The analysis runs on
+// sc, over per-variable records that cover d's largest variable.
+func (st *state) step(d formula.DNF, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
+	top := maxVar(d)
+	if subs := sc.components(d, top); subs != nil {
 		return IndepOr, subs, ones(len(subs))
 	}
-	sc.scanVars(st.s, d)
+	sc.scanVars(st.s, d, top)
 	if parts := independentAndParts(d, sc); parts != nil {
 		return IndepAnd, parts, ones(len(parts))
 	}
 	return st.shannon(d, chooseVar(d, st.opt.Order, sc), sc, atoms)
+}
+
+// components is step's ⊗ rule: the connected components of d's
+// variable graph (clauses sharing a variable are connected), in order
+// of their first clause, each listing its clauses in d's order and
+// sliced from one fresh block. It returns nil, allocating nothing, when
+// d is connected. d has no empty clause and no variable above top. The
+// union-find over the step's records is iterative (path halving), so
+// however long a variable chain is, it cannot grow the goroutine stack.
+func (sc *prepScratch) components(d formula.DNF, top formula.Var) []formula.DNF {
+	st := &sc.step
+	info, e := st.records(top), sc.epochs(1)
+	for _, c := range d {
+		for _, a := range c[1:] {
+			if ra, rb := st.find(c[0].Var, e), st.find(a.Var, e); ra != rb {
+				info[ra].parent = rb
+			}
+		}
+	}
+	// Number the components in order of first clause, then size each
+	// one's share of the block and deal the clauses out.
+	n := int32(0)
+	for _, c := range d {
+		if vi := &info[st.find(c[0].Var, e)]; vi.mark != e {
+			vi.mark, vi.group = e, n
+			n++
+		}
+	}
+	if n == 1 {
+		return nil
+	}
+	counts := grow(st.counts, int(n), 0)
+	clear(counts)
+	for _, c := range d {
+		counts[info[st.find(c[0].Var, e)].group]++
+	}
+	block, subs := make(formula.DNF, len(d)), sc.subs[:0]
+	off := int32(0)
+	for _, k := range counts {
+		subs = append(subs, block[off:off:off+k])
+		off += k
+	}
+	for _, c := range d {
+		g := info[st.find(c[0].Var, e)].group
+		subs[g] = append(subs[g], c)
+	}
+	st.counts, sc.subs = counts, subs
+	return subs
+}
+
+// find returns the root of v's set under epoch e, initializing v lazily
+// on first sight. Path halving: every probed node is re-pointed at its
+// grandparent, so chains shorten geometrically without recursion.
+func (st *stepScan) find(v formula.Var, e uint32) formula.Var {
+	info := st.info
+	if info[v].stamp != e {
+		info[v].stamp, info[v].parent = e, v
+		return v
+	}
+	for info[v].parent != v {
+		info[v].parent = info[info[v].parent].parent
+		v = info[v].parent
+	}
+	return v
 }
 
 // shannon is step's ⊕ rule: the restrictions d|x=a of every value a
@@ -112,7 +168,8 @@ func (st *state) step(d formula.DNF, comps [][]int, sc *prepScratch, atoms *[]fo
 // in place, first occurrences first, which is DNF.Restrict's output
 // clause for clause.
 func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
-	xv := sc.xvals(len(d))
+	sc.xval = grow(sc.xval, len(d), 0)
+	xv := sc.xval
 	without, with, natoms := 0, 0, 0
 	for i, c := range d {
 		v, ok := c.Lookup(x)
@@ -179,7 +236,7 @@ func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch, atoms *[
 func (st *state) stepAlone(d formula.DNF, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(d, d.ComponentsScratch(&sc.comp), sc, atoms)
+	kind, subs, mult := st.step(d, sc, atoms)
 	return kind, slices.Clone(subs), mult
 }
 

@@ -509,11 +509,11 @@ func leafBudget(d formula.DNF) *big.Rat {
 	return new(big.Rat).SetFrac(big.NewInt(int64(4*len(d)+w)), new(big.Int).Lsh(big.NewInt(1), 53))
 }
 
-// checkLeafBounds asserts LeafBounds' contract on d against ratProb,
-// both clause orders: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
+// checkLeafBounds asserts LeafBounds' contract on d, computed over sc,
+// against ratProb, both clause orders: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
 // bitwise Figure 3 on a leaf that is not positive; and on a positive one
 // lo no higher than Figure 3's and hi never looser, within the budget.
-func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF) {
+func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF, sc *prepScratch) {
 	t.Helper()
 	p, tol := ratProb(s, d), leafBudget(d)
 	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
@@ -524,7 +524,7 @@ func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF)
 	pf, _ := p.Float64()
 	positive := refPositive(d)
 	for _, sorted := range []bool{true, false} {
-		lo, hi := LeafBounds(s, d, sorted)
+		lo, hi, _ := leafBoundsScratch(s, d, sorted, sc)
 		flo, fhi := fig3Bounds(s, d, sorted)
 		switch {
 		case rat(lo).Cmp(times(p, 1)) > 0:
@@ -713,7 +713,7 @@ func decodeSmallDNF(data []byte) (*formula.Space, formula.DNF) {
 // The rest of this file is Figure 1 and the Refiner's bookkeeping as
 // they ran before figure1.go's shared step and incremental.go's dirty
 // path: the allocate-everything pipeline (d.Normalize on every
-// fragment, d.Components on a fresh union-find, d.Restrict with a full
+// fragment, a fresh component partition per step, d.Restrict with a full
 // dedup on every child) and the O(tree)-per-Step bounds recompute and
 // widest-leaf rescan, moved here verbatim from approx.go, parallel.go,
 // prepare.go, global.go and refiner.go. refExact is the oracle of exact
@@ -824,6 +824,42 @@ func (m *refMemo) store(d formula.DNF, p float64) {
 	m.m[h] = append(m.m[h], refMemoEntry{d: d, p: p})
 }
 
+// refComponents is the ⊗ partition's oracle, sharing no code with the
+// union-find: a breadth-first search over a variable → clauses map.
+// It returns the clause indices of each connected component of d (an
+// empty clause is one on its own), components in order of their first
+// clause, indices ascending.
+func refComponents(d formula.DNF) [][]int {
+	byVar := make(map[formula.Var][]int)
+	for i, c := range d {
+		for _, a := range c {
+			byVar[a.Var] = append(byVar[a.Var], i)
+		}
+	}
+	seen := make([]bool, len(d))
+	var comps [][]int
+	for i := range d {
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		comp := []int{i}
+		for q := 0; q < len(comp); q++ {
+			for _, a := range d[comp[q]] {
+				for _, j := range byVar[a.Var] {
+					if !seen[j] {
+						seen[j] = true
+						comp = append(comp, j)
+					}
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
 // refExactDecompose computes P(d) for a normalized, subsumption-reduced,
 // multi-clause DNF by the first applicable rule of Figure 1.
 func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error) {
@@ -831,7 +867,7 @@ func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error
 		st.work.Add(1 << len(d))
 		return refInclusionExclusion(st.s, d), nil
 	}
-	if comps := d.Components(); len(comps) > 1 {
+	if comps := refComponents(d); len(comps) > 1 {
 		subs := make([]formula.DNF, len(comps))
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)
@@ -918,7 +954,7 @@ func (st *state) refExactChildren(subs []formula.DNF, memo *refMemo) ([]float64,
 func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF, formula.Var) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	sc.scanVars(s, d)
+	sc.scanVars(s, d, maxVar(d))
 	if parts := independentAndParts(d, sc); parts != nil {
 		return slices.Clone(parts), 0
 	}
@@ -936,7 +972,7 @@ func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
 // partition and one Select per component, one allocating DNF.Restrict
 // per ⊕ branch.
 func (st *state) stepRef(d formula.DNF) (Kind, []formula.DNF, []float64) {
-	if comps := d.Components(); len(comps) > 1 {
+	if comps := refComponents(d); len(comps) > 1 {
 		subs := make([]formula.DNF, len(comps))
 		for i, idx := range comps {
 			subs[i] = d.Select(idx)

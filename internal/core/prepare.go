@@ -34,10 +34,12 @@ import (
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
 //     clause index, bounds.go) / variable stamps and values, the
-//     component partition and its union-find, the ⊙/⊕ analysis of the
-//     decomposition step and its transient child list (factor.go,
-//     varorder.go, figure1.go), and the stack of merged conjunctions of
-//     the inclusion–exclusion walk (bounds.go). Deduplication —
+//     decomposition step's per-variable records — the ⊗ union-find
+//     (figure1.go) and the ⊙/⊕ analysis (factor.go, varorder.go) — and
+//     its transient child list, and the stack of merged conjunctions of
+//     the inclusion–exclusion walk (bounds.go). Every stamp takes its
+//     epoch from one counter with one wraparound path (epochs), and
+//     every buffer grows through one helper (grow). Deduplication —
 //     Normalize, RemoveSubsumed, the ⊕ branches' Dedup — probes
 //     formula's own pooled clause table (formula/hash.go).
 //
@@ -50,14 +52,13 @@ import (
 // (conf()'s one task per answer, distinct Refiners) draw distinct
 // scratches from prepPool.
 type prepScratch struct {
-	keys  [2][]probKey  // leafBounds: clause probabilities in bucket order, and the sort's other buffer
-	st    []uint32      // leafBounds: per-bucket variable stamps
-	val   []formula.Val // leafBounds: the value each variable stamped by the first pass occurs with
-	epoch uint32        // current stamp epoch for st
+	epoch uint32 // the last stamp epoch issued (see epochs)
 
-	comp formula.CompScratch // component partition and its union-find
+	keys [2][]probKey  // leafBounds: clause probabilities in bucket order, and the sort's other buffer
+	st   []uint32      // leafBounds: per-bucket variable stamps
+	val  []formula.Val // leafBounds: the value each variable stamped by the first pass occurs with
 
-	step stepScan      // decomposition step: per-variable scan (⊙ and ⊕)
+	step stepScan      // decomposition step: per-variable records (⊗, ⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table
 	subs []formula.DNF // decomposition step: the transient child list
 	xval []formula.Val // ⊕ step: the expansion variable's value per clause, -1 if absent
@@ -67,71 +68,50 @@ type prepScratch struct {
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
 
-// probKeys returns two length-n key buffers (contents undefined).
-func (sc *prepScratch) probKeys(n int) (keys, spare []probKey) {
-	if cap(sc.keys[0]) < n {
-		sc.keys[0], sc.keys[1] = make([]probKey, n), make([]probKey, n)
+// epochs issues n fresh stamp epochs, first to first+n-1. Every stamp
+// the scratch holds is an epoch issued before (or zero, which is never
+// issued), so a fresh one matches no stale entry and nothing is cleared
+// between uses. An epoch stays valid until the next request on the
+// scratch — a phase that needs two live epochs takes both in one call.
+// That is what lets the one wraparound path, once per 2³² epochs, clear
+// every stamp array the scratch owns: the varInfo stamps and marks, the
+// leaf-bounds stamps and the projection slots.
+func (sc *prepScratch) epochs(n uint32) (first uint32) {
+	if sc.epoch > math.MaxUint32-n {
+		info := sc.step.info[:cap(sc.step.info)]
+		for i := range info {
+			info[i].stamp, info[i].mark = 0, 0
+		}
+		clear(sc.st[:cap(sc.st)])
+		clear(sc.fact.slots[:cap(sc.fact.slots)])
+		sc.epoch = 0
 	}
-	return sc.keys[0][:n], sc.keys[1][:n]
+	sc.epoch += n
+	return sc.epoch - n + 1
 }
 
-// atoms returns a length-n atom buffer (contents undefined).
-func (sc *prepScratch) atoms(n int) []formula.Atom {
-	if cap(sc.conj) < n {
-		sc.conj = make([]formula.Atom, n)
+// grow returns buf resliced to length n. When its array is too short it
+// is replaced by a zeroed one of max(n, size) entries, contents not
+// copied: every caller overwrites what it reads or validates it by
+// stamp, and a zero stamp is no epoch. size is the site's growth rule —
+// 0 sizes exactly.
+func grow[T any](buf []T, n, size int) []T {
+	if cap(buf) < n {
+		return make([]T, n, max(n, size))
 	}
-	return sc.conj[:n]
+	return buf[:n]
 }
 
-// xvals returns a length-n value buffer (contents undefined).
-func (sc *prepScratch) xvals(n int) []formula.Val {
-	if cap(sc.xval) < n {
-		sc.xval = make([]formula.Val, n)
+// maxVar returns the largest variable of d, -1 when d has none: the
+// per-variable arrays of a step or a leaf cover ids up to it.
+func maxVar(d formula.DNF) formula.Var {
+	top := formula.Var(-1)
+	for _, c := range d {
+		if n := len(c); n > 0 && c[n-1].Var > top {
+			top = c[n-1].Var
+		}
 	}
-	return sc.xval[:n]
-}
-
-// vals returns a length-n value buffer. An entry is meaningful only
-// where st holds an epoch of the current call, so it is never cleared.
-func (sc *prepScratch) vals(n int) []formula.Val {
-	if cap(sc.val) < n {
-		sc.val = make([]formula.Val, n)
-	}
-	return sc.val[:n]
-}
-
-// stamps returns the stamp buffer grown to cover n entries. Entries
-// are validated by comparison against epochs issued by nextEpoch, so
-// stale contents never need clearing.
-func (sc *prepScratch) stamps(n int) []uint32 {
-	if cap(sc.st) < n {
-		grown := make([]uint32, n)
-		copy(grown, sc.st)
-		sc.st = grown
-	}
-	sc.st = sc.st[:n]
-	return sc.st
-}
-
-// nextEpoch starts a fresh stamp epoch, clearing the buffer on the
-// (once per 2^32 buckets) wraparound so stale stamps cannot alias it.
-func (sc *prepScratch) nextEpoch() uint32 {
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.st)
-		sc.epoch = 1
-	}
-	return sc.epoch
-}
-
-// epochPair starts two fresh stamp epochs of one wraparound cycle, so
-// the clear cannot fall between them and strand stamps of the first.
-func (sc *prepScratch) epochPair() (a, b uint32) {
-	a = sc.nextEpoch()
-	if a == math.MaxUint32 {
-		a = sc.nextEpoch() // wraps: clears st and returns 1
-	}
-	return a, sc.nextEpoch()
+	return top
 }
 
 // prepVariant encodes the Options switches preparation depends on —

@@ -74,9 +74,10 @@ func BenchmarkLeafBounds(b *testing.B) {
 	}
 }
 
-// BenchmarkComponents measures the connected-component partition:
-// fresh allocation per call (public entry point) against reused
-// scratch, which allocates nothing once grown.
+// BenchmarkComponents measures the ⊗ partition on fragments of eight
+// variable-disjoint components: a fresh scratch per call against a
+// reused one, which allocates only the components' clause block once
+// grown.
 func BenchmarkComponents(b *testing.B) {
 	for _, clauses := range []int{40, 160, 640} {
 		// Several variable-disjoint blocks, interleaved: the partition
@@ -97,20 +98,21 @@ func BenchmarkComponents(b *testing.B) {
 			}
 		}
 		d = d.Normalize()
+		top := maxVar(d)
 		b.Run(fmt.Sprintf("clauses=%d/fresh", len(d)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(d.Components()) != blocks {
+				if len(new(prepScratch).components(d, top)) != blocks {
 					b.Fatal("unexpected partition")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("clauses=%d/scratch", len(d)), func(b *testing.B) {
-			var sc formula.CompScratch
+			sc := new(prepScratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(d.ComponentsScratch(&sc)) != blocks {
+				if len(sc.components(d, top)) != blocks {
 					b.Fatal("unexpected partition")
 				}
 			}

@@ -23,57 +23,52 @@ const (
 
 // varInfo is what one decomposition step knows about a variable of the
 // fragment it analyses. Records are indexed by variable id and
-// validated by stamp comparison, so nothing is cleared between steps.
+// validated by stamp comparison against epochs of prepScratch.epochs,
+// so nothing is cleared between steps. The ⊗ partition reads them
+// first, under one epoch in both stamps; the scan that follows it on a
+// connected fragment takes a fresh one.
 type varInfo struct {
-	stamp uint32 // == stepScan.epoch: the variable occurs in the scanned fragment
-	mark  uint32 // == stepScan.markEpoch: member of the set being counted
-	occ   int32  // number of clauses containing the variable
-	tag   int32  // position of its relation tag in stepScan.tags, -1 if untagged
+	stamp  uint32      // the variable occurs in the fragment (scan), or is in the union-find (⊗)
+	mark   uint32      // member of the set being counted (⊙, ⊕), or its root has a group (⊗)
+	occ    int32       // number of clauses containing the variable
+	tag    int32       // position of its relation tag in stepScan.tags, -1 if untagged
+	parent formula.Var // ⊗: union-find parent
+	group  int32       // ⊗: component index of a root
 }
 
-// stepScan is the ⊙/⊕ analysis state of one decomposition step: one
-// pass over the fragment (scanVars) records, per variable, its
-// occurrence count and relation, and the distinct variables and tags in
-// first-seen order. independentAndParts and chooseVar both read it, so a
-// step scans its fragment once. Cost follows the fragment: the record
-// array is sized by the fragment's largest variable id (grown
+// stepScan is the per-variable state of one decomposition step. The ⊗
+// partition (components) runs its union-find over the records; on a
+// connected fragment one pass (scanVars) then records, per variable,
+// its occurrence count and relation, and the distinct variables and
+// tags in first-seen order. independentAndParts and chooseVar both read
+// it, so a step scans its fragment once. Cost follows the fragment: the
+// record array is sized by the fragment's largest variable id (grown
 // geometrically, never cleared), everything else by its distinct
-// variables and tags.
+// variables, tags or components.
 type stepScan struct {
-	info      []varInfo
-	epoch     uint32
-	markEpoch uint32
+	info []varInfo
 
 	vars     []formula.Var // distinct variables, first-seen order
 	tags     []int32       // distinct relation tags, first-seen order; tags are caller-chosen, not dense
 	total    []int32       // total[i]: distinct variables of tags[i]
 	untagged bool          // some variable carries formula.NoTag
 	cands    []formula.Var // iqVariable: candidates surviving the occurrence test
+	counts   []int32       // components: clauses per component
 }
 
-// scanVars records the variables of d in sc.step. It must precede
-// independentAndParts and chooseVar on the same d.
-func (sc *prepScratch) scanVars(s *formula.Space, d formula.DNF) {
+// records returns the record array grown to cover variable ids up to
+// top.
+func (st *stepScan) records(top formula.Var) []varInfo {
+	st.info = grow(st.info, int(top)+1, 2*cap(st.info))
+	return st.info
+}
+
+// scanVars records the variables of d, whose largest variable is top,
+// in sc.step. It must precede independentAndParts and chooseVar on the
+// same d.
+func (sc *prepScratch) scanVars(s *formula.Space, d formula.DNF, top formula.Var) {
 	st := &sc.step
-	maxVar := formula.Var(-1)
-	for _, c := range d {
-		if n := len(c); n > 0 && c[n-1].Var > maxVar {
-			maxVar = c[n-1].Var
-		}
-	}
-	if need := int(maxVar) + 1; need > len(st.info) {
-		grown := make([]varInfo, max(need, 2*len(st.info)))
-		copy(grown, st.info)
-		st.info = grown
-	}
-	st.epoch++
-	if st.epoch == 0 { // wraparound: stale stamps could alias
-		for i := range st.info {
-			st.info[i].stamp = 0
-		}
-		st.epoch = 1
-	}
-	e, info := st.epoch, st.info
+	info, e := st.records(top), sc.epochs(1)
 	vars, tags, total := st.vars[:0], st.tags[:0], st.total[:0]
 	st.untagged = false
 	for _, c := range d {
@@ -101,18 +96,6 @@ func (sc *prepScratch) scanVars(s *formula.Space, d formula.DNF) {
 		}
 	}
 	st.vars, st.tags, st.total = vars, tags, total
-}
-
-// nextMark starts a fresh membership set over varInfo.mark.
-func (st *stepScan) nextMark() uint32 {
-	st.markEpoch++
-	if st.markEpoch == 0 {
-		for i := range st.info {
-			st.info[i].mark = 0
-		}
-		st.markEpoch = 1
-	}
-	return st.markEpoch
 }
 
 // chooseVar picks the Shannon-expansion variable for d according to the
@@ -199,7 +182,7 @@ func iqVariable(d formula.DNF, sc *prepScratch) (formula.Var, bool) {
 		// so the sums agree exactly when every relation's count does.
 		xtag := info[x].tag
 		want := len(st.vars) - int(st.total[xtag])
-		e := st.nextMark()
+		e := sc.epochs(1)
 		reached := 0
 		for _, c := range d {
 			if _, ok := c.Lookup(x); !ok {

@@ -120,48 +120,6 @@ func TestRestrictShannonIdentityRandom(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	_, vs := boolSpace(t, 0.5, 0.5, 0.5, 0.5, 0.5)
-	x, y, z, u, v := vs[0], vs[1], vs[2], vs[3], vs[4]
-	d := NewDNF(
-		MustClause(Pos(x), Pos(y)),
-		MustClause(Pos(y), Pos(z)),
-		MustClause(Pos(u)),
-		MustClause(Pos(v), Pos(u)),
-	)
-	comps := d.Components()
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2: %v", len(comps), comps)
-	}
-	if len(comps[0]) != 2 || len(comps[1]) != 2 {
-		t.Fatalf("component sizes %v", comps)
-	}
-}
-
-func TestComponentsSingle(t *testing.T) {
-	_, vs := boolSpace(t, 0.5, 0.5, 0.5)
-	x, y, z := vs[0], vs[1], vs[2]
-	d := NewDNF(
-		MustClause(Pos(x), Pos(y)),
-		MustClause(Pos(y), Pos(z)),
-		MustClause(Pos(z), Pos(x)),
-	)
-	if comps := d.Components(); len(comps) != 1 {
-		t.Fatalf("triangle lineage should be one component, got %v", comps)
-	}
-}
-
-func TestComponentsAllIndependent(t *testing.T) {
-	s := NewSpace()
-	var d DNF
-	for i := 0; i < 6; i++ {
-		d = append(d, MustClause(Pos(s.AddBool(0.5))))
-	}
-	if comps := d.Components(); len(comps) != 6 {
-		t.Fatalf("got %d components, want 6", len(comps))
-	}
-}
-
 func TestDNFOrAnd(t *testing.T) {
 	s, vs := boolSpace(t, 0.3, 0.4, 0.5, 0.6)
 	w, x, y, z := vs[0], vs[1], vs[2], vs[3]

@@ -56,46 +56,6 @@ func TestQuickShannonIdentity(t *testing.T) {
 	}
 }
 
-func TestQuickComponentsAreIndependent(t *testing.T) {
-	// P(Φ) = 1 − Π (1 − P(component)).
-	f := func(seed int64) bool {
-		s, d := genRandom(seed)
-		comps := d.Components()
-		q := 1.0
-		for _, idx := range comps {
-			q *= 1 - BruteForceProbability(s, d.Select(idx))
-		}
-		return math.Abs((1-q)-BruteForceProbability(s, d)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickComponentsPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		_, d := genRandom(seed)
-		seen := make([]bool, len(d))
-		for _, idx := range d.Components() {
-			for _, i := range idx {
-				if i < 0 || i >= len(d) || seen[i] {
-					return false
-				}
-				seen[i] = true
-			}
-		}
-		for _, ok := range seen {
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickOrAndSemantics(t *testing.T) {
 	f := func(s1, s2 int64) bool {
 		sa, a := genRandom(s1)
