@@ -472,7 +472,8 @@ func TestFacadeSessionsConcurrent(t *testing.T) {
 
 // TestFacadeEvaluatorOptions pins the session evaluator derivation:
 // WithEps yields the ε-approximation carrying the session cache and
-// budget, WithEvaluator wins verbatim, and the default is exact.
+// budget (less its Timeout), WithEvaluator wins verbatim, and the
+// default is exact.
 func TestFacadeEvaluatorOptions(t *testing.T) {
 	db := smallDB(t)
 
@@ -493,6 +494,12 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 	sess = db.Session(repro.WithBudget(b))
 	if ex := sess.Evaluator().(engine.Approx); ex.Eps != 0 || ex.Budget != b || ex.Frags != sess.FragCache() {
 		t.Fatalf("derived exact Approx %+v does not carry the session knobs", ex)
+	}
+
+	// The Timeout is the query's deadline, not the evaluator's.
+	sess = db.Session(repro.WithBudget(repro.Budget{MaxNodes: 123, Timeout: time.Second}))
+	if ex := sess.Evaluator().(engine.Approx); ex.Budget != b {
+		t.Fatalf("derived Approx budget %+v, want %+v: the Timeout stays with the query", ex.Budget, b)
 	}
 
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}
@@ -550,6 +557,44 @@ func TestSessionTimeoutBoundsWholeQuery(t *testing.T) {
 		}
 		check(t, n, finalErr, time.Since(start))
 	})
+}
+
+// TestSessionTimeoutIsOneTimer pins WithBudget's Timeout as the only
+// timer under a façade query: a query with a Timeout allocates a
+// constant more than the same query without one — the query's deadline
+// — however many answers it evaluates, ranked or not. Each answer's
+// evaluation used to derive a deadline context of its own from the same
+// budget (207 more allocations at 100 answers than without a Timeout,
+// 27 at 10), and a ranked run one more for its scheduler.
+func TestSessionTimeoutIsOneTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	extra := func(answers, k int) float64 {
+		s, rel := facadeWorkload(answers)
+		db := repro.NewDB(s, rel)
+		db.Pool().Resize(1)
+		allocs := func(b repro.Budget) float64 {
+			q := db.Session(repro.WithForceLineage(), repro.WithEps(0.01), repro.WithBudget(b)).
+				Query("answers").GroupLineage(0)
+			if k > 0 {
+				q = q.TopK(k)
+			}
+			run := func() {
+				if _, err := q.All(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the session's fragment cache
+			return testing.AllocsPerRun(20, run)
+		}
+		return allocs(repro.Budget{Timeout: time.Hour}) - allocs(repro.Budget{})
+	}
+	few, many, ranked := extra(10, 0), extra(100, 0), extra(100, 3)
+	if many != few || ranked != few || few > 4 {
+		t.Fatalf("a Timeout adds %v allocations at 10 answers, %v at 100 and %v to a top-3 of 100; want one small constant",
+			few, many, ranked)
+	}
 }
 
 // TestDBPartitionPoolIsolation pins per-DB pools: sizing one DB's pool

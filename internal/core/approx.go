@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -142,8 +141,8 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 		return st.finish(0, 1), err
 	}
 	f := st.prepare(d)
-	if f.exact {
-		return st.finish(f.lo, f.hi), nil
+	if f.Exact {
+		return st.finish(f.Lo, f.Hi), nil
 	}
 	id := affine{1, 0}
 	lo, hi := st.explore(f, bctx{id, id, id, id})
@@ -245,10 +244,6 @@ type state struct {
 	done           bool
 	doneLo, doneHi float64
 	cancelErr      error
-
-	// kids is the buffer Refiner.refine hands decompose, reused across
-	// refinements.
-	kids []frag
 }
 
 func newState(ctx context.Context, s *formula.Space, opt Options) *state {
@@ -262,18 +257,7 @@ func newState(ctx context.Context, s *formula.Space, opt Options) *state {
 	}
 }
 
-// frag is a prepared DNF fragment: normalized, subsumption-reduced, with
-// heuristic bounds already computed. entry, when non-nil, is the
-// fragment-cache entry backing it, which additionally memoizes the
-// fragment's decomposition (see decompose).
-type frag struct {
-	d      formula.DNF
-	lo, hi float64
-	exact  bool
-	entry  *formula.PreparedFrag
-}
-
-func (st *state) prepare(d formula.DNF) frag {
+func (st *state) prepare(d formula.DNF) *formula.PreparedFrag {
 	return st.prepareAs(d, false, false, nil)
 }
 
@@ -281,13 +265,14 @@ func (st *state) prepare(d formula.DNF) frag {
 // documented there, then — for a fragment that is not a leaf yet —
 // inclusion–exclusion when it is small and LeafBounds otherwise.
 //
-// With Options.Frags configured, the fragment is looked up before any
-// of that and stored after; a hit replays the work charge of an
-// uncached rerun (PreparedFrag.Work) so MaxWork budget traces stay
-// identical with and without the cache. The entry a miss stores is
-// written to slot, a zero PreparedFrag the caller hands over for good,
-// or to a fresh one when slot is nil.
-func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formula.PreparedFrag) frag {
+// The result is written to slot, a zero PreparedFrag the caller hands
+// over for good, or to a fresh one when slot is nil, and returned. With
+// Options.Frags configured, the fragment is looked up before any of
+// that and the filled slot stored after, and the result is the cache's
+// canonical entry; a hit replays the work charge of an uncached rerun
+// (PreparedFrag.Work) so MaxWork budget traces stay identical with and
+// without the cache.
+func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formula.PreparedFrag) *formula.PreparedFrag {
 	// Chaos site: prepareAs has no error return, so every injected
 	// fault surfaces as a panic and unwinds to the nearest containment
 	// point (NewRefiner, rank's grant, or pdb's per-answer recover).
@@ -297,34 +282,34 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 		if e, ok := c.Lookup(d, st.variant); ok {
 			st.opt.Metrics.RecordFragCache(true)
 			st.work.Add(e.Work)
-			return frag{d: e.D, lo: e.Lo, hi: e.Hi, exact: e.Exact, entry: e}
+			return e
 		}
 		st.opt.Metrics.RecordFragCache(false)
 	}
 	key := d
 	w := int64(len(key))
 	st.work.Add(w)
-	store := func(f frag, work int64) frag {
-		if c == nil {
-			return f
-		}
-		if slot == nil {
-			slot = new(formula.PreparedFrag)
-		}
-		*slot = formula.PreparedFrag{D: f.d, Lo: f.lo, Hi: f.hi, Exact: f.exact, Work: work}
-		f.entry = c.Store(key, st.variant, slot)
-		return f
+	if slot == nil {
+		slot = new(formula.PreparedFrag)
 	}
 	d, p, leaf := st.leafHead(d, normalized, reduced)
+	if !leaf {
+		var ops int64
+		if p, ops, leaf = st.smallExact(d); leaf {
+			w += ops
+		}
+	}
 	if leaf {
-		return store(frag{d: d, lo: p, hi: p, exact: true}, w)
+		*slot = formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true, Work: w}
+	} else {
+		lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
+		st.work.Add(int64(ops))
+		*slot = formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi, Work: w + int64(ops)}
 	}
-	if p, ops, ok := st.smallExact(d); ok {
-		return store(frag{d: d, lo: p, hi: p, exact: true}, w+ops)
+	if c == nil {
+		return slot
 	}
-	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
-	st.work.Add(int64(ops))
-	return store(frag{d: d, lo: lo, hi: hi, exact: lo == hi}, w+int64(ops))
+	return c.Store(key, st.variant, slot)
 }
 
 // exactMemo is exactDecompose memoized in Options.Frags under
@@ -433,60 +418,61 @@ func (st *state) finish(lo, hi float64) Result {
 // stop check and the leaf close check, then decomposes per Figure 1 and
 // recurses on the children depth-first left-to-right, updating the bound
 // contexts with each refined sibling.
-func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
+func (st *state) explore(f *formula.PreparedFrag, cx bctx) (lo, hi float64) {
 	st.nodes.Add(1)
 
 	// (1) Stop check: are the global bounds, with this and all remaining
 	// open leaves at their heuristic bounds, already an ε-approximation?
-	gLo, gHi := cx.sLo.ap(f.lo), cx.sHi.ap(f.hi)
+	gLo, gHi := cx.sLo.ap(f.Lo), cx.sHi.ap(f.Hi)
 	if st.cond(gLo, gHi) {
 		st.done = true
 		st.doneLo, st.doneHi = gLo, gHi
-		return f.lo, f.hi
+		return f.Lo, f.Hi
 	}
 	if err := st.interruptedOrInjected(); err != nil {
 		st.done = true
 		st.cancelErr = err
 		st.doneLo, st.doneHi = gLo, gHi
-		return f.lo, f.hi
+		return f.Lo, f.Hi
 	}
 	if st.overBudget() {
 		st.done = true
 		st.hitBudget()
 		st.doneLo, st.doneHi = gLo, gHi
-		return f.lo, f.hi
+		return f.Lo, f.Hi
 	}
 
 	// (2) Close check (Theorem 5.12): with every open leaf pinned at its
 	// lower bound, would freezing this leaf at [lo, hi] still allow an
 	// ε-approximation after refining the rest? If so, discard the leaf.
 	if !st.opt.DisableClosing {
-		if st.cond(cx.cLo.ap(f.lo), cx.cHi.ap(f.hi)) {
+		if st.cond(cx.cLo.ap(f.Lo), cx.cHi.ap(f.Hi)) {
 			st.closed++
-			return f.lo, f.hi
+			return f.Lo, f.Hi
 		}
 	}
 
-	// (3) Decompose per Figure 1. The children stay in this frame's own
-	// slice while the recursion below decomposes their descendants.
-	kind, children, mult := st.decompose(f, nil)
+	// (3) Decompose per Figure 1.
+	kind, children, mult := st.decompose(f)
 
 	// Effective child bounds (scaled by the ⊕ branch weight where
-	// applicable); refined in place as children complete.
-	loArr := make([]float64, len(children))
-	hiArr := make([]float64, len(children))
-	processed := make([]bool, len(children))
+	// applicable), the two halves of one block; refined in place as
+	// children complete.
+	n := len(children)
+	bounds := make([]float64, 2*n)
+	loArr, hiArr := bounds[:n:n], bounds[n:]
+	processed := make([]bool, n)
 	for i, c := range children {
-		loArr[i], hiArr[i] = mult[i]*c.lo, mult[i]*c.hi
-		processed[i] = c.exact
+		loArr[i], hiArr[i] = mult[i]*c.Lo, mult[i]*c.Hi
+		processed[i] = c.Exact
 	}
 
 	// Refine children in order of decreasing bound-interval width (the
 	// paper refines the leaf with the largest bounds interval first):
 	// wide intervals are where refinement buys the most convergence.
-	order := make([]int, 0, len(children))
-	for i := range children {
-		if !children[i].exact {
+	order := make([]int, 0, n)
+	for i, c := range children {
+		if !c.Exact {
 			order = append(order, i)
 		}
 	}
@@ -510,67 +496,49 @@ func (st *state) explore(f frag, cx bctx) (lo, hi float64) {
 
 // decompose is step for the ε > 0 compilers (explore, Refiner.refine):
 // the children come back prepared, under the construction flags the
-// step's rule earns them, written from the start of buf's array when
-// it has room and into a fresh one otherwise (buf may be nil); buf's
-// old contents are overwritten. With a fragment cache, the children's
-// entries come from one block of slots per step. When f came through
-// the cache the outcome is memoized on its entry, and a later
-// decomposition of that entry under the same Order replays it instead:
-// no step, no restriction, no child Lookup.
-func (st *state) decompose(f frag, buf []frag) (Kind, []frag, []float64) {
-	if f.entry != nil {
-		if dec := f.entry.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
-			return st.replay(dec, buf)
-		}
+// step's rule earns them, each the cache's canonical entry or a slot of
+// one block the step allocates. The returned list is fresh on every
+// call; callers keep it. When a cache is configured the outcome is
+// memoized on f's entry, that list becoming the decision's Children,
+// and a later decomposition of the entry under the same Order replays
+// it instead: no step, no restriction, no child Lookup.
+func (st *state) decompose(f *formula.PreparedFrag) (Kind, []*formula.PreparedFrag, []float64) {
+	if dec := f.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
+		return st.replay(dec)
 	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(f.d, sc, nil)
-	var slots []formula.PreparedFrag
-	if st.opt.Frags != nil {
-		slots = make([]formula.PreparedFrag, len(subs))
-	}
-	frags := slices.Grow(buf[:0], len(subs))
+	kind, subs, mult := st.step(f.D, sc, nil)
+	slots := make([]formula.PreparedFrag, len(subs))
+	children := make([]*formula.PreparedFrag, len(subs))
 	for i, sub := range subs {
-		var slot *formula.PreparedFrag
-		if slots != nil {
-			slot = &slots[i]
-		}
-		frags = append(frags, st.prepareAs(sub, true, kind == IndepOr, slot))
+		children[i] = st.prepareAs(sub, true, kind == IndepOr, &slots[i])
 	}
 	clear(subs) // the list stays in sc; the blocks it names need not
-	if f.entry != nil {
-		// Every child holds an entry too: prepareAs sets one whenever a
-		// cache is configured.
-		children := make([]*formula.PreparedFrag, len(frags))
-		for i, c := range frags {
-			children[i] = c.entry
-		}
-		f.entry.SetDecision(&formula.Decision{Kind: uint8(kind), Order: uint8(st.opt.Order), Children: children, Weights: mult})
+	if st.opt.Frags != nil {
+		f.SetDecision(&formula.Decision{Kind: uint8(kind), Order: uint8(st.opt.Order), Children: children, Weights: mult})
 	}
-	return kind, frags, mult
+	return kind, children, mult
 }
 
-// replay is decompose from a recorded decision, returning the children
-// in buf as decompose does. It repeats every side effect of the calls
-// it skips, in their order: the node step counts for each ⊕ branch,
-// then per child the leaf.prepare chaos site and prepareAs's cache hit
-// — both hit counters and the work charge. The weights are shared with
-// the decision; callers only read them.
-func (st *state) replay(dec *formula.Decision, buf []frag) (Kind, []frag, []float64) {
+// replay is decompose from a recorded decision: it returns the
+// decision's own children and weights, which callers only read, and
+// allocates nothing. It repeats every side effect of the calls it
+// skips, in their order: the node step counts for each ⊕ branch, then
+// per child the leaf.prepare chaos site and prepareAs's cache hit —
+// both hit counters and the work charge.
+func (st *state) replay(dec *formula.Decision) (Kind, []*formula.PreparedFrag, []float64) {
 	kind := Kind(dec.Kind)
 	if kind == ExclOr {
 		st.nodes.Add(int64(len(dec.Children)))
 	}
-	frags := slices.Grow(buf[:0], len(dec.Children))
 	for _, e := range dec.Children {
 		st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
 		st.opt.Frags.CountHit()
 		st.opt.Metrics.RecordFragCache(true)
 		st.work.Add(e.Work)
-		frags = append(frags, frag{d: e.D, lo: e.Lo, hi: e.Hi, exact: e.Exact, entry: e})
 	}
-	return kind, frags, dec.Weights
+	return kind, dec.Children, dec.Weights
 }
 
 // childCtx builds the bound context for child i of a node of the given

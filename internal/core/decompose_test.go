@@ -551,9 +551,11 @@ func TestDecompositionStepAllocations(t *testing.T) {
 // 6×6 grid allocates when every fragment it prepares is already in the
 // FragCache — the production serving path. The root's decomposition is
 // a recorded decision by then, so the step replays it and allocates only
-// what grows: the children's node block, the open-leaf heap (which held
-// the root alone, in the Refiner) and the state's child buffer, on its
-// first use.
+// what grows: the children's node block and the open-leaf heap (which
+// held the root alone, in the Refiner). The child list is the
+// decision's own, and the nodes point at its entries; 3 while the
+// Refiner copied each child into a buffer of its own, grown on its
+// first step.
 func TestRefinerStepAllocationsWarm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -573,21 +575,23 @@ func TestRefinerStepAllocationsWarm(t *testing.T) {
 		rs[i].Step(1)
 		i++
 	})
-	if n != 3 {
-		t.Fatalf("warm Refiner.Step(1) allocates %v, want 3", n)
+	if n != 2 {
+		t.Fatalf("warm Refiner.Step(1) allocates %v, want 2", n)
 	}
 }
 
 // TestRefinerStepAllocationsCold pins the first Refiner.Step(1) on the
-// 6×6 grid over a cache that holds only the root. Of its 9
+// 6×6 grid over a cache that holds only the root. Of its 8
 // allocations, the ⊕ step makes 3: the children's clause block, the
-// atom block of the clauses it shortened, and the weights. The child
-// list is the scratch's, and neither child allocates in preparation:
-// no clause is subsumed, so RemoveSubsumed returns its input. The
-// children's cache entries are one block of slots (1), the recorded
-// decision and its child list make 2, and the three growths the warm
+// atom block of the clauses it shortened, and the weights. The step's
+// child list is the scratch's, and neither child allocates in
+// preparation: no clause is subsumed, so RemoveSubsumed returns its
+// input. The children's cache entries are one block of slots (1), the
+// list of them decompose returns, which the recorded decision keeps as
+// its Children, and the decision make 2, and the two growths the warm
 // pin lists make the rest. The cache's table allocates nothing here:
-// its first growth made room for eight entries.
+// its first growth made room for eight entries. It was 9 while the
+// Refiner copied each child into a buffer of its own.
 func TestRefinerStepAllocationsCold(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -605,7 +609,45 @@ func TestRefinerStepAllocationsCold(t *testing.T) {
 		rs[i].Step(1)
 		i++
 	})
-	if n != 9 {
-		t.Fatalf("cold Refiner.Step(1) allocates %v, want 9", n)
+	if n != 8 {
+		t.Fatalf("cold Refiner.Step(1) allocates %v, want 8", n)
+	}
+}
+
+// TestUncachedEvaluationAllocations pins what one ε = 0.01 evaluation
+// of the 6×6 grid allocates without a fragment cache (Frags nil) — the
+// path of cmd/dtree, the examples and the figure harness with its cache
+// off. Every prepared fragment lives in a slot: the root in one of its
+// own, each decomposition's children in one block, with a list of
+// pointers to them. ApproxCtx allocates 985: 984 while fragments were
+// values of core's own type, plus the root's slot; each frame's two
+// bound arrays are one block, which pays for the list.
+// ApproxGlobalCtx allocates 588, 359 before: a refinement used to copy
+// its children into one buffer the Refiner reused and then into their
+// nodes, where it now allocates the slot block and the list.
+func TestUncachedEvaluationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	s, d := rstGrid(6)
+	ctx := context.Background()
+	opt := Options{Eps: 0.01}
+	for _, tc := range []struct {
+		name string
+		eval func(context.Context, *formula.Space, formula.DNF, Options) (Result, error)
+		want float64
+	}{
+		{"ApproxCtx", ApproxCtx, 985},
+		{"ApproxGlobalCtx", ApproxGlobalCtx, 588},
+	} {
+		tc.eval(ctx, s, d, opt) // size the pooled scratch
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := tc.eval(ctx, s, d, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != tc.want {
+			t.Errorf("uncached %s allocates %v, want %v", tc.name, n, tc.want)
+		}
 	}
 }

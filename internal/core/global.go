@@ -32,12 +32,13 @@ func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt O
 // children are one block, allocated when the node is refined and never
 // resized, so a child's address is fixed for the tree's lifetime: the
 // open-leaf heap and the grandchildren's parent fields point into the
-// block.
+// block. A node points at its prepared fragment: a cache entry or a
+// slot of its parent's decomposition.
 type gNode struct {
 	kind     Kind // LeafKind until refined
 	children []gNode
-	mult     float64 // ⊕ branch weight (P(x=a)); 1 elsewhere
-	frag     frag    // for leaves
+	mult     float64               // ⊕ branch weight (P(x=a)); 1 elsewhere
+	frag     *formula.PreparedFrag // shared and read-only
 
 	// Incremental bookkeeping (see incremental.go): parent/childIdx/
 	// depth locate the node for dirty-path bound propagation and for
@@ -51,20 +52,18 @@ type gNode struct {
 
 // refine decomposes the leaf one level, turning it into an inner node
 // whose children are freshly prepared fragments wired for incremental
-// propagation (parent pointers, cached heuristic bounds). The children
-// come back in st.kids, reused across refinements, and are copied into
-// the leaf's block — the one allocation a warm refinement makes for the
-// tree.
+// propagation (parent pointers, cached heuristic bounds). The children's
+// node block is the one allocation a warm refinement makes: a replayed
+// decision's child list is the decision's own.
 func (st *state) refine(leaf *gNode) {
-	kind, children, mult := st.decompose(leaf.frag, st.kids)
-	st.kids = children
+	kind, children, mult := st.decompose(leaf.frag)
 	leaf.kind = kind
 	leaf.children = make([]gNode, len(children))
 	for i, f := range children {
 		leaf.children[i] = gNode{
 			frag: f, mult: mult[i],
 			parent: leaf, childIdx: int32(i), depth: leaf.depth + 1,
-			lo: f.lo, hi: f.hi,
+			lo: f.Lo, hi: f.Hi,
 		}
 	}
 	st.nodes.Add(int64(len(children)))

@@ -74,19 +74,19 @@ func propagate(n *gNode) int {
 
 // leafHeap orders the open (inexact) leaves widest bounds interval
 // first, ties broken by DFS preorder — exactly the leaf the oracle's
-// widestLeaf scan returns. Leaf widths never change after
-// preparation, so the heap needs no re-keying: leaves are pushed at
-// creation and popped once, when chosen for refinement. Its elements
-// point into their parents' child blocks (or at the Refiner's root),
-// which never move.
+// widestLeaf scan returns. A leaf's width is read through its
+// fragment pointer, and prepared fragments are immutable, so the heap
+// needs no re-keying: leaves are pushed at creation and popped once,
+// when chosen for refinement. Its elements point into their parents'
+// child blocks (or at the Refiner's root), which never move.
 type leafHeap []*gNode
 
 func (h leafHeap) Len() int { return len(h) }
 
 func (h leafHeap) Less(i, j int) bool {
 	a, b := h[i], h[j]
-	wa := a.frag.hi - a.frag.lo
-	wb := b.frag.hi - b.frag.lo
+	wa := a.frag.Hi - a.frag.Lo
+	wb := b.frag.Hi - b.frag.Lo
 	if wa != wb {
 		return wa > wb
 	}
@@ -139,7 +139,7 @@ func (r *Refiner) popWidest() *gNode {
 // path's length.
 func (r *Refiner) attach(leaf *gNode) int {
 	for i := range leaf.children {
-		if c := &leaf.children[i]; !c.frag.exact {
+		if c := &leaf.children[i]; !c.frag.Exact {
 			heap.Push(&r.open, c)
 		}
 	}

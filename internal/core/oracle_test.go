@@ -963,7 +963,7 @@ func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF,
 
 // decomposeRef is decompose on the original preparation pipeline:
 // stepRef's children, each prepared from scratch.
-func (st *state) decomposeRef(d formula.DNF) (Kind, []frag, []float64) {
+func (st *state) decomposeRef(d formula.DNF) (Kind, []*formula.PreparedFrag, []float64) {
 	kind, subs, mult := st.stepRef(d)
 	return kind, st.prepareAllRef(subs), mult
 }
@@ -998,8 +998,8 @@ func (st *state) stepRef(d formula.DNF) (Kind, []formula.DNF, []float64) {
 }
 
 // prepareAllRef prepares every child fragment from scratch.
-func (st *state) prepareAllRef(subs []formula.DNF) []frag {
-	frags := make([]frag, len(subs))
+func (st *state) prepareAllRef(subs []formula.DNF) []*formula.PreparedFrag {
+	frags := make([]*formula.PreparedFrag, len(subs))
 	for i, sub := range subs {
 		frags[i] = st.prepareRef(sub)
 	}
@@ -1010,30 +1010,30 @@ func (st *state) prepareAllRef(subs []formula.DNF) []frag {
 // cache, no
 // construction-aware shortcuts — every fragment is re-normalized,
 // re-reduced and re-bounded from scratch.
-func (st *state) prepareRef(d formula.DNF) frag {
+func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 	st.work.Add(int64(len(d)))
 	d = d.Normalize()
 	if d.IsTrue() {
-		return frag{d: d, lo: 1, hi: 1, exact: true}
+		return &formula.PreparedFrag{D: d, Lo: 1, Hi: 1, Exact: true}
 	}
 	if d.IsFalse() {
-		return frag{d: d, lo: 0, hi: 0, exact: true}
+		return &formula.PreparedFrag{D: d, Lo: 0, Hi: 0, Exact: true}
 	}
 	if !st.opt.DisableSubsumption {
 		d = d.RemoveSubsumed()
 	}
 	if len(d) == 1 {
 		p := d[0].Probability(st.s)
-		return frag{d: d, lo: p, hi: p, exact: true}
+		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
 	if len(d) <= incExcMaxClauses {
 		st.work.Add(1 << len(d))
 		p := refInclusionExclusion(st.s, d)
-		return frag{d: d, lo: p, hi: p, exact: true}
+		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
 	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
 	st.work.Add(int64(ops))
-	return frag{d: d, lo: lo, hi: hi, exact: lo == hi}
+	return &formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi}
 }
 
 // refRefiner is the Refiner before the open-leaf heap, the dirty-path
@@ -1054,8 +1054,8 @@ func newRefRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Opt
 		return r
 	}
 	f := st.prepareRef(d)
-	r.root = gNode{frag: f, lo: f.lo, hi: f.hi}
-	r.absorb(f.lo, f.hi)
+	r.root = gNode{frag: f, lo: f.Lo, hi: f.Hi}
+	r.absorb(f.Lo, f.Hi)
 	return r
 }
 
@@ -1092,14 +1092,14 @@ func (r *refRefiner) Result() Result {
 
 // refineRef is refine over decomposeRef.
 func (st *state) refineRef(leaf *gNode) {
-	kind, children, mult := st.decomposeRef(leaf.frag.d)
+	kind, children, mult := st.decomposeRef(leaf.frag.D)
 	leaf.kind = kind
 	leaf.children = make([]gNode, len(children))
 	for i, f := range children {
 		leaf.children[i] = gNode{
 			frag: f, mult: mult[i],
 			parent: leaf, childIdx: int32(i), depth: leaf.depth + 1,
-			lo: f.lo, hi: f.hi,
+			lo: f.Lo, hi: f.Hi,
 		}
 	}
 	st.nodes.Add(int64(len(children)))
@@ -1123,7 +1123,7 @@ func (n *gNode) bounds() (lo, hi float64) {
 // original per-call-allocating implementation.
 func (n *gNode) boundsWith(sc *boundsScratch, depth int) (lo, hi float64) {
 	if n.isLeaf() {
-		return n.frag.lo, n.frag.hi
+		return n.frag.Lo, n.frag.Hi
 	}
 	for len(sc.lo) <= depth {
 		sc.lo = append(sc.lo, nil)
@@ -1152,7 +1152,7 @@ type boundsScratch struct {
 // complete reports whether every leaf is exact.
 func (n *gNode) complete() bool {
 	if n.isLeaf() {
-		return n.frag.exact
+		return n.frag.Exact
 	}
 	for i := range n.children {
 		if !n.children[i].complete() {
@@ -1169,7 +1169,7 @@ func (n *gNode) complete() bool {
 // (see leafHeap).
 func (n *gNode) widestLeaf() *gNode {
 	if n.isLeaf() {
-		if n.frag.exact {
+		if n.frag.Exact {
 			return nil
 		}
 		return n
@@ -1178,7 +1178,7 @@ func (n *gNode) widestLeaf() *gNode {
 	bestW := -1.0
 	for i := range n.children {
 		if leaf := n.children[i].widestLeaf(); leaf != nil {
-			if w := leaf.frag.hi - leaf.frag.lo; w > bestW {
+			if w := leaf.frag.Hi - leaf.frag.Lo; w > bestW {
 				best, bestW = leaf, w
 			}
 		}

@@ -42,7 +42,7 @@ func BenchmarkPrepare(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					f := st.prepare(d)
-					if f.lo > f.hi {
+					if f.Lo > f.Hi {
 						b.Fatal("inverted bounds")
 					}
 				}

@@ -79,12 +79,12 @@ func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Option
 		}
 	}()
 	f := st.prepare(d)
-	r.root = gNode{frag: f, lo: f.lo, hi: f.hi}
-	if !f.exact {
+	r.root = gNode{frag: f, lo: f.Lo, hi: f.Hi}
+	if !f.Exact {
 		r.open0[0] = &r.root
 		r.open = r.open0[:]
 	}
-	r.absorb(f.lo, f.hi)
+	r.absorb(f.Lo, f.Hi)
 	return r
 }
 

@@ -53,7 +53,8 @@ func evalClause(c Clause, assign map[Var]Val) bool {
 }
 
 // EvaluateWorld reports whether d is true under the given complete (or
-// partial-with-default-0) valuation. Exposed for the Monte Carlo samplers.
+// partial-with-default-0) valuation. Only tests call it; the Monte
+// Carlo estimators (internal/mc) do not.
 func EvaluateWorld(d DNF, assign map[Var]Val) bool { return evalDNF(d, assign) }
 
 // EvaluateClause reports whether c is true under the valuation.

@@ -58,6 +58,12 @@ type fragEntryGob struct {
 	Work    int64
 }
 
+// keepsBounds reports whether g keeps PreparedFrag's bounds contract:
+// 0 ≤ Lo ≤ Hi ≤ 1, neither bound NaN, and Exact only when Lo == Hi.
+func (g *fragEntryGob) keepsBounds() bool {
+	return 0 <= g.Lo && g.Lo <= g.Hi && g.Hi <= 1 && (!g.Exact || g.Lo == g.Hi)
+}
+
 // Save writes the cache's memoized fragments to w in the versioned,
 // CRC32-checksummed gob format LoadFragCache reads — the warm-start
 // path for a long-lived query service: persist the prepared-fragment
@@ -149,8 +155,10 @@ func (c *FragCache) SaveFile(path string) error {
 // bounded at maxEntries (<= 0 means DefaultFragCacheEntries; entries
 // beyond the bound are dropped). The cold-start contract: a stream
 // that is not a current-version fragcache save — wrong magic, version
-// skew, truncation, a checksum mismatch from a flipped byte — yields
-// an EMPTY cache, never a partial or corrupt one. The returned cache
+// skew, truncation, a checksum mismatch from a flipped byte, an entry
+// whose bounds break PreparedFrag's contract (outside [0, 1], NaN,
+// Lo > Hi, or Exact with Lo != Hi) — yields an EMPTY cache, never a
+// partial or corrupt one. The returned cache
 // is always usable; the error, when non-nil, only explains why the
 // start is cold (callers typically log it and carry on).
 func LoadFragCache(r io.Reader, maxEntries int) (*FragCache, error) {
@@ -182,6 +190,13 @@ func LoadFragCache(r io.Reader, maxEntries int) (*FragCache, error) {
 			// disk corruption — still cold-start rather than trust a
 			// half-decoded cache.
 			return NewFragCache(maxEntries), fmt.Errorf("formula: LoadFragCache entry %d of %d: %w", i, n, err)
+		}
+		if !g.keepsBounds() {
+			// A checksum only proves the bytes are the ones written; an
+			// entry whose bounds no preparation produces would be
+			// replayed as a prepared fragment, so the whole save goes.
+			return NewFragCache(maxEntries), fmt.Errorf("formula: LoadFragCache entry %d of %d breaks the bounds contract (lo %v, hi %v, exact %t): corrupt save",
+				i, n, g.Lo, g.Hi, g.Exact)
 		}
 		c.Store(g.Key, g.Variant, &PreparedFrag{D: g.D, Lo: g.Lo, Hi: g.Hi, Exact: g.Exact, Work: g.Work})
 	}

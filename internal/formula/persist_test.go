@@ -3,6 +3,7 @@ package formula
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -18,10 +19,14 @@ func persistTestCache(t *testing.T) (*FragCache, []DNF) {
 		ca, _ := NewClause(Pos(x), Pos(y))
 		cb, _ := NewClause(Neg(x))
 		key := DNF{ca, cb}
+		lo, hi := 0.1*float64(i+1)/10, 0.2*float64(i+1)/10
+		if i%2 == 0 {
+			hi = lo // an exact entry is a point
+		}
 		frag := &PreparedFrag{
 			D:     DNF{ca, cb},
-			Lo:    0.1 * float64(i+1) / 10,
-			Hi:    0.2 * float64(i+1) / 10,
+			Lo:    lo,
+			Hi:    hi,
 			Exact: i%2 == 0,
 			Work:  int64(10 + i),
 		}
@@ -287,11 +292,51 @@ func FuzzLoadFragCache(f *testing.F) {
 		if err != nil && c.Len() != 0 {
 			t.Fatalf("error %v came with %d loaded entries, want a cold (empty) cache", err, c.Len())
 		}
+		for i := range c.entries {
+			if e := c.entries[i].frag; !(0 <= e.Lo && e.Lo <= e.Hi && e.Hi <= 1) || e.Exact && e.Lo != e.Hi {
+				t.Fatalf("loaded entry %d breaks the bounds contract: lo %v, hi %v, exact %t", i, e.Lo, e.Hi, e.Exact)
+			}
+		}
 		c.Store(probe, 0, &PreparedFrag{D: probe, Lo: 0.5, Hi: 0.5, Exact: true})
 		if _, ok := c.Lookup(probe, 0); !ok {
 			t.Fatal("loaded cache does not serve a fresh entry")
 		}
 	})
+}
+
+// A save whose checksum is valid but whose entries break the bounds
+// contract — an inverted, NaN or out-of-range interval, or an exact
+// entry that is not a point — loads as a cold start with an error,
+// like a checksum mismatch: never a partial cache, and never an entry a
+// refinement would replay as a prepared fragment.
+func TestFragCacheLoadRejectsBrokenBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lo, hi float64
+		exact  bool
+	}{
+		{"inverted", 0.6, 0.4, false},
+		{"NaN lo", math.NaN(), 0.4, false},
+		{"NaN hi", 0.2, math.NaN(), false},
+		{"negative lo", -0.1, 0.4, false},
+		{"hi above one", 0.2, 1.5, false},
+		{"exact interval", 0.2, 0.4, true},
+	} {
+		c, keys := persistTestCache(t)
+		bad := DNF{MustClause(Pos(100))}
+		c.Store(bad, 0, &PreparedFrag{D: bad, Lo: tc.lo, Hi: tc.hi, Exact: tc.exact})
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadFragCache(&buf, 0)
+		if err == nil || loaded.Len() != 0 {
+			t.Errorf("%s: loaded %d entries with error %v, want a cold start with an error", tc.name, loaded.Len(), err)
+		}
+		if _, ok := loaded.Lookup(keys[0], 0); ok {
+			t.Errorf("%s: a valid entry before the broken one was kept", tc.name)
+		}
+	}
 }
 
 // Save writes entries in insertion order: two saves of one cache are
@@ -300,7 +345,11 @@ func TestFragCacheSaveDeterministic(t *testing.T) {
 	c := NewFragCache(0)
 	for i := 0; i < 50; i++ {
 		d := fragTestDNF(3 * i)
-		c.Store(d, uint8(i%3), &PreparedFrag{D: d, Lo: float64(i) / 100, Hi: 0.9, Exact: i%5 == 0, Work: int64(i)})
+		lo, hi := float64(i)/100, 0.9
+		if i%5 == 0 {
+			hi = lo // an exact entry is a point
+		}
+		c.Store(d, uint8(i%3), &PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: i%5 == 0, Work: int64(i)})
 	}
 	save := func(c *FragCache) []byte {
 		t.Helper()

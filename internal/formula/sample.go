@@ -3,10 +3,11 @@ package formula
 import "math/rand"
 
 // SampleWorld draws a complete valuation of all variables of the space
-// from their (independent) distributions — one possible world. Used by
-// the Monte Carlo baselines and by possible-worlds integration tests
-// that cross-check lineage-based confidence against direct evaluation
-// of queries on sampled deterministic databases.
+// from their (independent) distributions — one possible world. The
+// possible-worlds tests use it to cross-check lineage-based confidence
+// against direct evaluation of queries on sampled deterministic
+// databases; the Monte Carlo estimators (internal/mc) sample on their
+// own and do not call it.
 func SampleWorld(s *Space, rng *rand.Rand) map[Var]Val {
 	world := make(map[Var]Val, s.NumVars())
 	for v := 0; v < s.NumVars(); v++ {

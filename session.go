@@ -128,12 +128,20 @@ func (s *Session) FragCache() *FragCache { return s.frags }
 // Evaluator returns the evaluator the session's queries hand lineage
 // to: the one installed by WithEvaluator, else the ε-approximation at
 // the WithEps floor (exact d-tree compilation at the default 0),
-// carrying the session's budget, cache and the DB's metrics registry.
+// carrying the session's cache, the DB's metrics registry and the
+// session budget's per-answer limits (MaxNodes, MaxWork, MaxSamples).
+// Its budget does not carry the Timeout: that is each query's one
+// deadline, which Run, All and Analyze put on the context they hand the
+// evaluator, so no answer or ranked run starts a timer of its own. A
+// caller evaluating through it outside a query bounds time on its own
+// context.
 func (s *Session) Evaluator() Evaluator {
 	if s.eval != nil {
 		return s.eval
 	}
-	return engine.Approx{Eps: s.eps, Budget: s.budget, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
+	b := s.budget
+	b.Timeout = 0
+	return engine.Approx{Eps: s.eps, Budget: b, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
 }
 
 // planOptions translates the session knobs into planner options; every
