@@ -14,8 +14,10 @@
 //	clause x v=2
 //
 // With -exact (or -eps 0) the exact probability is printed; otherwise an
-// ε-approximation with the chosen error semantics. -timeout cancels the
-// evaluation through its context; -max-nodes bounds the d-tree.
+// ε-approximation with the chosen error semantics. -timeout is a
+// deadline on the evaluation's context; -max-nodes bounds the d-tree.
+// -global runs the largest-interval-first strategy (core.ApproxGlobalCtx)
+// instead of the depth-first one.
 // -mc additionally runs the Karp-Luby/DKLR baseline for comparison.
 // -metrics attaches an observability registry to the evaluation and
 // prints the worker-pool saturation and budget counters afterwards.
@@ -28,6 +30,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dnftext"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -66,15 +69,7 @@ func main() {
 		return
 	}
 
-	ev := engine.Approx{
-		Eps:  *eps,
-		Kind: engine.Absolute,
-		Budget: engine.Budget{
-			MaxNodes: *maxNodes,
-			Timeout:  *timeout,
-		},
-		Global: *global,
-	}
+	ev := engine.Approx{Eps: *eps, Kind: engine.Absolute, MaxNodes: *maxNodes}
 	if *relative {
 		ev.Kind = engine.Relative
 	}
@@ -94,8 +89,18 @@ func main() {
 	}
 
 	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	start := time.Now()
-	res, err := ev.Evaluate(ctx, s, d)
+	var res engine.Result
+	if *global {
+		res, err = core.ApproxGlobalCtx(ctx, s, d, ev)
+	} else {
+		res, err = ev.Evaluate(ctx, s, d)
+	}
 	elapsed := time.Since(start)
 	if err != nil {
 		// Timeouts and budget exhaustion still carry the bounds reached
@@ -128,7 +133,7 @@ func main() {
 		r, err := engine.MonteCarlo{
 			Eps: epsMC, Delta: *delta,
 			Budget: engine.Budget{Timeout: *timeout}, Seed: 1,
-		}.Evaluate(ctx, s, d)
+		}.Evaluate(context.Background(), s, d)
 		if err != nil {
 			fatal(err)
 		}

@@ -40,7 +40,6 @@ func main() {
 	dtreeNodes := flag.Int("dtree-nodes", 0, "d-tree node budget (default 3e6)")
 	aconfSamples := flag.Int("aconf-samples", 0, "aconf sample budget (default 3e6)")
 	parallel := flag.Int("parallel", 0, "worker-pool parallelism (default GOMAXPROCS, 1 = sequential)")
-	shareCache := flag.Bool("cache", false, "share a fragment cache across each query's answers (off = paper-faithful)")
 	flag.Parse()
 
 	if *parallel > 0 {
@@ -50,7 +49,6 @@ func main() {
 	p := exp.Params{
 		SF: *sf, Seed: *seed,
 		DtreeMaxNodes: *dtreeNodes, AconfMaxSample: *aconfSamples,
-		ShareCache: *shareCache,
 	}
 
 	run := map[string]func() *exp.Table{

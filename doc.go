@@ -18,9 +18,9 @@
 //	internal/formula  — variables, clauses, DNFs, probability spaces,
 //	                    and the hash-consed fragment cache
 //	internal/core     — d-tree compilation, bounds, ε-approximation
-//	internal/engine   — the unified, cancellable Evaluator API over the
-//	                    whole algorithm menu (d-tree exact/approx, Monte
-//	                    Carlo, SPROUT plans) with structured budgets
+//	internal/engine   — the unified, cancellable Evaluator API: the
+//	                    d-tree evaluator (core.Options itself, exact at
+//	                    Eps 0) and the Monte Carlo baseline
 //	internal/workpool — bounded worker pools (one per DB, plus a
 //	                    process-wide default for DB-less evaluators)
 //	                    driving parallel d-tree exploration and batch
@@ -124,7 +124,7 @@ type (
 	ErrorKind = core.ErrorKind
 	// Evaluator is the single confidence-computation entry point.
 	Evaluator = engine.Evaluator
-	// Budget bounds an evaluation (nodes, work, samples, wall clock).
+	// Budget bounds a session's queries or a MonteCarloEval.
 	Budget = engine.Budget
 	// EvalResult is the unified evaluation outcome.
 	EvalResult = engine.Result

@@ -21,17 +21,17 @@ func main() {
 	// probabilities (Figure 8 bottom), where a relative guarantee on a
 	// near-zero probability would force near-exhaustive compilation.
 	ctx := context.Background()
-	budget := repro.Budget{MaxWork: 50_000_000}
+	const maxWork = 50_000_000
 	fmt.Println("P(triangle) on random n-cliques")
 	fmt.Println("nodes  edge-p  error     clauses  P(triangle)  d-tree nodes  time")
 	for _, n := range []int{6, 10, 15, 20, 25} {
 		for _, p := range []float64{0.01, 0.1, 0.3, 0.7} {
 			g := graphs.Complete(n, p)
 			d := g.TriangleDNF()
-			ev := repro.ApproxEval{Eps: 0.01, Kind: repro.Relative, Budget: budget}
+			ev := repro.ApproxEval{Eps: 0.01, Kind: repro.Relative, MaxWork: maxWork}
 			errLabel := "rel .01"
 			if p < 0.3 {
-				ev = repro.ApproxEval{Eps: 0.05, Kind: repro.Absolute, Budget: budget}
+				ev = repro.ApproxEval{Eps: 0.05, Kind: repro.Absolute, MaxWork: maxWork}
 				errLabel = "abs .05"
 			}
 			t0 := time.Now()

@@ -46,7 +46,7 @@ func main() {
 
 	// Top-5 nodes, refining bounds only until membership is proven.
 	opt := rank.Options{Eps: 1e-3} // absolute ±0.001 refinement floor
-	top, err := rank.TopK(context.Background(), g.Space(), dnfs, 5, opt)
+	top, err := rank.TopK(context.Background(), g.Space(), dnfs, 5, opt, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 	}
 
 	// Threshold cut: every node with P ≥ 0.9.
-	th, err := rank.Threshold(context.Background(), g.Space(), dnfs, 0.9, opt)
+	th, err := rank.Threshold(context.Background(), g.Space(), dnfs, 0.9, opt, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -471,9 +471,9 @@ func TestFacadeSessionsConcurrent(t *testing.T) {
 }
 
 // TestFacadeEvaluatorOptions pins the session evaluator derivation:
-// WithEps yields the ε-approximation carrying the session cache and
-// budget (less its Timeout), WithEvaluator wins verbatim, and the
-// default is exact.
+// WithEps yields the ε-approximation carrying the session cache,
+// WithEvaluator wins verbatim, and the default is exact. What the
+// budget does to each answer is TestSessionBudgetBitesEveryAnswer's.
 func TestFacadeEvaluatorOptions(t *testing.T) {
 	db := smallDB(t)
 
@@ -481,30 +481,106 @@ func TestFacadeEvaluatorOptions(t *testing.T) {
 		t.Fatalf("default evaluator %+v, want exact engine.Approx (Eps 0)", db.Session().Evaluator())
 	}
 
-	b := repro.Budget{MaxNodes: 123}
-	sess := db.Session(repro.WithEps(0.01), repro.WithBudget(b))
+	sess := db.Session(repro.WithEps(0.01))
 	ap, ok := sess.Evaluator().(engine.Approx)
 	if !ok {
 		t.Fatalf("WithEps evaluator %T, want engine.Approx", sess.Evaluator())
 	}
-	if ap.Eps != 0.01 || ap.Budget != b || ap.Frags != sess.FragCache() {
+	if ap.Eps != 0.01 || ap.Frags != sess.FragCache() {
 		t.Fatalf("derived Approx %+v does not carry the session knobs", ap)
 	}
 	// At Eps 0 exact evaluation memoizes in the same session cache.
-	sess = db.Session(repro.WithBudget(b))
-	if ex := sess.Evaluator().(engine.Approx); ex.Eps != 0 || ex.Budget != b || ex.Frags != sess.FragCache() {
+	sess = db.Session()
+	if ex := sess.Evaluator().(engine.Approx); ex.Eps != 0 || ex.Frags != sess.FragCache() {
 		t.Fatalf("derived exact Approx %+v does not carry the session knobs", ex)
-	}
-
-	// The Timeout is the query's deadline, not the evaluator's.
-	sess = db.Session(repro.WithBudget(repro.Budget{MaxNodes: 123, Timeout: time.Second}))
-	if ex := sess.Evaluator().(engine.Approx); ex.Budget != b {
-		t.Fatalf("derived Approx budget %+v, want %+v: the Timeout stays with the query", ex.Budget, b)
 	}
 
 	custom := engine.MonteCarlo{Eps: 0.1, Delta: 0.01}
 	if ev := db.Session(repro.WithEvaluator(custom)).Evaluator(); ev != custom {
 		t.Fatalf("WithEvaluator returned %v, want the installed evaluator", ev)
+	}
+}
+
+// gridDB is a grouped complete-bipartite workload: gx ⋈ gedge ⋈ gy
+// grouped by gedge's group id yields one 6×6 grid formula
+// x_i ∧ e_ij ∧ y_j per group. The grids are not read-once, so every
+// answer needs d-tree refinement beyond its prepared bounds.
+func gridDB() *repro.DB {
+	s := formula.NewSpace()
+	var vr, er [][]pdb.Value
+	var vp, ep []float64
+	for i := 0; i < 6; i++ {
+		vr = append(vr, []pdb.Value{pdb.Value(i)})
+		vp = append(vp, 0.5)
+	}
+	for g := 0; g < 3; g++ {
+		for i := 0; i < 6; i++ {
+			for j := 0; j < 6; j++ {
+				er = append(er, []pdb.Value{pdb.Value(i), pdb.Value(j), pdb.Value(g)})
+				ep = append(ep, 0.04+0.05*float64(g))
+			}
+		}
+	}
+	gx := pdb.NewTupleIndependent(s, "gx", []string{"i"}, vr, vp, 1)
+	gy := pdb.NewTupleIndependent(s, "gy", []string{"j"}, vr, vp, 2)
+	gedge := pdb.NewTupleIndependent(s, "gedge", []string{"i", "j", "g"}, er, ep, 3)
+	return repro.NewDB(s, gx, gy, gedge)
+}
+
+// TestSessionBudgetBitesEveryAnswer pins WithBudget's per-answer limits
+// on both lineage paths. Under a tiny MaxNodes every unranked answer
+// fails with ErrBudget, the ranked query still returns its answers (an
+// answer whose refiner is spent is cut by its estimate), and the
+// registry counts the exhaustions of both. With no budget both queries
+// converge and the counter stays 0.
+func TestSessionBudgetBitesEveryAnswer(t *testing.T) {
+	ctx := context.Background()
+	for _, budget := range []repro.Budget{{}, {MaxNodes: 3}} {
+		bites := budget.MaxNodes > 0
+		for _, ranked := range []bool{false, true} {
+			db := gridDB()
+			sess := db.Session(repro.WithForceLineage(), repro.WithEps(1e-3), repro.WithBudget(budget))
+			q := sess.Query("gx").Join(sess.Query("gedge"), 0, 0).Join(sess.Query("gy"), 2, 0).GroupLineage(3)
+			if ranked {
+				q = q.TopK(2)
+			}
+			answers, err := q.All(ctx)
+			exhausted := db.Snapshot().BudgetExhausted
+			label := fmt.Sprintf("budget %+v ranked %v", budget, ranked)
+			switch {
+			case !bites:
+				if err != nil || exhausted != 0 {
+					t.Fatalf("%s: err %v, %d budget exhaustions, want neither", label, err, exhausted)
+				}
+				for _, a := range answers {
+					if !ranked && !a.Res.Converged {
+						t.Fatalf("%s: answer %v did not converge: %+v", label, a.Vals, a.Res)
+					}
+				}
+			case ranked:
+				if err != nil || len(answers) != 2 {
+					t.Fatalf("%s: %d answers, err %v, want 2 and no error", label, len(answers), err)
+				}
+				if exhausted == 0 {
+					t.Fatalf("%s: the budget never bit a refiner", label)
+				}
+			default:
+				if !errors.Is(err, engine.ErrBudget) {
+					t.Fatalf("%s: err %v, want ErrBudget", label, err)
+				}
+				for _, a := range answers {
+					if !errors.Is(a.Err, engine.ErrBudget) {
+						t.Fatalf("%s: answer %v err %v, want ErrBudget", label, a.Vals, a.Err)
+					}
+				}
+				if exhausted != int64(len(answers)) {
+					t.Fatalf("%s: %d budget exhaustions for %d answers", label, exhausted, len(answers))
+				}
+			}
+			if len(answers) == 0 {
+				t.Fatalf("%s: no answers", label)
+			}
+		}
 	}
 }
 

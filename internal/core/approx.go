@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -31,7 +32,10 @@ func (k ErrorKind) String() string {
 }
 
 // Options configures the approximation algorithm. The zero value asks for
-// an exact answer (Eps 0) with the paper's default heuristics.
+// an exact answer (Eps 0) with the paper's default heuristics. It is the
+// one d-tree options value: engine.Approx is this type as an evaluator,
+// and rank.Options is it as the ranking schedulers' per-answer
+// refinement floor and limits. Wall time is the caller's context.
 type Options struct {
 	// Eps is the allowed error (0 ≤ Eps < 1). Eps 0 requests exact
 	// computation, which skips per-leaf bound computation entirely (the
@@ -157,6 +161,16 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 		return res, ErrBudget
 	}
 	return res, nil
+}
+
+// Evaluate is ApproxCtx under o, after rejecting an Eps that is NaN or
+// outside [0, 1) before any work: such an Eps either never meets the
+// guarantee (a full compilation, and no error) or meets it vacuously.
+func (o Options) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
+	if !(o.Eps >= 0 && o.Eps < 1) {
+		return Result{Hi: 1}, fmt.Errorf("core: eps %v must lie in [0, 1)", o.Eps)
+	}
+	return ApproxCtx(ctx, s, d, o)
 }
 
 // ExactCtx computes P(d) exactly by exhaustive d-tree compilation

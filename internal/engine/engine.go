@@ -1,22 +1,21 @@
 // Package engine puts the paper's lineage-based confidence computation
 // behind one cancellable Evaluator API with two evaluators: Approx, the
-// d-tree ε-approximation (depth-first or global), whose zero Eps is
-// exact d-tree compilation — the paper's "d-tree(error 0)" — and
-// MonteCarlo, the Karp-Luby/DKLR baseline. (The SPROUT exact plans read
-// the query's structure, not a lineage DNF; internal/plan routes to
-// them.)
+// d-tree ε-approximation, whose zero Eps is exact d-tree compilation —
+// the paper's "d-tree(error 0)" — and MonteCarlo, the Karp-Luby/DKLR
+// baseline. (The SPROUT exact plans read the query's structure, not a
+// lineage DNF; internal/plan routes to them.)
 //
 // Every evaluator is a value implementing
 //
 //	Evaluate(ctx, space, lineage) (Result, error)
 //
-// with context-based cancellation/deadlines and a structured Budget in
-// place of the per-package MaxNodes/MaxWork/sample-count knobs. Exact
-// evaluation explores independent branches on a bounded worker pool
-// (internal/workpool); ε > 0 evaluation runs on the calling goroutine.
-// Both memoize in one formula.FragCache: prepared leaf fragments at
-// ε > 0, exact subformula probabilities at ε = 0, the latter's traffic
-// surfaced in Result.
+// with context-based cancellation and deadlines. Approx is core.Options
+// itself: its MaxNodes and MaxWork bound one evaluation, and its wall
+// time is the caller's context. Exact evaluation explores independent
+// branches on a bounded worker pool (internal/workpool); ε > 0
+// evaluation runs on the calling goroutine. Both memoize in one
+// formula.FragCache: prepared leaf fragments at ε > 0, exact subformula
+// probabilities at ε = 0, the latter's traffic surfaced in Result.
 package engine
 
 import (
@@ -24,11 +23,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/formula"
 	"repro/internal/mc"
-	"repro/internal/obs"
-	"repro/internal/workpool"
 )
 
 // Re-exported core types, so engine users configure evaluators without
@@ -45,18 +41,19 @@ const (
 // ErrBudget is returned by Approx when an evaluation exhausts its
 // MaxNodes or MaxWork budget before reaching the requested guarantee.
 // MonteCarlo never returns it: a spent MaxSamples budget is a nil error
-// with Result.Converged false. An expired Timeout surfaces as the
+// with Result.Converged false. An expired deadline surfaces as the
 // context's error on every evaluator.
 var ErrBudget = core.ErrBudget
 
-// Budget bounds the resources of a single evaluation. The zero value is
-// unlimited. It replaces the scattered MaxNodes/MaxWork/MaxSamples
-// fields of the per-algorithm option structs.
+// Budget bounds the resources of a façade session's queries
+// (WithBudget) or of a MonteCarlo evaluation. The zero value is
+// unlimited. Approx takes MaxNodes and MaxWork as fields of its own and
+// its wall time from the caller's context.
 type Budget struct {
-	// MaxNodes bounds the number of d-tree nodes constructed.
+	// MaxNodes bounds the number of d-tree nodes constructed per answer.
 	MaxNodes int
-	// MaxWork bounds cumulative clause-processing operations — a
-	// machine-independent stand-in for a wall-clock timeout.
+	// MaxWork bounds cumulative clause-processing operations per
+	// answer — a machine-independent stand-in for a wall-clock timeout.
 	MaxWork int
 	// MaxSamples bounds Monte Carlo estimator invocations.
 	MaxSamples int
@@ -98,54 +95,13 @@ type Evaluator interface {
 
 // Approx evaluates an ε-approximation with certain error guarantees by
 // incremental d-tree compilation (Section V-D), depth-first with leaf
-// closing by default, or the global largest-interval-first strategy
-// when Global is set. Eps 0, the zero value, is exact evaluation by
-// exhaustive d-tree compilation (the paper's "d-tree(error 0)"), with
-// independent branches explored in parallel on Pool.
-type Approx struct {
-	// Eps is the allowed error (0 ≤ Eps < 1); 0 means exact.
-	Eps float64
-	// Kind selects absolute or relative error (inert at Eps 0).
-	Kind ErrorKind
-	// Budget bounds the evaluation.
-	Budget Budget
-	// Cache is not consulted.
-	//
-	// Deprecated: named only by bench/; Frags is the memo at every Eps.
-	Cache *formula.FragCache
-	// Frags, when non-nil, memoizes across evaluations (same Space only)
-	// prepared leaf fragments (normalized/reduced form, heuristic
-	// bounds, decomposition step) at Eps > 0, and exact subformula
-	// probabilities at Eps 0.
-	Frags *formula.FragCache
-	// Pool is the worker pool evaluation at Eps 0 fans out on; nil means
-	// the shared workpool.Default. Eps > 0 never enters it.
-	Pool *workpool.Pool
-	// Metrics, when non-nil, receives the evaluation's cache traffic
-	// and budget exhaustions (nil-safe, see obs.Metrics).
-	Metrics *obs.Metrics
-	// Inject, when non-nil, fires deterministic faults at the core
-	// chaos sites (nil-safe, see fault.Injector).
-	Inject *fault.Injector
-	// Global selects the materialized largest-interval-first variant.
-	Global bool
-}
+// closing. Eps 0, the zero value, is exact evaluation by exhaustive
+// d-tree compilation (the paper's "d-tree(error 0)"), with independent
+// branches explored in parallel on Pool. It is core.Options, whose
+// Evaluate rejects an Eps outside [0, 1) before any work.
+type Approx = core.Options
 
-// Evaluate implements Evaluator.
-func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	ctx, cancel := e.Budget.Context(ctx)
-	defer cancel()
-	opt := core.Options{
-		Eps: e.Eps, Kind: e.Kind,
-		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Frags: e.Frags, Pool: e.Pool,
-		Metrics: e.Metrics, Inject: e.Inject,
-	}
-	if e.Global {
-		return core.ApproxGlobalCtx(ctx, s, d, opt)
-	}
-	return core.ApproxCtx(ctx, s, d, opt)
-}
+var _ Evaluator = Approx{}
 
 // Exact is Approx, whose zero Eps is exact evaluation.
 //

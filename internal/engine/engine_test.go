@@ -7,10 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/randdnf"
 	"repro/internal/workpool"
 )
+
+// global is the largest-interval-first strategy, core.ApproxGlobalCtx,
+// as an Evaluator, so the tables below cover both d-tree strategies.
+type global Approx
+
+func (g global) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
+	return core.ApproxGlobalCtx(ctx, s, d, Approx(g))
+}
 
 func randInstance(seed int64) (*formula.Space, formula.DNF) {
 	return randdnf.Generate(randdnf.Config{
@@ -35,7 +44,7 @@ func TestEvaluatorsAgree(t *testing.T) {
 			{"exact-seq", Approx{Pool: workpool.New(1)}, 1e-9},
 			{"exact-cache", Approx{Frags: formula.NewFragCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
-			{"approx-global", Approx{Eps: 0.01, Kind: Absolute, Global: true}, 0.01 + 1e-9},
+			{"approx-global", global{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"mc", MonteCarlo{Eps: 0.05, Delta: 0.01, Seed: seed}, 0.12},
 		}
 		for _, c := range cases {
@@ -93,7 +102,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 60, Clauses: 200, MaxWidth: 4, MaxDomain: 2, MinProb: 0.2, MaxProb: 0.8,
 	}, 5)
-	_, err := Approx{Budget: Budget{MaxNodes: 3}}.Evaluate(context.Background(), s, d)
+	_, err := Approx{MaxNodes: 3}.Evaluate(context.Background(), s, d)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -111,7 +120,7 @@ func TestCancellation(t *testing.T) {
 	}{
 		{"exact", Approx{}},
 		{"approx", Approx{Eps: 0.001, Kind: Absolute}},
-		{"approx-global", Approx{Eps: 0.001, Kind: Absolute, Global: true}},
+		{"approx-global", global{Eps: 0.001, Kind: Absolute}},
 		{"mc", MonteCarlo{Eps: 0.001, Delta: 0.0001}},
 	} {
 		start := time.Now()
@@ -125,18 +134,31 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestBudgetTimeout pins the two ways wall time reaches an evaluator:
+// Approx reads its caller's context deadline, and MonteCarlo applies
+// its Budget's Timeout to the context itself.
 func TestBudgetTimeout(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 120, Clauses: 800, MaxWidth: 6, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
 	}, 7)
-	ev := Approx{Budget: Budget{Timeout: time.Millisecond}}
-	start := time.Now()
-	_, err := ev.Evaluate(context.Background(), s, d)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("deadline enforcement took %v", el)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		ev   Evaluator
+	}{
+		{"approx", ctx, Approx{}},
+		{"mc", context.Background(), MonteCarlo{Eps: 0.001, Delta: 0.0001, Budget: Budget{Timeout: time.Millisecond}}},
+	} {
+		start := time.Now()
+		_, err := c.ev.Evaluate(c.ctx, s, d)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", c.name, err)
+		}
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("%s: deadline enforcement took %v", c.name, el)
+		}
 	}
 }
 
@@ -156,9 +178,8 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 
 	s, d := randInstance(1)
 	for _, ev := range []Evaluator{
-		Approx{Budget: Budget{Timeout: time.Hour}},
-		Approx{Eps: 0.01, Budget: Budget{Timeout: time.Hour}},
-		Approx{Eps: 0.01, Global: true, Budget: Budget{Timeout: time.Hour}},
+		Approx{}, Approx{Eps: 0.01}, global{Eps: 0.01},
+		MonteCarlo{Eps: 0.01, Delta: 0.01, Budget: Budget{Timeout: time.Hour}},
 	} {
 		start := time.Now()
 		res, err := ev.Evaluate(parent, s, d)
@@ -178,6 +199,23 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 	defer ncleanup()
 	if nctx.Err() != nil {
 		t.Fatalf("nil-parent ctx.Err() = %v, want nil", nctx.Err())
+	}
+}
+
+// TestApproxRejectsEpsOutsideUnitInterval pins that Approx fails fast on
+// an Eps that is NaN, negative or ≥ 1: such an Eps would run a full
+// compilation and return no error, or meet the guarantee vacuously at
+// the first bounds.
+func TestApproxRejectsEpsOutsideUnitInterval(t *testing.T) {
+	s, d := randInstance(2)
+	for _, eps := range []float64{math.NaN(), -0.01, math.Inf(-1), 1, 1.5, math.Inf(1)} {
+		for _, ev := range []Evaluator{Approx{Eps: eps}, Approx{Eps: eps, Kind: Relative}} {
+			res, err := ev.Evaluate(context.Background(), s, d)
+			if err == nil || res.Converged || res.Nodes != 0 {
+				t.Fatalf("eps %v: err=%v converged=%v nodes=%d, want an error before any work",
+					eps, err, res.Converged, res.Nodes)
+			}
+		}
 	}
 }
 

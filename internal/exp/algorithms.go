@@ -23,13 +23,6 @@ type Params struct {
 	AconfMaxSample int
 
 	Delta float64 // aconf δ (the paper fixes 0.0001)
-
-	// ShareCache shares one fragment cache across the answers of each
-	// multi-answer query, read by its ε > 0 and its exact runs alike
-	// (each under its own variant). Off by default: the figures
-	// reproduce the paper's per-answer measurements; turning it on
-	// measures the engine's cross-answer sharing instead.
-	ShareCache bool
 }
 
 // Small returns defaults sized so the full suite finishes in a few
@@ -97,18 +90,17 @@ func runEval(ev engine.Evaluator, s *formula.Space, d formula.DNF) runResult {
 	}
 }
 
-// dtreeBudget is the experiments' node budget plus the matching
-// clause-work cap (8 clause operations per node, the seed's ratio).
-func dtreeBudget(maxNodes int) engine.Budget {
-	return engine.Budget{MaxNodes: maxNodes, MaxWork: 8 * maxNodes}
+// dtree is the experiments' d-tree evaluator: the node budget plus the
+// matching clause-work cap (8 clause operations per node, the seed's
+// ratio), with no cache shared across answers — the paper's per-answer
+// measurements.
+func dtree(eps float64, kind engine.ErrorKind, maxNodes int) engine.Approx {
+	return engine.Approx{Eps: eps, Kind: kind, MaxNodes: maxNodes, MaxWork: 8 * maxNodes}
 }
 
-// runDtree measures the ε-approximation on one DNF. frags may be nil;
-// figures share one cache across the answers of a query.
-func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKind, maxNodes int, frags *formula.FragCache) runResult {
-	return runEval(engine.Approx{
-		Eps: eps, Kind: kind, Budget: dtreeBudget(maxNodes), Frags: frags,
-	}, s, d)
+// runDtree measures the ε-approximation on one DNF.
+func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKind, maxNodes int) runResult {
+	return runEval(dtree(eps, kind, maxNodes), s, d)
 }
 
 // runAconf measures the Karp-Luby/DKLR baseline.

@@ -32,7 +32,7 @@ func Fig8(p Params, sizes []int) *Table {
 					d = g.PathDNF(2)
 				}
 				ac := runAconf(g.Space(), d, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
-				dt := runDtree(g.Space(), d, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
+				dt := runDtree(g.Space(), d, relErr001, engine.Relative, p.DtreeMaxNodes)
 				t.Rows = append(t.Rows, []string{
 					query, fmt.Sprint(n), fmt.Sprint(ep), fmt.Sprint(len(d)),
 					ac.timeCell(), dt.timeCell(), dt.estimate,
@@ -66,7 +66,7 @@ func Fig8c(p Params, sizes []int) *Table {
 				} else {
 					d = g.PathDNF(2)
 				}
-				dt := runDtree(g.Space(), d, 0.05, engine.Absolute, p.DtreeMaxNodes, nil)
+				dt := runDtree(g.Space(), d, 0.05, engine.Absolute, p.DtreeMaxNodes)
 				t.Rows = append(t.Rows, []string{
 					query, fmt.Sprint(n), fmt.Sprint(ep), fmt.Sprint(len(d)),
 					dt.timeCell(), fmt.Sprint(dt.detail), dt.estimate,
@@ -131,7 +131,7 @@ func Fig9(p Params, errors []float64) *Table {
 			d := queries[qn]
 			for _, eps := range errors {
 				ac := runAconf(nw.g.Space(), d, eps, p.Delta, p.AconfMaxSample, p.Seed)
-				dt := runDtree(nw.g.Space(), d, eps, engine.Relative, p.DtreeMaxNodes, nil)
+				dt := runDtree(nw.g.Space(), d, eps, engine.Relative, p.DtreeMaxNodes)
 				t.Rows = append(t.Rows, []string{
 					nw.name, qn, fmt.Sprint(eps), fmt.Sprint(len(d)),
 					ac.timeCell(), dt.timeCell(), dt.estimate,

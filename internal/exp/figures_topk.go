@@ -121,10 +121,10 @@ func addRankRows(t *Table, name string, s *formula.Space, dnfs []formula.DNF) {
 		return
 	}
 	rankRun(t, name, "top-k", fmt.Sprintf("k=%d", k), dnfs, full.Steps, func() (rank.Result, error) {
-		return rank.TopK(context.Background(), s, dnfs, k, opt)
+		return rank.TopK(context.Background(), s, dnfs, k, opt, nil)
 	})
 	rankRun(t, name, "threshold", "τ=0.5", dnfs, full.Steps, func() (rank.Result, error) {
-		return rank.Threshold(context.Background(), s, dnfs, 0.5, opt)
+		return rank.Threshold(context.Background(), s, dnfs, 0.5, opt, nil)
 	})
 }
 

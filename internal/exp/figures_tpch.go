@@ -118,14 +118,6 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 	for _, q := range tractableQueries(db) {
 		clauses := 0
 		var ac, dt, de []runResult
-		// With ShareCache, one memo cache per query: the answers of a
-		// multi-answer query share base tuples, so repeated lineage
-		// fragments hit the cache. Off by default to keep the figure
-		// faithful to the paper's per-answer measurements.
-		var frags *formula.FragCache
-		if p.ShareCache {
-			frags = formula.NewFragCache(0)
-		}
 		dnfs := lineageDNFs(q.node)
 		for i, d := range dnfs {
 			clauses += len(d)
@@ -133,8 +125,8 @@ func fig6Tractable(id string, probHigh float64, p Params) *Table {
 				continue
 			}
 			ac = append(ac, runAconf(db.Space, d, relErr001, p.Delta, p.AconfMaxSample, p.Seed+int64(i)))
-			dt = append(dt, runDtree(db.Space, d, relErr001, engine.Relative, p.DtreeMaxNodes, frags))
-			de = append(de, runDtree(db.Space, d, 0, engine.Absolute, p.DtreeMaxNodes, frags))
+			dt = append(dt, runDtree(db.Space, d, relErr001, engine.Relative, p.DtreeMaxNodes))
+			de = append(de, runDtree(db.Space, d, 0, engine.Absolute, p.DtreeMaxNodes))
 		}
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		sa, sd, se := sumRuns(ac), sumRuns(dt), sumRuns(de)
@@ -178,8 +170,8 @@ func Fig6c(p Params) *Table {
 			continue
 		}
 		ac := runAconf(db.Space, dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
-		dt := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
-		de := runDtree(db.Space, dnf, 0, engine.Absolute, p.DtreeMaxNodes, nil)
+		dt := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes)
+		de := runDtree(db.Space, dnf, 0, engine.Absolute, p.DtreeMaxNodes)
 		sp := runMeasured(plannerExact(db.Space, q.name, q.node))
 		t.Rows = append(t.Rows, []string{
 			q.name, fmt.Sprint(len(dnf)),
@@ -253,8 +245,8 @@ func Fig7(p Params, sfs []float64) *Table {
 			}
 			a1 := runAconf(db.Space, dnf, relErr001, p.Delta, p.AconfMaxSample, p.Seed)
 			a5 := runAconf(db.Space, dnf, relErr005, p.Delta, p.AconfMaxSample, p.Seed+1)
-			d1 := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes, nil)
-			d5 := runDtree(db.Space, dnf, relErr005, engine.Relative, p.DtreeMaxNodes, nil)
+			d1 := runDtree(db.Space, dnf, relErr001, engine.Relative, p.DtreeMaxNodes)
+			d5 := runDtree(db.Space, dnf, relErr005, engine.Relative, p.DtreeMaxNodes)
 			t.Rows = append(t.Rows, []string{
 				q.name, fmt.Sprint(sf), fmt.Sprint(len(dnf)),
 				a1.timeCell(), a5.timeCell(), d1.timeCell(), d5.timeCell(), d1.estimate,

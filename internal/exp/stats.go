@@ -65,10 +65,7 @@ func NodeStats(p Params) *Table {
 		if c.name == "karate-triangle" || c.name == "karate-s2" {
 			space = karate.Space()
 		}
-		res, aerr := engine.Approx{
-			Eps: relErr001, Kind: engine.Relative,
-			Budget: dtreeBudget(p.DtreeMaxNodes),
-		}.Evaluate(context.Background(), space, c.dnf)
+		res, aerr := dtree(relErr001, engine.Relative, p.DtreeMaxNodes).Evaluate(context.Background(), space, c.dnf)
 		if aerr != nil {
 			row = append(row, "TO", "-")
 		} else {

@@ -16,18 +16,20 @@ import (
 // ones — is returned alongside. A context/timeout failure returns the
 // partial outcome with the error.
 func ConfTopK(ctx context.Context, s *formula.Space, answers []Answer, k int, opt rank.Options) ([]AnswerConf, rank.Result, error) {
-	res, err := rank.TopK(ctx, s, lineages(answers), k, opt)
-	return rankedConfs(answers, res), res, err
+	res, err := rank.TopK(ctx, s, Lineages(answers), k, opt, nil)
+	return RankedConfs(answers, res), res, err
 }
 
 // ConfThreshold returns the answers whose confidence is at least tau,
 // most probable first, with the same anytime semantics as ConfTopK.
 func ConfThreshold(ctx context.Context, s *formula.Space, answers []Answer, tau float64, opt rank.Options) ([]AnswerConf, rank.Result, error) {
-	res, err := rank.Threshold(ctx, s, lineages(answers), tau, opt)
-	return rankedConfs(answers, res), res, err
+	res, err := rank.Threshold(ctx, s, Lineages(answers), tau, opt, nil)
+	return RankedConfs(answers, res), res, err
 }
 
-func lineages(answers []Answer) []formula.DNF {
+// Lineages returns the answers' lineage DNFs, in order: the input of
+// the rank schedulers.
+func Lineages(answers []Answer) []formula.DNF {
 	dnfs := make([]formula.DNF, len(answers))
 	for i, a := range answers {
 		dnfs[i] = a.Lin
@@ -40,7 +42,7 @@ func lineages(answers []Answer) []formula.DNF {
 // Converged keeps its engine meaning — the estimate carries the Eps
 // guarantee — which for early-proven answers with wide bounds is false
 // (their P is the interval midpoint); the membership proof itself is
-// rank.Item.Decided. Streaming consumers (rank.Options.OnDecided, the
+// rank.Item.Decided. Streaming consumers (the schedulers' emit hook, the
 // plan/facade iterators) use it to shape emitted items exactly like the
 // batch operators' results.
 func RankedConf(a Answer, it rank.Item) AnswerConf {
@@ -55,9 +57,9 @@ func RankedConf(a Answer, it rank.Item) AnswerConf {
 	}
 }
 
-// rankedConfs turns the scheduler's selection into AnswerConf values in
+// RankedConfs turns the scheduler's selection into AnswerConf values in
 // rank order.
-func rankedConfs(answers []Answer, res rank.Result) []AnswerConf {
+func RankedConfs(answers []Answer, res rank.Result) []AnswerConf {
 	out := make([]AnswerConf, 0, len(res.Ranking))
 	for _, idx := range res.Ranking {
 		out = append(out, RankedConf(answers[idx], res.Items[idx]))

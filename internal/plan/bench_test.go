@@ -18,8 +18,7 @@ import (
 func BenchmarkPlannerTPCH(b *testing.B) {
 	db := tpch.Generate(tpch.Config{SF: 0.001, ProbHigh: 1, Seed: 42})
 	catalog := db.Catalog()
-	ev := engine.Approx{Eps: 0.01, Kind: engine.Relative,
-		Budget: engine.Budget{MaxNodes: 200_000, MaxWork: 1_600_000}}
+	ev := engine.Approx{Eps: 0.01, Kind: engine.Relative, MaxNodes: 200_000, MaxWork: 1_600_000}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

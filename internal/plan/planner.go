@@ -283,8 +283,8 @@ func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryT
 // selected answers are returned, most probable first. The structural
 // routes rank their exact probabilities directly; the lineage route
 // hands the answers to the anytime scheduler, configured from ev (an
-// engine.Approx's Eps/Kind/Order/Budget/Cache become the refinement
-// floor — see rankOptionsFrom).
+// engine.Approx is the scheduler's options as it stands, its Eps the
+// refinement floor — see rankOptions).
 func (p *Plan) Answers(ctx context.Context, s *formula.Space, ev engine.Evaluator) ([]pdb.AnswerConf, error) {
 	return p.AnswersTraced(ctx, s, ev, nil, nil)
 }
@@ -303,7 +303,7 @@ func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Ev
 // answers is the one execution path behind Answers and StreamTraced. On
 // the ranked lineage route a non-nil onDecided is called synchronously
 // from inside the scheduling loop the moment an answer's membership is
-// proven (rank.Options.OnDecided), with the answer's index into the
+// proven (rank.TopK's emit hook), with the answer's index into the
 // lineage and its outcome so far; no other route calls it. The second
 // result is that run's ranking — the lineage index behind each returned
 // answer — and nil on every other route.
@@ -344,27 +344,32 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 			return nil, nil, lerr
 		}
 		if p.rank != nil {
-			opt := p.rankOptions(ev)
+			opt, timeout := p.rankOptions(ev)
+			if timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			var emit func(rank.Item)
 			if onDecided != nil {
-				opt.OnDecided = func(it rank.Item) {
+				emit = func(it rank.Item) {
 					onDecided(it.Index, pdb.RankedConf(answers[it.Index], it))
 				}
 			}
 			start := time.Now()
 			region := rtrace.StartRegion(ctx, "repro.rank")
 			var (
-				confs []pdb.AnswerConf
-				res   rank.Result
-				err   error
+				res rank.Result
+				err error
 			)
 			if p.rank.topk {
-				confs, res, err = pdb.ConfTopK(ctx, s, answers, p.rank.k, opt)
+				res, err = rank.TopK(ctx, s, pdb.Lineages(answers), p.rank.k, opt, emit)
 			} else {
-				confs, res, err = pdb.ConfThreshold(ctx, s, answers, p.rank.tau, opt)
+				res, err = rank.Threshold(ctx, s, pdb.Lineages(answers), p.rank.tau, opt, emit)
 			}
 			region.End()
 			p.recordRank(tr, answers, res, time.Since(start))
-			return confs, res.Ranking, err
+			return pdb.RankedConfs(answers, res), res.Ranking, err
 		}
 		if ev == nil {
 			ev = engine.Approx{}
@@ -377,19 +382,6 @@ func (p *Plan) answers(ctx context.Context, s *formula.Space, ev engine.Evaluato
 		addAnswerTraces(tr, confs)
 		return confs, nil, err
 	}
-}
-
-// rankOptions derives the scheduler configuration from the evaluator,
-// defaulting the metrics registry and fault injector to the plan's own.
-func (p *Plan) rankOptions(ev engine.Evaluator) rank.Options {
-	opt := rankOptionsFrom(ev)
-	if opt.Metrics == nil {
-		opt.Metrics = p.metrics
-	}
-	if opt.Inject == nil {
-		opt.Inject = p.inject
-	}
-	return opt
 }
 
 // structural evaluates the plan's safe plan or IQ scan, contained like
@@ -521,33 +513,38 @@ func (p *Plan) rankExact(out []pdb.AnswerConf) []pdb.AnswerConf {
 	return out[:cut]
 }
 
-// rankOptionsFrom derives the lineage route's scheduler configuration
-// from the evaluator the caller would have used for plain answers: the
-// d-tree evaluator contributes its refinement floor, budget and
-// fragment cache. MonteCarlo has no bound-refinement analogue —
-// rankings need certain intervals — but its Budget (notably the
-// Timeout) still bounds the scheduler. Evaluate has value receivers, so
+// rankOptions derives the lineage route's scheduler configuration from
+// the evaluator the caller would have used for plain answers: a d-tree
+// evaluator's options are the scheduler's as they stand, its Eps the
+// refinement floor. MonteCarlo has no bound-refinement analogue —
+// rankings need certain intervals — but its Budget still bounds the
+// run: MaxNodes and MaxWork per answer, and Timeout, returned for the
+// caller to put on the run's context. Evaluate has value receivers, so
 // a pointer to either is an Evaluator too and reads like its value. A
 // nil or unknown evaluator means refine-to-exactness with no budget.
-func rankOptionsFrom(ev engine.Evaluator) rank.Options {
+// The metrics registry and fault injector default to the plan's own.
+func (p *Plan) rankOptions(ev engine.Evaluator) (opt rank.Options, timeout time.Duration) {
 	switch e := ev.(type) {
 	case engine.Approx:
-		return rank.Options{
-			Eps: e.Eps, Kind: e.Kind, Budget: e.Budget, Frags: e.Frags,
-			Metrics: e.Metrics, Inject: e.Inject,
-		}
-	case engine.MonteCarlo:
-		return rank.Options{Budget: e.Budget}
+		opt = e
 	case *engine.Approx:
 		if e != nil {
-			return rankOptionsFrom(*e)
+			opt = *e
 		}
+	case engine.MonteCarlo:
+		opt, timeout = rank.Options{MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork}, e.Budget.Timeout
 	case *engine.MonteCarlo:
 		if e != nil {
-			return rankOptionsFrom(*e)
+			return p.rankOptions(*e)
 		}
 	}
-	return rank.Options{}
+	if opt.Metrics == nil {
+		opt.Metrics = p.metrics
+	}
+	if opt.Inject == nil {
+		opt.Inject = p.inject
+	}
+	return opt, timeout
 }
 
 func exactAnswer(vals []pdb.Value, prob float64) pdb.AnswerConf {

@@ -184,34 +184,31 @@ func TestPlannerRankNodeMetadata(t *testing.T) {
 
 // Evaluate has value receivers, so a pointer to an evaluator is an
 // Evaluator too: it must configure the scheduler exactly like its
-// value — ε floor, budget, fragment cache and all — and a nil pointer
-// like no evaluator at all.
+// value — ε floor, per-answer limits, fragment cache and all — and a
+// nil pointer like no evaluator at all. Approx's options pass as they
+// stand; MonteCarlo lends its MaxNodes, MaxWork and Timeout.
 func TestRankOptionsFromPointerEvaluator(t *testing.T) {
-	budget := engine.Budget{MaxNodes: 7, Timeout: time.Second}
-	approx := engine.Approx{Eps: 0.01, Kind: engine.Relative, Budget: budget, Frags: formula.NewFragCache(0)}
-	exact := engine.Approx{Budget: budget, Frags: formula.NewFragCache(0)}
-	mc := engine.MonteCarlo{Eps: 0.1, Delta: 0.01, Budget: budget}
+	approx := engine.Approx{Eps: 0.01, Kind: engine.Relative, MaxNodes: 7, Frags: formula.NewFragCache(0)}
+	exact := engine.Approx{MaxNodes: 7, Frags: formula.NewFragCache(0)}
+	mc := engine.MonteCarlo{Eps: 0.1, Delta: 0.01, Budget: engine.Budget{MaxNodes: 7, MaxWork: 9, Timeout: time.Second}}
 	for _, c := range []struct {
-		name       string
-		val, ptr   engine.Evaluator
-		nilPointer engine.Evaluator
+		name        string
+		val, ptr    engine.Evaluator
+		nilPointer  engine.Evaluator
+		wantOpt     rank.Options
+		wantTimeout time.Duration
 	}{
-		{"approx", approx, &approx, (*engine.Approx)(nil)},
-		{"exact", exact, &exact, (*engine.Approx)(nil)},
-		{"montecarlo", mc, &mc, (*engine.MonteCarlo)(nil)},
+		{"approx", approx, &approx, (*engine.Approx)(nil), approx, 0},
+		{"exact", exact, &exact, (*engine.Approx)(nil), exact, 0},
+		{"montecarlo", mc, &mc, (*engine.MonteCarlo)(nil), rank.Options{MaxNodes: 7, MaxWork: 9}, time.Second},
 	} {
-		want := rankOptionsFrom(c.val)
-		if want.Budget != budget {
-			t.Fatalf("%s: value form lost the budget: %+v", c.name, want)
+		for _, ev := range []engine.Evaluator{c.val, c.ptr} {
+			if opt, timeout := (&Plan{}).rankOptions(ev); !reflect.DeepEqual(opt, c.wantOpt) || timeout != c.wantTimeout {
+				t.Fatalf("%s (%T): options %+v timeout %v, want %+v %v", c.name, ev, opt, timeout, c.wantOpt, c.wantTimeout)
+			}
 		}
-		if got := rankOptionsFrom(c.ptr); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: pointer form %+v, value form %+v", c.name, got, want)
+		if opt, timeout := (&Plan{}).rankOptions(c.nilPointer); !reflect.DeepEqual(opt, rank.Options{}) || timeout != 0 {
+			t.Fatalf("%s: nil pointer gave %+v %v, want zero options", c.name, opt, timeout)
 		}
-		if got := rankOptionsFrom(c.nilPointer); !reflect.DeepEqual(got, rank.Options{}) {
-			t.Fatalf("%s: nil pointer gave %+v, want zero options", c.name, got)
-		}
-	}
-	if got := rankOptionsFrom(&approx); got.Eps != 0.01 || got.Kind != engine.Relative || got.Frags != approx.Frags {
-		t.Fatalf("pointer Approx lost its floor or cache: %+v", got)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // instead of a materialized slice. On a ranked lineage-route plan the
 // stream is genuinely anytime: each answer is yielded synchronously
 // from inside the scheduling loop the moment its top-k/threshold
-// membership is proven (rank.Options.OnDecided), so the first answer of
+// membership is proven (rank.TopK's emit hook), so the first answer of
 // a top-10-of-240 query arrives before refinement of the other 230
 // finishes. Borderline answers the scheduler cut by estimate (Decided
 // false in the scheduler's terms) follow after the run completes, in

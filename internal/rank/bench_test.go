@@ -81,7 +81,7 @@ func TestTopKPrunesVsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk, err := TopK(context.Background(), s, dnfs, benchK, opt)
+	topk, err := TopK(context.Background(), s, dnfs, benchK, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestTopKPrunesVsFull(t *testing.T) {
 // with exact evaluation — the arbiter when a pin is re-taken.
 func TestPinnedStepCounts(t *testing.T) {
 	topK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
-		return TopK(ctx, s, dnfs, benchK, o)
+		return TopK(ctx, s, dnfs, benchK, o, nil)
 	}
 	oracleTopK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
-		return refTopK(ctx, s, dnfs, benchK, o)
+		return refTopK(ctx, s, dnfs, benchK, o, nil)
 	}
 	type run func(context.Context, *formula.Space, []formula.DNF, Options) (Result, error)
 	s, dnfs := benchAnswers(benchN)
@@ -169,7 +169,7 @@ func BenchmarkTopKVsFull(b *testing.B) {
 		opt := Options{Eps: benchEps, Frags: formula.NewFragCache(0)}
 		steps := 0
 		for i := 0; i < b.N; i++ {
-			res, err := TopK(context.Background(), s, dnfs, benchK, opt)
+			res, err := TopK(context.Background(), s, dnfs, benchK, opt, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func BenchmarkTopKVsFull(b *testing.B) {
 		opt := Options{Eps: benchEps, Frags: formula.NewFragCache(0)}
 		steps := 0
 		for i := 0; i < b.N; i++ {
-			res, err := TopK(context.Background(), sd, deep, benchK, opt)
+			res, err := TopK(context.Background(), sd, deep, benchK, opt, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func BenchmarkDecide(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				res, err := TopK(context.Background(), s, dnfs, benchK, opt)
+				res, err := TopK(context.Background(), s, dnfs, benchK, opt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func BenchmarkThresholdVsFull(b *testing.B) {
 	b.Run("threshold", func(b *testing.B) {
 		steps := 0
 		for i := 0; i < b.N; i++ {
-			res, err := Threshold(context.Background(), s, dnfs, 0.5, opt)
+			res, err := Threshold(context.Background(), s, dnfs, 0.5, opt, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

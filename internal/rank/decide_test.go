@@ -8,7 +8,7 @@ import (
 
 // requireSameResult demands bitwise-identical ranking outcomes: every
 // Item field (bounds, estimates, step counts, DecidedAtStep, flags),
-// the ranking order, the total steps, and the OnDecided emission
+// the ranking order, the total steps, and the emit hook's emission
 // sequences.
 func requireSameResult(t *testing.T, label string, a, b Result, emitA, emitB []Item) {
 	t.Helper()
@@ -44,11 +44,11 @@ func requireSameResult(t *testing.T, label string, a, b Result, emitA, emitB []I
 // same decisions, in the same order, at the same step counts — across
 // random TI and BID answer sets, both cut modes, several k and τ.
 func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
-	run := func(label string, exec, ref func(Options) (Result, error)) {
+	run := func(label string, exec, ref func(emit func(Item)) (Result, error)) {
 		t.Helper()
 		var emitInc, emitFull []Item
-		inc, err1 := exec(Options{OnDecided: func(it Item) { emitInc = append(emitInc, it) }})
-		full, err2 := ref(Options{OnDecided: func(it Item) { emitFull = append(emitFull, it) }})
+		inc, err1 := exec(func(it Item) { emitInc = append(emitInc, it) })
+		full, err2 := ref(func(it Item) { emitFull = append(emitFull, it) })
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", label, err1, err2)
 		}
@@ -59,16 +59,16 @@ func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
 		n := 8 + trial%7
 		s, dnfs := randomAnswerSet(int64(40_000+trial), bid, n, 9)
 		k := 1 + trial%5
-		run(fmt.Sprintf("topk trial %d", trial), func(base Options) (Result, error) {
-			return TopK(context.Background(), s, dnfs, k, base)
-		}, func(base Options) (Result, error) {
-			return refTopK(context.Background(), s, dnfs, k, base)
+		run(fmt.Sprintf("topk trial %d", trial), func(emit func(Item)) (Result, error) {
+			return TopK(context.Background(), s, dnfs, k, Options{}, emit)
+		}, func(emit func(Item)) (Result, error) {
+			return refTopK(context.Background(), s, dnfs, k, Options{}, emit)
 		})
 		tau := 0.1 + 0.2*float64(trial%4)
-		run(fmt.Sprintf("threshold trial %d", trial), func(base Options) (Result, error) {
-			return Threshold(context.Background(), s, dnfs, tau, base)
-		}, func(base Options) (Result, error) {
-			return refThreshold(context.Background(), s, dnfs, tau, base)
+		run(fmt.Sprintf("threshold trial %d", trial), func(emit func(Item)) (Result, error) {
+			return Threshold(context.Background(), s, dnfs, tau, Options{}, emit)
+		}, func(emit func(Item)) (Result, error) {
+			return refThreshold(context.Background(), s, dnfs, tau, Options{}, emit)
 		})
 	}
 }
@@ -78,14 +78,14 @@ func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
 func TestRankDecideIncrementalMatchesFullScanBench(t *testing.T) {
 	s, dnfs := benchAnswers(120)
 	opt := Options{Eps: 1e-6}
-	inc, err1 := TopK(context.Background(), s, dnfs, 10, opt)
-	full, err2 := refTopK(context.Background(), s, dnfs, 10, opt)
+	inc, err1 := TopK(context.Background(), s, dnfs, 10, opt, nil)
+	full, err2 := refTopK(context.Background(), s, dnfs, 10, opt, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}
 	requireSameResult(t, "bench workload", inc, full, nil, nil)
-	thInc, err1 := Threshold(context.Background(), s, dnfs, 0.5, opt)
-	thFull, err2 := refThreshold(context.Background(), s, dnfs, 0.5, opt)
+	thInc, err1 := Threshold(context.Background(), s, dnfs, 0.5, opt, nil)
+	thFull, err2 := refThreshold(context.Background(), s, dnfs, 0.5, opt, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}

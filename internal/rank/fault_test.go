@@ -38,7 +38,7 @@ func TestFaultRankGrantContainsPanic(t *testing.T) {
 	_, err := TopK(context.Background(), s, gridAnswers(s, 6, 6), 2, Options{
 		Metrics: met,
 		Inject:  inj,
-	})
+	}, nil)
 	if err == nil {
 		t.Fatalf("seed 5 injects panics at leaf.prepare yet the run succeeded (stats %+v)",
 			inj.Stats()[fault.SiteLeafPrepare])

@@ -16,28 +16,26 @@ import (
 // both schedulers must make identical decisions in identical order.
 
 // refTopK is TopK on the oracle scheduler.
-func refTopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt Options) (Result, error) {
+func refTopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt Options, emit func(Item)) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("rank: k must be positive, got %d", k)
 	}
-	return refSchedule(ctx, s, dnfs, opt,
+	return refSchedule(ctx, s, dnfs, opt, emit,
 		func(sc *sched) { sc.decideTopKFull(k) },
 		func(sc *sched) []int { return sc.selectTopK(k) })
 }
 
 // refThreshold is Threshold on the oracle scheduler.
-func refThreshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau float64, opt Options) (Result, error) {
-	return refSchedule(ctx, s, dnfs, opt,
+func refThreshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau float64, opt Options, emit func(Item)) (Result, error) {
+	return refSchedule(ctx, s, dnfs, opt, emit,
 		func(sc *sched) { sc.decideThresholdFull(tau) },
 		func(sc *sched) []int { return sc.selectThreshold(tau) })
 }
 
 // refSchedule is schedule with run's loop picking by linear scan.
-func refSchedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options,
+func refSchedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options, emit func(Item),
 	decide func(*sched), sel func(*sched) []int) (Result, error) {
-	ctx, cancel := opt.Budget.Context(ctx)
-	defer cancel()
-	sc := newSched(ctx, s, dnfs, opt)
+	sc := newSched(ctx, s, dnfs, opt, emit)
 	err := sc.initErr()
 	for err == nil {
 		if err = sc.ctx.Err(); err != nil {

@@ -94,7 +94,7 @@ func TestRankTopKMatchesExactProperty(t *testing.T) {
 			s, dnfs := randomAnswerSet(seed, bid, 10, 9)
 			ps := exactProbs(t, s, dnfs)
 			k := 1 + trial%5 // k in 1..5
-			res, err := TopK(context.Background(), s, dnfs, k, Options{})
+			res, err := TopK(context.Background(), s, dnfs, k, Options{}, nil)
 			if err != nil {
 				t.Fatalf("trial %d bid=%v: %v", trial, bid, err)
 			}
@@ -159,7 +159,7 @@ func TestRankThresholdMatchesExactProperty(t *testing.T) {
 			case 4:
 				tau = 1
 			}
-			res, err := Threshold(context.Background(), s, dnfs, tau, Options{})
+			res, err := Threshold(context.Background(), s, dnfs, tau, Options{}, nil)
 			if err != nil {
 				t.Fatalf("trial %d bid=%v: %v", trial, bid, err)
 			}
@@ -189,16 +189,16 @@ func TestRankDeterminismProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		s, dnfs := randomAnswerSet(int64(60_000+trial), trial%2 == 1, 10, 9)
 		k := 1 + trial%5
-		first, err := TopK(context.Background(), s, dnfs, k, Options{})
+		first, err := TopK(context.Background(), s, dnfs, k, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := TopK(context.Background(), s, dnfs, k, Options{})
+		again, err := TopK(context.Background(), s, dnfs, k, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("trial %d rerun", trial), first, again, nil, nil)
-		ref, err := refTopK(context.Background(), s, dnfs, k, Options{})
+		ref, err := refTopK(context.Background(), s, dnfs, k, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestRankDeterminismTieBreak(t *testing.T) {
 		}
 		dnfs[i] = d.Normalize()
 	}
-	res, err := TopK(context.Background(), s, dnfs, k, Options{Eps: 1e-9})
+	res, err := TopK(context.Background(), s, dnfs, k, Options{Eps: 1e-9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRankDeterminismTieBreak(t *testing.T) {
 			t.Fatalf("tied answers must select lowest indices in order, got ranking %v", res.Ranking)
 		}
 	}
-	ref, err := refTopK(context.Background(), s, dnfs, k, Options{Eps: 1e-9})
+	ref, err := refTopK(context.Background(), s, dnfs, k, Options{Eps: 1e-9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRankNeverExceedsRefineAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topk, err := TopK(context.Background(), s, dnfs, 3, Options{})
+		topk, err := TopK(context.Background(), s, dnfs, 3, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

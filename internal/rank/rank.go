@@ -37,76 +37,23 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/formula"
-	"repro/internal/obs"
-	"repro/internal/workpool"
 )
 
 // grantSteps is the number of leaf refinements per scheduling decision:
 // enough to amortize scheduling, few enough to waste little work.
 const grantSteps = 4
 
-// Options configures a ranking run. The zero value refines every
-// undecided answer toward exactness (Eps 0) with no budget — fine for
-// small batches; large workloads should set Eps (the refinement floor)
-// and a Budget.
-type Options struct {
-	// Eps is the per-answer refinement floor: an answer is never
-	// refined beyond the Eps guarantee of the underlying approximation
-	// (Eps 0 allows refinement all the way to exactness). An answer
-	// whose interval still straddles the cut when it reaches the floor
-	// is decided by its estimate and reported with Decided false.
-	Eps float64
-	// Kind selects absolute or relative error for the Eps floor.
-	Kind engine.ErrorKind
-	// Budget bounds each answer's refiner (MaxNodes/MaxWork per answer)
-	// and the whole run's wall clock (Timeout; a cancelled parent
-	// context stops the run immediately, see engine.Budget.Context).
-	Budget engine.Budget
-	// Cache and Pool are not consulted: refiners memoize through Frags
-	// and run on the calling goroutine.
-	//
-	// Deprecated: named only by bench/.
-	Cache *formula.FragCache
-	Pool  *workpool.Pool
-	// Frags, when non-nil, memoizes prepared leaf fragments across all
-	// answers of the run (and across runs over the same Space) — see
-	// core.Options.Frags. When nil, a run-private cache is created:
-	// answers of one query overlap heavily (shared lineage clauses and
-	// Shannon siblings), so within-run sharing alone removes most
-	// preparation work.
-	Frags *formula.FragCache
-	// Metrics, when non-nil, receives the run's grants and decide
-	// events, and is threaded into every refiner (steps, cache traffic,
-	// budget exhaustions). Nil-safe; nil costs one branch per event.
-	Metrics *obs.Metrics
-	// Inject, when non-nil, fires deterministic faults at the core
-	// chaos sites inside every refiner (nil-safe, see fault.Injector).
-	Inject *fault.Injector
-	// OnDecided, when non-nil, is invoked synchronously from the
-	// scheduling loop the moment an answer's membership is *proven*
-	// (status decided-in: fewer than k answers can possibly rank above
-	// it / its lower bound reached τ) — the streaming emit hook. The
-	// Item snapshot carries the bounds, estimate and step counts at
-	// proof time, with Selected and Decided already true and
-	// DecidedAtStep recording the scheduler's cumulative step count.
-	// Because answers decide in provable order, a consumer receives the
-	// proven members of the selection before the scheduler finishes
-	// refining the rest; borderline answers cut by estimate never fire
-	// the hook and must be read from the final Result. The callback must
-	// not block: the scheduler is stalled while it runs.
-	OnDecided func(Item)
-}
-
-func (o Options) coreOptions() core.Options {
-	return core.Options{
-		Eps: o.Eps, Kind: o.Kind,
-		MaxNodes: o.Budget.MaxNodes, MaxWork: o.Budget.MaxWork,
-		Frags: o.Frags, Metrics: o.Metrics, Inject: o.Inject,
-	}
-}
+// Options configures a ranking run: core.Options, read per answer. Eps
+// is the refinement floor — an answer still straddling the cut there is
+// decided by its estimate (Decided false); Eps 0 refines toward
+// exactness. MaxNodes and MaxWork bound each answer's refiner; the run's
+// wall clock is the caller's context. A nil Frags means a run-private
+// cache (the answers' shared lineage makes even that pay). Metrics
+// also receives the run's grants and decide events. Pool is not
+// consulted: refiners run on the calling goroutine.
+type Options = core.Options
 
 // Item is one answer's ranking outcome.
 type Item struct {
@@ -169,6 +116,7 @@ const (
 type sched struct {
 	ctx    context.Context
 	opt    Options
+	emit   func(Item)
 	refs   []*core.Refiner
 	items  []Item
 	status []status
@@ -177,23 +125,26 @@ type sched struct {
 	ph     *widthHeap
 }
 
-func newSched(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options) *sched {
+func newSched(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options, emit func(Item)) *sched {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if opt.Frags == nil {
+		// Run-private fragment cache: the answers of one query share
+		// lineage fragments, so even without a caller-provided cache
+		// each repeated fragment prepares once per run.
+		opt.Frags = formula.NewFragCache(0)
+	}
 	sc := &sched{
 		ctx:    ctx,
 		opt:    opt,
+		emit:   emit,
 		refs:   make([]*core.Refiner, len(dnfs)),
 		items:  make([]Item, len(dnfs)),
 		status: make([]status, len(dnfs)),
 	}
-	co := opt.coreOptions()
-	if co.Frags == nil {
-		// Run-private fragment cache: the answers of one query share
-		// lineage fragments, so even without a caller-provided cache
-		// each repeated fragment prepares once per run.
-		co.Frags = formula.NewFragCache(0)
-	}
 	for i, d := range dnfs {
-		sc.refs[i] = core.NewRefiner(ctx, s, d, co)
+		sc.refs[i] = core.NewRefiner(ctx, s, d, opt)
 		lo, hi := sc.refs[i].Bounds()
 		sc.items[i] = Item{Index: i, Lo: lo, Hi: hi}
 	}
@@ -237,7 +188,7 @@ func (sc *sched) grant(i int) error {
 // step runs one refinement grant under a recover: a panic inside
 // Step — an engine bug or an injected fault below a containment-free
 // path — fails this answer's refiner and surfaces through its Err like
-// a cancellation, never unwinding the scheduler (whose OnDecided hook
+// a cancellation, never unwinding the scheduler (whose emit hook
 // yields into a consumer iterator that must not be re-entered after a
 // panic).
 func (sc *sched) step(i int) (lo, hi float64) {
@@ -309,11 +260,23 @@ func (sc *sched) result(ranking []int) Result {
 // current estimates, which for early-proven answers are only interval
 // midpoints (Item.Converged false). On a context/timeout error the
 // partial result so far is returned alongside the error.
-func TopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt Options) (Result, error) {
+//
+// emit, when non-nil, is the streaming hook: it is called synchronously
+// from the scheduling loop the moment an answer's membership is
+// *proven* (fewer than k answers can possibly rank above it / its lower
+// bound reached τ). The Item snapshot carries the bounds, estimate and
+// step counts at proof time, with Selected and Decided already true and
+// DecidedAtStep recording the scheduler's cumulative step count.
+// Because answers decide in provable order, a consumer receives the
+// proven members of the selection before the scheduler finishes
+// refining the rest; borderline answers cut by estimate are never
+// emitted and must be read from the final Result. emit must not block:
+// the scheduler is stalled while it runs.
+func TopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt Options, emit func(Item)) (Result, error) {
 	if k <= 0 {
 		return Result{}, fmt.Errorf("rank: k must be positive, got %d", k)
 	}
-	return schedule(ctx, s, dnfs, opt,
+	return schedule(ctx, s, dnfs, opt, emit,
 		func(sc *sched) { sc.decideTopK(k) },
 		func(sc *sched) []int { return sc.selectTopK(k) })
 }
@@ -322,9 +285,9 @@ func TopK(ctx context.Context, s *formula.Space, dnfs []formula.DNF, k int, opt 
 // most probable first. An answer is proven in once its lower bound
 // reaches tau and proven out once its upper bound drops below it;
 // answers still straddling tau at the refinement floor are cut by
-// estimate (Decided false).
-func Threshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau float64, opt Options) (Result, error) {
-	return schedule(ctx, s, dnfs, opt,
+// estimate (Decided false). emit streams proven members as in TopK.
+func Threshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau float64, opt Options, emit func(Item)) (Result, error) {
+	return schedule(ctx, s, dnfs, opt, emit,
 		func(sc *sched) { sc.decideThreshold(tau) },
 		func(sc *sched) []int { return sc.selectThreshold(tau) })
 }
@@ -332,11 +295,9 @@ func Threshold(ctx context.Context, s *formula.Space, dnfs []formula.DNF, tau fl
 // schedule is the shared driver of both cut modes: run the scheduling
 // loop with the mode's membership rule, decide once more from the
 // final bounds, and select.
-func schedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options,
+func schedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options, emit func(Item),
 	decide func(*sched), sel func(*sched) []int) (Result, error) {
-	ctx, cancel := opt.Budget.Context(ctx)
-	defer cancel()
-	sc := newSched(ctx, s, dnfs, opt)
+	sc := newSched(ctx, s, dnfs, opt, emit)
 	err := sc.initErr()
 	if err == nil {
 		err = sc.run(func() { decide(sc) })
@@ -350,9 +311,7 @@ func schedule(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Opt
 // Eps floor (or exactness), all answers selected, ranked by estimate.
 // Its Steps total is what the schedulers are measured against.
 func RefineAll(ctx context.Context, s *formula.Space, dnfs []formula.DNF, opt Options) (Result, error) {
-	ctx, cancel := opt.Budget.Context(ctx)
-	defer cancel()
-	sc := newSched(ctx, s, dnfs, opt)
+	sc := newSched(ctx, s, dnfs, opt, nil)
 	err := sc.initErr()
 	for i := range sc.refs {
 		for err == nil && !sc.refs[i].Done() {
@@ -441,7 +400,7 @@ func (sc *sched) markIn(i int) {
 	sc.status[i] = decidedIn
 	sc.ph.remove(i)
 	sc.items[i].DecidedAtStep = sc.steps
-	if sc.opt.OnDecided == nil {
+	if sc.emit == nil {
 		return
 	}
 	it := sc.items[i]
@@ -451,7 +410,7 @@ func (sc *sched) markIn(i int) {
 	it.Steps = sc.refs[i].Steps()
 	it.Selected = true
 	it.Decided = true
-	sc.opt.OnDecided(it)
+	sc.emit(it)
 }
 
 // markOut records a proven non-membership (never emitted: the stream

@@ -23,7 +23,7 @@ func boolAnswers(s *formula.Space, probs []float64) []formula.DNF {
 func TestTopKBasic(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.2, 0.9, 0.5, 0.7, 0.1})
-	res, err := TopK(context.Background(), s, dnfs, 2, Options{})
+	res, err := TopK(context.Background(), s, dnfs, 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTopKBasic(t *testing.T) {
 func TestTopKTiesByIndex(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.5, 0.5, 0.5, 0.5})
-	res, err := TopK(context.Background(), s, dnfs, 2, Options{})
+	res, err := TopK(context.Background(), s, dnfs, 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTopKTiesByIndex(t *testing.T) {
 func TestTopKKAtLeastN(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.2, 0.9})
-	res, err := TopK(context.Background(), s, dnfs, 5, Options{})
+	res, err := TopK(context.Background(), s, dnfs, 5, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestTopKKAtLeastN(t *testing.T) {
 }
 
 func TestTopKRejectsBadK(t *testing.T) {
-	if _, err := TopK(context.Background(), formula.NewSpace(), nil, 0, Options{}); err == nil {
+	if _, err := TopK(context.Background(), formula.NewSpace(), nil, 0, Options{}, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
 
 func TestTopKEmpty(t *testing.T) {
-	res, err := TopK(context.Background(), formula.NewSpace(), nil, 3, Options{})
+	res, err := TopK(context.Background(), formula.NewSpace(), nil, 3, Options{}, nil)
 	if err != nil || len(res.Ranking) != 0 || len(res.Items) != 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -84,7 +84,7 @@ func TestTopKEmpty(t *testing.T) {
 func TestThresholdBasic(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.2, 0.9, 0.5, 0.7, 0.1})
-	res, err := Threshold(context.Background(), s, dnfs, 0.5, Options{})
+	res, err := Threshold(context.Background(), s, dnfs, 0.5, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestThresholdBasic(t *testing.T) {
 func TestThresholdAllOrNone(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.2, 0.9})
-	if res, _ := Threshold(context.Background(), s, dnfs, 0, Options{}); len(res.Ranking) != 2 {
+	if res, _ := Threshold(context.Background(), s, dnfs, 0, Options{}, nil); len(res.Ranking) != 2 {
 		t.Fatalf("τ=0 selected %v, want all", res.Ranking)
 	}
-	if res, _ := Threshold(context.Background(), s, dnfs, 1.5, Options{}); len(res.Ranking) != 0 {
+	if res, _ := Threshold(context.Background(), s, dnfs, 1.5, Options{}, nil); len(res.Ranking) != 0 {
 		t.Fatalf("τ=1.5 selected %v, want none", res.Ranking)
 	}
 }
@@ -116,7 +116,7 @@ func TestRankEmptyLineage(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.3, 0.6})
 	dnfs = append(dnfs, nil)
-	res, err := TopK(context.Background(), s, dnfs, 2, Options{})
+	res, err := TopK(context.Background(), s, dnfs, 2, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTopKCancelled(t *testing.T) {
 	cancel()
 	s := formula.NewSpace()
 	dnfs := boolAnswers(s, []float64{0.2, 0.9})
-	res, err := TopK(ctx, s, dnfs, 1, Options{})
+	res, err := TopK(ctx, s, dnfs, 1, Options{}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -184,7 +184,7 @@ func TestHardAnswersNeedRefinement(t *testing.T) {
 func TestDecidedVsConverged(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := hardAnswers(s, 12)
-	res, err := TopK(context.Background(), s, dnfs, 3, Options{Eps: 1e-9})
+	res, err := TopK(context.Background(), s, dnfs, 3, Options{Eps: 1e-9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ func TestDecidedVsConverged(t *testing.T) {
 func TestRankSharedCache(t *testing.T) {
 	s := formula.NewSpace()
 	dnfs := hardAnswers(s, 10)
-	base, err := TopK(context.Background(), s, dnfs, 3, Options{})
+	base, err := TopK(context.Background(), s, dnfs, 3, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frags := formula.NewFragCache(0)
 	for run := 0; run < 2; run++ {
 		before := frags.CacheStats()
-		cached, err := TopK(context.Background(), s, dnfs, 3, Options{Frags: frags})
+		cached, err := TopK(context.Background(), s, dnfs, 3, Options{Frags: frags}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

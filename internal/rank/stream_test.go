@@ -5,17 +5,16 @@ import (
 	"testing"
 )
 
-// TestRankStreamTopK proves the OnDecided hook is a genuine streaming
+// TestRankStreamTopK proves the emit hook is a genuine streaming
 // surface: proven members are emitted from inside the scheduling loop,
 // strictly before the run's total refinement work completes, with
 // snapshots consistent with the final result.
 func TestRankStreamTopK(t *testing.T) {
 	s, dnfs := benchAnswers(benchN)
 	var emitted []Item
-	opt := Options{Eps: benchEps, OnDecided: func(it Item) {
+	res, err := TopK(context.Background(), s, dnfs, benchK, Options{Eps: benchEps}, func(it Item) {
 		emitted = append(emitted, it)
-	}}
-	res, err := TopK(context.Background(), s, dnfs, benchK, opt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestRankStreamThreshold(t *testing.T) {
 
 	var emitted []Item
 	res, err := Threshold(context.Background(), s, dnfs, tau,
-		Options{Eps: benchEps, OnDecided: func(it Item) { emitted = append(emitted, it) }})
+		Options{Eps: benchEps}, func(it Item) { emitted = append(emitted, it) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,17 +98,25 @@ func TestRankStreamThreshold(t *testing.T) {
 	}
 }
 
-// TestRankStreamRefineAllSilent pins that the baseline never fires the
-// hook: it proves no memberships, it just refines.
+// TestRankStreamRefineAllSilent pins that the baseline proves no
+// memberships — it takes no emit hook and just refines — so no answer
+// carries a proof step, while TopK over the same answers does.
 func TestRankStreamRefineAllSilent(t *testing.T) {
 	s, dnfs := benchAnswers(24)
-	fired := 0
-	_, err := RefineAll(context.Background(), s, dnfs,
-		Options{Eps: 1e-3, OnDecided: func(Item) { fired++ }})
+	res, err := RefineAll(context.Background(), s, dnfs, Options{Eps: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired != 0 {
-		t.Fatalf("RefineAll fired OnDecided %d times", fired)
+	for _, it := range res.Items {
+		if it.DecidedAtStep != 0 {
+			t.Fatalf("RefineAll proved answer %d at step %d", it.Index, it.DecidedAtStep)
+		}
+	}
+	fired := 0
+	if _, err := TopK(context.Background(), s, dnfs, 3, Options{Eps: 1e-3}, func(Item) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	if fired == 0 {
+		t.Fatal("TopK over the same answers emitted nothing: the check above is vacuous")
 	}
 }

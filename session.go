@@ -29,12 +29,13 @@ type Session struct {
 // SessionOption configures a Session at creation.
 type SessionOption func(*Session)
 
-// WithBudget sets the session's evaluation budget. Timeout bounds each
-// query as a whole: one deadline from the start of Run, All or Analyze
-// to its last answer. MaxNodes, MaxWork and MaxSamples bound each
-// answer's evaluation, through the session's default evaluator; an
-// evaluator installed with WithEvaluator carries its own budget and is
-// used verbatim, under the session's query deadline.
+// WithBudget sets the session's evaluation budget. Timeout is the
+// query's deadline: one from the start of Run, All or Analyze to its
+// last answer. MaxNodes and MaxWork bound each answer's evaluation,
+// ranked or not, through the session's default evaluator; no default
+// evaluator reads MaxSamples. An evaluator installed with WithEvaluator
+// carries its own limits and is used verbatim, under the session's
+// query deadline.
 func WithBudget(b Budget) SessionOption {
 	return func(s *Session) { s.budget = b }
 }
@@ -127,21 +128,21 @@ func (s *Session) FragCache() *FragCache { return s.frags }
 
 // Evaluator returns the evaluator the session's queries hand lineage
 // to: the one installed by WithEvaluator, else the ε-approximation at
-// the WithEps floor (exact d-tree compilation at the default 0),
-// carrying the session's cache, the DB's metrics registry and the
-// session budget's per-answer limits (MaxNodes, MaxWork, MaxSamples).
-// Its budget does not carry the Timeout: that is each query's one
-// deadline, which Run, All and Analyze put on the context they hand the
-// evaluator, so no answer or ranked run starts a timer of its own. A
-// caller evaluating through it outside a query bounds time on its own
-// context.
+// the WithEps floor (exact d-tree compilation at the default 0): one
+// engine.Approx carrying the session's cache, the DB's pool and metrics
+// registry, the session's fault injector and the session budget's
+// per-answer MaxNodes and MaxWork, which ranked queries read as they
+// stand. The budget's Timeout is each query's one deadline, which Run,
+// All and Analyze put on the context they hand the evaluator; a caller
+// evaluating through it outside a query bounds time on its own context.
 func (s *Session) Evaluator() Evaluator {
 	if s.eval != nil {
 		return s.eval
 	}
-	b := s.budget
-	b.Timeout = 0
-	return engine.Approx{Eps: s.eps, Budget: b, Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject}
+	return engine.Approx{
+		Eps: s.eps, MaxNodes: s.budget.MaxNodes, MaxWork: s.budget.MaxWork,
+		Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject,
+	}
 }
 
 // planOptions translates the session knobs into planner options; every

@@ -27,10 +27,7 @@ var benchOnlyShims = []struct{ pkg, obj, field string }{
 	{"repro", "WithSharedCache", ""},
 	{"repro/internal/core", "Options", "Cache"},
 	{"repro/internal/core", "ExactProbability", ""},
-	{"repro/internal/engine", "Approx", "Cache"},
 	{"repro/internal/engine", "Exact", ""},
-	{"repro/internal/rank", "Options", "Cache"},
-	{"repro/internal/rank", "Options", "Pool"},
 	{"repro/internal/plan", "Options", "Shards"},
 	{"repro/internal/plan", "Plan", "Shards"},
 	{"repro/internal/obs", "Snapshot", "ProbCacheHits"},
