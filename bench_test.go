@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark group
-// per table/figure) plus ablation benches for the design choices the
-// paper calls out and micro-benchmarks of the hot primitives.
+// per table/figure) plus a bench of Section V-D's two incremental
+// strategies and micro-benchmarks of the hot primitives. The d-tree has
+// one configuration, the paper's, so no bench switches part of it off.
 //
 // Instances are scaled down so `go test -bench=. -benchmem` finishes in
 // minutes; cmd/experiments runs the full measured tables.
@@ -305,95 +306,15 @@ func BenchmarkFig9SocialNetworks(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations of the design choices the paper calls out.
+// The two incremental strategies of Section V-D.
 // ---------------------------------------------------------------------
-
-func ablationInstance() (*formula.Space, formula.DNF) {
-	g := graphs.Karate(0.3, 0.95, 42)
-	return g.Space(), g.TriangleDNF()
-}
-
-func BenchmarkAblationBucketSort(b *testing.B) {
-	s, d := ablationInstance()
-	for _, disabled := range []bool{false, true} {
-		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ApproxCtx(context.Background(), s, d, core.Options{
-					Eps: 0.01, Kind: core.Relative, DisableBucketSort: disabled,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationClosing(b *testing.B) {
-	// Leaf closing matters on instances needing deep refinement; use the
-	// hard-region random-graph triangle query.
-	g := graphs.Complete(8, 0.3)
-	d := g.TriangleDNF()
-	for _, disabled := range []bool{false, true} {
-		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ApproxCtx(context.Background(), g.Space(), d, core.Options{
-					Eps: 0.05, Kind: core.Relative, DisableClosing: disabled,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationSubsumption(b *testing.B) {
-	db := getDB(0.001, 1)
-	d := booleanDNF(db.IQB1IR(15, 60))
-	for _, disabled := range []bool{false, true} {
-		b.Run(fmt.Sprintf("disabled=%v", disabled), func(b *testing.B) {
-			if len(d) == 0 {
-				b.Skip("empty")
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{
-					DisableSubsumption: disabled,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationVarOrder(b *testing.B) {
-	db := getDB(0.001, 1)
-	d := booleanDNF(db.IQ6IR(12, 25, 25))
-	orders := []struct {
-		name  string
-		order core.VarOrder
-	}{
-		{"iq-rule", core.OrderAuto},
-		{"most-frequent", core.OrderMostFrequent},
-	}
-	for _, o := range orders {
-		b.Run(o.name, func(b *testing.B) {
-			if len(d) == 0 {
-				b.Skip("empty")
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ExactCtx(context.Background(), db.Space, d, core.Options{Order: o.order}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkAblationGlobalVsDepthFirst(b *testing.B) {
 	// The two incremental strategies of Section V-D: global
 	// largest-interval-first refinement (memory-hungry) vs the
 	// depth-first variant with leaf closing (memory-efficient).
-	s, d := ablationInstance()
+	g := graphs.Karate(0.3, 0.95, 42)
+	s, d := g.Space(), g.TriangleDNF()
 	b.Run("depth-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.ApproxCtx(context.Background(), s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {

@@ -31,11 +31,13 @@ func (k ErrorKind) String() string {
 	return "relative"
 }
 
-// Options configures the approximation algorithm. The zero value asks for
-// an exact answer (Eps 0) with the paper's default heuristics. It is the
-// one d-tree options value: engine.Approx is this type as an evaluator,
-// and rank.Options is it as the ranking schedulers' per-answer
-// refinement floor and limits. Wall time is the caller's context.
+// Options configures the d-tree algorithm, whose one configuration is
+// the paper's: Figure 1's subsumption removal, Figure 3's sorted
+// buckets, Theorem 5.12's leaf closing and Lemma 6.8's variable order.
+// The zero value asks for an exact answer (Eps 0). It is the one d-tree
+// options value: engine.Approx is this type as an evaluator, and
+// rank.Options is it as the ranking schedulers' per-answer refinement
+// floor and limits. Wall time is the caller's context.
 type Options struct {
 	// Eps is the allowed error (0 ≤ Eps < 1). Eps 0 requests exact
 	// computation, which skips per-leaf bound computation entirely (the
@@ -43,8 +45,6 @@ type Options struct {
 	Eps float64
 	// Kind selects absolute or relative error.
 	Kind ErrorKind
-	// Order selects the Shannon-expansion variable order.
-	Order VarOrder
 	// MaxNodes, when positive, bounds the number of d-tree nodes
 	// constructed. When the budget is exhausted the current bounds are
 	// returned with Converged false.
@@ -91,11 +91,6 @@ type Options struct {
 	// prepare, cache lookup). Nil — the production default — costs one
 	// pointer test per site, mirroring Metrics.
 	Inject *fault.Injector
-
-	// Ablation switches (all false in the paper's configuration).
-	DisableClosing     bool // never close leaves (Section V-D off)
-	DisableSubsumption bool // skip subsumed-clause removal (Fig. 1 step 1 off)
-	DisableBucketSort  bool // skip probability-sorting in LeafBounds
 }
 
 // Result is the outcome of an evaluation, shared by every algorithm of
@@ -113,9 +108,6 @@ type Result struct {
 	LeavesClosed int
 	// Samples counts estimator invocations (Monte Carlo only).
 	Samples int
-	// CacheHits and CacheMisses count exact evaluation's subformula
-	// lookups in Options.Frags (zero when Frags is nil or Eps > 0).
-	CacheHits, CacheMisses int64
 	// Exact reports a certain, exact Estimate (Lo == Hi).
 	Exact bool
 	// EarlyStop reports that the Proposition 5.8 condition fired before
@@ -163,14 +155,22 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 	return res, nil
 }
 
-// Evaluate is ApproxCtx under o, after rejecting an Eps that is NaN or
-// outside [0, 1) before any work: such an Eps either never meets the
-// guarantee (a full compilation, and no error) or meets it vacuously.
+// Evaluate is ApproxCtx under o, after checkEps.
 func (o Options) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	if !(o.Eps >= 0 && o.Eps < 1) {
-		return Result{Hi: 1}, fmt.Errorf("core: eps %v must lie in [0, 1)", o.Eps)
+	if err := checkEps(o.Eps); err != nil {
+		return Result{Hi: 1}, err
 	}
 	return ApproxCtx(ctx, s, d, o)
+}
+
+// checkEps rejects an Eps that is NaN or outside [0, 1) before any
+// work: such an Eps either never meets the guarantee (a full
+// compilation, and no error) or meets it vacuously.
+func checkEps(eps float64) error {
+	if !(eps >= 0 && eps < 1) {
+		return fmt.Errorf("core: eps %v must lie in [0, 1)", eps)
+	}
+	return nil
 }
 
 // ExactCtx computes P(d) exactly by exhaustive d-tree compilation
@@ -239,14 +239,9 @@ type state struct {
 	// pooled snapshots worker-pool availability once per evaluation, so
 	// the per-node parallelizable check stays lock-free.
 	pooled bool
-	// variant partitions Options.Frags keys by the switches preparation
-	// depends on; see prepVariant.
-	variant uint8
 
 	nodes     atomic.Int64
 	work      atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
 	budgetHit atomic.Bool
 	// poisoned marks the evaluation as doomed: a sibling pool task
 	// panicked and the batch is unwinding, so every context poll reports
@@ -266,8 +261,7 @@ func newState(ctx context.Context, s *formula.Space, opt Options) *state {
 	}
 	return &state{
 		s: s, opt: opt, ctx: ctx,
-		pooled:  opt.Pool.Parallelism() > 1,
-		variant: prepVariant(opt),
+		pooled: opt.Pool.Parallelism() > 1,
 	}
 }
 
@@ -293,7 +287,7 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 	st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
 	c := st.opt.Frags
 	if c != nil {
-		if e, ok := c.Lookup(d, st.variant); ok {
+		if e, ok := c.Lookup(d, variantPrepared); ok {
 			st.opt.Metrics.RecordFragCache(true)
 			st.work.Add(e.Work)
 			return e
@@ -316,14 +310,14 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 	if leaf {
 		*slot = formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true, Work: w}
 	} else {
-		lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
+		lo, hi, ops := leafBounds(st.s, d, true)
 		st.work.Add(int64(ops))
 		*slot = formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi, Work: w + int64(ops)}
 	}
 	if c == nil {
 		return slot
 	}
-	return c.Store(key, st.variant, slot)
+	return c.Store(key, variantPrepared, slot)
 }
 
 // exactMemo is exactDecompose memoized in Options.Frags under
@@ -340,11 +334,9 @@ func (st *state) exactMemo(d formula.DNF) (float64, error) {
 	// contained panic (see Injector.FirePanic).
 	st.opt.Inject.FirePanic(fault.SiteCacheLookup)
 	if e, ok := c.Lookup(d, variantExact); ok {
-		st.hits.Add(1)
 		st.opt.Metrics.RecordFragCache(true)
 		return e.Lo, nil
 	}
-	st.misses.Add(1)
 	st.opt.Metrics.RecordFragCache(false)
 	p, err := st.exactDecompose(d)
 	if err != nil {
@@ -420,7 +412,6 @@ func (st *state) finish(lo, hi float64) Result {
 	return Result{
 		Lo: lo, Hi: hi, Estimate: est,
 		Nodes: int(st.nodes.Load()), LeavesClosed: st.closed,
-		CacheHits: st.hits.Load(), CacheMisses: st.misses.Load(),
 		Exact: lo == hi, EarlyStop: st.done && !st.budgetHit.Load() && st.cancelErr == nil,
 		Converged: converged,
 	}
@@ -459,11 +450,9 @@ func (st *state) explore(f *formula.PreparedFrag, cx bctx) (lo, hi float64) {
 	// (2) Close check (Theorem 5.12): with every open leaf pinned at its
 	// lower bound, would freezing this leaf at [lo, hi] still allow an
 	// ε-approximation after refining the rest? If so, discard the leaf.
-	if !st.opt.DisableClosing {
-		if st.cond(cx.cLo.ap(f.Lo), cx.cHi.ap(f.Hi)) {
-			st.closed++
-			return f.Lo, f.Hi
-		}
+	if st.cond(cx.cLo.ap(f.Lo), cx.cHi.ap(f.Hi)) {
+		st.closed++
+		return f.Lo, f.Hi
 	}
 
 	// (3) Decompose per Figure 1.
@@ -514,10 +503,10 @@ func (st *state) explore(f *formula.PreparedFrag, cx bctx) (lo, hi float64) {
 // one block the step allocates. The returned list is fresh on every
 // call; callers keep it. When a cache is configured the outcome is
 // memoized on f's entry, that list becoming the decision's Children,
-// and a later decomposition of the entry under the same Order replays
-// it instead: no step, no restriction, no child Lookup.
+// and a later decomposition of the entry replays it instead: no step,
+// no restriction, no child Lookup.
 func (st *state) decompose(f *formula.PreparedFrag) (Kind, []*formula.PreparedFrag, []float64) {
-	if dec := f.Decision(); dec != nil && VarOrder(dec.Order) == st.opt.Order {
+	if dec := f.Decision(); dec != nil {
 		return st.replay(dec)
 	}
 	sc := prepPool.Get().(*prepScratch)
@@ -530,7 +519,7 @@ func (st *state) decompose(f *formula.PreparedFrag) (Kind, []*formula.PreparedFr
 	}
 	clear(subs) // the list stays in sc; the blocks it names need not
 	if st.opt.Frags != nil {
-		f.SetDecision(&formula.Decision{Kind: uint8(kind), Order: uint8(st.opt.Order), Children: children, Weights: mult})
+		f.SetDecision(&formula.Decision{Kind: uint8(kind), Children: children, Weights: mult})
 	}
 	return kind, children, mult
 }

@@ -132,45 +132,6 @@ func TestApproxRelativeGuarantee(t *testing.T) {
 	}
 }
 
-func TestApproxWithClosingDisabled(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		s, d := randdnf.Generate(randdnf.Default(), seed)
-		want := formula.BruteForceProbability(s, d)
-		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Absolute, DisableClosing: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.LeavesClosed != 0 {
-			t.Fatalf("seed %d: closed %d leaves with closing disabled", seed, res.LeavesClosed)
-		}
-		if math.Abs(res.Estimate-want) > 0.01+1e-9 {
-			t.Fatalf("seed %d: estimate off", seed)
-		}
-	}
-}
-
-func TestApproxAblationVariants(t *testing.T) {
-	variants := []Options{
-		{Eps: 0.02, Kind: Absolute, DisableSubsumption: true},
-		{Eps: 0.02, Kind: Absolute, DisableBucketSort: true},
-		{Eps: 0.02, Kind: Absolute, Order: OrderMostFrequent},
-		{Eps: 0.02, Kind: Absolute, DisableClosing: true, DisableBucketSort: true},
-	}
-	for vi, opt := range variants {
-		for seed := int64(0); seed < 15; seed++ {
-			s, d := randdnf.Generate(randdnf.Default(), seed)
-			want := formula.BruteForceProbability(s, d)
-			res, err := ApproxCtx(context.Background(), s, d, opt)
-			if err != nil {
-				t.Fatalf("variant %d seed %d: %v", vi, seed, err)
-			}
-			if math.Abs(res.Estimate-want) > opt.Eps+1e-9 {
-				t.Fatalf("variant %d seed %d: estimate %v, want %v±%v", vi, seed, res.Estimate, want, opt.Eps)
-			}
-		}
-	}
-}
-
 func TestExactMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		cfg := randdnf.Default()

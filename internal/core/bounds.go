@@ -10,8 +10,8 @@ import (
 // LeafBounds bounds the probability of a DNF leaf, refining the
 // Independent heuristic of Figure 3. Clauses are taken in bucket order —
 // descending on marginal probability when sortClauses is true, which
-// empirically tightens the lower bound (Example 5.2; experiments
-// disable it only for ablation) — and the first bucket greedily absorbs
+// empirically tightens the lower bound (Example 5.2; evaluation always
+// sorts) — and the first bucket greedily absorbs
 // every clause independent of those it already holds. Its probability
 // is a lower bound.
 //

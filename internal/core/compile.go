@@ -19,15 +19,15 @@ var ErrBudget = errors.New("core: node budget exhausted before convergence")
 // Compile materializes the full tree and is intended for inspection,
 // testing and small formulas; ExactCtx and ApproxCtx perform the same
 // decompositions without materialization.
-func Compile(s *formula.Space, d formula.DNF, order VarOrder) *Node {
-	n, _ := CompileBudget(s, d, order, 0)
+func Compile(s *formula.Space, d formula.DNF) *Node {
+	n, _ := CompileBudget(s, d, 0)
 	return n
 }
 
 // CompileBudget is Compile with a node budget; it returns ErrBudget when
 // the tree would exceed maxNodes (0 means unlimited).
-func CompileBudget(s *formula.Space, d formula.DNF, order VarOrder, maxNodes int) (*Node, error) {
-	st := newState(context.Background(), s, Options{Order: order, MaxNodes: maxNodes})
+func CompileBudget(s *formula.Space, d formula.DNF, maxNodes int) (*Node, error) {
+	st := newState(context.Background(), s, Options{MaxNodes: maxNodes})
 	return st.compile(d, false, false)
 }
 

@@ -27,7 +27,7 @@ func TestExample44(t *testing.T) {
 		formula.MustClause(formula.Atom{Var: u, Val: 2}),
 	)
 
-	tree := Compile(s, phi, OrderAuto)
+	tree := Compile(s, phi)
 	if !tree.Complete() {
 		t.Fatal("exhaustive compilation should produce a complete d-tree")
 	}
@@ -52,11 +52,11 @@ func TestExample44(t *testing.T) {
 func TestCompileTrueAndSingleton(t *testing.T) {
 	s := formula.NewSpace()
 	x := s.AddBool(0.4)
-	tree := Compile(s, formula.DNF{formula.Clause{}}, OrderAuto)
+	tree := Compile(s, formula.DNF{formula.Clause{}})
 	if tree.Kind != LeafKind || tree.Probability(s) != 1 {
 		t.Fatal("⊤ should compile to a probability-1 leaf")
 	}
-	tree = Compile(s, formula.NewDNF(formula.MustClause(formula.Pos(x))), OrderAuto)
+	tree = Compile(s, formula.NewDNF(formula.MustClause(formula.Pos(x))))
 	if tree.Kind != LeafKind || !tree.Complete() {
 		t.Fatal("single clause should be a complete leaf")
 	}
@@ -72,11 +72,11 @@ func TestCompileFalse(t *testing.T) {
 	s := formula.NewSpace()
 	s.AddBool(0.4)
 	for _, d := range []formula.DNF{nil, {}} {
-		tree, err := CompileBudget(s, d, OrderAuto, 1)
+		tree, err := CompileBudget(s, d, 1)
 		if err != nil {
 			t.Fatalf("CompileBudget: %v", err)
 		}
-		for _, n := range []*Node{tree, Compile(s, d, OrderMostFrequent)} {
+		for _, n := range []*Node{tree, Compile(s, d)} {
 			if n.Kind != LeafKind || len(n.Leaf) != 0 || n.Size() != 1 || !n.Complete() {
 				t.Fatalf("⊥ should compile to one complete empty leaf, got\n%s", n.String(s))
 			}
@@ -97,7 +97,7 @@ func TestCompileEquivalenceRandom(t *testing.T) {
 			cfg.TagEvery = 3 // exercise ⊙ factorization
 		}
 		s, d := randdnf.Generate(cfg, seed)
-		tree := Compile(s, d, OrderAuto)
+		tree := Compile(s, d)
 		if !tree.Complete() {
 			t.Fatalf("seed %d: incomplete tree", seed)
 		}
@@ -108,26 +108,15 @@ func TestCompileEquivalenceRandom(t *testing.T) {
 	}
 }
 
-func TestCompileMostFrequentOrder(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		s, d := randdnf.Generate(randdnf.Default(), seed)
-		tree := Compile(s, d, OrderMostFrequent)
-		want := formula.BruteForceProbability(s, d)
-		if got := tree.Probability(s); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("seed %d: P=%v want %v", seed, got, want)
-		}
-	}
-}
-
 func TestCompileBudget(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 14, Clauses: 20, MaxWidth: 4, MaxDomain: 2,
 		MinProb: 0.2, MaxProb: 0.8,
 	}, 7)
-	if _, err := CompileBudget(s, d, OrderAuto, 3); err != ErrBudget {
+	if _, err := CompileBudget(s, d, 3); err != ErrBudget {
 		t.Fatalf("tiny budget should fail, got err=%v", err)
 	}
-	tree, err := CompileBudget(s, d, OrderAuto, 0)
+	tree, err := CompileBudget(s, d, 0)
 	if err != nil || tree == nil {
 		t.Fatalf("unlimited budget failed: %v", err)
 	}
@@ -138,7 +127,7 @@ func TestCompileBoundsContainExact(t *testing.T) {
 	// exact probability at any level of completion.
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)
-		tree := Compile(s, d, OrderAuto)
+		tree := Compile(s, d)
 		want := formula.BruteForceProbability(s, d)
 		lo, hi := tree.Bounds(s)
 		if lo > want+1e-9 || hi < want-1e-9 {
@@ -164,7 +153,7 @@ func TestHierarchicalLineageLinearTree(t *testing.T) {
 			d = append(d, formula.MustClause(formula.Pos(r), formula.Pos(sv)))
 		}
 	}
-	tree := Compile(s, d, OrderAuto)
+	tree := Compile(s, d)
 	if !tree.Complete() {
 		t.Fatal("incomplete")
 	}
@@ -197,7 +186,7 @@ func TestShannonProducesExclusiveBranches(t *testing.T) {
 		formula.MustClause(formula.Pos(r1), formula.Pos(s12), formula.Pos(t2)),
 		formula.MustClause(formula.Pos(r2), formula.Pos(s21), formula.Pos(t1)),
 	)
-	tree := Compile(s, d, OrderAuto)
+	tree := Compile(s, d)
 	if tree.CountKind(ExclOr) == 0 {
 		t.Fatal("hard-pattern lineage should require ⊕ nodes")
 	}

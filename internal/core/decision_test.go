@@ -114,12 +114,11 @@ func replayDiff(s *formula.Space, d formula.DNF, opt Options) (diff string, cold
 	if err != nil || reloaded.Len() != warm.Len() {
 		return fmt.Sprintf("reload: %d of %d entries (%v)", reloaded.Len(), warm.Len(), err), a, false
 	}
-	if root, ok := reloaded.Lookup(d, prepVariant(opt)); ok && root.Decision() != nil {
+	if root, ok := reloaded.Lookup(d, variantPrepared); ok && root.Decision() != nil {
 		return "a reloaded entry carries a decision", a, false
 	}
-	if root, ok := warm.Lookup(d, prepVariant(opt)); ok {
-		dec := root.Decision()
-		replayed = dec != nil && VarOrder(dec.Order) == opt.Order
+	if root, ok := warm.Lookup(d, variantPrepared); ok {
+		replayed = root.Decision() != nil
 	}
 	b := runRefiner(s, d, opt, warm)
 	c := runRefiner(s, d, opt, reloaded)
@@ -143,37 +142,35 @@ func budgetCut(opt Options, unbudgeted refineRun) Options {
 }
 
 // TestRefinerReplayMatchesRederivation runs replayDiff over the
-// preparation corpora at both variable orders and pool sizes {1, 2, 8},
-// each formula once as its corpus sets it and once under a MaxWork
-// budget that cuts it mid-tree. The pool is never entered by a Refiner;
-// the sizes pin that it stays irrelevant to the memo.
+// preparation corpora at pool sizes {1, 2, 8}, each formula once as its
+// corpus sets it and once under a MaxWork budget that cuts it mid-tree.
+// The pool is never entered by a Refiner; the sizes pin that it stays
+// irrelevant to the memo.
 func TestRefinerReplayMatchesRederivation(t *testing.T) {
 	pools := []*workpool.Pool{workpool.New(1), workpool.New(2), workpool.New(8)}
 	replays, cuts := 0, 0
 	for ci, corpus := range prepCorpora {
-		for seed := int64(0); seed < 6; seed++ {
+		for seed := int64(0); seed < 32; seed++ {
 			s, d := randdnf.Generate(corpus.cfg, 2000*int64(ci)+seed)
-			for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
-				for _, pool := range pools {
-					opt := corpus.opt
-					opt.Order, opt.Pool = order, pool
-					diff, cold, replayed := replayDiff(s, d, opt)
-					if diff != "" {
-						t.Fatalf("corpus %d seed %d order %d pool %d: %s", ci, seed, order, pool.Parallelism(), diff)
-					}
-					if replayed {
-						replays++
-					}
-					if opt.MaxWork > 0 || cold.steps == 0 {
-						continue
-					}
-					diff, cut, _ := replayDiff(s, d, budgetCut(opt, cold))
-					if diff != "" {
-						t.Fatalf("corpus %d seed %d order %d pool %d, MaxWork %d: %s", ci, seed, order, pool.Parallelism(), cold.work/2, diff)
-					}
-					if cut.err == ErrBudget.Error() && cut.steps > 0 {
-						cuts++
-					}
+			for _, pool := range pools {
+				opt := corpus.opt
+				opt.Pool = pool
+				diff, cold, replayed := replayDiff(s, d, opt)
+				if diff != "" {
+					t.Fatalf("corpus %d seed %d pool %d: %s", ci, seed, pool.Parallelism(), diff)
+				}
+				if replayed {
+					replays++
+				}
+				if opt.MaxWork > 0 || cold.steps == 0 {
+					continue
+				}
+				diff, cut, _ := replayDiff(s, d, budgetCut(opt, cold))
+				if diff != "" {
+					t.Fatalf("corpus %d seed %d pool %d, MaxWork %d: %s", ci, seed, pool.Parallelism(), cold.work/2, diff)
+				}
+				if cut.err == ErrBudget.Error() && cut.steps > 0 {
+					cuts++
 				}
 			}
 		}
@@ -184,11 +181,10 @@ func TestRefinerReplayMatchesRederivation(t *testing.T) {
 }
 
 // TestDecisionOrderIsolationConcurrent has eight goroutines refine one
-// DNF set on one shared FragCache, half under OrderAuto and half under
-// OrderMostFrequent (run under -race). Each result must equal its
-// order's solo run on a cache of its own: a decision recorded under one
-// order is never replayed under the other, and racing publishers of
-// the same decision are harmless.
+// DNF set on one shared FragCache (run under -race). Each result must
+// equal its solo run on a cache of its own: racing publishers of the
+// same decision are harmless, and a decision read while another
+// goroutine records it replays whole.
 func TestDecisionOrderIsolationConcurrent(t *testing.T) {
 	const workers = 8
 	s := formula.NewSpace()
@@ -196,25 +192,11 @@ func TestDecisionOrderIsolationConcurrent(t *testing.T) {
 	for n := 3; n <= 7; n++ {
 		set = append(set, iqWithHub(s, n))
 	}
-	orders := []VarOrder{OrderAuto, OrderMostFrequent}
 	opt := Options{Eps: 1e-4, Kind: Absolute}
-	solo := make([][]refineRun, len(orders))
-	for oi, order := range orders {
-		o := opt
-		o.Order = order
-		frags := formula.NewFragCache(0)
-		for _, d := range set {
-			solo[oi] = append(solo[oi], runRefiner(s, d, o, frags))
-		}
-	}
-	differ := false
-	for i := range set {
-		if diffRuns(solo[0][i], solo[1][i], false) != "" {
-			differ = true
-		}
-	}
-	if !differ {
-		t.Fatal("the two orders refine every DNF identically; the test cannot tell them apart")
+	var solo []refineRun
+	frags := formula.NewFragCache(0)
+	for _, d := range set {
+		solo = append(solo, runRefiner(s, d, opt, frags))
 	}
 
 	shared := formula.NewFragCache(0)
@@ -224,14 +206,11 @@ func TestDecisionOrderIsolationConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			oi := w % len(orders)
-			o := opt
-			o.Order = orders[oi]
 			// Each worker starts at its own offset, so the set is
 			// decomposed cold, warm and concurrently, in every mix.
 			for k := range set {
 				i := (k + w) % len(set)
-				if diff := diffRuns(solo[oi][i], runRefiner(s, set[i], o, shared), false); diff != "" {
+				if diff := diffRuns(solo[i], runRefiner(s, set[i], opt, shared), false); diff != "" {
 					errs[w] = fmt.Sprintf("DNF %d: %s", i, diff)
 					return
 				}
@@ -241,7 +220,7 @@ func TestDecisionOrderIsolationConcurrent(t *testing.T) {
 	wg.Wait()
 	for w, e := range errs {
 		if e != "" {
-			t.Fatalf("worker %d (order %d): %s", w, orders[w%len(orders)], e)
+			t.Fatalf("worker %d: %s", w, e)
 		}
 	}
 }
@@ -249,10 +228,11 @@ func TestDecisionOrderIsolationConcurrent(t *testing.T) {
 // TestRefinerWarmOverSaveWrittenWithComps refines over formula's
 // committed real-save fixture, a v3 save written while entries still
 // carried their component partition. Its prepared entries hold the
-// fragments x_2i ∧ x_2i+1 ∨ ¬x_2i (variant 1, subsumption off, for odd
-// i). The first refinement of each starts from the persisted entry and
-// records its decisions; a second identical refinement reports only
-// hits.
+// fragments x_2i ∧ x_2i+1 ∨ ¬x_2i, the odd ones under variant 1, which
+// a build with a subsumption switch used and this one never reads. The
+// first refinement of an even fragment is answered by its persisted
+// entry; an odd one misses and is prepared cold, next to the entry it
+// cannot see. A second identical refinement reports only hits.
 func TestRefinerWarmOverSaveWrittenWithComps(t *testing.T) {
 	raw, err := os.ReadFile("../formula/testdata/fuzz/FuzzLoadFragCache/real-save")
 	if err != nil {
@@ -274,10 +254,10 @@ func TestRefinerWarmOverSaveWrittenWithComps(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		x, y := formula.Var(2*i), formula.Var(2*i+1)
 		d := formula.DNF{formula.MustClause(formula.Pos(x), formula.Pos(y)), formula.MustClause(formula.Neg(x))}
-		opt := Options{Eps: 1e-9, Kind: Absolute, DisableSubsumption: i%2 == 1}
+		opt := Options{Eps: 1e-9, Kind: Absolute}
 		first := runRefiner(s, d, opt, frags)
-		if first.cache.Hits == 0 || (i%2 == 1) != (first.steps > 0) {
-			t.Fatalf("fragment %d: first refinement took %d steps with %+v; the persisted entry must answer it, and only the inexact odd ones refine", i, first.steps, first.cache)
+		if persisted := i%2 == 0; first.steps != 0 || (first.cache.Hits == 1) != persisted || (first.cache.Misses == 1) == persisted {
+			t.Fatalf("fragment %d: first refinement took %d steps with %+v; a variant-0 entry must answer it, a variant-1 entry must not", i, first.steps, first.cache)
 		}
 		second := runRefiner(s, d, opt, frags)
 		if second.cache.Misses != 0 || second.misses != 0 || second.cache.Hits != second.prepares {
@@ -287,13 +267,16 @@ func TestRefinerWarmOverSaveWrittenWithComps(t *testing.T) {
 			t.Fatalf("fragment %d: %s", i, diff)
 		}
 	}
+	if frags.Len() != 11+4 {
+		t.Fatalf("%d entries after refining, want the 11 loaded and the 4 odd fragments prepared cold", frags.Len())
+	}
 }
 
 // FuzzRefinerReplayMatchesCold decodes bytes into a small tagged DNF
-// (as FuzzDecomposeMatchesOracle does) and checks, at both orders, that
-// replaying recorded decisions and re-deriving them from a reloaded
-// cache agree in everything observable: under a work budget large
-// enough to bound the input, then under half of what that run charged.
+// (as FuzzDecomposeMatchesOracle does) and checks that replaying
+// recorded decisions and re-deriving them from a reloaded cache agree
+// in everything observable: under a work budget large enough to bound
+// the input, then under half of what that run charged.
 func FuzzRefinerReplayMatchesCold(f *testing.F) {
 	f.Add([]byte{4, 2, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 1, 2, 1, 1, 3})                // 2×2 product
 	f.Add([]byte{6, 3, 0, 1, 2, 0, 1, 2, 2, 0, 1, 2, 1, 3, 2, 3, 4, 2, 0, 5, 2, 1, 5}) // R-S-T chain
@@ -303,16 +286,14 @@ func FuzzRefinerReplayMatchesCold(f *testing.F) {
 		if len(d) == 0 {
 			t.Skip()
 		}
-		for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
-			opt := Options{Eps: 1e-6, Kind: Absolute, Order: order, MaxWork: 20000}
-			diff, cold, _ := replayDiff(s, d, opt)
-			if diff == "" && cold.steps > 0 {
-				opt = budgetCut(opt, cold)
-				diff, _, _ = replayDiff(s, d, opt)
-			}
-			if diff != "" {
-				t.Fatalf("order %d, MaxWork %d: %s\n%s", order, opt.MaxWork, diff, d.String(s))
-			}
+		opt := Options{Eps: 1e-6, Kind: Absolute, MaxWork: 20000}
+		diff, cold, _ := replayDiff(s, d, opt)
+		if diff == "" && cold.steps > 0 {
+			opt = budgetCut(opt, cold)
+			diff, _, _ = replayDiff(s, d, opt)
+		}
+		if diff != "" {
+			t.Fatalf("MaxWork %d: %s\n%s", opt.MaxWork, diff, d.String(s))
 		}
 	})
 }
@@ -320,9 +301,9 @@ func FuzzRefinerReplayMatchesCold(f *testing.F) {
 // iqWithHub adds to s an inequality-query lineage, clause x_i ∧ y_j for
 // i ≤ j < n, plus a hub variable z of a third relation in a clause with
 // every y_j and with x_0. z, created first, ties x_0 as the most frequent
-// variable and wins on id, so OrderMostFrequent expands z; Lemma 6.8
-// rejects z (it misses x_1 … x_{n-1}) and OrderAuto expands x_0. The
-// two orders' decisions differ from the root down.
+// variable and wins on id, but Lemma 6.8 rejects z (it misses x_1 …
+// x_{n-1}), so chooseVar expands x_0: the rule, not its fallback,
+// decides from the root down.
 func iqWithHub(s *formula.Space, n int) formula.DNF {
 	z := s.AddBoolTagged(0.35, 3)
 	xs, ys := make([]formula.Var, n), make([]formula.Var, n)

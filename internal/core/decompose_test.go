@@ -12,18 +12,25 @@ import (
 	"repro/internal/randdnf"
 )
 
-// kernelParts, kernelVar and kernelIQVar run one entry point of the
-// decomposition step over a scratch of their own.
+// kernelParts, kernelVar, kernelMostFrequentVar and kernelIQVar run
+// one entry point of the decomposition step over a scratch of their
+// own.
 func kernelParts(s *formula.Space, d formula.DNF) []formula.DNF {
 	sc := new(prepScratch)
 	sc.scanVars(s, d, maxVar(d))
 	return independentAndParts(d, sc)
 }
 
-func kernelVar(s *formula.Space, d formula.DNF, order VarOrder) formula.Var {
+func kernelVar(s *formula.Space, d formula.DNF) formula.Var {
 	sc := new(prepScratch)
 	sc.scanVars(s, d, maxVar(d))
-	return chooseVar(d, order, sc)
+	return chooseVar(d, sc)
+}
+
+func kernelMostFrequentVar(s *formula.Space, d formula.DNF) formula.Var {
+	sc := new(prepScratch)
+	sc.scanVars(s, d, maxVar(d))
+	return mostFrequentVar(sc)
 }
 
 func kernelIQVar(s *formula.Space, d formula.DNF) (formula.Var, bool) {
@@ -35,10 +42,10 @@ func kernelIQVar(s *formula.Space, d formula.DNF) (formula.Var, bool) {
 // diffStep compares the array kernels, run over sc (shared across
 // cases, so stale stamps from earlier fragments are in play), with the
 // map oracle on d: the ⊙ parts clause for clause and in order, the
-// Lemma 6.8 choice, and the variable under both orders. Then, when d
-// is in step's domain, it runs the whole step under both orders
-// against stepRef (see diffChildren). It returns a description of the
-// first difference, or "".
+// Lemma 6.8 choice, the most-frequent fallback and the ⊕ variable.
+// Then, when d is in step's domain, it runs the whole step against
+// stepRef (see diffChildren). It returns a description of the first
+// difference, or "".
 func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 	sc.scanVars(s, d, maxVar(d))
 	got, want := independentAndParts(d, sc), refIndependentAndParts(s, d)
@@ -60,19 +67,18 @@ func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 	if gv != wv || gok != wok {
 		return fmt.Sprintf("Lemma 6.8: (%d, %v), oracle (%d, %v)", gv, gok, wv, wok)
 	}
-	for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
-		if g, w := chooseVar(d, order, sc), refChooseVar(s, d, order); g != w {
-			return fmt.Sprintf("⊕ order %d: x%d, oracle x%d", order, g, w)
-		}
+	if g, w := mostFrequentVar(sc), refMostFrequentVar(d); g != w {
+		return fmt.Sprintf("most frequent: x%d, oracle x%d", g, w)
+	}
+	if g, w := chooseVar(d, sc), refChooseVar(s, d); g != w {
+		return fmt.Sprintf("⊕: x%d, oracle x%d", g, w)
 	}
 	// step's domain: the multi-clause fragments leafHead passes on.
 	if d = d.Normalize(); len(d) < 2 || d.IsTrue() {
 		return ""
 	}
-	for _, order := range []VarOrder{OrderAuto, OrderMostFrequent} {
-		if diff := diffChildren(sc, s, d, order); diff != "" {
-			return fmt.Sprintf("step order %d: %s", order, diff)
-		}
+	if diff := diffChildren(sc, s, d); diff != "" {
+		return "step: " + diff
 	}
 	return ""
 }
@@ -83,9 +89,9 @@ func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 // clause that is not one of d's own, must have cap == len, so that an
 // append to one child can never write into a sibling's part of the
 // step's shared block.
-func diffChildren(sc *prepScratch, s *formula.Space, d formula.DNF, order VarOrder) string {
-	st := newState(context.Background(), s, Options{Order: order})
-	ref := newState(context.Background(), s, Options{Order: order})
+func diffChildren(sc *prepScratch, s *formula.Space, d formula.DNF) string {
+	st := newState(context.Background(), s, Options{})
+	ref := newState(context.Background(), s, Options{})
 	kind, subs, mult := st.step(d, sc, nil)
 	wantKind, want, wantMult := ref.stepRef(d)
 	if kind != wantKind || len(subs) != len(want) {
@@ -354,11 +360,11 @@ func TestMostFrequentVarTieIsSmallestID(t *testing.T) {
 		formula.MustClause(formula.Pos(y)),
 		formula.MustClause(formula.Pos(x)),
 	}
-	if got := kernelVar(s, d, OrderMostFrequent); got != x {
+	if got := kernelMostFrequentVar(s, d); got != x {
 		t.Fatalf("chose x%d, want x%d", got, x)
 	}
-	if got := kernelVar(s, d, OrderAuto); got != x { // untagged: Lemma 6.8 does not apply
-		t.Fatalf("OrderAuto chose x%d, want x%d", got, x)
+	if got := kernelVar(s, d); got != x { // untagged: Lemma 6.8 does not apply
+		t.Fatalf("chooseVar chose x%d, want x%d", got, x)
 	}
 }
 
@@ -526,13 +532,13 @@ func TestDecompositionStepAllocations(t *testing.T) {
 		var x formula.Var
 		choose := func() {
 			sc.scanVars(tc.s, tc.d, maxVar(tc.d))
-			x = chooseVar(tc.d, OrderAuto, sc)
+			x = chooseVar(tc.d, sc)
 		}
 		choose()
 		if n := testing.AllocsPerRun(50, choose); n != 0 {
 			t.Errorf("%s: chooseVar allocates %v per call, want 0", tc.name, n)
 		}
-		if want := refChooseVar(tc.s, tc.d, OrderAuto); x != want {
+		if want := refChooseVar(tc.s, tc.d); x != want {
 			t.Errorf("%s: chose x%d, oracle x%d", tc.name, x, want)
 		}
 		var parts []formula.DNF

@@ -23,7 +23,7 @@ func exampleTree(t *testing.T) (*formula.Space, *Node) {
 		formula.MustClause(formula.Pos(x), formula.Pos(z)),
 		formula.MustClause(formula.Pos(v)),
 	)
-	return s, Compile(s, phi, OrderAuto)
+	return s, Compile(s, phi)
 }
 
 func TestNodeSizeDepth(t *testing.T) {

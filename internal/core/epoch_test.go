@@ -43,7 +43,7 @@ type wrapCase struct {
 func wrapCases(t *testing.T) []wrapCase {
 	stepCase := func(name string, s *formula.Space, d formula.DNF, want Kind) wrapCase {
 		return wrapCase{name, func(sc *prepScratch) string {
-			st := newState(context.Background(), s, Options{Order: OrderAuto})
+			st := newState(context.Background(), s, Options{})
 			kind, subs, mult := st.step(d, sc, nil)
 			if kind != want {
 				t.Fatalf("%s: step took %v, want %v", name, kind, want)

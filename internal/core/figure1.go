@@ -42,7 +42,7 @@ func (st *state) leafHead(d formula.DNF, normalized, reduced bool) (prepared for
 	if d.IsFalse() {
 		return d, 0, true
 	}
-	if !st.opt.DisableSubsumption && !reduced {
+	if !reduced {
 		d = d.RemoveSubsumed()
 	}
 	if len(d) == 1 {
@@ -92,7 +92,7 @@ func (st *state) step(d formula.DNF, sc *prepScratch, atoms *[]formula.Atom) (Ki
 	if parts := independentAndParts(d, sc); parts != nil {
 		return IndepAnd, parts, ones(len(parts))
 	}
-	return st.shannon(d, chooseVar(d, st.opt.Order, sc), sc, atoms)
+	return st.shannon(d, chooseVar(d, sc), sc, atoms)
 }
 
 // components is step's ⊗ rule: the connected components of d's

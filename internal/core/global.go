@@ -12,12 +12,15 @@ import (
 // interval until the ε-approximation condition of Proposition 5.8
 // holds. Unlike ApproxCtx it keeps every node in memory and performs no
 // leaf closing — it is the paper's motivation for the memory-efficient
-// depth-first variant, retained here as an alternative strategy and an
-// ablation target. Cancellation matches ApproxCtx: the context is
-// checked before every refinement step. It is a Refiner run to
-// completion — the resumable step-wise API (see refiner.go) is the
-// primitive, this loop its simplest client.
+// depth-first variant, retained here as an alternative strategy.
+// Cancellation matches ApproxCtx: the context is checked before every
+// refinement step. It is a Refiner run to completion — the resumable
+// step-wise API (see refiner.go) is the primitive, this loop its
+// simplest client. Like Evaluate, it runs checkEps first.
 func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
+	if err := checkEps(opt.Eps); err != nil {
+		return Result{Hi: 1}, err
+	}
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)
 	}

@@ -25,11 +25,9 @@ import (
 // node counts and the ranking step counts.
 
 // refChooseVar is chooseVar over the map-based rules.
-func refChooseVar(s *formula.Space, d formula.DNF, order VarOrder) formula.Var {
-	if order == OrderAuto {
-		if v, ok := refIqVariable(s, d); ok {
-			return v
-		}
+func refChooseVar(s *formula.Space, d formula.DNF) formula.Var {
+	if v, ok := refIqVariable(s, d); ok {
+		return v
 	}
 	return refMostFrequentVar(d)
 }
@@ -763,9 +761,7 @@ func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
 	if d.IsFalse() {
 		return 0, nil
 	}
-	if !st.opt.DisableSubsumption {
-		d = d.RemoveSubsumed()
-	}
+	d = d.RemoveSubsumed()
 	if len(d) == 1 {
 		return d[0].Probability(st.s), nil
 	}
@@ -773,10 +769,8 @@ func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
 		return st.refExactDecompose(d, memo)
 	}
 	if p, ok := memo.lookup(d); ok {
-		st.hits.Add(1)
 		return p, nil
 	}
-	st.misses.Add(1)
 	p, err := st.refExactDecompose(d, memo)
 	if err != nil {
 		return 0, err
@@ -791,8 +785,9 @@ func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
 // evaluation memoizes in, so diffExact pins that cache's hit and miss
 // counts against an independent table.
 type refMemo struct {
-	mu sync.Mutex
-	m  map[uint64][]refMemoEntry
+	mu           sync.Mutex
+	m            map[uint64][]refMemoEntry
+	hits, misses int64 // lookups, counted as FragCache.CacheStats counts them
 }
 
 type refMemoEntry struct {
@@ -805,6 +800,16 @@ func newRefMemo() *refMemo { return &refMemo{m: make(map[uint64][]refMemoEntry)}
 func (m *refMemo) lookup(d formula.DNF) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p, ok := m.find(d)
+	if ok {
+		m.hits++
+	} else {
+		m.misses++
+	}
+	return p, ok
+}
+
+func (m *refMemo) find(d formula.DNF) (float64, bool) {
 	for _, e := range m.m[d.Hash()] {
 		if e.d.Equal(d) {
 			return e.p, true
@@ -815,11 +820,11 @@ func (m *refMemo) lookup(d formula.DNF) (float64, bool) {
 
 // store keeps the first entry for d, as the memo it pins does.
 func (m *refMemo) store(d formula.DNF, p float64) {
-	if _, ok := m.lookup(d); ok {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, ok := m.find(d); ok {
+		return
+	}
 	h := d.Hash()
 	m.m[h] = append(m.m[h], refMemoEntry{d: d, p: p})
 }
@@ -882,7 +887,7 @@ func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error
 		}
 		return 1 - q, nil
 	}
-	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	parts, x := partsOrVar(st.s, d)
 	if parts != nil {
 		ps, err := st.refExactChildren(parts, memo)
 		if err != nil {
@@ -951,14 +956,14 @@ func (st *state) refExactChildren(subs []formula.DNF, memo *refMemo) ([]float64,
 // recursive compilers: the independent-and parts of d, or nil and the
 // Shannon-expansion variable. The scratch goes back to the pool before
 // the caller recurses, so a compilation holds one however deep it is.
-func partsOrVar(s *formula.Space, d formula.DNF, order VarOrder) ([]formula.DNF, formula.Var) {
+func partsOrVar(s *formula.Space, d formula.DNF) ([]formula.DNF, formula.Var) {
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
 	sc.scanVars(s, d, maxVar(d))
 	if parts := independentAndParts(d, sc); parts != nil {
 		return slices.Clone(parts), 0
 	}
-	return nil, chooseVar(d, order, sc)
+	return nil, chooseVar(d, sc)
 }
 
 // decomposeRef is decompose on the original preparation pipeline:
@@ -979,7 +984,7 @@ func (st *state) stepRef(d formula.DNF) (Kind, []formula.DNF, []float64) {
 		}
 		return IndepOr, subs, ones(len(subs))
 	}
-	parts, x := partsOrVar(st.s, d, st.opt.Order)
+	parts, x := partsOrVar(st.s, d)
 	if parts != nil {
 		return IndepAnd, parts, ones(len(parts))
 	}
@@ -1019,9 +1024,7 @@ func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 	if d.IsFalse() {
 		return &formula.PreparedFrag{D: d, Lo: 0, Hi: 0, Exact: true}
 	}
-	if !st.opt.DisableSubsumption {
-		d = d.RemoveSubsumed()
-	}
+	d = d.RemoveSubsumed()
 	if len(d) == 1 {
 		p := d[0].Probability(st.s)
 		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
@@ -1031,7 +1034,7 @@ func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 		p := refInclusionExclusion(st.s, d)
 		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
-	lo, hi, ops := leafBounds(st.s, d, !st.opt.DisableBucketSort)
+	lo, hi, ops := leafBounds(st.s, d, true)
 	st.work.Add(int64(ops))
 	return &formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi}
 }

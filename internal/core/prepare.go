@@ -114,25 +114,12 @@ func maxVar(d formula.DNF) formula.Var {
 	return top
 }
 
-// prepVariant encodes the Options switches preparation depends on —
-// the ablation flags that change the prepared form or its bounds. The
-// FragCache partitions its key space by it, so evaluations with
-// different settings can share one cache.
-func prepVariant(opt Options) uint8 {
-	v := uint8(0)
-	if opt.DisableSubsumption {
-		v |= 1
-	}
-	if opt.DisableBucketSort {
-		v |= 2
-	}
-	return v
-}
-
-// variantExact keys exact evaluation's entries in the same FragCache: a
-// fragment exactRec has passed through leafHead, mapped to its exact
-// probability as a point PreparedFrag. The bit lies outside
-// prepVariant's, so exact and prepared entries never answer each
-// other's lookups. One variant serves every Order and ablation setting,
-// which change how P is computed, not its value.
-const variantExact uint8 = 1 << 7
+// variantPrepared and variantExact partition Options.Frags, so ε > 0
+// evaluation's prepared fragments and exact evaluation's point entries
+// (a fragment exactRec has passed through leafHead, mapped to its exact
+// probability) never answer each other's lookups. Saves from earlier
+// builds hold their prepared entries under 0 too.
+const (
+	variantPrepared uint8 = 0
+	variantExact    uint8 = 1 << 7
+)

@@ -29,12 +29,6 @@ var prepCorpora = []prepCorpus{
 	// Multi-valued domains exercise the prepared-restrict dedup.
 	{randdnf.Config{Vars: 12, Clauses: 18, MaxWidth: 3, MaxDomain: 4, MinProb: 0.05, MaxProb: 0.5},
 		Options{Eps: 1e-3, Kind: Absolute}},
-	// Ablation variants change the prepared form; the cache keys
-	// them apart (prepVariant) and each must match its own reference.
-	{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableSubsumption: true}},
-	{randdnf.Default(), Options{Eps: 0.01, Kind: Absolute, DisableBucketSort: true}},
-	{randdnf.Config{Vars: 14, Clauses: 20, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6},
-		Options{Eps: 1e-3, Kind: Absolute, DisableSubsumption: true, DisableBucketSort: true}},
 	// A work budget cuts the trace mid-tree: warm cache hits must
 	// replay the reference work charge exactly or the cut moves.
 	{randdnf.Config{Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7},
@@ -54,7 +48,7 @@ var prepCorpora = []prepCorpus{
 func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 	traces := 0
 	for vi, v := range prepCorpora {
-		for seed := int64(0); seed < 12; seed++ {
+		for seed := int64(0); seed < 16; seed++ {
 			// One cache per seed: a cache is bound to one Space, and
 			// each seed generates its own.
 			s, d := randdnf.Generate(v.cfg, 2000*int64(vi)+seed)
@@ -65,21 +59,21 @@ func TestPrepareCachedMatchesReferenceProperty(t *testing.T) {
 			traces += 2
 		}
 	}
-	// Ablation settings sharing one cache over one Space: prepVariant
-	// must key them apart, so each setting still matches its own
-	// reference even with the others' entries interleaved in the cache.
-	ablations := []Options{
+	// Guarantees sharing one cache over one Space: the prepared form
+	// does not depend on Eps or Kind, so each setting still matches its
+	// own reference on entries and decisions the others recorded.
+	settings := []Options{
 		{Eps: 0.01, Kind: Absolute},
-		{Eps: 0.01, Kind: Absolute, DisableSubsumption: true},
-		{Eps: 0.01, Kind: Absolute, DisableBucketSort: true},
+		{Eps: 0.05, Kind: Relative},
+		{Eps: 1e-3, Kind: Absolute},
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), 5000+seed)
 		frags := formula.NewFragCache(0)
-		for ai, opt := range ablations {
+		for ai, opt := range settings {
 			opt.Frags = frags
-			diffTrace(t, s, d, opt, "ablation %d seed %d cold", ai, seed)
-			diffTrace(t, s, d, opt, "ablation %d seed %d warm", ai, seed)
+			diffTrace(t, s, d, opt, "setting %d seed %d cold", ai, seed)
+			diffTrace(t, s, d, opt, "setting %d seed %d warm", ai, seed)
 			traces += 2
 		}
 	}

@@ -6,21 +6,6 @@ import (
 	"repro/internal/formula"
 )
 
-// VarOrder selects the variable-elimination strategy for Shannon expansion.
-type VarOrder uint8
-
-// Variable-order strategies.
-const (
-	// OrderAuto first tries the IQ-query rule of Lemma 6.8 (which yields
-	// linear-size complete d-trees for tractable inequality queries) and
-	// falls back to the most-frequent variable. This is the paper's
-	// strategy (Section IV and VI-B).
-	OrderAuto VarOrder = iota
-	// OrderMostFrequent always chooses a variable occurring in the most
-	// clauses (ties broken by smallest id, for determinism).
-	OrderMostFrequent
-)
-
 // varInfo is what one decomposition step knows about a variable of the
 // fragment it analyses. Records are indexed by variable id and
 // validated by stamp comparison against epochs of prepScratch.epochs,
@@ -98,14 +83,15 @@ func (sc *prepScratch) scanVars(s *formula.Space, d formula.DNF, top formula.Var
 	st.vars, st.tags, st.total = vars, tags, total
 }
 
-// chooseVar picks the Shannon-expansion variable for d according to the
-// configured order. d is non-empty, has at least one variable, and is
-// the fragment sc.scanVars last scanned.
-func chooseVar(d formula.DNF, order VarOrder, sc *prepScratch) formula.Var {
-	if order == OrderAuto {
-		if v, ok := iqVariable(d, sc); ok {
-			return v
-		}
+// chooseVar picks the Shannon-expansion variable for d, the paper's
+// order (Sections IV and VI-B): the IQ-query rule of Lemma 6.8, which
+// yields linear-size complete d-trees for tractable inequality queries,
+// and otherwise a variable occurring in the most clauses. d is
+// non-empty, has at least one variable, and is the fragment sc.scanVars
+// last scanned.
+func chooseVar(d formula.DNF, sc *prepScratch) formula.Var {
+	if v, ok := iqVariable(d, sc); ok {
+		return v
 	}
 	return mostFrequentVar(sc)
 }

@@ -17,11 +17,11 @@ func TestMostFrequentVar(t *testing.T) {
 		formula.MustClause(formula.Pos(x), formula.Pos(z)),
 		formula.MustClause(formula.Pos(y)),
 	)
-	if got := kernelVar(s, d, OrderMostFrequent); got != x && got != y {
+	if got := kernelMostFrequentVar(s, d); got != x && got != y {
 		t.Fatalf("most frequent = %d, want x(%d) or y(%d)", got, x, y)
 	}
 	// x and y both occur twice; smallest id wins for determinism.
-	if got := kernelVar(s, d, OrderMostFrequent); got != x {
+	if got := kernelMostFrequentVar(s, d); got != x {
 		t.Fatalf("tie-break: got %d, want %d", got, x)
 	}
 }
@@ -149,7 +149,7 @@ func TestIQLineagePolynomialExact(t *testing.T) {
 	// n = m = 40 gives 780 clauses; exhaustive Shannon without the
 	// subsumption + IQ order would be astronomically large.
 	s, d, xs, ys := iqLineage(40, 40)
-	res, err := ExactCtx(context.Background(), s, d, Options{Order: OrderAuto})
+	res, err := ExactCtx(context.Background(), s, d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,14 +202,15 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 	}
 }
 
-// TestApproxRejectsEpsOutsideUnitInterval pins that Approx fails fast on
-// an Eps that is NaN, negative or ≥ 1: such an Eps would run a full
-// compilation and return no error, or meet the guarantee vacuously at
-// the first bounds.
+// TestApproxRejectsEpsOutsideUnitInterval pins that both d-tree
+// strategies fail fast on an Eps that is NaN, negative or ≥ 1: such an
+// Eps would run a full compilation and return no error, or meet the
+// guarantee vacuously at the first bounds. The global one is what
+// cmd/dtree -global calls.
 func TestApproxRejectsEpsOutsideUnitInterval(t *testing.T) {
 	s, d := randInstance(2)
-	for _, eps := range []float64{math.NaN(), -0.01, math.Inf(-1), 1, 1.5, math.Inf(1)} {
-		for _, ev := range []Evaluator{Approx{Eps: eps}, Approx{Eps: eps, Kind: Relative}} {
+	for _, eps := range []float64{math.NaN(), -0.01, -0.1, math.Inf(-1), 1, 1.5, 2, math.Inf(1)} {
+		for _, ev := range []Evaluator{Approx{Eps: eps}, Approx{Eps: eps, Kind: Relative}, global{Eps: eps}, global{Eps: eps, Kind: Relative}} {
 			res, err := ev.Evaluate(context.Background(), s, d)
 			if err == nil || res.Converged || res.Nodes != 0 {
 				t.Fatalf("eps %v: err=%v converged=%v nodes=%d, want an error before any work",
@@ -220,7 +221,7 @@ func TestApproxRejectsEpsOutsideUnitInterval(t *testing.T) {
 }
 
 // TestCacheSurfacedInResult checks that repeated evaluation through a
-// shared cache reports hits in Result.
+// shared cache reports hits in the cache's own counters.
 func TestCacheSurfacedInResult(t *testing.T) {
 	s, d := randInstance(8)
 	cache := formula.NewFragCache(0)
@@ -229,6 +230,7 @@ func TestCacheSurfacedInResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	afterFirst := cache.CacheStats()
 	second, err := ev.Evaluate(context.Background(), s, d)
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +238,8 @@ func TestCacheSurfacedInResult(t *testing.T) {
 	if first.Estimate != second.Estimate {
 		t.Fatalf("cache changed the estimate: %v vs %v", first.Estimate, second.Estimate)
 	}
-	if second.CacheHits == 0 {
+	if st := cache.CacheStats(); st.Hits == afterFirst.Hits {
 		t.Fatalf("second run reported no cache hits (misses=%d, cache len=%d)",
-			second.CacheMisses, cache.Len())
+			st.Misses-afterFirst.Misses, cache.Len())
 	}
 }

@@ -46,9 +46,9 @@ func NodeStats(p Params) *Table {
 			continue
 		}
 		row := []string{c.name, fmt.Sprint(len(c.dnf))}
-		tree, err := core.CompileBudget(db.Space, c.dnf, core.OrderAuto, p.DtreeMaxNodes)
+		tree, err := core.CompileBudget(db.Space, c.dnf, p.DtreeMaxNodes)
 		if c.name == "karate-triangle" || c.name == "karate-s2" {
-			tree, err = core.CompileBudget(karate.Space(), c.dnf, core.OrderAuto, p.DtreeMaxNodes)
+			tree, err = core.CompileBudget(karate.Space(), c.dnf, p.DtreeMaxNodes)
 		}
 		if err != nil {
 			row = append(row, "TO", "-", "-", "-", "-")

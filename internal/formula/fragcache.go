@@ -51,15 +51,14 @@ type PreparedFrag struct {
 }
 
 // Decision is the outcome of one d-tree decomposition step on a
-// prepared fragment: the node kind, the variable order the step ran
-// under (both as the compiler's own enum values), and the children as
-// their canonical cache entries with their branch weights (P(x = a) under
-// Shannon expansion, 1 otherwise). The step is a pure function of D, the
-// order and the entry's variant, so replaying a Decision is
-// indistinguishable from re-running the step and looking every child up.
+// prepared fragment: the node kind (as the compiler's own enum value)
+// and the children as their canonical cache entries with their branch
+// weights (P(x = a) under Shannon expansion, 1 otherwise). The step is
+// a pure function of D, so replaying a Decision is indistinguishable
+// from re-running the step and looking every child up.
 type Decision struct {
-	Kind, Order uint8
-	Children    []*PreparedFrag
+	Kind     uint8
+	Children []*PreparedFrag
 	// Weights are shared and read-only: every replay hands out this
 	// slice, and the weights of an independent-or or independent-and
 	// step are one slice of ones shared by all of them.
@@ -72,9 +71,8 @@ func (f *PreparedFrag) Decision() *Decision { return f.dec.Load() }
 // SetDecision records dec on f, provided f and every child are cache
 // entries: a replayed child must be exactly what a Lookup of its key
 // would return, so a decision over a frag a full cache handed back
-// unstored is dropped. Concurrent setters race benignly: under one order
-// every caller stores an equal value (children are canonical entries),
-// and a reader checks the order of the one value it loads.
+// unstored is dropped. Concurrent setters race benignly: every caller
+// stores an equal value (children are canonical entries).
 func (f *PreparedFrag) SetDecision(dec *Decision) {
 	if !f.cached {
 		return
@@ -103,11 +101,10 @@ func (f *PreparedFrag) SetDecision(dec *Decision) {
 // probabilities).
 //
 // Lookups carry a variant byte that partitions the key space: the
-// evaluator chooses it (internal/core keys preparation by its two
-// ablation switches and exact entries by a variant of their own), and
-// entries stored under one variant are invisible to another, which
-// keeps a shared cache correct even when evaluations with different
-// settings share it.
+// evaluator chooses it (internal/core keeps prepared fragments under
+// one variant and exact entries under another), and entries stored
+// under one variant are invisible to another, which keeps a shared
+// cache correct when different evaluations share it.
 //
 // Entries are never evicted; once MaxEntries is reached new fragments
 // are prepared but not stored, bounding memory while keeping every hit
@@ -196,7 +193,7 @@ func (d DNF) Equal(e DNF) bool {
 }
 
 func fragKeyHash(d DNF, variant uint8) uint64 {
-	// Mix the variant into the hash so ablation variants of the same
+	// Mix the variant into the hash so the variants of the same
 	// fragment never collide structurally.
 	return d.Hash() ^ (uint64(variant) * 0x9e3779b97f4a7c15)
 }

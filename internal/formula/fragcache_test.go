@@ -72,8 +72,8 @@ func TestFragCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// Variants partition the key space: a fragment prepared under one
-// ablation setting must be invisible to another.
+// Variants partition the key space: a fragment stored under one
+// variant (prepared, exact) must be invisible to another.
 func TestFragCacheVariants(t *testing.T) {
 	c := NewFragCache(0)
 	d := fragTestDNF(4)
@@ -141,7 +141,7 @@ func TestPreparedFragDecisionLazy(t *testing.T) {
 	c := NewFragCache(3)
 	parent := &PreparedFrag{D: fragTestDNF(2)}
 	kids := []*PreparedFrag{{D: fragTestDNF(20)}, {D: fragTestDNF(30)}}
-	dec := &Decision{Kind: 3, Order: 1, Children: kids, Weights: []float64{0.25, 0.75}}
+	dec := &Decision{Kind: 3, Children: kids, Weights: []float64{0.25, 0.75}}
 	if parent.Decision() != nil {
 		t.Fatal("decision reported before SetDecision")
 	}

@@ -21,9 +21,10 @@ import (
 // Version history: v1 had no checksum; v2 wraps the entry stream in a
 // CRC32-checksummed payload; v3 entries always carry the full Work
 // charge (v2's depended on a ProbCache being configured, keyed into
-// Variant). Older files load as a cold start. Exact evaluation's point
-// entries are stored under a variant of their own; they added a variant
-// value, not a new meaning for the existing ones, so they stay v3.
+// Variant). Older files load as a cold start. Exact point entries added
+// a variant value, not a new meaning for the existing ones, so they
+// stayed v3; entries under the preparation variants older builds keyed
+// by their switches still load, and are never looked up.
 // Entries no longer carry their component partition: older v3 saves
 // have a Comps field, which gob skips on load, so they still load whole.
 // The Decision that replaced the partition is not persisted (it points

@@ -63,26 +63,8 @@ func (k *KarpLuby) Sum() float64 { return k.sum }
 
 // Sample draws one fractional Karp-Luby estimate X ∈ (0, S].
 func (k *KarpLuby) Sample() float64 {
-	// Draw clause index i proportional to clause probability.
-	u := k.rng.Float64() * k.sum
-	i := sort.SearchFloat64s(k.cum, u)
-	if i >= len(k.d) {
-		i = len(k.d) - 1
-	}
-	// Draw a world conditioned on clause i: fix its atoms, sample the
-	// remaining variables of the DNF from their marginals.
-	k.epoch++
-	for _, a := range k.d[i] {
-		k.world[a.Var] = a.Val
-		k.stamp[a.Var] = k.epoch
-	}
-	for _, v := range k.vars {
-		if k.stamp[v] != k.epoch {
-			k.world[v] = k.sampleVal(v)
-			k.stamp[v] = k.epoch
-		}
-	}
-	// Count satisfied clauses; at least clause i is satisfied.
+	k.draw()
+	// Count satisfied clauses; at least the drawn clause is satisfied.
 	n := 0
 clauses:
 	for _, c := range k.d {
@@ -107,6 +89,27 @@ func (k *KarpLuby) SampleNormalized() float64 { return k.Sample() / k.sum }
 // fractional variant for exactly that reason; both are provided so the
 // variance reduction is measurable (see the tests).
 func (k *KarpLuby) SampleZeroOne() float64 {
+	i := k.draw()
+clauses:
+	for j, c := range k.d {
+		if j >= i {
+			break
+		}
+		for _, a := range c {
+			if k.world[a.Var] != a.Val {
+				continue clauses
+			}
+		}
+		return 0 // an earlier clause is satisfied: not the canonical cover
+	}
+	return k.sum
+}
+
+// draw is one Karp-Luby trial: a clause index i drawn proportional to
+// clause probability, then a world conditioned on clause i in k.world —
+// its atoms fixed, the DNF's remaining variables sampled from their
+// marginals. It returns i.
+func (k *KarpLuby) draw() int {
 	u := k.rng.Float64() * k.sum
 	i := sort.SearchFloat64s(k.cum, u)
 	if i >= len(k.d) {
@@ -123,19 +126,7 @@ func (k *KarpLuby) SampleZeroOne() float64 {
 			k.stamp[v] = k.epoch
 		}
 	}
-clauses:
-	for j, c := range k.d {
-		if j >= i {
-			break
-		}
-		for _, a := range c {
-			if k.world[a.Var] != a.Val {
-				continue clauses
-			}
-		}
-		return 0 // an earlier clause is satisfied: not the canonical cover
-	}
-	return k.sum
+	return i
 }
 
 func (k *KarpLuby) sampleVal(v formula.Var) formula.Val {

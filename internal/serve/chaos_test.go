@@ -253,6 +253,19 @@ func TestChaosWireValidationRejects(t *testing.T) {
 		t.Fatalf("NaN eps: status %d, want 400", resp.StatusCode)
 	}
 
+	// max_samples is no wire field: no evaluator the server builds draws
+	// samples, so the decoder refuses it by name like any unknown field.
+	resp, err = http.Post(base+"/v1/query", "application/json",
+		strings.NewReader(`{"budget": {"max_samples": 1000}, "query": {"scan": "orders"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "max_samples") {
+		t.Fatalf("max_samples: status %d (%s), want a 400 naming the field", resp.StatusCode, body)
+	}
+
 	// The server survived every rejection: a good query still runs.
 	_, answers, errMsg, sum, order := collectStream(t, base, serve.Request{Query: topkQuery(2)})
 	if errMsg != "" || sum.Error != "" || len(answers) != 2 {

@@ -57,7 +57,7 @@ func (r *Request) Validate() error {
 		}
 	}
 	if b := r.Budget; b != nil {
-		if b.MaxNodes < 0 || b.MaxWork < 0 || b.MaxSamples < 0 || b.TimeoutMS < 0 {
+		if b.MaxNodes < 0 || b.MaxWork < 0 || b.TimeoutMS < 0 {
 			return &RequestError{Status: 400, Err: errors.New("budget fields must be non-negative")}
 		}
 		if int64(b.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
@@ -106,12 +106,11 @@ func countNodes(root *Node) int {
 	return n
 }
 
-// Budget is the wire form of engine.Budget.
+// Budget is the wire form of engine.Budget's d-tree limits and timeout.
 type Budget struct {
-	MaxNodes   int `json:"max_nodes,omitempty"`
-	MaxWork    int `json:"max_work,omitempty"`
-	MaxSamples int `json:"max_samples,omitempty"`
-	TimeoutMS  int `json:"timeout_ms,omitempty"`
+	MaxNodes  int `json:"max_nodes,omitempty"`
+	MaxWork   int `json:"max_work,omitempty"`
+	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
 // Engine converts to the engine's budget shape, field by field: a zero
@@ -126,9 +125,6 @@ func (b *Budget) Engine(def engine.Budget) engine.Budget {
 	}
 	if b.MaxWork != 0 {
 		def.MaxWork = b.MaxWork
-	}
-	if b.MaxSamples != 0 {
-		def.MaxSamples = b.MaxSamples
 	}
 	if b.TimeoutMS != 0 {
 		def.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
