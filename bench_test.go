@@ -86,6 +86,17 @@ func benchDtreeExact(b *testing.B, s *formula.Space, d formula.DNF) {
 	}
 }
 
+// benchPlanned times the planner-routed exact path (a safe plan or an
+// IQ scan), planning included, as the figures' SPROUT column does.
+func benchPlanned(b *testing.B, s *formula.Space, n plan.Node) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Compile(n).Answers(context.Background(), s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchAconf(b *testing.B, s *formula.Space, d formula.DNF, eps float64) {
 	b.Helper()
 	if len(d) == 0 {
@@ -113,39 +124,28 @@ func BenchmarkFig6aTractable(b *testing.B) {
 	db := getDB(0.001, 1)
 	cases := []struct {
 		name string
-		dnf  formula.DNF
+		node plan.Node
 	}{
-		{"B1", booleanDNF(db.B1IR(tpch.MaxDate / 2))},
-		{"B6", booleanDNF(db.B6IR(300, 1200, 2, 6, 30))},
-		{"B16", booleanDNF(db.B16IR(5, 25))},
-		{"B17", booleanDNF(db.B17IR(3, 7))},
+		{"B1", db.B1IR(tpch.MaxDate / 2)},
+		{"B6", db.B6IR(300, 1200, 2, 6, 30)},
+		{"B16", db.B16IR(5, 25)},
+		{"B17", db.B17IR(3, 7)},
 	}
 	for _, c := range cases {
+		dnf := booleanDNF(c.node)
 		b.Run(c.name+"/dtree-rel0.01", func(b *testing.B) {
-			benchDtree(b, db.Space, c.dnf, 0.01, core.Relative)
+			benchDtree(b, db.Space, dnf, 0.01, core.Relative)
 		})
 		b.Run(c.name+"/dtree-exact", func(b *testing.B) {
-			benchDtreeExact(b, db.Space, c.dnf)
+			benchDtreeExact(b, db.Space, dnf)
 		})
 		b.Run(c.name+"/aconf-rel0.05", func(b *testing.B) {
-			benchAconf(b, db.Space, c.dnf, 0.05)
+			benchAconf(b, db.Space, dnf, 0.05)
+		})
+		b.Run(c.name+"/sprout", func(b *testing.B) {
+			benchPlanned(b, db.Space, c.node)
 		})
 	}
-	b.Run("B1/sprout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = db.SproutB1(tpch.MaxDate / 2)
-		}
-	})
-	b.Run("B16/sprout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = db.SproutB16(5, 25)
-		}
-	})
-	b.Run("B17/sprout", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = db.SproutB17(3, 7)
-		}
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -180,26 +180,23 @@ func BenchmarkFig6cInequalityQueries(b *testing.B) {
 	db := getDB(0.001, 1)
 	const nE, nD, nC = 15, 30, 30
 	cases := []struct {
-		name   string
-		dnf    formula.DNF
-		sprout func() float64
+		name string
+		node plan.Node
 	}{
-		{"IQB1", booleanDNF(db.IQB1IR(nE, nD*3)), func() float64 { return db.SproutIQB1(nE, nD*3) }},
-		{"IQB4", booleanDNF(db.IQB4IR(nE, nD, nC)), func() float64 { return db.SproutIQB4(nE, nD, nC) }},
-		{"IQ6", booleanDNF(db.IQ6IR(nE, nD, nC)), func() float64 { return db.SproutIQ6(nE, nD, nC) }},
+		{"IQB1", db.IQB1IR(nE, nD*3)},
+		{"IQB4", db.IQB4IR(nE, nD, nC)},
+		{"IQ6", db.IQ6IR(nE, nD, nC)},
 	}
 	for _, c := range cases {
-		c := c
+		dnf := booleanDNF(c.node)
 		b.Run(c.name+"/dtree-rel0.01", func(b *testing.B) {
-			benchDtree(b, db.Space, c.dnf, 0.01, core.Relative)
+			benchDtree(b, db.Space, dnf, 0.01, core.Relative)
 		})
 		b.Run(c.name+"/dtree-exact", func(b *testing.B) {
-			benchDtreeExact(b, db.Space, c.dnf)
+			benchDtreeExact(b, db.Space, dnf)
 		})
 		b.Run(c.name+"/sprout", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = c.sprout()
-			}
+			benchPlanned(b, db.Space, c.node)
 		})
 	}
 }

@@ -292,7 +292,4 @@ var (
 	//
 	// Deprecated: named only by bench/; use NewFragCache.
 	NewProbCache = formula.NewFragCache
-	// NewInterner returns an empty hash-consing clause interner (the
-	// pipelined runtime's join-merge deduplication).
-	NewInterner = formula.NewInterner
 )

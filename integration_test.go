@@ -18,8 +18,8 @@ import (
 // TestEndToEndTPCH drives the full stack: generate a probabilistic
 // database, materialize a query's answer lineage through the plan
 // runtime, compute per-answer confidence with the conf() operator
-// backed by the d-tree algorithm, and cross-check against the SPROUT
-// safe plan and the planner's safe route.
+// backed by the d-tree algorithm, and cross-check it and the planner's
+// safe route against exact evaluation of the forced lineage.
 func TestEndToEndTPCH(t *testing.T) {
 	db := tpch.Generate(tpch.Config{SF: 0.0006, ProbHigh: 1, Seed: 3})
 
@@ -49,18 +49,23 @@ func TestEndToEndTPCH(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sproutPlan := db.SproutQ15(0, tpch.MaxDate/3)
+	// The reference: exact d-tree evaluation of the forced lineage.
+	exact, err := plan.CompileWith(root, plan.Options{DisableSafe: true, DisableIQ: true}).
+		Answers(context.Background(), db.Space, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	byKey := map[pdb.Value]float64{}
-	for _, row := range sproutPlan.Rows {
-		byKey[row.Vals[0]] = row.P
+	for _, a := range exact {
+		byKey[a.Vals[0]] = a.P
 	}
 	for _, c := range confs {
 		want, ok := byKey[c.Vals[0]]
 		if !ok {
-			t.Fatalf("supplier %d missing from safe plan", c.Vals[0])
+			t.Fatalf("supplier %d missing from the exact answers", c.Vals[0])
 		}
 		if math.Abs(c.P-want) > 0.0001+1e-9 {
-			t.Fatalf("supplier %d: conf %v vs safe plan %v", c.Vals[0], c.P, want)
+			t.Fatalf("supplier %d: conf %v vs exact %v", c.Vals[0], c.P, want)
 		}
 	}
 
@@ -81,10 +86,10 @@ func TestEndToEndTPCH(t *testing.T) {
 	for _, a := range planned {
 		want, ok := byKey[a.Vals[0]]
 		if !ok {
-			t.Fatalf("supplier %d missing from safe plan", a.Vals[0])
+			t.Fatalf("supplier %d missing from the exact answers", a.Vals[0])
 		}
 		if math.Abs(a.P-want) > 1e-12 {
-			t.Fatalf("supplier %d: planner %v vs safe plan %v", a.Vals[0], a.P, want)
+			t.Fatalf("supplier %d: planner %v vs exact %v", a.Vals[0], a.P, want)
 		}
 	}
 }

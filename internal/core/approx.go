@@ -126,8 +126,12 @@ type Result struct {
 // closed per Theorem 5.12 while still guaranteeing the error bound. When
 // ctx is cancelled or its deadline passes, evaluation stops promptly and
 // the context's error is returned together with the bounds reached so
-// far (Converged false).
+// far (Converged false). An Eps that is NaN or outside [0, 1) is an
+// error before any work.
 func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
+	if err := checkEps(opt.Eps); err != nil {
+		return Result{Hi: 1}, err
+	}
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)
 	}
@@ -155,17 +159,15 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 	return res, nil
 }
 
-// Evaluate is ApproxCtx under o, after checkEps.
+// Evaluate is ApproxCtx under o.
 func (o Options) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	if err := checkEps(o.Eps); err != nil {
-		return Result{Hi: 1}, err
-	}
 	return ApproxCtx(ctx, s, d, o)
 }
 
-// checkEps rejects an Eps that is NaN or outside [0, 1) before any
-// work: such an Eps either never meets the guarantee (a full
-// compilation, and no error) or meets it vacuously.
+// checkEps rejects an Eps that is NaN or outside [0, 1): such an Eps
+// either never meets the guarantee (a full compilation, and no error)
+// or meets it vacuously. ApproxCtx and NewRefiner, the two ε-engines'
+// entries, run it before any work.
 func checkEps(eps float64) error {
 	if !(eps >= 0 && eps < 1) {
 		return fmt.Errorf("core: eps %v must lie in [0, 1)", eps)

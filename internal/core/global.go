@@ -16,11 +16,8 @@ import (
 // Cancellation matches ApproxCtx: the context is checked before every
 // refinement step. It is a Refiner run to completion — the resumable
 // step-wise API (see refiner.go) is the primitive, this loop its
-// simplest client. Like Evaluate, it runs checkEps first.
+// simplest client.
 func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	if err := checkEps(opt.Eps); err != nil {
-		return Result{Hi: 1}, err
-	}
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)
 	}

@@ -57,11 +57,17 @@ type Refiner struct {
 // heuristic bounds — the same leaf preparation every d-tree evaluation
 // starts with) and returns a Refiner positioned before the first
 // refinement step. A formula whose prepared bounds already meet the
-// Options guarantee is Done immediately with zero steps taken.
+// Options guarantee is Done immediately with zero steps taken. An Eps
+// that is NaN or outside [0, 1), or a context already done, fails the
+// Refiner (Err) before preparation.
 func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (r *Refiner) {
 	st := newState(ctx, s, opt)
 	r = &Refiner{st: st, lo: 0, hi: 1}
-	if err := st.ctx.Err(); err != nil {
+	err := checkEps(opt.Eps)
+	if err == nil {
+		err = st.ctx.Err()
+	}
+	if err != nil {
 		r.fail(err)
 		return r
 	}

@@ -15,15 +15,10 @@ import (
 // steps, and membership proofs for every answer including the pruned
 // ones — is returned alongside. A context/timeout failure returns the
 // partial outcome with the error.
+//
+// Deprecated: named only by bench/; call rank.TopK and RankedConfs.
 func ConfTopK(ctx context.Context, s *formula.Space, answers []Answer, k int, opt rank.Options) ([]AnswerConf, rank.Result, error) {
 	res, err := rank.TopK(ctx, s, Lineages(answers), k, opt, nil)
-	return RankedConfs(answers, res), res, err
-}
-
-// ConfThreshold returns the answers whose confidence is at least tau,
-// most probable first, with the same anytime semantics as ConfTopK.
-func ConfThreshold(ctx context.Context, s *formula.Space, answers []Answer, tau float64, opt rank.Options) ([]AnswerConf, rank.Result, error) {
-	res, err := rank.Threshold(ctx, s, Lineages(answers), tau, opt, nil)
 	return RankedConfs(answers, res), res, err
 }
 

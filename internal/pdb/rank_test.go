@@ -32,10 +32,11 @@ func TestConfTopKRanksAnswers(t *testing.T) {
 		t.Fatalf("scheduler outcome lost items: %+v", res)
 	}
 
-	th, _, err := ConfThreshold(context.Background(), s, answers, 0.5, rank.Options{})
+	thRes, err := rank.Threshold(context.Background(), s, Lineages(answers), 0.5, rank.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	th := RankedConfs(answers, thRes)
 	if len(th) != 2 || th[0].Vals[0] != 1 || th[1].Vals[0] != 2 {
 		t.Fatalf("threshold answers = %+v, want 1 then 2", th)
 	}

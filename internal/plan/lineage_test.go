@@ -285,8 +285,9 @@ func TestLineagePooledScratchHoldsNoClauses(t *testing.T) {
 
 // FuzzLineageMatchesEagerOracle decodes bytes into lineage-route trees
 // (lineageDecoder): self-joins, BID inputs, projections, bushy joins
-// whose build side is a join, opaque Selects above joins, and join
-// predicates reading arbitrary columns, which pruning must keep. The
+// whose build side is a join, opaque Selects above joins and
+// projections, and join predicates reading arbitrary columns, which
+// pruning must keep. The
 // cursors must return evalIR's answers, in its order, with the same
 // DNFs clause for clause. The seed corpus is under testdata/fuzz.
 func FuzzLineageMatchesEagerOracle(f *testing.F) {

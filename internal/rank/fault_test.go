@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/formula"
+	"repro/internal/graphs"
 	"repro/internal/obs"
 )
 
@@ -49,5 +50,32 @@ func TestFaultRankGrantContainsPanic(t *testing.T) {
 	}
 	if met.PanicsRecovered.Value() < 1 {
 		t.Fatal("no panic recovery counted")
+	}
+}
+
+// TestFaultRankStepPanicContained: a panic inside Refiner.Step itself
+// (eval.step armed to always panic) unwinds to the scheduler's grant,
+// which fails that answer's refiner instead of the scheduler: TopK
+// returns a *fault.PanicError contained at rank.grant and counts one
+// recovery.
+func TestFaultRankStepPanicContained(t *testing.T) {
+	g := graphs.Complete(6, 0.3)
+	dnfs := make([]formula.DNF, 4)
+	for v := range dnfs {
+		dnfs[v] = g.NodeTriangleDNF(v)
+	}
+	met := obs.NewMetrics()
+	inj := fault.NewInjector(1)
+	inj.Configure(fault.SiteEvalStep, fault.SiteConfig{Panic: 1})
+	_, err := TopK(context.Background(), g.Space(), dnfs, 2, Options{
+		Metrics: met,
+		Inject:  inj,
+	}, nil)
+	var pe *fault.PanicError
+	if !errors.As(err, &pe) || pe.Site != "rank.grant" {
+		t.Fatalf("error %v (%T), want a *fault.PanicError at rank.grant", err, err)
+	}
+	if got := met.PanicsRecovered.Value(); got != 1 {
+		t.Fatalf("%d panic recoveries counted, want 1", got)
 	}
 }

@@ -206,10 +206,11 @@ func (sc *sched) step(i int) (lo, hi float64) {
 	return lo, hi
 }
 
-// initErr surfaces a refiner that failed during preparation (contained
-// panic or pre-cancelled context): such an answer can never be decided
-// by refinement, so the run fails fast with its partial bounds instead
-// of silently cutting the answer by a meaningless estimate.
+// initErr surfaces a refiner that failed before or during preparation
+// (an Eps outside [0, 1), a pre-cancelled context or a contained
+// panic): such an answer can never be decided by refinement, so the run
+// fails fast with its partial bounds instead of silently cutting the
+// answer by a meaningless estimate.
 func (sc *sched) initErr() error {
 	for _, r := range sc.refs {
 		if err := r.Err(); err != nil && !errors.Is(err, core.ErrBudget) {

@@ -3,10 +3,14 @@ package rank
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/formula"
+	"repro/internal/graphs"
 )
 
 // boolAnswers builds one Boolean variable per probability and returns
@@ -225,6 +229,45 @@ func TestRankSharedCache(t *testing.T) {
 		}
 		if after := frags.CacheStats(); run == 1 && after.Misses != before.Misses {
 			t.Fatalf("warm run prepared %d fragments afresh", after.Misses-before.Misses)
+		}
+	}
+}
+
+// TestEpsOutsideUnitIntervalRejected: a Refiner, depth-first ApproxCtx
+// and the ranked scheduler over Refiners each fail an Eps that is NaN
+// or outside [0, 1) before any work, and Eps 0 stays valid.
+func TestEpsOutsideUnitIntervalRejected(t *testing.T) {
+	g := graphs.Complete(6, 0.3)
+	s, d := g.Space(), g.TriangleDNF()
+	ctx := context.Background()
+	for _, kind := range []core.ErrorKind{core.Absolute, core.Relative} {
+		for _, eps := range []float64{math.NaN(), -0.1, 1, 2, 0} {
+			opt := Options{Eps: eps, Kind: kind}
+			valid := eps == 0
+			t.Run(fmt.Sprintf("%v/eps%v/NewRefiner", kind, eps), func(t *testing.T) {
+				r := core.NewRefiner(ctx, s, d, opt)
+				if valid {
+					for !r.Done() {
+						r.Step(1)
+					}
+				}
+				res := r.Result()
+				if valid != (r.Err() == nil) || valid != res.Converged || (!valid && (r.Steps() != 0 || res.Nodes != 0 || !r.Done())) {
+					t.Fatalf("err %v, converged %v, done %v, %d steps, %d nodes", r.Err(), res.Converged, r.Done(), r.Steps(), res.Nodes)
+				}
+			})
+			t.Run(fmt.Sprintf("%v/eps%v/ApproxCtx", kind, eps), func(t *testing.T) {
+				res, err := core.ApproxCtx(ctx, s, d, opt)
+				if valid != (err == nil) || valid != res.Converged || (!valid && res.Nodes != 0) {
+					t.Fatalf("err %v, converged %v, %d nodes", err, res.Converged, res.Nodes)
+				}
+			})
+			t.Run(fmt.Sprintf("%v/eps%v/TopK", kind, eps), func(t *testing.T) {
+				res, err := TopK(ctx, s, []formula.DNF{d, d[:3]}, 1, opt, nil)
+				if valid != (err == nil) || (!valid && res.Steps != 0) {
+					t.Fatalf("err %v, %d steps, ranking %v", err, res.Steps, res.Ranking)
+				}
+			})
 		}
 	}
 }

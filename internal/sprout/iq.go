@@ -36,7 +36,9 @@ func (s *chainSuffix) beyond(t int64) float64 {
 // ChainConfidence computes the exact probability that a strict chain
 // v1 < v2 < ... < vk exists with one present element from each level,
 // the lineage pattern of IQ chain queries such as
-// q() :- R(E), T(D), T'(G,H), E < D < H (Example 6.7 q1).
+// q() :- R(E), T(D), T'(G,H), E < D < H (Example 6.7 q1). Two levels
+// are the prototypical IQ query q() :- R(X), S(Y), X < Y discussed
+// below Lemma 6.8.
 //
 // It implements the SPROUT inequality algorithm [20] as specialized by
 // Lemma 6.8: at each level, conditioning on the element with the
@@ -73,13 +75,6 @@ func ChainConfidence(levels ...[]WeightedValue) float64 {
 		below = s
 	}
 	return below.ps[0]
-}
-
-// PairLessConfidence computes P(∃ x ∈ xs, y ∈ ys, both present with
-// x.Val < y.Val) — the prototypical IQ query q() :- R(X), S(Y), X < Y
-// discussed below Lemma 6.8. It is the two-level chain.
-func PairLessConfidence(xs, ys []WeightedValue) float64 {
-	return ChainConfidence(xs, ys)
 }
 
 // orSuffix stores suffix independent-or probabilities of one group

@@ -113,9 +113,10 @@ func randomLevel(rng *rand.Rand, n, valRange int) []WeightedValue {
 	return out
 }
 
+// The pair query q() :- R(X), S(Y), X < Y is the two-level chain.
 func TestPairLessKnown(t *testing.T) {
 	// x=1 (p=.5), y=2 (p=.4): P = .5·.4 = .2.
-	got := PairLessConfidence(
+	got := ChainConfidence(
 		[]WeightedValue{{1, 0.5}},
 		[]WeightedValue{{2, 0.4}},
 	)
@@ -123,7 +124,7 @@ func TestPairLessKnown(t *testing.T) {
 		t.Fatalf("got %v, want 0.2", got)
 	}
 	// Reversed values: no pair.
-	got = PairLessConfidence(
+	got = ChainConfidence(
 		[]WeightedValue{{2, 0.5}},
 		[]WeightedValue{{1, 0.4}},
 	)
@@ -131,7 +132,7 @@ func TestPairLessKnown(t *testing.T) {
 		t.Fatalf("got %v, want 0", got)
 	}
 	// Equal values: strict inequality, no pair.
-	got = PairLessConfidence(
+	got = ChainConfidence(
 		[]WeightedValue{{3, 0.9}},
 		[]WeightedValue{{3, 0.9}},
 	)
@@ -146,7 +147,7 @@ func TestPairLessRandom(t *testing.T) {
 		xs := randomLevel(rng, 1+rng.Intn(5), 6)
 		ys := randomLevel(rng, 1+rng.Intn(5), 6)
 		want := bruteChain([][]WeightedValue{xs, ys})
-		got := PairLessConfidence(xs, ys)
+		got := ChainConfidence(xs, ys)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: got %v, want %v (xs=%v ys=%v)", trial, got, want, xs, ys)
 		}
@@ -186,7 +187,7 @@ func TestChainLargeAgainstRecurrenceStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomLevel(rng, 10000, 100000)
 	b := randomLevel(rng, 10000, 100000)
-	got := PairLessConfidence(a, b)
+	got := ChainConfidence(a, b)
 	if got < 0 || got > 1 {
 		t.Fatalf("probability %v out of range", got)
 	}
@@ -216,7 +217,7 @@ func TestStarOneGroupEqualsPair(t *testing.T) {
 		es := randomLevel(rng, 1+rng.Intn(5), 6)
 		g := randomLevel(rng, 1+rng.Intn(5), 6)
 		a := Exists1SuffixConfidence(es, g)
-		b := PairLessConfidence(es, g)
+		b := ChainConfidence(es, g)
 		if math.Abs(a-b) > 1e-12 {
 			t.Fatalf("trial %d: star %v != pair %v", trial, a, b)
 		}

@@ -8,7 +8,9 @@
 // query structure: a safe plan multiplies and independent-projects per-tuple
 // probabilities without ever materializing lineage, and the IQ scans use
 // the nesting structure of inequality joins. They are exact and fast but
-// apply only to the tractable classes.
+// apply only to the tractable classes. The planner's safe and IQ routes
+// (internal/plan) are their one caller: a query reaches SPROUT by
+// compiling to one of those routes, never by a hand-written plan.
 //
 // Both safe-plan operators cost one pass over their input and allocate
 // per output table, never per input row: they group through one
@@ -20,7 +22,6 @@ package sprout
 import (
 	"slices"
 
-	"repro/internal/formula"
 	"repro/internal/pdb"
 )
 
@@ -38,16 +39,6 @@ type ProbTable struct {
 type ProbRow struct {
 	Vals []pdb.Value
 	P    float64
-}
-
-// FromRelation converts a tuple-independent (or deterministic) relation
-// into a ProbTable, evaluating each tuple's lineage clause.
-func FromRelation(s *formula.Space, r *pdb.Relation) *ProbTable {
-	t := &ProbTable{Cols: r.Cols, Rows: make([]ProbRow, 0, len(r.Tups))}
-	for _, tup := range r.Tups {
-		t.Rows = append(t.Rows, ProbRow{Vals: tup.Vals, P: tup.Lin.Probability(s)})
-	}
-	return t
 }
 
 // tableOver wraps a flat arena of width-column rows and their
@@ -202,18 +193,6 @@ func (t *ProbTable) IndepProject(cols []int) *ProbTable {
 	return g.Table(names)
 }
 
-// IndepJoin hash-joins two tables on one column each, multiplying row
-// probabilities, and keeps every column of both. Safe when the joined
-// rows are independent events — i.e. the two inputs come from distinct
-// relations (no self-joins).
-func IndepJoin(l, r *ProbTable, lcol, rcol int) *ProbTable {
-	keep := make([]int, len(l.Cols)+len(r.Cols))
-	for i := range keep {
-		keep[i] = i
-	}
-	return IndepJoinOn(l, r, []int{lcol}, []int{rcol}, keep)
-}
-
 // IndepJoinOn is the independent join on l[lcols[i]] = r[rcols[i]] for
 // every i — the Cartesian product when there are none — emitting only
 // the columns keep, which are positions in the concatenation of l's and
@@ -263,15 +242,4 @@ func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
 		}
 	}
 	return tableOver(names, len(keep), vals, ps)
-}
-
-// BooleanConfidence projects away every column: the probability that at
-// least one (independent) row exists. This is the final operator of a
-// Boolean safe plan.
-func (t *ProbTable) BooleanConfidence() float64 {
-	q := 1.0
-	for _, r := range t.Rows {
-		q *= 1 - r.P
-	}
-	return 1 - q
 }

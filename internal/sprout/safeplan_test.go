@@ -34,14 +34,34 @@ func buildRS(seed int64, nA, maxB int) (*formula.Space, *pdb.Relation, *pdb.Rela
 	return s, r, sl, lin
 }
 
+// tableOf reads a tuple-independent (or deterministic) relation as a
+// ProbTable, evaluating each tuple's lineage clause.
+func tableOf(s *formula.Space, r *pdb.Relation) *ProbTable {
+	t := &ProbTable{Cols: r.Cols, Rows: make([]ProbRow, 0, len(r.Tups))}
+	for _, tup := range r.Tups {
+		t.Rows = append(t.Rows, ProbRow{Vals: tup.Vals, P: tup.Lin.Probability(s)})
+	}
+	return t
+}
+
+// booleanConf projects t onto no columns, the last operator of a
+// Boolean safe plan: the probability that at least one of its
+// independent rows exists.
+func booleanConf(t *ProbTable) float64 {
+	out := t.IndepProject(nil)
+	if len(out.Rows) == 0 {
+		return 0
+	}
+	return out.Rows[0].P
+}
+
 func TestSafePlanHierarchical(t *testing.T) {
 	// Safe plan for q() :- R(A), S(A,B):
 	//   π∅ ( R ⋈_A (π_A S) )  with independent-project and -join.
 	for seed := int64(0); seed < 20; seed++ {
 		s, r, sl, lin := buildRS(seed, 4, 3)
-		sProj := FromRelation(s, sl).IndepProject([]int{0})
-		joined := IndepJoin(FromRelation(s, r), sProj, 0, 0)
-		got := joined.BooleanConfidence()
+		sProj := tableOf(s, sl).IndepProject([]int{0})
+		got := booleanConf(IndepJoinOn(tableOf(s, r), sProj, []int{0}, []int{0}, []int{0}))
 		want, err := core.ExactCtx(context.Background(), s, lin, core.Options{})
 		if err != nil || math.Abs(got-want.Estimate) > 1e-9 {
 			t.Fatalf("seed %d: safe plan %v, d-tree exact %v (%v)", seed, got, want.Estimate, err)
@@ -51,8 +71,8 @@ func TestSafePlanHierarchical(t *testing.T) {
 
 func TestSafePlanMatchesBruteForce(t *testing.T) {
 	s, r, sl, lin := buildRS(5, 3, 2)
-	sProj := FromRelation(s, sl).IndepProject([]int{0})
-	got := IndepJoin(FromRelation(s, r), sProj, 0, 0).BooleanConfidence()
+	sProj := tableOf(s, sl).IndepProject([]int{0})
+	got := booleanConf(IndepJoinOn(tableOf(s, r), sProj, []int{0}, []int{0}, []int{0}))
 	want := formula.BruteForceProbability(s, lin)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("safe plan %v, brute force %v", got, want)
@@ -90,8 +110,8 @@ func TestIndepJoin(t *testing.T) {
 		{Vals: []pdb.Value{1, 8}, P: 0.2},
 		{Vals: []pdb.Value{3, 9}, P: 0.9},
 	}}
-	j := IndepJoin(l, r, 0, 0)
-	if len(j.Rows) != 2 {
+	j := IndepJoinOn(l, r, []int{0}, []int{0}, []int{0, 1, 2})
+	if len(j.Rows) != 2 || len(j.Cols) != 3 {
 		t.Fatalf("join rows %d, want 2", len(j.Rows))
 	}
 	for _, row := range j.Rows {
@@ -104,7 +124,7 @@ func TestIndepJoin(t *testing.T) {
 	}
 }
 
-func TestSelectAndBooleanConfidence(t *testing.T) {
+func TestSelectAndBooleanProject(t *testing.T) {
 	tbl := &ProbTable{Cols: []string{"a"}, Rows: []ProbRow{
 		{Vals: []pdb.Value{1}, P: 0.5},
 		{Vals: []pdb.Value{2}, P: 0.5},
@@ -114,20 +134,10 @@ func TestSelectAndBooleanConfidence(t *testing.T) {
 	if len(sel.Rows) != 2 {
 		t.Fatalf("selected %d", len(sel.Rows))
 	}
-	if got := sel.BooleanConfidence(); math.Abs(got-0.75) > 1e-12 {
+	if got := booleanConf(sel); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("confidence %v, want 0.75", got)
 	}
-	empty := &ProbTable{}
-	if got := empty.BooleanConfidence(); got != 0 {
-		t.Fatalf("empty confidence %v", got)
-	}
-}
-
-func TestFromRelationDeterministic(t *testing.T) {
-	s := formula.NewSpace()
-	d := pdb.NewDeterministic("D", []string{"k"}, [][]pdb.Value{{1}})
-	tbl := FromRelation(s, d)
-	if tbl.Rows[0].P != 1 {
-		t.Fatalf("deterministic row P = %v", tbl.Rows[0].P)
+	if out := (&ProbTable{}).IndepProject(nil); len(out.Rows) != 0 {
+		t.Fatalf("empty table projects to %v", out.Rows)
 	}
 }

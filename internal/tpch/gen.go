@@ -3,8 +3,8 @@
 // TPC-H tables (a stand-in for the paper's modified dbgen), the
 // modified-TPC-H query suite — six tractable (hierarchical) queries,
 // three tractable inequality (IQ) queries, and four #P-hard queries —
-// each declared once as plan IR, plus the SPROUT safe-plan /
-// inequality-scan exact baselines for the tractable ones.
+// each declared once as plan IR. The tractable ones' SPROUT baseline is
+// the planner's safe and IQ routes over that IR.
 package tpch
 
 import (

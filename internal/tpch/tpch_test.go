@@ -2,7 +2,6 @@ package tpch
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -108,154 +107,6 @@ func TestReferentialIntegrity(t *testing.T) {
 	}
 }
 
-func TestB1AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	cutoff := pdb.Value(maxDate / 2)
-	lin := booleanDNF(db.B1IR(cutoff))
-	if len(lin) == 0 {
-		t.Fatal("B1 lineage empty")
-	}
-	want := db.SproutB1(cutoff)
-	got, err := core.ApproxCtx(context.Background(), db.Space, lin, core.Options{Eps: 1e-6, Kind: core.Absolute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Estimate-want) > 1e-5 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got.Estimate, want)
-	}
-}
-
-func TestQ1AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	cutoff := pdb.Value(maxDate * 3 / 4)
-	answers := plan.Lineage(db.Q1IR(cutoff))
-	safe := db.SproutQ1(cutoff)
-	if len(answers) != len(safe.Rows) {
-		t.Fatalf("answer counts differ: %d vs %d", len(answers), len(safe.Rows))
-	}
-	byKey := map[[2]pdb.Value]float64{}
-	for _, row := range safe.Rows {
-		byKey[[2]pdb.Value{row.Vals[0], row.Vals[1]}] = row.P
-	}
-	for _, a := range answers {
-		want := byKey[[2]pdb.Value{a.Vals[0], a.Vals[1]}]
-		got := exactP(db.Space, a.Lin)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("answer %v: d-tree %v vs sprout %v", a.Vals, got, want)
-		}
-	}
-}
-
-func TestB6AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	lin := booleanDNF(db.B6IR(300, 1200, 2, 6, 30))
-	want := db.SproutB6(300, 1200, 2, 6, 30)
-	if len(lin) == 0 {
-		t.Skip("selection empty at this scale")
-	}
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
-func TestQ15AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	answers := plan.Lineage(db.Q15IR(0, maxDate/3))
-	safe := db.SproutQ15(0, maxDate/3)
-	byKey := map[pdb.Value]float64{}
-	for _, row := range safe.Rows {
-		byKey[row.Vals[0]] = row.P
-	}
-	if len(answers) == 0 {
-		t.Skip("no supplier qualifies at this scale")
-	}
-	for _, a := range answers {
-		want, ok := byKey[a.Vals[0]]
-		if !ok {
-			t.Fatalf("supplier %d missing from safe plan", a.Vals[0])
-		}
-		got := exactP(db.Space, a.Lin)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("supplier %d: %v vs %v", a.Vals[0], got, want)
-		}
-	}
-}
-
-func TestB16AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	lin := booleanDNF(db.B16IR(5, 20))
-	if len(lin) == 0 {
-		t.Skip("empty selection")
-	}
-	want := db.SproutB16(5, 20)
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
-func TestB17AgainstSprout(t *testing.T) {
-	db := Generate(Config{SF: 0.002, ProbHigh: 1, Seed: 4})
-	lin := booleanDNF(db.B17IR(3, 7))
-	if len(lin) == 0 {
-		t.Skip("empty selection")
-	}
-	want := db.SproutB17(3, 7)
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
-func TestIQB1AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	lin := booleanDNF(db.IQB1IR(12, 30))
-	want := db.SproutIQB1(12, 30)
-	if len(lin) == 0 {
-		if want != 0 {
-			t.Fatalf("empty lineage but sprout %v", want)
-		}
-		return
-	}
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
-func TestIQB4AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	lin := booleanDNF(db.IQB4IR(8, 12, 12))
-	want := db.SproutIQB4(8, 12, 12)
-	if len(lin) == 0 {
-		if want > 1e-12 {
-			t.Fatalf("empty lineage but sprout %v", want)
-		}
-		return
-	}
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
-func TestIQ6AgainstSprout(t *testing.T) {
-	db := tiny(t)
-	lin := booleanDNF(db.IQ6IR(8, 12, 12))
-	want := db.SproutIQ6(8, 12, 12)
-	if len(lin) == 0 {
-		if want > 1e-12 {
-			t.Fatalf("empty lineage but sprout %v", want)
-		}
-		return
-	}
-	got := exactP(db.Space, lin)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("d-tree %v vs SPROUT %v", got, want)
-	}
-}
-
 func TestHardQueriesProduceLineage(t *testing.T) {
 	db := Generate(Config{SF: 0.002, ProbHigh: 1, Seed: 6})
 	lins := map[string]int{
@@ -318,13 +169,4 @@ func TestEveryKth(t *testing.T) {
 	if same.Len() != db.Region.Len() {
 		t.Fatal("everyKth must not grow small relations")
 	}
-}
-
-// exactP is P(d) by exact d-tree compilation.
-func exactP(s *formula.Space, d formula.DNF) float64 {
-	res, err := core.ExactCtx(context.Background(), s, d, core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Estimate
 }

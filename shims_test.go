@@ -32,6 +32,7 @@ var benchOnlyShims = []struct{ pkg, obj, field string }{
 	{"repro/internal/plan", "Plan", "Shards"},
 	{"repro/internal/obs", "Snapshot", "ProbCacheHits"},
 	{"repro/internal/obs", "Snapshot", "ProbCacheMisses"},
+	{"repro/internal/pdb", "ConfTopK", ""},
 }
 
 // shimAllowances are the production references that remain on purpose,
