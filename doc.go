@@ -283,8 +283,8 @@ var (
 	// NewDNF builds a normalized DNF.
 	NewDNF = formula.NewDNF
 	// Bounds computes leaf bounds on P(d): Figure 3's bucket bounds,
-	// with a Harris upper bound where every variable occurs with one
-	// value.
+	// with a star-cover dissociation upper bound (never above Harris')
+	// where every variable occurs with one value.
 	Bounds = core.LeafBounds
 	// NewFragCache returns an empty fragment cache.
 	NewFragCache = formula.NewFragCache

@@ -22,12 +22,23 @@ import (
 //
 //	P(d) ≤ 1 − Π_c (1 − P(c))
 //
-// — Gatterbauer and Suciu's dissociation bound, never looser than
-// Figure 3's sum of bucket probabilities. A positive leaf gets
+// — Gatterbauer and Suciu's full dissociation, never looser than
+// Figure 3's sum of bucket probabilities. One level of dissociation
+// less is never looser still: assign each clause to its hub, its most
+// frequent variable v (the smallest id among equals), and let A_v be
+// the clauses of hub v with v removed. The blocks v ∧ A_v are
+// increasing events, and P(v ∧ A_v) = p_v · P(A_v), so Harris twice
+// gives the star cover
 //
-//	lo = P(first bucket),  hi = 1 − Π_c (1 − P(c))
+//	P(d) ≤ ⊕_v p_v · (1 − Π_{c ∈ A_v} (1 − P(c))),
 //
-// from one pass over its clauses; no later bucket is built. A leaf in
+// ⊕ the independent union over hubs in order of first use; it is never
+// above the Harris bound, since p·(1 − Π(1 − a_i)) ≤ 1 − Π(1 − p·a_i).
+// A positive leaf gets
+//
+//	lo = P(first bucket),  hi = min(Harris, star cover)
+//
+// from two passes over its clauses; no later bucket is built. A leaf in
 // which some variable occurs with two values (block-independent-disjoint
 // lineage) can be negatively correlated, so it keeps Figure 3 whole:
 // the partition into buckets of pairwise-independent clauses and
@@ -37,12 +48,17 @@ import (
 // Either way, when the first bucket absorbs every clause they are
 // pairwise independent and lo == hi == P(d).
 //
-// Floating point: every union — each bucket probability and the Harris
-// bound — is accumulated by orIndep, whose terms are all non-negative.
-// With n clauses, the widest w atoms wide, and u = 2⁻⁵³, each returned
-// bound is within a relative (4n + w)·u of the exact value of the
-// expression it computes, so lo ≤ P(d)·(1 + (4n + w)·u) and
-// hi ≥ P(d)·(1 − (4n + w)·u).
+// Floating point: every union — each bucket probability, the Harris
+// bound, each hub's union of its rests and the union over hubs — is
+// accumulated by orIndep, whose terms are all non-negative. With n
+// clauses, the widest w atoms wide, and u = 2⁻⁵³, each returned bound
+// is within a relative (4n + w)·u of the exact value of the expression
+// it computes, so lo ≤ P(d)·(1 + (4n + w)·u) and
+// hi ≥ P(d)·(1 − (4n + w)·u). For the star cover: a fold's first step
+// is exact and each later one costs 3u to first order, each hub term is
+// a product of at most w atoms, and with h hubs, the largest holding k
+// clauses, h + k ≤ n + 1 — so it is within (3(h + k − 2) + w)·u ≤
+// (3n + w)·u of its expression.
 func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64) {
 	lo, hi, _ = leafBounds(s, d, sortClauses)
 	return lo, hi
@@ -51,7 +67,7 @@ func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 // leafBounds additionally reports the number of clause-processing
 // operations performed, which the incremental algorithm charges against
 // its work budget (Figure 3's bucket loop is the quadratic part of the
-// paper's cost analysis; a positive leaf costs one pass). It draws
+// paper's cost analysis; a positive leaf costs two passes). It draws
 // scratch buffers from the preparation pool; leafBoundsScratch is the
 // same computation over caller-owned scratch.
 func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64, ops int) {
@@ -62,10 +78,12 @@ func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 }
 
 // leafBoundsScratch is the allocation-free heart of LeafBounds: the
-// clause probabilities in bucket order, the per-variable stamps and the
-// value each stamped variable occurs with live in sc and are reused
-// across calls. The first pass needs two live epochs and takes both in
-// one call; each later bucket takes one.
+// clause probabilities in bucket order, the per-variable stamps, the
+// value each stamped variable occurs with, its occurrence count (in the
+// step's varInfo records) and the star cover's per-hub accumulators
+// live in sc and are reused across calls. The first pass needs two live
+// epochs and takes both in one call; the star cover marks hubs with the
+// first of them; each later bucket takes one.
 func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *prepScratch) (lo, hi float64, ops int) {
 	switch {
 	case d.IsFalse():
@@ -86,15 +104,16 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		order = sortProbKeys(order, spare)
 	}
 
-	top := int(maxVar(d))
-	sc.st, sc.val = grow(sc.st, top+1, 0), grow(sc.val, top+1, 0)
-	stamp, val := sc.st, sc.val
+	top := maxVar(d)
+	sc.st, sc.val = grow(sc.st, int(top)+1, 0), grow(sc.val, int(top)+1, 0)
+	stamp, val, info := sc.st, sc.val, sc.step.records(top)
 
 	// One pass over every clause builds the first bucket — the most
 	// probable clause, then every later one independent of the bucket so
-	// far — accumulates the Harris bound, and checks positivity. Bucket
-	// variables carry the stamp in, other variables seen so far the stamp
-	// seen, and val holds the value each stamped variable occurs with.
+	// far — accumulates the Harris bound, counts each variable's
+	// occurrences and checks positivity. Bucket variables carry the stamp
+	// in, other variables seen so far the stamp seen, val holds the value
+	// each stamped variable occurs with and info its occurrence count.
 	// Clauses left out move, in order, to the front of order.
 	seen := sc.epochs(2)
 	in := seen + 1
@@ -112,11 +131,13 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 			switch stamp[a.Var] {
 			case in:
 				positive = positive && val[a.Var] == a.Val
+				info[a.Var].occ++
 				continue
 			case seen:
 				positive = positive && val[a.Var] == a.Val
+				info[a.Var].occ++
 			default:
-				val[a.Var] = a.Val
+				val[a.Var], info[a.Var].occ = a.Val, 1
 			}
 			stamp[a.Var] = mark
 		}
@@ -133,7 +154,8 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		// All clauses pairwise independent: the bucket probability is exact.
 		return lo, lo, ops
 	case positive:
-		return lo, max(lo, hi), ops // numeric guard; mathematically lo ≤ hi
+		hi = min(hi, sc.starCover(s, d, info, seen))
+		return lo, max(lo, hi), ops + len(d) // numeric guard; mathematically lo ≤ hi
 	}
 
 	// Not positive: Figure 3's later buckets, each absorbing every
@@ -168,6 +190,48 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 		}
 	}
 	return lo, max(lo, min(sum, 1)), ops
+}
+
+// starCover is the one-level dissociation bound of a positive leaf d
+// whose occurrence counts the first pass left in info: every clause
+// goes to its hub, its most frequent variable (the smallest id among
+// equals), and with A_v the clauses of hub v less v,
+//
+//	P(d) ≤ ⊕_v p_v · (1 − Π_{c ∈ A_v} (1 − P(c)))
+//
+// with ⊕ the orIndep fold over hubs in order of first use. The hubs'
+// accumulators are dense, two per hub in sc.hubs (p_v, then the union
+// of its rests), reached through the hub's info record: mark holds the
+// epoch e once the hub has a place, group that place. e must be an
+// epoch no info mark holds yet.
+func (sc *prepScratch) starCover(s *formula.Space, d formula.DNF, info []varInfo, e uint32) float64 {
+	hubs := sc.hubs[:0]
+	for _, c := range d {
+		h, hub := 0, &info[c[0].Var]
+		for j := 1; j < len(c); j++ {
+			if vi := &info[c[j].Var]; vi.occ > hub.occ {
+				h, hub = j, vi
+			}
+		}
+		r := 1.0
+		for _, a := range c[:h] {
+			r *= s.P(a)
+		}
+		for _, a := range c[h+1:] {
+			r *= s.P(a)
+		}
+		if hub.mark != e {
+			hub.mark, hub.group = e, int32(len(hubs))
+			hubs = append(hubs, s.P(c[h]), 0)
+		}
+		hubs[hub.group+1] = orIndep(hubs[hub.group+1], r)
+	}
+	sc.hubs = hubs
+	star := 0.0
+	for g := 0; g < len(hubs); g += 2 {
+		star = orIndep(star, hubs[g]*hubs[g+1])
+	}
+	return star
 }
 
 // orIndep is P(A ∨ B) = s + p·(1 − s) for independent events of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -29,17 +30,32 @@ func TestExample52Unsorted(t *testing.T) {
 	// starting from c1 yields B1 = c1 ∨ c3 and B2 = c2 with bounds
 	// [0.812, 1], exactly as in the first partitioning of Example 5.2.
 	// The leaf is positive, so LeafBounds keeps B1 for lo and bounds
-	// hi by Harris: 1 − 0.94·0.79·0.2 = 0.85148.
+	// hi by the star cover (checkExample52Hi).
 	s, d := example52()
 	if lo, hi := fig3Bounds(s, d, false); math.Abs(lo-0.812) > 1e-12 || hi != 1 {
 		t.Fatalf("Figure 3 = [%v, %v], want [0.812, 1] (0.812+0.21 > 1 clamps)", lo, hi)
 	}
 	lo, hi := LeafBounds(s, d, false)
-	if math.Abs(lo-0.812) > 1e-12 || math.Abs(hi-0.85148) > 1e-12 {
-		t.Fatalf("LeafBounds = [%v, %v], want [0.812, 0.85148]", lo, hi)
+	if math.Abs(lo-0.812) > 1e-12 {
+		t.Fatalf("LeafBounds lo = %v, want 0.812", lo)
 	}
-	if exact := formula.BruteForceProbability(s, d); lo > exact || hi < exact {
-		t.Fatalf("bounds [%v, %v] miss the exact %v", lo, hi, exact)
+	checkExample52Hi(t, s, d, hi)
+}
+
+// checkExample52Hi: on Example 5.2 the star cover is exact. x is the
+// hub of x∧y and x∧z, v its own, so hi = 0.3·(1 − 0.8·0.3) ⊕ 0.8 =
+// 0.8456 = P, against the Harris 1 − 0.94·0.79·0.2 = 0.85148. hi must
+// equal the rational P within the leaf budget.
+func checkExample52Hi(t *testing.T, s *formula.Space, d formula.DNF, hi float64) {
+	t.Helper()
+	p := ratProb(s, d)
+	if pf, _ := p.Float64(); math.Abs(pf-0.8456) > 1e-12 {
+		t.Fatalf("exact P = %v, want 0.8456", pf)
+	}
+	diff := new(big.Rat).Sub(new(big.Rat).SetFloat64(hi), p)
+	slack := new(big.Rat).Mul(p, leafBudget(d))
+	if diff.Abs(diff).Cmp(slack) > 0 {
+		t.Fatalf("hi = %v, want the exact P = %v within %v", hi, p.FloatString(20), slack.FloatString(20))
 	}
 }
 
@@ -48,22 +64,16 @@ func TestExample52Sorted(t *testing.T) {
 	// B2 = c1 (P = 0.06), giving lower bound 0.842 as in the paper. The
 	// paper states the upper bound as 0.848, but Figure 3 defines it as
 	// min(1, ΣP(Bi)) = min(1, 0.842+0.06) = 0.902. LeafBounds keeps the
-	// lower bound and tightens hi to the Harris 0.85148.
+	// lower bound and tightens hi to the star cover's exact 0.8456.
 	s, d := example52()
 	if lo, hi := fig3Bounds(s, d, true); math.Abs(lo-0.842) > 1e-12 || math.Abs(hi-0.902) > 1e-12 {
 		t.Fatalf("Figure 3 = [%v, %v], want [0.842, 0.902]", lo, hi)
 	}
 	lo, hi := LeafBounds(s, d, true)
-	if math.Abs(lo-0.842) > 1e-12 || math.Abs(hi-0.85148) > 1e-12 {
-		t.Fatalf("LeafBounds = [%v, %v], want [0.842, 0.85148]", lo, hi)
+	if math.Abs(lo-0.842) > 1e-12 {
+		t.Fatalf("LeafBounds lo = %v, want 0.842", lo)
 	}
-	exact := formula.BruteForceProbability(s, d)
-	if math.Abs(exact-0.8456) > 1e-12 {
-		t.Fatalf("exact = %v, want 0.8456", exact)
-	}
-	if lo > exact || hi < exact {
-		t.Fatal("bounds must contain the exact probability")
-	}
+	checkExample52Hi(t, s, d, hi)
 }
 
 func TestLeafBoundsSingleBucketExact(t *testing.T) {
@@ -107,9 +117,10 @@ func TestLeafBoundsEdgeCases(t *testing.T) {
 // three-valued; small atom probabilities with clauses up to 8 wide;
 // atom probabilities near 1; block-disjoint leaves of three-valued
 // variables; and as named rows the R(x) S(x,y) T(y) grids at p = 1e-5,
-// where a bucket computed as 1 − Π(1 − p) cancelled below P, and the
-// BID counterexample, whose Harris bound is below P, so that only the
-// positivity check keeps it off the leaf.
+// where a bucket computed as 1 − Π(1 − p) cancelled below P, a leaf
+// whose star cover breaks a hub tie, and the BID counterexample, whose
+// Harris bound is below P, so that only the positivity check keeps it
+// off the leaf.
 func TestLeafBoundsContainRationalOracle(t *testing.T) {
 	sc := new(prepScratch)
 	s, d := example52()
@@ -118,12 +129,11 @@ func TestLeafBoundsContainRationalOracle(t *testing.T) {
 		s, d := tinyGrid(side, 1e-5)
 		checkLeafBounds(t, fmt.Sprintf("%d×%d grid at p = 1e-5", side, side), s, d, sc)
 	}
+	s, d = hubTie()
+	checkLeafBounds(t, "hub tie", s, d, sc)
 	s, d = bidCounterexample()
 	checkLeafBounds(t, "BID counterexample", s, d, sc)
-	harris := 0.0
-	for _, c := range d {
-		harris = orIndep(harris, c.Probability(s))
-	}
+	harris := refHarris(s, d, false)
 	if p, _ := ratProb(s, d).Float64(); math.Abs(p-0.999) > 1e-12 || harris >= p {
 		t.Fatalf("BID counterexample: P = %v, Harris %v; want 0.999 above the Harris bound", p, harris)
 	}
@@ -152,11 +162,12 @@ func TestLeafBoundsContainRationalOracle(t *testing.T) {
 }
 
 // FuzzLeafBoundsContainOracle is checkLeafBounds over byte-decoded
-// leaves of up to 10 variables and 24 clauses (decodeLeafDNF), on one
+// leaves of up to 16 variables and 24 clauses (decodeLeafDNF), on one
 // scratch whose counter is set, before each input, a few epochs short
 // of the wrap at a distance taken from the input. The seed corpus under
 // testdata/fuzz holds the BID counterexample, whose Harris bound is
-// 0.960 against P = 0.999.
+// 0.960 against P = 0.999, hubTie's leaf, and the 3×3 grid at
+// p = 168/(2²⁴ + 168) ≈ 1.0e-5.
 func FuzzLeafBoundsContainOracle(f *testing.F) {
 	sc := new(prepScratch)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -166,11 +177,12 @@ func FuzzLeafBoundsContainOracle(f *testing.F) {
 	})
 }
 
-// decodeLeafDNF reads: a variable count (1–10), per variable a domain
-// byte (2 or 3 values) and one weight byte per value (weight 1 + b,
-// renormalized), then up to 24 clauses, each a width byte (1–4 atoms)
-// followed by (variable, value) pairs. Inconsistent clauses are
-// dropped. Missing bytes read 0.
+// decodeLeafDNF reads: a variable count (1–16), per variable a domain
+// byte b (2 + b%2 values, value 0's weight scaled by 256^((b/2)%4), so
+// that an atom can be as unlikely as 2⁻²⁴) and one weight byte per
+// value (weight 1 + b, renormalized), then up to 24 clauses, each a
+// width byte (1–4 atoms) followed by (variable, value) pairs.
+// Inconsistent clauses are dropped. Missing bytes read 0.
 func decodeLeafDNF(data []byte) (*formula.Space, formula.DNF) {
 	next := func() int {
 		if len(data) == 0 {
@@ -180,13 +192,18 @@ func decodeLeafDNF(data []byte) (*formula.Space, formula.DNF) {
 		data = data[1:]
 		return int(b)
 	}
-	nvars := 1 + next()%10
+	nvars := 1 + next()%16
 	s := formula.NewSpace()
 	for i := 0; i < nvars; i++ {
-		dist := make([]float64, 2+next()%2)
+		b := next()
+		dist := make([]float64, 2+b%2)
+		scale := math.Ldexp(1, 8*((b/2)%4))
 		sum := 0.0
 		for a := range dist {
 			dist[a] = float64(1 + next())
+			if a == 0 {
+				dist[a] *= scale
+			}
 			sum += dist[a]
 		}
 		for a := range dist {
@@ -223,6 +240,19 @@ func tinyGrid(side int, p float64) (*formula.Space, formula.DNF) {
 		}
 	}
 	return s, d
+}
+
+// hubTie is (a ∧ b) ∨ (a ∧ c) ∨ (b ∧ d): a and b occur twice each, so
+// the star cover puts a ∧ b under a, the smaller id, and bounds P =
+// 0.298 by 0.3052 (Harris: 0.33166). Under b it would read 0.3127.
+func hubTie() (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	a, b, c, d := s.AddBool(0.3), s.AddBool(0.2), s.AddBool(0.7), s.AddBool(0.5)
+	return s, formula.NewDNF(
+		formula.MustClause(formula.Pos(a), formula.Pos(b)),
+		formula.MustClause(formula.Pos(a), formula.Pos(c)),
+		formula.MustClause(formula.Pos(b), formula.Pos(d)),
+	)
 }
 
 // bidCounterexample is nine clauses (x = a ∧ yⱼ): x three-valued at 1/3

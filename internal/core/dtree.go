@@ -24,12 +24,16 @@
 // independent clauses (Figure 3). A leaf is positive when every variable
 // in it occurs with a single value, as in all tuple-independent lineage;
 // its clauses are then positively correlated (Harris' inequality), so
-// its upper bound is 1 − Π_c (1 − P(c)) over all clauses. Any other
-// leaf keeps Figure 3's min(1, Σ bucket probabilities) and the largest
-// bucket as lower bound. Leaf unions are accumulated as s + p·(1 − s),
-// whose terms are all non-negative: with n clauses at most w wide, each
-// leaf bound misses the exact value it stands for by a relative
-// (4n + w)·2⁻⁵³ at most, so a leaf interval holds P(leaf) within that.
+// its upper bound is the one-level dissociation ("star cover"): each
+// clause goes to its most frequent variable v, and the bound is the
+// independent union over those hubs of p_v · (1 − Π (1 − P(c \ v))),
+// capped by the Harris bound 1 − Π_c (1 − P(c)) over all clauses. Any
+// other leaf keeps Figure 3's min(1, Σ bucket probabilities) and the
+// largest bucket as lower bound. Leaf unions are accumulated as
+// s + p·(1 − s), whose terms are all non-negative: with n clauses at
+// most w wide, each leaf bound misses the exact value it stands for by
+// a relative (4n + w)·2⁻⁵³ at most, so a leaf interval holds P(leaf)
+// within that.
 package core
 
 import (

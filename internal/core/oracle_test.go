@@ -421,8 +421,86 @@ func fig3Bounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 	return lo, max(lo, min(sum, 1))
 }
 
+// refHarris is the Harris bound 1 − Π_c (1 − P(c)) as leafBounds folds
+// it: orIndep over the clauses in bucket order.
+func refHarris(s *formula.Space, d formula.DNF, sortClauses bool) float64 {
+	probs := make([]float64, len(d))
+	order := make([]int, len(d))
+	for i, c := range d {
+		probs[i], order[i] = c.Probability(s), i
+	}
+	if sortClauses {
+		order = refLeafOrder(probs)
+	}
+	hi := 0.0
+	for _, i := range order {
+		hi = orIndep(hi, probs[i])
+	}
+	return hi
+}
+
+// refStar is the star-cover bound of a positive leaf with maps for the
+// scratch's records: occurrence counts, each clause's hub (most
+// frequent variable, smallest id among equals, found by comparison, not
+// by atom order), the product of the clause's other atoms in atom
+// order, and per hub, in order of first use, the orIndep fold of those
+// products, times P(hub), folded by orIndep.
+func refStar(s *formula.Space, d formula.DNF) float64 {
+	occ := map[formula.Var]int{}
+	for _, c := range d {
+		for _, a := range c {
+			occ[a.Var]++
+		}
+	}
+	place := map[formula.Var]int{}
+	var ps, rests []float64
+	for _, c := range d {
+		h := c[0]
+		for _, a := range c {
+			if occ[a.Var] > occ[h.Var] || occ[a.Var] == occ[h.Var] && a.Var < h.Var {
+				h = a
+			}
+		}
+		r := 1.0
+		for _, a := range c {
+			if a.Var != h.Var {
+				r *= s.P(a)
+			}
+		}
+		g, ok := place[h.Var]
+		if !ok {
+			g = len(ps)
+			place[h.Var] = g
+			ps, rests = append(ps, s.P(h)), append(rests, 0)
+		}
+		rests[g] = orIndep(rests[g], r)
+	}
+	star := 0.0
+	for g := range ps {
+		star = orIndep(star, ps[g]*rests[g])
+	}
+	return star
+}
+
+// refIndependent reports whether the clauses of d share no variable —
+// the leaves whose first bucket holds every clause.
+func refIndependent(d formula.DNF) bool {
+	seen := map[formula.Var]bool{}
+	for _, c := range d {
+		for _, a := range c {
+			if seen[a.Var] {
+				return false
+			}
+		}
+		for _, a := range c {
+			seen[a.Var] = true
+		}
+	}
+	return true
+}
+
 // refPositive reports whether every variable of d occurs with a single
-// value — the leaves that get the Harris bound.
+// value — the leaves that get the star-cover bound.
 func refPositive(d formula.DNF) bool {
 	val := map[formula.Var]formula.Val{}
 	for _, c := range d {
@@ -510,7 +588,10 @@ func leafBudget(d formula.DNF) *big.Rat {
 // checkLeafBounds asserts LeafBounds' contract on d, computed over sc,
 // against ratProb, both clause orders: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
 // bitwise Figure 3 on a leaf that is not positive; and on a positive one
-// lo no higher than Figure 3's and hi never looser, within the budget.
+// lo no higher than Figure 3's, hi never looser than Figure 3's within
+// the budget, never above the Harris bound it replaced, and — unless
+// the clauses are independent, when lo == hi — bitwise
+// max(lo, min(refHarris, refStar)).
 func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF, sc *prepScratch) {
 	t.Helper()
 	p, tol := ratProb(s, d), leafBudget(d)
@@ -521,9 +602,15 @@ func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF,
 	}
 	pf, _ := p.Float64()
 	positive := refPositive(d)
+	multi := positive && len(d) > 1 && !d.IsTrue() // a positive leaf that reaches the first pass
+	star := 0.0
+	if multi {
+		star = refStar(s, d)
+	}
 	for _, sorted := range []bool{true, false} {
 		lo, hi, _ := leafBoundsScratch(s, d, sorted, sc)
 		flo, fhi := fig3Bounds(s, d, sorted)
+		harris := refHarris(s, d, sorted)
 		switch {
 		case rat(lo).Cmp(times(p, 1)) > 0:
 			t.Fatalf("%s sorted=%v: lo %v above P %v\n%s", name, sorted, lo, pf, d.String(s))
@@ -536,7 +623,11 @@ func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF,
 		case positive && lo > flo:
 			t.Fatalf("%s sorted=%v: first-bucket lo %v above Figure 3's %v", name, sorted, lo, flo)
 		case positive && rat(hi).Cmp(times(rat(fhi), 2)) > 0:
-			t.Fatalf("%s sorted=%v: Harris hi %v looser than Figure 3's %v", name, sorted, hi, fhi)
+			t.Fatalf("%s sorted=%v: hi %v looser than Figure 3's %v", name, sorted, hi, fhi)
+		case multi && hi > max(lo, harris):
+			t.Fatalf("%s sorted=%v: hi %v above the Harris bound %v", name, sorted, hi, harris)
+		case multi && !refIndependent(d) && math.Float64bits(hi) != math.Float64bits(max(lo, min(harris, star))):
+			t.Fatalf("%s sorted=%v: hi %v, want max(lo %v, min(Harris %v, star %v))", name, sorted, hi, lo, harris, star)
 		}
 	}
 }

@@ -33,15 +33,16 @@ import (
 //     step, never pooled: cache keys, entries and decisions alias them;
 //   - pooled epoch-stamped scratch (prepScratch) for the remaining
 //     per-prepare buffers: the leaf-bounds sort keys (probability and
-//     clause index, bounds.go) / variable stamps and values, the
-//     decomposition step's per-variable records — the ⊗ union-find
-//     (figure1.go) and the ⊙/⊕ analysis (factor.go, varorder.go) — and
-//     its transient child list, and the stack of merged conjunctions of
-//     the inclusion–exclusion walk (bounds.go). Every stamp takes its
-//     epoch from one counter with one wraparound path (epochs), and
-//     every buffer grows through one helper (grow). Deduplication —
-//     Normalize, RemoveSubsumed, the ⊕ branches' Dedup — probes
-//     formula's own pooled clause table (formula/hash.go).
+//     clause index, bounds.go) / variable stamps and values / star-cover
+//     hub accumulators (its occurrence counts and hub places go in the
+//     step's records), the decomposition step's per-variable records —
+//     the ⊗ union-find (figure1.go) and the ⊙/⊕ analysis (factor.go,
+//     varorder.go) — and its transient child list, and the stack of
+//     merged conjunctions of the inclusion–exclusion walk (bounds.go).
+//     Every stamp takes its epoch from one counter with one wraparound
+//     path (epochs), and every buffer grows through one helper (grow).
+//     Deduplication — Normalize, RemoveSubsumed, the ⊕ branches' Dedup
+//     — probes formula's own pooled clause table (formula/hash.go).
 //
 // The original allocate-everything pipeline is refRefiner's half of
 // oracle_test.go; the differential property tests in prepare_test.go
@@ -57,6 +58,7 @@ type prepScratch struct {
 	keys [2][]probKey  // leafBounds: clause probabilities in bucket order, and the sort's other buffer
 	st   []uint32      // leafBounds: per-bucket variable stamps
 	val  []formula.Val // leafBounds: the value each variable stamped by the first pass occurs with
+	hubs []float64     // leafBounds: per hub of a positive leaf, P(hub) and the union of its clauses' rests
 
 	step stepScan      // decomposition step: per-variable records (⊗, ⊙ and ⊕)
 	fact factorScratch // decomposition step: ⊙ projection table

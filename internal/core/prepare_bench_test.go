@@ -51,7 +51,7 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafBounds isolates the leaf bounds — one pass on these
+// BenchmarkLeafBounds isolates the leaf bounds — two passes on
 // positive leaves, Figure 3's quadratic bucket loop on others — on
 // pooled scratch vs the per-call-allocating
 // shape it replaced (fresh scratch each call approximates it).

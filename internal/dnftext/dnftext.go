@@ -21,14 +21,18 @@ import (
 )
 
 // Write renders the space's variables (those used by d) and d's clauses
-// in the textual format, so that Parse(Write(s, d)) reconstructs an
-// equivalent instance. Variable names come from the space; unnamed
-// variables get their default "x<id>" names.
+// in the textual format, so that Parse(Write(s, d)) reconstructs the
+// same clauses over bitwise the same atom probabilities, given distinct
+// variable names. Names come from the space; unnamed variables get
+// their default "x<id>" names. A Boolean variable is written by P(true) alone only when
+// Parse's 1 − P(true) rebuilds its P(false) bit for bit; otherwise
+// (var v 0.3 0.7: 1 − 0.7 is 0.30000000000000004) its whole
+// distribution is written.
 func Write(w io.Writer, s *formula.Space, d formula.DNF) error {
 	bw := bufio.NewWriter(w)
 	for _, v := range d.Vars() {
 		fmt.Fprintf(bw, "var %s", s.Name(v))
-		if s.DomainSize(v) == 2 {
+		if s.DomainSize(v) == 2 && 1-s.PTrue(v) == s.P(formula.Neg(v)) {
 			fmt.Fprintf(bw, " %g", s.PTrue(v))
 		} else {
 			for a := 0; a < s.DomainSize(v); a++ {

@@ -11,7 +11,7 @@ import (
 // PreparedFrag is the result of d-tree leaf preparation for one lineage
 // fragment: the normalized, subsumption-reduced DNF together with its
 // heuristic probability bounds (core.LeafBounds: Figure 3's
-// independent partition, with a Harris upper bound at positive leaves)
+// independent partition, with a star-cover upper bound at positive leaves)
 // and the work the preparation cost. It is the prepared-
 // statement analogue for fragments: the d-tree compiler prepares every
 // leaf it constructs, join lineage repeats identical subformulas across

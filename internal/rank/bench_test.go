@@ -132,10 +132,10 @@ func TestPinnedStepCounts(t *testing.T) {
 		runs []run // RefineAll neither decides nor picks: it has no oracle side
 		want int
 	}{
-		{"topk", s, dnfs, []run{topK, oracleTopK}, 11},
+		{"topk", s, dnfs, []run{topK, oracleTopK}, 7},
 		{"full", s, dnfs, []run{RefineAll}, 282},
-		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 144},
-		{"full-deep", sd, deep, []run{RefineAll}, 3441},
+		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 140},
+		{"full-deep", sd, deep, []run{RefineAll}, 3426},
 		{"decide/n=60", s60, dnfs60, []run{topK, oracleTopK}, 14},
 		{"decide/n=960", s960, dnfs960, []run{topK, oracleTopK}, 15},
 	} {

@@ -16,13 +16,19 @@ import (
 	"repro/internal/tpch"
 )
 
+// obsQ15Config is the TPC-H instance of obsQ15. Its tuple
+// probabilities stop at 0.5: with probabilities up to 1 the leaf
+// bounds decide the top-3 before any refinement step, and the trace
+// would show no rank work.
+var obsQ15Config = tpch.Config{SF: 0.002, ProbHigh: 0.5, Seed: 3}
+
 // obsQ15 builds a façade DB over a deterministic TPC-H instance and
 // the ranked Q15 plan IR (top-3 suppliers by confidence), forced onto
 // the lineage route — the acceptance workload of the observability
 // layer.
 func obsQ15(t testing.TB) (*repro.DB, *repro.Prepared) {
 	t.Helper()
-	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+	gen := tpch.Generate(obsQ15Config)
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 	db.Pool().Resize(1) // sequential: cache orders, hence traces, deterministic
 	sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
@@ -125,7 +131,7 @@ func TestObsTraceDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
+			gen := tpch.Generate(obsQ15Config)
 			db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 			db.Pool().Resize(1)
 			sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
