@@ -8,11 +8,13 @@ import (
 
 // ApproxGlobalCtx is the first incremental algorithm sketched in Section
 // V-D: it materializes the partial d-tree, repeatedly recomputes the
-// root bounds, and refines the open leaf with the largest bounds
-// interval until the ε-approximation condition of Proposition 5.8
-// holds. Unlike ApproxCtx it keeps every node in memory and performs no
-// leaf closing — it is the paper's motivation for the memory-efficient
-// depth-first variant, retained here as an alternative strategy.
+// root bounds, and refines an open leaf until the ε-approximation
+// condition of Proposition 5.8 holds. The paper refines the leaf with
+// the largest bounds interval; this refines the one whose interval,
+// scaled by its root sensitivity, is largest (see Refiner). Unlike
+// ApproxCtx it keeps every node in memory and performs no leaf closing
+// — it is the paper's motivation for the memory-efficient depth-first
+// variant, retained here as an alternative strategy.
 // Cancellation matches ApproxCtx: the context is checked before every
 // refinement step. It is a Refiner run to completion — the resumable
 // step-wise API (see refiner.go) is the primitive, this loop its
@@ -33,7 +35,8 @@ func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt O
 // resized, so a child's address is fixed for the tree's lifetime: the
 // open-leaf heap and the grandchildren's parent fields point into the
 // block. A node points at its prepared fragment: a cache entry or a
-// slot of its parent's decomposition.
+// slot of its parent's decomposition. The heap keeps an open leaf's
+// root sensitivity in its entry, not here, so gNode stays 80 bytes.
 type gNode struct {
 	kind     Kind // LeafKind until refined
 	children []gNode

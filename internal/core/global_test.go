@@ -5,10 +5,27 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
 )
+
+// TestGNodeSize: a materialized d-tree node is 80 bytes on a 64-bit
+// platform. The open-leaf heap keeps each leaf's root sensitivity in
+// its own entry (leafEntry) rather than in gNode: an 88-byte node cost
+// the warm serving path 2 % more allocated bytes per query.
+func TestGNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes below are for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(gNode{}); n != 80 {
+		t.Fatalf("gNode is %d bytes, want 80", n)
+	}
+	if n := unsafe.Sizeof(leafEntry{}); n != 16 {
+		t.Fatalf("leafEntry is %d bytes, want 16", n)
+	}
+}
 
 func TestGlobalAbsoluteGuarantee(t *testing.T) {
 	for _, eps := range []float64{0.1, 0.01} {

@@ -804,9 +804,10 @@ func decodeSmallDNF(data []byte) (*formula.Space, formula.DNF) {
 // path: the allocate-everything pipeline (d.Normalize on every
 // fragment, a fresh component partition per step, d.Restrict with a full
 // dedup on every child) and the O(tree)-per-Step bounds recompute and
-// widest-leaf rescan, moved here verbatim from approx.go, parallel.go,
-// prepare.go, global.go and refiner.go. refExact is the oracle of exact
-// evaluation, refRefiner of every ε > 0 trace.
+// leaf rescan, moved here from approx.go, parallel.go, prepare.go,
+// global.go and refiner.go (the rescan now keys leaves as the heap
+// does). refExact is the oracle of exact evaluation, refRefiner of
+// every ε > 0 trace.
 
 // refExact is ExactCtx over refExactRec, memoizing in memo (nil: no
 // memo) instead of Options.Frags.
@@ -1132,9 +1133,10 @@ func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 
 // refRefiner is the Refiner before the open-leaf heap, the dirty-path
 // propagation and the FragCache: every Step rescans the whole tree for
-// the widest open leaf, refines it on the reference pipeline and
-// recomputes the root interval bottom-up. It shares the Refiner's
-// shell (absorb, fail, the accessors); the heap stays empty.
+// the open leaf with the largest key (keyedLeaf), refines it on the
+// reference pipeline and recomputes the root interval bottom-up. It
+// shares the Refiner's shell (absorb, fail, the accessors); the heap
+// stays empty.
 type refRefiner struct {
 	Refiner
 	scratch boundsScratch // reusable full-recompute buffers
@@ -1166,7 +1168,7 @@ func (r *refRefiner) Step(budget int) (lo, hi float64, done bool) {
 			r.fail(ErrBudget)
 			break
 		}
-		leaf := r.root.widestLeaf()
+		leaf, _ := r.root.keyedLeaf(1)
 		if leaf == nil {
 			r.done = true
 			break
@@ -1256,26 +1258,48 @@ func (n *gNode) complete() bool {
 	return true
 }
 
-// widestLeaf returns the open leaf with the largest bounds interval, or
-// nil if every leaf is exact. Width ties go to the first such leaf in
-// DFS preorder (the scan below keeps the first strictly-widest hit).
-// The hot path keeps the open leaves in a heap with the same ordering
-// (see leafHeap).
-func (n *gNode) widestLeaf() *gNode {
+// keyedLeaf returns the open leaf under n with the largest key — its
+// width times its root sensitivity — and that sensitivity, or nil if
+// every leaf is exact. sens is n's own sensitivity. A child's is sens ×
+// ((mult × the product of its earlier siblings' factors) × the product
+// of its later siblings' factors, each product taken from the block's
+// end inwards, as attach's two passes take it), the factors being
+// 1 − mult·lo under ⊗, mult·hi under ⊙ and 1 under ⊕ from the
+// siblings' prepared bounds. It is recomputed at every scan, in
+// O(fanout²) per node. Key ties go to the first such leaf in DFS
+// preorder (the scan keeps the first strictly-largest hit).
+func (n *gNode) keyedLeaf(sens float64) (*gNode, float64) {
 	if n.isLeaf() {
 		if n.frag.Exact {
-			return nil
+			return nil, 0
 		}
-		return n
+		return n, sens
+	}
+	factor := func(c *gNode) float64 {
+		switch n.kind {
+		case IndepOr:
+			return 1 - c.mult*c.frag.Lo
+		case IndepAnd:
+			return c.mult * c.frag.Hi
+		}
+		return 1
 	}
 	var best *gNode
-	bestW := -1.0
+	bestSens, bestKey := 0.0, -1.0
 	for i := range n.children {
-		if leaf := n.children[i].widestLeaf(); leaf != nil {
-			if w := leaf.frag.Hi - leaf.frag.Lo; w > bestW {
-				best, bestW = leaf, w
+		pre, suf := 1.0, 1.0
+		for j := 0; j < i; j++ {
+			pre *= factor(&n.children[j])
+		}
+		for j := len(n.children) - 1; j > i; j-- {
+			suf *= factor(&n.children[j])
+		}
+		c := &n.children[i]
+		if leaf, ls := c.keyedLeaf(sens * (c.mult * pre * suf)); leaf != nil {
+			if k := (leaf.frag.Hi - leaf.frag.Lo) * ls; k > bestKey {
+				best, bestSens, bestKey = leaf, ls, k
 			}
 		}
 	}
-	return best
+	return best, bestSens
 }

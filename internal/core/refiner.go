@@ -11,9 +11,12 @@ import (
 // materialized partial d-tree of ApproxGlobalCtx turned into a step-wise
 // API. Where ApproxCtx runs its depth-first exploration to completion,
 // a Refiner persists the d-tree frontier between calls — each Step
-// refines the open leaf with the largest bounds interval (the paper's
-// refinement order) for up to budget leaf expansions and returns the
-// tightened global bounds. Callers interleave refinement across many
+// refines, for up to budget leaf expansions, the open leaf whose
+// interval can move the root's the most, and returns the tightened
+// global bounds. That leaf is the one with the largest width × root
+// sensitivity (see leafEntry); the paper's order, the leaf with the
+// largest own interval, ignores how ⊗, ⊙ and ⊕ scale a leaf's width on
+// its way to the root. Callers interleave refinement across many
 // formulas, which is what the multi-answer ranking schedulers in
 // internal/rank do: answers are refined only as far as their bounds
 // must separate, not to a fixed ε.
@@ -32,9 +35,9 @@ import (
 // surfaces ErrBudget through Err.
 //
 // Each Step costs O(depth + log leaves) plus the fanout of the nodes
-// on the refined leaf's root path: the widest open leaf comes from a
-// heap, and the root interval is recomputed by propagating the leaf's
-// new bounds up the dirty path only — never a whole-tree pass (the
+// on the refined leaf's root path: the open leaf comes from a heap,
+// and the root interval is recomputed by propagating the leaf's new
+// bounds up the dirty path only — never a whole-tree pass (the
 // original O(tree)-per-Step bookkeeping is refRefiner, the oracle of
 // the differential tests in oracle_test.go).
 //
@@ -44,8 +47,8 @@ import (
 type Refiner struct {
 	st    *state
 	root  gNode
-	open  leafHeap  // open leaves, widest first
-	open0 [1]*gNode // open's first array: the root alone
+	open  leafHeap     // open leaves, largest key first
+	open0 [1]leafEntry // open's first array: the root alone
 	lo    float64
 	hi    float64
 	steps int
@@ -87,20 +90,21 @@ func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Option
 	f := st.prepare(d)
 	r.root = gNode{frag: f, lo: f.Lo, hi: f.Hi}
 	if !f.Exact {
-		r.open0[0] = &r.root
+		r.open0[0] = leafEntry{n: &r.root, sens: 1}
 		r.open = r.open0[:]
 	}
 	r.absorb(f.Lo, f.Hi)
 	return r
 }
 
-// Step refines the widest open leaf, repeating up to budget times (a
-// budget below 1 is treated as 1), and returns the current global
-// bounds together with whether refinement is finished. Done becomes
-// true when the Options guarantee is met, the d-tree is complete (the
-// bounds are then a point), the node/work budget is exhausted, or the
-// context is cancelled; the latter two record an error retrievable via
-// Err. Step on a Done refiner returns the final bounds unchanged.
+// Step refines the open leaf with the largest key, repeating up to
+// budget times (a budget below 1 is treated as 1), and returns the
+// current global bounds together with whether refinement is finished.
+// Done becomes true when the Options guarantee is met, the d-tree is
+// complete (the bounds are then a point), the node/work budget is
+// exhausted, or the context is cancelled; the latter two record an
+// error retrievable via Err. Step on a Done refiner returns the final
+// bounds unchanged.
 func (r *Refiner) Step(budget int) (lo, hi float64, done bool) {
 	if budget < 1 {
 		budget = 1
@@ -114,17 +118,17 @@ func (r *Refiner) Step(budget int) (lo, hi float64, done bool) {
 			r.fail(ErrBudget)
 			break
 		}
-		leaf := r.popWidest()
-		if leaf == nil {
+		e := r.pop()
+		if e.n == nil {
 			// Tree complete: the bounds are exact. Reachable only when
 			// float rounding keeps an exact interval from satisfying a
 			// very tight Eps condition.
 			r.done = true
 			break
 		}
-		r.st.refine(leaf)
+		r.st.refine(e.n)
 		r.steps++
-		pathLen := r.attach(leaf)
+		pathLen := r.attach(e)
 		r.absorb(r.root.lo, r.root.hi)
 		r.st.opt.Metrics.RecordRefineStep(pathLen)
 	}

@@ -60,8 +60,8 @@ func TestRefinerMonotoneNonWidening(t *testing.T) {
 }
 
 // Step granularity must not change where refinement lands: refining
-// 1-by-1 and in large grants visits leaves in the same widest-first
-// order, so the final bounds agree exactly.
+// 1-by-1 and in large grants visits leaves in the same order, so the
+// final bounds agree exactly.
 func TestRefinerStepGranularity(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), seed)

@@ -2,12 +2,18 @@
 // discrete random variables, used by cmd/dtree. The format:
 //
 //	# comment
-//	var x 0.3            # Boolean variable, P(x=true) = 0.3
-//	var v 0.2 0.3 0.5    # discrete variable with 3 domain values
-//	clause x !y v=2      # conjunction: x ∧ ¬y ∧ (v = 2)
+//	var x 0.3
+//	var y 0.6
+//	var v 0.2 0.3 0.5
+//	clause x !y v=2
 //
-// Lines may appear in any order as long as variables are declared before
-// use. Empty lines and #-comments are ignored.
+// declares a Boolean variable x with P(x=true) = 0.3, another, y, and a
+// discrete variable v with 3 domain values, and adds the clause
+// x ∧ ¬y ∧ (v = 2). Lines may appear in any order as long as variables
+// are declared before use. Empty lines and lines starting with # are
+// ignored; a # later in a line does not start a comment. A variable's
+// name is non-empty, holds no whitespace and no '=', and starts with
+// neither '!' nor '#'.
 package dnftext
 
 import (
@@ -16,21 +22,36 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/formula"
 )
 
 // Write renders the space's variables (those used by d) and d's clauses
 // in the textual format, so that Parse(Write(s, d)) reconstructs the
-// same clauses over bitwise the same atom probabilities, given distinct
-// variable names. Names come from the space; unnamed variables get
-// their default "x<id>" names. A Boolean variable is written by P(true) alone only when
-// Parse's 1 − P(true) rebuilds its P(false) bit for bit; otherwise
-// (var v 0.3 0.7: 1 − 0.7 is 0.30000000000000004) its whole
-// distribution is written.
+// same clauses over bitwise the same atom probabilities. Names come
+// from the space; unnamed variables get their default "x<id>" names.
+// A name Parse cannot read back (see the package doc), or one that two
+// of d's variables share, is an error, and nothing is written. A
+// Boolean variable is written by P(true) alone only when Parse's
+// 1 − P(true) rebuilds its P(false) bit for bit; otherwise (var v 0.3
+// 0.7: 1 − 0.7 is 0.30000000000000004) its whole distribution is
+// written.
 func Write(w io.Writer, s *formula.Space, d formula.DNF) error {
+	vars := d.Vars()
+	seen := make(map[string]bool, len(vars))
+	for _, v := range vars {
+		name := s.Name(v)
+		if err := checkName(name); err != nil {
+			return fmt.Errorf("dnftext: variable %d: %v", v, err)
+		}
+		if seen[name] {
+			return fmt.Errorf("dnftext: variable %d: name %q is used by another variable", v, name)
+		}
+		seen[name] = true
+	}
 	bw := bufio.NewWriter(w)
-	for _, v := range d.Vars() {
+	for _, v := range vars {
 		fmt.Fprintf(bw, "var %s", s.Name(v))
 		if s.DomainSize(v) == 2 && 1-s.PTrue(v) == s.P(formula.Neg(v)) {
 			fmt.Fprintf(bw, " %g", s.PTrue(v))
@@ -80,6 +101,9 @@ func Parse(r io.Reader) (*formula.Space, formula.DNF, error) {
 				return nil, nil, fmt.Errorf("line %d: var needs a name and at least one probability", lineNo)
 			}
 			name := fields[1]
+			if err := checkName(name); err != nil {
+				return nil, nil, fmt.Errorf("line %d: %v", lineNo, err)
+			}
 			if _, dup := vars[name]; dup {
 				return nil, nil, fmt.Errorf("line %d: variable %q redeclared", lineNo, name)
 			}
@@ -135,6 +159,21 @@ func Parse(r io.Reader) (*formula.Space, formula.DNF, error) {
 		return nil, nil, err
 	}
 	return s, d.Normalize(), nil
+}
+
+// checkName returns an error for a variable name that a clause line
+// cannot refer to: an empty one, one that whitespace would split or
+// '=' would cut, or one that starts with the negation '!' or the
+// comment mark '#'.
+func checkName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("empty variable name")
+	case strings.IndexFunc(name, unicode.IsSpace) >= 0, strings.Contains(name, "="),
+		name[0] == '!', name[0] == '#':
+		return fmt.Errorf("variable name %q cannot be read back: it holds whitespace or '=', or starts with '!' or '#'", name)
+	}
+	return nil
 }
 
 func parseLiteral(s *formula.Space, vars map[string]formula.Var, lit string) (formula.Atom, error) {

@@ -66,6 +66,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad value", "var v 0.5 0.5\nclause v=7"},
 		{"non-boolean bare", "var v 0.2 0.3 0.5\nclause v"},
 		{"var without prob", "var x"},
+		{"name with =", "var a=1 0.3\nclause a=1"},
+		{"name starting with !", "var !a 0.3\nclause x"},
+		{"name starting with #", "var #a 0.3\nclause #a"},
 	}
 	for _, tc := range cases {
 		if _, _, err := Parse(strings.NewReader(tc.in)); err == nil {
@@ -101,6 +104,39 @@ clause b=0 y
 		t.Fatal(err)
 	}
 	checkRoundTrip(t, s, d)
+}
+
+// TestWriteRejectsUnreadableNames: Write fails, and writes nothing, on
+// a name Parse cannot read back or one two of d's variables share.
+func TestWriteRejectsUnreadableNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b string // names of the two variables; "" keeps the default
+	}{
+		{name: "equals sign", a: "a=1"},
+		{name: "space", a: "a b"},
+		{name: "tab", a: "a\tb"},
+		{name: "non-breaking space", a: "a\u00a0b"},
+		{name: "leading !", a: "!a"},
+		{name: "leading #", a: "#a"},
+		{name: "shared name", a: "y", b: "y"},
+		{name: "a default name", a: "x1"},
+	} {
+		s := formula.NewSpace()
+		va, vb := s.AddBool(0.3), s.AddBool(0.6)
+		s.SetName(va, tc.a)
+		s.SetName(vb, tc.b)
+		var buf strings.Builder
+		err := Write(&buf, s, formula.DNF{formula.Clause{formula.Pos(va)}, formula.Clause{formula.Pos(vb)}})
+		if err == nil || buf.Len() != 0 {
+			t.Errorf("%s: Write = %v with %q written, want an error and nothing", tc.name, err, buf.String())
+		}
+	}
+	// A bad name on a variable d does not use is never written.
+	s := formula.NewSpace()
+	va, vb := s.AddBool(0.3), s.AddBool(0.6)
+	s.SetName(vb, "b=1")
+	checkRoundTrip(t, s, formula.DNF{formula.Clause{formula.Pos(va)}})
 }
 
 // checkRoundTrip asserts that Parse(Write(s, d)) gives d back: the same

@@ -314,3 +314,33 @@ func exactP(s *formula.Space, d formula.DNF) float64 {
 	}
 	return res.Estimate
 }
+
+// TestGlobalNodesOnFigure8Triangles pins the nodes ApproxGlobalCtx
+// builds on Fig. 8's triangle query over K_n at p = 0.3, under the
+// figure harness's work budget. While the Refiner refined the widest
+// leaf rather than the one with the largest width × root sensitivity
+// they read 9 808 (n = 8, relative 0.05), 6 067 (n = 8, absolute 0.05),
+// 19 305 (n = 8, relative 0.01) and 130 (n = 6, relative 0.05).
+func TestGlobalNodesOnFigure8Triangles(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		eps   float64
+		kind  core.ErrorKind
+		nodes int
+	}{
+		{8, 0.05, core.Relative, 4311},
+		{8, 0.05, core.Absolute, 2183},
+		{8, 0.01, core.Relative, 12251},
+		{6, 0.05, core.Relative, 98},
+	} {
+		g := Complete(tc.n, 0.3)
+		res, err := core.ApproxGlobalCtx(context.Background(), g.Space(), g.TriangleDNF(),
+			core.Options{Eps: tc.eps, Kind: tc.kind, MaxWork: 30_000_000})
+		if err != nil || !res.Converged {
+			t.Fatalf("n=%d %v %v: converged=%v err=%v", tc.n, tc.kind, tc.eps, res.Converged, err)
+		}
+		if res.Nodes != tc.nodes {
+			t.Errorf("n=%d %v %v: %d nodes, want %d", tc.n, tc.kind, tc.eps, res.Nodes, tc.nodes)
+		}
+	}
+}
