@@ -1182,6 +1182,9 @@ func (r *refRefiner) Step(budget int) (lo, hi float64, done bool) {
 
 func (r *refRefiner) Result() Result {
 	res := r.st.finish(r.lo, r.hi)
+	if r.root.frag != nil {
+		res.Nodes++
+	}
 	res.EarlyStop = res.Converged && !r.root.complete()
 	return res
 }

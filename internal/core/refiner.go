@@ -60,9 +60,12 @@ type Refiner struct {
 // heuristic bounds — the same leaf preparation every d-tree evaluation
 // starts with) and returns a Refiner positioned before the first
 // refinement step. A formula whose prepared bounds already meet the
-// Options guarantee is Done immediately with zero steps taken. An Eps
-// that is NaN or outside [0, 1), or a context already done, fails the
-// Refiner (Err) before preparation.
+// Options guarantee is Done immediately with zero steps taken. The
+// prepared root is the tree's first node, as in exact evaluation: a
+// Refiner that converges at its root reports 1 node in Result (the
+// MaxNodes budget counts the nodes refinement builds). An Eps that is
+// NaN or outside [0, 1), or a context already done, fails the Refiner
+// (Err) before preparation, with 0 nodes.
 func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (r *Refiner) {
 	st := newState(ctx, s, opt)
 	r = &Refiner{st: st, lo: 0, hi: 1}
@@ -156,6 +159,9 @@ func (r *Refiner) Steps() int { return r.steps }
 // counters.
 func (r *Refiner) Result() Result {
 	res := r.st.finish(r.lo, r.hi)
+	if r.root.frag != nil {
+		res.Nodes++ // the prepared root
+	}
 	// An empty open-leaf heap is a complete tree: every leaf exact.
 	res.EarlyStop = res.Converged && len(r.open) > 0
 	return res

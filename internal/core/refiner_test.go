@@ -217,7 +217,7 @@ func TestRefinerExactAtPrepare(t *testing.T) {
 	if !r.Done() || r.Steps() != 0 {
 		t.Fatalf("done=%v steps=%d, want immediate exact", r.Done(), r.Steps())
 	}
-	if res := r.Result(); res.Nodes != 0 || !res.Converged {
-		t.Fatalf("res %+v, want 0 nodes converged", res)
+	if res := r.Result(); res.Nodes != 1 || !res.Converged {
+		t.Fatalf("res %+v, want the root alone, converged", res)
 	}
 }

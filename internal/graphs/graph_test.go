@@ -320,7 +320,8 @@ func exactP(s *formula.Space, d formula.DNF) float64 {
 // figure harness's work budget. While the Refiner refined the widest
 // leaf rather than the one with the largest width × root sensitivity
 // they read 9 808 (n = 8, relative 0.05), 6 067 (n = 8, absolute 0.05),
-// 19 305 (n = 8, relative 0.01) and 130 (n = 6, relative 0.05).
+// 19 305 (n = 8, relative 0.01) and 130 (n = 6, relative 0.05), and
+// one less each while the prepared root went uncounted.
 func TestGlobalNodesOnFigure8Triangles(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
@@ -328,10 +329,10 @@ func TestGlobalNodesOnFigure8Triangles(t *testing.T) {
 		kind  core.ErrorKind
 		nodes int
 	}{
-		{8, 0.05, core.Relative, 4311},
-		{8, 0.05, core.Absolute, 2183},
-		{8, 0.01, core.Relative, 12251},
-		{6, 0.05, core.Relative, 98},
+		{8, 0.05, core.Relative, 4312},
+		{8, 0.05, core.Absolute, 2184},
+		{8, 0.01, core.Relative, 12252},
+		{6, 0.05, core.Relative, 99},
 	} {
 		g := Complete(tc.n, 0.3)
 		res, err := core.ApproxGlobalCtx(context.Background(), g.Space(), g.TriangleDNF(),
