@@ -303,32 +303,6 @@ func BenchmarkFig9SocialNetworks(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// The two incremental strategies of Section V-D.
-// ---------------------------------------------------------------------
-
-func BenchmarkAblationGlobalVsDepthFirst(b *testing.B) {
-	// The two incremental strategies of Section V-D: global
-	// largest-interval-first refinement (memory-hungry) vs the
-	// depth-first variant with leaf closing (memory-efficient).
-	g := graphs.Karate(0.3, 0.95, 42)
-	s, d := g.Space(), g.TriangleDNF()
-	b.Run("depth-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ApproxCtx(context.Background(), s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("global", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ApproxGlobalCtx(context.Background(), s, d, core.Options{Eps: 0.01, Kind: core.Relative}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------
 // Unified engine: parallel batch conf() and subformula memoization.
 // ---------------------------------------------------------------------
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dtree [-eps 0.01] [-relative] [-exact] [-global] [-seq] [-stats]
+//	dtree [-eps 0.01] [-relative] [-exact] [-seq] [-stats]
 //	      [-metrics] [-timeout 0] [-max-nodes 0] [-mc] [file]
 //
 // The input (a file argument or stdin) uses the dnftext format:
@@ -14,10 +14,10 @@
 //	clause x v=2
 //
 // With -exact (or -eps 0) the exact probability is printed; otherwise an
-// ε-approximation with the chosen error semantics. -timeout is a
-// deadline on the evaluation's context; -max-nodes bounds the d-tree.
-// -global runs the largest-interval-first strategy (core.ApproxGlobalCtx)
-// instead of the depth-first one.
+// ε-approximation with the chosen error semantics, computed by refining
+// the open leaf of the materialized d-tree whose interval can move the
+// root's the most (core.Refiner). -timeout is a deadline on the
+// evaluation's context; -max-nodes bounds the d-tree.
 // -mc additionally runs the Karp-Luby/DKLR baseline for comparison.
 // -metrics attaches an observability registry to the evaluation and
 // prints the worker-pool saturation and budget counters afterwards.
@@ -30,7 +30,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dnftext"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -41,7 +40,6 @@ func main() {
 	eps := flag.Float64("eps", 0.01, "allowed error (0 = exact)")
 	relative := flag.Bool("relative", false, "use relative (multiplicative) error instead of absolute")
 	exact := flag.Bool("exact", false, "compute the exact probability")
-	global := flag.Bool("global", false, "use the global largest-interval-first strategy")
 	seq := flag.Bool("seq", false, "disable parallel exploration of independent branches")
 	stats := flag.Bool("stats", false, "print d-tree statistics")
 	metrics := flag.Bool("metrics", false, "print engine metrics (pool saturation, budget exhaustions)")
@@ -95,12 +93,7 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	var res engine.Result
-	if *global {
-		res, err = core.ApproxGlobalCtx(ctx, s, d, ev)
-	} else {
-		res, err = ev.Evaluate(ctx, s, d)
-	}
+	res, err := ev.Evaluate(ctx, s, d)
 	elapsed := time.Since(start)
 	if err != nil {
 		// Timeouts and budget exhaustion still carry the bounds reached
@@ -116,8 +109,8 @@ func main() {
 			res.Estimate, ev.Eps, ev.Kind, res.Lo, res.Hi, elapsed)
 	}
 	if *stats {
-		fmt.Printf("clauses=%d vars=%d nodes=%d leaves-closed=%d early-stop=%v\n",
-			len(d), len(d.Vars()), res.Nodes, res.LeavesClosed, res.EarlyStop)
+		fmt.Printf("clauses=%d vars=%d nodes=%d early-stop=%v\n",
+			len(d), len(d.Vars()), res.Nodes, res.EarlyStop)
 	}
 	if reg != nil {
 		snap := reg.Snapshot()

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -32,8 +32,8 @@ func (k ErrorKind) String() string {
 }
 
 // Options configures the d-tree algorithm, whose one configuration is
-// the paper's: Figure 1's subsumption removal, Figure 3's sorted
-// buckets, Theorem 5.12's leaf closing and Lemma 6.8's variable order.
+// the paper's Figure 1 subsumption removal, Figure 3 sorted buckets and
+// Lemma 6.8 variable order.
 // The zero value asks for an exact answer (Eps 0). It is the one d-tree
 // options value: engine.Approx is this type as an evaluator, and
 // rank.Options is it as the ranking schedulers' per-answer refinement
@@ -102,10 +102,9 @@ type Result struct {
 	Lo, Hi float64
 	// Estimate is an ε-approximation of P(Φ) when Converged is true.
 	Estimate float64
-	// Nodes is the number of d-tree nodes constructed.
+	// Nodes is the number of d-tree nodes constructed, the root
+	// included.
 	Nodes int
-	// LeavesClosed counts leaves discarded by the Theorem 5.12 check.
-	LeavesClosed int
 	// Samples counts estimator invocations (Monte Carlo only).
 	Samples int
 	// Exact reports a certain, exact Estimate (Lo == Hi).
@@ -119,44 +118,20 @@ type Result struct {
 }
 
 // ApproxCtx computes an ε-approximation of P(d) by incremental d-tree
-// compilation (Section V-D). It decomposes d depth-first following
-// Figure 1, checking before each node construction whether (1) the current
-// global bounds already satisfy the sufficient ε-approximation condition
-// of Proposition 5.8 (then it stops), or (2) the current leaf can be
-// closed per Theorem 5.12 while still guaranteeing the error bound. When
-// ctx is cancelled or its deadline passes, evaluation stops promptly and
-// the context's error is returned together with the bounds reached so
-// far (Converged false). An Eps that is NaN or outside [0, 1) is an
-// error before any work.
+// compilation (Section V-D): a Refiner run until the bounds of its
+// materialized partial d-tree satisfy the sufficient ε-approximation
+// condition of Proposition 5.8. At Eps 0 it is ExactCtx. When ctx is
+// cancelled or its deadline passes, evaluation stops promptly and the
+// context's error is returned together with the bounds reached so far
+// (Converged false). An Eps that is NaN or outside [0, 1) is an error
+// before any work.
 func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	if err := checkEps(opt.Eps); err != nil {
-		return Result{Hi: 1}, err
-	}
 	if opt.Eps == 0 {
 		return ExactCtx(ctx, s, d, opt)
 	}
-	st := newState(ctx, s, opt)
-	if err := st.ctx.Err(); err != nil {
-		st.cancelErr = err
-		return st.finish(0, 1), err
-	}
-	f := st.prepare(d)
-	if f.Exact {
-		return st.finish(f.Lo, f.Hi), nil
-	}
-	id := affine{1, 0}
-	lo, hi := st.explore(f, bctx{id, id, id, id})
-	if st.done {
-		lo, hi = st.doneLo, st.doneHi
-	}
-	res := st.finish(lo, hi)
-	if st.cancelErr != nil {
-		return res, st.cancelErr
-	}
-	if st.budgetHit.Load() {
-		return res, ErrBudget
-	}
-	return res, nil
+	r := NewRefiner(ctx, s, d, opt)
+	r.Step(math.MaxInt)
+	return r.Result(), r.Err()
 }
 
 // Evaluate is ApproxCtx under o.
@@ -166,8 +141,8 @@ func (o Options) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) 
 
 // checkEps rejects an Eps that is NaN or outside [0, 1): such an Eps
 // either never meets the guarantee (a full compilation, and no error)
-// or meets it vacuously. ApproxCtx and NewRefiner, the two ε-engines'
-// entries, run it before any work.
+// or meets it vacuously. NewRefiner, the ε-engine's one entry, runs it
+// before any work.
 func checkEps(eps float64) error {
 	if !(eps >= 0 && eps < 1) {
 		return fmt.Errorf("core: eps %v must lie in [0, 1)", eps)
@@ -204,36 +179,10 @@ func ExactProbability(s *formula.Space, d formula.DNF) float64 {
 	return r.Estimate
 }
 
-// affine is the map x ↦ a·x + b. Bound propagation through every d-tree
-// node kind is affine (with non-negative slope) in any single descendant
-// leaf's bound once all other leaves are fixed — the observation behind
-// Lemma 5.11 — so the global stop and close checks reduce to evaluating
-// four precomposed affine maps, O(1) per check.
-type affine struct{ a, b float64 }
-
-func (f affine) ap(x float64) float64    { return f.a*x + f.b }
-func (f affine) compose(g affine) affine { return affine{f.a * g.a, f.a*g.b + f.b} }
-
-// bctx carries, for the subtree being explored, the affine maps from its
-// (lower, upper) bounds to the d-tree root's (lower, upper) bounds under
-// two policies for leaves not yet explored:
-//
-//	stop policy  — open leaves contribute their heuristic [lo, hi]
-//	               (Proposition 5.8 check on the current partial d-tree);
-//	close policy — open leaves are pinned to their lower bound [lo, lo],
-//	               the bound-space point maximizing the error interval
-//	               (Lemma 5.11), so satisfying the condition here makes
-//	               closing the current leaf safe (Theorem 5.12).
-type bctx struct {
-	sLo, sHi affine // stop policy: root lower / upper
-	cLo, cHi affine // close policy: root lower / upper
-}
-
 // state carries one evaluation's configuration and counters. The
 // counters are atomics because the exact path fans independent branches
-// out across goroutines; the incremental (eps > 0) refinement itself is
-// sequential — its stop/close decisions depend on refinement order — so
-// the fields below the counters are only touched single-threaded.
+// out across goroutines; refinement (eps > 0) is sequential, so
+// cancelErr is only touched single-threaded.
 type state struct {
 	s   *formula.Space
 	opt Options
@@ -251,20 +200,23 @@ type state struct {
 	// running their full course (see Pool.RunAbort).
 	poisoned atomic.Bool
 
-	closed         int
-	done           bool
-	doneLo, doneHi float64
-	cancelErr      error
+	cancelErr error
 }
 
 func newState(ctx context.Context, s *formula.Space, opt Options) *state {
+	st := new(state)
+	st.init(ctx, s, opt)
+	return st
+}
+
+// init sets a zero state up for one evaluation; the Refiner runs it on
+// the state it holds by value.
+func (st *state) init(ctx context.Context, s *formula.Space, opt Options) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &state{
-		s: s, opt: opt, ctx: ctx,
-		pooled: opt.Pool.Parallelism() > 1,
-	}
+	st.s, st.opt, st.ctx = s, opt, ctx
+	st.pooled = opt.Pool.Parallelism() > 1
 }
 
 func (st *state) prepare(d formula.DNF) *formula.PreparedFrag {
@@ -413,93 +365,11 @@ func (st *state) finish(lo, hi float64) Result {
 	}
 	return Result{
 		Lo: lo, Hi: hi, Estimate: est,
-		Nodes: int(st.nodes.Load()), LeavesClosed: st.closed,
-		Exact: lo == hi, EarlyStop: st.done && !st.budgetHit.Load() && st.cancelErr == nil,
-		Converged: converged,
+		Nodes: int(st.nodes.Load()), Exact: lo == hi, Converged: converged,
 	}
 }
 
-// explore refines the fragment f, returning its (possibly still partial)
-// probability bounds. It is the incremental compilation scheme of
-// Section V-D: before constructing the node for f it performs the global
-// stop check and the leaf close check, then decomposes per Figure 1 and
-// recurses on the children depth-first left-to-right, updating the bound
-// contexts with each refined sibling.
-func (st *state) explore(f *formula.PreparedFrag, cx bctx) (lo, hi float64) {
-	st.nodes.Add(1)
-
-	// (1) Stop check: are the global bounds, with this and all remaining
-	// open leaves at their heuristic bounds, already an ε-approximation?
-	gLo, gHi := cx.sLo.ap(f.Lo), cx.sHi.ap(f.Hi)
-	if st.cond(gLo, gHi) {
-		st.done = true
-		st.doneLo, st.doneHi = gLo, gHi
-		return f.Lo, f.Hi
-	}
-	if err := st.interruptedOrInjected(); err != nil {
-		st.done = true
-		st.cancelErr = err
-		st.doneLo, st.doneHi = gLo, gHi
-		return f.Lo, f.Hi
-	}
-	if st.overBudget() {
-		st.done = true
-		st.hitBudget()
-		st.doneLo, st.doneHi = gLo, gHi
-		return f.Lo, f.Hi
-	}
-
-	// (2) Close check (Theorem 5.12): with every open leaf pinned at its
-	// lower bound, would freezing this leaf at [lo, hi] still allow an
-	// ε-approximation after refining the rest? If so, discard the leaf.
-	if st.cond(cx.cLo.ap(f.Lo), cx.cHi.ap(f.Hi)) {
-		st.closed++
-		return f.Lo, f.Hi
-	}
-
-	// (3) Decompose per Figure 1.
-	kind, children, mult := st.decompose(f)
-
-	// Effective child bounds (scaled by the ⊕ branch weight where
-	// applicable), the two halves of one block; refined in place as
-	// children complete.
-	n := len(children)
-	bounds := make([]float64, 2*n)
-	loArr, hiArr := bounds[:n:n], bounds[n:]
-	processed := make([]bool, n)
-	for i, c := range children {
-		loArr[i], hiArr[i] = mult[i]*c.Lo, mult[i]*c.Hi
-		processed[i] = c.Exact
-	}
-
-	// Refine children in order of decreasing bound-interval width (the
-	// paper refines the leaf with the largest bounds interval first):
-	// wide intervals are where refinement buys the most convergence.
-	order := make([]int, 0, n)
-	for i, c := range children {
-		if !c.Exact {
-			order = append(order, i)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		wa := hiArr[order[a]] - loArr[order[a]]
-		wb := hiArr[order[b]] - loArr[order[b]]
-		return wa > wb
-	})
-	for _, i := range order {
-		if st.done {
-			break
-		}
-		childCx := st.childCtx(cx, kind, mult[i], loArr, hiArr, processed, i)
-		clo, chi := st.explore(children[i], childCx)
-		loArr[i], hiArr[i] = mult[i]*clo, mult[i]*chi
-		processed[i] = true
-	}
-
-	return combine(kind, loArr, hiArr)
-}
-
-// decompose is step for the ε > 0 compilers (explore, Refiner.refine):
+// decompose is step for the ε > 0 compiler (Refiner.refine):
 // the children come back prepared, under the construction flags the
 // step's rule earns them, each the cache's canonical entry or a slot of
 // one block the step allocates. The returned list is fresh on every
@@ -546,87 +416,10 @@ func (st *state) replay(dec *formula.Decision) (Kind, []*formula.PreparedFrag, [
 	return kind, dec.Children, dec.Weights
 }
 
-// childCtx builds the bound context for child i of a node of the given
-// kind, composing the parent context with the node-local affine maps. For
-// the stop policy, siblings contribute their current [lo, hi]; for the
-// close policy, already-processed siblings contribute their refined
-// (frozen) [lo, hi] while still-open siblings are pinned to [lo, lo].
-func (st *state) childCtx(cx bctx, kind Kind, q float64, loArr, hiArr []float64, processed []bool, i int) bctx {
-	var sL, sU, cL, cU affine
-	switch kind {
-	case ExclOr:
-		var sumLoS, sumHiS, sumLoC, sumHiC float64
-		for j := range loArr {
-			if j == i {
-				continue
-			}
-			sumLoS += loArr[j]
-			sumHiS += hiArr[j]
-			sumLoC += loArr[j]
-			if processed[j] {
-				sumHiC += hiArr[j]
-			} else {
-				sumHiC += loArr[j]
-			}
-		}
-		sL = affine{q, sumLoS}
-		sU = affine{q, sumHiS}
-		cL = affine{q, sumLoC}
-		cU = affine{q, sumHiC}
-	case IndepOr:
-		var pLoS, pHiS, pLoC, pHiC float64 = 1, 1, 1, 1
-		for j := range loArr {
-			if j == i {
-				continue
-			}
-			pLoS *= 1 - loArr[j]
-			pHiS *= 1 - hiArr[j]
-			pLoC *= 1 - loArr[j]
-			if processed[j] {
-				pHiC *= 1 - hiArr[j]
-			} else {
-				pHiC *= 1 - loArr[j]
-			}
-		}
-		// 1 − (1 − q·x)·R  =  q·R·x + (1 − R)
-		sL = affine{q * pLoS, 1 - pLoS}
-		sU = affine{q * pHiS, 1 - pHiS}
-		cL = affine{q * pLoC, 1 - pLoC}
-		cU = affine{q * pHiC, 1 - pHiC}
-	case IndepAnd:
-		var pLoS, pHiS, pLoC, pHiC float64 = 1, 1, 1, 1
-		for j := range loArr {
-			if j == i {
-				continue
-			}
-			pLoS *= loArr[j]
-			pHiS *= hiArr[j]
-			pLoC *= loArr[j]
-			if processed[j] {
-				pHiC *= hiArr[j]
-			} else {
-				pHiC *= loArr[j]
-			}
-		}
-		sL = affine{q * pLoS, 0}
-		sU = affine{q * pHiS, 0}
-		cL = affine{q * pLoC, 0}
-		cU = affine{q * pHiC, 0}
-	default:
-		panic("core: childCtx on leaf")
-	}
-	return bctx{
-		sLo: cx.sLo.compose(sL),
-		sHi: cx.sHi.compose(sU),
-		cLo: cx.cLo.compose(cL),
-		cHi: cx.cHi.compose(cU),
-	}
-}
-
 // combine folds the children's (weighted) bounds into the node's by the
 // rule of its kind: Σ under ⊕, 1 − Π(1 − ·) under ⊗, Π under ⊙. It is
-// the package's one statement of that algebra — explore, exact
-// evaluation and Node.Probability / Node.Bounds all fold through it;
+// the package's one statement of that algebra — exact evaluation and
+// Node.Probability / Node.Bounds fold through it;
 // gNode.recompute repeats its operations over cached values in place.
 func combine(kind Kind, loArr, hiArr []float64) (lo, hi float64) {
 	switch kind {

@@ -25,63 +25,6 @@ func TestExample55(t *testing.T) {
 	}
 }
 
-// TestExample513 reproduces the close decision of Example 5.13 using the
-// affine bound contexts: at leaf Φ2 with ε = 0.012 (absolute), the stop
-// check fails (U−L = 0.049) but the close check succeeds
-// (U′−L = 0.0223 ≤ 0.024).
-func TestExample513(t *testing.T) {
-	st := &state{s: formula.NewSpace(), opt: Options{Eps: 0.012, Kind: Absolute}}
-	id := affine{1, 0}
-	root := bctx{id, id, id, id}
-
-	// Root ⊗ node: child 0 is the closed leaf Φ1 [0.1, 0.11] (processed),
-	// child 1 is the ⊕ subtree currently [0.55, 0.60] (irrelevant: we
-	// descend into it). Context for child 1:
-	cx1 := st.childCtx(root, IndepOr, 1,
-		[]float64{0.1, 0}, []float64{0.11, 0}, []bool{true, false}, 1)
-
-	// ⊕ node: child 0 is the Shannon branch x=1 with multiplier 0.5
-	// holding the current leaf Φ2; child 1 is the open leaf Φ3
-	// [0.35, 0.38]. Context for child 0:
-	cx2 := st.childCtx(cx1, ExclOr, 0.5,
-		[]float64{0, 0.35}, []float64{0, 0.38}, []bool{false, false}, 0)
-
-	// Stop check at Φ2 [0.4, 0.44]: plugging leaf bounds into the stop
-	// policy must give the Example 5.5 bounds [0.595, 0.644].
-	gLo, gHi := cx2.sLo.ap(0.4), cx2.sHi.ap(0.44)
-	if math.Abs(gLo-0.595) > 1e-12 || math.Abs(gHi-0.644) > 1e-12 {
-		t.Fatalf("stop bounds [%v, %v], want [0.595, 0.644]", gLo, gHi)
-	}
-	if st.cond(gLo, gHi) {
-		t.Fatal("stop condition must fail: 0.049 > 0.024")
-	}
-
-	// Close check: open Φ3 pinned at its lower bound 0.35 gives
-	// U′ = 0.11 ⊗ ((0.5 ⊙ 0.44) ⊕ 0.35) = 0.6173.
-	cLo, cHi := cx2.cLo.ap(0.4), cx2.cHi.ap(0.44)
-	if math.Abs(cLo-0.595) > 1e-12 {
-		t.Fatalf("close L = %v, want 0.595", cLo)
-	}
-	if math.Abs(cHi-0.6173) > 1e-4 {
-		t.Fatalf("close U′ = %v, want 0.6173", cHi)
-	}
-	if !st.cond(cLo, cHi) {
-		t.Fatalf("close condition must hold: %v ≤ 0.024", cHi-cLo)
-	}
-}
-
-func TestAffineCompose(t *testing.T) {
-	f := affine{2, 1}  // 2x+1
-	g := affine{3, -1} // 3x-1
-	h := f.compose(g)  // f(g(x)) = 6x-1
-	if h.a != 6 || h.b != -1 {
-		t.Fatalf("compose = %+v", h)
-	}
-	if got := h.ap(2); got != 11 {
-		t.Fatalf("ap = %v", got)
-	}
-}
-
 func TestApproxAbsoluteGuarantee(t *testing.T) {
 	for _, eps := range []float64{0.2, 0.05, 0.01, 0.001} {
 		for seed := int64(0); seed < 40; seed++ {
@@ -103,8 +46,8 @@ func TestApproxAbsoluteGuarantee(t *testing.T) {
 				t.Fatalf("eps=%v seed=%d: did not converge", eps, seed)
 			}
 			if math.Abs(res.Estimate-want) > eps+1e-9 {
-				t.Fatalf("eps=%v seed=%d: |%v - %v| > ε (lo=%v hi=%v closed=%d)",
-					eps, seed, res.Estimate, want, res.Lo, res.Hi, res.LeavesClosed)
+				t.Fatalf("eps=%v seed=%d: |%v - %v| > ε (lo=%v hi=%v)",
+					eps, seed, res.Estimate, want, res.Lo, res.Hi)
 			}
 			if res.Lo > want+1e-9 || res.Hi < want-1e-9 {
 				t.Fatalf("eps=%v seed=%d: bounds [%v,%v] miss %v", eps, seed, res.Lo, res.Hi, want)
@@ -168,7 +111,8 @@ func TestApproxEpsZeroIsExact(t *testing.T) {
 func TestApproxEarlyStopOnIndependentClauses(t *testing.T) {
 	// A DNF of pairwise-independent clauses has exact heuristic bounds
 	// (single bucket), so Approx must stop before any decomposition —
-	// the B16/B17 behaviour from the experiments.
+	// the B16/B17 behaviour from the experiments: the root is the one
+	// node.
 	s := formula.NewSpace()
 	var d formula.DNF
 	for i := 0; i < 50; i++ {
@@ -178,7 +122,7 @@ func TestApproxEarlyStopOnIndependentClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Nodes > 0 {
+	if res.Nodes != 1 {
 		t.Fatalf("constructed %d nodes; expected early exit on exact bounds", res.Nodes)
 	}
 	if !res.Exact {

@@ -17,7 +17,7 @@ var ErrBudget = errors.New("core: node budget exhausted before convergence")
 // equivalent to d (Proposition 4.5).
 //
 // Compile materializes the full tree and is intended for inspection,
-// testing and small formulas; ExactCtx and ApproxCtx perform the same
+// testing and small formulas; ExactCtx performs the same
 // decompositions without materialization.
 func Compile(s *formula.Space, d formula.DNF) *Node {
 	n, _ := CompileBudget(s, d, 0)

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is Figure 1, stated once. Every compiler in the package —
-// depth-first explore and Refiner.refine (through decompose), exact
-// evaluation (exactDecompose) and Compile — runs a fragment through
+// Refiner.refine (through decompose), exact evaluation
+// (exactDecompose) and Compile — runs a fragment through
 // leafHead and, when it is not a leaf yet, through step; they differ
 // only in what they do with the children (prepare them, evaluate them,
 // build Nodes). The rule lists as they ran before the pooled kernels

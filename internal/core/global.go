@@ -1,34 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"repro/internal/formula"
-)
-
-// ApproxGlobalCtx is the first incremental algorithm sketched in Section
-// V-D: it materializes the partial d-tree, repeatedly recomputes the
-// root bounds, and refines an open leaf until the ε-approximation
-// condition of Proposition 5.8 holds. The paper refines the leaf with
-// the largest bounds interval; this refines the one whose interval,
-// scaled by its root sensitivity, is largest (see Refiner). Unlike
-// ApproxCtx it keeps every node in memory and performs no leaf closing
-// — it is the paper's motivation for the memory-efficient depth-first
-// variant, retained here as an alternative strategy.
-// Cancellation matches ApproxCtx: the context is checked before every
-// refinement step. It is a Refiner run to completion — the resumable
-// step-wise API (see refiner.go) is the primitive, this loop its
-// simplest client.
-func ApproxGlobalCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	if opt.Eps == 0 {
-		return ExactCtx(ctx, s, d, opt)
-	}
-	r := NewRefiner(ctx, s, d, opt)
-	for !r.Done() {
-		r.Step(1)
-	}
-	return r.Result(), r.Err()
-}
+import "repro/internal/formula"
 
 // gNode is a mutable node of the materialized partial d-tree. A node's
 // children are one block, allocated when the node is refined and never

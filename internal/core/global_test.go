@@ -32,7 +32,7 @@ func TestGlobalAbsoluteGuarantee(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			s, d := randdnf.Generate(randdnf.Default(), seed)
 			want := formula.BruteForceProbability(s, d)
-			res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
+			res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -47,7 +47,7 @@ func TestGlobalRelativeGuarantee(t *testing.T) {
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.05, Kind: Relative})
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.05, Kind: Relative})
 		if err != nil {
 			return false
 		}
@@ -58,27 +58,10 @@ func TestGlobalRelativeGuarantee(t *testing.T) {
 	}
 }
 
-func TestGlobalMatchesDepthFirst(t *testing.T) {
-	// Both variants must produce valid intervals around the same truth;
-	// their estimates may differ but both within ε of it.
-	for seed := int64(0); seed < 25; seed++ {
-		s, d := randdnf.Generate(randdnf.Default(), seed)
-		want := formula.BruteForceProbability(s, d)
-		a, err1 := ApproxCtx(context.Background(), s, d, Options{Eps: 0.02, Kind: Absolute})
-		g, err2 := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.02, Kind: Absolute})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: %v / %v", seed, err1, err2)
-		}
-		if math.Abs(a.Estimate-want) > 0.02+1e-9 || math.Abs(g.Estimate-want) > 0.02+1e-9 {
-			t.Fatalf("seed %d: estimates %v / %v vs %v", seed, a.Estimate, g.Estimate, want)
-		}
-	}
-}
-
 func TestGlobalEpsZeroExact(t *testing.T) {
 	s, d := randdnf.Generate(randdnf.Default(), 9)
 	want := formula.BruteForceProbability(s, d)
-	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{})
+	res, err := ApproxCtx(context.Background(), s, d, Options{})
 	if err != nil || !res.Exact || math.Abs(res.Estimate-want) > 1e-9 {
 		t.Fatalf("res=%+v err=%v want=%v", res, err, want)
 	}
@@ -89,7 +72,7 @@ func TestGlobalBudget(t *testing.T) {
 		Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
 	}, 11)
 	want := formula.BruteForceProbability(s, d)
-	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 10})
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 10})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -105,7 +88,7 @@ func TestGlobalEarlyStopImmediate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d = append(d, formula.MustClause(formula.Pos(s.AddBool(0.1))))
 	}
-	res, err := ApproxGlobalCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Relative})
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Relative})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1143,8 +1143,9 @@ type refRefiner struct {
 }
 
 func newRefRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) *refRefiner {
-	st := newState(ctx, s, opt)
-	r := &refRefiner{Refiner: Refiner{st: st, lo: 0, hi: 1}}
+	r := &refRefiner{Refiner: Refiner{lo: 0, hi: 1}}
+	st := &r.st
+	st.init(ctx, s, opt)
 	if err := st.ctx.Err(); err != nil {
 		r.fail(err)
 		return r

@@ -151,8 +151,8 @@ func TestQuickEstimateWithinBounds(t *testing.T) {
 }
 
 func TestQuickDecompositionInvariance(t *testing.T) {
-	// The d-tree's closing, subsumption removal and bucket order change
-	// exploration, never semantics: the estimate stays within ε of the
+	// The d-tree's subsumption removal, bucket order and leaf choice
+	// change exploration, never semantics: the estimate stays within ε of the
 	// brute-force probability.
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)

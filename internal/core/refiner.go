@@ -7,16 +7,15 @@ import (
 	"repro/internal/formula"
 )
 
-// Refiner is the resumable form of the incremental ε-approximation: the
-// materialized partial d-tree of ApproxGlobalCtx turned into a step-wise
-// API. Where ApproxCtx runs its depth-first exploration to completion,
-// a Refiner persists the d-tree frontier between calls — each Step
-// refines, for up to budget leaf expansions, the open leaf whose
-// interval can move the root's the most, and returns the tightened
-// global bounds. That leaf is the one with the largest width × root
-// sensitivity (see leafEntry); the paper's order, the leaf with the
-// largest own interval, ignores how ⊗, ⊙ and ⊕ scale a leaf's width on
-// its way to the root. Callers interleave refinement across many
+// Refiner is the incremental ε-approximation of Section V-D: it
+// materializes the partial d-tree, and each Step refines, for up to
+// budget leaf expansions, the open leaf whose interval can move the
+// root's the most, and returns the tightened global bounds. That leaf
+// is the one with the largest width × root sensitivity (see
+// leafEntry); the paper's order, the leaf with the largest own
+// interval, ignores how ⊗, ⊙ and ⊕ scale a leaf's width on its way to
+// the root. ApproxCtx is a Refiner stepped until Done. The API is
+// step-wise so that callers can interleave refinement across many
 // formulas, which is what the multi-answer ranking schedulers in
 // internal/rank do: answers are refined only as far as their bounds
 // must separate, not to a fixed ε.
@@ -26,10 +25,13 @@ import (
 // intersection does too, and the bounds are monotone: Lo never
 // decreases and Hi never increases across Steps.
 //
-// Options are interpreted as on ApproxCtx's incremental path: Eps is
-// the target guarantee (Eps 0 refines to an exact — point — interval),
-// Frags memoizes prepared leaf fragments and may be shared across
-// Refiners over the same Space, and all work happens on the calling
+// Options are interpreted as on ApproxCtx at Eps > 0: Eps is the target
+// guarantee, tested by ApproxCond. At Eps 0 that test keeps its
+// absolute 1e-12 slack, so refinement stops at an interval at most
+// 1e-12 wide, not always at a point: a formula whose P is below 1e-12
+// can be Done at its first bounds. Frags memoizes prepared leaf
+// fragments and may be shared across Refiners over the same Space, and
+// all work happens on the calling
 // goroutine (Cache and Pool are not consulted). MaxNodes/MaxWork bound
 // this Refiner's cumulative work across all Steps; exhausting them
 // surfaces ErrBudget through Err.
@@ -45,7 +47,7 @@ import (
 // independent and may run concurrently (sharing a cache is safe). The
 // tree's root lives in the Refiner, so a Refiner must not be copied.
 type Refiner struct {
-	st    *state
+	st    state // by value: one allocation holds both
 	root  gNode
 	open  leafHeap     // open leaves, largest key first
 	open0 [1]leafEntry // open's first array: the root alone
@@ -67,8 +69,9 @@ type Refiner struct {
 // NaN or outside [0, 1), or a context already done, fails the Refiner
 // (Err) before preparation, with 0 nodes.
 func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (r *Refiner) {
-	st := newState(ctx, s, opt)
-	r = &Refiner{st: st, lo: 0, hi: 1}
+	r = &Refiner{lo: 0, hi: 1}
+	st := &r.st
+	st.init(ctx, s, opt)
 	err := checkEps(opt.Eps)
 	if err == nil {
 		err = st.ctx.Err()

@@ -94,8 +94,9 @@ type Evaluator interface {
 }
 
 // Approx evaluates an ε-approximation with certain error guarantees by
-// incremental d-tree compilation (Section V-D), depth-first with leaf
-// closing. Eps 0, the zero value, is exact evaluation by exhaustive
+// incremental d-tree compilation (Section V-D): core.Refiner refines
+// the materialized partial d-tree until its bounds meet Eps. Eps 0,
+// the zero value, is exact evaluation by exhaustive
 // d-tree compilation (the paper's "d-tree(error 0)"), with independent
 // branches explored in parallel on Pool. It is core.Options, whose
 // Evaluate rejects an Eps outside [0, 1) before any work.

@@ -7,19 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/randdnf"
 	"repro/internal/workpool"
 )
-
-// global is the largest-interval-first strategy, core.ApproxGlobalCtx,
-// as an Evaluator, so the tables below cover both d-tree strategies.
-type global Approx
-
-func (g global) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (Result, error) {
-	return core.ApproxGlobalCtx(ctx, s, d, Approx(g))
-}
 
 func randInstance(seed int64) (*formula.Space, formula.DNF) {
 	return randdnf.Generate(randdnf.Config{
@@ -44,7 +35,6 @@ func TestEvaluatorsAgree(t *testing.T) {
 			{"exact-seq", Approx{Pool: workpool.New(1)}, 1e-9},
 			{"exact-cache", Approx{Frags: formula.NewFragCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
-			{"approx-global", global{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"mc", MonteCarlo{Eps: 0.05, Delta: 0.01, Seed: seed}, 0.12},
 		}
 		for _, c := range cases {
@@ -120,7 +110,6 @@ func TestCancellation(t *testing.T) {
 	}{
 		{"exact", Approx{}},
 		{"approx", Approx{Eps: 0.001, Kind: Absolute}},
-		{"approx-global", global{Eps: 0.001, Kind: Absolute}},
 		{"mc", MonteCarlo{Eps: 0.001, Delta: 0.0001}},
 	} {
 		start := time.Now()
@@ -178,7 +167,7 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 
 	s, d := randInstance(1)
 	for _, ev := range []Evaluator{
-		Approx{}, Approx{Eps: 0.01}, global{Eps: 0.01},
+		Approx{}, Approx{Eps: 0.01},
 		MonteCarlo{Eps: 0.01, Delta: 0.01, Budget: Budget{Timeout: time.Hour}},
 	} {
 		start := time.Now()
@@ -202,15 +191,14 @@ func TestBudgetTimeoutCancelledParent(t *testing.T) {
 	}
 }
 
-// TestApproxRejectsEpsOutsideUnitInterval pins that both d-tree
-// strategies fail fast on an Eps that is NaN, negative or ≥ 1: such an
-// Eps would run a full compilation and return no error, or meet the
-// guarantee vacuously at the first bounds. The global one is what
-// cmd/dtree -global calls.
+// TestApproxRejectsEpsOutsideUnitInterval pins that the d-tree fails
+// fast on an Eps that is NaN, negative or ≥ 1: such an Eps would run a
+// full compilation and return no error, or meet the guarantee
+// vacuously at the first bounds.
 func TestApproxRejectsEpsOutsideUnitInterval(t *testing.T) {
 	s, d := randInstance(2)
 	for _, eps := range []float64{math.NaN(), -0.01, -0.1, math.Inf(-1), 1, 1.5, 2, math.Inf(1)} {
-		for _, ev := range []Evaluator{Approx{Eps: eps}, Approx{Eps: eps, Kind: Relative}, global{Eps: eps}, global{Eps: eps, Kind: Relative}} {
+		for _, ev := range []Evaluator{Approx{Eps: eps}, Approx{Eps: eps, Kind: Relative}} {
 			res, err := ev.Evaluate(context.Background(), s, d)
 			if err == nil || res.Converged || res.Nodes != 0 {
 				t.Fatalf("eps %v: err=%v converged=%v nodes=%d, want an error before any work",

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/tpch"
 )
 
 // fast returns params small enough for CI-speed smoke runs.
@@ -67,6 +71,29 @@ func TestFig7Runs(t *testing.T) {
 	tab := Fig7(p, []float64{0.0005, 0.001})
 	if len(tab.Rows) != 8 {
 		t.Fatalf("fig7 rows %d, want 4 queries × 2 SFs", len(tab.Rows))
+	}
+}
+
+// TestFig7B9Nodes pins the d-tree cells of Fig. 7's B9 at SF 0.0005
+// under the figure's own budgets. The Refiner converges in 1 653 nodes
+// at relative 0.05 and 6 800 at 0.01. The depth-first exploration with
+// leaf closing that ran before it built 232 758 nodes at 0.05 and did
+// not converge at 0.01 (331 793 nodes).
+func TestFig7B9Nodes(t *testing.T) {
+	p := Small()
+	db := tpch.Generate(tpch.Config{SF: 0.0005, ProbHigh: 1, Seed: p.Seed})
+	d := booleanDNF(db.B9IR(b9TypeMax))
+	for _, tc := range []struct {
+		eps   float64
+		nodes int
+	}{{relErr005, 1653}, {relErr001, 6800}} {
+		res, err := dtree(tc.eps, engine.Relative, p.DtreeMaxNodes).Evaluate(context.Background(), db.Space, d)
+		if err != nil || !res.Converged {
+			t.Fatalf("rel %v: converged=%v err=%v after %d nodes", tc.eps, res.Converged, err, res.Nodes)
+		}
+		if res.Nodes != tc.nodes {
+			t.Errorf("rel %v: %d nodes, want %d", tc.eps, res.Nodes, tc.nodes)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // ⊗ nodes, which is why the bound heuristic works so well; hard-query
 // trees contain real ⊕ branching. The table reports, per workload, the
 // complete d-tree's node-kind composition and, for the approximate run,
-// nodes constructed and leaves closed.
+// the nodes constructed.
 func NodeStats(p Params) *Table {
 	p = p.withDefaults()
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
@@ -25,7 +25,7 @@ func NodeStats(p Params) *Table {
 	t := &Table{
 		ID:     "stats",
 		Title:  "d-tree composition per workload",
-		Header: []string{"workload", "clauses", "tree nodes", "⊗", "⊙", "⊕", "leaves", "approx nodes", "closed"},
+		Header: []string{"workload", "clauses", "tree nodes", "⊗", "⊙", "⊕", "leaves", "approx nodes"},
 		Notes: []string{
 			"tree columns from exhaustive compilation (budget-capped); approx columns from rel-0.01 runs",
 		},
@@ -67,9 +67,9 @@ func NodeStats(p Params) *Table {
 		}
 		res, aerr := dtree(relErr001, engine.Relative, p.DtreeMaxNodes).Evaluate(context.Background(), space, c.dnf)
 		if aerr != nil {
-			row = append(row, "TO", "-")
+			row = append(row, "TO")
 		} else {
-			row = append(row, fmt.Sprint(res.Nodes), fmt.Sprint(res.LeavesClosed))
+			row = append(row, fmt.Sprint(res.Nodes))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -233,8 +233,8 @@ func TestRankSharedCache(t *testing.T) {
 	}
 }
 
-// TestEpsOutsideUnitIntervalRejected: a Refiner, depth-first ApproxCtx
-// and the ranked scheduler over Refiners each fail an Eps that is NaN
+// TestEpsOutsideUnitIntervalRejected: a Refiner, ApproxCtx and the
+// ranked scheduler over Refiners each fail an Eps that is NaN
 // or outside [0, 1) before any work, and Eps 0 stays valid.
 func TestEpsOutsideUnitIntervalRejected(t *testing.T) {
 	g := graphs.Complete(6, 0.3)
