@@ -64,7 +64,7 @@ func TestFig6cRuns(t *testing.T) {
 }
 
 func TestFig7Runs(t *testing.T) {
-	// B9's d-tree cells run out of budget, so their cost is the budget:
+	// A B9 d-tree cell that runs out of budget costs the whole budget:
 	// a quarter of fast()'s keeps this smoke run's time down.
 	p := fast()
 	p.DtreeMaxNodes /= 4
