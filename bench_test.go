@@ -383,37 +383,6 @@ func BenchmarkBatchConfTPCH(b *testing.B) {
 	b.Run("parallel-cache", func(b *testing.B) { benchConfBatch(b, db.Space, answers, 8, true) })
 }
 
-// BenchmarkParallelExact measures parallel vs sequential exploration of
-// one large tractable lineage (wide independent-or decomposition).
-func BenchmarkParallelExact(b *testing.B) {
-	s := formula.NewSpace()
-	var d formula.DNF
-	for a := 0; a < 400; a++ {
-		r := s.AddBoolTagged(0.3, 0)
-		for j := 0; j < 6; j++ {
-			sv := s.AddBoolTagged(0.5, 1)
-			d = append(d, formula.MustClause(formula.Pos(r), formula.Pos(sv)))
-		}
-	}
-	for _, cfg := range []struct {
-		name string
-		pool int
-	}{
-		{"sequential", 1},
-		{"parallel", 8},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opt := core.Options{Pool: workpool.New(cfg.pool)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ExactCtx(context.Background(), s, d, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCacheTPCH measures the memo cache on repeated evaluation of
 // TPC-H lineage (B17, hierarchical) — cache-off vs a cache shared
 // across evaluations.

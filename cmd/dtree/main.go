@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dtree [-eps 0.01] [-relative] [-exact] [-seq] [-stats]
+//	dtree [-eps 0.01] [-relative] [-exact] [-stats]
 //	      [-metrics] [-timeout 0] [-max-nodes 0] [-mc] [file]
 //
 // The input (a file argument or stdin) uses the dnftext format:
@@ -13,14 +13,15 @@
 //	var v 0.2 0.3 0.5
 //	clause x v=2
 //
-// With -exact (or -eps 0) the exact probability is printed; otherwise an
-// ε-approximation with the chosen error semantics, computed by refining
-// the open leaf of the materialized d-tree whose interval can move the
-// root's the most (core.Refiner). -timeout is a deadline on the
-// evaluation's context; -max-nodes bounds the d-tree.
-// -mc additionally runs the Karp-Luby/DKLR baseline for comparison.
-// -metrics attaches an observability registry to the evaluation and
-// prints the worker-pool saturation and budget counters afterwards.
+// With -exact (or -eps 0) the exact probability is printed, computed by
+// the d-tree compiler (core.Refiner) run until no leaf is open;
+// otherwise an ε-approximation with the chosen error semantics,
+// computed by refining the open leaf of the materialized d-tree whose
+// interval can move the root's the most. Either runs on one goroutine.
+// -timeout is a deadline on the evaluation's context; -max-nodes bounds
+// the d-tree. -mc additionally runs the Karp-Luby/DKLR baseline for
+// comparison. -metrics attaches an observability registry to the
+// evaluation and prints its budget counter afterwards.
 package main
 
 import (
@@ -33,16 +34,14 @@ import (
 	"repro/internal/dnftext"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/workpool"
 )
 
 func main() {
 	eps := flag.Float64("eps", 0.01, "allowed error (0 = exact)")
 	relative := flag.Bool("relative", false, "use relative (multiplicative) error instead of absolute")
 	exact := flag.Bool("exact", false, "compute the exact probability")
-	seq := flag.Bool("seq", false, "disable parallel exploration of independent branches")
 	stats := flag.Bool("stats", false, "print d-tree statistics")
-	metrics := flag.Bool("metrics", false, "print engine metrics (pool saturation, budget exhaustions)")
+	metrics := flag.Bool("metrics", false, "print engine metrics (budget exhaustions)")
 	timeout := flag.Duration("timeout", 0, "wall-clock evaluation budget (0 = none)")
 	maxNodes := flag.Int("max-nodes", 0, "d-tree node budget (0 = unlimited)")
 	runMC := flag.Bool("mc", false, "also run the Karp-Luby/DKLR baseline (aconf)")
@@ -74,16 +73,10 @@ func main() {
 	if *exact {
 		ev.Eps = 0
 	}
-	if *seq {
-		workpool.Default.Resize(1)
-	}
 	var reg *obs.Metrics
 	if *metrics {
 		reg = obs.NewMetrics()
 		ev.Metrics = reg
-		pool := workpool.New(workpool.Default.Parallelism())
-		pool.SetMetrics(reg)
-		ev.Pool = pool
 	}
 
 	ctx := context.Background()
@@ -114,8 +107,7 @@ func main() {
 	}
 	if reg != nil {
 		snap := reg.Snapshot()
-		fmt.Printf("metrics: pool spawned=%d inline=%d, budget exhausted=%d\n",
-			snap.PoolSpawned, snap.PoolInline, snap.BudgetExhausted)
+		fmt.Printf("metrics: budget exhausted=%d\n", snap.BudgetExhausted)
 	}
 	if *runMC {
 		epsMC := ev.Eps

@@ -16,8 +16,7 @@ import (
 // DB is the long-lived root of the query façade: it owns a probability
 // space, the relations registered over it, the pool of hash-consing
 // clause interners the lineage pipelines draw from, and a private
-// worker pool that parallel d-tree exploration and batch conf() fan out
-// on.
+// worker pool that batch conf() fans out on.
 //
 // A DB is safe for concurrent use. Short-lived state — the fragment
 // cache, the default budget and evaluator — lives one level down, in
@@ -156,7 +155,7 @@ func (db *DB) known(r *pdb.Relation) bool {
 }
 
 // Pool returns the DB's private worker pool — the one its sessions'
-// evaluations and batch conf() fan-outs run on. Each DB owns its own
+// batch conf() fan-outs run on. Each DB owns its own
 // pool (sized to GOMAXPROCS at creation), so resizing one DB never
 // affects another.
 func (db *DB) Pool() *workpool.Pool { return db.pool }

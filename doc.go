@@ -22,9 +22,8 @@
 //	                    d-tree evaluator (core.Options itself, exact at
 //	                    Eps 0) and the Monte Carlo baseline
 //	internal/workpool — bounded worker pools (one per DB, plus a
-//	                    process-wide default for DB-less evaluators)
-//	                    driving parallel d-tree exploration and batch
-//	                    conf() fan-out
+//	                    process-wide default for DB-less batches)
+//	                    driving batch conf() fan-out
 //	internal/mc       — Karp-Luby estimator, DKLR stopping rule (aconf)
 //	internal/pdb      — probabilistic relations, positive RA, and the
 //	                    parallel batch conf() operator
@@ -117,8 +116,7 @@ type (
 )
 
 // Unified confidence-engine types: one cancellable API over the whole
-// algorithm menu, with parallel branch exploration and subformula
-// memoization.
+// algorithm menu, with subformula memoization.
 type (
 	// ErrorKind selects absolute or relative approximation.
 	ErrorKind = core.ErrorKind
@@ -129,7 +127,7 @@ type (
 	// EvalResult is the unified evaluation outcome.
 	EvalResult = engine.Result
 	// ApproxEval evaluates an ε-approximation with error guarantees;
-	// Eps 0, its zero value, evaluates exactly via parallel d-tree
+	// Eps 0, its zero value, evaluates exactly by exhaustive d-tree
 	// compilation.
 	ApproxEval = engine.Approx
 	// MonteCarloEval is the Karp-Luby/DKLR (ε, δ) baseline.

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/formula"
@@ -40,19 +40,23 @@ func (k ErrorKind) String() string {
 // floor and limits. Wall time is the caller's context.
 type Options struct {
 	// Eps is the allowed error (0 ≤ Eps < 1). Eps 0 requests exact
-	// computation, which skips per-leaf bound computation entirely (the
-	// paper's "d-tree(error 0)" configuration).
+	// computation (ExactCtx, the paper's "d-tree(error 0)"
+	// configuration), which prepares fragments without leaf bounds and
+	// refines until no leaf is open.
 	Eps float64
 	// Kind selects absolute or relative error.
 	Kind ErrorKind
-	// MaxNodes, when positive, bounds the number of d-tree nodes
-	// constructed. When the budget is exhausted the current bounds are
-	// returned with Converged false.
+	// MaxNodes, when positive, bounds the number of d-tree nodes that
+	// refinement builds (the prepared root is not counted). When the
+	// budget is exhausted the current bounds are returned with
+	// Converged false — [0, 1] for an exact run, which has no bounds
+	// until it completes.
 	MaxNodes int
 	// MaxWork, when positive, bounds the cumulative number of clauses
 	// processed across all decomposition steps — a machine-independent
 	// stand-in for the paper's wall-clock timeout that also limits runs
-	// whose individual leaves are huge.
+	// whose individual leaves are huge. A step's children are charged
+	// together, so both budgets are tested between steps.
 	MaxWork int
 
 	// Cache is not consulted.
@@ -67,17 +71,18 @@ type Options struct {
 	// a hit short-circuits the whole preparation pipeline (normalize,
 	// reduce, leaf bounds), which profiling shows dominates ranking
 	// workloads. At Eps 0 it holds the exact probabilities of
-	// multi-clause subformulas. Sharing one Frags across evaluations over
-	// the same Space (the answers of a query, repeated Shannon branches)
+	// multi-clause subformulas, so a repeated fragment is a leaf of the
+	// exact d-tree. Sharing one Frags across evaluations over the same
+	// Space (the answers of a query, repeated Shannon branches)
 	// computes each repeated fragment once; it must not be reused with a
 	// different Space.
 	Frags *formula.FragCache
 
-	// Pool is the worker pool exact evaluation fans independent branches
-	// out on, bitwise identically at every size (1 = the calling
-	// goroutine); nil means the shared workpool.Default. Evaluation at
-	// Eps > 0 never enters it. Callers that own a pool (the façade DB)
-	// thread it here so sizing one pool never affects another's work.
+	// Pool is not consulted: one evaluation runs on the calling
+	// goroutine at every Eps. Callers that evaluate many formulas fan
+	// them out themselves (pdb.ConfWith's one pool task per answer).
+	//
+	// Deprecated: named only by bench/.
 	Pool *workpool.Pool
 
 	// Metrics, when non-nil, receives this evaluation's cache traffic,
@@ -139,6 +144,10 @@ func (o Options) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) 
 	return ApproxCtx(ctx, s, d, o)
 }
 
+// ErrBudget is returned when compilation exceeds the configured node
+// or work budget before reaching the requested approximation.
+var ErrBudget = errors.New("core: node budget exhausted before convergence")
+
 // checkEps rejects an Eps that is NaN or outside [0, 1): such an Eps
 // either never meets the guarantee (a full compilation, and no error)
 // or meets it vacuously. NewRefiner, the ε-engine's one entry, runs it
@@ -150,24 +159,37 @@ func checkEps(eps float64) error {
 	return nil
 }
 
-// ExactCtx computes P(d) exactly by exhaustive d-tree compilation
-// without materializing the tree and without computing per-leaf bounds.
-// This is the "d-tree(error 0)" configuration of the experiments; it
-// runs in polynomial time on lineage of tractable queries (Section VI).
-// Independent branches are explored in parallel on Options.Pool (see
-// internal/workpool) when it has more than one worker. Cancellation
-// matches ApproxCtx.
+// ExactCtx computes P(d) exactly: the "d-tree(error 0)" configuration
+// of the experiments, which runs in polynomial time on lineage of
+// tractable queries (Section VI). It is the Refiner in its exact mode
+// (exactStep), stepped until no leaf is open; Eps is not consulted.
+// Cancellation matches ApproxCtx; an exhausted budget or a fired
+// context returns [0, 1] with the error.
 func ExactCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, error) {
-	st := newState(ctx, s, opt)
-	p, err := st.exactRec(d, false, false)
-	if err != nil {
-		res := st.finish(0, 1)
-		res.Converged = false
-		return res, err
+	res, _, err := ExactShape(ctx, s, d, opt)
+	return res, err
+}
+
+// Shape is the composition of a d-tree: its node count per Kind,
+// indexed by Kind. A leaf is a node that was never refined: a
+// fragment settled by leafHead, by inclusion–exclusion or by the exact
+// memo, or the {x = a} leaf each ⊕ branch counts. Its entries sum to
+// the Result's Nodes.
+type Shape [4]int
+
+// ExactShape is ExactCtx that also returns the Shape of the complete
+// d-tree it built (the nodes a memo hit saved are not in it).
+func ExactShape(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (Result, Shape, error) {
+	opt.Eps = 0
+	r := newRefiner(ctx, s, d, opt, true)
+	r.Step(math.MaxInt)
+	res := r.Result()
+	var sh Shape
+	for k, n := range r.st.inner {
+		sh[k] = int(n)
 	}
-	res := st.finish(p, p)
-	res.Estimate, res.Exact, res.Converged = p, true, true
-	return res, nil
+	sh[LeafKind] = res.Nodes - sh[IndepOr] - sh[IndepAnd] - sh[ExclOr]
+	return res, sh, r.Err()
 }
 
 // ExactProbability is ExactCtx on a background context, returning just
@@ -179,26 +201,22 @@ func ExactProbability(s *formula.Space, d formula.DNF) float64 {
 	return r.Estimate
 }
 
-// state carries one evaluation's configuration and counters. The
-// counters are atomics because the exact path fans independent branches
-// out across goroutines; refinement (eps > 0) is sequential, so
-// cancelErr is only touched single-threaded.
+// state carries one evaluation's configuration and counters. One
+// evaluation runs on one goroutine, so the counters are plain fields.
 type state struct {
 	s   *formula.Space
 	opt Options
 	ctx context.Context
-	// pooled snapshots worker-pool availability once per evaluation, so
-	// the per-node parallelizable check stays lock-free.
-	pooled bool
 
-	nodes     atomic.Int64
-	work      atomic.Int64
-	budgetHit atomic.Bool
-	// poisoned marks the evaluation as doomed: a sibling pool task
-	// panicked and the batch is unwinding, so every context poll reports
-	// cancellation and workers drain at the next stride instead of
-	// running their full course (see Pool.RunAbort).
-	poisoned atomic.Bool
+	nodes int64
+	work  int64
+	// inner counts the nodes refine has turned into inner nodes, per
+	// Kind (the LeafKind entry stays 0).
+	inner [4]int32
+	// exact selects the Refiner's exact mode (ExactShape): fragments
+	// are prepared by leafHead alone, without cache or leaf bounds.
+	exact     bool
+	budgetHit bool
 
 	cancelErr error
 }
@@ -216,11 +234,20 @@ func (st *state) init(ctx context.Context, s *formula.Space, opt Options) {
 		ctx = context.Background()
 	}
 	st.s, st.opt, st.ctx = s, opt, ctx
-	st.pooled = opt.Pool.Parallelism() > 1
 }
 
+// prepare prepares the root fragment: prepareAs, or in exact mode
+// leafHead alone — a fragment that is not a leaf yet is open at [0, 1].
 func (st *state) prepare(d formula.DNF) *formula.PreparedFrag {
-	return st.prepareAs(d, false, false, nil)
+	if !st.exact {
+		return st.prepareAs(d, false, false, nil)
+	}
+	st.work += int64(len(d))
+	d, p, leaf := st.leafHead(d, false, false)
+	if leaf {
+		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
+	}
+	return &formula.PreparedFrag{D: d, Hi: 1}
 }
 
 // prepareAs prepares fragment d: leafHead under the construction flags
@@ -243,14 +270,14 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 	if c != nil {
 		if e, ok := c.Lookup(d, variantPrepared); ok {
 			st.opt.Metrics.RecordFragCache(true)
-			st.work.Add(e.Work)
+			st.work += e.Work
 			return e
 		}
 		st.opt.Metrics.RecordFragCache(false)
 	}
 	key := d
 	w := int64(len(key))
-	st.work.Add(w)
+	st.work += w
 	if slot == nil {
 		slot = new(formula.PreparedFrag)
 	}
@@ -265,7 +292,7 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 		*slot = formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true, Work: w}
 	} else {
 		lo, hi, ops := leafBounds(st.s, d, true)
-		st.work.Add(int64(ops))
+		st.work += int64(ops)
 		*slot = formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi, Work: w + int64(ops)}
 	}
 	if c == nil {
@@ -274,60 +301,39 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 	return c.Store(key, variantPrepared, slot)
 }
 
-// exactMemo is exactDecompose memoized in Options.Frags under
-// variantExact, when a cache is configured. d is the multi-clause
-// fragment leafHead passed; a hit charges nothing beyond what exactRec
-// already charged for reaching it, and failed computations are not
-// stored.
-func (st *state) exactMemo(d formula.DNF) (float64, error) {
+// lookupExact is the exact mode's memo lookup: d's probability when
+// Options.Frags holds it under variantExact. d is a multi-clause
+// fragment leafHead has passed; a hit charges nothing more.
+func (st *state) lookupExact(d formula.DNF) (float64, bool) {
 	c := st.opt.Frags
 	if c == nil {
-		return st.exactDecompose(d)
+		return 0, false
 	}
 	// Chaos site: like leaf.prepare, every fault kind surfaces as a
 	// contained panic (see Injector.FirePanic).
 	st.opt.Inject.FirePanic(fault.SiteCacheLookup)
-	if e, ok := c.Lookup(d, variantExact); ok {
-		st.opt.Metrics.RecordFragCache(true)
-		return e.Lo, nil
+	e, ok := c.Lookup(d, variantExact)
+	st.opt.Metrics.RecordFragCache(ok)
+	if !ok {
+		return 0, false
 	}
-	st.opt.Metrics.RecordFragCache(false)
-	p, err := st.exactDecompose(d)
-	if err != nil {
-		return 0, err
-	}
-	c.Store(d, variantExact, &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true})
-	return p, nil
+	return e.Lo, true
 }
 
-// interrupted reports why evaluation should stop early: the caller's
-// context (its own error, so a latched deadline still reads
-// DeadlineExceeded) or a sibling pool task's contained panic (poisoned
-// with a live context — reported as context.Canceled so the batch
-// drains promptly and the panic, rethrown by the pool, is the error
-// that surfaces). The first poll to see a dead context sets the same
-// latch, which exactRec loads on every node.
-func (st *state) interrupted() error {
-	if err := st.ctx.Err(); err != nil {
-		st.poison()
-		return err
+// storeExact memoizes d's exact probability p under variantExact.
+func (st *state) storeExact(d formula.DNF, p float64) {
+	if c := st.opt.Frags; c != nil {
+		c.Store(d, variantExact, &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true})
 	}
-	if st.poisoned.Load() {
-		return context.Canceled
-	}
-	return nil
 }
 
-// poison is the RunAbort hook: flips every subsequent interrupted()
-// poll on this evaluation to cancelled.
-func (st *state) poison() { st.poisoned.Store(true) }
-
-// interruptedOrInjected is the per-step poll: interruption first, then
-// the eval.step chaos site (injected errors stop evaluation exactly
-// like organic ones; injected panics unwind to the nearest containment
+// interruptedOrInjected is the per-step poll: the caller's context
+// first (its own error, so a deadline reads DeadlineExceeded), then the
+// eval.step chaos site (injected errors stop evaluation exactly like
+// organic ones; injected panics unwind to the nearest containment
 // point).
 func (st *state) interruptedOrInjected() error {
-	if err := st.interrupted(); err != nil {
+	if err := st.ctx.Err(); err != nil {
 		return err
 	}
 	return st.opt.Inject.Fire(fault.SiteEvalStep)
@@ -338,15 +344,15 @@ func (st *state) cond(lo, hi float64) bool {
 }
 
 func (st *state) overBudget() bool {
-	return (st.opt.MaxNodes > 0 && st.nodes.Load() >= int64(st.opt.MaxNodes)) ||
-		(st.opt.MaxWork > 0 && st.work.Load() >= int64(st.opt.MaxWork))
+	return (st.opt.MaxNodes > 0 && st.nodes >= int64(st.opt.MaxNodes)) ||
+		(st.opt.MaxWork > 0 && st.work >= int64(st.opt.MaxWork))
 }
 
-// hitBudget marks the evaluation budget-exhausted; the CAS counts each
-// evaluation's exhaustion once in the metrics registry no matter how
-// many branches observe it.
+// hitBudget marks the evaluation budget-exhausted, counting its
+// exhaustion once in the metrics registry.
 func (st *state) hitBudget() {
-	if st.budgetHit.CompareAndSwap(false, true) {
+	if !st.budgetHit {
+		st.budgetHit = true
 		st.opt.Metrics.RecordBudgetExhausted()
 	}
 }
@@ -356,7 +362,7 @@ func (st *state) finish(lo, hi float64) Result {
 	if hi < lo {
 		hi = lo
 	}
-	converged := st.cond(lo, hi) && !st.budgetHit.Load() && st.cancelErr == nil
+	converged := st.cond(lo, hi) && !st.budgetHit && st.cancelErr == nil
 	var est float64
 	if converged {
 		est = EstimateFrom(st.opt.Kind, st.opt.Eps, lo, hi)
@@ -365,7 +371,7 @@ func (st *state) finish(lo, hi float64) Result {
 	}
 	return Result{
 		Lo: lo, Hi: hi, Estimate: est,
-		Nodes: int(st.nodes.Load()), Exact: lo == hi, Converged: converged,
+		Nodes: int(st.nodes), Exact: lo == hi, Converged: converged,
 	}
 }
 
@@ -383,7 +389,7 @@ func (st *state) decompose(f *formula.PreparedFrag) (Kind, []*formula.PreparedFr
 	}
 	sc := prepPool.Get().(*prepScratch)
 	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(f.D, sc, nil)
+	kind, subs, mult := st.step(f.D, sc)
 	slots := make([]formula.PreparedFrag, len(subs))
 	children := make([]*formula.PreparedFrag, len(subs))
 	for i, sub := range subs {
@@ -405,94 +411,13 @@ func (st *state) decompose(f *formula.PreparedFrag) (Kind, []*formula.PreparedFr
 func (st *state) replay(dec *formula.Decision) (Kind, []*formula.PreparedFrag, []float64) {
 	kind := Kind(dec.Kind)
 	if kind == ExclOr {
-		st.nodes.Add(int64(len(dec.Children)))
+		st.nodes += int64(len(dec.Children))
 	}
 	for _, e := range dec.Children {
 		st.opt.Inject.FirePanic(fault.SiteLeafPrepare)
 		st.opt.Frags.CountHit()
 		st.opt.Metrics.RecordFragCache(true)
-		st.work.Add(e.Work)
+		st.work += e.Work
 	}
 	return kind, dec.Children, dec.Weights
-}
-
-// combine folds the children's (weighted) bounds into the node's by the
-// rule of its kind: Σ under ⊕, 1 − Π(1 − ·) under ⊗, Π under ⊙. It is
-// the package's one statement of that algebra — exact evaluation and
-// Node.Probability / Node.Bounds fold through it;
-// gNode.recompute repeats its operations over cached values in place.
-func combine(kind Kind, loArr, hiArr []float64) (lo, hi float64) {
-	switch kind {
-	case ExclOr:
-		for i := range loArr {
-			lo += loArr[i]
-			hi += hiArr[i]
-		}
-	case IndepOr:
-		ql, qh := 1.0, 1.0
-		for i := range loArr {
-			ql *= 1 - loArr[i]
-			qh *= 1 - hiArr[i]
-		}
-		lo, hi = 1-ql, 1-qh
-	case IndepAnd:
-		lo, hi = 1, 1
-		for i := range loArr {
-			lo *= loArr[i]
-			hi *= hiArr[i]
-		}
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
-
-// exactRec is the exhaustive, bounds-free compilation used for Eps 0.
-// Independent children recurse through exactChildren, which fans large
-// fragments out on the worker pool; results are combined in child-index
-// order, so parallel and sequential runs produce bitwise-identical
-// probabilities. normalized and reduced are leafHead's construction
-// flags.
-func (st *state) exactRec(d formula.DNF, normalized, reduced bool) (float64, error) {
-	// Poll the context on a stride of the shared node counter: checking
-	// every node would have all pool workers contending on the timer
-	// context's mutex. The first node still polls, so a dead context
-	// fails fast. Once a poll has latched an interruption every node
-	// polls, or each RunAbort sibling of the unwinding batch would run on
-	// to a stride poll of its own.
-	if n := st.nodes.Add(1); n%exactCtxStride == 1 || st.poisoned.Load() {
-		if err := st.interruptedOrInjected(); err != nil {
-			return 0, err
-		}
-	}
-	st.work.Add(int64(len(d)))
-	if st.overBudget() {
-		st.hitBudget()
-		return 0, ErrBudget
-	}
-	d, p, leaf := st.leafHead(d, normalized, reduced)
-	if leaf {
-		return p, nil
-	}
-	return st.exactMemo(d)
-}
-
-// exactDecompose computes P(d) for a multi-clause DNF leafHead has
-// passed: inclusion–exclusion when small, else one step of Figure 1,
-// the children's probabilities folded by the node's rule.
-func (st *state) exactDecompose(d formula.DNF) (float64, error) {
-	if p, _, ok := st.smallExact(d); ok {
-		return p, nil
-	}
-	kind, subs, mult := st.stepAlone(d, nil)
-	ps, err := st.exactChildren(subs, true, kind == IndepOr)
-	if err != nil {
-		return 0, err
-	}
-	for i := range ps {
-		ps[i] *= mult[i]
-	}
-	p, _ := combine(kind, ps, ps)
-	return p, nil
 }

@@ -540,11 +540,11 @@ func TestSmallExactChargesEverySubset(t *testing.T) {
 		d    formula.DNF
 	}{{"pairwise inconsistent (pruned at depth 2)", is, id}, {"disjoint (nothing pruned)", ds, dd}, {"four disjoint", ds, dd[:4]}} {
 		st := newState(context.Background(), tc.s, Options{})
-		st.work.Add(5)
+		st.work += 5
 		p, ops, ok := st.smallExact(tc.d)
 		want := int64(1) << len(tc.d)
-		if !ok || ops != want || st.work.Load() != 5+want {
-			t.Errorf("%s: ok=%v ops=%d, work charged %d; want ok, %d and %d", tc.name, ok, ops, st.work.Load()-5, want, want)
+		if !ok || ops != want || st.work != 5+want {
+			t.Errorf("%s: ok=%v ops=%d, work charged %d; want ok, %d and %d", tc.name, ok, ops, st.work-5, want, want)
 		}
 		if math.Float64bits(p) != math.Float64bits(refInclusionExclusion(tc.s, tc.d)) {
 			t.Errorf("%s: P = %v, oracle %v", tc.name, p, refInclusionExclusion(tc.s, tc.d))
@@ -552,7 +552,7 @@ func TestSmallExactChargesEverySubset(t *testing.T) {
 	}
 	gs, gd := rstGrid(3)
 	st := newState(context.Background(), gs, Options{})
-	if _, ops, ok := st.smallExact(gd[:incExcMaxClauses+1]); ok || ops != 0 || st.work.Load() != 0 {
-		t.Errorf("%d clauses: ok=%v ops=%d work=%d, want the shortcut declined and nothing charged", incExcMaxClauses+1, ok, ops, st.work.Load())
+	if _, ops, ok := st.smallExact(gd[:incExcMaxClauses+1]); ok || ops != 0 || st.work != 0 {
+		t.Errorf("%d clauses: ok=%v ops=%d work=%d, want the shortcut declined and nothing charged", incExcMaxClauses+1, ok, ops, st.work)
 	}
 }

@@ -53,7 +53,7 @@ func runRefiner(s *formula.Space, d formula.DNF, opt Options, frags *formula.Fra
 	}
 	after := frags.CacheStats()
 	snap := opt.Metrics.Snapshot()
-	run.steps, run.res, run.err, run.work = r.Steps(), r.Result(), fmt.Sprint(r.Err()), r.st.work.Load()
+	run.steps, run.res, run.err, run.work = r.Steps(), r.Result(), fmt.Sprint(r.Err()), r.st.work
 	run.cache = obs.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses, Entries: after.Entries}
 	run.hits, run.misses = snap.FragCacheHits, snap.FragCacheMisses
 	run.prepares = inj.Stats()[fault.SiteLeafPrepare].Fired

@@ -92,12 +92,12 @@ func diffStep(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 func diffChildren(sc *prepScratch, s *formula.Space, d formula.DNF) string {
 	st := newState(context.Background(), s, Options{})
 	ref := newState(context.Background(), s, Options{})
-	kind, subs, mult := st.step(d, sc, nil)
+	kind, subs, mult := st.step(d, sc)
 	wantKind, want, wantMult := ref.stepRef(d)
 	if kind != wantKind || len(subs) != len(want) {
 		return fmt.Sprintf("%v with %d children, oracle %v with %d", kind, len(subs), wantKind, len(want))
 	}
-	if g, w := st.nodes.Load(), ref.nodes.Load(); g != w {
+	if g, w := st.nodes, ref.nodes; g != w {
 		return fmt.Sprintf("%d nodes counted, oracle %d", g, w)
 	}
 	if len(mult) != len(wantMult) {

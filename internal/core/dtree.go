@@ -34,14 +34,19 @@
 // most w wide, each leaf bound misses the exact value it stands for by
 // a relative (4n + w)·2⁻⁵³ at most, so a leaf interval holds P(leaf)
 // within that.
+//
+// The package has one d-tree compiler, the Refiner: it materializes the
+// partial d-tree and expands one open leaf per step by the first
+// applicable rule of Figure 1 (figure1.go). At ε > 0 (ApproxCtx,
+// internal/rank) it refines the leaf whose interval can move the
+// root's the most, until Proposition 5.8's condition holds. Exact
+// evaluation (ExactCtx, "d-tree(error 0)") is the same compilation run
+// to exhaustion in its exact mode: no leaf bounds, depth-first order,
+// each node combined once when its last child completes, and its
+// completed subtree released.
 package core
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/formula"
-)
+import "fmt"
 
 // Kind enumerates d-tree node kinds.
 type Kind uint8
@@ -66,118 +71,4 @@ func (k Kind) String() string {
 		return "⊕"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// Node is a node of a (partial) d-tree. Leaves hold a DNF; inner nodes
-// hold children. A complete d-tree has only singleton-clause leaves.
-type Node struct {
-	Kind     Kind
-	Children []*Node
-	Leaf     formula.DNF // for LeafKind
-}
-
-// NewLeaf returns a leaf node holding d.
-func NewLeaf(d formula.DNF) *Node { return &Node{Kind: LeafKind, Leaf: d} }
-
-// Complete reports whether the d-tree rooted at n is complete: every leaf
-// holds at most one clause (Definition 4.2).
-func (n *Node) Complete() bool {
-	if n.Kind == LeafKind {
-		return len(n.Leaf) <= 1
-	}
-	for _, c := range n.Children {
-		if !c.Complete() {
-			return false
-		}
-	}
-	return true
-}
-
-// Size returns the number of nodes in the tree.
-func (n *Node) Size() int {
-	sz := 1
-	for _, c := range n.Children {
-		sz += c.Size()
-	}
-	return sz
-}
-
-// Depth returns the height of the tree (a single node has depth 1).
-func (n *Node) Depth() int {
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
-// CountKind returns the number of nodes of kind k in the tree. The paper
-// reports that ~90% of nodes for tractable queries are ⊗ nodes; tests and
-// experiments use this to verify that observation.
-func (n *Node) CountKind(k Kind) int {
-	c := 0
-	if n.Kind == k {
-		c = 1
-	}
-	for _, ch := range n.Children {
-		c += ch.CountKind(k)
-	}
-	return c
-}
-
-// Probability computes the probability of the d-tree in one bottom-up pass
-// (Proposition 4.3), using exact leaf probabilities. For multi-clause
-// leaves the leaf probability is computed by brute force, so Probability
-// is exact on any d-tree but only efficient on (near-)complete ones.
-func (n *Node) Probability(s *formula.Space) float64 {
-	p, _ := n.fold(func(d formula.DNF) (lo, hi float64) {
-		if len(d) == 1 {
-			p := d[0].Probability(s)
-			return p, p
-		}
-		p := formula.BruteForceProbability(s, d)
-		return p, p
-	})
-	return p
-}
-
-// Bounds computes lower and upper probability bounds of the d-tree in one
-// bottom-up pass (Section V-B): leaf bounds come from the Independent
-// heuristic, inner nodes combine children bounds monotonically.
-func (n *Node) Bounds(s *formula.Space) (lo, hi float64) {
-	return n.fold(func(d formula.DNF) (lo, hi float64) { return LeafBounds(s, d, true) })
-}
-
-// fold evaluates the tree bottom-up: leaf at the leaves, combine — the
-// one statement of the ⊗ / ⊙ / ⊕ bound algebra — at the inner nodes.
-func (n *Node) fold(leaf func(formula.DNF) (lo, hi float64)) (lo, hi float64) {
-	if n.Kind == LeafKind {
-		return leaf(n.Leaf)
-	}
-	los, his := make([]float64, len(n.Children)), make([]float64, len(n.Children))
-	for i, c := range n.Children {
-		los[i], his[i] = c.fold(leaf)
-	}
-	return combine(n.Kind, los, his)
-}
-
-// String renders the tree structure with variable names from s.
-func (n *Node) String(s *formula.Space) string {
-	var b strings.Builder
-	n.render(s, &b, 0)
-	return b.String()
-}
-
-func (n *Node) render(s *formula.Space, b *strings.Builder, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	if n.Kind == LeafKind {
-		b.WriteString("{" + n.Leaf.String(s) + "}\n")
-		return
-	}
-	b.WriteString(n.Kind.String() + "\n")
-	for _, c := range n.Children {
-		c.render(s, b, depth+1)
-	}
 }

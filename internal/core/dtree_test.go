@@ -1,64 +1,25 @@
 package core
 
 import (
-	"strings"
+	"context"
 	"testing"
 
 	"repro/internal/formula"
 )
 
-func exampleTree(t *testing.T) (*formula.Space, *Node) {
-	t.Helper()
-	s := formula.NewSpace()
-	x := s.AddBool(0.3)
-	y := s.AddBool(0.2)
-	z := s.AddBool(0.7)
-	v := s.AddBool(0.8)
-	s.SetName(x, "x")
-	s.SetName(y, "y")
-	s.SetName(z, "z")
-	s.SetName(v, "v")
-	phi := formula.NewDNF(
-		formula.MustClause(formula.Pos(x), formula.Pos(y)),
-		formula.MustClause(formula.Pos(x), formula.Pos(z)),
-		formula.MustClause(formula.Pos(v)),
-	)
-	return s, Compile(s, phi)
-}
-
-func TestNodeSizeDepth(t *testing.T) {
-	_, tree := exampleTree(t)
-	if tree.Size() < 5 {
-		t.Fatalf("size %d too small", tree.Size())
-	}
-	if tree.Depth() < 3 {
-		t.Fatalf("depth %d too small", tree.Depth())
-	}
-	leaf := NewLeaf(formula.DNF{formula.Clause{}})
-	if leaf.Size() != 1 || leaf.Depth() != 1 {
-		t.Fatalf("leaf size/depth %d/%d", leaf.Size(), leaf.Depth())
-	}
-}
-
+// TestNodeCountKind: the exact run's per-kind counts sum to its node
+// count, and a formula of independent groups too wide for
+// inclusion–exclusion has an ⊗ root.
 func TestNodeCountKind(t *testing.T) {
-	_, tree := exampleTree(t)
-	total := tree.CountKind(LeafKind) + tree.CountKind(IndepOr) +
-		tree.CountKind(IndepAnd) + tree.CountKind(ExclOr)
-	if total != tree.Size() {
-		t.Fatalf("kind counts %d don't sum to size %d", total, tree.Size())
+	s := formula.NewSpace()
+	var d formula.DNF
+	for i := 0; i < 8; i++ {
+		x, y := s.AddBool(0.3), s.AddBool(0.2)
+		d = append(d, formula.MustClause(formula.Pos(x), formula.Pos(y)))
 	}
-	if tree.CountKind(IndepOr) == 0 {
-		t.Fatal("expected at least one ⊗ node")
-	}
-}
-
-func TestNodeString(t *testing.T) {
-	s, tree := exampleTree(t)
-	out := tree.String(s)
-	for _, want := range []string{"⊗", "{v}"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	_, sh := exactShape(t, s, d)
+	if sh != (Shape{LeafKind: 8, IndepOr: 1}) {
+		t.Fatalf("shape %v, want one ⊗ over 8 leaves", sh)
 	}
 }
 
@@ -83,22 +44,18 @@ func TestErrorKindString(t *testing.T) {
 	}
 }
 
+// TestNodeBoundsOnPartialTree: the bounds of a partial d-tree with
+// multi-clause leaves (Figure 4) contain the exact probability — here
+// the Refiner's tree after its first step on the 3×3 grid, a ⊕ with
+// leaves still open.
 func TestNodeBoundsOnPartialTree(t *testing.T) {
-	// Hand-built partial d-tree of Figure 4 with multi-clause leaves:
-	// bounds must contain the exact probability.
-	s := formula.NewSpace()
-	a := s.AddBool(0.4)
-	b := s.AddBool(0.5)
-	c := s.AddBool(0.6)
-	d := s.AddBool(0.7)
-	leaf1 := NewLeaf(formula.NewDNF(
-		formula.MustClause(formula.Pos(a), formula.Pos(b)),
-		formula.MustClause(formula.Pos(b), formula.Pos(c)),
-	))
-	leaf2 := NewLeaf(formula.NewDNF(formula.MustClause(formula.Pos(d))))
-	tree := &Node{Kind: IndepOr, Children: []*Node{leaf1, leaf2}}
-	lo, hi := tree.Bounds(s)
-	exact := tree.Probability(s)
+	s, d := tinyGrid(3, 0.5)
+	r := NewRefiner(context.Background(), s, d, Options{Eps: 1e-9})
+	lo, hi, done := r.Step(1)
+	if done || r.root.kind == LeafKind || len(r.open) == 0 {
+		t.Fatalf("want a partial tree after one step: done=%v kind=%v open=%d", done, r.root.kind, len(r.open))
+	}
+	exact := formula.BruteForceProbability(s, d)
 	if lo > exact+1e-9 || hi < exact-1e-9 {
 		t.Fatalf("bounds [%v,%v] miss exact %v", lo, hi, exact)
 	}

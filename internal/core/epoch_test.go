@@ -44,11 +44,11 @@ func wrapCases(t *testing.T) []wrapCase {
 	stepCase := func(name string, s *formula.Space, d formula.DNF, want Kind) wrapCase {
 		return wrapCase{name, func(sc *prepScratch) string {
 			st := newState(context.Background(), s, Options{})
-			kind, subs, mult := st.step(d, sc, nil)
+			kind, subs, mult := st.step(d, sc)
 			if kind != want {
 				t.Fatalf("%s: step took %v, want %v", name, kind, want)
 			}
-			out := fmt.Sprintf("%v nodes %d children %v weights", kind, st.nodes.Load(), subs)
+			out := fmt.Sprintf("%v nodes %d children %v weights", kind, st.nodes, subs)
 			for _, m := range mult {
 				out += fmt.Sprintf(" %x", math.Float64bits(m))
 			}

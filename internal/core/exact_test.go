@@ -9,64 +9,51 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
-	"repro/internal/workpool"
 )
 
-// diffExact runs exact evaluation on the shared step and on refExact —
-// the pipeline it replaced, in oracle_test.go — and requires them to be
-// indistinguishable. At pool 1 everything is deterministic and
-// everything must agree: the estimate to the bit, the node count, the
-// error, and (with a memo each: a FragCache for the step, refExact's
-// own refMemo for the reference) the hit and miss counts. At pools 2
-// and 8 the estimate must still agree to the bit, and the node count
-// too unless racing lookups of a shared cache decide it; an evaluation
-// under a budget is compared at pool 1 only, because which sibling sees
-// the exhausted counter first — and whether any does — is a race by
-// design.
+// diffExact runs exact evaluation — the Refiner's exact mode — and
+// refExact, the recursive pipeline it replaced (oracle_test.go), and
+// requires them to be indistinguishable on every run that completes:
+// the estimate to the bit, the whole Result (Nodes included), and, with
+// a memo each (a FragCache for the Refiner, refExact's own refMemo),
+// the hit and miss counts.
+//
+// A run under a budget is held to the unbudgeted reference when it
+// completes, and compared only on its error and its interval when it
+// is cut: it must fail with ErrBudget at [0, 1], not converged. The two
+// pipelines do not spend a budget at the same moments — the Refiner
+// charges a step's children together, tests the budget between steps
+// and leaves its prepared root out of MaxNodes — so a run at the
+// budget's edge may complete on one side and be cut on the other.
 func diffExact(t testing.TB, s *formula.Space, d formula.DNF, opt Options, cached bool) {
 	t.Helper()
 	ctx := context.Background()
-	newCache := func() *formula.FragCache {
-		if !cached {
-			return nil
-		}
-		return formula.NewFragCache(0)
-	}
 	var memo *refMemo
 	if cached {
-		memo = newRefMemo()
+		memo, opt.Frags = newRefMemo(), formula.NewFragCache(0)
 	}
-	opt.Pool = workpool.New(1)
 	ref := opt
-	opt.Frags = newCache()
+	ref.MaxNodes, ref.MaxWork = 0, 0
 	want, wantErr := refExact(ctx, s, d, ref, memo)
+	if wantErr != nil {
+		t.Fatalf("reference: %v\n%s", wantErr, d.String(s))
+	}
 	got, err := ExactCtx(ctx, s, d, opt)
-	if !errors.Is(err, wantErr) || !errors.Is(wantErr, err) {
-		t.Fatalf("errors diverged: %v, reference %v\n%s", err, wantErr, d.String(s))
+	if err != nil && (opt.MaxWork > 0 || opt.MaxNodes > 0) {
+		if !errors.Is(err, ErrBudget) || got.Lo != 0 || got.Hi != 1 || got.Converged {
+			t.Fatalf("cut run: %v %+v, want ErrBudget at [0, 1]\n%s", err, got, d.String(s))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v\n%s", err, d.String(s))
 	}
 	if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) || got != want {
-		t.Fatalf("results diverged:\nstep      %+v\nreference %+v\n%s", got, want, d.String(s))
+		t.Fatalf("results diverged:\nrefiner   %+v\nreference %+v\n%s", got, want, d.String(s))
 	}
 	if cached {
 		if st := opt.Frags.CacheStats(); st.Hits != memo.hits || st.Misses != memo.misses {
 			t.Fatalf("memo traffic diverged: %d hits %d misses, reference %d/%d\n%s", st.Hits, st.Misses, memo.hits, memo.misses, d.String(s))
-		}
-	}
-	if opt.MaxWork > 0 || opt.MaxNodes > 0 {
-		return
-	}
-	for _, size := range []int{2, 8} {
-		opt.Pool = workpool.New(size)
-		opt.Frags = newCache()
-		got, err := ExactCtx(ctx, s, d, opt)
-		if err != nil {
-			t.Fatalf("pool %d: %v", size, err)
-		}
-		if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) {
-			t.Fatalf("pool %d: estimate %v, reference %v\n%s", size, got.Estimate, want.Estimate, d.String(s))
-		}
-		if !cached && got.Nodes != want.Nodes {
-			t.Fatalf("pool %d: %d nodes, reference %d\n%s", size, got.Nodes, want.Nodes, d.String(s))
 		}
 	}
 }
@@ -87,11 +74,10 @@ func exactVariant(flags uint8, budget uint16) (opt Options, cached bool) {
 }
 
 // TestExactMatchesReferencePipeline is the differential property behind
-// moving exact evaluation onto figure1.go's step and the construction
-// flags: tagged and untagged variables, Boolean and four-valued
-// domains, work and node cuts, with and without a memo — every
-// combination on fresh seeds, plus instances wide enough to fan out on
-// the pool.
+// moving exact evaluation onto figure1.go's step, the construction
+// flags and the Refiner: tagged and untagged variables, Boolean and
+// four-valued domains, work and node cuts, with and without a memo —
+// every combination on fresh seeds, plus wider instances.
 func TestExactMatchesReferencePipeline(t *testing.T) {
 	cfgs := []randdnf.Config{
 		{Vars: 12, Clauses: 16, MaxWidth: 3, MaxDomain: 2, MinProb: 0.1, MaxProb: 0.9},
@@ -111,7 +97,6 @@ func TestExactMatchesReferencePipeline(t *testing.T) {
 			}
 		}
 	}
-	// Past parMinClauses the children really run on pool goroutines.
 	for seed := int64(0); seed < 24; seed++ {
 		cfg := randdnf.Config{Vars: 40, Clauses: 72, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6}
 		if seed%2 == 1 {
@@ -139,6 +124,27 @@ func FuzzExactMatchesReferencePipeline(f *testing.F) {
 		opt, cached := exactVariant(flags, budget)
 		diffExact(t, s, d, opt, cached)
 	})
+}
+
+// TestExactGridsMatchReference adds the R(x) S(x,y) T(y) grids at tiny
+// p (tinyGrid) to the differential corpus. P is below ApproxCond's
+// absolute 1e-12 slack on every one of them, so an exact path that
+// consulted that stop test would end at an interval: a plain Refiner at
+// Eps 0 is Done on 3×3 at p = 1e-5 at its first bounds, [3e-15, 9e-15].
+// Exact evaluation must refine to a point, bitwise refExact's.
+func TestExactGridsMatchReference(t *testing.T) {
+	for _, side := range []int{3, 5, 8} {
+		for _, p := range []float64{1e-5, 1e-9} {
+			s, d := tinyGrid(side, p)
+			for _, cached := range []bool{false, true} {
+				diffExact(t, s, d, Options{}, cached)
+			}
+			res, err := ExactCtx(context.Background(), s, d, Options{})
+			if err != nil || !res.Exact || !res.Converged || res.Lo != res.Hi {
+				t.Fatalf("%d×%d at p=%g: %+v (%v), want a converged point", side, side, p, res, err)
+			}
+		}
+	}
 }
 
 // TestExactCachePersisted: exact evaluation's entries survive

@@ -1,18 +1,13 @@
 package core
 
-import (
-	"slices"
+import "repro/internal/formula"
 
-	"repro/internal/formula"
-)
-
-// This file is Figure 1, stated once. Every compiler in the package —
-// Refiner.refine (through decompose), exact evaluation
-// (exactDecompose) and Compile — runs a fragment through
-// leafHead and, when it is not a leaf yet, through step; they differ
-// only in what they do with the children (prepare them, evaluate them,
-// build Nodes). The rule lists as they ran before the pooled kernels
-// are the oracles of oracle_test.go.
+// This file is Figure 1, stated once. The package's one compiler,
+// Refiner.refine (through decompose), runs a fragment through leafHead
+// and, when it is not a leaf yet, through step, at every Eps: in exact
+// mode the children are prepared by leafHead alone, at Eps > 0 with
+// their leaf bounds too. The rule lists as they ran before the pooled
+// kernels are the oracles of oracle_test.go.
 
 // leafHead brings d into the form the rules of Figure 1 apply to —
 // duplicate-free, then subsumption-reduced (rule 1) — and settles the
@@ -59,7 +54,7 @@ func (st *state) smallExact(d formula.DNF) (p float64, ops int64, ok bool) {
 		return 0, 0, false
 	}
 	ops = int64(1) << len(d)
-	st.work.Add(ops)
+	st.work += ops
 	return inclusionExclusion(st.s, d), ops, true
 }
 
@@ -79,11 +74,11 @@ func (st *state) smallExact(d formula.DNF) (p float64, ops int64, ok bool) {
 // itself is transient — it lives in sc until sc's next step.
 //
 // Each surviving ⊕ branch counts one node here, before any child is
-// visited: the {x = a} leaf of its ⊙ companion. Compile alone needs
-// those atoms and passes a slice to receive them; the evaluators pass
-// nil and the step allocates nothing for them. The analysis runs on
-// sc, over per-variable records that cover d's largest variable.
-func (st *state) step(d formula.DNF, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
+// visited: the {x = a} leaf the branch's restriction is conditioned
+// on, which the tree does not materialize (its probability is the
+// branch weight). The analysis runs on sc, over per-variable records
+// that cover d's largest variable.
+func (st *state) step(d formula.DNF, sc *prepScratch) (Kind, []formula.DNF, []float64) {
 	top := maxVar(d)
 	if subs := sc.components(d, top); subs != nil {
 		return IndepOr, subs, ones(len(subs))
@@ -92,7 +87,7 @@ func (st *state) step(d formula.DNF, sc *prepScratch, atoms *[]formula.Atom) (Ki
 	if parts := independentAndParts(d, sc); parts != nil {
 		return IndepAnd, parts, ones(len(parts))
 	}
-	return st.shannon(d, chooseVar(d, sc), sc, atoms)
+	return st.shannon(d, chooseVar(d, sc), sc)
 }
 
 // components is step's ⊗ rule: the connected components of d's
@@ -167,7 +162,7 @@ func (st *stepScan) find(v formula.Var, e uint32) formula.Var {
 // clause can hold duplicates (d is duplicate-free); they are removed
 // in place, first occurrences first, which is DNF.Restrict's output
 // clause for clause.
-func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
+func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch) (Kind, []formula.DNF, []float64) {
 	sc.xval = grow(sc.xval, len(d), 0)
 	xv := sc.xval
 	without, with, natoms := 0, 0, 0
@@ -216,28 +211,12 @@ func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch, atoms *[
 			next = start + len(sub)
 			sub = sub[:len(sub):len(sub)]
 		}
-		at := formula.Atom{Var: x, Val: formula.Val(a)}
-		st.nodes.Add(1)
+		st.nodes++
 		subs = append(subs, sub)
-		mult = append(mult, st.s.P(at))
-		if atoms != nil {
-			*atoms = append(*atoms, at)
-		}
+		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
 	sc.subs = subs
 	return ExclOr, subs, mult
-}
-
-// stepAlone is step for the recursive compilers (exact evaluation,
-// Compile), which hold no fragment-cache entry to memoize the step on:
-// partition and analysis run on one pooled scratch that is back in the
-// pool before the caller recurses, so a compilation holds one scratch
-// however deep it is — and the child list is copied out of it.
-func (st *state) stepAlone(d formula.DNF, atoms *[]formula.Atom) (Kind, []formula.DNF, []float64) {
-	sc := prepPool.Get().(*prepScratch)
-	defer prepPool.Put(sc)
-	kind, subs, mult := st.step(d, sc, atoms)
-	return kind, slices.Clone(subs), mult
 }
 
 // sharedOnes backs ones: filled at start-up, never written after.

@@ -9,8 +9,15 @@ import "repro/internal/formula"
 // block. A node points at its prepared fragment: a cache entry or a
 // slot of its parent's decomposition. The heap keeps an open leaf's
 // root sensitivity in its entry, not here, so gNode stays 80 bytes.
+// In exact mode a child that is a leaf at preparation has no fragment
+// (only its probability, in lo and hi), and a node's block is dropped
+// once the node's probability is combined (Refiner.complete): nothing
+// points into it any more.
 type gNode struct {
-	kind     Kind // LeafKind until refined
+	kind Kind // LeafKind until refined
+	// open counts, in exact mode, the children still to complete (it
+	// fits in kind's padding).
+	open     int32
 	children []gNode
 	mult     float64               // ⊕ branch weight (P(x=a)); 1 elsewhere
 	frag     *formula.PreparedFrag // shared and read-only
@@ -29,8 +36,15 @@ type gNode struct {
 // whose children are freshly prepared fragments wired for incremental
 // propagation (parent pointers, cached heuristic bounds). The children's
 // node block is the one allocation a warm refinement makes: a replayed
-// decision's child list is the decision's own.
+// decision's child list is the decision's own. In exact mode (expand)
+// the step's children are prepared by leafHead alone, straight into
+// the block: a child that is a leaf already keeps only its probability
+// (frag nil), and an open one gets a fragment open at [0, 1].
 func (st *state) refine(leaf *gNode) {
+	if st.exact {
+		st.expand(leaf)
+		return
+	}
 	kind, children, mult := st.decompose(leaf.frag)
 	leaf.kind = kind
 	leaf.children = make([]gNode, len(children))
@@ -41,5 +55,29 @@ func (st *state) refine(leaf *gNode) {
 			lo: f.Lo, hi: f.Hi,
 		}
 	}
-	st.nodes.Add(int64(len(children)))
+	st.nodes += int64(len(children))
+	st.inner[kind]++
+}
+
+// expand is refine in exact mode, where a child needs only its weight,
+// its parent and its value (no heap key, so no depth or index).
+func (st *state) expand(leaf *gNode) {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	kind, subs, mult := st.step(leaf.frag.D, sc)
+	leaf.kind = kind
+	leaf.children = make([]gNode, len(subs))
+	for i, sub := range subs {
+		st.work += int64(len(sub))
+		c := &leaf.children[i]
+		c.mult, c.parent = mult[i], leaf
+		if d, p, done := st.leafHead(sub, true, kind == IndepOr); done {
+			c.lo, c.hi = p, p
+		} else {
+			c.frag, c.hi = &formula.PreparedFrag{D: d, Hi: 1}, 1
+		}
+	}
+	clear(subs) // the list stays in sc; the blocks it names need not
+	st.nodes += int64(len(subs))
+	st.inner[kind]++
 }

@@ -18,8 +18,10 @@ package core
 // contributes the identical cached value a full recompute would derive.
 
 // recompute refreshes n's cached interval from its children's cached
-// intervals — combine's operations in combine's order, over the cached
-// values in place.
+// intervals, each weighted by its mult, by the rule of n's kind: Σ
+// under ⊕, 1 − Π(1 − ·) under ⊗, Π under ⊙, with hi capped at 1. It
+// is the package's one statement of that algebra, at every Eps (the
+// oracle's combine repeats it over slices).
 func (n *gNode) recompute() {
 	var lo, hi float64
 	switch n.kind {
@@ -159,18 +161,24 @@ func dfsBefore(a, b *gNode) bool {
 	return a.childIdx < b.childIdx
 }
 
-// pop removes and returns the open leaf with the largest key, or an
-// entry with a nil leaf when the tree is complete.
+// pop removes and returns the open leaf with the largest key — in
+// exact mode, where open is a stack, the last one pushed — or an entry
+// with a nil leaf when the tree is complete.
 func (r *Refiner) pop() leafEntry {
 	h := r.open
 	if len(h) == 0 {
 		return leafEntry{}
 	}
-	top, last := h[0], len(h)-1
-	h[0] = h[last]
+	last := len(h) - 1
+	top := h[last]
+	if !r.st.exact {
+		top, h[0] = h[0], top
+	}
 	h[last] = leafEntry{}
 	r.open = h[:last]
-	r.open.down(0)
+	if !r.st.exact {
+		r.open.down(0)
+	}
 	return top
 }
 

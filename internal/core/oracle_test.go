@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/formula"
@@ -824,24 +823,16 @@ func refExact(ctx context.Context, s *formula.Space, d formula.DNF, opt Options,
 	return res, nil
 }
 
-// refExactRec is exactRec as it ran before the shared step: the exhaustive, bounds-free compilation used for Eps 0.
-// Independent children recurse through refExactChildren, which fans large
-// fragments out on the worker pool; results are combined in child-index
-// order, so parallel and sequential runs produce bitwise-identical
-// probabilities.
+// refExactRec is the exhaustive, bounds-free recursive compilation
+// exact evaluation ran before it became the Refiner's exact mode (and
+// before the shared step): depth first, children evaluated in index
+// order, every node counted as it is entered.
 func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
-	// Poll the context on a stride of the shared node counter: checking
-	// every node would have all pool workers contending on the timer
-	// context's mutex. The first node still polls, so a dead context
-	// fails fast. Once a poll has latched an interruption every node
-	// polls, or each RunAbort sibling of the unwinding batch would run on
-	// to a stride poll of its own.
-	if n := st.nodes.Add(1); n%exactCtxStride == 1 || st.poisoned.Load() {
-		if err := st.interruptedOrInjected(); err != nil {
-			return 0, err
-		}
+	st.nodes++
+	if err := st.interruptedOrInjected(); err != nil {
+		return 0, err
 	}
-	st.work.Add(int64(len(d)))
+	st.work += int64(len(d))
 	if st.overBudget() {
 		st.hitBudget()
 		return 0, ErrBudget
@@ -877,7 +868,6 @@ func (st *state) refExactRec(d formula.DNF, memo *refMemo) (float64, error) {
 // evaluation memoizes in, so diffExact pins that cache's hit and miss
 // counts against an independent table.
 type refMemo struct {
-	mu           sync.Mutex
 	m            map[uint64][]refMemoEntry
 	hits, misses int64 // lookups, counted as FragCache.CacheStats counts them
 }
@@ -890,8 +880,6 @@ type refMemoEntry struct {
 func newRefMemo() *refMemo { return &refMemo{m: make(map[uint64][]refMemoEntry)} }
 
 func (m *refMemo) lookup(d formula.DNF) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	p, ok := m.find(d)
 	if ok {
 		m.hits++
@@ -912,8 +900,6 @@ func (m *refMemo) find(d formula.DNF) (float64, bool) {
 
 // store keeps the first entry for d, as the memo it pins does.
 func (m *refMemo) store(d formula.DNF, p float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, ok := m.find(d); ok {
 		return
 	}
@@ -961,7 +947,7 @@ func refComponents(d formula.DNF) [][]int {
 // multi-clause DNF by the first applicable rule of Figure 1.
 func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error) {
 	if len(d) <= incExcMaxClauses {
-		st.work.Add(1 << len(d))
+		st.work += 1 << len(d)
 		return refInclusionExclusion(st.s, d), nil
 	}
 	if comps := refComponents(d); len(comps) > 1 {
@@ -998,7 +984,7 @@ func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error
 		if sub.IsFalse() {
 			continue
 		}
-		st.nodes.Add(1)
+		st.nodes++
 		subs = append(subs, sub)
 		weights = append(weights, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
@@ -1013,33 +999,16 @@ func (st *state) refExactDecompose(d formula.DNF, memo *refMemo) (float64, error
 	return total, nil
 }
 
-// refExactChildren computes the exact probability of every child fragment,
-// in parallel when worthwhile. The result slice is ordered like subs and
-// callers combine it in index order, so the probabilities (and their
-// floating-point rounding) are identical to a sequential run. Errors are
-// reported in index order for the same reason.
+// refExactChildren computes the exact probability of every child
+// fragment, in index order, stopping at the first error.
 func (st *state) refExactChildren(subs []formula.DNF, memo *refMemo) ([]float64, error) {
 	ps := make([]float64, len(subs))
-	if !st.parallelizable(subs) {
-		for i, sub := range subs {
-			p, err := st.refExactRec(sub, memo)
-			if err != nil {
-				return nil, err
-			}
-			ps[i] = p
-		}
-		return ps, nil
-	}
-	errs := make([]error, len(subs))
-	tasks := make([]func(), len(subs))
-	for i := range subs {
-		tasks[i] = func() { ps[i], errs[i] = st.refExactRec(subs[i], memo) }
-	}
-	st.opt.Pool.RunAbort(st.poison, tasks...)
-	for _, err := range errs {
+	for i, sub := range subs {
+		p, err := st.refExactRec(sub, memo)
 		if err != nil {
 			return nil, err
 		}
+		ps[i] = p
 	}
 	return ps, nil
 }
@@ -1087,7 +1056,7 @@ func (st *state) stepRef(d formula.DNF) (Kind, []formula.DNF, []float64) {
 		if sub.IsFalse() {
 			continue
 		}
-		st.nodes.Add(1) // the {{x=a}} ⊙-companion leaf
+		st.nodes++ // the {{x=a}} ⊙-companion leaf
 		subs = append(subs, sub)
 		mult = append(mult, st.s.P(formula.Atom{Var: x, Val: formula.Val(a)}))
 	}
@@ -1108,7 +1077,7 @@ func (st *state) prepareAllRef(subs []formula.DNF) []*formula.PreparedFrag {
 // construction-aware shortcuts — every fragment is re-normalized,
 // re-reduced and re-bounded from scratch.
 func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
-	st.work.Add(int64(len(d)))
+	st.work += int64(len(d))
 	d = d.Normalize()
 	if d.IsTrue() {
 		return &formula.PreparedFrag{D: d, Lo: 1, Hi: 1, Exact: true}
@@ -1122,12 +1091,12 @@ func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
 	if len(d) <= incExcMaxClauses {
-		st.work.Add(1 << len(d))
+		st.work += 1 << len(d)
 		p := refInclusionExclusion(st.s, d)
 		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
 	lo, hi, ops := leafBounds(st.s, d, true)
-	st.work.Add(int64(ops))
+	st.work += int64(ops)
 	return &formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi}
 }
 
@@ -1202,7 +1171,7 @@ func (st *state) refineRef(leaf *gNode) {
 			lo: f.Lo, hi: f.Hi,
 		}
 	}
-	st.nodes.Add(int64(len(children)))
+	st.nodes += int64(len(children))
 }
 
 func (n *gNode) isLeaf() bool { return len(n.children) == 0 }
@@ -1242,6 +1211,36 @@ func (n *gNode) boundsWith(sc *boundsScratch, depth int) (lo, hi float64) {
 	}
 	sc.lo[depth], sc.hi[depth] = loArr, hiArr // keep grown capacity
 	return combine(n.kind, loArr, hiArr)
+}
+
+// combine folds the children's (weighted) bounds into the node's by the
+// rule of its kind: Σ under ⊕, 1 − Π(1 − ·) under ⊗, Π under ⊙ — the
+// bound algebra gNode.recompute repeats over cached values in place.
+func combine(kind Kind, loArr, hiArr []float64) (lo, hi float64) {
+	switch kind {
+	case ExclOr:
+		for i := range loArr {
+			lo += loArr[i]
+			hi += hiArr[i]
+		}
+	case IndepOr:
+		ql, qh := 1.0, 1.0
+		for i := range loArr {
+			ql *= 1 - loArr[i]
+			qh *= 1 - hiArr[i]
+		}
+		lo, hi = 1-ql, 1-qh
+	case IndepAnd:
+		lo, hi = 1, 1
+		for i := range loArr {
+			lo *= loArr[i]
+			hi *= hiArr[i]
+		}
+	}
+	if hi > 1 {
+		hi = 1
+	}
+	return lo, hi
 }
 
 // boundsScratch holds the per-level slice buffers of boundsWith.

@@ -118,9 +118,11 @@ func maxVar(d formula.DNF) formula.Var {
 
 // variantPrepared and variantExact partition Options.Frags, so ε > 0
 // evaluation's prepared fragments and exact evaluation's point entries
-// (a fragment exactRec has passed through leafHead, mapped to its exact
-// probability) never answer each other's lookups. Saves from earlier
-// builds hold their prepared entries under 0 too.
+// (a multi-clause fragment the exact mode has passed through leafHead,
+// mapped to its exact probability) never answer each other's lookups.
+// Saves from earlier builds hold their prepared entries under 0 too,
+// and their exact entries under 1 << 7, as exact evaluation keys them
+// still.
 const (
 	variantPrepared uint8 = 0
 	variantExact    uint8 = 1 << 7

@@ -89,15 +89,13 @@ func TestQuickRelativeGuarantee(t *testing.T) {
 }
 
 func TestQuickCompleteTreeEquivalence(t *testing.T) {
-	// Proposition 4.5: Compile(Φ) ≡ Φ.
+	// Proposition 4.5: the complete d-tree of Φ is equivalent to Φ. The
+	// exact run builds it to exhaustion; its kinds sum to its nodes.
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
-		tree := Compile(s, d)
-		if !tree.Complete() {
-			return false
-		}
+		res, sh := exactShape(t, s, d)
 		want := formula.BruteForceProbability(s, d)
-		return math.Abs(tree.Probability(s)-want) < 1e-9
+		return sh[LeafKind] >= 1 && math.Abs(res.Estimate-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -105,14 +103,21 @@ func TestQuickCompleteTreeEquivalence(t *testing.T) {
 }
 
 func TestQuickTreeBoundsContainExact(t *testing.T) {
-	// Proposition 5.4 on materialized partial trees (here: complete
-	// trees, whose Bounds still go through the leaf heuristic).
+	// Proposition 5.4 on materialized partial trees: the Refiner's
+	// bounds after every step, down to a complete tree.
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
-		tree := Compile(s, d)
-		lo, hi := tree.Bounds(s)
 		want := formula.BruteForceProbability(s, d)
-		return lo <= want+1e-9 && hi >= want-1e-9
+		r := NewRefiner(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute})
+		for {
+			lo, hi, done := r.Step(1)
+			if lo > want+1e-9 || hi < want-1e-9 {
+				return false
+			}
+			if done {
+				return true
+			}
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -31,10 +31,12 @@ import (
 // 1e-12 wide, not always at a point: a formula whose P is below 1e-12
 // can be Done at its first bounds. Frags memoizes prepared leaf
 // fragments and may be shared across Refiners over the same Space, and
-// all work happens on the calling
-// goroutine (Cache and Pool are not consulted). MaxNodes/MaxWork bound
-// this Refiner's cumulative work across all Steps; exhausting them
-// surfaces ErrBudget through Err.
+// all work happens on the calling goroutine (Cache and Pool are not
+// consulted). MaxNodes/MaxWork bound this Refiner's cumulative work
+// across all Steps; exhausting them surfaces ErrBudget through Err.
+//
+// ExactCtx runs the same Refiner in an exact mode that only it
+// selects: no leaf bounds, no ApproxCond, depth-first order (exactStep).
 //
 // Each Step costs O(depth + log leaves) plus the fanout of the nodes
 // on the refined leaf's root path: the open leaf comes from a heap,
@@ -68,10 +70,17 @@ type Refiner struct {
 // MaxNodes budget counts the nodes refinement builds). An Eps that is
 // NaN or outside [0, 1), or a context already done, fails the Refiner
 // (Err) before preparation, with 0 nodes.
-func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) (r *Refiner) {
+func NewRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options) *Refiner {
+	return newRefiner(ctx, s, d, opt, false)
+}
+
+// newRefiner is NewRefiner, in exact mode when exact is set (ExactShape
+// is that mode's one entry).
+func newRefiner(ctx context.Context, s *formula.Space, d formula.DNF, opt Options, exact bool) (r *Refiner) {
 	r = &Refiner{lo: 0, hi: 1}
 	st := &r.st
 	st.init(ctx, s, opt)
+	st.exact = exact
 	err := checkEps(opt.Eps)
 	if err == nil {
 		err = st.ctx.Err()
@@ -132,6 +141,10 @@ func (r *Refiner) Step(budget int) (lo, hi float64, done bool) {
 			r.done = true
 			break
 		}
+		if r.st.exact {
+			r.exactStep(e.n)
+			continue
+		}
 		r.st.refine(e.n)
 		r.steps++
 		pathLen := r.attach(e)
@@ -168,6 +181,70 @@ func (r *Refiner) Result() Result {
 	// An empty open-leaf heap is a complete tree: every leaf exact.
 	res.EarlyStop = res.Converged && len(r.open) > 0
 	return res
+}
+
+// exactStep is one Step in exact mode, where an open leaf is [0, 1]
+// and the run ends only when nothing is open. The popped leaf n is
+// settled from the memo when it holds n's fragment, by
+// inclusion–exclusion when the fragment is small (memoized then), and
+// otherwise refined; its open children are pushed in reverse, so they
+// pop in DFS preorder — a recursive evaluation's order, in which memo
+// entries are stored and found. The live tree is the path being
+// expanded and its pending siblings (see complete).
+func (r *Refiner) exactStep(n *gNode) {
+	st := &r.st
+	d := n.frag.D
+	if p, ok := st.lookupExact(d); ok {
+		r.complete(n, p)
+		return
+	}
+	if p, _, ok := st.smallExact(d); ok {
+		st.storeExact(d, p)
+		r.complete(n, p)
+		return
+	}
+	st.refine(n)
+	r.steps++
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if c := &n.children[i]; c.frag != nil {
+			r.open = append(r.open, leafEntry{n: c})
+			n.open++
+		}
+	}
+	if n.open == 0 {
+		r.complete(n, r.combineExact(n))
+	}
+}
+
+// complete records p as the exact probability of n and walks up: a
+// parent whose last open child n was is combined once, here
+// (combineExact), and completes in turn. The root's completion ends
+// the run.
+func (r *Refiner) complete(n *gNode, p float64) {
+	for {
+		n.lo, n.hi = p, p
+		par := n.parent
+		if par == nil {
+			r.absorb(p, p)
+			r.done = true
+			return
+		}
+		if par.open--; par.open > 0 {
+			return
+		}
+		p, n = r.combineExact(par), par
+	}
+}
+
+// combineExact is n's exact probability from its children's — recompute
+// over point intervals, whose lo carries the value uncapped — memoized,
+// and then n's child block is released.
+func (r *Refiner) combineExact(n *gNode) float64 {
+	n.recompute()
+	p := n.lo
+	r.st.storeExact(n.frag.D, p)
+	n.children = nil
+	return p
 }
 
 // absorb intersects the freshly recomputed root interval with the best

@@ -96,10 +96,11 @@ type Evaluator interface {
 // Approx evaluates an ε-approximation with certain error guarantees by
 // incremental d-tree compilation (Section V-D): core.Refiner refines
 // the materialized partial d-tree until its bounds meet Eps. Eps 0,
-// the zero value, is exact evaluation by exhaustive
-// d-tree compilation (the paper's "d-tree(error 0)"), with independent
-// branches explored in parallel on Pool. It is core.Options, whose
-// Evaluate rejects an Eps outside [0, 1) before any work.
+// the zero value, is exact evaluation (the paper's "d-tree(error 0)"):
+// the same Refiner in its exact mode, run until no leaf is open.
+// Either runs on the calling goroutine; Pool is not consulted. It is
+// core.Options, whose Evaluate rejects an Eps outside [0, 1) before
+// any work.
 type Approx = core.Options
 
 var _ Evaluator = Approx{}

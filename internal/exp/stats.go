@@ -15,8 +15,9 @@ import (
 // (Section VII-A): for tractable queries about 90% of d-tree nodes are
 // ⊗ nodes, which is why the bound heuristic works so well; hard-query
 // trees contain real ⊕ branching. The table reports, per workload, the
-// complete d-tree's node-kind composition and, for the approximate run,
-// the nodes constructed.
+// node-kind composition of the complete d-tree the exact run builds
+// (core.ExactShape, no memo) and, for the approximate run, the nodes
+// constructed.
 func NodeStats(p Params) *Table {
 	p = p.withDefaults()
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
@@ -27,7 +28,7 @@ func NodeStats(p Params) *Table {
 		Title:  "d-tree composition per workload",
 		Header: []string{"workload", "clauses", "tree nodes", "⊗", "⊙", "⊕", "leaves", "approx nodes"},
 		Notes: []string{
-			"tree columns from exhaustive compilation (budget-capped); approx columns from rel-0.01 runs",
+			"tree columns from the exact run (budget-capped): fragments of ≤ 6 clauses are inclusion–exclusion leaves, and each ⊕ branch counts its {x = a} leaf; approx columns from rel-0.01 runs",
 		},
 	}
 	cases := []struct {
@@ -46,24 +47,21 @@ func NodeStats(p Params) *Table {
 			continue
 		}
 		row := []string{c.name, fmt.Sprint(len(c.dnf))}
-		tree, err := core.CompileBudget(db.Space, c.dnf, p.DtreeMaxNodes)
+		space := db.Space
 		if c.name == "karate-triangle" || c.name == "karate-s2" {
-			tree, err = core.CompileBudget(karate.Space(), c.dnf, p.DtreeMaxNodes)
+			space = karate.Space()
 		}
+		tree, sh, err := core.ExactShape(context.Background(), space, c.dnf, core.Options{MaxNodes: p.DtreeMaxNodes})
 		if err != nil {
 			row = append(row, "TO", "-", "-", "-", "-")
 		} else {
 			row = append(row,
-				fmt.Sprint(tree.Size()),
-				fmt.Sprint(tree.CountKind(core.IndepOr)),
-				fmt.Sprint(tree.CountKind(core.IndepAnd)),
-				fmt.Sprint(tree.CountKind(core.ExclOr)),
-				fmt.Sprint(tree.CountKind(core.LeafKind)),
+				fmt.Sprint(tree.Nodes),
+				fmt.Sprint(sh[core.IndepOr]),
+				fmt.Sprint(sh[core.IndepAnd]),
+				fmt.Sprint(sh[core.ExclOr]),
+				fmt.Sprint(sh[core.LeafKind]),
 			)
-		}
-		space := db.Space
-		if c.name == "karate-triangle" || c.name == "karate-s2" {
-			space = karate.Space()
 		}
 		res, aerr := dtree(relErr001, engine.Relative, p.DtreeMaxNodes).Evaluate(context.Background(), space, c.dnf)
 		if aerr != nil {

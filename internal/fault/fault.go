@@ -28,7 +28,7 @@ import (
 const (
 	SiteEvalStep    = "eval.step"    // top of Refiner.Step's refinement loop
 	SiteLeafPrepare = "leaf.prepare" // core prepareAs, before any real work
-	SiteCacheLookup = "cache.lookup" // exact path's FragCache consult (core exactMemo)
+	SiteCacheLookup = "cache.lookup" // exact mode's FragCache consult (core lookupExact)
 	SiteSSEFlush    = "sse.flush"    // before an SSE answer event is written
 )
 

@@ -48,11 +48,13 @@ const grantSteps = 4
 // Options configures a ranking run: core.Options, read per answer. Eps
 // is the refinement floor — an answer still straddling the cut there is
 // decided by its estimate (Decided false); Eps 0 refines toward
-// exactness. MaxNodes and MaxWork bound each answer's refiner; the run's
-// wall clock is the caller's context. A nil Frags means a run-private
-// cache (the answers' shared lineage makes even that pay). Metrics
-// also receives the run's grants and decide events. Pool is not
-// consulted: refiners run on the calling goroutine.
+// exactness, within ApproxCond's absolute 1e-12 slack (a ranking
+// refiner is core.NewRefiner's, not ExactCtx's exact mode). MaxNodes
+// and MaxWork bound each answer's refiner; the run's wall clock is the
+// caller's context. A nil Frags means a run-private cache (the answers'
+// shared lineage makes even that pay). Metrics also receives the run's
+// grants and decide events. Pool is deprecated and not consulted:
+// refiners run on the calling goroutine.
 type Options = core.Options
 
 // Item is one answer's ranking outcome.

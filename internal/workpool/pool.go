@@ -1,14 +1,12 @@
-// Package workpool provides bounded worker pools shared by the parallel
-// exact d-tree exploration in internal/core and the batch conf()
-// fan-out in internal/pdb.
+// Package workpool provides bounded worker pools for the batch conf()
+// fan-out in internal/pdb (one task per answer).
 //
 // A Pool is a token semaphore, not a set of long-lived workers: Run
 // hands tasks to fresh goroutines only while tokens are available and
 // executes the rest on the calling goroutine. Saturation therefore
 // degrades to sequential execution instead of queueing, and nested Run
-// calls (the d-tree recursion parallelizes at every independent node)
-// can never deadlock: a task that finds the pool exhausted simply runs
-// its children inline.
+// calls can never deadlock: a task that finds the pool exhausted simply
+// runs its children inline.
 //
 // Most callers thread an explicit *Pool (each façade DB owns one, so
 // sizing one DB never affects another); a nil *Pool means the shared
@@ -101,13 +99,7 @@ func (p *Pool) SetMetrics(m *obs.Metrics) {
 // returned. Run therefore never orphans a sibling: by the time the
 // panic resumes unwinding, no batch goroutine is left touching shared
 // state.
-func (p *Pool) Run(tasks ...func()) { p.RunAbort(nil, tasks...) }
-
-// RunAbort is Run with early sibling cancellation: the first task panic
-// additionally invokes abort (once, before siblings finish), so callers
-// that hand in a context cancel give ctx-polling siblings a way to stop
-// early instead of running their full course against a doomed batch.
-func (p *Pool) RunAbort(abort func(), tasks ...func()) {
+func (p *Pool) Run(tasks ...func()) {
 	p = p.or()
 	if len(tasks) == 0 {
 		return
@@ -126,12 +118,7 @@ func (p *Pool) RunAbort(abort func(), tasks ...func()) {
 				if first {
 					met.RecordPanicRecovered()
 				}
-				panicOnce.Do(func() {
-					panicked = pe
-					if abort != nil {
-						abort()
-					}
-				})
+				panicOnce.Do(func() { panicked = pe })
 			}
 		}()
 		f()

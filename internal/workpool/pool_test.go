@@ -59,15 +59,13 @@ func TestResizeFloorsAtOne(t *testing.T) {
 
 // TestFaultPoolContainsPanics: a panicking task must not kill the
 // process or orphan siblings — every sibling completes, the first panic
-// is rethrown on the caller as a *fault.PanicError, and the abort hook
-// fires so ctx-polling siblings could stop early.
+// is rethrown on the caller as a *fault.PanicError.
 func TestFaultPoolContainsPanics(t *testing.T) {
 	p := New(4)
 	met := obs.NewMetrics()
 	p.SetMetrics(met)
 
 	var ran atomic.Int32
-	aborted := make(chan struct{})
 	tasks := make([]func(), 8)
 	for i := range tasks {
 		i := i
@@ -90,15 +88,10 @@ func TestFaultPoolContainsPanics(t *testing.T) {
 				t.Fatalf("rethrown value is %T, want *fault.PanicError", v)
 			}
 		}()
-		p.RunAbort(func() { close(aborted) }, tasks...)
+		p.Run(tasks...)
 	}()
 	if got := ran.Load(); got != 7 {
 		t.Fatalf("%d of 7 healthy siblings ran to completion", got)
-	}
-	select {
-	case <-aborted:
-	default:
-		t.Fatal("abort hook did not fire")
 	}
 	if pe.Site != "workpool" || len(pe.Stack) == 0 {
 		t.Fatalf("panic not promoted with site/stack: %+v", pe)

@@ -129,7 +129,7 @@ func (s *Session) FragCache() *FragCache { return s.frags }
 // Evaluator returns the evaluator the session's queries hand lineage
 // to: the one installed by WithEvaluator, else the ε-approximation at
 // the WithEps floor (exact d-tree compilation at the default 0): one
-// engine.Approx carrying the session's cache, the DB's pool and metrics
+// engine.Approx carrying the session's cache, the DB's metrics
 // registry, the session's fault injector and the session budget's
 // per-answer MaxNodes and MaxWork, which ranked queries read as they
 // stand. The budget's Timeout is each query's one deadline, which Run,
@@ -141,7 +141,7 @@ func (s *Session) Evaluator() Evaluator {
 	}
 	return engine.Approx{
 		Eps: s.eps, MaxNodes: s.budget.MaxNodes, MaxWork: s.budget.MaxWork,
-		Frags: s.frags, Pool: s.db.pool, Metrics: s.db.metrics, Inject: s.inject,
+		Frags: s.frags, Metrics: s.db.metrics, Inject: s.inject,
 	}
 }
 

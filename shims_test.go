@@ -26,6 +26,7 @@ var benchOnlyShims = []struct{ pkg, obj, field string }{
 	{"repro", "NewProbCache", ""},
 	{"repro", "WithSharedCache", ""},
 	{"repro/internal/core", "Options", "Cache"},
+	{"repro/internal/core", "Options", "Pool"},
 	{"repro/internal/core", "ExactProbability", ""},
 	{"repro/internal/engine", "Exact", ""},
 	{"repro/internal/plan", "Options", "Shards"},
