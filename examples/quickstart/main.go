@@ -108,7 +108,7 @@ func main() {
 	)
 	fmt.Println("Φ =", phi.String(e))
 
-	lo, hi := repro.Bounds(e, phi, true)
+	lo, hi := repro.Bounds(e, phi)
 	fmt.Printf("bucket bounds:          [%.4f, %.4f]\n", lo, hi)
 	exact, err := repro.ApproxEval{}.Evaluate(ctx, e, phi) // Eps 0: exact
 	if err != nil {

@@ -291,7 +291,7 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool, slot *formul
 	if leaf {
 		*slot = formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true, Work: w}
 	} else {
-		lo, hi, ops := leafBounds(st.s, d, true)
+		lo, hi, ops := leafBounds(st.s, d)
 		st.work += int64(ops)
 		*slot = formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi, Work: w + int64(ops)}
 	}

@@ -8,10 +8,9 @@ import (
 )
 
 // LeafBounds bounds the probability of a DNF leaf, refining the
-// Independent heuristic of Figure 3. Clauses are taken in bucket order —
-// descending on marginal probability when sortClauses is true, which
-// empirically tightens the lower bound (Example 5.2; evaluation always
-// sorts) — and the first bucket greedily absorbs
+// Independent heuristic of Figure 3. Clauses are taken in bucket order,
+// descending on marginal probability, which empirically tightens the
+// lower bound (Example 5.2), and the first bucket greedily absorbs
 // every clause independent of those it already holds. Its probability
 // is a lower bound.
 //
@@ -59,8 +58,8 @@ import (
 // a product of at most w atoms, and with h hubs, the largest holding k
 // clauses, h + k ≤ n + 1 — so it is within (3(h + k − 2) + w)·u ≤
 // (3n + w)·u of its expression.
-func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64) {
-	lo, hi, _ = leafBounds(s, d, sortClauses)
+func LeafBounds(s *formula.Space, d formula.DNF) (lo, hi float64) {
+	lo, hi, _ = leafBounds(s, d)
 	return lo, hi
 }
 
@@ -70,9 +69,9 @@ func LeafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 // paper's cost analysis; a positive leaf costs two passes). It draws
 // scratch buffers from the preparation pool; leafBoundsScratch is the
 // same computation over caller-owned scratch.
-func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float64, ops int) {
+func leafBounds(s *formula.Space, d formula.DNF) (lo, hi float64, ops int) {
 	sc := prepPool.Get().(*prepScratch)
-	lo, hi, ops = leafBoundsScratch(s, d, sortClauses, sc)
+	lo, hi, ops = leafBoundsScratch(s, d, sc)
 	prepPool.Put(sc)
 	return lo, hi, ops
 }
@@ -84,7 +83,7 @@ func leafBounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 // live in sc and are reused across calls. The first pass needs two live
 // epochs and takes both in one call; the star cover marks hubs with the
 // first of them; each later bucket takes one.
-func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *prepScratch) (lo, hi float64, ops int) {
+func leafBoundsScratch(s *formula.Space, d formula.DNF, sc *prepScratch) (lo, hi float64, ops int) {
 	switch {
 	case d.IsFalse():
 		return 0, 0, 0
@@ -100,9 +99,7 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sortClauses bool, sc *pr
 	for i, c := range d {
 		order[i] = probKey{desc: ^math.Float64bits(c.Probability(s)), i: int32(i)}
 	}
-	if sortClauses {
-		order = sortProbKeys(order, spare)
-	}
+	order = sortProbKeys(order, spare)
 
 	top := maxVar(d)
 	sc.st, sc.val = grow(sc.st, int(top)+1, 0), grow(sc.val, int(top)+1, 0)

@@ -29,17 +29,12 @@ func TestExample52Unsorted(t *testing.T) {
 	// Without probability sorting, Figure 3's greedy partitioning
 	// starting from c1 yields B1 = c1 ∨ c3 and B2 = c2 with bounds
 	// [0.812, 1], exactly as in the first partitioning of Example 5.2.
-	// The leaf is positive, so LeafBounds keeps B1 for lo and bounds
-	// hi by the star cover (checkExample52Hi).
+	// LeafBounds always sorts (TestExample52Sorted), so this is the
+	// Figure 3 oracle's unsorted value.
 	s, d := example52()
 	if lo, hi := fig3Bounds(s, d, false); math.Abs(lo-0.812) > 1e-12 || hi != 1 {
 		t.Fatalf("Figure 3 = [%v, %v], want [0.812, 1] (0.812+0.21 > 1 clamps)", lo, hi)
 	}
-	lo, hi := LeafBounds(s, d, false)
-	if math.Abs(lo-0.812) > 1e-12 {
-		t.Fatalf("LeafBounds lo = %v, want 0.812", lo)
-	}
-	checkExample52Hi(t, s, d, hi)
 }
 
 // checkExample52Hi: on Example 5.2 the star cover is exact. x is the
@@ -69,7 +64,7 @@ func TestExample52Sorted(t *testing.T) {
 	if lo, hi := fig3Bounds(s, d, true); math.Abs(lo-0.842) > 1e-12 || math.Abs(hi-0.902) > 1e-12 {
 		t.Fatalf("Figure 3 = [%v, %v], want [0.842, 0.902]", lo, hi)
 	}
-	lo, hi := LeafBounds(s, d, true)
+	lo, hi := LeafBounds(s, d)
 	if math.Abs(lo-0.842) > 1e-12 {
 		t.Fatalf("LeafBounds lo = %v, want 0.842", lo)
 	}
@@ -86,7 +81,7 @@ func TestLeafBoundsSingleBucketExact(t *testing.T) {
 		d = append(d, formula.MustClause(formula.Pos(s.AddBool(p))))
 		q *= 1 - p
 	}
-	lo, hi := LeafBounds(s, d, true)
+	lo, hi := LeafBounds(s, d)
 	if lo != hi {
 		t.Fatalf("single bucket should be exact: [%v, %v]", lo, hi)
 	}
@@ -98,14 +93,14 @@ func TestLeafBoundsSingleBucketExact(t *testing.T) {
 func TestLeafBoundsEdgeCases(t *testing.T) {
 	s := formula.NewSpace()
 	x := s.AddBool(0.25)
-	if lo, hi := LeafBounds(s, formula.DNF{}, true); lo != 0 || hi != 0 {
+	if lo, hi := LeafBounds(s, formula.DNF{}); lo != 0 || hi != 0 {
 		t.Fatalf("false: [%v,%v]", lo, hi)
 	}
-	if lo, hi := LeafBounds(s, formula.DNF{formula.Clause{}}, true); lo != 1 || hi != 1 {
+	if lo, hi := LeafBounds(s, formula.DNF{formula.Clause{}}); lo != 1 || hi != 1 {
 		t.Fatalf("true: [%v,%v]", lo, hi)
 	}
 	single := formula.NewDNF(formula.MustClause(formula.Pos(x)))
-	if lo, hi := LeafBounds(s, single, true); lo != 0.25 || hi != 0.25 {
+	if lo, hi := LeafBounds(s, single); lo != 0.25 || hi != 0.25 {
 		t.Fatalf("singleton: [%v,%v]", lo, hi)
 	}
 }
@@ -133,7 +128,7 @@ func TestLeafBoundsContainRationalOracle(t *testing.T) {
 	checkLeafBounds(t, "hub tie", s, d, sc)
 	s, d = bidCounterexample()
 	checkLeafBounds(t, "BID counterexample", s, d, sc)
-	harris := refHarris(s, d, false)
+	harris := refHarris(s, d)
 	if p, _ := ratProb(s, d).Float64(); math.Abs(p-0.999) > 1e-12 || harris >= p {
 		t.Fatalf("BID counterexample: P = %v, Harris %v; want 0.999 above the Harris bound", p, harris)
 	}
@@ -317,10 +312,10 @@ func TestSortingNeverLoosensLowerBound(t *testing.T) {
 	// The empirical claim behind the heuristic (Section V-A): sorting by
 	// descending marginal probability gives a lower bound at least as
 	// good as the max-clause fallback, and on Example 5.2 strictly better
-	// than the unsorted greedy partitioning.
+	// than Figure 3's unsorted greedy partitioning.
 	s, d := example52()
-	loSorted, _ := LeafBounds(s, d, true)
-	loUnsorted, _ := LeafBounds(s, d, false)
+	loSorted, _ := LeafBounds(s, d)
+	loUnsorted, _ := fig3Bounds(s, d, false)
 	if loSorted <= loUnsorted {
 		t.Fatalf("sorted lower bound %v should beat unsorted %v here", loSorted, loUnsorted)
 	}
@@ -337,7 +332,7 @@ func TestSortingNeverLoosensLowerBound(t *testing.T) {
 				best = p
 			}
 		}
-		lo, _ := LeafBounds(s, d, true)
+		lo, _ := LeafBounds(s, d)
 		if lo < best-1e-12 {
 			t.Fatalf("seed %d: lower bound %v below best clause %v", seed, lo, best)
 		}
@@ -476,8 +471,8 @@ func TestLeafBoundsAllocationsWarm(t *testing.T) {
 		bid[i] = formula.MustClause(formula.Pos(x), formula.Atom{Var: y, Val: formula.Val(i % 2)})
 	}
 	for name, d := range map[string]formula.DNF{"positive": pos, "not positive": bid} {
-		leafBounds(s, d, true)
-		if a := testing.AllocsPerRun(10, func() { leafBounds(s, d, true) }); a != 0 {
+		leafBounds(s, d)
+		if a := testing.AllocsPerRun(10, func() { leafBounds(s, d) }); a != 0 {
 			t.Errorf("warm leafBounds on %d %s clauses: %v allocations, want 0", n, name, a)
 		}
 	}

@@ -160,13 +160,13 @@ func TestCompileBoundsContainExact(t *testing.T) {
 
 // hierarchicalLineage is the lineage of the hierarchical query
 // q() :- R(A), S(A,B): for each of groups A-values a with S-partners
-// b1..b8, clauses {r_a, s_ab}.
-func hierarchicalLineage(groups int) (*formula.Space, formula.DNF) {
+// b1..b_perGroup, clauses {r_a, s_ab}.
+func hierarchicalLineage(groups, perGroup int) (*formula.Space, formula.DNF) {
 	s := formula.NewSpace()
 	var d formula.DNF
 	for a := 0; a < groups; a++ {
 		r := s.AddBoolTagged(0.3, 0)
-		for b := 0; b < 8; b++ {
+		for b := 0; b < perGroup; b++ {
 			d = append(d, formula.MustClause(formula.Pos(r), formula.Pos(s.AddBoolTagged(0.5, 1))))
 		}
 	}
@@ -180,7 +180,7 @@ func hierarchicalLineage(groups int) (*formula.Space, formula.DNF) {
 // eight s-clauses, under one ⊗ root.
 func TestHierarchicalLineageLinearTree(t *testing.T) {
 	for _, groups := range []int{8, 16} {
-		s, d := hierarchicalLineage(groups)
+		s, d := hierarchicalLineage(groups, 8)
 		res, sh := exactShape(t, s, d)
 		if sh[ExclOr] != 0 || sh[IndepOr] != groups+1 || sh[IndepAnd] != groups {
 			t.Fatalf("%d groups: shape %v, want %d ⊗, %d ⊙ and no ⊕", groups, sh, groups+1, groups)

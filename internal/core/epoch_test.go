@@ -126,7 +126,7 @@ func wrapCases(t *testing.T) []wrapCase {
 		stepCase("⊙ factorization", ps, prod, IndepAnd),
 		stepCase("⊕ through Lemma 6.8", is, iq, ExclOr),
 		{"BID leaf bounds", func(sc *prepScratch) string {
-			lo, hi, ops := leafBoundsScratch(ls, leaf, true, sc)
+			lo, hi, ops := leafBoundsScratch(ls, leaf, sc)
 			return fmt.Sprintf("[%x, %x] ops %d", math.Float64bits(lo), math.Float64bits(hi), ops)
 		}},
 	}

@@ -422,15 +422,12 @@ func fig3Bounds(s *formula.Space, d formula.DNF, sortClauses bool) (lo, hi float
 
 // refHarris is the Harris bound 1 − Π_c (1 − P(c)) as leafBounds folds
 // it: orIndep over the clauses in bucket order.
-func refHarris(s *formula.Space, d formula.DNF, sortClauses bool) float64 {
+func refHarris(s *formula.Space, d formula.DNF) float64 {
 	probs := make([]float64, len(d))
-	order := make([]int, len(d))
 	for i, c := range d {
-		probs[i], order[i] = c.Probability(s), i
+		probs[i] = c.Probability(s)
 	}
-	if sortClauses {
-		order = refLeafOrder(probs)
-	}
+	order := refLeafOrder(probs)
 	hi := 0.0
 	for _, i := range order {
 		hi = orIndep(hi, probs[i])
@@ -585,7 +582,7 @@ func leafBudget(d formula.DNF) *big.Rat {
 }
 
 // checkLeafBounds asserts LeafBounds' contract on d, computed over sc,
-// against ratProb, both clause orders: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
+// against ratProb: lo ≤ P·(1 + budget) and hi ≥ P·(1 − budget);
 // bitwise Figure 3 on a leaf that is not positive; and on a positive one
 // lo no higher than Figure 3's, hi never looser than Figure 3's within
 // the budget, never above the Harris bound it replaced, and — unless
@@ -606,28 +603,26 @@ func checkLeafBounds(t *testing.T, name string, s *formula.Space, d formula.DNF,
 	if multi {
 		star = refStar(s, d)
 	}
-	for _, sorted := range []bool{true, false} {
-		lo, hi, _ := leafBoundsScratch(s, d, sorted, sc)
-		flo, fhi := fig3Bounds(s, d, sorted)
-		harris := refHarris(s, d, sorted)
-		switch {
-		case rat(lo).Cmp(times(p, 1)) > 0:
-			t.Fatalf("%s sorted=%v: lo %v above P %v\n%s", name, sorted, lo, pf, d.String(s))
-		case rat(hi).Cmp(times(p, -1)) < 0:
-			t.Fatalf("%s sorted=%v: hi %v below P %v\n%s", name, sorted, hi, pf, d.String(s))
-		case lo < 0 || hi > 1 || lo > hi:
-			t.Fatalf("%s sorted=%v: malformed bounds [%v, %v]", name, sorted, lo, hi)
-		case !positive && (math.Float64bits(lo) != math.Float64bits(flo) || math.Float64bits(hi) != math.Float64bits(fhi)):
-			t.Fatalf("%s sorted=%v: not positive, [%v, %v] but Figure 3 [%v, %v]", name, sorted, lo, hi, flo, fhi)
-		case positive && lo > flo:
-			t.Fatalf("%s sorted=%v: first-bucket lo %v above Figure 3's %v", name, sorted, lo, flo)
-		case positive && rat(hi).Cmp(times(rat(fhi), 2)) > 0:
-			t.Fatalf("%s sorted=%v: hi %v looser than Figure 3's %v", name, sorted, hi, fhi)
-		case multi && hi > max(lo, harris):
-			t.Fatalf("%s sorted=%v: hi %v above the Harris bound %v", name, sorted, hi, harris)
-		case multi && !refIndependent(d) && math.Float64bits(hi) != math.Float64bits(max(lo, min(harris, star))):
-			t.Fatalf("%s sorted=%v: hi %v, want max(lo %v, min(Harris %v, star %v))", name, sorted, hi, lo, harris, star)
-		}
+	lo, hi, _ := leafBoundsScratch(s, d, sc)
+	flo, fhi := fig3Bounds(s, d, true)
+	harris := refHarris(s, d)
+	switch {
+	case rat(lo).Cmp(times(p, 1)) > 0:
+		t.Fatalf("%s: lo %v above P %v\n%s", name, lo, pf, d.String(s))
+	case rat(hi).Cmp(times(p, -1)) < 0:
+		t.Fatalf("%s: hi %v below P %v\n%s", name, hi, pf, d.String(s))
+	case lo < 0 || hi > 1 || lo > hi:
+		t.Fatalf("%s: malformed bounds [%v, %v]", name, lo, hi)
+	case !positive && (math.Float64bits(lo) != math.Float64bits(flo) || math.Float64bits(hi) != math.Float64bits(fhi)):
+		t.Fatalf("%s: not positive, [%v, %v] but Figure 3 [%v, %v]", name, lo, hi, flo, fhi)
+	case positive && lo > flo:
+		t.Fatalf("%s: first-bucket lo %v above Figure 3's %v", name, lo, flo)
+	case positive && rat(hi).Cmp(times(rat(fhi), 2)) > 0:
+		t.Fatalf("%s: hi %v looser than Figure 3's %v", name, hi, fhi)
+	case multi && hi > max(lo, harris):
+		t.Fatalf("%s: hi %v above the Harris bound %v", name, hi, harris)
+	case multi && !refIndependent(d) && math.Float64bits(hi) != math.Float64bits(max(lo, min(harris, star))):
+		t.Fatalf("%s: hi %v, want max(lo %v, min(Harris %v, star %v))", name, hi, lo, harris, star)
 	}
 }
 
@@ -1095,7 +1090,7 @@ func (st *state) prepareRef(d formula.DNF) *formula.PreparedFrag {
 		p := refInclusionExclusion(st.s, d)
 		return &formula.PreparedFrag{D: d, Lo: p, Hi: p, Exact: true}
 	}
-	lo, hi, ops := leafBounds(st.s, d, true)
+	lo, hi, ops := leafBounds(st.s, d)
 	st.work += int64(ops)
 	return &formula.PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: lo == hi}
 }

@@ -62,13 +62,13 @@ func BenchmarkLeafBounds(b *testing.B) {
 		b.Run(fmt.Sprintf("clauses=%d/pooled", clauses), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				leafBounds(s, d, true)
+				leafBounds(s, d)
 			}
 		})
 		b.Run(fmt.Sprintf("clauses=%d/fresh", clauses), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				leafBoundsScratch(s, d, true, new(prepScratch))
+				leafBoundsScratch(s, d, new(prepScratch))
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func TestQuickBoundsContainExact(t *testing.T) {
 	f := func(seed int64) bool {
 		s, d := genFromSeed(seed)
 		want := formula.BruteForceProbability(s, d)
-		lo, hi := LeafBounds(s, d, true)
+		lo, hi := LeafBounds(s, d)
 		return lo <= want+1e-9 && hi >= want-1e-9 && lo >= -1e-12 && hi <= 1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

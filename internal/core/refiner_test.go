@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
@@ -219,5 +220,37 @@ func TestRefinerExactAtPrepare(t *testing.T) {
 	}
 	if res := r.Result(); res.Nodes != 1 || !res.Converged {
 		t.Fatalf("res %+v, want the root alone, converged", res)
+	}
+}
+
+// TestGNodeSize: a materialized d-tree node is 80 bytes on a 64-bit
+// platform. The open-leaf heap keeps each leaf's root sensitivity in
+// its own entry (leafEntry) rather than in gNode: an 88-byte node cost
+// the warm serving path 2 % more allocated bytes per query.
+func TestGNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes below are for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(gNode{}); n != 80 {
+		t.Fatalf("gNode is %d bytes, want 80", n)
+	}
+	if n := unsafe.Sizeof(leafEntry{}); n != 16 {
+		t.Fatalf("leafEntry is %d bytes, want 16", n)
+	}
+}
+
+func TestGlobalEarlyStopImmediate(t *testing.T) {
+	// Independent clauses: exact bounds at the root, no refinement.
+	s := formula.NewSpace()
+	var d formula.DNF
+	for i := 0; i < 20; i++ {
+		d = append(d, formula.MustClause(formula.Pos(s.AddBool(0.1))))
+	}
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.01, Kind: Relative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 1 {
+		t.Fatalf("built %d nodes, want the root alone", res.Nodes)
 	}
 }

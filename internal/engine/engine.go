@@ -11,11 +11,12 @@
 //
 // with context-based cancellation and deadlines. Approx is core.Options
 // itself: its MaxNodes and MaxWork bound one evaluation, and its wall
-// time is the caller's context. Exact evaluation explores independent
-// branches on a bounded worker pool (internal/workpool); ε > 0
-// evaluation runs on the calling goroutine. Both memoize in one
-// formula.FragCache: prepared leaf fragments at ε > 0, exact subformula
-// probabilities at ε = 0, the latter's traffic surfaced in Result.
+// time is the caller's context. Every Eps, exact included, is one
+// core.Refiner on the calling goroutine; callers that evaluate many
+// answers fan them out themselves (pdb.ConfWith). Both modes memoize in
+// one formula.FragCache, Approx's Frags: prepared leaf fragments at
+// ε > 0, exact subformula probabilities at ε = 0. The cache counts its
+// own traffic (FragCache.CacheStats), and Metrics receives it.
 package engine
 
 import (

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
-	"repro/internal/workpool"
 )
 
 func randInstance(seed int64) (*formula.Space, formula.DNF) {
@@ -32,7 +31,6 @@ func TestEvaluatorsAgree(t *testing.T) {
 			tol  float64
 		}{
 			{"exact", Approx{}, 1e-9},
-			{"exact-seq", Approx{Pool: workpool.New(1)}, 1e-9},
 			{"exact-cache", Approx{Frags: formula.NewFragCache(0)}, 1e-9},
 			{"approx-abs", Approx{Eps: 0.01, Kind: Absolute}, 0.01 + 1e-9},
 			{"mc", MonteCarlo{Eps: 0.05, Delta: 0.01, Seed: seed}, 0.12},

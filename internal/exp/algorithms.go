@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/formula"
+	"repro/internal/plan"
 )
 
-// Params configures an experiment run. Zero values get Small() defaults.
+// Params configures an experiment run. Small and Smoke return complete
+// sets; a zero field is taken as given.
 type Params struct {
 	SF   float64 // TPC-H scale factor
 	Seed int64
@@ -23,6 +25,14 @@ type Params struct {
 	AconfMaxSample int
 
 	Delta float64 // aconf δ (the paper fixes 0.0001)
+
+	// The figures' sweeps: Fig. 7's scale factors, the clique sizes of
+	// Fig. 8 and of its small-probability panel (8c), and Fig. 9's
+	// relative errors.
+	SFs           []float64
+	Cliques       []int
+	SmallPCliques []int
+	Errors        []float64
 }
 
 // Small returns defaults sized so the full suite finishes in a few
@@ -34,114 +44,138 @@ func Small() Params {
 		DtreeMaxNodes:  3_000_000,
 		AconfMaxSample: 3_000_000,
 		Delta:          0.0001,
+		SFs:            []float64{0.0005, 0.001, 0.002, 0.005},
+		Cliques:        []int{6, 10, 15, 20},
+		SmallPCliques:  []int{6, 10, 15},
+		Errors:         []float64{0.05, 0.01, 0.005, 0.001},
 	}
 }
 
-func (p Params) withDefaults() Params {
-	d := Small()
-	if p.SF == 0 {
-		p.SF = d.SF
+// Smoke returns parameters small enough for a smoke run of every
+// figure in about a second: the package's tests and the root
+// BenchmarkFigures run at this scale.
+func Smoke() Params {
+	return Params{
+		SF:             0.0005,
+		Seed:           42,
+		DtreeMaxNodes:  400_000,
+		AconfMaxSample: 150_000,
+		Delta:          0.01,
+		SFs:            []float64{0.0005},
+		Cliques:        []int{6, 8},
+		SmallPCliques:  []int{6},
+		Errors:         []float64{0.05},
 	}
-	if p.Seed == 0 {
-		p.Seed = d.Seed
-	}
-	if p.DtreeMaxNodes == 0 {
-		p.DtreeMaxNodes = d.DtreeMaxNodes
-	}
-	if p.AconfMaxSample == 0 {
-		p.AconfMaxSample = d.AconfMaxSample
-	}
-	if p.Delta == 0 {
-		p.Delta = d.Delta
-	}
-	return p
 }
 
-// runResult is one algorithm invocation's measurement.
-type runResult struct {
-	est      float64
-	millis   float64
-	ok       bool // converged within budget
-	detail   int  // nodes or samples
-	estimate string
+// Row is one instance of a Section VII figure: a query's lineage and
+// the algorithms the figure times on it.
+type Row struct {
+	Fig    string   // figure id: "fig6a" … "fig9", "stats"
+	Labels []string // the cells that name the row in its table
+	Space  *formula.Space
+	DNFs   []formula.DNF // one lineage per answer; none when no answer is possible
+	Node   plan.Node     // the TPC-H query, which a SPROUT column plans; nil on graphs
+	Cols   []Column      // the algorithm columns, in table order
 }
 
-func (r runResult) timeCell() string {
-	if !r.ok {
+// Column is one algorithm of a figure.
+type Column struct {
+	Name string // its header cell
+	// Eval evaluates each answer's lineage. Nil is the SPROUT column:
+	// Node through the planner's exact routes.
+	Eval engine.Evaluator
+}
+
+// Cell is one column's measurement on one row, summed over the row's
+// answers (the paper reports one time per query).
+type Cell struct {
+	P         float64 // the answers' estimates summed
+	Millis    float64
+	Converged bool // every evaluation met its guarantee within budget
+	Work      int  // d-tree nodes or Monte Carlo samples
+}
+
+// Clauses is the row's lineage size over all answers.
+func (r Row) Clauses() int {
+	n := 0
+	for _, d := range r.DNFs {
+		n += len(d)
+	}
+	return n
+}
+
+// Run measures column j on the row: its evaluator on every answer with
+// lineage, or, for the SPROUT column, the planner-routed query.
+func (r Row) Run(j int) Cell {
+	ev := r.Cols[j].Eval
+	if ev == nil {
+		start := time.Now()
+		p := plannerExact(r.Space, r.Labels[0], r.Node)
+		return Cell{P: p, Millis: millisSince(start), Converged: true}
+	}
+	c := Cell{Converged: true}
+	for i, d := range r.DNFs {
+		if len(d) == 0 {
+			continue
+		}
+		e := ev
+		if a, ok := e.(aconf); ok {
+			a.seed += int64(i) // each answer draws its own samples
+			e = a
+		}
+		start := time.Now()
+		res, err := e.Evaluate(context.Background(), r.Space, d)
+		c.Millis += millisSince(start)
+		c.P += res.Estimate
+		c.Work += res.Nodes + res.Samples
+		c.Converged = c.Converged && err == nil && res.Converged
+	}
+	return c
+}
+
+func millisSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }
+
+func (c Cell) timeCell() string {
+	if !c.Converged {
 		return "TO"
 	}
-	return ms(r.millis)
+	return ms(c.Millis)
 }
 
-// runEval measures one engine evaluation — every experiment algorithm
-// goes through the unified Evaluator API.
-func runEval(ev engine.Evaluator, s *formula.Space, d formula.DNF) runResult {
-	start := time.Now()
-	res, err := ev.Evaluate(context.Background(), s, d)
-	el := time.Since(start)
-	detail := res.Nodes
-	if res.Samples > 0 {
-		detail = res.Samples
+// estimate renders P for a row with one answer; a query with several
+// answers has no one estimate.
+func (c Cell) estimate(r Row) string {
+	if len(r.DNFs) != 1 {
+		return "-"
 	}
-	return runResult{
-		est: res.Estimate, millis: float64(el.Microseconds()) / 1000,
-		ok: err == nil && res.Converged, detail: detail,
-		estimate: prob(res.Estimate),
-	}
+	return prob(c.P)
 }
 
 // dtree is the experiments' d-tree evaluator: the node budget plus the
 // matching clause-work cap (8 clause operations per node, the seed's
 // ratio), with no cache shared across answers — the paper's per-answer
 // measurements.
-func dtree(eps float64, kind engine.ErrorKind, maxNodes int) engine.Approx {
-	return engine.Approx{Eps: eps, Kind: kind, MaxNodes: maxNodes, MaxWork: 8 * maxNodes}
+func (p Params) dtree(eps float64, kind engine.ErrorKind) engine.Approx {
+	return engine.Approx{Eps: eps, Kind: kind, MaxNodes: p.DtreeMaxNodes, MaxWork: 8 * p.DtreeMaxNodes}
 }
 
-// runDtree measures the ε-approximation on one DNF.
-func runDtree(s *formula.Space, d formula.DNF, eps float64, kind engine.ErrorKind, maxNodes int) runResult {
-	return runEval(dtree(eps, kind, maxNodes), s, d)
+// aconf is the Karp-Luby/DKLR baseline. Its budget counts clause
+// evaluations: a sample costs one pass over the DNF, so an answer of c
+// clauses gets maxWork/c samples, at least 200.
+type aconf struct {
+	eps, delta float64
+	maxWork    int
+	seed       int64
 }
 
-// runAconf measures the Karp-Luby/DKLR baseline.
-func runAconf(s *formula.Space, d formula.DNF, eps, delta float64, maxSamples int, seed int64) runResult {
-	// The budget is clause evaluations; each Karp-Luby sample costs one
-	// pass over the DNF.
-	samples := maxSamples / max(1, len(d))
-	if samples < 200 {
-		samples = 200
-	}
-	return runEval(engine.MonteCarlo{
-		Eps: eps, Delta: delta, Budget: engine.Budget{MaxSamples: samples}, Seed: seed,
-	}, s, d)
+func (p Params) aconf(eps float64, seed int64) aconf {
+	return aconf{eps: eps, delta: p.Delta, maxWork: p.AconfMaxSample, seed: seed}
 }
 
-// runMeasured times an arbitrary exact computation (SPROUT plans/scans).
-func runMeasured(f func() float64) runResult {
-	start := time.Now()
-	p := f()
-	el := time.Since(start)
-	return runResult{
-		est: p, millis: float64(el.Microseconds()) / 1000,
-		ok: true, estimate: prob(p),
-	}
-}
-
-// sumRuns aggregates per-answer runs into a per-query measurement (the
-// paper reports one time per query; multi-answer queries sum their
-// answers' confidence-computation times).
-func sumRuns(rs []runResult) runResult {
-	out := runResult{ok: true}
-	for _, r := range rs {
-		out.millis += r.millis
-		out.detail += r.detail
-		out.ok = out.ok && r.ok
-	}
-	if n := len(rs); n == 1 {
-		out.est = rs[0].est
-		out.estimate = rs[0].estimate
-	} else {
-		out.estimate = "-"
-	}
-	return out
+func (a aconf) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (engine.Result, error) {
+	return engine.MonteCarlo{
+		Eps: a.eps, Delta: a.delta, Seed: a.seed,
+		Budget: engine.Budget{MaxSamples: max(200, a.maxWork/max(1, len(d)))},
+	}.Evaluate(ctx, s, d)
 }

@@ -1,27 +1,12 @@
 package exp
 
 import (
-	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/engine"
-	"repro/internal/tpch"
 )
 
-// fast returns params small enough for CI-speed smoke runs.
-func fast() Params {
-	return Params{
-		SF:             0.0005,
-		Seed:           42,
-		DtreeMaxNodes:  400_000,
-		AconfMaxSample: 150_000,
-		Delta:          0.01,
-	}
-}
-
 func TestFig6aShape(t *testing.T) {
-	tab := Fig6a(fast())
+	tab := Figure("fig6a", Smoke())
 	if len(tab.Rows) != 6 {
 		t.Fatalf("fig6a has %d rows, want 6 queries", len(tab.Rows))
 	}
@@ -34,9 +19,6 @@ func TestFig6aShape(t *testing.T) {
 			t.Fatalf("row %d has %d cells, header has %d", i, len(r), len(tab.Header))
 		}
 	}
-	// d-tree(0) and SPROUT are exact: where both report a probability for
-	// Boolean queries they must agree (they are printed from the same
-	// exact computations elsewhere; here just check cells are non-empty).
 	for _, r := range tab.Rows {
 		for j, c := range r {
 			if c == "" {
@@ -47,14 +29,14 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6bRuns(t *testing.T) {
-	tab := Fig6b(fast())
+	tab := Figure("6b", Smoke())
 	if len(tab.Rows) != 6 {
 		t.Fatalf("fig6b rows %d", len(tab.Rows))
 	}
 }
 
 func TestFig6cRuns(t *testing.T) {
-	tab := Fig6c(fast())
+	tab := Figure("fig6c", Smoke())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("fig6c rows %d", len(tab.Rows))
 	}
@@ -64,11 +46,12 @@ func TestFig6cRuns(t *testing.T) {
 }
 
 func TestFig7Runs(t *testing.T) {
+	p := Smoke()
+	p.SFs = []float64{0.0005, 0.001}
 	// A B9 d-tree cell that runs out of budget costs the whole budget:
-	// a quarter of fast()'s keeps this smoke run's time down.
-	p := fast()
+	// a quarter of the smoke budget keeps this run's time down.
 	p.DtreeMaxNodes /= 4
-	tab := Fig7(p, []float64{0.0005, 0.001})
+	tab := Figure("fig7", p)
 	if len(tab.Rows) != 8 {
 		t.Fatalf("fig7 rows %d, want 4 queries × 2 SFs", len(tab.Rows))
 	}
@@ -81,38 +64,42 @@ func TestFig7Runs(t *testing.T) {
 // not converge at 0.01 (331 793 nodes).
 func TestFig7B9Nodes(t *testing.T) {
 	p := Small()
-	db := tpch.Generate(tpch.Config{SF: 0.0005, ProbHigh: 1, Seed: p.Seed})
-	d := booleanDNF(db.B9IR(b9TypeMax))
-	for _, tc := range []struct {
-		eps   float64
-		nodes int
-	}{{relErr005, 1653}, {relErr001, 6800}} {
-		res, err := dtree(tc.eps, engine.Relative, p.DtreeMaxNodes).Evaluate(context.Background(), db.Space, d)
-		if err != nil || !res.Converged {
-			t.Fatalf("rel %v: converged=%v err=%v after %d nodes", tc.eps, res.Converged, err, res.Nodes)
+	p.SFs = []float64{0.0005}
+	want := map[string]int{"d-tree(.05)": 1653, "d-tree(.01)": 6800}
+	for _, r := range Scenarios(p, "fig7") {
+		if r.Labels[0] != "B9" {
+			continue
 		}
-		if res.Nodes != tc.nodes {
-			t.Errorf("rel %v: %d nodes, want %d", tc.eps, res.Nodes, tc.nodes)
+		for j, c := range r.Cols {
+			if nodes, ok := want[c.Name]; ok {
+				if got := r.Run(j); !got.Converged || got.Work != nodes {
+					t.Errorf("%s: converged=%v after %d nodes, want %d", c.Name, got.Converged, got.Work, nodes)
+				}
+				delete(want, c.Name)
+			}
 		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("columns %v missing from Fig. 7's B9 row", want)
 	}
 }
 
 func TestFig8Runs(t *testing.T) {
-	tab := Fig8(fast(), []int{6, 8})
+	tab := Figure("fig8", Smoke())
 	if len(tab.Rows) != 8 {
 		t.Fatalf("fig8 rows %d, want 2 queries × 2 sizes × 2 probs", len(tab.Rows))
 	}
 }
 
 func TestFig8cRuns(t *testing.T) {
-	tab := Fig8c(fast(), []int{6})
+	tab := Figure("fig8c", Smoke())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig8c rows %d", len(tab.Rows))
 	}
 }
 
 func TestFig9Runs(t *testing.T) {
-	tab := Fig9(fast(), []float64{0.05})
+	tab := Figure("fig9", Smoke())
 	if len(tab.Rows) != 8 {
 		t.Fatalf("fig9 rows %d, want 2 networks × 4 queries × 1 error", len(tab.Rows))
 	}
@@ -153,19 +140,17 @@ func TestMsFormatting(t *testing.T) {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.withDefaults()
-	if p.SF == 0 || p.DtreeMaxNodes == 0 || p.AconfMaxSample == 0 || p.Delta == 0 {
-		t.Fatalf("defaults missing: %+v", p)
-	}
-	p2 := Params{SF: 0.5}.withDefaults()
-	if p2.SF != 0.5 {
-		t.Fatal("explicit SF overridden")
+	for _, p := range []Params{Small(), Smoke()} {
+		if p.SF == 0 || p.Seed == 0 || p.DtreeMaxNodes == 0 || p.AconfMaxSample == 0 || p.Delta == 0 ||
+			len(p.SFs) == 0 || len(p.Cliques) == 0 || len(p.SmallPCliques) == 0 || len(p.Errors) == 0 {
+			t.Fatalf("parameter set has an unset field: %+v", p)
+		}
 	}
 }
 
 func TestNodeStatsRuns(t *testing.T) {
-	tab := NodeStats(fast())
-	if len(tab.Rows) < 4 {
+	tab := Figure("stats", Smoke())
+	if len(tab.Rows) != 6 {
 		t.Fatalf("stats rows %d", len(tab.Rows))
 	}
 	for _, r := range tab.Rows {
@@ -176,7 +161,7 @@ func TestNodeStatsRuns(t *testing.T) {
 }
 
 func TestRankTopKFigureRuns(t *testing.T) {
-	tab := TopKFigure(fast())
+	tab := TopKFigure(Smoke())
 	if len(tab.Rows) < 6 {
 		t.Fatalf("topk rows %d", len(tab.Rows))
 	}

@@ -17,7 +17,6 @@ import (
 // cache hit rates, pool saturation — from the per-query trace and the
 // DB-wide metrics registry the same run populated.
 func ObsTable(p Params) *Table {
-	p = p.withDefaults()
 	gen := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 	sess := db.Session(repro.WithEps(topkEps), repro.WithForceLineage())

@@ -68,7 +68,6 @@ func errRow(t *Table, cells ...string) []string {
 // multi-answer workloads: TPC-H Q1/Q15 answer sets and
 // pairwise-separation queries on the social networks.
 func TopKFigure(p Params) *Table {
-	p = p.withDefaults()
 	t := &Table{
 		ID: "topk",
 		Title: fmt.Sprintf("anytime top-k / threshold ranking vs full evaluation, SF %g, ε %g",

@@ -143,7 +143,7 @@ func TestConfConcurrentBatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				confs, err := ConfWith(context.Background(), s, answers, engine.Approx{Frags: cache, Pool: pool}, pool, nil)
+				confs, err := ConfWith(context.Background(), s, answers, engine.Approx{Frags: cache}, pool, nil)
 				if err != nil {
 					t.Errorf("ConfWith: %v", err)
 					return

@@ -36,7 +36,7 @@ func TestFacade(t *testing.T) {
 		t.Fatalf("exact = %+v err=%v, want 0.8456", exact, err)
 	}
 
-	lo, hi := repro.Bounds(s, phi, true)
+	lo, hi := repro.Bounds(s, phi)
 	if lo > 0.8456 || hi < 0.8456 {
 		t.Fatalf("bounds [%v, %v] miss the exact probability", lo, hi)
 	}
