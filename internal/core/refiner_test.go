@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"repro/internal/formula"
@@ -236,6 +237,60 @@ func TestGNodeSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(leafEntry{}); n != 16 {
 		t.Fatalf("leafEntry is %d bytes, want 16", n)
+	}
+}
+
+func TestGlobalAbsoluteGuarantee(t *testing.T) {
+	for _, eps := range []float64{0.1, 0.01} {
+		for seed := int64(0); seed < 30; seed++ {
+			s, d := randdnf.Generate(randdnf.Default(), seed)
+			want := formula.BruteForceProbability(s, d)
+			res, err := ApproxCtx(context.Background(), s, d, Options{Eps: eps, Kind: Absolute})
+			if err != nil {
+				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
+			}
+			if math.Abs(res.Estimate-want) > eps+1e-9 {
+				t.Fatalf("eps=%v seed=%d: |%v-%v| > ε", eps, seed, res.Estimate, want)
+			}
+		}
+	}
+}
+
+func TestGlobalRelativeGuarantee(t *testing.T) {
+	f := func(seed int64) bool {
+		s, d := genFromSeed(seed)
+		want := formula.BruteForceProbability(s, d)
+		res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 0.05, Kind: Relative})
+		if err != nil {
+			return false
+		}
+		return res.Estimate >= (1-0.05)*want-1e-9 && res.Estimate <= (1+0.05)*want+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGlobalEpsZeroExact(t *testing.T) {
+	s, d := randdnf.Generate(randdnf.Default(), 9)
+	want := formula.BruteForceProbability(s, d)
+	res, err := ApproxCtx(context.Background(), s, d, Options{})
+	if err != nil || !res.Exact || math.Abs(res.Estimate-want) > 1e-9 {
+		t.Fatalf("res=%+v err=%v want=%v", res, err, want)
+	}
+}
+
+func TestGlobalBudget(t *testing.T) {
+	s, d := randdnf.Generate(randdnf.Config{
+		Vars: 16, Clauses: 24, MaxWidth: 4, MaxDomain: 2, MinProb: 0.3, MaxProb: 0.7,
+	}, 11)
+	want := formula.BruteForceProbability(s, d)
+	res, err := ApproxCtx(context.Background(), s, d, Options{Eps: 1e-9, Kind: Absolute, MaxNodes: 10})
+	if err != ErrBudget {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if res.Lo > want+1e-9 || res.Hi < want-1e-9 {
+		t.Fatalf("budget bounds [%v,%v] miss %v", res.Lo, res.Hi, want)
 	}
 }
 
