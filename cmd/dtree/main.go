@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dtree [-eps 0.01] [-relative] [-exact] [-stats]
+//	dtree [-eps 0.01] [-relative] [-stats]
 //	      [-metrics] [-timeout 0] [-max-nodes 0] [-mc] [file]
 //
 // The input (a file argument or stdin) uses the dnftext format:
@@ -13,7 +13,7 @@
 //	var v 0.2 0.3 0.5
 //	clause x v=2
 //
-// With -exact (or -eps 0) the exact probability is printed, computed by
+// With -eps 0 the exact probability is printed, computed by
 // the d-tree compiler (core.Refiner) run until no leaf is open;
 // otherwise an ε-approximation with the chosen error semantics,
 // computed by refining the open leaf of the materialized d-tree whose
@@ -39,7 +39,6 @@ import (
 func main() {
 	eps := flag.Float64("eps", 0.01, "allowed error (0 = exact)")
 	relative := flag.Bool("relative", false, "use relative (multiplicative) error instead of absolute")
-	exact := flag.Bool("exact", false, "compute the exact probability")
 	stats := flag.Bool("stats", false, "print d-tree statistics")
 	metrics := flag.Bool("metrics", false, "print engine metrics (budget exhaustions)")
 	timeout := flag.Duration("timeout", 0, "wall-clock evaluation budget (0 = none)")
@@ -69,9 +68,6 @@ func main() {
 	ev := engine.Approx{Eps: *eps, Kind: engine.Absolute, MaxNodes: *maxNodes}
 	if *relative {
 		ev.Kind = engine.Relative
-	}
-	if *exact {
-		ev.Eps = 0
 	}
 	var reg *obs.Metrics
 	if *metrics {

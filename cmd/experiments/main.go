@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	experiments [-fig all|route,topk,6a,6b,6c,7,8,8c,9,stats,obs] [-sf 0.002] [-seed 42]
+//	experiments [-fig all|<id>,...] [-sf 0.002] [-seed 42]
 //	            [-md] [-dtree-nodes N] [-aconf-samples N]
 //
-// The "route" figure prints the planner's EXPLAIN over the TPC-H
-// catalog — which queries compile to safe plans, IQ sorted scans, or
-// fall through to lineage + d-tree evaluation — compiled through the
-// DB/Session/Query façade, the same path a serving client takes. The
-// "topk" figure
-// prints the anytime ranking subsystem's pruning table: refinement
-// steps spent by the top-k / threshold schedulers versus evaluating
-// every answer to ε, over the multi-answer workloads.
+// The ids are exp.IDs(), in print order (-h lists them). The "route"
+// figure prints the planner's EXPLAIN over the TPC-H catalog — which
+// queries compile to safe plans, IQ sorted scans, or fall through to
+// lineage + d-tree evaluation — compiled through the DB/Session/Query
+// façade, the same path a serving client takes. The "topk" figure prints the anytime ranking subsystem's
+// pruning table: refinement steps spent by the top-k / threshold
+// schedulers versus evaluating every answer to ε, over the multi-answer
+// workloads. The "obs" figure traces one ranked query.
 //
 // Figures 6–9 and the stats table render internal/exp's scenario
 // list, the instances the root BenchmarkFigures also times. Every cell
@@ -36,7 +36,8 @@ import (
 
 func main() {
 	p := exp.Small()
-	fig := flag.String("fig", "all", "comma-separated figure ids: route,topk,6a,6b,6c,7,8,8c,9,stats,obs or all")
+	ids := exp.IDs()
+	fig := flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(ids, ",")+") or all")
 	flag.Float64Var(&p.SF, "sf", p.SF, "TPC-H scale factor")
 	flag.Int64Var(&p.Seed, "seed", p.Seed, "generator seed")
 	md := flag.Bool("md", false, "emit markdown instead of plain text")
@@ -44,20 +45,14 @@ func main() {
 	flag.IntVar(&p.AconfMaxSample, "aconf-samples", p.AconfMaxSample, "aconf sample budget")
 	flag.Parse()
 
-	other := map[string]func(exp.Params) *exp.Table{
-		"route": exp.RoutingTable, "topk": exp.TopKFigure, "obs": exp.ObsTable,
-	}
-	order := []string{"route", "topk", "6a", "6b", "6c", "7", "8", "8c", "9", "stats", "obs"}
-
-	var want []string
-	if *fig == "all" {
-		want = order
-	} else {
+	want := ids
+	if *fig != "all" {
+		want = nil
 		for _, f := range strings.Split(*fig, ",") {
 			f = strings.TrimSpace(strings.TrimPrefix(f, "fig"))
-			if !slices.Contains(order, f) {
+			if !slices.Contains(ids, f) {
 				fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want %s)\n",
-					f, strings.Join(order, ","))
+					f, strings.Join(ids, ","))
 				os.Exit(1)
 			}
 			want = append(want, f)
@@ -65,12 +60,7 @@ func main() {
 	}
 
 	for _, f := range want {
-		var t *exp.Table
-		if run, ok := other[f]; ok {
-			t = run(p)
-		} else {
-			t = exp.Figure(f, p)
-		}
+		t := exp.Figure(f, p)
 		if *md {
 			t.WriteMarkdown(os.Stdout)
 		} else {

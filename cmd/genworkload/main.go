@@ -10,17 +10,20 @@
 //	genworkload -w tpch-iq6 -sf 0.001
 //	genworkload -w skew-join -rows 20000 -skew 1.2
 //
-// Workloads: karate-triangle, karate-p2, karate-s2, dolphins-triangle,
-// clique-triangle, clique-p2, tpch-b1, tpch-b17, tpch-b21, tpch-iq6,
-// skew-join (a Zipf-keyed fact ⋈ dim join whose answer groups are
-// imbalanced in lineage size; -skew 1 makes the keys uniform for
-// comparison).
+// Workloads: karate-triangle, karate-p2, karate-s2 (the separation of
+// the network's two hubs, Fig. 9's s2), dolphins-triangle,
+// clique-triangle, clique-p2, tpch-<query> for every TPC-H catalog query
+// in lower case (tpch-q1, tpch-b17, tpch-iqb1, tpch-b21, …; a grouped
+// query exports its first answer's lineage), and skew-join (a
+// Zipf-keyed fact ⋈ dim join whose answer groups are imbalanced in
+// lineage size; -skew 1 makes the keys uniform for comparison).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/dnftext"
 	"repro/internal/formula"
@@ -48,16 +51,16 @@ func main() {
 	)
 	switch *workload {
 	case "karate-triangle":
-		g := graphs.Karate(0.3, 0.95, *seed)
+		g := graphs.Karate(*seed)
 		s, d = g.Space(), g.TriangleDNF()
 	case "karate-p2":
-		g := graphs.Karate(0.3, 0.95, *seed)
+		g := graphs.Karate(*seed)
 		s, d = g.Space(), g.PathDNF(2)
 	case "karate-s2":
-		g := graphs.Karate(0.3, 0.95, *seed)
-		s, d = g.Space(), g.SeparationDNF(0, 33)
+		g := graphs.Karate(*seed)
+		s, d = g.Space(), g.SeparationDNF(g.Hubs())
 	case "dolphins-triangle":
-		g := graphs.Dolphins(0.5, 0.99, *seed)
+		g := graphs.Dolphins(*seed)
 		s, d = g.Space(), g.TriangleDNF()
 	case "clique-triangle":
 		g := graphs.Complete(*n, *p)
@@ -65,24 +68,18 @@ func main() {
 	case "clique-p2":
 		g := graphs.Complete(*n, *p)
 		s, d = g.Space(), g.PathDNF(2)
-	case "tpch-b1":
-		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, node = db.Space, db.B1IR(tpch.MaxDate/2)
-	case "tpch-b17":
-		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, node = db.Space, db.B17IR(3, 7)
-	case "tpch-b21":
-		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, node = db.Space, db.B21IR(db.CommonNationKey())
-	case "tpch-iq6":
-		db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
-		s, node = db.Space, db.IQ6IR(20, 40, 40)
 	case "skew-join":
 		db := tpch.GenerateSkewed(*rows, max(*rows/50, 1), *skew, *seed)
 		s, node = db.Space, db.BooleanIR()
 	default:
-		fmt.Fprintf(os.Stderr, "genworkload: unknown workload %q\n", *workload)
-		os.Exit(1)
+		if name, ok := strings.CutPrefix(*workload, "tpch-"); ok {
+			db := tpch.Generate(tpch.Config{SF: *sf, ProbHigh: 1, Seed: *seed})
+			s, node = db.Space, db.Query(strings.ToUpper(name))
+		}
+		if node == nil {
+			fmt.Fprintf(os.Stderr, "genworkload: unknown workload %q\n", *workload)
+			os.Exit(1)
+		}
 	}
 	if node != nil {
 		if answers := plan.Lineage(node); len(answers) > 0 {

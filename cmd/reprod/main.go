@@ -146,9 +146,7 @@ func buildDataset(name string, sf, probHigh float64, seed int64) (*repro.DB, err
 		return repro.NewDB(s, orders, disputes), nil
 	case "tpch":
 		t := tpch.Generate(tpch.Config{SF: sf, ProbHigh: probHigh, Seed: seed})
-		return repro.NewDB(t.Space,
-			t.Region, t.Nation, t.Supplier, t.Customer,
-			t.Part, t.PartSupp, t.Orders, t.Lineitem), nil
+		return repro.NewDB(t.Space, t.Relations()...), nil
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want demo or tpch)", name)
 	}

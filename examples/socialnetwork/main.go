@@ -16,7 +16,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	g := graphs.Karate(0.3, 0.95, 42)
+	g := graphs.Karate(42)
 	s := g.Space()
 	fmt.Printf("karate club: %d members, %d possible friendships\n\n", g.N, g.NumEdges())
 
@@ -30,8 +30,8 @@ func main() {
 		res.Estimate, len(tri), res.Nodes)
 
 	// Two degrees of separation between the two club factions' hubs
-	// (members 1 and 34 in the classic numbering).
-	sep := g.SeparationDNF(0, 33)
+	// (members 1 and 34 in the classic numbering), Figure 9's s2.
+	sep := g.SeparationDNF(g.Hubs())
 	sres, err := repro.ApproxEval{Eps: 0.0001, Kind: repro.Relative}.Evaluate(ctx, s, sep)
 	if err != nil {
 		panic(err)

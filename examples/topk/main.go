@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	g := graphs.Karate(0.3, 0.95, 42)
+	g := graphs.Karate(42)
 
 	// One answer per node: the triangle clauses containing it. Answers
 	// share edge variables (each triangle feeds three answers).
@@ -103,11 +103,9 @@ func main() {
 	// routes the inner query to a safe plan, so the ranking
 	// short-circuits to an exact sort — no scheduler needed.
 	db := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 42})
-	tdb := repro.NewDB(db.Space,
-		db.Region, db.Nation, db.Supplier, db.Customer,
-		db.Part, db.PartSupp, db.Orders, db.Lineitem)
+	tdb := repro.NewDB(db.Space, db.Relations()...)
 	tsess := tdb.Session()
-	q, err := tsess.Query(db.Q15IR(0, tpch.MaxDate/3)).TopK(3).Build()
+	q, err := tsess.Query(db.Query("Q15")).TopK(3).Build()
 	if err != nil {
 		panic(err)
 	}

@@ -31,9 +31,7 @@ func main() {
 
 	// The façade root: one DB owning the space and the catalog's
 	// relations; sessions scope caches and evaluator defaults.
-	fdb := repro.NewDB(db.Space,
-		db.Region, db.Nation, db.Supplier, db.Customer,
-		db.Part, db.PartSupp, db.Orders, db.Lineitem)
+	fdb := repro.NewDB(db.Space, db.Relations()...)
 	sess := fdb.Session()
 
 	// The planner's EXPLAIN: pre-built catalog IR runs through the
@@ -50,7 +48,7 @@ func main() {
 	// Tractable join: routed to a safe plan; d-tree(0) over the same
 	// query's lineage must agree exactly. (A Boolean query with no
 	// qualifying tuples returns no answers — certainly false.)
-	b17, err := sess.Query(db.B17IR(3, 7)).Build()
+	b17, err := sess.Query(db.Query("B17")).Build()
 	if err != nil {
 		panic(err)
 	}
@@ -66,7 +64,7 @@ func main() {
 	}
 
 	// Tractable inequality chain: routed to an IQ sorted scan.
-	iq6, err := sess.Query(db.IQ6IR(20, 40, 40)).Build()
+	iq6, err := sess.Query(db.Query("IQ6")).Build()
 	if err != nil {
 		panic(err)
 	}
@@ -86,7 +84,7 @@ func main() {
 	// session's evaluator decides the algorithm (here the
 	// ε-approximation with guarantees).
 	hardSess := fdb.Session(repro.WithEvaluator(repro.ApproxEval{Eps: 0.01, Kind: repro.Relative}))
-	b21 := hardSess.Query(db.B21IR(db.CommonNationKey()))
+	b21 := hardSess.Query(db.Query("B21"))
 	t0 := time.Now()
 	hard, err := b21.All(ctx)
 	if err != nil {
@@ -103,14 +101,14 @@ func main() {
 	// Per-answer confidences of a grouped query (Q15), streamed: the
 	// safe route returns every supplier's exact confidence without
 	// materializing lineage.
-	q15 := sess.Query(db.Q15IR(0, tpch.MaxDate/3))
+	q15 := sess.Query(db.Query("Q15"))
 	explain, err := q15.Explain()
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nQ15 (%s); first 5 supplier confidences:\n", explain)
 	n := 0
-	for a, err := range sess.Query(db.Q15IR(0, tpch.MaxDate/3)).Run(ctx) {
+	for a, err := range sess.Query(db.Query("Q15")).Run(ctx) {
 		if err != nil {
 			panic(err)
 		}

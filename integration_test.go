@@ -98,7 +98,7 @@ func TestEndToEndTPCH(t *testing.T) {
 // of the repository (d-tree approximate, d-tree exact, OBDD, Karp-Luby)
 // on one realistic lineage and checks they agree.
 func TestFourAlgorithmsAgree(t *testing.T) {
-	g := graphs.Karate(0.3, 0.95, 5)
+	g := graphs.Karate(5)
 	s := g.Space()
 	d := g.TriangleDNF()
 

@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/tpch"
 )
 
 func TestFig6aShape(t *testing.T) {
@@ -161,7 +163,7 @@ func TestNodeStatsRuns(t *testing.T) {
 }
 
 func TestRankTopKFigureRuns(t *testing.T) {
-	tab := TopKFigure(Smoke())
+	tab := Figure("topk", Smoke())
 	if len(tab.Rows) < 6 {
 		t.Fatalf("topk rows %d", len(tab.Rows))
 	}
@@ -174,5 +176,38 @@ func TestRankTopKFigureRuns(t *testing.T) {
 				t.Fatalf("row %v reports an error", r)
 			}
 		}
+	}
+}
+
+func TestRouteTableCoversCatalog(t *testing.T) {
+	p := Smoke()
+	tab := Figure("route", p)
+	catalog := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed}).Catalog()
+	if len(tab.Rows) != len(catalog) {
+		t.Fatalf("route table has %d rows, catalog %d queries", len(tab.Rows), len(catalog))
+	}
+	want := map[tpch.Class]string{tpch.ClassHierarchical: "safe", tpch.ClassIQ: "iq", tpch.ClassHard: "d-tree"}
+	for i, r := range tab.Rows {
+		e := catalog[i]
+		if r[0] != e.Name || r[1] != string(e.Class) || r[2] != want[e.Class] {
+			t.Errorf("row %v, want %s (%s) routed %s", r, e.Name, e.Class, want[e.Class])
+		}
+	}
+}
+
+func TestObsTableRuns(t *testing.T) {
+	tab := Figure("obs", Smoke())
+	rows := map[string]string{}
+	for _, r := range tab.Rows {
+		if strings.HasPrefix(r[1], "ERR") {
+			t.Fatalf("row %v reports an error", r)
+		}
+		rows[r[0]] = r[1]
+	}
+	if rows["route"] != "d-tree" {
+		t.Fatalf("route %q, want d-tree", rows["route"])
+	}
+	if _, ok := rows["rank"]; !ok {
+		t.Fatalf("no rank row in %v", tab.Rows)
 	}
 }

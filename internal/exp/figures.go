@@ -10,21 +10,25 @@ import (
 	"repro/internal/engine"
 	"repro/internal/formula"
 	"repro/internal/graphs"
+	"repro/internal/pdb"
+	"repro/internal/plan"
 	"repro/internal/tpch"
 )
 
-// figure is one Section VII table: its header and notes, the rows it
-// renders, and how a row's measurements become the cells after its
-// labels and clause count.
+// figure is one table cmd/experiments prints. A Section VII figure
+// has its header and notes, the rows it renders, and how a row's
+// measurements become the cells after its labels and clause count; a
+// table outside the scenario list (route, topk, obs) is built by table.
 type figure struct {
 	id, title string
 	header    []string
 	notes     []string
 	cells     func(Row) []string
 	rows      func() []Row
+	table     func() *Table
 }
 
-// figures lists every figure of the scenario list in table order.
+// figures lists every table in print order.
 func figures(p Params) []figure {
 	fig6 := []string{"query", "clauses", "aconf(r.01)", "d-tree(r.01)", "d-tree(0)", "SPROUT", "P (exact)"}
 	fig6Notes := []string{
@@ -33,37 +37,53 @@ func figures(p Params) []figure {
 		"SPROUT = planner-routed exact path (safe plan / IQ scan chosen automatically)",
 	}
 	return []figure{{
-		"fig6a", fmt.Sprintf("tractable TPC-H queries, SF %g, tuple probs in (0,1)", p.SF),
-		fig6, fig6Notes, timed(2), func() []Row { return tractableRows(p, "fig6a", 1) },
+		id: "route", table: func() *Table { return routingTable(p) },
 	}, {
-		"fig6b", fmt.Sprintf("tractable TPC-H queries, SF %g, tuple probs in (0,0.01)", p.SF),
-		fig6, fig6Notes, timed(2), func() []Row { return tractableRows(p, "fig6b", 0.01) },
+		id: "topk", table: func() *Table { return topkFigure(p) },
 	}, {
-		"fig6c", fmt.Sprintf("tractable TPC-H queries with inequality joins, SF %g", p.SF),
-		fig6, nil, timed(3), func() []Row { return fig6cRows(p) },
+		id: "fig6a", title: fmt.Sprintf("tractable TPC-H queries, SF %g, tuple probs in (0,1)", p.SF),
+		header: fig6, notes: fig6Notes, cells: timed(2), rows: func() []Row { return tractableRows(p, "fig6a", 1) },
 	}, {
-		"fig7", "hard TPC-H queries (B2, B9, B20, B21) over scale factors",
-		[]string{"query", "SF", "clauses", "aconf(.01)", "aconf(.05)", "d-tree(.01)", "d-tree(.05)", "d-tree est(.01)"},
-		nil, timed(2), func() []Row { return fig7Rows(p) },
+		id: "fig6b", title: fmt.Sprintf("tractable TPC-H queries, SF %g, tuple probs in (0,0.01)", p.SF),
+		header: fig6, notes: fig6Notes, cells: timed(2), rows: func() []Row { return tractableRows(p, "fig6b", 0.01) },
 	}, {
-		"fig8", "triangle and path2 on random cliques, relative error 0.01",
-		[]string{"query", "nodes", "edge p", "clauses", "aconf", "d-tree", "d-tree est"},
-		nil, timed(1), func() []Row { return fig8Rows(p) },
+		id: "fig6c", title: fmt.Sprintf("tractable TPC-H queries with inequality joins, SF %g", p.SF),
+		header: fig6, cells: timed(3), rows: func() []Row { return fig6cRows(p) },
 	}, {
-		"fig8c", "triangle and path2 on random cliques, absolute error 0.05, small edge probabilities",
-		[]string{"query", "nodes", "edge p", "clauses", "d-tree", "nodes built", "d-tree est"},
-		nil, nodesBuilt, func() []Row { return fig8cRows(p) },
+		id: "fig7", title: "hard TPC-H queries (B2, B9, B20, B21) over scale factors",
+		header: []string{"query", "SF", "clauses", "aconf(.01)", "aconf(.05)", "d-tree(.01)", "d-tree(.05)", "d-tree est(.01)"},
+		cells:  timed(2), rows: func() []Row { return fig7Rows(p) },
 	}, {
-		"fig9", "social networks (karate, dolphins): queries t, s2, p2, p3 across relative errors",
-		[]string{"network", "query", "rel err", "clauses", "aconf", "d-tree", "d-tree est"},
-		[]string{"dolphins is a synthetic 62-node/159-edge stand-in (see graphs.Dolphins)"},
-		timed(1), func() []Row { return fig9Rows(p) },
+		id: "fig8", title: "triangle and path2 on random cliques, relative error 0.01",
+		header: []string{"query", "nodes", "edge p", "clauses", "aconf", "d-tree", "d-tree est"},
+		cells:  timed(1), rows: func() []Row { return fig8Rows(p) },
 	}, {
-		"stats", "d-tree composition per workload",
-		[]string{"workload", "clauses", "tree nodes", "⊗", "⊙", "⊕", "leaves", "approx nodes"},
-		[]string{"tree columns from the exact run (budget-capped): fragments of ≤ 6 clauses are inclusion–exclusion leaves, and each ⊕ branch counts its {x = a} leaf; approx columns from rel-0.01 runs"},
-		shape, func() []Row { return statsRows(p) },
+		id: "fig8c", title: "triangle and path2 on random cliques, absolute error 0.05, small edge probabilities",
+		header: []string{"query", "nodes", "edge p", "clauses", "d-tree", "nodes built", "d-tree est"},
+		cells:  nodesBuilt, rows: func() []Row { return fig8cRows(p) },
+	}, {
+		id: "fig9", title: "social networks (karate, dolphins): queries t, s2, p2, p3 across relative errors",
+		header: []string{"network", "query", "rel err", "clauses", "aconf", "d-tree", "d-tree est"},
+		notes:  []string{"dolphins is a synthetic 62-node/159-edge stand-in (see graphs.Dolphins)"},
+		cells:  timed(1), rows: func() []Row { return fig9Rows(p) },
+	}, {
+		id: "stats", title: "d-tree composition per workload",
+		header: []string{"workload", "clauses", "tree nodes", "⊗", "⊙", "⊕", "leaves", "approx nodes"},
+		notes:  []string{"tree columns from the exact run (budget-capped): fragments of ≤ 6 clauses are inclusion–exclusion leaves, and each ⊕ branch counts its {x = a} leaf; approx columns from rel-0.01 runs"},
+		cells:  shape, rows: func() []Row { return statsRows(p) },
+	}, {
+		id: "obs", table: func() *Table { return obsTable(p) },
 	}}
+}
+
+// IDs returns the id of every table Figure renders, in print order and
+// without the "fig" prefix: "route", "topk", "6a" … "9", "stats", "obs".
+func IDs() []string {
+	var ids []string
+	for _, f := range figures(Params{}) {
+		ids = append(ids, strings.TrimPrefix(f.id, "fig"))
+	}
+	return ids
 }
 
 // Scenarios returns the rows of the named figures ("fig6a", "fig6b",
@@ -74,20 +94,23 @@ func figures(p Params) []figure {
 func Scenarios(p Params, figs ...string) []Row {
 	var rows []Row
 	for _, f := range figures(p) {
-		if len(figs) == 0 || slices.Contains(figs, f.id) {
+		if f.rows != nil && (len(figs) == 0 || slices.Contains(figs, f.id)) {
 			rows = append(rows, f.rows()...)
 		}
 	}
 	return rows
 }
 
-// Figure renders one figure's table from its rows of the scenario list.
-// The id is a Scenarios figure id, with or without its "fig" prefix;
-// Figure returns nil for an unknown id.
+// Figure renders one table: a figure's from its rows of the scenario
+// list, or one of the tables outside it. The id is one of IDs, with or
+// without a "fig" prefix; Figure returns nil for an unknown id.
 func Figure(id string, p Params) *Table {
 	for _, f := range figures(p) {
 		if strings.TrimPrefix(f.id, "fig") != strings.TrimPrefix(id, "fig") {
 			continue
+		}
+		if f.table != nil {
+			return f.table()
 		}
 		t := &Table{ID: f.id, Title: f.title, Header: f.header, Notes: f.notes}
 		for _, r := range f.rows() {
@@ -158,7 +181,7 @@ func tpchRows(fig string, db *tpch.DB, qs []tpchQuery, cols []Column, labels ...
 	rows := make([]Row, len(qs))
 	for i, q := range qs {
 		rows[i] = Row{Fig: fig, Labels: append([]string{q.name}, labels...), Space: db.Space,
-			DNFs: lineageDNFs(q.node), Node: q.node, Cols: cols}
+			DNFs: pdb.Lineages(plan.Lineage(q.node)), Node: q.node, Cols: cols}
 	}
 	return rows
 }
@@ -174,9 +197,9 @@ func tractableRows(p Params, fig string, probHigh float64) []Row {
 func fig6cRows(p Params) []Row {
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
 	return tpchRows("fig6c", db, []tpchQuery{
-		{"IQ B1", db.IQB1IR(iqPairE, iqPairD)},
-		{"IQ B4", db.IQB4IR(iqStarE, iqStarD, iqStarC)},
-		{"IQ 6", db.IQ6IR(iqStarE, iqStarD, iqStarC)},
+		{"IQ B1", db.Query("IQB1")},
+		{"IQ B4", db.Query("IQB4")},
+		{"IQ 6", db.Query("IQ6")},
 	}, p.fig6Cols())
 }
 
@@ -188,13 +211,11 @@ func fig7Rows(p Params) []Row {
 	var rows []Row
 	for _, sf := range p.SFs {
 		db := tpch.Generate(tpch.Config{SF: sf, ProbHigh: 1, Seed: p.Seed})
-		nat := db.CommonNationKey()
-		rows = append(rows, tpchRows("fig7", db, []tpchQuery{
-			{"B2", db.B2IR(b2Size, b2Region)},
-			{"B9", db.B9IR(b9TypeMax)},
-			{"B20", db.B20IR(nat, b20Brand, b20Avail)},
-			{"B21", db.B21IR(nat)},
-		}, cols, fmt.Sprint(sf))...)
+		var qs []tpchQuery
+		for _, name := range []string{"B2", "B9", "B20", "B21"} {
+			qs = append(qs, tpchQuery{name, db.Query(name)})
+		}
+		rows = append(rows, tpchRows("fig7", db, qs, cols, fmt.Sprint(sf))...)
 	}
 	return rows
 }
@@ -243,27 +264,26 @@ func fig8cRows(p Params) []Row {
 	return rows
 }
 
+// network is one of Fig. 9's social networks.
+type network struct {
+	name string
+	g    *graphs.Graph
+}
+
+// networks builds Fig. 9's social networks, karate first: the graphs
+// the fig9, stats and topk tables read.
+func networks(seed int64) []network {
+	return []network{{"karate", graphs.Karate(seed)}, {"dolphins", graphs.Dolphins(seed)}}
+}
+
 // socialQueries builds the four Figure 9 queries on a network. The s2
-// query separates the two highest-degree nodes.
+// query separates the network's two hubs.
 func socialQueries(g *graphs.Graph) map[string]formula.DNF {
-	deg := make([]int, g.N)
-	for _, e := range g.Edges() {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	hub1, hub2 := 0, 1
-	for i, d := range deg {
-		if d > deg[hub1] {
-			hub2, hub1 = hub1, i
-		} else if i != hub1 && d > deg[hub2] {
-			hub2 = i
-		}
-	}
 	return map[string]formula.DNF{
 		"t":  g.TriangleDNF(),
 		"p2": g.PathDNF(2),
 		"p3": g.PathDNF(3),
-		"s2": g.SeparationDNF(hub1, hub2),
+		"s2": g.SeparationDNF(g.Hubs()),
 	}
 }
 
@@ -271,13 +291,7 @@ func socialQueries(g *graphs.Graph) map[string]formula.DNF {
 // social networks across the relative-error sweep, aconf vs d-tree.
 func fig9Rows(p Params) []Row {
 	var rows []Row
-	for _, nw := range []struct {
-		name string
-		g    *graphs.Graph
-	}{
-		{"karate", graphs.Karate(0.3, 0.95, p.Seed)},
-		{"dolphins", graphs.Dolphins(0.5, 0.99, p.Seed)},
-	} {
+	for _, nw := range networks(p.Seed) {
 		queries := socialQueries(nw.g)
 		for _, qn := range []string{"t", "s2", "p2", "p3"} {
 			for _, eps := range p.Errors {
@@ -298,15 +312,18 @@ func fig9Rows(p Params) []Row {
 // column the approximation's nodes.
 func statsRows(p Params) []Row {
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
-	tractable := tractableQueries(db)
-	karate := graphs.Karate(0.3, 0.95, p.Seed)
+	karate := networks(p.Seed)[0].g
 	social := socialQueries(karate)
 	cols := []Column{{"d-tree(0)", p.dtree(0, engine.Absolute)}, {"d-tree(r.01)", p.dtree(relErr001, engine.Relative)}}
 	rows := tpchRows("stats", db, []tpchQuery{
-		{"tpch-B17 (hierarchical)", named(tractable, "B17")},
-		{"tpch-B16 (hierarchical)", named(tractable, "B16")},
+		{"tpch-B17 (hierarchical)", db.Query("B17")},
+		{"tpch-B16 (hierarchical)", db.Query("B16")},
+		// IQB1(20, 60), not the catalog's IQB1(60, 200): the row shows
+		// a tree's composition, and at SF 0.002 the smaller pair
+		// instance (580 clauses, not 6 354) has the same ⊗/⊕ pattern
+		// in a tenth of the nodes (626, not 6 573).
 		{"tpch-IQB1 (inequality)", db.IQB1IR(20, 60)},
-		{"tpch-B21 (hard)", db.B21IR(db.CommonNationKey())},
+		{"tpch-B21 (hard)", db.Query("B21")},
 	}, cols)
 	for _, q := range []struct{ name, query string }{{"karate-triangle", "t"}, {"karate-s2", "s2"}} {
 		rows = append(rows, Row{Fig: "stats", Labels: []string{q.name}, Space: karate.Space(),

@@ -10,13 +10,13 @@ import (
 	"repro/internal/tpch"
 )
 
-// ObsTable is the observability layer's demonstration figure (not in
+// obsTable is the observability layer's demonstration figure (not in
 // the paper): it runs the ranked TPC-H Q15 through the façade with
 // EXPLAIN ANALYZE tracing on the lineage route and prints the
 // execution's anatomy — route, per-stage volumes, scheduler outcome,
 // cache hit rates, pool saturation — from the per-query trace and the
 // DB-wide metrics registry the same run populated.
-func ObsTable(p Params) *Table {
+func obsTable(p Params) *Table {
 	gen := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 	sess := db.Session(repro.WithEps(topkEps), repro.WithForceLineage())
@@ -26,7 +26,7 @@ func ObsTable(p Params) *Table {
 		Title:  fmt.Sprintf("EXPLAIN ANALYZE + metrics registry, ranked TPC-H Q15, SF %g", p.SF),
 		Header: []string{"metric", "value"},
 	}
-	node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 10}
+	node := &plan.TopK{Input: gen.Query("Q15"), K: 10}
 	pr, err := sess.Query(node).Build()
 	if err != nil {
 		t.Rows = append(t.Rows, []string{"build", "ERR " + err.Error()})

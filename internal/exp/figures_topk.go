@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/graphs"
+	"repro/internal/pdb"
+	"repro/internal/plan"
 	"repro/internal/rank"
 	"repro/internal/tpch"
 )
@@ -64,10 +66,10 @@ func errRow(t *Table, cells ...string) []string {
 	return cells
 }
 
-// TopKFigure measures the anytime ranking subsystem over the
+// topkFigure measures the anytime ranking subsystem over the
 // multi-answer workloads: TPC-H Q1/Q15 answer sets and
 // pairwise-separation queries on the social networks.
-func TopKFigure(p Params) *Table {
+func topkFigure(p Params) *Table {
 	t := &Table{
 		ID: "topk",
 		Title: fmt.Sprintf("anytime top-k / threshold ranking vs full evaluation, SF %g, ε %g",
@@ -82,22 +84,11 @@ func TopKFigure(p Params) *Table {
 	}
 
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
-	for _, q := range []tpchQuery{
-		{"tpch Q1", db.Q1IR(q1Cutoff)},
-		{"tpch Q15", db.Q15IR(q15Lo, q15Hi)},
-	} {
-		addRankRows(t, q.name, db.Space, lineageDNFs(q.node))
+	for _, q := range []string{"Q1", "Q15"} {
+		addRankRows(t, "tpch "+q, db.Space, pdb.Lineages(plan.Lineage(db.Query(q))))
 	}
-
-	networks := []struct {
-		name string
-		g    *graphs.Graph
-	}{
-		{"karate node-triangle", graphs.Karate(0.3, 0.95, p.Seed)},
-		{"dolphins node-triangle", graphs.Dolphins(0.5, 0.99, p.Seed)},
-	}
-	for _, nw := range networks {
-		addRankRows(t, nw.name, nw.g.Space(), triangleAnswers(nw.g))
+	for _, nw := range networks(p.Seed) {
+		addRankRows(t, nw.name+" node-triangle", nw.g.Space(), triangleAnswers(nw.g))
 	}
 	return t
 }

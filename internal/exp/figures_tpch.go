@@ -5,72 +5,38 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 
 	"repro"
 	"repro/internal/formula"
-	"repro/internal/pdb"
 	"repro/internal/plan"
 	"repro/internal/tpch"
 )
 
-// Default query parameters shared by the TPC-H figures.
+// The relative errors of the figures' fixed-error columns.
 const (
-	q1Cutoff  = pdb.Value(tpch.MaxDate * 3 / 4)
-	b1Cutoff  = pdb.Value(tpch.MaxDate / 2)
-	q15Lo     = pdb.Value(0)
-	q15Hi     = pdb.Value(tpch.MaxDate / 3)
-	b16Brand  = pdb.Value(5)
-	b16Size   = pdb.Value(25)
-	b17Brand  = pdb.Value(3)
-	b17Cont   = pdb.Value(7)
-	b2Size    = pdb.Value(15)
-	b2Region  = pdb.Value(1)
-	b9TypeMax = pdb.Value(10)
-	b20Brand  = pdb.Value(3)
-	b20Avail  = pdb.Value(50)
-	iqPairE   = 60
-	iqPairD   = 200
-	iqStarE   = 20
-	iqStarD   = 40
-	iqStarC   = 40
 	relErr001 = 0.01
 	relErr005 = 0.05
 )
 
-// tpchQuery is one workload query as IR: lineageDNFs materializes its
-// lineage for the aconf / d-tree columns, and the planner routes the
-// same node to the exact structural algorithm for the "SPROUT" column.
+// tpchQuery is one workload query as IR under its table label: the
+// row's lineage feeds the aconf / d-tree columns, and the planner
+// routes the same node to the exact structural algorithm for the
+// "SPROUT" column.
 type tpchQuery struct {
 	name string
 	node plan.Node
 }
 
+// tractableQueries is Fig. 6(a)/(b)'s six hierarchical catalog queries.
 func tractableQueries(db *tpch.DB) []tpchQuery {
 	return []tpchQuery{
-		{"1", db.Q1IR(q1Cutoff)},
-		{"15", db.Q15IR(q15Lo, q15Hi)},
-		{"B1", db.B1IR(b1Cutoff)},
-		{"B6", db.B6IR(300, 1200, 2, 6, 30)},
-		{"B16", db.B16IR(b16Brand, b16Size)},
-		{"B17", db.B17IR(b17Brand, b17Cont)},
+		{"1", db.Query("Q1")},
+		{"15", db.Query("Q15")},
+		{"B1", db.Query("B1")},
+		{"B6", db.Query("B6")},
+		{"B16", db.Query("B16")},
+		{"B17", db.Query("B17")},
 	}
-}
-
-// lineageDNFs materializes a query's lineage with the pipelined
-// runtime: one DNF per answer, none when no answer is possible.
-func lineageDNFs(node plan.Node) []formula.DNF {
-	answers := plan.Lineage(node)
-	out := make([]formula.DNF, len(answers))
-	for i, a := range answers {
-		out[i] = a.Lin
-	}
-	return out
-}
-
-// named returns the query called name.
-func named(qs []tpchQuery, name string) plan.Node {
-	return qs[slices.IndexFunc(qs, func(q tpchQuery) bool { return q.name == name })].node
 }
 
 // plannerExact is the planner-routed exact computation of a query's
@@ -92,18 +58,16 @@ func plannerExact(s *formula.Space, name string, node plan.Node) float64 {
 	return sum
 }
 
-// RoutingTable is the planner's EXPLAIN over the whole query catalog:
+// routingTable is the planner's EXPLAIN over the whole query catalog:
 // for each workload query, the paper class, the chosen route and the
 // planner's reasoning. The acceptance property — hierarchical → safe,
 // IQ → sorted scan, hard → d-tree — is what the routing test asserts.
 // The catalog IR is compiled through the DB/Session/Query façade, the
 // same path a serving client takes, so the table also smoke-tests the
 // façade's build validation over every catalog query.
-func RoutingTable(p Params) *Table {
+func routingTable(p Params) *Table {
 	db := tpch.Generate(tpch.Config{SF: p.SF, ProbHigh: 1, Seed: p.Seed})
-	fdb := repro.NewDB(db.Space,
-		db.Region, db.Nation, db.Supplier, db.Customer,
-		db.Part, db.PartSupp, db.Orders, db.Lineitem)
+	fdb := repro.NewDB(db.Space, db.Relations()...)
 	sess := fdb.Session()
 	t := &Table{
 		ID:     "route",

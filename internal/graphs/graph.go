@@ -230,6 +230,26 @@ func (g *Graph) SeparationDNF(s, t int) formula.DNF {
 	return d.Normalize()
 }
 
+// Hubs returns the graph's two highest-degree nodes, hub1 of the
+// higher degree, ties going to the smaller node. Fig. 9's s2 query is
+// the separation of the hubs: g.SeparationDNF(g.Hubs()).
+func (g *Graph) Hubs() (hub1, hub2 int) {
+	deg := make([]int, g.N)
+	for _, e := range g.edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	hub1, hub2 = 0, 1
+	for i, d := range deg {
+		if d > deg[hub1] {
+			hub2, hub1 = hub1, i
+		} else if i != hub1 && d > deg[hub2] {
+			hub2 = i
+		}
+	}
+	return hub1, hub2
+}
+
 // assignProbs draws a deterministic per-edge probability in [lo, hi).
 func assignProbs(n int, lo, hi float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))

@@ -3,6 +3,7 @@ package graphs
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -182,7 +183,7 @@ func TestSeparationSparse(t *testing.T) {
 }
 
 func TestKarate(t *testing.T) {
-	g := Karate(0.3, 0.95, 1)
+	g := Karate(1)
 	if g.N != 34 || g.NumEdges() != KarateEdgeCount {
 		t.Fatalf("karate: %d nodes, %d edges", g.N, g.NumEdges())
 	}
@@ -209,8 +210,8 @@ func TestKarate(t *testing.T) {
 }
 
 func TestKarateDeterministic(t *testing.T) {
-	a := Karate(0.3, 0.95, 7)
-	b := Karate(0.3, 0.95, 7)
+	a := Karate(7)
+	b := Karate(7)
 	for _, e := range a.Edges() {
 		va, _ := a.EdgeVar(e[0], e[1])
 		vb, _ := b.EdgeVar(e[0], e[1])
@@ -221,7 +222,7 @@ func TestKarateDeterministic(t *testing.T) {
 }
 
 func TestDolphins(t *testing.T) {
-	g := Dolphins(0.5, 0.99, 3)
+	g := Dolphins(3)
 	if g.N != 62 || g.NumEdges() != 159 {
 		t.Fatalf("dolphins: %d nodes, %d edges; want 62/159", g.N, g.NumEdges())
 	}
@@ -246,7 +247,7 @@ func TestDolphins(t *testing.T) {
 func TestSocialNetworkQueriesRun(t *testing.T) {
 	// Smoke: the four queries of Figure 9 produce sane lineage on the
 	// karate network, and d-tree approximates them.
-	g := Karate(0.3, 0.95, 1)
+	g := Karate(1)
 	s := g.Space()
 	queries := map[string]formula.DNF{
 		"t":  g.TriangleDNF(),
@@ -268,6 +269,19 @@ func TestSocialNetworkQueriesRun(t *testing.T) {
 	}
 }
 
+// TestKarateHubs pins Fig. 9's s2 instance on karate: the hubs are the
+// two faction leaders, members 34 and 1 (0-indexed 33 and 0), and the
+// hubs' separation is bitwise the separation of 0 and 33.
+func TestKarateHubs(t *testing.T) {
+	g := Karate(1)
+	if h1, h2 := g.Hubs(); h1 != 33 || h2 != 0 {
+		t.Fatalf("hubs %d, %d; want 33, 0", h1, h2)
+	}
+	if got, want := g.SeparationDNF(g.Hubs()), g.SeparationDNF(0, 33); !reflect.DeepEqual(got, want) {
+		t.Fatalf("s2 over the hubs %v, want %v", got, want)
+	}
+}
+
 func TestFromEdgesRejectsDuplicates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -278,7 +292,7 @@ func TestFromEdgesRejectsDuplicates(t *testing.T) {
 }
 
 func TestNodeTriangleDNF(t *testing.T) {
-	g := Karate(0.3, 0.95, 1)
+	g := Karate(1)
 	whole := g.TriangleDNF().Normalize()
 	// Every whole-graph triangle clause appears in exactly the three
 	// per-node DNFs of its corners, so the per-node clause counts sum
@@ -316,8 +330,9 @@ func exactP(s *formula.Space, d formula.DNF) float64 {
 }
 
 // TestGlobalNodesOnFigure8Triangles pins the nodes ApproxCtx (the
-// Refiner) builds on Fig. 8's triangle query over K_n at p = 0.3, under the
-// figure harness's work budget. While the Refiner refined the widest
+// Refiner) builds on Fig. 8's triangle query over K_n at p = 0.3, under
+// a work budget of 30 000 000 (above the figure harness's 8 × 3 000 000;
+// every case converges below both). While the Refiner refined the widest
 // leaf rather than the one with the largest width × root sensitivity
 // they read 9 808 (n = 8, relative 0.05), 6 067 (n = 8, absolute 0.05),
 // 19 305 (n = 8, relative 0.01) and 130 (n = 6, relative 0.05), and

@@ -35,17 +35,25 @@ var karateEdges = [][2]int{
 	{33, 34},
 }
 
+// Fig. 9's edge-probability ranges: karate's edges are drawn from
+// [karateLo, karateHi), dolphins' from [dolphinsLo, dolphinsHi).
+const (
+	karateLo, karateHi     = 0.3, 0.95
+	dolphinsLo, dolphinsHi = 0.5, 0.99
+)
+
 // Karate returns Zachary's karate club as a probabilistic graph with
-// per-edge probabilities drawn deterministically from [lo, hi): edges of
-// the dataset have varying degrees of confidence (varying friendship
-// strength), edges absent from the dataset are missing with certainty —
-// the block-independent-disjoint reading of Section VII-B.
-func Karate(lo, hi float64, seed int64) *Graph {
+// per-edge probabilities drawn deterministically from Fig. 9's range
+// [0.3, 0.95): edges of the dataset have varying degrees of confidence
+// (varying friendship strength), edges absent from the dataset are
+// missing with certainty — the block-independent-disjoint reading of
+// Section VII-B.
+func Karate(seed int64) *Graph {
 	edges := make([][2]int, len(karateEdges))
 	for i, e := range karateEdges {
 		edges[i] = [2]int{e[0] - 1, e[1] - 1} // 0-indexed
 	}
-	return FromEdges(34, edges, assignProbs(len(edges), lo, hi, seed))
+	return FromEdges(34, edges, assignProbs(len(edges), karateLo, karateHi, seed))
 }
 
 // KarateEdgeCount is the number of edges of the karate club network.
@@ -57,8 +65,9 @@ const KarateEdgeCount = 78
 // like the real network's. The raw edge list of the original dataset is
 // not reproducible from the paper; the node/edge counts and the
 // varying-confidence edge-probability regime — which determine DNF size
-// and hardness — are preserved.
-func Dolphins(lo, hi float64, seed int64) *Graph {
+// and hardness — are preserved. Edge probabilities are drawn from Fig.
+// 9's range [0.5, 0.99).
+func Dolphins(seed int64) *Graph {
 	const n = 62
 	const m = 159
 	rng := rand.New(rand.NewSource(seed))
@@ -90,7 +99,7 @@ func Dolphins(lo, hi float64, seed int64) *Graph {
 		v := pickWeighted(rng, degree)
 		addEdge(u, v)
 	}
-	return FromEdges(n, edges, assignProbs(len(edges), lo, hi, seed+1))
+	return FromEdges(n, edges, assignProbs(len(edges), dolphinsLo, dolphinsHi, seed+1))
 }
 
 // pickWeighted picks an index proportionally to weight+1 (so isolated

@@ -38,17 +38,11 @@ func BenchmarkPlannerTPCH(b *testing.B) {
 func BenchmarkSafeVsDtree(b *testing.B) {
 	db := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 42})
 	ctx := context.Background()
-	queries := []struct {
-		name string
-		node plan.Node
-	}{
-		{"Q1", db.Q1IR(tpch.MaxDate * 3 / 4)},
-		{"B6", db.B6IR(300, 1200, 2, 6, 30)},
-	}
-	for _, q := range queries {
-		b.Run(q.name+"/planner-safe", func(b *testing.B) {
+	for _, name := range []string{"Q1", "B6"} {
+		node := db.Query(name)
+		b.Run(name+"/planner-safe", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := plan.Compile(q.node)
+				p := plan.Compile(node)
 				if p.Route != plan.RouteSafe {
 					b.Fatalf("routed %v: %s", p.Route, p.Why)
 				}
@@ -57,9 +51,9 @@ func BenchmarkSafeVsDtree(b *testing.B) {
 				}
 			}
 		})
-		b.Run(q.name+"/forced-dtree", func(b *testing.B) {
+		b.Run(name+"/forced-dtree", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := plan.CompileWith(q.node, plan.Options{DisableSafe: true, DisableIQ: true})
+				p := plan.CompileWith(node, plan.Options{DisableSafe: true, DisableIQ: true})
 				if _, err := p.Answers(ctx, db.Space, engine.Approx{}); err != nil {
 					b.Fatal(err)
 				}
@@ -76,17 +70,12 @@ func BenchmarkSafeVsDtree(b *testing.B) {
 // per-output-tuple allocation shows as a jump in allocs/op.
 func BenchmarkPipelinedLineage(b *testing.B) {
 	db := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 42})
-	for _, q := range []struct {
-		name string
-		node plan.Node
-	}{
-		{"Q15", db.Q15IR(0, tpch.MaxDate/3)},
-		{"B21", db.B21IR(db.CommonNationKey())},
-	} {
-		b.Run(q.name, func(b *testing.B) {
+	for _, name := range []string{"Q15", "B21"} {
+		node := db.Query(name)
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if answers := plan.Lineage(q.node); len(answers) == 0 {
+				if answers := plan.Lineage(node); len(answers) == 0 {
 					b.Fatal("no answers")
 				}
 			}

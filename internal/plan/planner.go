@@ -55,9 +55,9 @@ type Options struct {
 	DisableIQ   bool
 	// Shards is unread and named only by bench/.
 	Shards int
-	// Pool is the worker pool the plan's parallel work — the ranking
-	// scheduler and the batch conf() fan-out — runs on; nil means the
-	// shared workpool.Default. The façade passes its DB's pool.
+	// Pool is the worker pool the batch conf() fan-out (one task per
+	// answer) runs on; nil means the shared workpool.Default. A ranked
+	// plan never enters it. The façade passes its DB's pool.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives every execution's route, lineage
 	// volumes and stage events, and is the default registry for the

@@ -61,6 +61,13 @@ type DB struct {
 	//                        l_receiptdate, l_returnflag, l_linestatus
 }
 
+// Relations returns the eight generated relations in schema order:
+// what a repro.DB registers to serve the catalog's queries.
+func (db *DB) Relations() []*pdb.Relation {
+	return []*pdb.Relation{db.Region, db.Nation, db.Supplier, db.Customer,
+		db.Part, db.PartSupp, db.Orders, db.Lineitem}
+}
+
 // scaled returns max(lo, round(base·sf)).
 func scaled(base float64, sf float64, lo int) int {
 	n := int(base*sf + 0.5)

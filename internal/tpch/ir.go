@@ -259,3 +259,14 @@ func (db *DB) Catalog() []CatalogEntry {
 		{"B21", ClassHard, db.B21IR(nat)},
 	}
 }
+
+// Query returns the catalog query called name (e.g. "B17", "IQ6") at
+// its canonical parameters, or nil when the catalog holds no such query.
+func (db *DB) Query(name string) plan.Node {
+	for _, e := range db.Catalog() {
+		if e.Name == name {
+			return e.Node
+		}
+	}
+	return nil
+}

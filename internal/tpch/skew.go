@@ -17,8 +17,8 @@ import (
 
 // Relation tags for the skew workload (outside the TPC-H tag block).
 const (
-	TagSkewFact int32 = 100 + iota
-	TagSkewDim
+	tagSkewFact int32 = 100 + iota
+	tagSkewDim
 )
 
 // SkewDB is a generated skewed-join workload.
@@ -63,9 +63,9 @@ func GenerateSkewed(rows, nKeys int, skew float64, seed int64) *SkewDB {
 	return &SkewDB{
 		Space: s,
 		Fact: pdb.NewTupleIndependent(s, "fact", []string{"f_key", "f_seq"},
-			factRows, factProbs, TagSkewFact),
+			factRows, factProbs, tagSkewFact),
 		Dim: pdb.NewTupleIndependent(s, "dim", []string{"d_key", "d_val"},
-			dimRows, dimProbs, TagSkewDim),
+			dimRows, dimProbs, tagSkewDim),
 	}
 }
 

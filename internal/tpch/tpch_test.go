@@ -2,6 +2,8 @@ package tpch
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -168,5 +170,54 @@ func TestEveryKth(t *testing.T) {
 	same := everyKth(db.Region, 100)
 	if same.Len() != db.Region.Len() {
 		t.Fatal("everyKth must not grow small relations")
+	}
+}
+
+// TestGenerateSkewed checks the skewed-join workload: generation is
+// deterministic per seed, the Boolean query's lineage is exactly the
+// union of the grouped answers' lineages, and at the same seed Zipf
+// keys (skew > 1) make the largest group larger than uniform keys do.
+func TestGenerateSkewed(t *testing.T) {
+	const rows, keys, seed = 2000, 40, 3
+	largest := func(db *SkewDB) int {
+		n := 0
+		for _, a := range plan.Lineage(db.JoinIR()) {
+			n = max(n, len(a.Lin))
+		}
+		return n
+	}
+	a, b := GenerateSkewed(rows, keys, 1.2, seed), GenerateSkewed(rows, keys, 1.2, seed)
+	for _, r := range [][2]*pdb.Relation{{a.Fact, b.Fact}, {a.Dim, b.Dim}} {
+		if !reflect.DeepEqual(r[0].Tups, r[1].Tups) {
+			t.Fatalf("%s differs between two runs at one seed", r[0].Name)
+		}
+	}
+	for v := 0; v < a.Space.NumVars(); v++ {
+		if x := formula.Var(v); a.Space.PTrue(x) != b.Space.PTrue(x) {
+			t.Fatalf("variable %d: probability %v and %v at one seed", v, a.Space.PTrue(x), b.Space.PTrue(x))
+		}
+	}
+
+	union := map[string]int{}
+	for _, g := range plan.Lineage(a.JoinIR()) {
+		for _, c := range g.Lin {
+			union[fmt.Sprint(c)]++
+		}
+	}
+	boolean := plan.Lineage(a.BooleanIR())
+	if len(boolean) != 1 {
+		t.Fatalf("Boolean query has %d answers, want 1", len(boolean))
+	}
+	if len(boolean[0].Lin) != len(union) {
+		t.Fatalf("Boolean answer has %d clauses, the groups %d distinct ones", len(boolean[0].Lin), len(union))
+	}
+	for _, c := range boolean[0].Lin {
+		if union[fmt.Sprint(c)] != 1 {
+			t.Fatalf("Boolean clause %v is in %d groups, want 1", c, union[fmt.Sprint(c)])
+		}
+	}
+
+	if skewed, uniform := largest(a), largest(GenerateSkewed(rows, keys, 1, seed)); skewed <= uniform {
+		t.Fatalf("largest group %d under skew 1.2, %d under uniform keys", skewed, uniform)
 	}
 }

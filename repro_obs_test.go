@@ -32,7 +32,7 @@ func obsQ15(t testing.TB) (*repro.DB, *repro.Prepared) {
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 	db.Pool().Resize(1) // sequential: cache orders, hence traces, deterministic
 	sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
-	node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
+	node := &plan.TopK{Input: gen.Query("Q15"), K: 3}
 	pr, err := sess.Query(node).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestObsTraceDeterministic(t *testing.T) {
 			db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
 			db.Pool().Resize(1)
 			sess := db.Session(repro.WithEps(1e-3), repro.WithForceLineage())
-			node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
+			node := &plan.TopK{Input: gen.Query("Q15"), K: 3}
 			pr, err := sess.Query(node).Build()
 			if err != nil {
 				errs[g] = err
@@ -198,14 +198,14 @@ func TestObsTraceOnOffIdentical(t *testing.T) {
 		return rows
 	}
 
-	q15 := gen.Q15IR(0, tpch.MaxDate/3)
+	q15 := gen.Query("Q15")
 	for _, q := range []struct {
 		name string
 		node plan.Node
 	}{
 		{"q15-top3", &plan.TopK{Input: q15, K: 3}},
 		{"q15", q15},
-		{"q1", gen.Q1IR(tpch.MaxDate * 3 / 4)},
+		{"q1", gen.Query("Q1")},
 	} {
 		for _, eps := range []float64{1e-3, 0} { // 0 = exact
 			t.Run(fmt.Sprintf("%s/eps=%g", q.name, eps), func(t *testing.T) {
@@ -246,7 +246,7 @@ func TestRankedRunNeverEntersPool(t *testing.T) {
 		snap := db.Snapshot()
 		return snap.PoolSpawned + snap.PoolInline
 	}
-	q15 := gen.Q15IR(0, tpch.MaxDate/3)
+	q15 := gen.Query("Q15")
 	ctx := context.Background()
 
 	ranked, err := db.Session(repro.WithEps(1e-3), repro.WithForceLineage()).Query(plan.Node(&plan.TopK{Input: q15, K: 3})).All(ctx)

@@ -75,7 +75,7 @@ func TestSessionsShareFragCache(t *testing.T) {
 func TestExactRankedRunHitsSessionFragCache(t *testing.T) {
 	gen := tpch.Generate(tpch.Config{SF: 0.002, ProbHigh: 1, Seed: 3})
 	db := repro.NewDB(gen.Space, gen.Supplier, gen.Lineitem)
-	node := &plan.TopK{Input: gen.Q15IR(0, tpch.MaxDate/3), K: 3}
+	node := &plan.TopK{Input: gen.Query("Q15"), K: 3}
 	ctx := context.Background()
 
 	var steps int64
