@@ -169,16 +169,6 @@ func BenchmarkCacheTPCH(b *testing.B) {
 // Micro-benchmarks of the primitives.
 // ---------------------------------------------------------------------
 
-func BenchmarkLeafBounds(b *testing.B) {
-	s, d := randdnf.Generate(randdnf.Config{
-		Vars: 300, Clauses: 1000, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.9,
-	}, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.LeafBounds(s, d)
-	}
-}
-
 func BenchmarkKarpLubySample(b *testing.B) {
 	s, d := randdnf.Generate(randdnf.Config{
 		Vars: 300, Clauses: 1000, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.9,

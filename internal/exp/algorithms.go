@@ -121,19 +121,25 @@ func (r Row) Run(j int) Cell {
 		if len(d) == 0 {
 			continue
 		}
-		e := ev
-		if a, ok := e.(aconf); ok {
-			a.seed += int64(i) // each answer draws its own samples
-			e = a
-		}
 		start := time.Now()
-		res, err := e.Evaluate(context.Background(), r.Space, d)
+		res, err := r.answerEval(j, i).Evaluate(context.Background(), r.Space, d)
 		c.Millis += millisSince(start)
 		c.P += res.Estimate
 		c.Work += res.Nodes + res.Samples
 		c.Converged = c.Converged && err == nil && res.Converged
 	}
 	return c
+}
+
+// answerEval is column j's evaluator on answer i: aconf draws each
+// answer's samples from its own seed.
+func (r Row) answerEval(j, i int) engine.Evaluator {
+	ev := r.Cols[j].Eval
+	if a, ok := ev.(aconf); ok {
+		a.seed += int64(i)
+		ev = a
+	}
+	return ev
 }
 
 func millisSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }

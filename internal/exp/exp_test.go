@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tpch"
 )
 
@@ -83,6 +85,26 @@ func TestFig7B9Nodes(t *testing.T) {
 	}
 	if len(want) > 0 {
 		t.Fatalf("columns %v missing from Fig. 7's B9 row", want)
+	}
+}
+
+// TestHierarchicalCatalogHasNoShannon is Proposition 6.3 on the
+// catalog: hierarchical lineage is 1OF-factorizable, so the complete
+// d-tree of every answer of Fig. 6(a)/(b)'s six hierarchical queries
+// has no ⊕ node, at the smoke and at the default scale factor.
+func TestHierarchicalCatalogHasNoShannon(t *testing.T) {
+	for _, p := range []Params{Smoke(), Small()} {
+		for _, r := range Scenarios(p, "fig6a", "fig6b") {
+			for i, d := range r.DNFs {
+				_, sh, err := core.ExactShape(context.Background(), r.Space, d, core.Options{})
+				if err != nil {
+					t.Fatalf("%s %s SF %g answer %d: %v", r.Fig, r.Labels[0], p.SF, i, err)
+				}
+				if sh[core.ExclOr] != 0 {
+					t.Errorf("%s %s SF %g answer %d: %d ⊕ nodes", r.Fig, r.Labels[0], p.SF, i, sh[core.ExclOr])
+				}
+			}
+		}
 	}
 }
 

@@ -6,35 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/formula"
+	"repro/internal/randdnf"
 )
-
-// benchAnswers builds Q1/B6-style lineage at scale: nAnswers answers
-// over one shared pool of base-tuple variables, each answer the union
-// of a handful of width-3 joins, with skewed per-answer sizes so the
-// confidence distribution has a clear head and a long tail — the
-// regime where top-k pruning pays.
-func benchAnswers(nAnswers int) (*formula.Space, []formula.DNF) {
-	s := formula.NewSpace()
-	vars := make([]formula.Var, 4*nAnswers)
-	for i := range vars {
-		vars[i] = s.AddBool(0.02 + 0.25*float64(i%11)/11)
-	}
-	dnfs := make([]formula.DNF, nAnswers)
-	for i := 0; i < nAnswers; i++ {
-		clauses := 12 + i%16 // 12..27 clauses, all past the exact shortcut
-		var d formula.DNF
-		for j := 0; j < clauses; j++ {
-			a := vars[(4*i+j)%len(vars)]
-			b := vars[(4*i+3*j+1)%len(vars)]
-			c := vars[(7*i+j+2)%len(vars)]
-			if cl, ok := formula.NewClause(formula.Pos(a), formula.Pos(b), formula.Pos(c)); ok {
-				d = append(d, cl)
-			}
-		}
-		dnfs[i] = d.Normalize()
-	}
-	return s, dnfs
-}
 
 const (
 	benchN   = 240
@@ -42,40 +15,11 @@ const (
 	benchEps = 1e-6
 )
 
-// benchAnswersDeep is the deep-lineage variant: fewer answers, each
-// with enough clauses that refinement builds trees of hundreds of
-// nodes. Here the per-step d-tree cost dominates the run (on the
-// benchAnswers workload per-answer preparation does), so this is the
-// regime where the incremental dirty-path/heap bookkeeping shows up
-// in wall-clock, not just step counts.
-func benchAnswersDeep(nAnswers int) (*formula.Space, []formula.DNF) {
-	s := formula.NewSpace()
-	vars := make([]formula.Var, 6*nAnswers)
-	for i := range vars {
-		vars[i] = s.AddBool(0.01 + 0.12*float64(i%13)/13)
-	}
-	dnfs := make([]formula.DNF, nAnswers)
-	for i := 0; i < nAnswers; i++ {
-		clauses := 40 + i%25
-		var d formula.DNF
-		for j := 0; j < clauses; j++ {
-			a := vars[(6*i+j)%len(vars)]
-			b := vars[(6*i+3*j+1)%len(vars)]
-			c := vars[(11*i+j+2)%len(vars)]
-			if cl, ok := formula.NewClause(formula.Pos(a), formula.Pos(b), formula.Pos(c)); ok {
-				d = append(d, cl)
-			}
-		}
-		dnfs[i] = d.Normalize()
-	}
-	return s, dnfs
-}
-
 // TestTopKPrunesVsFull is the acceptance property behind
 // BenchmarkTopKVsFull: ranking the top 10 of 240 answers must cost
 // measurably fewer refinement steps than evaluating every answer to ε.
 func TestTopKPrunesVsFull(t *testing.T) {
-	s, dnfs := benchAnswers(benchN)
+	s, dnfs := randdnf.Answers(benchN)
 	opt := Options{Eps: benchEps}
 	full, err := RefineAll(context.Background(), s, dnfs, opt)
 	if err != nil {
@@ -107,52 +51,39 @@ func TestTopKPrunesVsFull(t *testing.T) {
 	}
 }
 
-// TestPinnedStepCounts pins the refinement-step counts of the benchmark
-// fixtures below. Steps are machine-independent, so any drift is a
-// behaviour change in the scheduler or the refiner, never noise; the
-// event-driven decide index and the full-rescan oracle scheduler must
-// both land on the same count, and every top-k selection must agree
-// with exact evaluation — the arbiter when a pin is re-taken.
-func TestPinnedStepCounts(t *testing.T) {
-	topK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
-		return TopK(ctx, s, dnfs, benchK, o, nil)
-	}
-	oracleTopK := func(ctx context.Context, s *formula.Space, dnfs []formula.DNF, o Options) (Result, error) {
-		return refTopK(ctx, s, dnfs, benchK, o, nil)
-	}
-	type run func(context.Context, *formula.Space, []formula.DNF, Options) (Result, error)
-	s, dnfs := benchAnswers(benchN)
-	sd, deep := benchAnswersDeep(48)
-	s60, dnfs60 := benchAnswers(60)
-	s960, dnfs960 := benchAnswers(960)
+// TestTopKStepsMatchOracle runs the top-k benchmark fixtures through
+// the event-driven decide index and the full-rescan oracle scheduler:
+// both must spend the same number of steps, and the selection must
+// agree with exact evaluation. The step counts themselves are rows of
+// internal/exp's step ledger (TestStepLedger).
+func TestTopKStepsMatchOracle(t *testing.T) {
+	s, dnfs := randdnf.Answers(benchN)
+	sd, deep := randdnf.AnswersDeep(48)
+	s60, dnfs60 := randdnf.Answers(60)
+	s960, dnfs960 := randdnf.Answers(960)
 	for _, tc := range []struct {
 		name string
 		s    *formula.Space
 		dnfs []formula.DNF
-		runs []run // RefineAll neither decides nor picks: it has no oracle side
-		want int
 	}{
-		{"topk", s, dnfs, []run{topK, oracleTopK}, 7},
-		{"full", s, dnfs, []run{RefineAll}, 282},
-		// 140 and 3426 while the Refiner refined the widest leaf, not
-		// the one with the largest width × root sensitivity.
-		{"topk-deep", sd, deep, []run{topK, oracleTopK}, 66},
-		{"full-deep", sd, deep, []run{RefineAll}, 1141},
-		{"decide/n=60", s60, dnfs60, []run{topK, oracleTopK}, 14},
-		{"decide/n=960", s960, dnfs960, []run{topK, oracleTopK}, 15},
+		{"topk", s, dnfs},
+		{"topk-deep", sd, deep},
+		{"decide/n=60", s60, dnfs60},
+		{"decide/n=960", s960, dnfs960},
 	} {
-		for i, run := range tc.runs {
-			res, err := run(context.Background(), tc.s, tc.dnfs, Options{Eps: benchEps})
-			if err != nil {
-				t.Fatalf("%s run %d: %v", tc.name, i, err)
-			}
-			if res.Steps != tc.want {
-				t.Errorf("%s run %d: %d steps, want %d", tc.name, i, res.Steps, tc.want)
-			}
-			if i == 0 && len(tc.runs) == 2 {
-				checkTopKSelection(t, tc.name, exactProbs(t, tc.s, tc.dnfs), res, benchK)
-			}
+		opt := Options{Eps: benchEps}
+		res, err := TopK(context.Background(), tc.s, tc.dnfs, benchK, opt, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		ref, err := refTopK(context.Background(), tc.s, tc.dnfs, benchK, opt, nil)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", tc.name, err)
+		}
+		if res.Steps != ref.Steps {
+			t.Errorf("%s: %d steps, the oracle scheduler %d", tc.name, res.Steps, ref.Steps)
+		}
+		checkTopKSelection(t, tc.name, exactProbs(t, tc.s, tc.dnfs), res, benchK)
 	}
 }
 
@@ -166,7 +97,7 @@ func TestPinnedStepCounts(t *testing.T) {
 // step counts and bounds are identical either way — the cache only
 // removes re-preparation work.
 func BenchmarkTopKVsFull(b *testing.B) {
-	s, dnfs := benchAnswers(benchN)
+	s, dnfs := randdnf.Answers(benchN)
 	b.Run("topk", func(b *testing.B) {
 		opt := Options{Eps: benchEps, Frags: formula.NewFragCache(0)}
 		steps := 0
@@ -191,7 +122,7 @@ func BenchmarkTopKVsFull(b *testing.B) {
 		}
 		b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 	})
-	sd, deep := benchAnswersDeep(48)
+	sd, deep := randdnf.AnswersDeep(48)
 	b.Run("topk-deep", func(b *testing.B) {
 		opt := Options{Eps: benchEps, Frags: formula.NewFragCache(0)}
 		steps := 0
@@ -224,7 +155,7 @@ func BenchmarkTopKVsFull(b *testing.B) {
 // the scheduling layer's.
 func BenchmarkDecide(b *testing.B) {
 	for _, n := range []int{60, 240, 960} {
-		s, dnfs := benchAnswers(n)
+		s, dnfs := randdnf.Answers(n)
 		opt := Options{Eps: benchEps}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			steps := 0
@@ -242,7 +173,7 @@ func BenchmarkDecide(b *testing.B) {
 
 // BenchmarkThresholdVsFull measures the τ-cut scheduler the same way.
 func BenchmarkThresholdVsFull(b *testing.B) {
-	s, dnfs := benchAnswers(benchN)
+	s, dnfs := randdnf.Answers(benchN)
 	opt := Options{Eps: benchEps}
 	b.Run("threshold", func(b *testing.B) {
 		steps := 0

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/randdnf"
 )
 
 // requireSameResult demands bitwise-identical ranking outcomes: every
@@ -76,7 +78,7 @@ func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
 // The decide index must also agree on the big skewed benchmark
 // workload — the regime the incremental path is built for.
 func TestRankDecideIncrementalMatchesFullScanBench(t *testing.T) {
-	s, dnfs := benchAnswers(120)
+	s, dnfs := randdnf.Answers(120)
 	opt := Options{Eps: 1e-6}
 	inc, err1 := TopK(context.Background(), s, dnfs, 10, opt, nil)
 	full, err2 := refTopK(context.Background(), s, dnfs, 10, opt, nil)

@@ -3,6 +3,8 @@ package rank
 import (
 	"context"
 	"testing"
+
+	"repro/internal/randdnf"
 )
 
 // TestRankStreamTopK proves the emit hook is a genuine streaming
@@ -10,7 +12,7 @@ import (
 // strictly before the run's total refinement work completes, with
 // snapshots consistent with the final result.
 func TestRankStreamTopK(t *testing.T) {
-	s, dnfs := benchAnswers(benchN)
+	s, dnfs := randdnf.Answers(benchN)
 	var emitted []Item
 	res, err := TopK(context.Background(), s, dnfs, benchK, Options{Eps: benchEps}, func(it Item) {
 		emitted = append(emitted, it)
@@ -69,7 +71,7 @@ func TestRankStreamTopK(t *testing.T) {
 // TestRankStreamThreshold mirrors the top-k streaming proof for the
 // threshold cut.
 func TestRankStreamThreshold(t *testing.T) {
-	s, dnfs := benchAnswers(benchN)
+	s, dnfs := randdnf.Answers(benchN)
 	// Pick τ from a cheap full run's median estimate so the cut is
 	// non-trivial in both directions.
 	probe, err := RefineAll(context.Background(), s, dnfs, Options{Eps: 1e-2})
@@ -102,7 +104,7 @@ func TestRankStreamThreshold(t *testing.T) {
 // memberships — it takes no emit hook and just refines — so no answer
 // carries a proof step, while TopK over the same answers does.
 func TestRankStreamRefineAllSilent(t *testing.T) {
-	s, dnfs := benchAnswers(24)
+	s, dnfs := randdnf.Answers(24)
 	res, err := RefineAll(context.Background(), s, dnfs, Options{Eps: 1e-3})
 	if err != nil {
 		t.Fatal(err)

@@ -221,3 +221,40 @@ func TestGenerateSkewed(t *testing.T) {
 		t.Fatalf("largest group %d under skew 1.2, %d under uniform keys", skewed, uniform)
 	}
 }
+
+// TestHardRSTWindow checks the hard R-S-T workload: a window's lineage
+// has one answer per group in the window that has edges, and each of
+// its clauses is one e(i, j, g) edge joined with x(i) and y(j).
+func TestHardRSTWindow(t *testing.T) {
+	const side, groups, a, width = 3, 20, 5, 8
+	d := GenerateHardRST(7, side, groups)
+	edges := map[pdb.Value]int{}
+	for _, tup := range d.E.Tups {
+		edges[tup.Vals[2]]++
+	}
+	top, ok := d.WindowIR(a, width, 4).(*plan.TopK)
+	if !ok || top.K != 4 {
+		t.Fatalf("window query is %T, want a top-4", d.WindowIR(a, width, 4))
+	}
+	answers := plan.Lineage(top.Input)
+	want := 0
+	for g := pdb.Value(a); g < a+width; g++ {
+		if edges[g] > 0 {
+			want++
+		}
+	}
+	if len(answers) != want {
+		t.Fatalf("%d answers, want the %d groups with edges in [%d, %d)", len(answers), want, a, a+width)
+	}
+	for _, ans := range answers {
+		g := ans.Vals[0]
+		if g < a || g >= a+width || len(ans.Lin) != edges[g] {
+			t.Fatalf("group %d: %d clauses, want its %d edges", g, len(ans.Lin), edges[g])
+		}
+		for _, c := range ans.Lin {
+			if len(c) != 3 {
+				t.Fatalf("group %d: clause %v is not x ∧ e ∧ y", g, c)
+			}
+		}
+	}
+}

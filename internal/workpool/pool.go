@@ -4,9 +4,10 @@
 // A Pool is a token semaphore, not a set of long-lived workers: Run
 // hands tasks to fresh goroutines only while tokens are available and
 // executes the rest on the calling goroutine. Saturation therefore
-// degrades to sequential execution instead of queueing, and nested Run
-// calls can never deadlock: a task that finds the pool exhausted simply
-// runs its children inline.
+// degrades to sequential execution instead of queueing. The one caller,
+// pdb.ConfWith, hands Run a flat batch with one task per answer; each
+// task evaluates its answer on its own goroutine, and no task calls Run
+// again.
 //
 // Most callers thread an explicit *Pool (each façade DB owns one, so
 // sizing one DB never affects another); a nil *Pool means the shared
@@ -52,11 +53,11 @@ func (p *Pool) or() *Pool {
 }
 
 // Resize sets the pool's parallelism to n: Run may offload tasks to at
-// most n−1 helper goroutines, so a single evaluation runs on at most n
-// goroutines. Concurrent top-level Run callers each count themselves —
-// k concurrent batches share the n−1 helpers but still run k caller
-// goroutines, so total concurrency is k+n−1, not n. n < 1 is treated as
-// 1 (fully sequential). Tokens already held by running tasks drain
+// most n−1 helper goroutines, so one batch evaluates at most n answers
+// at a time, each on one goroutine. Concurrent Run callers each count
+// themselves — k concurrent batches share the n−1 helpers but still run
+// k caller goroutines, so total concurrency is k+n−1, not n. n < 1 is
+// treated as 1 (fully sequential). Tokens already held by running tasks drain
 // against the old semaphore, so Resize is safe to call while
 // evaluations are in flight.
 func (p *Pool) Resize(n int) {
