@@ -12,16 +12,18 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/formula"
 	"repro/internal/pdb"
 	"repro/internal/plan"
+	"repro/internal/rank"
 	"repro/internal/workpool"
 )
 
 // facadeWorkload hand-builds a one-relation workload whose GroupLineage
-// answers reproduce internal/rank's bench lineage: nAnswers answers
+// answers mimic internal/rank's randdnf.Answers fixture: nAnswers answers
 // over one shared pool of Boolean variables, each answer the union of a
 // skewed number of width-3 clauses — the regime where anytime top-k
 // pruning (and therefore streaming) pays.
@@ -361,6 +363,61 @@ func TestFacadeStreamMatchesAll(t *testing.T) {
 		if math.Abs(p-a.P) > 1e-9 {
 			t.Fatalf("answer %v: streamed P %v, batch P %v", a.Vals, p, a.P)
 		}
+	}
+}
+
+// TestFacadeFirst pins First on the three shapes a stream takes: a
+// ranked lineage stream gives the answer it yields first, an empty one
+// ok false, and one whose first element is an error (a build failure)
+// that error.
+func TestFacadeFirst(t *testing.T) {
+	s, rel := facadeWorkload(60)
+	sess := repro.NewDB(s, rel).Session(repro.WithEps(1e-6), repro.WithForceLineage())
+	ctx := context.Background()
+	ranked := sess.Query("answers").GroupLineage(0).TopK(7)
+	all, err := repro.Collect(ranked.Run(ctx))
+	a, ok, ferr := repro.First(ranked.Run(ctx))
+	if err != nil || ferr != nil || !ok || a.Vals[0] != all[0].Vals[0] || a.P != all[0].P || a.Res != all[0].Res {
+		t.Fatalf("First gave %+v (ok %v, %v), the stream's first answer is %+v (%v)", a, ok, ferr, all[0], err)
+	}
+	none := sess.Query("answers").Select(func([]pdb.Value) bool { return false }).GroupLineage(0).TopK(7)
+	if a, ok, err := repro.First(none.Run(ctx)); ok || err != nil || a.Vals != nil {
+		t.Fatalf("empty stream: %v, ok %v, err %v", a.Vals, ok, err)
+	}
+	if a, ok, err := repro.First(sess.Query("no_such_relation").Run(ctx)); ok || !errors.As(err, new(*repro.BuildError)) || a.Vals != nil {
+		t.Fatalf("failing stream: %v, ok %v, err %v; want a BuildError", a.Vals, ok, err)
+	}
+}
+
+// TestFacadeRankedAnswersCarryNodes pins Res.Nodes on the ranked route:
+// every answer of a lineage-route TopK, streamed or cut by its estimate,
+// carries the node count of a fresh Refiner stepped as far as the
+// scheduler stepped that answer.
+func TestFacadeRankedAnswersCarryNodes(t *testing.T) {
+	const k, eps = 10, 1e-3
+	s, rel := facadeWorkload(60)
+	ctx := context.Background()
+	got, err := repro.Collect(repro.NewDB(s, rel).Session(repro.WithEps(eps), repro.WithForceLineage()).
+		Query("answers").GroupLineage(0).TopK(k).Run(ctx))
+	lineage := plan.Lineage(&plan.GroupLineage{Input: &plan.Scan{Rel: rel}, Cols: []int{0}})
+	res, rerr := rank.TopK(ctx, s, pdb.Lineages(lineage), k, rank.Options{Eps: eps}, nil)
+	if err != nil || rerr != nil || len(got) != k {
+		t.Fatalf("%d answers: %v, %v", len(got), err, rerr)
+	}
+	refined := 0
+	for _, a := range got {
+		i := slices.IndexFunc(lineage, func(l pdb.Answer) bool { return l.Vals[0] == a.Vals[0] })
+		it, r := res.Items[i], core.NewRefiner(ctx, s, lineage[i].Lin, core.Options{Eps: eps})
+		if it.Steps > 0 {
+			r.Step(it.Steps)
+			refined++
+		}
+		if want := r.Result().Nodes; a.Res.Nodes < 1 || a.Res.Nodes != want {
+			t.Errorf("answer %v (%d steps): Res.Nodes %d, its refiner's %d", a.Vals, it.Steps, a.Res.Nodes, want)
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no answer needed a refinement step: only prepared roots were checked")
 	}
 }
 

@@ -87,8 +87,8 @@ type Options struct {
 
 	// Metrics, when non-nil, receives this evaluation's cache traffic,
 	// refinement steps and budget exhaustions. All recording is nil-safe
-	// atomic counting; nil (the default, and what the benchmarks run
-	// with) costs a single predictable branch per event.
+	// atomic counting; nil (the default) costs a single predictable
+	// branch per event.
 	Metrics *obs.Metrics
 
 	// Inject, when non-nil, fires deterministic faults at the named

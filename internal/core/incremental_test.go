@@ -276,3 +276,32 @@ func refinerVariant(flags uint8) Options {
 	}
 	return opt
 }
+
+// refinerStepWorkload is the step ledger's width3 fixture: a random
+// width-3 DNF refined at a tight Eps under a node budget, so every run
+// refines maxNodes worth of tree.
+func refinerStepWorkload(clauses int) (*formula.Space, formula.DNF, Options) {
+	s, d := randdnf.Width3(clauses)
+	return s, d, Options{Eps: 1e-12, Kind: Absolute, MaxNodes: 40 * clauses}
+}
+
+// TestRefinerStepsMatchOracle runs the width3 fixtures through the
+// Refiner and the O(tree) oracle: both must spend the same number of
+// steps. The step counts themselves are rows of internal/exp's step
+// ledger (TestStepLedger).
+func TestRefinerStepsMatchOracle(t *testing.T) {
+	for _, clauses := range []int{40, 80, 160, 320} {
+		s, d, opt := refinerStepWorkload(clauses)
+		r := NewRefiner(context.Background(), s, d, opt)
+		for !r.Done() {
+			r.Step(64)
+		}
+		ref := newRefRefiner(context.Background(), s, d, opt)
+		for !ref.Done() {
+			ref.Step(64)
+		}
+		if r.Steps() != ref.Steps() {
+			t.Errorf("clauses=%d: %d steps, the oracle %d", clauses, r.Steps(), ref.Steps())
+		}
+	}
+}

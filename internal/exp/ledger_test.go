@@ -187,7 +187,8 @@ func TestStepLedger(t *testing.T) {
 	l.hardRST()
 	l.rankCorpora()
 
-	// The Refiner's step benchmark: a node budget cuts every run.
+	// The Refiner's width3 fixture (core's TestRefinerStepsMatchOracle):
+	// a node budget cuts every run.
 	for _, clauses := range []int{40, 80, 160, 320} {
 		s, d := randdnf.Width3(clauses)
 		l.eval(fmt.Sprintf("width3/%d/absolute/1e-12", clauses),
@@ -352,8 +353,9 @@ func (l *ledger) hardRST() {
 	l.row("hard_rst/mean", fmt.Sprintf("rank steps=%.2f", float64(total)/windows))
 }
 
-// rankCorpora records rank's benchmark fixtures: top-10 and full
-// refinement at absolute ε 1e-6.
+// rankCorpora records rank's fixtures at absolute ε 1e-6: top-10, full
+// refinement and threshold cuts. τ = 0.5 lies above every answer's
+// prepared bounds, so that cut takes no step; τ = 0.08 cuts the top ten.
 func (l *ledger) rankCorpora() {
 	const k, eps = 10, 1e-6
 	ctx := context.Background()
@@ -363,11 +365,12 @@ func (l *ledger) rankCorpora() {
 		gen  func(int) (*formula.Space, []formula.DNF)
 		n    int
 		full bool
+		taus []float64
 	}{
-		{"answers", randdnf.Answers, 240, true},
-		{"answers-deep", randdnf.AnswersDeep, 48, true},
-		{"answers", randdnf.Answers, 60, false},
-		{"answers", randdnf.Answers, 960, false},
+		{"answers", randdnf.Answers, 240, true, []float64{0.5, 0.08}},
+		{"answers-deep", randdnf.AnswersDeep, 48, true, nil},
+		{"answers", randdnf.Answers, 60, false, nil},
+		{"answers", randdnf.Answers, 960, false, nil},
 	} {
 		s, dnfs := tc.gen(tc.n)
 		key := fmt.Sprintf("rank/%s/n=%d/", tc.name, tc.n)
@@ -382,6 +385,13 @@ func (l *ledger) rankCorpora() {
 				l.t.Fatalf("%s: %v", key, err)
 			}
 			l.row(key+"full", field("rank steps", res.Steps))
+		}
+		for _, tau := range tc.taus {
+			res, err := rank.Threshold(ctx, s, dnfs, tau, opt, nil)
+			if err != nil {
+				l.t.Fatalf("%s: %v", key, err)
+			}
+			l.rankRun(fmt.Sprintf("%sthreshold%g", key, tau), res)
 		}
 	}
 }

@@ -34,6 +34,9 @@ func TestDNFTrueFalse(t *testing.T) {
 	if !d.IsTrue() || d.IsFalse() {
 		t.Error("DNF containing ⊤ should be true")
 	}
+	if BruteForceProbability(NewSpace(), DNF{}) != 0 || BruteForceProbability(NewSpace(), d) != 1 {
+		t.Error("brute force must read P(false) = 0 and P(true) = 1")
+	}
 }
 
 func TestRemoveSubsumed(t *testing.T) {

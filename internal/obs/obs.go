@@ -18,7 +18,7 @@
 // Every recording method is nil-safe: calling it on a nil *Metrics (or
 // nil *QueryTrace) is a no-op costing one branch, so instrumented code
 // carries no conditional plumbing and pays nothing when observability
-// is disabled (the benchmarks of internal/core and internal/rank run
+// is disabled (most tests of internal/core and internal/rank run
 // with a nil registry). With a registry attached, each event is one or
 // two uncontended atomic adds.
 //

@@ -33,7 +33,8 @@ func Lineages(answers []Answer) []formula.DNF {
 }
 
 // RankedConf turns one scheduler outcome into an AnswerConf. Res
-// carries the bounds at the point refinement stopped for the answer.
+// carries the bounds and the refiner's node count at the point
+// refinement stopped for the answer.
 // Converged keeps its engine meaning — the estimate carries the Eps
 // guarantee — which for early-proven answers with wide bounds is false
 // (their P is the interval midpoint); the membership proof itself is
@@ -46,7 +47,7 @@ func RankedConf(a Answer, it rank.Item) AnswerConf {
 		P:    it.P,
 		Res: engine.Result{
 			Lo: it.Lo, Hi: it.Hi, Estimate: it.P,
-			Exact: it.Lo == it.Hi, Converged: it.Converged,
+			Exact: it.Lo == it.Hi, Converged: it.Converged, Nodes: it.Nodes,
 		},
 		DecidedAtStep: it.DecidedAtStep,
 	}

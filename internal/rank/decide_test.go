@@ -75,7 +75,7 @@ func TestRankDecideIncrementalMatchesFullScanProperty(t *testing.T) {
 	}
 }
 
-// The decide index must also agree on the big skewed benchmark
+// The decide index must also agree on the big skewed randdnf.Answers
 // workload — the regime the incremental path is built for.
 func TestRankDecideIncrementalMatchesFullScanBench(t *testing.T) {
 	s, dnfs := randdnf.Answers(120)

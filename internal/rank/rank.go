@@ -69,6 +69,9 @@ type Item struct {
 	P float64
 	// Steps counts the leaf refinements spent on this answer.
 	Steps int
+	// Nodes counts the d-tree nodes of the answer's refiner, the
+	// prepared root included (core.Result.Nodes).
+	Nodes int
 	// Selected reports membership in the result (top-k set / above
 	// threshold).
 	Selected bool
@@ -222,14 +225,15 @@ func (sc *sched) initErr() error {
 	return nil
 }
 
-// estimates snapshots every answer's estimate, step count and
-// convergence from its refiner.
+// estimates snapshots every answer's estimate, step and node counts
+// and convergence from its refiner.
 func (sc *sched) estimates() {
 	for i := range sc.items {
 		res := sc.refs[i].Result()
 		sc.items[i].P = res.Estimate
 		sc.items[i].Converged = res.Converged
 		sc.items[i].Steps = sc.refs[i].Steps()
+		sc.items[i].Nodes = res.Nodes
 	}
 }
 
@@ -411,6 +415,7 @@ func (sc *sched) markIn(i int) {
 	it.P = res.Estimate
 	it.Converged = res.Converged
 	it.Steps = sc.refs[i].Steps()
+	it.Nodes = res.Nodes
 	it.Selected = true
 	it.Decided = true
 	sc.emit(it)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/graphs"
+	"repro/internal/randdnf"
 )
 
 // boolAnswers builds one Boolean variable per probability and returns
@@ -269,5 +270,82 @@ func TestEpsOutsideUnitIntervalRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+const (
+	benchN   = 240
+	benchK   = 10
+	benchEps = 1e-6
+)
+
+// TestTopKPrunesVsFull: ranking the top 10 of 240 answers must cost
+// measurably fewer refinement steps than evaluating every answer to ε
+// (the step ledger's rank/answers/n=240/top10 and /full rows).
+func TestTopKPrunesVsFull(t *testing.T) {
+	s, dnfs := randdnf.Answers(benchN)
+	opt := Options{Eps: benchEps}
+	full, err := RefineAll(context.Background(), s, dnfs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topk, err := TopK(context.Background(), s, dnfs, benchK, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("top-%d steps=%d, full-evaluation steps=%d (%.1fx)",
+		benchK, topk.Steps, full.Steps, float64(full.Steps)/float64(topk.Steps+1))
+	if full.Steps == 0 {
+		t.Fatal("bench workload needs no refinement at all; grow it")
+	}
+	if topk.Steps*2 > full.Steps {
+		t.Fatalf("top-k spent %d steps, want < half of full evaluation's %d", topk.Steps, full.Steps)
+	}
+	// And the selected set agrees with the fully-evaluated ranking (the
+	// order within the set may differ between bound midpoints and
+	// ε-refined estimates; the property tests pin order separately).
+	want := make(map[int]bool, benchK)
+	for _, i := range full.Ranking[:benchK] {
+		want[i] = true
+	}
+	for _, i := range topk.Ranking {
+		if !want[i] {
+			t.Fatalf("top-k set %v disagrees with full evaluation's %v", topk.Ranking, full.Ranking[:benchK])
+		}
+	}
+}
+
+// TestTopKStepsMatchOracle runs the step ledger's top-k fixtures
+// through the event-driven decide index and the full-rescan oracle
+// scheduler: both must spend the same number of steps, and the
+// selection must agree with exact evaluation.
+func TestTopKStepsMatchOracle(t *testing.T) {
+	s, dnfs := randdnf.Answers(benchN)
+	sd, deep := randdnf.AnswersDeep(48)
+	s60, dnfs60 := randdnf.Answers(60)
+	s960, dnfs960 := randdnf.Answers(960)
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		dnfs []formula.DNF
+	}{
+		{"topk", s, dnfs},
+		{"topk-deep", sd, deep},
+		{"decide/n=60", s60, dnfs60},
+		{"decide/n=960", s960, dnfs960},
+	} {
+		opt := Options{Eps: benchEps}
+		res, err := TopK(context.Background(), tc.s, tc.dnfs, benchK, opt, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ref, err := refTopK(context.Background(), tc.s, tc.dnfs, benchK, opt, nil)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", tc.name, err)
+		}
+		if res.Steps != ref.Steps {
+			t.Errorf("%s: %d steps, the oracle scheduler %d", tc.name, res.Steps, ref.Steps)
+		}
+		checkTopKSelection(t, tc.name, exactProbs(t, tc.s, tc.dnfs), res, benchK)
 	}
 }

@@ -754,6 +754,46 @@ func TestServeHTTPDisconnectCancels(t *testing.T) {
 	}
 }
 
+// hangUpWriter records an SSE response whose client closes the body
+// after the first answer event: every flush after the one carrying it
+// fails and cancels the request, as net/http's connection does when a
+// write to a closed peer fails.
+type hangUpWriter struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+	gone   bool
+}
+
+func (w *hangUpWriter) FlushError() error {
+	if w.gone {
+		w.cancel()
+		return io.ErrClosedPipe
+	}
+	w.gone = strings.Contains(w.Body.String(), "event: answer")
+	return nil
+}
+
+// TestServeHTTPHangUpAfterFirstAnswer pins a disconnect that surfaces as
+// a failed answer write, not as a cancelled context: the second answer
+// of a top-2 stream cannot be flushed. The server must end the stream
+// there, count one disconnect and one streamed answer, and keep serving.
+func TestServeHTTPHangUpAfterFirstAnswer(t *testing.T) {
+	srv, base := newTestServer(t, repro.ServeConfig{DefaultEps: 1e-2})
+	req := serve.Request{Session: "hangup", Query: topkQuery(2)}
+	body, _ := json.Marshal(req) // a wire Request of plain fields always marshals
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &hangUpWriter{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)).WithContext(ctx))
+	m := getMetrics(t, base).Serve
+	if m.Disconnects != 1 || m.AnswersStreamed != 1 || m.StreamsInflight != 0 || strings.Contains(w.Body.String(), "event: done") {
+		t.Fatalf("after the hang-up: %+v, body:\n%s", m, w.Body)
+	}
+	if _, answers, errMsg, _, _ := collectStream(t, base, req); errMsg != "" || len(answers) != 2 {
+		t.Fatalf("the next query on the session: %d answers, error %q", len(answers), errMsg)
+	}
+}
+
 // TestServeHTTPBudgetFieldsFallBackToDefault pins the wire budget merge:
 // a request budget that sets only max_nodes keeps the server's default
 // Timeout, so an intractable exact query still ends at that deadline,
