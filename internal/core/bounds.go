@@ -94,7 +94,7 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sc *prepScratch) (lo, hi
 		return p, p, 1
 	}
 
-	sc.keys[0], sc.keys[1] = grow(sc.keys[0], len(d), 0), grow(sc.keys[1], len(d), 0)
+	sc.keys[0], sc.keys[1] = grow(sc.keys[0], len(d)), grow(sc.keys[1], len(d))
 	order, spare := sc.keys[0], sc.keys[1]
 	for i, c := range d {
 		order[i] = probKey{desc: ^math.Float64bits(c.Probability(s)), i: int32(i)}
@@ -102,7 +102,7 @@ func leafBoundsScratch(s *formula.Space, d formula.DNF, sc *prepScratch) (lo, hi
 	order = sortProbKeys(order, spare)
 
 	top := maxVar(d)
-	sc.st, sc.val = grow(sc.st, int(top)+1, 0), grow(sc.val, int(top)+1, 0)
+	sc.st, sc.val = grow(sc.st, int(top)+1), grow(sc.val, int(top)+1)
 	stamp, val, info := sc.st, sc.val, sc.step.records(top)
 
 	// One pass over every clause builds the first bucket — the most
@@ -335,7 +335,7 @@ func inclusionExclusion(s *formula.Space, d formula.DNF) float64 {
 		width += len(c)
 	}
 	sc := prepPool.Get().(*prepScratch)
-	sc.conj = grow(sc.conj, n*width, 0)
+	sc.conj = grow(sc.conj, n*width)
 	stack := sc.conj // level l's conjunction in stack[l*width:]
 
 	var p [1 << incExcMaxClauses]float64 // P(∧ S) by clause mask S

@@ -478,6 +478,43 @@ func TestLeafBoundsAllocationsWarm(t *testing.T) {
 	}
 }
 
+// TestLeafBoundsScratchGrowsGeometrically pins grow's one rule on the
+// leaf-bounds stamp and value arrays, which are indexed by variable id:
+// 64 leaves on one caller-owned scratch, each one's largest variable id
+// one above the last one's, reallocate each array at most 7 times
+// (doubling from 2 to 128 entries), not once per leaf. No sync.Pool is
+// involved, so it runs under -race too.
+func TestLeafBoundsScratchGrowsGeometrically(t *testing.T) {
+	const leaves = 64
+	s := formula.NewSpace()
+	vars := make([]formula.Var, leaves+1)
+	for i := range vars {
+		vars[i] = s.AddBool(0.5)
+	}
+	sc := new(prepScratch)
+	stGrew, valGrew := 0, 0
+	for i := range leaves {
+		d := formula.NewDNF(formula.MustClause(formula.Pos(vars[i])), formula.MustClause(formula.Pos(vars[i+1])))
+		if top := maxVar(d); top != vars[i+1] {
+			t.Fatalf("leaf %d: largest variable %d, want %d", i, top, vars[i+1])
+		}
+		st, val := cap(sc.st), cap(sc.val)
+		if lo, hi, _ := leafBoundsScratch(s, d, sc); !(0 <= lo && lo <= hi && hi <= 1) {
+			t.Fatalf("leaf %d: bounds [%v, %v]", i, lo, hi)
+		}
+		if cap(sc.st) != st {
+			stGrew++
+		}
+		if cap(sc.val) != val {
+			valGrew++
+		}
+	}
+	if stGrew > 7 || valGrew > 7 {
+		t.Fatalf("over %d leaves the stamp array was reallocated %d times and the value array %d times, want at most 7 each",
+			leaves, stGrew, valGrew)
+	}
+}
+
 // pairwiseInconsistentSix is six clauses over two multi-valued
 // variables, every pair contradicting: the subset walk prunes at depth 2.
 func pairwiseInconsistentSix() (*formula.Space, formula.DNF) {

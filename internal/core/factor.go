@@ -259,7 +259,7 @@ func (sc *prepScratch) trysplit(d formula.DNF, sub uint32) (a, b formula.DNF, ok
 func (sc *prepScratch) resetTable(n int) {
 	f := &sc.fact
 	size := max(16, 1<<bits.Len(uint(2*n-1)))
-	f.slots, f.stamp = grow(f.slots, size, size), sc.epochs(1)
+	f.slots, f.stamp = grow(f.slots, size), sc.epochs(1)
 }
 
 // addProjectionRep records clause ci as the representative of its

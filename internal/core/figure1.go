@@ -119,7 +119,7 @@ func (sc *prepScratch) components(d formula.DNF, top formula.Var) []formula.DNF 
 	if n == 1 {
 		return nil
 	}
-	counts := grow(st.counts, int(n), 0)
+	counts := grow(st.counts, int(n))
 	clear(counts)
 	for _, c := range d {
 		counts[info[st.find(c[0].Var, e)].group]++
@@ -163,7 +163,7 @@ func (st *stepScan) find(v formula.Var, e uint32) formula.Var {
 // in place, first occurrences first, which is DNF.Restrict's output
 // clause for clause.
 func (st *state) shannon(d formula.DNF, x formula.Var, sc *prepScratch) (Kind, []formula.DNF, []float64) {
-	sc.xval = grow(sc.xval, len(d), 0)
+	sc.xval = grow(sc.xval, len(d))
 	xv := sc.xval
 	without, with, natoms := 0, 0, 0
 	for i, c := range d {

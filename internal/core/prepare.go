@@ -40,7 +40,9 @@ import (
 //     varorder.go) — and its transient child list, and the stack of
 //     merged conjunctions of the inclusion–exclusion walk (bounds.go).
 //     Every stamp takes its epoch from one counter with one wraparound
-//     path (epochs), and every buffer grows through one helper (grow).
+//     path (epochs), and every buffer grows through one helper (grow)
+//     by one rule: a short buffer is replaced by one of twice its
+//     capacity, or of the size asked for if that is more.
 //     Deduplication — Normalize, RemoveSubsumed, the ⊕ branches' Dedup
 //     — probes formula's own pooled clause table (formula/hash.go).
 //
@@ -93,13 +95,14 @@ func (sc *prepScratch) epochs(n uint32) (first uint32) {
 }
 
 // grow returns buf resliced to length n. When its array is too short it
-// is replaced by a zeroed one of max(n, size) entries, contents not
+// is replaced by a zeroed one of max(n, 2·cap) entries, contents not
 // copied: every caller overwrites what it reads or validates it by
-// stamp, and a zero stamp is no epoch. size is the site's growth rule —
-// 0 sizes exactly.
-func grow[T any](buf []T, n, size int) []T {
+// stamp, and a zero stamp is no epoch. Doubling is the one growth rule
+// of every scratch buffer, so a run of requests that each ask for one
+// more entry than the last reallocates O(log n) times, not n times.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n, max(n, size))
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

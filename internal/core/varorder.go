@@ -44,7 +44,7 @@ type stepScan struct {
 // records returns the record array grown to cover variable ids up to
 // top.
 func (st *stepScan) records(top formula.Var) []varInfo {
-	st.info = grow(st.info, int(top)+1, 2*cap(st.info))
+	st.info = grow(st.info, int(top)+1)
 	return st.info
 }
 

@@ -1,7 +1,7 @@
 package formula
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -113,25 +113,32 @@ func (f *PreparedFrag) SetDecision(dec *Decision) {
 // parent's decision — safe, but no longer what a Lookup returns.) All
 // methods are safe for concurrent use.
 //
-// Layout: the entries live in one arena in insertion order, each
-// keeping its key's hash. An open-addressing table (linear probing,
+// Layout: the entries live in an arena in insertion order, each
+// keeping its key's hash. The arena is a run of segments that double in
+// size: segment 0 holds positions 0–7 and segment k ≥ 1 holds
+// [8·2^(k−1), 8·2^k). A segment's array is allocated once, at its full
+// capacity, and never moves. An open-addressing table (linear probing,
 // load ≤ ½) indexes the arena: a uint32 slot holds an arena position
 // plus one. A probe compares stored hashes first and verifies the few
 // candidates that remain structurally. Growth doubles the slot array,
 // re-seats every position from the stored hashes (never rehashing a
-// key) and grows the arena to the new table's capacity, so a Store
-// allocates only when it doubles the table.
+// key) and allocates the next segment, which holds exactly as many
+// entries as the arena before it, so the arena fills the new table's
+// capacity. A Store therefore allocates only when it doubles the table,
+// and never copies an entry.
 //
-// Locking: one RWMutex guards both arrays. Lookup probes under the read
-// lock and Store under the write lock. Save reads the arena from a
-// snapshot taken under the read lock, which stays valid because the
-// arena only grows and an entry never changes once appended; it writes
-// the entries in insertion order.
+// Locking: one RWMutex guards the slots, the segment headers and the
+// count. Lookup probes under the read lock and Store under the write
+// lock. Save snapshots the count and the segment headers under the read
+// lock and reads the entries after releasing it: a segment never moves,
+// and an entry never changes once appended. It writes the entries in
+// insertion order.
 type FragCache struct {
-	mu      sync.RWMutex
-	slots   []uint32         // arena position+1; 0 = empty; len is a power of two
-	entries []fragCacheEntry // insertion order
-	max     int
+	mu    sync.RWMutex
+	slots []uint32                        // arena position+1; 0 = empty; len is a power of two
+	segs  [fragCacheSegs][]fragCacheEntry // the arena, insertion order; see segment
+	n     int                             // entries stored
+	max   int
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -151,8 +158,31 @@ const DefaultFragCacheEntries = 1 << 19
 // addresses, on every platform's int.
 const maxFragCacheEntries = 1<<31 - 1
 
-// minFragCacheSlots is the slot count of a cache's first table.
+// minFragCacheSlots is the slot count of a cache's first table, and
+// half of it the size of the arena's first segment.
 const minFragCacheSlots = 16
+
+// fragCacheSegs is the number of arena segments: with the first holding
+// 8 entries and each later one as many as all before it, 29 cover
+// maxFragCacheEntries. A fixed array keeps the headers inside the
+// FragCache, so a cache's first Store makes no header slice.
+const fragCacheSegs = 29
+
+// segment returns the arena segment of position p and p's offset in it.
+func segment(p int) (k, off int) {
+	k = bits.Len(uint(p) / (minFragCacheSlots / 2))
+	if k == 0 {
+		return 0, p
+	}
+	return k, p - minFragCacheSlots/2<<(k-1)
+}
+
+// entry returns the entry at arena position p. The caller holds c.mu:
+// a Store may be writing p's segment header.
+func (c *FragCache) entry(p int) *fragCacheEntry {
+	k, off := segment(p)
+	return &c.segs[k][off]
+}
 
 // NewFragCache returns an empty cache holding at most maxEntries
 // prepared fragments (maxEntries <= 0 means DefaultFragCacheEntries).
@@ -212,7 +242,7 @@ func (c *FragCache) find(d DNF, variant uint8, h uint64) (pos int, at uint64) {
 		if s == 0 {
 			return -1, i
 		}
-		e := &c.entries[s-1]
+		e := c.entry(int(s - 1))
 		if e.hash == h && e.variant == variant && e.key.Equal(d) {
 			return int(s - 1), i
 		}
@@ -226,7 +256,7 @@ func (c *FragCache) Lookup(d DNF, variant uint8) (*PreparedFrag, bool) {
 	h := fragKeyHash(d, variant)
 	c.mu.RLock()
 	if pos, _ := c.find(d, variant, h); pos >= 0 {
-		f := c.entries[pos].frag
+		f := c.entry(pos).frag
 		c.mu.RUnlock()
 		c.hits.Add(1)
 		return f, true
@@ -247,37 +277,46 @@ func (c *FragCache) Store(d DNF, variant uint8, f *PreparedFrag) *PreparedFrag {
 	defer c.mu.Unlock()
 	pos, at := c.find(d, variant, h)
 	if pos >= 0 {
-		return c.entries[pos].frag
+		return c.entry(pos).frag
 	}
-	if len(c.entries) >= c.max {
+	if c.n >= c.max {
 		return f
 	}
-	if 2*(len(c.entries)+1) > len(c.slots) {
+	if 2*(c.n+1) > len(c.slots) {
 		c.grow()
 		_, at = c.find(d, variant, h)
 	}
 	f.cached = true
-	c.entries = append(c.entries, fragCacheEntry{hash: h, key: d, frag: f, variant: variant})
-	c.slots[at] = uint32(len(c.entries))
+	k, _ := segment(c.n)
+	c.segs[k] = append(c.segs[k], fragCacheEntry{hash: h, key: d, frag: f, variant: variant})
+	c.n++
+	c.slots[at] = uint32(c.n)
 	return f
 }
 
-// grow doubles the slot array (or makes the first one), re-seats every
-// arena position from its stored hash, and gives the arena room for as
-// many entries as the new table holds (half its slots), so no append
-// reallocates it between two growths.
+// grow doubles the slot array (or makes the first one) and re-seats
+// every arena position from its stored hash, walking the segments in
+// insertion order. The table grows when the arena is full, at half
+// the old slots, so the next position opens a segment: grow allocates
+// it at the capacity that fills half the new slots, and no append
+// reallocates it.
 func (c *FragCache) grow() {
 	size := max(2*len(c.slots), minFragCacheSlots)
 	c.slots = make([]uint32, size)
 	mask := uint64(size - 1)
-	for p := range c.entries {
-		i := c.entries[p].hash & mask
-		for c.slots[i] != 0 {
-			i = (i + 1) & mask
+	p := uint32(0)
+	for _, seg := range c.segs {
+		for j := range seg {
+			i := seg[j].hash & mask
+			for c.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			p++
+			c.slots[i] = p
 		}
-		c.slots[i] = uint32(p + 1)
 	}
-	c.entries = slices.Grow(c.entries, size/2-len(c.entries))
+	k, _ := segment(c.n)
+	c.segs[k] = make([]fragCacheEntry, 0, size/2-c.n)
 }
 
 // CountHit records a hit served without a Lookup — a child of a
@@ -289,7 +328,7 @@ func (c *FragCache) CountHit() { c.hits.Add(1) }
 func (c *FragCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.entries)
+	return c.n
 }
 
 // CacheStats returns the cumulative hit/miss traffic across all users

@@ -2,9 +2,11 @@ package formula
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func fragTestDNF(seed int) DNF {
@@ -282,5 +284,51 @@ func TestFragCacheStoreAllocationsAmortized(t *testing.T) {
 	})
 	if per := a / n; per > 0.01 {
 		t.Fatalf("%v allocations over %d distinct stores (%.4f each), want at most 0.01 each", a, n, per)
+	}
+}
+
+// TestFragCacheStoreBytesNeverCopyArena pins the segmented arena in
+// bytes: filling a fresh cache with 4 096 distinct fragments allocates
+// each segment once and the slot arrays of every doubling (under twice
+// the final one), plus the cache itself. The constant covers rounding
+// to the allocator's size classes, which only the small segments and
+// the cache pay (about 5 KiB on amd64). An arena that copied itself at
+// each doubling would allocate about twice the segments' total, 192 KiB
+// more.
+func TestFragCacheStoreBytesNeverCopyArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations inflate TotalAlloc")
+	}
+	const n = 4096
+	keys := make([]DNF, n)
+	frags := make([]*PreparedFrag, n)
+	for i := range keys {
+		keys[i] = fragTestDNF(7 * i)
+		frags[i] = &PreparedFrag{D: keys[i]}
+	}
+	var c *FragCache
+	var before, after runtime.MemStats
+	alloc := ^uint64(0)
+	for range 3 { // the least of three: nothing else in the process adds to it
+		runtime.ReadMemStats(&before)
+		c = NewFragCache(0)
+		for i, d := range keys {
+			c.Store(d, 0, frags[i])
+		}
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	arena := 0
+	for _, seg := range c.segs {
+		arena += cap(seg)
+	}
+	if arena != n {
+		t.Fatalf("segments hold %d entries, want %d", arena, n)
+	}
+	bound := uint64(arena)*uint64(unsafe.Sizeof(fragCacheEntry{})) +
+		2*uint64(len(c.slots))*uint64(unsafe.Sizeof(c.slots[0])) +
+		uint64(unsafe.Sizeof(*c)) + 8<<10
+	if alloc > bound {
+		t.Fatalf("%d distinct stores allocated %d bytes, want at most %d (segments, slot arrays and the cache)", n, alloc, bound)
 	}
 }

@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -522,7 +523,9 @@ func fragOracleKey(i int) DNF {
 // (structural, not pointer, equality); the second byte names one of 256
 // keys. 256 keys under four variants grow the table from 16 to 2048
 // slots. Every operation must return the same canonical entry, and the
-// hit and miss counts and Len must agree after each.
+// hit and miss counts and Len must agree after each. Last, the cache
+// goes through Save and LoadFragCache: the loaded cache must answer
+// every key the oracle holds with an equal prepared form.
 func FuzzFragCacheMatchesMapOracle(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is in testdata/fuzz
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -539,7 +542,7 @@ func FuzzFragCacheMatchesMapOracle(f *testing.F) {
 				key = key.Clone()
 			}
 			if op&1 == 0 {
-				p := &PreparedFrag{D: key, Lo: float64(k) / 256, Hi: 1}
+				p := &PreparedFrag{D: key, Lo: float64(k) / 256, Hi: 1, Work: int64(i)}
 				if g, r := got.Store(key, variant, p), ref.Store(key, variant, p); g != r {
 					t.Fatalf("op %d: Store(key %d, variant %d) returned %p, map oracle %p", i/2, k, variant, g, r)
 				}
@@ -554,6 +557,23 @@ func FuzzFragCacheMatchesMapOracle(f *testing.F) {
 			if st.Hits != ref.hits.Load() || st.Misses != ref.misses.Load() || st.Entries != int64(ref.Len()) {
 				t.Fatalf("op %d: stats %+v, map oracle hits %d misses %d entries %d",
 					i/2, st, ref.hits.Load(), ref.misses.Load(), ref.Len())
+			}
+		}
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		loaded, err := LoadFragCache(&buf, limit)
+		if err != nil || loaded.Len() != ref.Len() {
+			t.Fatalf("LoadFragCache: %d entries (%v), map oracle %d", loaded.Len(), err, ref.Len())
+		}
+		for _, bucket := range ref.buckets {
+			for _, e := range bucket {
+				g, ok := loaded.Lookup(e.key, e.variant)
+				w := e.frag
+				if !ok || !g.D.Equal(w.D) || g.Lo != w.Lo || g.Hi != w.Hi || g.Exact != w.Exact || g.Work != w.Work {
+					t.Fatalf("loaded Lookup(%v, variant %d) = %+v, %v; map oracle %+v", e.key, e.variant, g, ok, w)
+				}
 			}
 		}
 	})

@@ -75,37 +75,40 @@ func (g *fragEntryGob) keepsBounds() bool {
 //
 // Save writes the entries in insertion order, so two saves of one cache
 // are byte-identical, and so are a save and the save of what it loads
-// (LoadFragCache stores in file order). It snapshots the arena under
-// the cache's read lock; entries stored concurrently with the snapshot
-// may or may not be included. Entries embed the probability space's
-// variable identities, so a saved cache is only meaningful to a process
-// rebuilding the identical Space (same generator, same seed) — the same
-// rule as sharing a live cache.
+// (LoadFragCache stores in file order). It snapshots the arena's count
+// and segment headers under the cache's read lock; entries stored
+// concurrently with the snapshot may or may not be included. Entries
+// embed the probability space's variable identities, so a saved cache
+// is only meaningful to a process rebuilding the identical Space (same
+// generator, same seed) — the same rule as sharing a live cache.
 func (c *FragCache) Save(w io.Writer) error {
-	// Appends never write below len, and an entry never changes once
-	// appended: the snapshot can be read after the lock is released.
+	// A segment's array never moves, appends never write below a
+	// header's len, and an entry never changes once appended: the
+	// snapshot can be read after the lock is released.
 	c.mu.RLock()
-	entries := c.entries
+	n, segs := c.n, c.segs
 	c.mu.RUnlock()
 
 	var payload bytes.Buffer
 	penc := gob.NewEncoder(&payload)
-	if err := penc.Encode(len(entries)); err != nil {
+	if err := penc.Encode(n); err != nil {
 		return fmt.Errorf("formula: FragCache.Save count: %w", err)
 	}
-	for i := range entries {
-		e := &entries[i]
-		g := fragEntryGob{
-			Key:     e.key,
-			Variant: e.variant,
-			D:       e.frag.D,
-			Lo:      e.frag.Lo,
-			Hi:      e.frag.Hi,
-			Exact:   e.frag.Exact,
-			Work:    e.frag.Work,
-		}
-		if err := penc.Encode(g); err != nil {
-			return fmt.Errorf("formula: FragCache.Save entry: %w", err)
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			g := fragEntryGob{
+				Key:     e.key,
+				Variant: e.variant,
+				D:       e.frag.D,
+				Lo:      e.frag.Lo,
+				Hi:      e.frag.Hi,
+				Exact:   e.frag.Exact,
+				Work:    e.frag.Work,
+			}
+			if err := penc.Encode(g); err != nil {
+				return fmt.Errorf("formula: FragCache.Save entry: %w", err)
+			}
 		}
 	}
 

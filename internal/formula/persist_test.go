@@ -3,10 +3,14 @@ package formula
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -263,7 +267,8 @@ func TestFragCacheLoadsSaveWrittenWithComps(t *testing.T) {
 	if err != nil || again.Len() != c.Len() {
 		t.Fatalf("re-save reloads %d entries (%v), want %d", again.Len(), err, c.Len())
 	}
-	for _, e := range c.entries {
+	for p := range c.Len() {
+		e := c.entry(p)
 		if e.frag.Decision() != nil {
 			t.Fatalf("entry %v loaded with a decision", e.key)
 		}
@@ -292,8 +297,8 @@ func FuzzLoadFragCache(f *testing.F) {
 		if err != nil && c.Len() != 0 {
 			t.Fatalf("error %v came with %d loaded entries, want a cold (empty) cache", err, c.Len())
 		}
-		for i := range c.entries {
-			if e := c.entries[i].frag; !(0 <= e.Lo && e.Lo <= e.Hi && e.Hi <= 1) || e.Exact && e.Lo != e.Hi {
+		for i := range c.Len() {
+			if e := c.entry(i).frag; !(0 <= e.Lo && e.Lo <= e.Hi && e.Hi <= 1) || e.Exact && e.Lo != e.Hi {
 				t.Fatalf("loaded entry %d breaks the bounds contract: lo %v, hi %v, exact %t", i, e.Lo, e.Hi, e.Exact)
 			}
 		}
@@ -370,4 +375,134 @@ func TestFragCacheSaveDeterministic(t *testing.T) {
 	if again := save(loaded); !bytes.Equal(first, again) {
 		t.Fatal("the save of a loaded save differs from it")
 	}
+}
+
+// checkLoadedPrefix reports whether the entries of loaded are, in
+// order, the first loaded.Len() entries of c: the same keys and
+// variants with equal prepared forms. c may be growing: like Save, it
+// snapshots c's count and segment headers under its lock.
+func checkLoadedPrefix(loaded, c *FragCache) error {
+	c.mu.RLock()
+	n, segs := c.n, c.segs
+	c.mu.RUnlock()
+	if loaded.Len() > n {
+		return fmt.Errorf("loaded %d entries, the cache holds %d", loaded.Len(), n)
+	}
+	for p := range loaded.Len() {
+		k, off := segment(p)
+		got, want := loaded.entry(p), &segs[k][off]
+		g, w := got.frag, want.frag
+		if !got.key.Equal(want.key) || got.variant != want.variant || !g.D.Equal(w.D) ||
+			g.Lo != w.Lo || g.Hi != w.Hi || g.Exact != w.Exact || g.Work != w.Work {
+			return fmt.Errorf("loaded entry %d is %v (variant %d) %+v, the cache's %v (variant %d) %+v",
+				p, got.key, got.variant, g, want.key, want.variant, w)
+		}
+	}
+	return nil
+}
+
+// saveBytes returns c's save, or fails t.
+func saveBytes(t *testing.T, c *FragCache) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// Save → LoadFragCache → Save round trips at the arena's segment
+// boundaries: one entry short of, at and past the first segment's 8,
+// at and past the second's 16, and one past 4 096, where the table
+// doubles and the eleventh segment opens. The load holds every entry in insertion order and its
+// save is byte-identical.
+func TestFragCacheSaveRoundTripsAcrossSegments(t *testing.T) {
+	for _, n := range []int{7, 8, 9, 16, 17, 4097} {
+		c := NewFragCache(0)
+		for i := range n {
+			d := fragTestDNF(3 * i)
+			lo, hi := float64(i%100)/100, 0.99
+			if i%5 == 0 {
+				hi = lo // an exact entry is a point
+			}
+			c.Store(d, uint8(i%3), &PreparedFrag{D: d, Lo: lo, Hi: hi, Exact: i%5 == 0, Work: int64(i)})
+		}
+		first := saveBytes(t, c)
+		loaded, err := LoadFragCache(bytes.NewReader(first), 0)
+		if err != nil || loaded.Len() != n {
+			t.Fatalf("n=%d: loaded %d entries (%v), want %d", n, loaded.Len(), err, n)
+		}
+		if err := checkLoadedPrefix(loaded, c); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if again := saveBytes(t, loaded); !bytes.Equal(first, again) {
+			t.Fatalf("n=%d: the save of a loaded save differs from it", n)
+		}
+	}
+}
+
+// Save runs while four writers store 1 100 distinct fragments, past
+// entries 8, 16, 32 and 1 024, where the arena opens a segment. Each
+// writer waits for the next save to finish after its 1st, 2nd, 4th, …
+// store and then after every 32nd, so saves interleave with the whole
+// fill. Every save loads back to a prefix of the cache's insertion
+// order, and the save of what it loaded is byte-identical to it.
+func TestFragCacheSaveDuringSegmentGrowth(t *testing.T) {
+	const writers, keys = 4, 1100
+	c := NewFragCache(0)
+	var wg, bg sync.WaitGroup
+	var done, failed atomic.Bool
+	var saved atomic.Int64
+	longest := 0
+	check := func() bool {
+		b := saveBytes(t, c)
+		loaded, err := LoadFragCache(bytes.NewReader(b), 0)
+		if err != nil {
+			t.Errorf("LoadFragCache of a concurrent Save: %v", err)
+			return false
+		}
+		if err := checkLoadedPrefix(loaded, c); err != nil {
+			t.Errorf("save %d: %v", saved.Load(), err)
+			return false
+		}
+		if again := saveBytes(t, loaded); !bytes.Equal(b, again) {
+			t.Errorf("save %d (%d entries): the save of what it loaded differs from it", saved.Load(), loaded.Len())
+			return false
+		}
+		longest = max(longest, loaded.Len())
+		saved.Add(1)
+		return true
+	}
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for !done.Load() {
+			if !check() {
+				failed.Store(true)
+				return
+			}
+		}
+	}()
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < keys; k += writers {
+				d := fragTestDNF(3 * k)
+				c.Store(d, uint8(k%2), &PreparedFrag{D: d, Lo: float64(k) / keys, Hi: 1, Work: int64(k)})
+				if n := k/writers + 1; n&(n-1) == 0 || n%32 == 0 {
+					for last := saved.Load(); saved.Load() == last && !failed.Load(); {
+						runtime.Gosched()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	bg.Wait()
+	if !check() || longest != keys {
+		t.Fatalf("the last save loaded %d entries, want %d", longest, keys)
+	}
+	t.Logf("%d saves", saved.Load())
 }
