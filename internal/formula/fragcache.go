@@ -117,27 +117,29 @@ func (f *PreparedFrag) SetDecision(dec *Decision) {
 // keeping its key's hash. The arena is a run of segments that double in
 // size: segment 0 holds positions 0–7 and segment k ≥ 1 holds
 // [8·2^(k−1), 8·2^k). A segment's array is allocated once, at its full
-// capacity, and never moves. An open-addressing table (linear probing,
-// load ≤ ½) indexes the arena: a uint32 slot holds an arena position
-// plus one. A probe compares stored hashes first and verifies the few
-// candidates that remain structurally. Growth doubles the slot array,
-// re-seats every position from the stored hashes (never rehashing a
-// key) and allocates the next segment, which holds exactly as many
-// entries as the arena before it, so the arena fills the new table's
-// capacity. A Store therefore allocates only when it doubles the table,
-// and never copies an entry.
+// length, and never moves; its header is written once, by the grow that
+// opens it. The headers are allocated with segment 0, in the first
+// grow, so a cache that never stores holds none. An open-addressing
+// table (linear probing, load ≤ ½) indexes the arena: a uint32 slot
+// holds an arena position plus one. A probe compares stored hashes
+// first and verifies the few candidates that remain structurally.
+// Growth doubles the slot array, re-seats every position from the
+// stored hashes (never rehashing a key) and allocates the next segment,
+// which holds exactly as many entries as the arena before it, so the
+// arena fills the new table's capacity. A Store therefore allocates
+// only when it doubles the table, and never copies an entry.
 //
 // Locking: one RWMutex guards the slots, the segment headers and the
 // count. Lookup probes under the read lock and Store under the write
 // lock. Save snapshots the count and the segment headers under the read
-// lock and reads the entries after releasing it: a segment never moves,
-// and an entry never changes once appended. It writes the entries in
-// insertion order.
+// lock and reads the entries after releasing it: a segment and its
+// header never change once made, and an entry never changes once
+// counted. It writes the entries in insertion order.
 type FragCache struct {
 	mu    sync.RWMutex
-	slots []uint32                        // arena position+1; 0 = empty; len is a power of two
-	segs  [fragCacheSegs][]fragCacheEntry // the arena, insertion order; see segment
-	n     int                             // entries stored
+	slots []uint32                         // arena position+1; 0 = empty; len is a power of two
+	segs  *[fragCacheSegs][]fragCacheEntry // the arena, insertion order; see segment
+	n     int                              // entries stored
 	max   int
 
 	hits   atomic.Int64
@@ -164,9 +166,15 @@ const minFragCacheSlots = 16
 
 // fragCacheSegs is the number of arena segments: with the first holding
 // 8 entries and each later one as many as all before it, 29 cover
-// maxFragCacheEntries. A fixed array keeps the headers inside the
-// FragCache, so a cache's first Store makes no header slice.
+// maxFragCacheEntries.
 const fragCacheSegs = 29
+
+// fragCacheArena is the arena's first block: the segment headers and
+// segment 0, one allocation made by a cache's first Store.
+type fragCacheArena struct {
+	segs  [fragCacheSegs][]fragCacheEntry
+	first [minFragCacheSlots / 2]fragCacheEntry
+}
 
 // segment returns the arena segment of position p and p's offset in it.
 func segment(p int) (k, off int) {
@@ -287,36 +295,37 @@ func (c *FragCache) Store(d DNF, variant uint8, f *PreparedFrag) *PreparedFrag {
 		_, at = c.find(d, variant, h)
 	}
 	f.cached = true
-	k, _ := segment(c.n)
-	c.segs[k] = append(c.segs[k], fragCacheEntry{hash: h, key: d, frag: f, variant: variant})
+	*c.entry(c.n) = fragCacheEntry{hash: h, key: d, frag: f, variant: variant}
 	c.n++
 	c.slots[at] = uint32(c.n)
 	return f
 }
 
 // grow doubles the slot array (or makes the first one) and re-seats
-// every arena position from its stored hash, walking the segments in
-// insertion order. The table grows when the arena is full, at half
-// the old slots, so the next position opens a segment: grow allocates
-// it at the capacity that fills half the new slots, and no append
-// reallocates it.
+// every arena position from its stored hash, in insertion order. The
+// table grows when the arena is full, at half the old slots, so the
+// next position opens a segment: grow allocates it at the length that
+// fills half the new slots — the first grow allocates segment 0 with
+// the headers.
 func (c *FragCache) grow() {
 	size := max(2*len(c.slots), minFragCacheSlots)
 	c.slots = make([]uint32, size)
 	mask := uint64(size - 1)
-	p := uint32(0)
-	for _, seg := range c.segs {
-		for j := range seg {
-			i := seg[j].hash & mask
-			for c.slots[i] != 0 {
-				i = (i + 1) & mask
-			}
-			p++
-			c.slots[i] = p
+	for p := range c.n {
+		i := c.entry(p).hash & mask
+		for c.slots[i] != 0 {
+			i = (i + 1) & mask
 		}
+		c.slots[i] = uint32(p + 1)
+	}
+	if c.segs == nil {
+		a := new(fragCacheArena)
+		a.segs[0] = a.first[:]
+		c.segs = &a.segs
+		return
 	}
 	k, _ := segment(c.n)
-	c.segs[k] = make([]fragCacheEntry, 0, size/2-c.n)
+	c.segs[k] = make([]fragCacheEntry, size/2-c.n)
 }
 
 // CountHit records a hit served without a Lookup — a child of a

@@ -332,3 +332,41 @@ func TestFragCacheStoreBytesNeverCopyArena(t *testing.T) {
 		t.Fatalf("%d distinct stores allocated %d bytes, want at most %d (segments, slot arrays and the cache)", n, alloc, bound)
 	}
 }
+
+// TestFragCacheEmptyIsSmall pins the arena's lazy first block: an empty
+// cache — the fresh per-query cache of the safe and IQ routes, which
+// never store — is one allocation of at most 128 bytes, and a cache's
+// first Store makes exactly two: the slot array and one arena block
+// (segment 0 with the segment headers).
+func TestFragCacheEmptyIsSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations inflate TotalAlloc")
+	}
+	const n = 64
+	keep := make([]*FragCache, n)
+	per := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 3 { // the least of three: nothing else in the process adds to it
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = NewFragCache(0)
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	if per > 128 {
+		t.Fatalf("an empty NewFragCache(0) allocates %d bytes, want at most 128", per)
+	}
+
+	d := fragTestDNF(1)
+	f := &PreparedFrag{D: d}
+	empty := testing.AllocsPerRun(10, func() { keep[0] = NewFragCache(0) })
+	first := testing.AllocsPerRun(10, func() {
+		c := NewFragCache(0)
+		c.Store(d, 0, f)
+		keep[0] = c
+	})
+	if empty != 1 || first-empty != 2 {
+		t.Fatalf("NewFragCache makes %v allocations and its first Store %v, want 1 and 2 (slot array, arena block)", empty, first-empty)
+	}
+}

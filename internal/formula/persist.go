@@ -82,11 +82,14 @@ func (g *fragEntryGob) keepsBounds() bool {
 // is only meaningful to a process rebuilding the identical Space (same
 // generator, same seed) — the same rule as sharing a live cache.
 func (c *FragCache) Save(w io.Writer) error {
-	// A segment's array never moves, appends never write below a
-	// header's len, and an entry never changes once appended: the
-	// snapshot can be read after the lock is released.
+	// A segment's array never moves and an entry never changes once
+	// counted: the snapshot can be read after the lock is released.
 	c.mu.RLock()
-	n, segs := c.n, c.segs
+	n := c.n
+	var segs [fragCacheSegs][]fragCacheEntry
+	if c.segs != nil {
+		segs = *c.segs
+	}
 	c.mu.RUnlock()
 
 	var payload bytes.Buffer
@@ -94,21 +97,20 @@ func (c *FragCache) Save(w io.Writer) error {
 	if err := penc.Encode(n); err != nil {
 		return fmt.Errorf("formula: FragCache.Save count: %w", err)
 	}
-	for _, seg := range segs {
-		for i := range seg {
-			e := &seg[i]
-			g := fragEntryGob{
-				Key:     e.key,
-				Variant: e.variant,
-				D:       e.frag.D,
-				Lo:      e.frag.Lo,
-				Hi:      e.frag.Hi,
-				Exact:   e.frag.Exact,
-				Work:    e.frag.Work,
-			}
-			if err := penc.Encode(g); err != nil {
-				return fmt.Errorf("formula: FragCache.Save entry: %w", err)
-			}
+	for p := range n {
+		k, off := segment(p)
+		e := &segs[k][off]
+		g := fragEntryGob{
+			Key:     e.key,
+			Variant: e.variant,
+			D:       e.frag.D,
+			Lo:      e.frag.Lo,
+			Hi:      e.frag.Hi,
+			Exact:   e.frag.Exact,
+			Work:    e.frag.Work,
+		}
+		if err := penc.Encode(g); err != nil {
+			return fmt.Errorf("formula: FragCache.Save entry: %w", err)
 		}
 	}
 

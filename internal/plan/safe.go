@@ -276,10 +276,8 @@ func (c *safeCompiler) leafEval(li int, head []int) safeEval {
 		}
 	}
 	pos := make([]int, len(head))
-	names := make([]string, len(head))
 	for i, h := range head {
 		pos[i] = c.colsOf[h][li][0]
-		names[i] = leaf.rel.Cols[pos[i]]
 	}
 	return func(ctx context.Context, s *formula.Space) (*sprout.ProbTable, error) {
 		g := sprout.NewGrouper(len(pos))
@@ -304,7 +302,7 @@ func (c *safeCompiler) leafEval(li int, head []int) safeEval {
 			}
 			g.Add(vals, pos, tups[i].Lin.Probability(s))
 		}
-		return g.Table(names), nil
+		return g.Table(), nil
 	}
 }
 

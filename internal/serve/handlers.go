@@ -45,11 +45,22 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// sseSink maps the run onto a Server-Sent Events stream: one "meta"
+// writer is what differs between the two Accept modes: how the run's
+// meta, each answer and its end reach the client. meta and answer
+// report false once the client is gone, which ends the run.
+type writer interface {
+	meta(Meta) bool
+	answer(Answer) bool
+	// finish ends the response: the run's error, if any, and its
+	// summary.
+	finish(sum Summary, err error)
+}
+
+// sseWriter maps the run onto a Server-Sent Events stream: one "meta"
 // event, one "answer" event per decided answer — each flushed
 // immediately, which is what makes the anytime contract visible to the
-// client — then "error" (if any) and "done", written by the handler.
-type sseSink struct {
+// client — then "error" (if any) and "done".
+type sseWriter struct {
 	w   http.ResponseWriter
 	rc  *http.ResponseController
 	met *obs.ServeMetrics
@@ -57,7 +68,6 @@ type sseSink struct {
 	start   time.Time
 	started bool
 	failed  bool
-	meta    Meta
 	answers int
 
 	// id prefixes each answer event's SSE id: field ("q-7/3" is the
@@ -70,9 +80,9 @@ type sseSink struct {
 	inj     *fault.Injector
 }
 
-func (k *sseSink) event(name string, v any) bool { return k.eventID("", name, v) }
+func (k *sseWriter) event(name string, v any) bool { return k.eventID("", name, v) }
 
-func (k *sseSink) eventID(id, name string, v any) bool {
+func (k *sseWriter) eventID(id, name string, v any) bool {
 	if k.failed {
 		return false
 	}
@@ -110,17 +120,14 @@ func (k *sseSink) eventID(id, name string, v any) bool {
 	return true
 }
 
-func (k *sseSink) Meta(m Meta) bool {
-	k.meta = m
-	return k.event("meta", m)
-}
+func (k *sseWriter) meta(m Meta) bool { return k.event("meta", m) }
 
-func (k *sseSink) Answer(a Answer) bool {
+func (k *sseWriter) answer(a Answer) bool {
 	// The sse.flush chaos site: an injected error or cancellation plays
 	// as a broken client connection (the stream just stops, like a real
-	// disconnect); an injected panic unwinds into runStream's
-	// containment and ends the stream with well-formed error + done
-	// events; injected latency models a slow consumer.
+	// disconnect); an injected panic unwinds into stream's containment
+	// and ends the stream with well-formed error + done events;
+	// injected latency models a slow consumer.
 	if err := k.inj.Fire(fault.SiteSSEFlush); err != nil {
 		k.failed = true
 		return false
@@ -134,20 +141,38 @@ func (k *sseSink) Answer(a Answer) bool {
 	return true
 }
 
-// batchSink collects the run for a single application/json response —
-// the non-streaming mode (Accept: application/json).
-type batchSink struct {
+func (k *sseWriter) finish(sum Summary, err error) {
+	if err != nil {
+		k.event("error", struct {
+			Error string `json:"error"`
+		}{err.Error()})
+	}
+	k.event("done", sum)
+}
+
+// jsonWriter collects the run into a single application/json document
+// — the non-streaming mode (Accept: application/json).
+type jsonWriter struct {
+	w       http.ResponseWriter
 	met     *obs.ServeMetrics
-	meta    Meta
+	m       Meta
 	answers []Answer
 }
 
-func (k *batchSink) Meta(m Meta) bool { k.meta = m; return true }
+func (k *jsonWriter) meta(m Meta) bool { k.m = m; return true }
 
-func (k *batchSink) Answer(a Answer) bool {
+func (k *jsonWriter) answer(a Answer) bool {
 	k.answers = append(k.answers, a)
 	k.met.RecordAnswer()
 	return true
+}
+
+func (k *jsonWriter) finish(sum Summary, _ error) {
+	writeJSON(k.w, http.StatusOK, struct {
+		Meta    Meta     `json:"meta"`
+		Answers []Answer `json:"answers"`
+		Summary Summary  `json:"summary"`
+	}{k.m, k.answers, sum})
 }
 
 // handleQuery is POST /v1/query.
@@ -162,12 +187,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		status := http.StatusBadRequest
-		var rerr *RequestError
-		if errors.As(err, &rerr) {
-			status = rerr.Status
-		}
-		httpError(w, status, err.Error())
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -202,111 +222,94 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	disconnected := false
 	defer func() { s.met.RecordDone(disconnected) }()
 
-	budget := req.Budget.Engine(s.cfg.DefaultBudget)
+	meta := Meta{ID: s.nextID(), Session: req.Session, Eps: eps, Degraded: widened}
+	var out writer = &sseWriter{
+		w: w, rc: http.NewResponseController(w), met: s.met, start: start,
+		id: meta.ID, retryMS: 1000 * s.retryAfterSeconds(), inj: s.cfg.Inject,
+	}
+	if accept := r.Header.Get("Accept"); strings.Contains(accept, "application/json") && !strings.Contains(accept, "text/event-stream") {
+		out = &jsonWriter{w: w, met: s.met}
+	}
+	disconnected = s.run(w, r, sess.client, &req, meta, out, start)
+}
+
+// run is the one run path of an admitted query, in either Accept mode:
+// the session client builds the query (a build failure is a 400 before
+// any other byte), stream writes its meta and answers to out, the trace
+// ring records the run, and out finishes the response unless the
+// client is gone. It reports whether the client disconnected.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, client SessionClient, req *Request, meta Meta, out writer, start time.Time) (disconnected bool) {
+	q, err := client.Build(req, meta.Eps, req.Budget.Engine(s.cfg.DefaultBudget))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return r.Context().Err() != nil
+	}
+	meta.Explain, meta.Schema = q.Explain(), q.Schema()
 
 	// The query context cancels when the client disconnects (ending the
 	// evaluation mid-refinement) or when shutdown hard-stops the drain.
-	ctx, cancelReq := context.WithCancel(r.Context())
-	defer cancelReq()
-	stop := context.AfterFunc(s.baseCtx, cancelReq)
-	defer stop()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 
-	params := RunParams{ID: s.nextID(), Eps: eps, Degraded: widened, Budget: budget}
-
-	accept := r.Header.Get("Accept")
-	if strings.Contains(accept, "application/json") && !strings.Contains(accept, "text/event-stream") {
-		s.runBatch(ctx, w, r, sess.client, &req, params, start, &disconnected)
-		return
+	sum, err := s.stream(ctx, q, meta, out)
+	if err != nil {
+		sum.Error = err.Error()
 	}
-	s.runStream(ctx, w, r, sess.client, &req, params, start, &disconnected)
+	s.traces.put(&traceEntry{
+		ID: meta.ID, Session: meta.Session, At: start,
+		Meta: meta, Summary: sum, Trace: q.Trace(),
+	})
+	if r.Context().Err() != nil {
+		return true // client is gone; nothing more to write
+	}
+	out.finish(sum, err)
+	return false
 }
 
-// runContained executes one query run with last-line panic
+// stream writes meta, then each answer as the built query proves it,
+// and summarizes the run from its trace. A refused write means the
+// client is gone: breaking the loop cancels the evaluation. The run's
+// error, if any, is the answer stream's final element, so answers
+// already written stay delivered. stream is the last line of panic
 // containment: a panic that escaped every inner recovery point (an
 // injected sse.flush panic, a bug in the serving glue) becomes the
 // run's error, so the stream still ends with well-formed error + done
 // events and the daemon keeps serving. net/http would survive the
 // panic anyway, but only by tearing the connection down mid-stream.
-func (s *Server) runContained(ctx context.Context, client SessionClient, req *Request, params RunParams, sink Sink) (out RunOutcome, err error) {
+func (s *Server) stream(ctx context.Context, q BuiltQuery, meta Meta, out writer) (sum Summary, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			pe, _ := fault.Promote(v, "serve.query")
-			pe.QueryID = params.ID
+			pe.QueryID = meta.ID
 			s.met.RecordPanic()
-			err = pe
+			sum, err = Summary{}, pe
 		}
 	}()
-	return client.Run(ctx, req, params, sink)
-}
-
-// runStream executes one query onto an SSE response.
-func (s *Server) runStream(ctx context.Context, w http.ResponseWriter, r *http.Request, client SessionClient, req *Request, params RunParams, start time.Time, disconnected *bool) {
-	sink := &sseSink{
-		w: w, rc: http.NewResponseController(w), met: s.met, start: start,
-		id: params.ID, retryMS: 1000 * s.retryAfterSeconds(), inj: s.cfg.Inject,
+	if !out.meta(meta) {
+		if err := ctx.Err(); err != nil {
+			return Summary{}, err
+		}
+		return Summary{}, errors.New("client went away before the stream started")
 	}
-	out, err := s.runContained(ctx, client, req, params, sink)
-
-	if r.Context().Err() != nil {
-		*disconnected = true
+	for a, aerr := range q.Answers(ctx) {
+		if aerr != nil {
+			err = aerr
+			continue
+		}
+		sum.Answers++
+		if !out.answer(a) {
+			break
+		}
 	}
-
-	var rerr *RequestError
-	if err != nil && !sink.started && errors.As(err, &rerr) {
-		// Request-level failure (a build error) before any stream
-		// bytes: a proper status code is still possible.
-		httpError(w, rerr.Status, rerr.Error())
-		return
+	if tr := q.Trace(); tr != nil {
+		sum.Route = tr.Route
+		sum.WallMicros = tr.Wall.Microseconds()
+		if tr.Rank != nil {
+			sum.Steps = tr.Rank.Steps
+		}
 	}
-
-	sum := out.Summary
-	if err != nil && sum.Error == "" {
-		sum.Error = err.Error()
-	}
-	s.traces.put(&traceEntry{
-		ID: params.ID, Session: req.Session, At: start,
-		Meta: sink.meta, Summary: sum, Trace: out.Trace,
-	})
-
-	if sink.failed || *disconnected {
-		return // client is gone; nothing more to write
-	}
-	if err != nil {
-		sink.event("error", struct {
-			Error string `json:"error"`
-		}{err.Error()})
-	}
-	sink.event("done", sum)
-}
-
-// runBatch executes one query into a single JSON response.
-func (s *Server) runBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, client SessionClient, req *Request, params RunParams, start time.Time, disconnected *bool) {
-	sink := &batchSink{met: s.met}
-	out, err := s.runContained(ctx, client, req, params, sink)
-
-	if r.Context().Err() != nil {
-		*disconnected = true
-	}
-
-	var rerr *RequestError
-	if err != nil && errors.As(err, &rerr) {
-		httpError(w, rerr.Status, rerr.Error())
-		return
-	}
-
-	sum := out.Summary
-	if err != nil && sum.Error == "" {
-		sum.Error = err.Error()
-	}
-	s.traces.put(&traceEntry{
-		ID: params.ID, Session: req.Session, At: start,
-		Meta: sink.meta, Summary: sum, Trace: out.Trace,
-	})
-	writeJSON(w, http.StatusOK, struct {
-		Meta    Meta     `json:"meta"`
-		Answers []Answer `json:"answers"`
-		Summary Summary  `json:"summary"`
-	}{sink.meta, sink.answers, sum})
+	return sum, err
 }
 
 // handleMetrics is GET /metrics: the engine registry (routes, lineage,

@@ -30,7 +30,12 @@
 //
 // The package is engine-agnostic: it talks to a Backend interface the
 // root repro package implements (repro.NewServer), which keeps this
-// package importable from the façade for option re-export.
+// package importable from the façade for option re-export. The backend
+// only builds: it turns a wire request, at the precision and budget
+// admission chose, into a BuiltQuery. The server runs it and writes
+// the response — meta, answers, error and done events, or one JSON
+// document — on one run path for both Accept modes, and a build
+// failure is a 400 before any other byte.
 package serve
 
 import (

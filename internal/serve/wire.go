@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -47,25 +48,25 @@ const MaxWireNodes = 4096
 // comparison downstream), negative budget fields and a timeout_ms that
 // overflows a time.Duration into a negative one (the engine treats
 // both as "no budget", silently unbounding the query), and plans over
-// MaxWireNodes operators. Violations come back as 400 RequestErrors;
-// a valid request passes through untouched.
+// MaxWireNodes operators. A violation is an error the server writes as
+// a 400; a valid request passes through untouched.
 func (r *Request) Validate() error {
 	if r.Eps != nil {
 		e := *r.Eps
 		if math.IsNaN(e) || math.IsInf(e, 0) || e < 0 || e >= 1 {
-			return &RequestError{Status: 400, Err: fmt.Errorf("eps %v must be a finite value in [0, 1)", e)}
+			return fmt.Errorf("eps %v must be a finite value in [0, 1)", e)
 		}
 	}
 	if b := r.Budget; b != nil {
 		if b.MaxNodes < 0 || b.MaxWork < 0 || b.TimeoutMS < 0 {
-			return &RequestError{Status: 400, Err: errors.New("budget fields must be non-negative")}
+			return errors.New("budget fields must be non-negative")
 		}
 		if int64(b.TimeoutMS) > int64(math.MaxInt64/time.Millisecond) {
-			return &RequestError{Status: 400, Err: fmt.Errorf("budget timeout_ms %d overflows a duration", b.TimeoutMS)}
+			return fmt.Errorf("budget timeout_ms %d overflows a duration", b.TimeoutMS)
 		}
 	}
 	if n := countNodes(r.Query); n > MaxWireNodes {
-		return &RequestError{Status: 400, Err: fmt.Errorf("query plan has over %d operators", MaxWireNodes)}
+		return fmt.Errorf("query plan has over %d operators", MaxWireNodes)
 	}
 	return nil
 }
@@ -231,40 +232,34 @@ type Summary struct {
 	Error      string `json:"error,omitempty"`
 }
 
-// RunParams is what admission control decided for one query: its
-// assigned ID, the effective Eps (after any degradation), and the
-// evaluation budget.
-type RunParams struct {
-	ID       string
-	Eps      float64
-	Degraded bool
-	Budget   engine.Budget
-}
-
-// Sink receives a run's wire events in order: Meta once, then Answer
-// per streamed answer. A false return means the client is gone and the
-// run should stop (breaking the answer stream cancels the underlying
-// evaluation).
-type Sink interface {
-	Meta(Meta) bool
-	Answer(Answer) bool
-}
-
-// RunOutcome is a completed (or failed) run's bookkeeping: the done
-// event's summary and the execution's EXPLAIN ANALYZE trace for the
-// per-query debug endpoint.
-type RunOutcome struct {
-	Summary Summary
-	Trace   *obs.QueryTrace
-}
-
-// SessionClient is one affinity session's query executor: the backend
-// pins per-session state (the fragment cache) inside it, and Run builds
-// and executes one wire request against it. Implementations must be
-// safe for concurrent Runs — the soak profile is N goroutines per named
-// session.
+// SessionClient is one affinity session's query builder: the backend
+// pins per-session state (the fragment cache) inside it, and Build
+// turns one wire request, at the precision and budget admission chose,
+// into a BuiltQuery. A Build error is the request's fault (a
+// misuse the builder rejects) and the server answers it with a 400
+// before writing anything else. Implementations must be safe for
+// concurrent Builds, and the queries they build for concurrent runs —
+// the soak profile is N goroutines per named session.
 type SessionClient interface {
-	Run(ctx context.Context, req *Request, p RunParams, sink Sink) (RunOutcome, error)
+	Build(req *Request, eps float64, budget engine.Budget) (BuiltQuery, error)
+}
+
+// BuiltQuery is one built, routed query, ready to run once. The
+// backend only builds; the server runs it and writes the response —
+// meta from Explain and Schema, one answer per element of Answers, the
+// done summary from Trace.
+type BuiltQuery interface {
+	// Explain is the planner's one-line routing explanation.
+	Explain() string
+	// Schema names the answer columns.
+	Schema() []string
+	// Answers streams the wire answers, each the moment it is proven.
+	// A failure is the final element, after the answers already
+	// delivered; breaking the loop cancels the evaluation.
+	Answers(ctx context.Context) iter.Seq2[Answer, error]
+	// Trace is the execution's EXPLAIN ANALYZE trace once Answers has
+	// ended (nil before, or if the run never finished).
+	Trace() *obs.QueryTrace
 }
 
 // Backend is the query engine the server fronts. The root repro package
@@ -277,17 +272,3 @@ type Backend interface {
 	// Snapshot exports the engine metrics for GET /metrics.
 	Snapshot() obs.Snapshot
 }
-
-// RequestError is a request-level failure with an HTTP status — the
-// backend wraps query-build failures (the façade's BuildErrors) with
-// status 400, and the handler maps them onto the response before any
-// stream output has been written.
-type RequestError struct {
-	Status int
-	Err    error
-}
-
-func (e *RequestError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the wrapped error to errors.As/Is.
-func (e *RequestError) Unwrap() error { return e.Err }

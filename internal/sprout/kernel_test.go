@@ -22,7 +22,7 @@ func TestGrouperOrderGrowthAndBooleanHead(t *testing.T) {
 			g.Add([]pdb.Value{7, pdb.Value(v - 300)}, []int{1}, 0.5)
 		}
 	}
-	tbl := g.Table([]string{"v"})
+	tbl := g.Table()
 	if len(tbl.Rows) != 1000 {
 		t.Fatalf("%d groups, want 1000", len(tbl.Rows))
 	}
@@ -47,23 +47,23 @@ func TestGrouperOrderGrowthAndBooleanHead(t *testing.T) {
 
 	// The zero-width projection: no group without a row, one with any.
 	b := NewGrouper(0)
-	if rows := NewGrouper(0).Table(nil).Rows; len(rows) != 0 {
+	if rows := NewGrouper(0).Table().Rows; len(rows) != 0 {
 		t.Fatalf("empty Boolean projection has %d rows", len(rows))
 	}
 	b.Add([]pdb.Value{1, 2}, nil, 0.5)
 	b.Add([]pdb.Value{3, 4}, nil, 0.5)
-	if rows := b.Table(nil).Rows; len(rows) != 1 || len(rows[0].Vals) != 0 || rows[0].P != 0.75 {
+	if rows := b.Table().Rows; len(rows) != 1 || len(rows[0].Vals) != 0 || rows[0].P != 0.75 {
 		t.Fatalf("Boolean projection: %+v", rows)
 	}
 }
 
 func TestIndepJoinOnKeysKeepAndOrder(t *testing.T) {
-	l := &ProbTable{Cols: []string{"a", "b"}, Rows: []ProbRow{
+	l := &ProbTable{Width: 2, Rows: []ProbRow{
 		{Vals: []pdb.Value{1, 10}, P: 0.5},
 		{Vals: []pdb.Value{2, 20}, P: 0.25},
 		{Vals: []pdb.Value{1, 11}, P: 0.125},
 	}}
-	r := &ProbTable{Cols: []string{"b", "a", "c"}, Rows: []ProbRow{
+	r := &ProbTable{Width: 3, Rows: []ProbRow{
 		{Vals: []pdb.Value{10, 1, 100}, P: 0.5},
 		{Vals: []pdb.Value{20, 1, 200}, P: 0.5},
 		{Vals: []pdb.Value{10, 1, 300}, P: 0.25},
@@ -89,8 +89,8 @@ func TestIndepJoinOnKeysKeepAndOrder(t *testing.T) {
 	if want := []float64{0.25, 0.125, 0.125}; !slices.Equal(ps, want) {
 		t.Fatalf("two-column join P %v, want %v", ps, want)
 	}
-	if !slices.Equal(j.Cols, []string{"c", "a", "b"}) {
-		t.Fatalf("cols %v", j.Cols)
+	if j.Width != 3 {
+		t.Fatalf("width %d, want 3", j.Width)
 	}
 
 	// No key: the Cartesian product, left-row-major.
@@ -105,7 +105,7 @@ func TestIndepJoinOnKeysKeepAndOrder(t *testing.T) {
 	}
 
 	// An empty side joins to nothing.
-	if e := IndepJoinOn(l, &ProbTable{Cols: r.Cols}, []int{0}, []int{1}, []int{0}); len(e.Rows) != 0 {
+	if e := IndepJoinOn(l, &ProbTable{Width: r.Width}, []int{0}, []int{1}, []int{0}); len(e.Rows) != 0 {
 		t.Fatalf("join with an empty table: %v", e.Rows)
 	}
 }

@@ -8,7 +8,7 @@ import "repro/internal/pdb"
 // TestSelectAndBooleanProject. The rest of the string-keyed pipeline
 // the safe route replaced is the oracle in internal/plan/oracle_test.go.
 func (t *ProbTable) Select(pred func(vals []pdb.Value) bool) *ProbTable {
-	out := &ProbTable{Cols: t.Cols}
+	out := &ProbTable{Width: t.Width}
 	for _, r := range t.Rows {
 		if pred(r.Vals) {
 			out.Rows = append(out.Rows, r)

@@ -29,8 +29,8 @@ import (
 // probability of the independent event it represents. Safe plans
 // guarantee the independence assumptions each operator needs.
 type ProbTable struct {
-	Cols []string
-	Rows []ProbRow
+	Width int // columns per row
+	Rows  []ProbRow
 }
 
 // ProbRow is a row and the probability of its event. Rows an operator
@@ -43,8 +43,8 @@ type ProbRow struct {
 
 // tableOver wraps a flat arena of width-column rows and their
 // probabilities as a ProbTable.
-func tableOver(cols []string, width int, vals []pdb.Value, ps []float64) *ProbTable {
-	t := &ProbTable{Cols: cols, Rows: make([]ProbRow, len(ps))}
+func tableOver(width int, vals []pdb.Value, ps []float64) *ProbTable {
+	t := &ProbTable{Width: width, Rows: make([]ProbRow, len(ps))}
 	for i, p := range ps {
 		t.Rows[i] = ProbRow{Vals: vals[i*width : (i+1)*width : (i+1)*width], P: p}
 	}
@@ -166,15 +166,15 @@ func (g *Grouper) Add(vals []pdb.Value, cols []int, p float64) {
 	g.q[id] *= 1 - p
 }
 
-// Table returns the groups as a table with the given column names, in
-// pdb.CompareValueKeys order. That order fixes the multiplication order
-// of every operator above, and with it the last bit of every answer.
-// The Grouper must not be used afterwards: the rows alias its keys.
-func (g *Grouper) Table(cols []string) *ProbTable {
+// Table returns the groups as a table, in pdb.CompareValueKeys order.
+// That order fixes the multiplication order of every operator above,
+// and with it the last bit of every answer. The Grouper must not be
+// used afterwards: the rows alias its keys.
+func (g *Grouper) Table() *ProbTable {
 	for i, q := range g.q {
 		g.q[i] = 1 - q
 	}
-	t := tableOver(cols, g.idx.width, g.idx.keys, g.q)
+	t := tableOver(g.idx.width, g.idx.keys, g.q)
 	slices.SortFunc(t.Rows, func(a, b ProbRow) int { return pdb.CompareValueKeys(a.Vals, b.Vals) })
 	return t
 }
@@ -182,15 +182,11 @@ func (g *Grouper) Table(cols []string) *ProbTable {
 // IndepProject projects onto the given columns, combining the rows of
 // each group with the independent-or rule (see Grouper).
 func (t *ProbTable) IndepProject(cols []int) *ProbTable {
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = t.Cols[c]
-	}
 	g := NewGrouper(len(cols))
 	for _, r := range t.Rows {
 		g.Add(r.Vals, cols, r.P)
 	}
-	return g.Table(names)
+	return g.Table()
 }
 
 // IndepJoinOn is the independent join on l[lcols[i]] = r[rcols[i]] for
@@ -199,15 +195,7 @@ func (t *ProbTable) IndepProject(cols []int) *ProbTable {
 // r's schemas. Output rows are in l's row order and, for one l row, in
 // r's row order.
 func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
-	lw := len(l.Cols)
-	names := make([]string, len(keep))
-	for i, c := range keep {
-		if c < lw {
-			names[i] = l.Cols[c]
-		} else {
-			names[i] = r.Cols[c-lw]
-		}
-	}
+	lw := l.Width
 	// Index r: the rows of one key, chained in row order.
 	idx := NewKeyIndex(len(rcols))
 	var first, last []int32 // per key
@@ -241,5 +229,5 @@ func IndepJoinOn(l, r *ProbTable, lcols, rcols, keep []int) *ProbTable {
 			ps = append(ps, lrow.P*rrow.P)
 		}
 	}
-	return tableOver(names, len(keep), vals, ps)
+	return tableOver(len(keep), vals, ps)
 }

@@ -37,7 +37,7 @@ func buildRS(seed int64, nA, maxB int) (*formula.Space, *pdb.Relation, *pdb.Rela
 // tableOf reads a tuple-independent (or deterministic) relation as a
 // ProbTable, evaluating each tuple's lineage clause.
 func tableOf(s *formula.Space, r *pdb.Relation) *ProbTable {
-	t := &ProbTable{Cols: r.Cols, Rows: make([]ProbRow, 0, len(r.Tups))}
+	t := &ProbTable{Width: len(r.Cols), Rows: make([]ProbRow, 0, len(r.Tups))}
 	for _, tup := range r.Tups {
 		t.Rows = append(t.Rows, ProbRow{Vals: tup.Vals, P: tup.Lin.Probability(s)})
 	}
@@ -81,7 +81,7 @@ func TestSafePlanMatchesBruteForce(t *testing.T) {
 
 func TestIndepProjectGrouping(t *testing.T) {
 	tbl := &ProbTable{
-		Cols: []string{"a", "b"},
+		Width: 2,
 		Rows: []ProbRow{
 			{Vals: []pdb.Value{1, 10}, P: 0.5},
 			{Vals: []pdb.Value{1, 11}, P: 0.5},
@@ -101,17 +101,17 @@ func TestIndepProjectGrouping(t *testing.T) {
 }
 
 func TestIndepJoin(t *testing.T) {
-	l := &ProbTable{Cols: []string{"a"}, Rows: []ProbRow{
+	l := &ProbTable{Width: 1, Rows: []ProbRow{
 		{Vals: []pdb.Value{1}, P: 0.5},
 		{Vals: []pdb.Value{2}, P: 0.4},
 	}}
-	r := &ProbTable{Cols: []string{"a", "c"}, Rows: []ProbRow{
+	r := &ProbTable{Width: 2, Rows: []ProbRow{
 		{Vals: []pdb.Value{1, 7}, P: 0.3},
 		{Vals: []pdb.Value{1, 8}, P: 0.2},
 		{Vals: []pdb.Value{3, 9}, P: 0.9},
 	}}
 	j := IndepJoinOn(l, r, []int{0}, []int{0}, []int{0, 1, 2})
-	if len(j.Rows) != 2 || len(j.Cols) != 3 {
+	if len(j.Rows) != 2 || j.Width != 3 {
 		t.Fatalf("join rows %d, want 2", len(j.Rows))
 	}
 	for _, row := range j.Rows {
@@ -125,7 +125,7 @@ func TestIndepJoin(t *testing.T) {
 }
 
 func TestSelectAndBooleanProject(t *testing.T) {
-	tbl := &ProbTable{Cols: []string{"a"}, Rows: []ProbRow{
+	tbl := &ProbTable{Width: 1, Rows: []ProbRow{
 		{Vals: []pdb.Value{1}, P: 0.5},
 		{Vals: []pdb.Value{2}, P: 0.5},
 		{Vals: []pdb.Value{3}, P: 0.5},

@@ -2,8 +2,8 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -55,71 +55,53 @@ type serveClient struct {
 	inject *fault.Injector
 }
 
-func (c *serveClient) Run(ctx context.Context, req *serve.Request, p serve.RunParams, sink serve.Sink) (serve.RunOutcome, error) {
-	var tr *QueryTrace
+// Build compiles a wire request through the fluent builder on a
+// session at the given precision and budget; every failure is the
+// builder's BuildError, which the server writes as a 400.
+func (c *serveClient) Build(req *serve.Request, eps float64, budget Budget) (serve.BuiltQuery, error) {
+	b := &servedQuery{}
 	opts := []SessionOption{
 		WithSharedFragCache(c.frags),
-		WithBudget(p.Budget),
-		WithTrace(func(t *QueryTrace) { tr = t }),
+		WithBudget(budget),
+		WithTrace(func(t *QueryTrace) { b.tr = t }),
 	}
-	if p.Eps > 0 {
-		opts = append(opts, WithEps(p.Eps))
+	if eps > 0 {
+		opts = append(opts, WithEps(eps))
 	}
 	if c.inject != nil {
 		opts = append(opts, WithInjector(c.inject))
 	}
-	sess := c.db.Session(opts...)
-
-	q, err := compileWire(sess, req.Query)
+	q, err := compileWire(c.db.Session(opts...), req.Query)
 	if err != nil {
-		return serve.RunOutcome{}, &serve.RequestError{Status: 400, Err: err}
+		return nil, err
 	}
-	pr, err := q.Build()
-	if err != nil {
-		return serve.RunOutcome{}, &serve.RequestError{Status: 400, Err: err}
+	if b.pr, err = q.Build(); err != nil {
+		return nil, err
 	}
+	b.schema = q.Schema()
+	return b, nil
+}
 
-	meta := serve.Meta{
-		ID: p.ID, Session: req.Session,
-		Explain: pr.Explain(), Schema: q.Schema(),
-		Eps: p.Eps, Degraded: p.Degraded,
-	}
-	if !sink.Meta(meta) {
-		if cerr := ctx.Err(); cerr != nil {
-			return serve.RunOutcome{}, cerr
-		}
-		return serve.RunOutcome{}, errors.New("client went away before the stream started")
-	}
+// servedQuery is serve.BuiltQuery over a prepared façade query; its
+// session's trace sink fills tr when the run ends.
+type servedQuery struct {
+	pr     *Prepared
+	schema []string
+	tr     *QueryTrace
+}
 
-	// Stream: each proven answer goes to the sink as it is yielded; a
-	// refused answer means the client disconnected, and breaking the
-	// loop cancels the evaluation. The error, if any, is the stream's
-	// final element — partial results stay delivered.
-	var runErr error
-	answers := 0
-	for a, aerr := range pr.Run(ctx) {
-		if aerr != nil {
-			runErr = aerr
-			continue
-		}
-		answers++
-		if !sink.Answer(wireAnswer(a)) {
-			break
-		}
-	}
+func (b *servedQuery) Explain() string    { return b.pr.Explain() }
+func (b *servedQuery) Schema() []string   { return b.schema }
+func (b *servedQuery) Trace() *QueryTrace { return b.tr }
 
-	sum := serve.Summary{Answers: answers}
-	if tr != nil {
-		sum.Route = tr.Route
-		sum.WallMicros = tr.Wall.Microseconds()
-		if tr.Rank != nil {
-			sum.Steps = tr.Rank.Steps
+func (b *servedQuery) Answers(ctx context.Context) iter.Seq2[serve.Answer, error] {
+	return func(yield func(serve.Answer, error) bool) {
+		for a, err := range b.pr.Run(ctx) {
+			if !yield(wireAnswer(a), err) {
+				return
+			}
 		}
 	}
-	if runErr != nil {
-		sum.Error = runErr.Error()
-	}
-	return serve.RunOutcome{Summary: sum, Trace: tr}, runErr
 }
 
 // wireAnswer converts a façade answer to the wire shape.
