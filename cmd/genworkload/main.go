@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,14 +35,24 @@ import (
 )
 
 func main() {
-	workload := flag.String("w", "karate-triangle", "workload name")
-	n := flag.Int("n", 10, "clique size for clique-* workloads")
-	p := flag.Float64("p", 0.3, "edge probability for clique-* workloads")
-	sf := flag.Float64("sf", 0.001, "scale factor for tpch-* workloads")
-	rows := flag.Int("rows", 20000, "fact rows for the skew-join workload")
-	skew := flag.Float64("skew", 1.2, "Zipf exponent for skew-join keys (≤1 = uniform)")
-	seed := flag.Int64("seed", 42, "generator seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "genworkload:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line args and writes the chosen workload's DNF
+// to w.
+func run(args []string, w io.Writer) error {
+	flags := flag.NewFlagSet("genworkload", flag.ExitOnError)
+	workload := flags.String("w", "karate-triangle", "workload name")
+	n := flags.Int("n", 10, "clique size for clique-* workloads")
+	p := flags.Float64("p", 0.3, "edge probability for clique-* workloads")
+	sf := flags.Float64("sf", 0.001, "scale factor for tpch-* workloads")
+	rows := flags.Int("rows", 20000, "fact rows for the skew-join workload")
+	skew := flags.Float64("skew", 1.2, "Zipf exponent for skew-join keys (≤1 = uniform)")
+	seed := flags.Int64("seed", 42, "generator seed")
+	flags.Parse(args)
 
 	var (
 		s *formula.Space
@@ -77,8 +89,7 @@ func main() {
 			s, node = db.Space, db.Query(strings.ToUpper(name))
 		}
 		if node == nil {
-			fmt.Fprintf(os.Stderr, "genworkload: unknown workload %q\n", *workload)
-			os.Exit(1)
+			return fmt.Errorf("unknown workload %q", *workload)
 		}
 	}
 	if node != nil {
@@ -87,11 +98,7 @@ func main() {
 		}
 	}
 	if len(d) == 0 {
-		fmt.Fprintln(os.Stderr, "genworkload: workload produced an empty DNF at this scale")
-		os.Exit(1)
+		return errors.New("workload produced an empty DNF at this scale")
 	}
-	if err := dnftext.Write(os.Stdout, s, d); err != nil {
-		fmt.Fprintln(os.Stderr, "genworkload:", err)
-		os.Exit(1)
-	}
+	return dnftext.Write(w, s, d)
 }

@@ -866,3 +866,50 @@ func (d *irDecoder) node(depth int) plan.Node {
 	}
 	return nil
 }
+
+// TestRunFinishesWhenLoopBodyPanics: a panic in the caller's loop body
+// over Prepared.Run still finishes the run — the query is counted, the
+// WithTrace sink fires once and the borrowed interner goes back to the
+// DB's pool, where the next query finds it (its clauses all hit, none
+// is stored anew).
+func TestRunFinishesWhenLoopBodyPanics(t *testing.T) {
+	db := smallDB(t)
+	ctx := context.Background()
+	fired := 0
+	// Forced onto the lineage route, whose clauses go through the interner.
+	sess := db.Session(repro.WithForceLineage(), repro.WithTrace(func(*repro.QueryTrace) { fired++ }))
+	q := func() *repro.Query { return sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(2) }
+	// One whole run leaves an interner holding the query's clauses in
+	// the pool.
+	if _, err := q().All(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Snapshot()
+	fired = 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the loop body's panic did not reach the caller")
+			}
+		}()
+		for _, err := range q().Run(ctx) {
+			if err != nil {
+				t.Error(err)
+			}
+			panic("loop body")
+		}
+	}()
+	if n := db.Snapshot().Sub(before).Queries; n != 1 {
+		t.Errorf("Snapshot().Queries moved by %d, want 1", n)
+	}
+	if fired != 1 {
+		t.Errorf("trace sink fired %d times, want 1", fired)
+	}
+	before = db.Snapshot()
+	if _, err := q().All(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := db.Snapshot().Sub(before); d.InternerHits == 0 || d.InternerStored != 0 {
+		t.Errorf("next query's interner: %d hits, %d stored; want the pooled one back (hits only)", d.InternerHits, d.InternerStored)
+	}
+}

@@ -189,3 +189,21 @@ func FuzzDnftextRoundTrip(f *testing.F) {
 		checkRoundTrip(t, s, d)
 	})
 }
+
+// TestParsedNames: every parsed variable is named as declared, Boolean
+// or not.
+func TestParsedNames(t *testing.T) {
+	names := []string{"a", "lineitem#3", "orders/blk2", "x9", "b"}
+	s, _, err := Parse(strings.NewReader("var a 0.3\nvar lineitem#3 0.5\nvar orders/blk2 0.2 0.3 0.5\nvar x9 0.9\nvar b 0.4 0.6\nclause a\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumVars() != len(names) {
+		t.Fatalf("%d variables, want %d", s.NumVars(), len(names))
+	}
+	for v, want := range names {
+		if got := s.Name(formula.Var(v)); got != want {
+			t.Errorf("Name(%d) = %q, want %q", v, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package formula
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -127,4 +128,82 @@ func TestEvaluateWorld(t *testing.T) {
 	if EvaluateWorld(d, map[Var]Val{x: True, y: True}) {
 		t.Error("world x=1,y=1 should not satisfy")
 	}
+}
+
+// TestSpaceNameRuns: a name by rule is formatted from its run, an
+// explicit name wins over it, the empty explicit name restores the
+// default, and variables outside every run keep "x<id>".
+func TestSpaceNameRuns(t *testing.T) {
+	s := NewSpace()
+	for i := 0; i < 7; i++ {
+		s.AddBool(0.5)
+	}
+	s.NameRun(1, 3, "r#", 0)
+	s.NameRun(4, 2, "b/blk", 5)
+	s.SetName(2, "mine")
+	s.SetName(5, "")
+	want := []string{"x0", "r#0", "mine", "r#2", "b/blk5", "x5", "x6"}
+	for v, w := range want {
+		if got := s.Name(Var(v)); got != w {
+			t.Errorf("Name(%d) = %q, want %q", v, got, w)
+		}
+	}
+	for _, bad := range []func(){
+		func() { s.NameRun(6, 2, "p", 0) }, // past the last variable
+		func() { s.NameRun(3, 1, "p", 0) }, // before the last run's end
+		func() { s.SetName(7, "p") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("bad naming did not panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestSpaceDomainAndBits: the flat layout stores each distribution as
+// given — a Boolean as 1−p, p — with every domain size intact.
+func TestSpaceDomainAndBits(t *testing.T) {
+	var s Space // the zero value is usable
+	x := s.AddBool(0.3)
+	y := s.AddVar(0.2, 0.3, 0.5)
+	z := s.AddVar(1)
+	if s.NumVars() != 3 || s.DomainSize(x) != 2 || s.DomainSize(y) != 3 || s.DomainSize(z) != 1 {
+		t.Fatalf("NumVars=%d domains %d %d %d", s.NumVars(), s.DomainSize(x), s.DomainSize(y), s.DomainSize(z))
+	}
+	if math.Float64bits(s.P(Neg(x))) != math.Float64bits(1-0.3) || s.PTrue(x) != 0.3 ||
+		s.P(Atom{y, 0}) != 0.2 || s.P(Atom{y, 2}) != 0.5 || s.P(Atom{z, 0}) != 1 {
+		t.Fatal("probabilities moved")
+	}
+}
+
+// TestSpaceAddBoolBytes pins the flat layout's cost: a Boolean variable
+// holds two float64s, an offset and a tag, so the live heap per AddBool,
+// amortised over 100 000 variables with append's slack, stays at most
+// 32 bytes (a slice per distribution, its header and an empty name
+// string took about 66).
+func TestSpaceAddBoolBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is inflated under -race")
+	}
+	const n = 100_000
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	s := NewSpace()
+	for i := 0; i < n; i++ {
+		s.AddBool(0.5)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(int64(ms.HeapAlloc)-int64(before)) / n
+	runtime.KeepAlive(s)
+	if per > 32 {
+		t.Fatalf("%.1f live heap bytes per AddBool, want ≤ 32", per)
+	}
+	t.Logf("%.1f live heap bytes per AddBool", per)
 }

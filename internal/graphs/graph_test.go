@@ -2,6 +2,7 @@ package graphs
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -357,6 +358,21 @@ func TestGlobalNodesOnFigure8Triangles(t *testing.T) {
 		}
 		if res.Nodes != tc.nodes {
 			t.Errorf("n=%d %v %v: %d nodes, want %d", tc.n, tc.kind, tc.eps, res.Nodes, tc.nodes)
+		}
+	}
+}
+
+// TestKarateEdgeNames: every variable of the network's space carries
+// its edge's explicit name "e<u>_<v>".
+func TestKarateEdgeNames(t *testing.T) {
+	g := Karate(1)
+	if g.Space().NumVars() != g.NumEdges() {
+		t.Fatalf("%d variables for %d edges", g.Space().NumVars(), g.NumEdges())
+	}
+	for _, e := range g.Edges() {
+		v, ok := g.EdgeVar(e[0], e[1])
+		if want := fmt.Sprintf("e%d_%d", e[0], e[1]); !ok || g.Space().Name(v) != want {
+			t.Fatalf("edge %v: Name(%d) = %q, want %q", e, v, g.Space().Name(v), want)
 		}
 	}
 }

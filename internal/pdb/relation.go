@@ -144,7 +144,10 @@ func NewDeterministic(name string, cols []string, rows [][]Value) *Relation {
 // NewTupleIndependent builds a tuple-independent relation: each row is
 // present with its own probability, via a fresh Boolean variable tagged
 // with the given relation tag (tags drive ⊙ factorization and the IQ
-// variable order in the d-tree compiler).
+// variable order in the d-tree compiler). Row i's variable is named
+// "<name>#<i>" by one naming run, and every tuple's lineage is a slice
+// of one atom block: construction allocates the same few objects at any
+// row count.
 func NewTupleIndependent(s *formula.Space, name string, cols []string, rows [][]Value, probs []float64, tag int32) *Relation {
 	if len(rows) != len(probs) {
 		// invariant: relation construction happens at load time from
@@ -153,11 +156,18 @@ func NewTupleIndependent(s *formula.Space, name string, cols []string, rows [][]
 		panic("pdb: rows and probs length mismatch")
 	}
 	r := &Relation{Name: name, Cols: cols}
-	for i, row := range rows {
-		v := s.AddBoolTagged(probs[i], tag)
-		s.SetName(v, fmt.Sprintf("%s#%d", name, i))
-		r.Tups = append(r.Tups, Tuple{Vals: row, Lin: formula.MustClause(formula.Pos(v))})
+	if len(rows) == 0 {
+		return r
 	}
+	s.Grow(len(rows), 2*len(rows))
+	first := formula.Var(s.NumVars())
+	r.Tups = make([]Tuple, len(rows))
+	atoms := make([]formula.Atom, len(rows))
+	for i, row := range rows {
+		atoms[i] = formula.Pos(s.AddBoolTagged(probs[i], tag))
+		r.Tups[i] = Tuple{Vals: row, Lin: atoms[i : i+1 : i+1]}
+	}
+	s.NameRun(first, len(rows), name+"#", 0)
 	return r
 }
 
@@ -173,14 +183,36 @@ type BIDAlternative struct {
 // block becomes one discrete random variable; alternative i of a block is
 // annotated with the atom (block = i). If a block's probabilities sum to
 // less than 1, the remainder is the (unannotated) probability that no
-// alternative is present.
+// alternative is present. Block b's variable is named "<name>/blk<b>",
+// by one naming run per stretch of non-empty blocks, and every tuple's
+// lineage is a slice of one atom block.
 func NewBID(s *formula.Space, name string, cols []string, blocks [][]BIDAlternative, tag int32) *Relation {
 	r := &Relation{Name: name, Cols: cols}
+	vars, alts, widest := 0, 0, 0
+	for _, block := range blocks {
+		if len(block) > 0 {
+			vars++
+			alts += len(block)
+			widest = max(widest, len(block))
+		}
+	}
+	if alts == 0 {
+		return r
+	}
+	s.Grow(vars, alts+vars)
+	r.Tups = make([]Tuple, 0, alts)
+	atoms := make([]formula.Atom, 0, alts)
+	dist := make([]float64, 0, widest+1)
+	prefix := name + "/blk"
+	// The open naming run: blocks runStart… hold variables runFirst….
+	runFirst, runStart, runLen := formula.Var(0), 0, 0
 	for bi, block := range blocks {
 		if len(block) == 0 {
+			s.NameRun(runFirst, runLen, prefix, runStart)
+			runLen = 0
 			continue
 		}
-		dist := make([]float64, 0, len(block)+1)
+		dist = dist[:0]
 		sum := 0.0
 		for _, alt := range block {
 			dist = append(dist, alt.Prob)
@@ -190,13 +222,15 @@ func NewBID(s *formula.Space, name string, cols []string, blocks [][]BIDAlternat
 			dist = append(dist, rest)
 		}
 		v := s.AddVarTagged(tag, dist...)
-		s.SetName(v, fmt.Sprintf("%s/blk%d", name, bi))
+		if runLen == 0 {
+			runFirst, runStart = v, bi
+		}
+		runLen++
 		for ai, alt := range block {
-			r.Tups = append(r.Tups, Tuple{
-				Vals: alt.Vals,
-				Lin:  formula.MustClause(formula.Atom{Var: v, Val: formula.Val(ai)}),
-			})
+			atoms = append(atoms, formula.Atom{Var: v, Val: formula.Val(ai)})
+			r.Tups = append(r.Tups, Tuple{Vals: alt.Vals, Lin: atoms[len(atoms)-1 : len(atoms) : len(atoms)]})
 		}
 	}
+	s.NameRun(runFirst, runLen, prefix, runStart)
 	return r
 }

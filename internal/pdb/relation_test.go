@@ -1,8 +1,11 @@
 package pdb
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/formula"
 )
@@ -109,5 +112,89 @@ func TestDisjointLineageConcurrentFirstCalls(t *testing.T) {
 		if g != (result{0, formula.Var(len(rows) - 1), true}) {
 			t.Errorf("worker %d: DisjointLineage = [%d, %d] %v", i, g.lo, g.hi, g.ok)
 		}
+	}
+}
+
+// TestNewTupleIndependentAllocationsFlat: construction allocates the
+// relation, its tuples, one lineage block and the space's arrays — the
+// same count at 10 rows as at 10 000.
+func TestNewTupleIndependentAllocationsFlat(t *testing.T) {
+	// A collection starting mid-run allocates too; keep it out.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		rows := make([][]Value, n)
+		probs := make([]float64, n)
+		for i := range rows {
+			rows[i] = []Value{Value(i)}
+			probs[i] = 0.5
+		}
+		return testing.AllocsPerRun(20, func() {
+			NewTupleIndependent(formula.NewSpace(), "R", []string{"a"}, rows, probs, 1)
+		})
+	}
+	if small, large := allocs(10), allocs(10_000); small != large {
+		t.Fatalf("NewTupleIndependent allocates %v times at 10 rows, %v at 10 000", small, large)
+	}
+}
+
+// TestRelationLineageLayout: every tuple's lineage is one atom of the
+// relation's one atom block, sliced cap = len, so appending to a Lin
+// never writes into a neighbour's.
+func TestRelationLineageLayout(t *testing.T) {
+	s := formula.NewSpace()
+	ti, _ := tinyRelations(s)
+	bid := NewBID(s, "B", []string{"k"}, [][]BIDAlternative{
+		{{Vals: []Value{1}, Prob: 0.3}, {Vals: []Value{2}, Prob: 0.6}},
+		nil,
+		{{Vals: []Value{3}, Prob: 0.5}},
+	}, 2)
+	for _, r := range []*Relation{ti, bid} {
+		base := uintptr(unsafe.Pointer(&r.Tups[0].Lin[0]))
+		for i, tup := range r.Tups {
+			if len(tup.Lin) != 1 || cap(tup.Lin) != 1 {
+				t.Fatalf("%s tuple %d: Lin len %d cap %d, want 1 and 1", r.Name, i, len(tup.Lin), cap(tup.Lin))
+			}
+			if off := uintptr(unsafe.Pointer(&tup.Lin[0])) - base; off != uintptr(i)*unsafe.Sizeof(formula.Atom{}) {
+				t.Fatalf("%s tuple %d: atom at offset %d of the block, want %d", r.Name, i, off, uintptr(i)*unsafe.Sizeof(formula.Atom{}))
+			}
+		}
+	}
+}
+
+// TestRelationNamesByRule: every variable a constructor adds is named
+// exactly as "<name>#<row>" (tuple-independent) or "<name>/blk<block>"
+// (BID, counting empty blocks), and explicit names win.
+func TestRelationNamesByRule(t *testing.T) {
+	s := formula.NewSpace()
+	s.AddBool(0.5)
+	ti := NewTupleIndependent(s, "T", []string{"a"}, [][]Value{{1}, {2}, {3}}, []float64{0.1, 0.2, 0.3}, 1)
+	alt := func(v Value, p float64) BIDAlternative { return BIDAlternative{Vals: []Value{v}, Prob: p} }
+	bid := NewBID(s, "B", []string{"k"}, [][]BIDAlternative{
+		nil,
+		{alt(1, 0.3), alt(2, 0.4)},
+		{alt(3, 1)},
+		{},
+		{alt(4, 0.5)},
+		nil,
+	}, 2)
+	empty := NewBID(s, "E", []string{"k"}, [][]BIDAlternative{nil, {}}, 3)
+	want := map[formula.Var]string{0: "x0"}
+	for i, tup := range ti.Tups {
+		want[tup.Lin[0].Var] = fmt.Sprintf("T#%d", i)
+	}
+	for i, blk := range []int{1, 1, 2, 4} {
+		want[bid.Tups[i].Lin[0].Var] = fmt.Sprintf("B/blk%d", blk)
+	}
+	if len(empty.Tups) != 0 || len(want) != s.NumVars() || s.NumVars() != 7 {
+		t.Fatalf("%d variables, %d expected names, %d tuples in the empty BID", s.NumVars(), len(want), len(empty.Tups))
+	}
+	for v, w := range want {
+		if got := s.Name(v); got != w {
+			t.Errorf("Name(%d) = %q, want %q", v, got, w)
+		}
+	}
+	s.SetName(ti.Tups[1].Lin[0].Var, "mine")
+	if got := s.Name(ti.Tups[1].Lin[0].Var); got != "mine" {
+		t.Errorf("explicit name lost to the run: %q", got)
 	}
 }

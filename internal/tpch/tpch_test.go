@@ -258,3 +258,32 @@ func TestHardRSTWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestVariableNamesByRule: every variable of the generated spaces is
+// named "<relation>#<row>", the name its relation's naming run formats.
+func TestVariableNamesByRule(t *testing.T) {
+	db := Generate(Config{SF: 0.001, ProbHigh: 1, Seed: 42})
+	skew := GenerateSkewed(500, 10, 1.2, 7)
+	for _, tc := range []struct {
+		name string
+		s    *formula.Space
+		rels []*pdb.Relation
+	}{
+		{"tpch", db.Space, db.Relations()},
+		{"skew", skew.Space, []*pdb.Relation{skew.Fact, skew.Dim}},
+	} {
+		n := 0
+		for _, r := range tc.rels {
+			for i, tup := range r.Tups {
+				want := fmt.Sprintf("%s#%d", r.Name, i)
+				if got := tc.s.Name(tup.Lin[0].Var); got != want {
+					t.Fatalf("%s: Name(%d) = %q, want %q", tc.name, tup.Lin[0].Var, got, want)
+				}
+				n++
+			}
+		}
+		if n != tc.s.NumVars() {
+			t.Fatalf("%s: %d tuples name %d variables", tc.name, n, tc.s.NumVars())
+		}
+	}
+}

@@ -451,6 +451,9 @@ func (pr *Prepared) Run(ctx context.Context) iter.Seq2[Answer, error] {
 		tr := pr.traceSink()
 		ctx, o := pr.begin(ctx, tr)
 		var runErr error
+		// Deferred so that a panic in the caller's loop body still counts
+		// the query, fires the trace sink and returns the interner.
+		defer func() { o.finish(runErr) }()
 		for a, err := range pr.p.StreamTraced(ctx, pr.sess.db.space, pr.sess.Evaluator(), o.in, tr) {
 			if err != nil {
 				runErr = err
@@ -461,7 +464,6 @@ func (pr *Prepared) Run(ctx context.Context) iter.Seq2[Answer, error] {
 				break
 			}
 		}
-		o.finish(runErr)
 	}
 }
 
