@@ -447,22 +447,28 @@ func (pr *Prepared) traceSink() *obs.QueryTrace {
 // pair after the proven prefix — iterate to the end and check the
 // error, or use Collect.
 func (pr *Prepared) Run(ctx context.Context) iter.Seq2[Answer, error] {
-	return func(yield func(Answer, error) bool) {
-		tr := pr.traceSink()
-		ctx, o := pr.begin(ctx, tr)
-		var runErr error
-		// Deferred so that a panic in the caller's loop body still counts
-		// the query, fires the trace sink and returns the interner.
-		defer func() { o.finish(runErr) }()
-		for a, err := range pr.p.StreamTraced(ctx, pr.sess.db.space, pr.sess.Evaluator(), o.in, tr) {
-			if err != nil {
-				runErr = err
-			} else {
-				o.answered()
-			}
-			if !yield(a, err) {
-				break
-			}
+	return func(yield func(Answer, error) bool) { pr.run(ctx, yield) }
+}
+
+// run is Run's body. It is a method of its own so that Run's iterator,
+// which holds no defer, stays small enough to inline into the caller's
+// range loop: a served query then allocates neither that iterator nor
+// its loop body on the heap.
+func (pr *Prepared) run(ctx context.Context, yield func(Answer, error) bool) {
+	tr := pr.traceSink()
+	ctx, o := pr.begin(ctx, tr)
+	var runErr error
+	// Deferred so that a panic in the caller's loop body still counts
+	// the query, fires the trace sink and returns the interner.
+	defer func() { o.finish(runErr) }()
+	for a, err := range pr.p.StreamTraced(ctx, pr.sess.db.space, pr.sess.Evaluator(), o.in, tr) {
+		if err != nil {
+			runErr = err
+		} else {
+			o.answered()
+		}
+		if !yield(a, err) {
+			break
 		}
 	}
 }
